@@ -34,55 +34,71 @@ func sortedSIDs(sids []predfilter.SID) []predfilter.SID {
 }
 
 // TestCacheEquivalenceRandomized is the DTD-driven property test for the
-// structural path-signature cache and the columnar batch matcher: an
-// engine with the cache enabled (plus one with a tiny bound, to force
-// evictions) must produce exactly the match sets of a cache-disabled
-// engine, across randomized interleavings of Add, Remove (both
-// invalidate the cache) and repeated matching (which serves later
-// documents from cache), through Match, MatchBatch and MatchStream. The
-// columnar engines force the bitset kernel on the batch paths (their
-// single-document Match calls stay scalar, so cache entries written by
-// either matcher must be served correctly by the other) at each cache
-// setting. The CI race leg runs this under -race, which also checks the
-// shared cache's synchronization in the worker pipeline and the columnar
-// index's freeze-generation rebuilds under concurrent registration.
+// served match path: engines on the one kernel — default cache, a tiny
+// bound that forces evictions, cache off, and ColumnarOff with the cache on
+// (the cache has one kernel, so that is the cached path too) — must
+// produce exactly the match sets of the scalar cache-off reference, across
+// randomized interleavings of Add, Remove (both invalidate the cache, and
+// rebuild live plans against new unit columns) and repeated matching
+// (which serves later documents from cached outcomes and plans), through
+// Match, MatchBatch and MatchStream. The subtests cross both attribute
+// modes with the three organizations; containment covering and the
+// presence of nested-path expressions (which keep transcripts unpruned)
+// alternate across them. The CI race leg runs this under -race, which also
+// checks the shared cache's synchronization in the worker pipeline and the
+// columnar index's freeze-generation rebuilds under concurrent
+// registration.
 func TestCacheEquivalenceRandomized(t *testing.T) {
-	const trials = 6
-	for _, schema := range []workload.Schema{workload.NITF(), workload.PSD()} {
-		for trial := 0; trial < trials; trial++ {
-			t.Run(fmt.Sprintf("%s/%d", schema.Name(), trial), func(t *testing.T) {
+	orgs := []predfilter.Organization{predfilter.Basic, predfilter.PrefixCover, predfilter.PrefixCoverAP}
+	for si, schema := range []workload.Schema{workload.NITF(), workload.PSD()} {
+		for trial := 0; trial < 6; trial++ {
+			base := predfilter.Config{
+				Organization:        orgs[trial%3],
+				AttributeMode:       predfilter.AttributeMode(trial / 3),
+				ContainmentCovering: (trial+si)%2 == 1,
+			}
+			nested := (trial/3+trial+si)%2 == 0
+			t.Run(fmt.Sprintf("%s/org%d-attr%d-cc%v-nested%v", schema.Name(), base.Organization, base.AttributeMode, base.ContainmentCovering, nested), func(t *testing.T) {
 				seed := int64(1000*trial + 17)
 				rng := rand.New(rand.NewSource(seed))
 				docs := workload.Documents(schema, 6, workload.DocumentConfig{MaxLevels: 6, Seed: seed})
-				xpes, err := workload.Expressions(schema, 30, workload.ExpressionConfig{
-					MaxLength:  6,
-					Wildcard:   0.2,
-					Descendant: 0.2,
-					Filters:    trial % 2, // half the trials carry attribute filters
-					Seed:       seed,
-				})
-				if err != nil {
-					t.Fatal(err)
+				var xpes []string
+				for filters := 0; filters < 2; filters++ { // half carry an attribute filter
+					part, err := workload.Expressions(schema, 15, workload.ExpressionConfig{
+						MaxLength:  6,
+						Wildcard:   0.2,
+						Descendant: 0.2,
+						Filters:    filters,
+						Seed:       seed + int64(filters),
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					xpes = append(xpes, part...)
 				}
-				for _, x := range xpes {
-					if nv := nestedVariant(x); nv != "" {
-						xpes = append(xpes, nv)
-						if len(xpes) >= 40 {
-							break
+				if nested {
+					for _, x := range xpes {
+						if nv := nestedVariant(x); nv != "" {
+							xpes = append(xpes, nv)
+							if len(xpes) >= 40 {
+								break
+							}
 						}
 					}
 				}
 
+				with := func(edit func(*predfilter.Config)) *predfilter.Engine {
+					cfg := base
+					edit(&cfg)
+					return predfilter.New(cfg)
+				}
 				engines := []*predfilter.Engine{
-					predfilter.New(predfilter.Config{}),                        // default cache
-					predfilter.New(predfilter.Config{PathCacheBytes: 8 << 10}), // tiny: constant eviction pressure
-					predfilter.New(predfilter.Config{ // columnar batches + default cache
-						Columnar: predfilter.ColumnarOn, StreamBatch: 4}),
-					predfilter.New(predfilter.Config{ // columnar + eviction pressure
-						Columnar: predfilter.ColumnarOn, PathCacheBytes: 8 << 10}),
-					predfilter.New(predfilter.Config{ // columnar, cache off
-						Columnar: predfilter.ColumnarOn, PathCacheBytes: -1}),
-					predfilter.New(predfilter.Config{PathCacheBytes: -1}), // disabled reference
+					with(func(c *predfilter.Config) {}),                             // default cache
+					with(func(c *predfilter.Config) { c.PathCacheBytes = 8 << 10 }), // tiny: constant eviction pressure
+					with(func(c *predfilter.Config) { c.PathCacheBytes = 8 << 10; c.StreamBatch = 4 }),
+					with(func(c *predfilter.Config) { c.PathCacheBytes = -1 }),                                      // the kernel uncached
+					with(func(c *predfilter.Config) { c.Columnar = predfilter.ColumnarOff }),                        // cached: still the one kernel
+					with(func(c *predfilter.Config) { c.Columnar = predfilter.ColumnarOff; c.PathCacheBytes = -1 }), // scalar reference
 				}
 				add := func(x string) predfilter.SID {
 					var want predfilter.SID
@@ -174,13 +190,17 @@ func TestCacheEquivalenceRandomized(t *testing.T) {
 				if pc := engines[1].Stats().PathCache; pc.Evictions == 0 {
 					t.Fatalf("tiny cache saw no evictions: %+v", pc)
 				}
-				// The columnar engines must actually have engaged the bitset
-				// kernel on the batch passes, or the columnar half of the
-				// property was vacuous.
-				for i := 2; i < 5; i++ {
-					if cs := engines[i].Stats().Columnar; cs.Batches == 0 || cs.Docs == 0 {
-						t.Fatalf("engine %d never engaged the columnar kernel: %+v", i, cs)
+				// Every engine but the reference must have run its documents —
+				// single publishes included — through the columnar kernel, or
+				// the property was vacuous.
+				for i, eng := range engines[:len(engines)-1] {
+					st := eng.Stats()
+					if st.Columnar.Docs != st.Documents || st.Documents == 0 {
+						t.Fatalf("engine %d: %d of %d documents on the columnar kernel", i, st.Columnar.Docs, st.Documents)
 					}
+				}
+				if st := engines[len(engines)-1].Stats(); st.Columnar.Docs != 0 {
+					t.Fatalf("the scalar reference ran %d documents on the columnar kernel", st.Columnar.Docs)
 				}
 			})
 		}

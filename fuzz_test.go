@@ -2,6 +2,8 @@ package predfilter_test
 
 import (
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,6 +28,8 @@ func FuzzMatch(f *testing.F) {
 		{"/a//c", "<a><b><c/></b><d/></a>"},
 		{"//a//a", "<a><a><a/></a></a>"},
 		{"/a[@k=v]", `<a k="v"/>`},
+		{"/a[@k=1v]/b", `<a k="v"><b/></a>`},           // fails as recorded, passes in the variant
+		{"//b[@n>=12]//b", `<b n="3"><b><b/></b></b>`}, // the same on an ambiguous path
 		{"//b[@k]", `<a><b k="1"/></a>`},
 		{"/a[b]/c", "<a><b/><c/></a>"},
 		{"/a[b[c]]//d", "<a><b><c/></b><d/></a>"},
@@ -104,12 +108,15 @@ func FuzzMatch(f *testing.F) {
 	})
 }
 
-// FuzzMatchColumnar drives the columnar batch matcher with arbitrary
-// (expression, document) pairs through MatchBatch with the kernel forced
-// on and the path cache off (so every path takes the pure bitset route),
-// and checks it against the refmatch oracle and the scalar engine. The
-// batch repeats the document so the second copy exercises the kernel's
-// pooled scratch reuse within one batch.
+// FuzzMatchColumnar drives the served kernel with arbitrary (expression,
+// document) pairs and checks it against the refmatch oracle and the
+// scalar cache-off engine. Uncached, through MatchBatch (so every path
+// takes the pure bitset route; the batch repeats the document so the
+// second copy exercises the pooled scratch reuse within one batch). And
+// cached, through single Match calls: the document (a miss builds each
+// entry and its live plan), then a variant with the same path signatures
+// but every attribute value changed, then the document again — hits that
+// walk plans recorded from a document with other values, in both orders.
 func FuzzMatchColumnar(f *testing.F) {
 	seeds := [][2]string{
 		{"//a", "<a/>"},
@@ -117,17 +124,19 @@ func FuzzMatchColumnar(f *testing.F) {
 		{"//a//a", "<a><a><a/></a></a>"},     // ambiguous path: scalar determination
 		{"/a/b/c", "<a><b><c/></b><b/></a>"}, // repeated tag across siblings
 		{"/a[@k=v]", `<a k="v"/>`},
-		{"/a[b]/c", "<a><b/><c/></a>"}, // nested filter
-		{"/*/*", "<a><b/></a>"},        // wildcard-only (length) chain
-		{"a[", "<a/>"},                 // malformed expression
-		{"//a", "<a><a><b></a></a>"},   // malformed document
+		{"/a[@k=1v]/b", `<a k="v"><b/></a>`},           // fails as recorded, passes in the variant
+		{"//b[@n>=12]//b", `<b n="3"><b><b/></b></b>`}, // the same on an ambiguous path
+		{"/a[b]/c", "<a><b/><c/></a>"},                 // nested filter
+		{"/*/*", "<a><b/></a>"},                        // wildcard-only (length) chain
+		{"a[", "<a/>"},                                 // malformed expression
+		{"//a", "<a><a><b></a></a>"},                   // malformed document
 	}
 	for _, s := range seeds {
 		f.Add(s[0], s[1])
 	}
 	f.Fuzz(func(t *testing.T, expr, doc string) {
 		scalar := predfilter.New(predfilter.Config{PathCacheBytes: -1, Columnar: predfilter.ColumnarOff})
-		col := predfilter.New(predfilter.Config{PathCacheBytes: -1, Columnar: predfilter.ColumnarOn})
+		col := predfilter.New(predfilter.Config{PathCacheBytes: -1, Columnar: predfilter.ColumnarAuto})
 		sid, err := scalar.Add(expr)
 		if err != nil {
 			return
@@ -152,6 +161,21 @@ func FuzzMatchColumnar(f *testing.F) {
 			}
 			if got := len(r.SIDs) == 1 && r.SIDs[0] == sid; got != matched {
 				t.Fatalf("%q over %q copy %d: columnar=%v scalar=%v", expr, doc, i, got, matched)
+			}
+		}
+		served := predfilter.New(predfilter.Config{})
+		if _, err := served.Add(expr); err != nil {
+			t.Fatalf("cached engine rejected %q that the scalar one accepted: %v", expr, err)
+		}
+		variant := strings.ReplaceAll(doc, `="`, `="1`)
+		for i, d := range []string{doc, variant, doc} {
+			want, werr := scalar.Match([]byte(d))
+			got, gerr := served.Match([]byte(d))
+			if (werr == nil) != (gerr == nil) {
+				t.Fatalf("%q copy %d: scalar err %v, cached err %v", d, i, werr, gerr)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%q over %q copy %d: cached=%v scalar=%v", expr, d, i, got, want)
 			}
 		}
 		p, perr := xpath.Parse(expr)

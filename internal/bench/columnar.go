@@ -128,7 +128,7 @@ func RunColumnar(s Scale, batches []int, progress io.Writer) (*ColumnarReport, e
 			len(w.XPEs), scalarDPS, scalarAllocs)
 
 		for _, b := range batches {
-			eng, err := newEngine(predfilter.ColumnarOn, b)
+			eng, err := newEngine(predfilter.ColumnarAuto, b)
 			if err != nil {
 				return nil, err
 			}

@@ -17,9 +17,9 @@ type PipelinePoint struct {
 	Speedup      float64 `json:"speedup_vs_sequential"`
 	AllocsPerDoc float64 `json:"allocs_per_doc"`
 	// EffectiveBatch is the measured documents per dispatch group
-	// (stream jobs / stream batches over the interval) — the number that
-	// decides whether the columnar batch matcher can engage. A backlogged
-	// feed approaches Config.StreamBatch; a trickling one stays near 1.
+	// (stream jobs / stream batches over the interval) — how many
+	// documents share one columnar scratch. A backlogged feed approaches
+	// Config.StreamBatch; a trickling one stays near 1.
 	EffectiveBatch float64 `json:"effective_batch,omitempty"`
 }
 

@@ -63,7 +63,9 @@ func (r Result) String() string {
 // workload.
 func RunPredicate(variant matcher.Variant, mode predicate.AttrMode, w *Workload) (Result, error) {
 	algo := Algorithm(variant.String())
-	m := matcher.New(matcher.Options{Variant: variant, AttrMode: mode})
+	// Cache off: the figures compare the paper's organizations, which only
+	// the uncached scalar loop runs (the path cache has one kernel).
+	m := matcher.New(matcher.Options{Variant: variant, AttrMode: mode, PathCacheBytes: -1})
 	b0 := time.Now()
 	for _, s := range w.XPEs {
 		if _, err := m.Add(s); err != nil {

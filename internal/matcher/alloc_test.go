@@ -70,3 +70,46 @@ func TestMatchDocumentCacheHitAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestMatchDocumentPlanHitAllocs is the same guard for value-dependent
+// work: on a one-filter-per-expression set, a cache-hit document replays
+// the transcript (re-evaluating every attribute filter, numeric and
+// non-numeric constants alike) and walks the live plan, and still
+// allocates only the result slice — nothing per attribute evaluation,
+// nothing per plan unit.
+func TestMatchDocumentPlanHitAllocs(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("<a>")
+	for i := 0; i < 20; i++ {
+		fmt.Fprintf(&sb, `<b n="%d" s="v%d"><c n="%d"/></b><d s="v%d"/>`, i%4, i%4, i%3, i%5)
+	}
+	sb.WriteString("</a>")
+	doc, err := xmldoc.Parse([]byte(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var xpes []string
+	for i := 0; i < 8; i++ {
+		xpes = append(xpes,
+			fmt.Sprintf("/a/b[@n=%d]/c", i), fmt.Sprintf("//c[@n>=%d]", i),
+			fmt.Sprintf("/a/b[@s=v%d]", i), fmt.Sprintf("//d[@s!=v%d]", i))
+	}
+	// Inline mode, the default: Postponed verification re-indexes the
+	// path's tuples by tag (buildByTag), which allocates per path.
+	m := New(Options{Metrics: metrics.NewSet()})
+	mustAdd(t, m, xpes...)
+	if out, _, _ := m.MatchDocumentColumnar(doc, nil); len(out) < 8 { // warm-up
+		t.Fatalf("only %d of %d filter expressions match", len(out), len(xpes))
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, _, err := m.MatchDocumentColumnar(doc, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("cache-hit document with live plan allocates %.1f per call, want <= 1", allocs)
+	}
+	if st, _ := m.PathCacheStats(); st.Hits == 0 {
+		t.Fatalf("no cache hits recorded: %+v", st)
+	}
+}

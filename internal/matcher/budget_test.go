@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -77,29 +79,53 @@ func TestMatchDocumentBudgetTripsOnBlowup(t *testing.T) {
 	}
 }
 
+// TestMatchDocumentBudgetDoesNotPoisonCache: a budget trip during a miss
+// must not Put a truncated outcome or a partial live plan. The step bound
+// is raised one step at a time, so the trip lands at every point of the
+// miss — the sweep, the structural candidates, the plan walk — and after
+// each abort an unbudgeted re-match (served from whatever the aborted
+// attempt cached), and a second one on pure hits, must agree with an
+// uncached matcher.
 func TestMatchDocumentBudgetDoesNotPoisonCache(t *testing.T) {
-	expr := strings.Repeat("//a", 6)
-	m := New(Options{Variant: PrefixCoverAP, PathCacheBytes: 1 << 20})
-	mustAdd(t, m, expr)
-	doc := chainDoc(t, 8)
-
-	// Trip the budget on the very first occurrence pair: the match fails
-	// mid-path, after predicate marks were partially computed.
-	if _, _, err := m.MatchDocumentBudget(doc, stepBudget(1)); err == nil {
-		t.Fatal("1-step budget survived")
+	xpes := []string{
+		strings.Repeat("//a", 6),                // structural: cached outcome
+		strings.Repeat("//a", 5) + "//a[@k=v]",  // live: plan unit that matches
+		strings.Repeat("//a", 5) + "//a[@k=w]",  // live: plan unit that fails its filter
+		"/a/a[@k=v]", "//a[@k=v]//a", "/a[a/a]", // more plan units; a nested reader of the transcript
 	}
-
-	// A truncated mark set must not have been cached: an unbudgeted
-	// re-match of the same document must agree with a fresh matcher.
+	var b strings.Builder
+	for i := 0; i < 8; i++ {
+		fmt.Fprintf(&b, `<a k="%s">`, []string{"v", "u"}[i%2])
+	}
+	b.WriteString(strings.Repeat("</a>", 8))
+	doc, err := xmldoc.Parse([]byte(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	fresh := New(Options{Variant: PrefixCoverAP, PathCacheBytes: -1})
-	mustAdd(t, fresh, expr)
+	mustAdd(t, fresh, xpes...)
 	want := matchSet(fresh, doc)
-	got := matchSet(m, doc)
-	if len(want) != 1 {
-		t.Fatalf("fresh matcher found %v, want the one match", want)
+	if len(want) < 3 {
+		t.Fatalf("uncached matcher found %v, want structural, live and nested matches", want)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("re-match after budgeted abort = %v, want %v (cache poisoned?)", got, want)
+
+	tripped := 0
+	for steps := int64(1); ; steps++ {
+		m := New(Options{Variant: PrefixCoverAP, PathCacheBytes: 1 << 20})
+		mustAdd(t, m, xpes...)
+		_, _, err := m.MatchDocumentBudget(doc, stepBudget(steps))
+		if err == nil {
+			break
+		}
+		tripped++
+		for pass := 0; pass < 2; pass++ {
+			if got := matchSet(m, doc); !reflect.DeepEqual(got, want) {
+				t.Fatalf("budget %d, re-match %d after the abort = %v, want %v (cache poisoned?)", steps, pass, got, want)
+			}
+		}
+	}
+	if tripped < 3 {
+		t.Fatalf("only %d budgets tripped: the miss was not interrupted at distinct points", tripped)
 	}
 }
 

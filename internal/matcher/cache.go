@@ -1,8 +1,10 @@
 package matcher
 
 import (
+	"math/bits"
 	"time"
 
+	"predfilter/internal/bitset"
 	"predfilter/internal/guard"
 	"predfilter/internal/pathcache"
 	"predfilter/internal/predindex"
@@ -14,29 +16,41 @@ import (
 // only on tag names and positions, so for a given path *signature* — its
 // tag sequence plus per-path occurrence vector — the predicate stage and
 // the occurrence determination of every value-independent iteration unit
-// produce the same result on every document. The matcher therefore splits
-// its iteration units at freeze time:
+// produce the same result on every document. The columnar organization
+// (columnar.go) therefore splits its unit columns at freeze time:
 //
 //   - structural units: every chain predicate is bare (no attribute
 //     filters), the expression carries no postponed annotations, and —
 //     for Postponed group representatives — neither does any member.
 //     Their per-path mark set is a pure function of the signature and is
 //     cached as the entry's Outcome. This is sound because every
-//     expression a structural unit can mark (prefix covers, containment
-//     covers, group members) is itself bare and annotation-free, and mark
-//     contributions are monotone, so OR-ing a cached outcome into the
-//     document state is exactly the sequential evaluation (the same
-//     argument that justifies the parallel merge).
+//     expression a structural unit can mark (containment covers, group
+//     members) is itself bare and annotation-free, and mark contributions
+//     are monotone, so OR-ing a cached outcome into the document state is
+//     exactly the sequential evaluation (the same argument that justifies
+//     the parallel merge).
 //
-//   - live units: anything touching attribute values. These re-run on
-//     every path; on a cache hit their predicate results are rebuilt by
-//     replaying the recorded transcript, which re-verifies attribute
-//     filters against the live tuples. Nested-path expressions are live
-//     too (their recombination needs node identities).
+//   - live units: anything touching attribute values. Whether one matches
+//     depends on the document, but whether it *can* match does not: a
+//     unit matches only if every chain predicate produced pairs, and an
+//     attribute-carrying predicate produces pairs only where its cell
+//     matched on tags and positions. The live units whose every predicate
+//     matched structurally are the entry's live plan — the same argument
+//     the Outcome makes, applied one step earlier. A hit replays the
+//     transcript (re-verifying attribute filters against the live tuples)
+//     and evaluates the plan's units only; every other live unit has a
+//     predicate that no document with this signature can satisfy. The
+//     transcript is pruned to the predicates the plan references, since
+//     nothing else reads the replayed results — except nested-path
+//     expressions, which are live too (their recombination needs node
+//     identities) and read arbitrary predicates, so their presence keeps
+//     the transcript whole.
 //
-// Cache misses evaluate structural units against a clean matched buffer
-// (sc.matched2) with mark logging on, so the cached outcome never absorbs
-// marks from earlier paths of the same document.
+// A miss builds the entry from one sweep over the structural touched set
+// and then takes the hit's tail, so there is one cached path. Structural
+// candidates evaluate against a clean matched buffer (sc.matched2) with
+// mark logging on, so the cached outcome never absorbs marks from earlier
+// paths of the same document.
 
 // appendPubSig appends the path's structural signature: the tuple count
 // (little-endian, two bytes — paths deeper than 64k tags do not occur)
@@ -86,33 +100,6 @@ func (m *Matcher) unitValueDependent(e *expr) bool {
 	return false
 }
 
-// splitUnits partitions the frozen iteration units into structural and
-// live halves, preserving the longest-first order within each (and the
-// per-cluster order for PrefixCoverAP). Callers hold the write lock.
-func (m *Matcher) splitUnits() {
-	m.structUnits = m.structUnits[:0]
-	m.liveUnits = m.liveUnits[:0]
-	for _, h := range m.ordered {
-		if m.unitValueDependent(h.e) {
-			m.liveUnits = append(m.liveUnits, h)
-		} else {
-			m.structUnits = append(m.structUnits, h)
-		}
-	}
-	m.structClusters = make(map[predindex.PID][]hotExpr, len(m.clusters))
-	m.liveClusters = make(map[predindex.PID][]hotExpr)
-	for pid, hs := range m.clusters {
-		for _, h := range hs {
-			if m.unitValueDependent(h.e) {
-				m.liveClusters[pid] = append(m.liveClusters[pid], h)
-			} else {
-				m.structClusters[pid] = append(m.structClusters[pid], h)
-			}
-		}
-	}
-	m.needRes = len(m.liveUnits) > 0 || len(m.nested) > 0
-}
-
 // invalidatePathCache bumps the cache generation so no stale outcome can
 // be served after a registration change. Callers hold the write lock, so
 // the bump cannot interleave with a matcher's Get/Put (matching holds the
@@ -124,96 +111,142 @@ func (m *Matcher) invalidatePathCache() {
 }
 
 // matchPathCached is the cache-enabled body of matchPath, entered after
-// the dedup check. Callers hold the read lock with organizations frozen.
-// When the budget trips mid-miss the partially built outcome is discarded
-// rather than Put — a cached entry must be the complete mark set for its
-// signature, never a budget-truncated one.
-func (m *Matcher) matchPathCached(sc *scratch, pub *xmldoc.Publication, bd *Breakdown, t0 time.Time, bud *guard.Budget) {
+// the dedup check: the one cached path, on the columnar organization.
+// Callers hold the read lock with the columnar index current. A hit
+// replays the pruned transcript; a miss runs stage 1 and builds the entry;
+// both then apply the structural outcome and walk the live plan.
+func (m *Matcher) matchPathCached(sc *scratch, cs *colScratch, pub *xmldoc.Publication, bd *Breakdown, t0 time.Time, bud *guard.Budget) {
+	ci := cs.ci
 	sc.sig = appendPubSig(sc.sig[:0], pub)
 	h := sigHash(sc.sig)
 
 	ent, ok := m.cache.Get(h, sc.sig)
-	var tc time.Time
+	var tc, t1 time.Time
 	if bd != nil {
 		// Signature build + lookup is the cache stage; predicate work
-		// (replay or a fresh MatchPath) is accounted separately below.
+		// (replay or a fresh stage 1) is accounted separately below.
 		tc = time.Now()
 		bd.Cache += tc.Sub(t0)
 	}
 	if ok {
-		if m.needRes {
+		if ci.needRes {
 			sc.res.Reset(m.ix.Len())
 			m.ix.Replay(&ent.Rec, pub, sc.res)
 		}
-		var t1 time.Time
 		if bd != nil {
 			t1 = time.Now()
 			bd.PredMatch += t1.Sub(tc)
 		}
-		for _, id := range ent.Outcome {
-			sc.matched[id] = true
-		}
-		if m.needRes {
-			m.runUnits(sc, m.liveUnits, m.liveClusters, bud)
-			for _, e := range m.nested {
-				e.root.collect(m, sc, bud)
-			}
-		}
-		if bd != nil {
-			bd.ExprMatch += time.Since(t1)
-		}
-		return
-	}
-
-	// Miss: run the predicate stage once, recording the transcript when
-	// value-dependent work will need it replayed on later hits.
-	sc.res.Reset(m.ix.Len())
-	if m.needRes {
-		sc.rec.Reset()
-		m.ix.MatchPathRecord(pub, sc.res, &sc.rec)
 	} else {
-		m.ix.MatchPath(pub, sc.res)
-	}
-	var t1 time.Time
-	if bd != nil {
-		t1 = time.Now()
-		bd.PredMatch += t1.Sub(tc)
-	}
-
-	// Structural units evaluate against the clean buffer with logging on,
-	// so the logged mark set is a pure function of the signature.
-	sc.matched, sc.matched2 = sc.matched2, sc.matched
-	sc.log = sc.log[:0]
-	sc.logging = true
-	m.runUnits(sc, m.structUnits, m.structClusters, bud)
-	sc.logging = false
-	sc.matched, sc.matched2 = sc.matched2, sc.matched
-	for _, id := range sc.log {
-		sc.matched[id] = true
-		sc.matched2[id] = false // restore the all-false invariant
-	}
-	if bud.Exceeded() {
-		// The structural run was cut short: its mark log is incomplete, so
-		// caching it would poison later hits. The matched2 invariant was
-		// restored above; just abandon the path.
-		return
-	}
-
-	ne := &pathcache.Entry{Outcome: append([]int32(nil), sc.log...)}
-	if m.needRes {
-		ne.Rec = sc.rec.Clone()
-	}
-	m.cache.Put(h, sc.sig, ne)
-
-	if m.needRes {
-		m.runUnits(sc, m.liveUnits, m.liveClusters, bud)
-		for _, e := range m.nested {
-			e.root.collect(m, sc, bud)
+		// Stage 1 over the layout, recording the transcript when
+		// value-dependent work will need it replayed on later hits.
+		ambiguous := cs.resolveTids(pub)
+		sc.res.Reset(m.ix.Len())
+		var rec *predindex.Recording
+		if ci.needRes {
+			sc.rec.Reset()
+			rec = &sc.rec
 		}
+		ci.lay.MatchPathTids(pub, cs.tids, sc.res, rec)
+		if bd != nil {
+			t1 = time.Now()
+			bd.PredMatch += t1.Sub(tc)
+		}
+		if ent = m.buildEntry(sc, cs, ambiguous, bd, bud); ent == nil {
+			return
+		}
+		m.cache.Put(h, sc.sig, ent)
+	}
+
+	for _, id := range ent.Outcome {
+		sc.matched[id] = true
+	}
+	for _, p := range ent.Plan {
+		// The plan proves the chain structurally possible; the replayed
+		// results say whether this document's attribute values agree.
+		if !sc.res.Matched(p.Gate) {
+			continue
+		}
+		u := &ci.units[p.Col]
+		if sc.matched[u.id] || !sc.res.MatchedAll(u.e.pids) {
+			continue
+		}
+		if bud.Exceeded() {
+			return
+		}
+		m.markUnit(sc, u, ent.Ambiguous, bud)
+	}
+	for _, e := range m.nested {
+		e.root.collect(m, sc, bud)
 	}
 	if bd != nil {
 		bd.ExprMatch += time.Since(t1)
 	}
+}
+
+// buildEntry computes the cache entry of the current path from the stage-1
+// results in sc.res and the transcript in sc.rec. It returns nil when the
+// budget tripped: an entry must be the complete outcome and plan for its
+// signature, never a budget-truncated one.
+func (m *Matcher) buildEntry(sc *scratch, cs *colScratch, ambiguous bool, bd *Breakdown, bud *guard.Budget) *pathcache.Entry {
+	ci := cs.ci
+	// One sweep over the structural touched set: what stage 1 matched plus
+	// the attribute-carrying predicates whose cell matched but whose
+	// filters failed on this document. Structural units reference bare
+	// predicates only, so their candidate bits are unaffected by the
+	// extras; the live candidates become the plan.
+	touched := sc.res.Touched()
+	if ci.needRes && len(sc.rec.Residual) > 0 {
+		cs.pids = append(cs.pids[:0], touched...)
+		for _, r := range sc.rec.Residual {
+			if !sc.res.Matched(r.PID) {
+				cs.pids = append(cs.pids, r.PID) // repeats only re-set bits
+			}
+		}
+		touched = cs.pids
+	}
+	acc := m.colSweep(touched, cs, ambiguous, bd, bud)
+	if bud.Exceeded() {
+		return nil
+	}
+
+	// Structural candidates against the clean buffer with logging on.
+	sc.matched, sc.matched2 = sc.matched2, sc.matched
+	sc.log = sc.log[:0]
+	sc.logging = true
+	m.markCandidates(sc, ci, acc, ci.structMask, ambiguous, bud)
+	sc.logging = false
+	sc.matched, sc.matched2 = sc.matched2, sc.matched
+	for _, id := range sc.log {
+		sc.matched2[id] = false // restore the all-false invariant
+	}
+	if bud.Exceeded() {
+		return nil
+	}
+
+	ne := &pathcache.Entry{Outcome: append([]int32(nil), sc.log...), Ambiguous: ambiguous}
+	if !ci.needRes {
+		return ne
+	}
+	cs.plan = cs.plan[:0]
+	for w, word := range acc {
+		for word &= ci.liveMask[w]; word != 0; word &= word - 1 {
+			c := w<<6 + bits.TrailingZeros64(word)
+			cs.plan = append(cs.plan, pathcache.PlanUnit{Col: int32(c), Gate: ci.gate[c]})
+		}
+	}
+	ne.Plan = append([]pathcache.PlanUnit(nil), cs.plan...)
+	if len(m.nested) == 0 {
+		bitset.Zero(cs.planPids)
+		for _, p := range ne.Plan {
+			for _, pid := range ci.units[p.Col].e.pids {
+				bitset.Set(cs.planPids, int(pid))
+			}
+		}
+		sc.rec.Keep(func(pid predindex.PID) bool { return bitset.Get(cs.planPids, int(pid)) })
+	}
+	ne.Rec = sc.rec.Clone()
+	return ne
 }
 
 // PathCacheStats returns the cache counters and whether the cache is

@@ -11,8 +11,12 @@ import (
 	"predfilter/internal/xmldoc"
 )
 
-// Columnar batch matching: the expression-matching stage rewritten as
-// bitset sweeps so one 64-bit word op advances 64 expressions at once.
+// Columnar matching: the expression-matching stage rewritten as bitset
+// sweeps so one 64-bit word op advances 64 expressions at once. This is
+// the kernel every served entry point runs, for one document or a batch;
+// the scalar per-unit loop (runUnits) survives as the uncached reference
+// the equivalence suites, the benchmark oracle and the paper's Figure 6–9
+// organizations compare against.
 //
 // At freeze time the iteration units (m.ordered, longest chain first)
 // become bit columns. For each predicate pid, a CSR table records which
@@ -77,11 +81,14 @@ type colIndex struct {
 	refOff []int32
 	refs   []colRef
 
-	// Cache-enabled split (nil when the path cache is off): columns of
-	// value-independent vs value-dependent units, mirroring
-	// structUnits/liveUnits.
+	// Cache-enabled split (nil when the path cache is off; see cache.go):
+	// columns of value-independent vs value-dependent units. needRes
+	// records whether any live work exists, i.e. whether cache entries
+	// must carry a plan and a replayable predicate transcript.
 	structMask []uint64
 	liveMask   []uint64
+	needRes    bool
+	gate       []predindex.PID // per column: see pathcache.PlanUnit
 
 	// sweepCost is the fixed word-op count of one sweep (level clears +
 	// fold); the per-path budget charge adds the scattered refs on top.
@@ -98,6 +105,12 @@ type colScratch struct {
 	acc   []uint64
 	tids  []int32
 	stats colStats
+
+	// Entry building on a cache miss (see buildEntry): the structural
+	// touched set, the plan, and the predicates its units reference.
+	pids     []predindex.PID
+	plan     []pathcache.PlanUnit
+	planPids []uint64
 }
 
 // colStats accumulates one batch's kernel counters, flushed to the
@@ -165,13 +178,23 @@ func (m *Matcher) buildColumnar() {
 	if m.cache != nil {
 		ci.structMask = make([]uint64, ci.words)
 		ci.liveMask = make([]uint64, ci.words)
+		ci.gate = make([]predindex.PID, n)
 		for c, h := range ci.units {
+			ci.gate[c] = h.first
+			for _, pid := range h.e.pids {
+				if m.ix.Pred(pid).HasAttrs() {
+					ci.gate[c] = pid
+					break
+				}
+			}
 			if m.unitValueDependent(h.e) {
 				bitset.Set(ci.liveMask, c)
+				ci.needRes = true
 			} else {
 				bitset.Set(ci.structMask, c)
 			}
 		}
+		ci.needRes = ci.needRes || len(m.nested) > 0
 	}
 	m.col = ci
 }
@@ -220,6 +243,11 @@ func (m *Matcher) getColScratch(ci *colIndex) *colScratch {
 			cs.acc = make([]uint64, ci.words)
 		}
 		cs.acc = cs.acc[:ci.words]
+		if n := bitset.Words(ci.lay.Len()); cap(cs.planPids) < n {
+			cs.planPids = make([]uint64, n)
+		} else {
+			cs.planPids = cs.planPids[:n]
+		}
 		cs.ci = ci
 	}
 	cs.stats = colStats{}
@@ -230,7 +258,7 @@ func (m *Matcher) getColScratch(ci *colIndex) *colScratch {
 // reports whether the path is ambiguous (some tag occurs more than once,
 // so occurrence pairs are not all (1,1) and candidates need scalar
 // occurrence determination).
-func (cs *colScratch) resolveTids(ci *colIndex, pub *xmldoc.Publication) bool {
+func (cs *colScratch) resolveTids(pub *xmldoc.Publication) bool {
 	n := len(pub.Tuples)
 	if cap(cs.tids) < n {
 		cs.tids = make([]int32, n)
@@ -239,7 +267,7 @@ func (cs *colScratch) resolveTids(ci *colIndex, pub *xmldoc.Publication) bool {
 	ambiguous := false
 	for i := range pub.Tuples {
 		t := &pub.Tuples[i]
-		cs.tids[i] = ci.lay.Tid(t.Tag)
+		cs.tids[i] = cs.ci.lay.Tid(t.Tag)
 		if t.Occ > 1 {
 			ambiguous = true
 		}
@@ -281,101 +309,54 @@ func (ci *colIndex) sweep(cs *colScratch, touched []predindex.PID) (acc []uint64
 }
 
 // markCandidates resolves the surviving candidate bits (restricted to
-// mask when non-nil) into definitive marks. Unambiguous paths mark plain
-// expressions directly (see the package comment above: every level holds
-// exactly the pair (1,1), so determination trivially succeeds); group
-// representatives and ambiguous-path candidates run the scalar evalExpr,
-// which charges the budget per occurrence pair as the scalar path does.
+// mask when non-nil) into definitive marks.
 func (m *Matcher) markCandidates(sc *scratch, ci *colIndex, acc, mask []uint64, ambiguous bool, bud *guard.Budget) {
 	for w, word := range acc {
 		if mask != nil {
 			word &= mask[w]
 		}
-		if word == 0 {
-			continue
-		}
-		base := w << 6
-		for word != 0 {
-			c := base + bits.TrailingZeros64(word)
-			word &= word - 1
-			h := &ci.units[c]
-			if sc.matched[h.id] {
+		for ; word != 0; word &= word - 1 {
+			u := &ci.units[w<<6+bits.TrailingZeros64(word)]
+			if sc.matched[u.id] {
 				continue
 			}
 			if bud.Exceeded() {
 				return
 			}
-			if !ambiguous && h.e.members == nil {
-				sc.mark(int(h.id))
-				if len(h.e.fullCovers) > 0 {
-					m.markFullCovers(sc, h.e)
-				}
-				continue
-			}
-			m.evalExpr(sc, h.e, false, bud)
+			m.markUnit(sc, u, ambiguous, bud)
 		}
 	}
 }
 
-// colMatchPath is the columnar counterpart of matchPath: stage 1 over
-// the frozen layout, the bitset sweep, then candidate resolution. With
-// the path cache enabled it defers to colMatchPathCached.
-func (m *Matcher) colMatchPath(sc *scratch, cs *colScratch, ci *colIndex, pub *xmldoc.Publication, dedup bool, bd *Breakdown, bud *guard.Budget) {
-	sc.pub = pub
-	sc.byTagOK = false
-
-	var t0 time.Time
-	if bd != nil {
-		t0 = time.Now()
-	}
-	if dedup {
-		key := pubHash(pub, m.attrSensitive)
-		if _, ok := sc.seen[key]; ok {
-			if bd != nil {
-				bd.PredMatch += time.Since(t0)
-			}
-			return
-		}
-		sc.seen[key] = struct{}{}
-	}
-	if m.cache != nil {
-		m.colMatchPathCached(sc, cs, ci, pub, bd, t0, bud)
+// markUnit resolves one unit whose every chain level is known to hold
+// occurrence pairs. Unambiguous paths mark plain expressions directly (see
+// the package comment above: every level holds exactly the pair (1,1), so
+// determination trivially succeeds); group representatives and
+// ambiguous-path candidates run the scalar evalExpr, which charges the
+// budget per occurrence pair as the scalar path does.
+func (m *Matcher) markUnit(sc *scratch, u *hotExpr, ambiguous bool, bud *guard.Budget) {
+	if ambiguous || u.e.members != nil {
+		m.evalExpr(sc, u.e, false, bud)
 		return
 	}
-
-	ambiguous := cs.resolveTids(ci, pub)
-	sc.res.Reset(m.ix.Len())
-	ci.lay.MatchPathTids(pub, cs.tids, sc.res, nil)
-	var t1 time.Time
-	if bd != nil {
-		t1 = time.Now()
-		bd.PredMatch += t1.Sub(t0)
-	}
-
-	acc := m.colSweep(sc, cs, ci, ambiguous, bd, bud)
-	if bud.Exceeded() {
-		return
-	}
-	m.markCandidates(sc, ci, acc, nil, ambiguous, bud)
-	for _, e := range m.nested {
-		e.root.collect(m, sc, bud)
-	}
-	if bd != nil {
-		bd.ExprMatch += time.Since(t1)
+	sc.mark(int(u.id))
+	if len(u.e.fullCovers) > 0 {
+		m.markFullCovers(sc, u.e)
 	}
 }
 
-// colSweep runs the budget-charged sweep for one path and folds the
-// occupancy counters into the batch stats. The budget is charged one
-// step per 64-word-op block — strictly less than the scalar loop's
-// per-unit probes for the same path, so a budget generous enough for the
-// scalar matcher never trips only under the columnar one.
-func (m *Matcher) colSweep(sc *scratch, cs *colScratch, ci *colIndex, ambiguous bool, bd *Breakdown, bud *guard.Budget) []uint64 {
+// colSweep runs the budget-charged sweep for one path over the touched
+// predicates and folds the occupancy counters into the batch stats. The
+// budget is charged one step per 64-word-op block — strictly less than the
+// scalar loop's per-unit probes for the same path, so a budget generous
+// enough for the scalar matcher never trips only under the columnar one.
+func (m *Matcher) colSweep(touched []predindex.PID, cs *colScratch, ambiguous bool, bd *Breakdown, bud *guard.Budget) []uint64 {
+	ci := cs.ci
 	var ts time.Time
 	if bd != nil {
 		ts = time.Now()
 	}
-	acc, refOps := ci.sweep(cs, sc.res.Touched())
+	acc, refOps := ci.sweep(cs, touched)
 	live, cands := 0, 0
 	for _, w := range acc {
 		if w != 0 {
@@ -397,181 +378,60 @@ func (m *Matcher) colSweep(sc *scratch, cs *colScratch, ci *colIndex, ambiguous 
 	return acc
 }
 
-// colMatchPathCached is the cache-enabled body of colMatchPath, entered
-// after the dedup check. The hit branch is byte-for-byte the scalar one
-// (matchPathCached): replay the transcript, apply the cached structural
-// outcome, re-run the live units. On a miss the sweep replaces the
-// scalar structural runUnits: the structural candidate half evaluates
-// against the clean matched2 buffer with mark logging on, so the cached
-// outcome stays a pure function of the signature, and entries written by
-// the scalar and columnar paths are interchangeable (the mark sets are
-// equal; see the covering-parity note above).
-func (m *Matcher) colMatchPathCached(sc *scratch, cs *colScratch, ci *colIndex, pub *xmldoc.Publication, bd *Breakdown, t0 time.Time, bud *guard.Budget) {
-	sc.sig = appendPubSig(sc.sig[:0], pub)
-	h := sigHash(sc.sig)
-
-	ent, ok := m.cache.Get(h, sc.sig)
-	var tc time.Time
-	if bd != nil {
-		tc = time.Now()
-		bd.Cache += tc.Sub(t0)
-	}
-	if ok {
-		if m.needRes {
-			sc.res.Reset(m.ix.Len())
-			m.ix.Replay(&ent.Rec, pub, sc.res)
-		}
-		var t1 time.Time
-		if bd != nil {
-			t1 = time.Now()
-			bd.PredMatch += t1.Sub(tc)
-		}
-		for _, id := range ent.Outcome {
-			sc.matched[id] = true
-		}
-		if m.needRes {
-			m.runUnits(sc, m.liveUnits, m.liveClusters, bud)
-			for _, e := range m.nested {
-				e.root.collect(m, sc, bud)
-			}
-		}
-		if bd != nil {
-			bd.ExprMatch += time.Since(t1)
-		}
-		return
-	}
-
-	// Miss: stage 1 over the layout, recording the transcript when
-	// value-dependent work will need it replayed on later hits.
-	ambiguous := cs.resolveTids(ci, pub)
-	sc.res.Reset(m.ix.Len())
-	if m.needRes {
-		sc.rec.Reset()
-		ci.lay.MatchPathTids(pub, cs.tids, sc.res, &sc.rec)
-	} else {
-		ci.lay.MatchPathTids(pub, cs.tids, sc.res, nil)
-	}
-	var t1 time.Time
-	if bd != nil {
-		t1 = time.Now()
-		bd.PredMatch += t1.Sub(tc)
-	}
-
-	acc := m.colSweep(sc, cs, ci, ambiguous, bd, bud)
-	if bud.Exceeded() {
-		return
-	}
-
-	// Structural candidates against the clean buffer with logging on.
-	sc.matched, sc.matched2 = sc.matched2, sc.matched
-	sc.log = sc.log[:0]
-	sc.logging = true
-	m.markCandidates(sc, ci, acc, ci.structMask, ambiguous, bud)
-	sc.logging = false
-	sc.matched, sc.matched2 = sc.matched2, sc.matched
-	for _, id := range sc.log {
-		sc.matched[id] = true
-		sc.matched2[id] = false // restore the all-false invariant
-	}
-	if bud.Exceeded() {
-		// Incomplete structural outcome: abandon the path without Put.
-		return
-	}
-
-	ne := &pathcache.Entry{Outcome: append([]int32(nil), sc.log...)}
-	if m.needRes {
-		ne.Rec = sc.rec.Clone()
-	}
-	m.cache.Put(h, sc.sig, ne)
-
-	// Live candidates directly into the document state.
-	m.markCandidates(sc, ci, acc, ci.liveMask, ambiguous, bud)
-	for _, e := range m.nested {
-		e.root.collect(m, sc, bud)
-	}
-	if bd != nil {
-		bd.ExprMatch += time.Since(t1)
-	}
-}
-
-// matchDocColumnar matches one parsed document through the columnar
-// kernel, mirroring MatchDocumentBudget's per-document protocol (path
-// loop with budget checkpoints, nested recombination, result
-// collection, metric observation). Callers hold the read lock with the
-// columnar index current.
-func (m *Matcher) matchDocColumnar(ci *colIndex, cs *colScratch, doc *xmldoc.Document, bud *guard.Budget) ([]SID, error) {
-	t0 := time.Now()
-	var bd Breakdown
-	sc := m.getScratch()
-	defer m.pool.Put(sc)
-
-	dedup := m.pathDedup()
-	for i := range doc.Paths {
-		if !bud.CheckPoint() {
-			break
-		}
-		m.colMatchPath(sc, cs, ci, &doc.Paths[i], dedup, &bd, bud)
-		if bud.Exceeded() {
-			break
-		}
-	}
-	if err := bud.Err(); err != nil {
-		clear(sc.ncands)
-		return nil, err
-	}
-
-	t2 := time.Now()
-	for _, e := range m.nested {
-		if e.root.resolveRoot(sc) {
-			sc.matched[e.id] = true
-		}
-	}
-	clear(sc.ncands)
-	for _, e := range m.exprs {
-		if sc.matched[e.id] {
-			sc.out = append(sc.out, e.sids...)
-		}
-	}
-	out := append([]SID(nil), sc.out...)
-	bd.Other = time.Since(t2)
-	m.observe(&bd, t0, len(doc.Paths), len(out))
-	return out, nil
-}
-
 // MatchDocumentsColumnar matches a batch of parsed documents through the
 // columnar kernel, sharing one pooled columnar scratch (level bitsets,
 // accumulator, tag-id arena) across the batch. buds[i] budgets document
 // i (a short or nil slice leaves the remainder unbudgeted); each
 // document fails or succeeds independently — outs[i] is nil exactly
-// when errs[i] is non-nil. Results are identical to MatchDocumentBudget
-// on each document; registration may run concurrently, as with the
-// scalar entry points.
-func (m *Matcher) MatchDocumentsColumnar(docs []*xmldoc.Document, buds []*guard.Budget) (outs [][]SID, errs []error) {
+// when errs[i] is non-nil — and bds[i] is its cost split. Results are
+// identical to the scalar reference on each document; registration may
+// run concurrently.
+func (m *Matcher) MatchDocumentsColumnar(docs []*xmldoc.Document, buds []*guard.Budget) (outs [][]SID, bds []Breakdown, errs []error) {
 	outs = make([][]SID, len(docs))
+	bds = make([]Breakdown, len(docs))
 	errs = make([]error, len(docs))
 	if len(docs) == 0 {
-		return outs, errs
+		return outs, bds, errs
 	}
-	ci := m.ensureColumnar()
-	defer m.mu.RUnlock()
-	cs := m.getColScratch(ci)
-	defer m.colPool.Put(cs)
-
+	cs := m.lockColumnar()
+	defer m.unlockColumnar(cs, len(docs))
 	for i, doc := range docs {
 		var bud *guard.Budget
 		if i < len(buds) {
 			bud = buds[i]
 		}
-		outs[i], errs[i] = m.matchDocColumnar(ci, cs, doc, bud)
+		outs[i], bds[i], errs[i] = m.matchDoc(cs, doc, bud, time.Now())
 	}
+	return outs, bds, errs
+}
+
+// MatchDocumentColumnar is MatchDocumentsColumnar for one document: the
+// entry point of a single publish.
+func (m *Matcher) MatchDocumentColumnar(doc *xmldoc.Document, bud *guard.Budget) ([]SID, Breakdown, error) {
+	t0 := time.Now()
+	cs := m.lockColumnar()
+	defer m.unlockColumnar(cs, 1)
+	return m.matchDoc(cs, doc, bud, t0)
+}
+
+// lockColumnar returns a pooled columnar scratch on a current columnar
+// index, with the read lock held.
+func (m *Matcher) lockColumnar() *colScratch {
+	return m.getColScratch(m.ensureColumnar())
+}
+
+// unlockColumnar undoes lockColumnar after docs documents, flushing the
+// kernel counters the scratch accumulated.
+func (m *Matcher) unlockColumnar(cs *colScratch, docs int) {
+	m.mu.RUnlock()
 	if m.mx != nil {
 		m.mx.ColBatches.Inc()
-		m.mx.ColDocs.Add(int64(len(docs)))
+		m.mx.ColDocs.Add(int64(docs))
 		m.mx.ColPaths.Add(cs.stats.paths)
 		m.mx.ColCandidates.Add(cs.stats.candidates)
 		m.mx.ColAmbiguous.Add(cs.stats.ambiguous)
 		m.mx.ColWords.Add(cs.stats.words)
 		m.mx.ColWordsLive.Add(cs.stats.wordsLive)
 	}
-	return outs, errs
+	m.colPool.Put(cs)
 }

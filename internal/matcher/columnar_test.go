@@ -19,7 +19,7 @@ import (
 // into a set, failing on unexpected errors.
 func colMatchSets(t *testing.T, m *Matcher, docs []*xmldoc.Document) []map[SID]bool {
 	t.Helper()
-	outs, errs := m.MatchDocumentsColumnar(docs, nil)
+	outs, _, errs := m.MatchDocumentsColumnar(docs, nil)
 	sets := make([]map[SID]bool, len(docs))
 	for i := range docs {
 		if errs[i] != nil {
@@ -51,36 +51,25 @@ func setsEqual(a, b map[SID]bool) bool {
 var nestedXPEs = []string{"/a[b]/c", "a[b/c]", "//b[c]/d", "/a[b][c]/d"}
 
 // TestColumnarEquivalenceRandomized is the kernel's Theorem A.1 test: on
-// random workloads (attribute filters, nested filters, repeated-tag
-// paths) the columnar batch matcher must produce exactly the scalar
-// matcher's SID sets — across all three organizations and with the path
-// cache off, tiny (evicting) and on. It also interleaves scalar and
-// columnar calls on one matcher so cache entries written by either path
-// must be served correctly by the other.
+// random workloads (attribute filters, repeated-tag paths, nested filters
+// on alternate rounds) the served kernel must produce exactly the match
+// sets of refmatch and of the scalar cache-off reference — crossing both
+// attribute modes, all three organizations and containment covering, with
+// the path cache off, tiny (evicting) and on. Every document is matched
+// cold (a miss builds the entry and its live plan) and again (a hit walks
+// the plan), through the batch and the single-document entry points, with
+// an Add and a Remove between hits.
 func TestColumnarEquivalenceRandomized(t *testing.T) {
-	type cfg struct {
-		name string
-		opts Options
-	}
-	var cfgs []cfg
-	for _, v := range allVariants {
-		for _, c := range []struct {
-			name  string
-			bytes int64
-		}{{"nocache", -1}, {"tinycache", 1 << 9}, {"cache", 1 << 20}} {
-			cfgs = append(cfgs, cfg{
-				name: fmt.Sprintf("%v/%s", v, c.name),
-				opts: Options{Variant: v, AttrMode: predAttrMode(1), PathCacheBytes: c.bytes},
-			})
-		}
-	}
 	rng := rand.New(rand.NewSource(23))
 	for round := 0; round < 25; round++ {
 		xpes := make([]string, 0, 36)
 		for len(xpes) < 30 {
 			xpes = append(xpes, randXPE(rng, true))
 		}
-		xpes = append(xpes, nestedXPEs...)
+		if round%2 == 1 {
+			xpes = append(xpes, nestedXPEs...)
+		}
+		extra := randXPE(rng, true) // added between hits
 		paths := make([]*xpath.Path, len(xpes))
 		for i, s := range xpes {
 			paths[i] = xpath.MustParse(s)
@@ -89,41 +78,139 @@ func TestColumnarEquivalenceRandomized(t *testing.T) {
 		for i := range docs {
 			docs[i] = randDoc(rng, true)
 		}
-		for _, c := range cfgs {
-			m := New(c.opts)
-			sids := make([]SID, len(xpes))
-			for i, s := range xpes {
-				sid, err := m.Add(s)
-				if err != nil {
-					t.Fatalf("Add(%q): %v", s, err)
-				}
-				sids[i] = sid
-			}
-			// Columnar first (cold cache), against the reference matcher.
-			got := colMatchSets(t, m, docs)
-			for di, doc := range docs {
-				for i, p := range paths {
-					if want := refmatch.Match(p, doc); got[di][sids[i]] != want {
-						t.Fatalf("round %d %s doc %d: %q columnar=%v, ref=%v\npaths: %v",
-							round, c.name, di, xpes[i], got[di][sids[i]], want, docPaths(doc))
+		for vi, v := range allVariants {
+			for mode := 0; mode < 2; mode++ {
+				for _, cacheBytes := range []int64{-1, 1 << 9, 1 << 20} {
+					opts := Options{Variant: v, AttrMode: predAttrMode(mode), PathCacheBytes: cacheBytes}
+					if (round+vi+mode)%2 == 1 {
+						opts.CoverMode = Containment
 					}
+					name := fmt.Sprintf("round %d %+v", round, opts)
+					m := New(opts)
+					opts.PathCacheBytes = -1
+					ref := New(opts) // MatchDocument on it is the scalar reference
+					sids := mustAdd(t, m, xpes...)
+					mustAdd(t, ref, xpes...)
+
+					// Cold batch, against the reference matcher.
+					got := colMatchSets(t, m, docs)
+					for di, doc := range docs {
+						for i, p := range paths {
+							if want := refmatch.Match(p, doc); got[di][sids[i]] != want {
+								t.Fatalf("%s doc %d: %q columnar=%v, ref=%v\npaths: %v",
+									name, di, xpes[i], got[di][sids[i]], want, docPaths(doc))
+							}
+						}
+					}
+					check := func(stage string) {
+						t.Helper()
+						for di, doc := range docs {
+							want := matchSet(ref, doc)
+							out, _, err := m.MatchDocumentColumnar(doc, nil)
+							if err != nil {
+								t.Fatal(err)
+							}
+							single := make(map[SID]bool)
+							for _, sid := range out {
+								single[sid] = true
+							}
+							if !setsEqual(single, want) {
+								t.Fatalf("%s doc %d %s: single %v != scalar reference %v", name, di, stage, single, want)
+							}
+						}
+						for di, set := range colMatchSets(t, m, docs) {
+							if want := matchSet(ref, docs[di]); !setsEqual(set, want) {
+								t.Fatalf("%s doc %d %s: batch %v != scalar reference %v", name, di, stage, set, want)
+							}
+						}
+					}
+					check("warm")
+					// Registration changes between hits: both invalidate, and
+					// the Add refreezes, so plans are rebuilt against new
+					// unit columns.
+					if err := m.Remove(sids[0]); err != nil {
+						t.Fatal(err)
+					}
+					if err := ref.Remove(sids[0]); err != nil {
+						t.Fatal(err)
+					}
+					check("after Remove")
+					mustAdd(t, m, extra)
+					mustAdd(t, ref, extra)
+					check("after Add")
 				}
 			}
-			// Scalar on the same matcher: any cache entries the columnar
-			// pass wrote must replay into identical scalar results.
-			for di, doc := range docs {
-				if s := matchSet(m, doc); !setsEqual(s, got[di]) {
-					t.Fatalf("round %d %s doc %d: scalar-after-columnar %v != columnar %v",
-						round, c.name, di, s, got[di])
+		}
+	}
+}
+
+// TestPlanSameSignatureDifferentValues drills the live plan's soundness
+// argument directly: documents share every path signature and differ only
+// in attribute values, so the second rides entries the first recorded. A
+// plan built from a document that *fails* a filter must still hold the
+// unit for a later document that passes, and the reverse; on unambiguous
+// and repeated-tag paths, in both attribute modes, for every organization
+// and cover mode, against the scalar cache-off reference.
+func TestPlanSameSignatureDifferentValues(t *testing.T) {
+	xpes := []string{
+		"/a/b[@x=1]/c", "/a/b/c", "//b[@x=1]", "/a/b[@x=1]", "b[@y=2]/c", "/a[@x=1]/b[@x=1]/c",
+		"//b[@x=1]//c", "b/b[@x=1]", "/a/b[@x!=1]/b", "b[@x=1]/b[@x=2]/c", "b/c", "//c[@x>=2]",
+	}
+	shapes := []string{
+		`<a%s><b%s><c%s/></b></a>`,        // unambiguous
+		`<a%s><b%s><b%s><c/></b></b></a>`, // b repeats: occurrence determination
+	}
+	values := []string{``, ` x="1"`, ` x="2"`, ` x="1" y="2"`, ` y="2"`}
+	for _, shape := range shapes {
+		var docs []*xmldoc.Document
+		for _, v1 := range values {
+			for _, v2 := range values {
+				for _, v3 := range values[:3] {
+					d, err := xmldoc.Parse([]byte(fmt.Sprintf(shape, v1, v2, v3)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					docs = append(docs, d)
 				}
 			}
-			// Columnar again: now served from scalar-written (or shared)
-			// cache entries.
-			again := colMatchSets(t, m, docs)
-			for di := range docs {
-				if !setsEqual(again[di], got[di]) {
-					t.Fatalf("round %d %s doc %d: columnar-after-scalar %v != first pass %v",
-						round, c.name, di, again[di], got[di])
+		}
+		for _, v := range allVariants {
+			for mode := 0; mode < 2; mode++ {
+				for _, cm := range []CoverMode{PrefixOnly, Containment} {
+					opts := Options{Variant: v, AttrMode: predAttrMode(mode), CoverMode: cm}
+					optsRef := opts
+					optsRef.PathCacheBytes = -1
+					ref := New(optsRef)
+					mustAdd(t, ref, xpes...)
+					// Forward, then reversed: every document is at some point
+					// the one whose values the entry was recorded from.
+					for _, reversed := range []bool{false, true} {
+						m := New(opts)
+						mustAdd(t, m, xpes...)
+						for k := range docs {
+							doc := docs[k]
+							if reversed {
+								doc = docs[len(docs)-1-k]
+							}
+							out, _, err := m.MatchDocumentColumnar(doc, nil)
+							if err != nil {
+								t.Fatal(err)
+							}
+							got := make(map[SID]bool)
+							for _, sid := range out {
+								got[sid] = true
+							}
+							if want := matchSet(ref, doc); !setsEqual(got, want) {
+								t.Fatalf("%+v reversed=%v doc %v: plan %v != scalar reference %v",
+									opts, reversed, docPaths(doc), got, want)
+							}
+						}
+						// One signature set: everything after the first
+						// document was served from recorded entries.
+						if st, _ := m.PathCacheStats(); st.Misses > 2 || st.Hits == 0 {
+							t.Fatalf("%+v: documents did not share signatures: %+v", opts, st)
+						}
+					}
 				}
 			}
 		}
@@ -143,7 +230,7 @@ func TestColumnarBudget(t *testing.T) {
 		if err != nil {
 			t.Fatalf("scalar budget tripped: %v", err)
 		}
-		outs, errs := m.MatchDocumentsColumnar([]*xmldoc.Document{doc},
+		outs, _, errs := m.MatchDocumentsColumnar([]*xmldoc.Document{doc},
 			[]*guard.Budget{stepBudget(1_000_000)})
 		if errs[0] != nil {
 			t.Fatalf("columnar tripped where scalar did not: %v", errs[0])
@@ -159,7 +246,7 @@ func TestColumnarBudget(t *testing.T) {
 		// An ambiguous path (every tuple's tag repeats), so candidates run
 		// the scalar determination and hit the exponential dead-end space.
 		doc := chainDoc(t, 18)
-		outs, errs := m.MatchDocumentsColumnar([]*xmldoc.Document{doc},
+		outs, _, errs := m.MatchDocumentsColumnar([]*xmldoc.Document{doc},
 			[]*guard.Budget{stepBudget(1000)})
 		var le *guard.LimitError
 		if !errors.As(errs[0], &le) || le.Kind != guard.Steps {
@@ -175,7 +262,7 @@ func TestColumnarBudget(t *testing.T) {
 		mustAdd(t, m, "//a")
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		_, errs := m.MatchDocumentsColumnar([]*xmldoc.Document{chainDoc(t, 4)},
+		_, _, errs := m.MatchDocumentsColumnar([]*xmldoc.Document{chainDoc(t, 4)},
 			[]*guard.Budget{guard.NewBudget(ctx, guard.Limits{})})
 		var le *guard.LimitError
 		if !errors.As(errs[0], &le) || le.Kind != guard.Canceled {
@@ -193,7 +280,7 @@ func TestColumnarBudget(t *testing.T) {
 		// Doc 0 trips its budget; docs 1 (nil budget) and 2 must be
 		// unaffected by the abort, including scratch-state reuse.
 		docs := []*xmldoc.Document{chainDoc(t, 18), good, good}
-		outs, errs := m.MatchDocumentsColumnar(docs,
+		outs, _, errs := m.MatchDocumentsColumnar(docs,
 			[]*guard.Budget{stepBudget(100), nil, nil})
 		if errs[0] == nil {
 			t.Fatal("doc 0 budget survived the blowup")
@@ -243,7 +330,7 @@ func TestColumnarEmptyAndDegenerate(t *testing.T) {
 	doc := xmldoc.FromPaths([]string{"a", "b", "c"})
 
 	m := New(Options{})
-	outs, errs := m.MatchDocumentsColumnar([]*xmldoc.Document{doc}, nil)
+	outs, _, errs := m.MatchDocumentsColumnar([]*xmldoc.Document{doc}, nil)
 	if errs[0] != nil || len(outs[0]) != 0 {
 		t.Fatalf("empty matcher: outs=%v errs=%v", outs, errs)
 	}
@@ -255,7 +342,7 @@ func TestColumnarEmptyAndDegenerate(t *testing.T) {
 		t.Fatalf("wildcard chains = %v, want {%d,%d}", got, sids[0], sids[2])
 	}
 
-	outs, errs = m2.MatchDocumentsColumnar(nil, nil)
+	outs, _, errs = m2.MatchDocumentsColumnar(nil, nil)
 	if len(outs) != 0 || len(errs) != 0 {
 		t.Fatalf("empty batch: outs=%v errs=%v", outs, errs)
 	}

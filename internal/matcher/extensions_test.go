@@ -21,8 +21,8 @@ func TestContainmentCoverTargeted(t *testing.T) {
 	}
 	doc := xmldoc.FromPaths([]string{"a", "b", "c", "d"})
 	for _, mode := range []CoverMode{PrefixOnly, Containment} {
-		for _, v := range allVariants {
-			m := New(Options{Variant: v, CoverMode: mode})
+		for _, o := range withScalar([]Options{{Variant: Basic, CoverMode: mode}, {Variant: PrefixCover, CoverMode: mode}, {Variant: PrefixCoverAP, CoverMode: mode}}) {
+			m, v := New(o), o.Variant
 			sids := mustAdd(t, m, xpes...)
 			got := matchSet(m, doc)
 			want := []bool{true, true, true, true, false}
@@ -39,13 +39,13 @@ func TestContainmentCoverTargeted(t *testing.T) {
 // the default configuration's results on random workloads.
 func TestExtensionEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	extCfgs := []Options{
+	extCfgs := withScalar([]Options{
 		{Variant: PrefixCover, CoverMode: Containment},
 		{Variant: PrefixCoverAP, CoverMode: Containment},
 		{Variant: PrefixCoverAP, ClusterBy: RarestPredicate},
 		{Variant: PrefixCoverAP, CoverMode: Containment, ClusterBy: RarestPredicate},
 		{Variant: PrefixCoverAP, CoverMode: Containment, ClusterBy: RarestPredicate, DisablePathDedup: true},
-	}
+	})
 	for round := 0; round < 40; round++ {
 		xpes := make([]string, 60)
 		var paths []*xpath.Path

@@ -15,6 +15,11 @@
 //     their first predicate (the access predicate); a cluster whose access
 //     predicate did not match is skipped wholesale.
 //
+// The organizations shape the scalar per-unit loop, which runs uncached
+// only and is the reference the columnar kernel (columnar.go, the one
+// every served entry point uses) and its path cache (cache.go) are held
+// equal to; the kernel evaluates every unit independently, 64 at a time.
+//
 // Attribute filters follow §5 in either Inline mode (filters ride on the
 // structural predicates) or Postponed mode (structural match first, filter
 // verification after). Nested path filters are decomposed per §5 and
@@ -115,26 +120,18 @@ type Matcher struct {
 	// attribute values; it forces publication dedup keys to include them.
 	attrSensitive bool
 
-	// Path-signature caching (see cache.go): the frozen iteration units
-	// split into value-independent (cacheable) and value-dependent (always
-	// live) halves; needRes records whether any live work exists, i.e.
-	// whether cache entries must carry a replayable predicate transcript.
-	cache          *pathcache.Cache
-	structUnits    []hotExpr
-	liveUnits      []hotExpr
-	structClusters map[predindex.PID][]hotExpr
-	liveClusters   map[predindex.PID][]hotExpr
-	needRes        bool
+	// Path-signature cache (see cache.go); nil when disabled.
+	cache *pathcache.Cache
 
 	// mx receives stage observations when configured (Options.Metrics).
 	mx *metrics.Set
 
 	pool sync.Pool // *scratch
 
-	// Columnar batch matching (see columnar.go): gen counts freeze
-	// rebuilds and keys the derived column index, which is rebuilt lazily
-	// on the first columnar batch after a registration change. Scalar
-	// matching never touches either.
+	// Columnar matching (see columnar.go): gen counts freeze rebuilds and
+	// keys the derived column index, which is rebuilt lazily on the first
+	// columnar match after a registration change. The uncached scalar
+	// reference never touches either.
 	gen     uint64
 	col     *colIndex
 	colPool sync.Pool // *colScratch
@@ -520,10 +517,7 @@ func (m *Matcher) freeze() {
 		pid := m.clusterPid(h.e, refCount)
 		m.clusters[pid] = append(m.clusters[pid], h)
 	}
-	if m.cache != nil {
-		m.splitUnits()
-		m.invalidatePathCache()
-	}
+	m.invalidatePathCache()
 	m.gen++
 	m.dirty = false
 }
@@ -572,6 +566,7 @@ type Breakdown struct {
 	Other     time.Duration // result collection and bookkeeping
 	Cache     time.Duration // path-signature cache probes (signature build + lookup)
 	Sweep     time.Duration // columnar bitset sweep, a sub-stage of ExprMatch (zero on scalar paths)
+	Total     time.Duration // the whole match as observed in the match-stage histogram
 }
 
 // scratch is the per-call reusable working state.
@@ -682,13 +677,14 @@ func (m *Matcher) ensureFrozen() {
 }
 
 // matchPath runs the two matching stages for one publication, folding
-// results into sc. bd, when non-nil, accumulates the Figure-10 stage
-// timings (the parallel path passes nil to keep clock calls off the
-// workers). bud, when non-nil, charges occurrence-determination effort to
-// the per-document budget; once it trips the path is abandoned and the
-// caller must surface bud.Err instead of a result. Callers must hold the
-// read lock with organizations frozen.
-func (m *Matcher) matchPath(sc *scratch, pub *xmldoc.Publication, dedup bool, bd *Breakdown, bud *guard.Budget) {
+// results into sc. cs carries the columnar kernel's state; nil selects the
+// scalar reference loop, which exists only uncached. bd, when non-nil,
+// accumulates the Figure-10 stage timings (the parallel path passes nil to
+// keep clock calls off the workers). bud, when non-nil, charges
+// occurrence-determination effort to the per-document budget; once it
+// trips the path is abandoned and the caller must surface bud.Err instead
+// of a result. Callers must hold the read lock with organizations frozen.
+func (m *Matcher) matchPath(sc *scratch, cs *colScratch, pub *xmldoc.Publication, dedup bool, bd *Breakdown, bud *guard.Budget) {
 	sc.pub = pub
 	sc.byTagOK = false
 
@@ -707,18 +703,32 @@ func (m *Matcher) matchPath(sc *scratch, pub *xmldoc.Publication, dedup bool, bd
 		sc.seen[key] = struct{}{}
 	}
 	if m.cache != nil {
-		m.matchPathCached(sc, pub, bd, t0, bud)
+		m.matchPathCached(sc, cs, pub, bd, t0, bud)
 		return
 	}
 	sc.res.Reset(m.ix.Len())
-	m.ix.MatchPath(pub, sc.res)
+	var ambiguous bool
+	if cs != nil {
+		ambiguous = cs.resolveTids(pub)
+		cs.ci.lay.MatchPathTids(pub, cs.tids, sc.res, nil)
+	} else {
+		m.ix.MatchPath(pub, sc.res)
+	}
 	var t1 time.Time
 	if bd != nil {
 		t1 = time.Now()
 		bd.PredMatch += t1.Sub(t0)
 	}
 
-	m.runUnits(sc, m.ordered, m.clusters, bud)
+	if cs != nil {
+		acc := m.colSweep(sc.res.Touched(), cs, ambiguous, bd, bud)
+		if bud.Exceeded() {
+			return
+		}
+		m.markCandidates(sc, cs.ci, acc, nil, ambiguous, bud)
+	} else {
+		m.runUnits(sc, bud)
+	}
 	for _, e := range m.nested {
 		e.root.collect(m, sc, bud)
 	}
@@ -727,15 +737,13 @@ func (m *Matcher) matchPath(sc *scratch, pub *xmldoc.Publication, dedup bool, bd
 	}
 }
 
-// runUnits runs the expression-matching stage over the given iteration
-// units against sc.res. The cache-disabled path passes the full frozen
-// organization; the cache-enabled path passes the structural or live
-// half (see cache.go).
-func (m *Matcher) runUnits(sc *scratch, units []hotExpr, clusters map[predindex.PID][]hotExpr, bud *guard.Budget) {
+// runUnits is the scalar reference's expression-matching stage: the
+// paper's per-unit loop over the frozen organization against sc.res.
+func (m *Matcher) runUnits(sc *scratch, bud *guard.Budget) {
 	switch m.opts.Variant {
 	case Basic, PrefixCover:
 		cover := m.opts.Variant == PrefixCover
-		for _, h := range units {
+		for _, h := range m.ordered {
 			if bud.Exceeded() {
 				return
 			}
@@ -752,7 +760,7 @@ func (m *Matcher) runUnits(sc *scratch, units []hotExpr, clusters map[predindex.
 		// predicate matched this path are visited at all; the matched
 		// predicates come straight from the predicate matching stage.
 		for _, pid := range sc.res.Touched() {
-			for _, h := range clusters[pid] {
+			for _, h := range m.clusters[pid] {
 				if bud.Exceeded() {
 					return
 				}
@@ -788,12 +796,24 @@ func (m *Matcher) MatchDocumentBreakdown(doc *xmldoc.Document) ([]SID, Breakdown
 // per-document budget. A nil budget is unlimited and never errors. Once
 // the budget trips — step bound, deadline, or cancellation — matching
 // stops and the budget's *guard.LimitError is returned; the partial marks
-// are discarded, never reported as "no match".
+// are discarded, never reported as "no match". With the path cache off
+// this is the scalar reference loop, honoring Options.Variant; with it on
+// there is one cached kernel and this is MatchDocumentColumnar.
 func (m *Matcher) MatchDocumentBudget(doc *xmldoc.Document, bud *guard.Budget) ([]SID, Breakdown, error) {
+	if m.cache != nil {
+		return m.MatchDocumentColumnar(doc, bud)
+	}
 	t0 := time.Now()
 	m.ensureFrozen()
 	defer m.mu.RUnlock()
+	return m.matchDoc(nil, doc, bud, t0)
+}
 
+// matchDoc is the per-document protocol behind every entry point: the
+// path loop with budget checkpoints, nested recombination, result
+// collection and metric observation (t0 is when the caller's clock for
+// this document started). Callers hold the read lock, organizations frozen.
+func (m *Matcher) matchDoc(cs *colScratch, doc *xmldoc.Document, bud *guard.Budget, t0 time.Time) ([]SID, Breakdown, error) {
 	var bd Breakdown
 	sc := m.getScratch()
 	defer m.pool.Put(sc)
@@ -803,7 +823,7 @@ func (m *Matcher) MatchDocumentBudget(doc *xmldoc.Document, bud *guard.Budget) (
 		if !bud.CheckPoint() {
 			break
 		}
-		m.matchPath(sc, &doc.Paths[i], dedup, &bd, bud)
+		m.matchPath(sc, cs, &doc.Paths[i], dedup, &bd, bud)
 		if bud.Exceeded() {
 			break
 		}
@@ -830,15 +850,16 @@ func (m *Matcher) MatchDocumentBudget(doc *xmldoc.Document, bud *guard.Budget) (
 	}
 	out := append([]SID(nil), sc.out...)
 	bd.Other = time.Since(t2)
-	m.observe(&bd, t0, len(doc.Paths), len(out))
+	bd.Total = time.Since(t0)
+	m.observe(&bd, bd.Total, len(doc.Paths), len(out))
 	return out, bd, nil
 }
 
-// observe folds one document's stage breakdown into the metric set. The
-// recording contract is zero allocations, so this is safe on every match
-// path; bd is nil on paths that skip per-stage clocks (the parallel
-// shards), which record the whole-document duration only.
-func (m *Matcher) observe(bd *Breakdown, t0 time.Time, paths, matches int) {
+// observe folds one document's stage breakdown and whole-match duration
+// into the metric set. The recording contract is zero allocations, so this
+// is safe on every match path; bd is nil on paths that skip per-stage
+// clocks (the parallel shards), which record the duration only.
+func (m *Matcher) observe(bd *Breakdown, total time.Duration, paths, matches int) {
 	if m.mx == nil {
 		return
 	}
@@ -852,7 +873,7 @@ func (m *Matcher) observe(bd *Breakdown, t0 time.Time, paths, matches int) {
 			m.mx.ColSweep.Observe(bd.Sweep)
 		}
 	}
-	m.mx.Match.Observe(time.Since(t0))
+	m.mx.Match.Observe(total)
 	m.mx.DocsTotal.Inc()
 	m.mx.PathsTotal.Add(int64(paths))
 	m.mx.MatchesTotal.Add(int64(matches))

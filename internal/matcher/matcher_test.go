@@ -30,6 +30,18 @@ func mustAdd(t *testing.T, m *Matcher, xpes ...string) []SID {
 	return sids
 }
 
+// withScalar returns cfgs plus the uncached twin of each. MatchDocument
+// runs the cached columnar kernel on the former and the scalar reference
+// loop — the only place Variant, covers and clusters act — on the latter.
+func withScalar(cfgs []Options) []Options {
+	out := append([]Options(nil), cfgs...)
+	for _, o := range cfgs {
+		o.PathCacheBytes = -1
+		out = append(out, o)
+	}
+	return out
+}
+
 func matchSet(m *Matcher, doc *xmldoc.Document) map[SID]bool {
 	out := make(map[SID]bool)
 	for _, sid := range m.MatchDocument(doc) {
@@ -227,11 +239,11 @@ func randDoc(rng *rand.Rand, withAttrs bool) *xmldoc.Document {
 // engine configuration must agree exactly with the direct reference
 // matcher.
 func TestRandomEquivalence(t *testing.T) {
-	configs := []Options{
+	configs := withScalar([]Options{
 		{Variant: Basic},
 		{Variant: PrefixCover},
 		{Variant: PrefixCoverAP},
-	}
+	})
 	rng := rand.New(rand.NewSource(11))
 	for round := 0; round < 60; round++ {
 		xpes := make([]string, 40)
@@ -271,13 +283,13 @@ func TestRandomEquivalence(t *testing.T) {
 // TestRandomEquivalenceWithAttrs extends the equivalence test to
 // attribute filters under both evaluation modes.
 func TestRandomEquivalenceWithAttrs(t *testing.T) {
-	configs := []Options{
+	configs := withScalar([]Options{
 		{Variant: Basic, AttrMode: 0},
 		{Variant: PrefixCoverAP, AttrMode: 0},
 		{Variant: Basic, AttrMode: 1},
 		{Variant: PrefixCover, AttrMode: 1},
 		{Variant: PrefixCoverAP, AttrMode: 1},
-	}
+	})
 	rng := rand.New(rand.NewSource(13))
 	for round := 0; round < 40; round++ {
 		var xpes []string
@@ -338,7 +350,7 @@ func TestVariantsAgree(t *testing.T) {
 		doc := randDoc(rng, false)
 		var sets []map[SID]bool
 		for _, v := range allVariants {
-			m := New(Options{Variant: v})
+			m := New(Options{Variant: v, PathCacheBytes: -1}) // the variants act uncached only
 			for _, s := range xpes {
 				if _, err := m.Add(s); err != nil {
 					t.Fatal(err)

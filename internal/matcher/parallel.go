@@ -56,7 +56,12 @@ func (m *Matcher) MatchDocumentParallelBudget(doc *xmldoc.Document, workers int,
 	}
 
 	t0 := time.Now()
-	m.ensureFrozen()
+	var ci *colIndex // the cached path runs on the columnar organization
+	if m.cache != nil {
+		ci = m.ensureColumnar()
+	} else {
+		m.ensureFrozen()
+	}
 	defer m.mu.RUnlock()
 
 	dedup := m.pathDedup()
@@ -79,11 +84,16 @@ func (m *Matcher) MatchDocumentParallelBudget(doc *xmldoc.Document, workers int,
 		go func(w int, sc *scratch, lo, hi int) {
 			defer wg.Done()
 			sb := bud.Fork()
+			var cs *colScratch
+			if ci != nil {
+				cs = m.getColScratch(ci)
+				defer m.colPool.Put(cs)
+			}
 			for i := lo; i < hi; i++ {
 				if !sb.CheckPoint() {
 					break
 				}
-				m.matchPath(sc, &doc.Paths[i], dedup, nil, sb)
+				m.matchPath(sc, cs, &doc.Paths[i], dedup, nil, sb)
 				if sb.Exceeded() {
 					break
 				}
@@ -148,6 +158,6 @@ func (m *Matcher) MatchDocumentParallelBudget(doc *xmldoc.Document, workers int,
 	m.pool.Put(sc)
 	// The shards keep clock calls off their inner loops (bd == nil), so
 	// only the whole-document duration and counters are recorded.
-	m.observe(nil, t0, len(doc.Paths), len(out))
+	m.observe(nil, time.Since(t0), len(doc.Paths), len(out))
 	return out, nil
 }

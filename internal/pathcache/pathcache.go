@@ -10,8 +10,9 @@
 // the path's signature (tag sequence plus per-path occurrence vector).
 // This cache stores, per distinct signature, the structural matching
 // outcome (the expression ids marked by value-independent iteration
-// units) together with the replayable predicate-stage transcript needed
-// to re-check value-dependent work (attribute filters, nested path
+// units) together with the live plan — the value-dependent units that are
+// structurally able to match — and the replayable predicate-stage
+// transcript needed to re-check them (attribute filters, nested path
 // filters) against the live document.
 //
 // Structure: a sharded LRU bounded by total byte size. Keys are the full
@@ -51,17 +52,38 @@ type Entry struct {
 	// ids (expression and group-representative slots) marked by the
 	// value-independent iteration units, starting from a clean state.
 	Outcome []int32
+	// Plan is the live plan: the value-dependent iteration units (as unit
+	// columns of the matcher's frozen organization) whose every chain
+	// predicate matched the signature structurally, whatever the attribute
+	// values of the recorded document were. Only these can match a
+	// document with this signature, so a hit walks them and nothing else.
+	Plan []PlanUnit
+	// Ambiguous records that a tag repeats on the path (a function of the
+	// signature): plan units then need occurrence determination.
+	Ambiguous bool
 	// Rec is the replayable predicate-stage transcript, populated only
-	// when the matcher has value-dependent work to re-run on a hit.
+	// when the matcher has value-dependent work to re-run on a hit, and
+	// pruned to the predicates the plan's units reference unless
+	// nested-path expressions (which read arbitrary predicates) exist.
 	Rec predindex.Recording
+}
+
+// PlanUnit is one live-plan entry: a unit column and its gate, the unit's
+// first attribute-carrying predicate (its first predicate when it has
+// none). A unit can match a document only if its gate did, so a hit
+// dismisses most units on the gate alone, without touching the unit.
+type PlanUnit struct {
+	Col  int32
+	Gate predindex.PID
 }
 
 // sizeBytes estimates the heap footprint of an entry under its interned
 // key; the constants are the struct sizes plus map/list bookkeeping.
 func sizeBytes(key string, e *Entry) int64 {
-	const overhead = 128 // entry struct, map bucket share, LRU links
+	const overhead = 160 // entry struct, map bucket share, LRU links
 	return overhead + int64(len(key)) +
 		4*int64(len(e.Outcome)) +
+		8*int64(len(e.Plan)) +
 		12*int64(len(e.Rec.Bare)) +
 		20*int64(len(e.Rec.Residual))
 }

@@ -164,16 +164,19 @@ func TestDefaultSize(t *testing.T) {
 	}
 }
 
-func TestRecordingEntrySized(t *testing.T) {
+// TestPlanAndRecordingEntrySized: the byte bound must see everything an
+// entry retains — outcome, live plan and transcript.
+func TestPlanAndRecordingEntrySized(t *testing.T) {
 	e := &Entry{
 		Outcome: make([]int32, 2),
+		Plan:    make([]PlanUnit, 5),
 		Rec: predindex.Recording{
 			Bare:     make([]predindex.BareHit, 3),
 			Residual: make([]predindex.ResidualHit, 1),
 		},
 	}
 	got := sizeBytes("k", e)
-	want := int64(128 + 1 + 4*2 + 12*3 + 20*1)
+	want := int64(160 + 1 + 4*2 + 8*5 + 12*3 + 20*1)
 	if got != want {
 		t.Fatalf("sizeBytes = %d, want %d", got, want)
 	}

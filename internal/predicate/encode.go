@@ -147,18 +147,21 @@ func Encode(p *xpath.Path, mode AttrMode) (*Encoding, error) {
 		if len(attrs) == 0 {
 			return
 		}
-		if mode == Inline {
-			if side == Left {
-				pred.Attrs1 = append([]xpath.AttrFilter(nil), attrs...)
-			} else {
-				pred.Attrs2 = append([]xpath.AttrFilter(nil), attrs...)
-			}
-			return
+		// Registration is where each constant is classified, once: the
+		// match stages evaluate these copies, never the parsed path's.
+		own := make([]xpath.AttrFilter, len(attrs))
+		for i, f := range attrs {
+			own[i] = f.Classified()
 		}
-		if side == Left {
-			post.Left = append([]xpath.AttrFilter(nil), attrs...)
-		} else {
-			post.Right = append([]xpath.AttrFilter(nil), attrs...)
+		switch {
+		case mode == Inline && side == Left:
+			pred.Attrs1 = own
+		case mode == Inline:
+			pred.Attrs2 = own
+		case side == Left:
+			post.Left = own
+		default:
+			post.Right = own
 		}
 	}
 

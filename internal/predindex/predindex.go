@@ -218,6 +218,17 @@ func (r *Results) Matched(pid PID) bool {
 	return int(pid) < len(r.stamp) && r.stamp[pid] == r.cur && len(r.pairs[pid]) > 0
 }
 
+// MatchedAll reports whether every one of pids matched the current
+// publication.
+func (r *Results) MatchedAll(pids []PID) bool {
+	for _, pid := range pids {
+		if !r.Matched(pid) {
+			return false
+		}
+	}
+	return true
+}
+
 // BareHit is one occurrence-pair result of a bare (filter-free)
 // predicate: a pure function of the publication's tag/position structure.
 type BareHit struct {
@@ -252,6 +263,27 @@ type Recording struct {
 func (r *Recording) Reset() {
 	r.Bare = r.Bare[:0]
 	r.Residual = r.Residual[:0]
+}
+
+// Keep drops, in place, every hit whose predicate keep rejects. Replaying
+// the result reproduces a fresh MatchPath run restricted to the kept
+// predicates: per-predicate pair sequences are unchanged, the others read
+// as unmatched.
+func (r *Recording) Keep(keep func(PID) bool) {
+	bare := r.Bare[:0]
+	for _, h := range r.Bare {
+		if keep(h.PID) {
+			bare = append(bare, h)
+		}
+	}
+	r.Bare = bare
+	res := r.Residual[:0]
+	for _, h := range r.Residual {
+		if keep(h.PID) {
+			res = append(res, h)
+		}
+	}
+	r.Residual = res
 }
 
 // Clone returns a deep copy with exact-length slices (for retention in a

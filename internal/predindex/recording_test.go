@@ -222,3 +222,59 @@ func TestRecordingClone(t *testing.T) {
 		t.Fatalf("empty clone not empty: %+v", ec)
 	}
 }
+
+// A pruned recording replays exactly the kept predicates: their pair
+// sequences equal the fresh run's (attribute filters re-verified on a
+// same-structure publication with other values), every other predicate
+// reads as unmatched, and MatchedAll agrees with per-predicate Matched.
+func TestKeepPrunesReplayToKeptPredicates(t *testing.T) {
+	ix := New()
+	for _, s := range []string{"a//b/c", "/a/b", "//c", `/a/b[@x=1]/c`, `//b[@x=2]`, `a[@y=z]//c[@x=1]`, "/a/d", "d//e", "/x", `//b[@x=9]`} {
+		for _, p := range predicate.MustEncode(xpath.MustParse(s), predicate.Inline).Preds {
+			ix.Insert(p)
+		}
+	}
+	recorded, err := xmldoc.Parse([]byte(`<a y="z"><b x="1"><c x="1"/></b></a>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := xmldoc.Parse([]byte(`<a y="z"><b x="2"><c x="1"/></b></a>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := NewResults(ix.Len())
+	res.Reset(ix.Len())
+	var rec Recording
+	ix.MatchPathRecord(&recorded.Paths[0], res, &rec)
+	keep := func(pid PID) bool { return pid%2 == 0 }
+	rec.Keep(keep)
+
+	fresh := NewResults(ix.Len())
+	fresh.Reset(ix.Len())
+	ix.MatchPath(&live.Paths[0], fresh)
+	replayed := NewResults(ix.Len())
+	replayed.Reset(ix.Len())
+	ix.Replay(&rec, &live.Paths[0], replayed)
+
+	var kept, matched []PID
+	for pid := PID(0); int(pid) < ix.Len(); pid++ {
+		want := fresh.Get(pid)
+		if !keep(pid) {
+			want = nil
+		} else {
+			kept = append(kept, pid)
+			if fresh.Matched(pid) {
+				matched = append(matched, pid)
+			}
+		}
+		if got := replayed.Get(pid); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("pid %d (%s): replayed %v, want %v", pid, ix.Pred(pid), got, want)
+		}
+	}
+	if len(matched) == 0 || len(matched) == len(kept) {
+		t.Fatalf("degenerate fixture: %d of %d kept predicates match", len(matched), len(kept))
+	}
+	if !replayed.MatchedAll(matched) || replayed.MatchedAll(kept) || !replayed.MatchedAll(nil) {
+		t.Fatal("MatchedAll disagrees with per-predicate Matched")
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"predfilter"
 )
@@ -461,5 +462,45 @@ func TestStatsOmitDisabledPathCache(t *testing.T) {
 	stats := decodeBody(t, resp)
 	if _, ok := stats["path_cache"]; ok {
 		t.Fatalf("path_cache reported despite being disabled: %v", stats)
+	}
+}
+
+// TestSlowMatchCounted: slow-document accounting must see match time, not
+// only parse time, on /publish and on /publish/batch alike. The document
+// parses in microseconds and matches in tens of milliseconds (an ambiguous
+// path with no chained combination: exhaustive occurrence determination),
+// and the cache is off so every copy pays it; the threshold sits between.
+func TestSlowMatchCounted(t *testing.T) {
+	ts := newTestServer(t, Config{Workers: 2, Engine: predfilter.Config{
+		PathCacheBytes:   -1,
+		SlowDocThreshold: 2 * time.Millisecond,
+	}})
+	subscribe(t, ts, strings.Repeat("//a", 20))
+	slow := strings.Repeat("<a>", 18) + strings.Repeat("</a>", 18)
+	slowDocs := func() float64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return decodeBody(t, resp)["slow_docs"].(float64)
+	}
+
+	publish(t, ts, `<b/>`)
+	if got := slowDocs(); got != 0 {
+		t.Fatalf("slow_docs after a fast publish = %v, want 0", got)
+	}
+	publish(t, ts, slow)
+	if got := slowDocs(); got != 1 {
+		t.Fatalf("slow_docs after a slow-match publish = %v, want 1", got)
+	}
+	resp, body := postJSON(t, ts.URL+"/publish/batch", map[string]any{
+		"documents": []string{slow, `<b/>`, slow, `<b/>`},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d body %v", resp.StatusCode, body)
+	}
+	if got := slowDocs(); got != 3 {
+		t.Fatalf("slow_docs after a batch with two slow matches = %v, want 3", got)
 	}
 }

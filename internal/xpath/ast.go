@@ -67,6 +67,12 @@ type AttrFilter struct {
 	Name  string
 	Op    AttrOp
 	Value string
+
+	// kind and num cache whether Value parses as a number (see Classified).
+	// num holds the float's bits, not the float, so == between filters —
+	// which expression dedup relies on — stays reflexive for "NaN".
+	kind numKind
+	num  uint64
 }
 
 // String returns the filter in canonical form, e.g. `[@x = "3"]` is

@@ -1,9 +1,37 @@
 package xpath
 
 import (
+	"math"
 	"strconv"
 	"strings"
 )
+
+// numKind classifies a filter constant.
+type numKind uint8
+
+const (
+	unclassified numKind = iota // literal-built filter: Eval classifies per call
+	numeric
+	notNumeric
+)
+
+func classify(value string) (numKind, uint64) {
+	if fn, err := strconv.ParseFloat(value, 64); err == nil {
+		return numeric, math.Float64bits(fn)
+	}
+	return notNumeric, 0
+}
+
+// Classified returns f with its constant parsed once, so Eval neither
+// re-parses it nor — for a non-numeric constant, where the failed parse
+// allocates its error — allocates per evaluation. Engines call it when an
+// expression is registered; Name, Op and Value are unchanged.
+func (f AttrFilter) Classified() AttrFilter {
+	if f.Op != AttrExists {
+		f.kind, f.num = classify(f.Value)
+	}
+	return f
+}
 
 // Eval reports whether an attribute value satisfies the filter.
 // Comparison is numeric when both the filter value and the attribute
@@ -14,9 +42,13 @@ func (f AttrFilter) Eval(value string) bool {
 	if f.Op == AttrExists {
 		return true
 	}
-	if fn, err1 := strconv.ParseFloat(f.Value, 64); err1 == nil {
-		if vn, err2 := strconv.ParseFloat(value, 64); err2 == nil {
-			return f.cmpOK(compareFloat(vn, fn))
+	kind, num := f.kind, f.num
+	if kind == unclassified {
+		kind, num = classify(f.Value)
+	}
+	if kind == numeric {
+		if vn, err := strconv.ParseFloat(value, 64); err == nil {
+			return f.cmpOK(compareFloat(vn, math.Float64frombits(num)))
 		}
 	}
 	return f.cmpOK(strings.Compare(value, f.Value))

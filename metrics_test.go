@@ -127,15 +127,15 @@ func TestSlowDocLogging(t *testing.T) {
 		t.Fatalf("SlowDocs = %d, want 1", got)
 	}
 
-	// The streaming path logs too (without the per-stage breakdown).
+	// The streaming path logs too, with the same per-stage breakdown.
 	buf.Reset()
 	for _, r := range eng.MatchBatch([][]byte{[]byte(sampleDoc)}, 2) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
 	}
-	if out := buf.String(); !strings.Contains(out, "slow document") {
-		t.Fatalf("streaming slow document not logged:\n%s", out)
+	if out := buf.String(); !strings.Contains(out, "slow document") || !strings.Contains(out, "pred_match_ns") {
+		t.Fatalf("streaming slow document not logged with its breakdown:\n%s", out)
 	}
 	if got := eng.Stats().SlowDocs; got != 2 {
 		t.Fatalf("SlowDocs after batch = %d, want 2", got)

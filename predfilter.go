@@ -31,8 +31,6 @@ import (
 	"errors"
 	"io"
 	"log/slog"
-	"os"
-	"strings"
 	"time"
 
 	"predfilter/internal/guard"
@@ -94,33 +92,26 @@ const (
 	Basic
 )
 
-// ColumnarMode selects when the columnar batch matcher runs (the
-// bitset-parallel expression-matching kernel in internal/matcher, which
-// evaluates a whole group of parsed documents against bit columns of
-// expressions so matching cost scales with words(|expressions|/64)
-// instead of |expressions|). It only applies to the batch entry points
-// (MatchStream, MatchBatch); single-document Match calls always use the
-// scalar matcher. The PREDFILTER_COLUMNAR environment variable
-// ("on"/"1"/"force" or "off"/"0") overrides the configured mode
-// process-wide. Columnar and scalar matching produce identical results;
-// the mode only moves the throughput/latency trade-off.
+// ColumnarMode selects the expression-matching kernel. Every entry point
+// — a single Match, MatchParsed, MatchReader, and MatchStream/MatchBatch
+// dispatch groups as batches of 1..n — runs the columnar kernel in
+// internal/matcher: bit columns of expressions, so matching cost scales
+// with words(|expressions|/64) instead of |expressions|, and with the path
+// cache on, a cached live-candidate plan per path signature. ColumnarOff
+// exists for reference only: together with a negative PathCacheBytes it
+// selects the paper's scalar per-expression loop (the Organization
+// variants), which the equivalence tests, the benchmark oracle and the
+// Figure 6–9 experiments compare against. Both produce identical results.
 type ColumnarMode int
 
 const (
-	// ColumnarAuto engages the columnar kernel when a dispatch group is
-	// full enough to amortize its per-batch setup (currently 4 parsed
-	// documents).
+	// ColumnarAuto is the default: the columnar kernel, always.
 	ColumnarAuto ColumnarMode = iota
-	// ColumnarOn forces the columnar kernel for every dispatch group,
-	// however small.
-	ColumnarOn
-	// ColumnarOff forces the scalar matcher everywhere.
+	// ColumnarOff selects the scalar reference loop for uncached
+	// evaluation. The path cache has one kernel, so cached evaluation is
+	// columnar regardless.
 	ColumnarOff
 )
-
-// colAutoMinBatch is the dispatch-group size at which ColumnarAuto
-// engages the columnar kernel.
-const colAutoMinBatch = 4
 
 // defaultStreamBatch is the dispatch-group bound used when
 // Config.StreamBatch is unset.
@@ -188,9 +179,8 @@ type Config struct {
 	// hatch and for benchmarking. The PREDFILTER_XML_PARSER=std
 	// environment variable forces the same process-wide.
 	StdXMLParser bool
-	// Columnar selects when the batch entry points use the columnar
-	// bitset matcher (see ColumnarMode). The PREDFILTER_COLUMNAR
-	// environment variable overrides it.
+	// Columnar selects the matching kernel (see ColumnarMode): leave it
+	// zero except to obtain the scalar reference.
 	Columnar ColumnarMode
 	// StreamBatch bounds how many pending documents the stream dispatcher
 	// groups into one worker job (and thus one columnar batch). The
@@ -247,13 +237,6 @@ func New(cfg Config) *Engine {
 	if cfg.StdXMLParser {
 		pmode = xmldoc.ModeStd
 	}
-	columnar := cfg.Columnar
-	switch strings.ToLower(os.Getenv("PREDFILTER_COLUMNAR")) {
-	case "on", "1", "force":
-		columnar = ColumnarOn
-	case "off", "0":
-		columnar = ColumnarOff
-	}
 	batchMax := cfg.StreamBatch
 	if batchMax <= 0 {
 		batchMax = defaultStreamBatch
@@ -273,21 +256,8 @@ func New(cfg Config) *Engine {
 		slow:     cfg.SlowDocThreshold,
 		limits:   cfg.Limits,
 		pmode:    pmode,
-		columnar: columnar,
+		columnar: cfg.Columnar,
 		batchMax: batchMax,
-	}
-}
-
-// colEngage reports whether a dispatch group of n successfully parsed
-// documents should go through the columnar batch matcher.
-func (e *Engine) colEngage(n int) bool {
-	switch e.columnar {
-	case ColumnarOn:
-		return n >= 1
-	case ColumnarOff:
-		return false
-	default:
-		return n >= colAutoMinBatch
 	}
 }
 
@@ -378,13 +348,23 @@ func (e *Engine) MatchContext(ctx context.Context, doc []byte) ([]SID, error) {
 	if err != nil {
 		return nil, e.recordGovernance(err)
 	}
-	parse := time.Since(t0)
-	t1 := time.Now()
-	sids, bd, err := e.m.MatchDocumentBudget(d, guard.NewBudget(ctx, e.limits))
+	return e.matchDoc(ctx, d, guard.NewBudget(ctx, e.limits), time.Since(t0), len(doc))
+}
+
+// matchDoc matches one parsed document — a columnar batch of one, or the
+// scalar reference under ColumnarOff — counting a limit trip or a slow
+// document (parse is the time already spent parsing it, nbytes its size).
+func (e *Engine) matchDoc(ctx context.Context, d *xmldoc.Document, bud *guard.Budget, parse time.Duration, nbytes int) (sids []SID, err error) {
+	var bd matcher.Breakdown
+	if e.columnar == ColumnarOff {
+		sids, bd, err = e.m.MatchDocumentBudget(d, bud)
+	} else {
+		sids, bd, err = e.m.MatchDocumentColumnar(d, bud)
+	}
 	if err != nil {
 		return nil, e.recordGovernance(err)
 	}
-	e.maybeLogSlow(ctx, parse, time.Since(t1), &bd, len(doc), len(d.Paths), len(sids))
+	e.maybeLogSlow(ctx, parse, &bd, nbytes, len(d.Paths), len(sids))
 	return sids, nil
 }
 
@@ -441,14 +421,7 @@ func (e *Engine) MatchReaderContext(ctx context.Context, r io.Reader) ([]SID, er
 	if err != nil {
 		return nil, e.recordGovernance(err)
 	}
-	parse := time.Since(t0)
-	t1 := time.Now()
-	sids, bd, err := e.m.MatchDocumentBudget(d, guard.NewBudget(ctx, e.limits))
-	if err != nil {
-		return nil, e.recordGovernance(err)
-	}
-	e.maybeLogSlow(ctx, parse, time.Since(t1), &bd, 0, len(d.Paths), len(sids))
-	return sids, nil
+	return e.matchDoc(ctx, d, guard.NewBudget(ctx, e.limits), time.Since(t0), 0)
 }
 
 // Document is a pre-parsed document, reusable across engines.
@@ -476,9 +449,7 @@ func (d *Document) Paths() int { return len(d.doc.Paths) }
 // already accepted the document's size by parsing it; use
 // MatchParsedContext to budget the match stage).
 func (e *Engine) MatchParsed(d *Document) []SID {
-	t0 := time.Now()
-	sids, bd := e.m.MatchDocumentBreakdown(d.doc)
-	e.maybeLogSlow(context.Background(), 0, time.Since(t0), &bd, 0, len(d.doc.Paths), len(sids))
+	sids, _ := e.matchDoc(context.Background(), d.doc, nil, 0, 0) // a nil budget never errors
 	return sids
 }
 
@@ -486,13 +457,7 @@ func (e *Engine) MatchParsed(d *Document) []SID {
 // match budget and the caller's context (the parse-stage limits do not
 // apply — the document is already materialized).
 func (e *Engine) MatchParsedContext(ctx context.Context, d *Document) ([]SID, error) {
-	t0 := time.Now()
-	sids, bd, err := e.m.MatchDocumentBudget(d.doc, guard.NewBudget(ctx, e.limits))
-	if err != nil {
-		return nil, e.recordGovernance(err)
-	}
-	e.maybeLogSlow(ctx, 0, time.Since(t0), &bd, 0, len(d.doc.Paths), len(sids))
-	return sids, nil
+	return e.matchDoc(ctx, d.doc, guard.NewBudget(ctx, e.limits), 0, 0)
 }
 
 // Stats summarizes engine state.
@@ -536,8 +501,7 @@ type Stats struct {
 	// Panics counts panics recovered by the isolation layer (stream
 	// workers, HTTP handlers) instead of crashing the process.
 	Panics int64
-	// Columnar reports the columnar batch matcher's activity; zero-valued
-	// until a batch entry point engages it.
+	// Columnar reports the columnar kernel's activity.
 	Columnar ColumnarStats
 	// Stages summarizes the per-stage latency histograms.
 	Stages StageStats

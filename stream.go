@@ -57,8 +57,8 @@ func (e *Engine) parseStreamDoc(r *Result) (d *xmldoc.Document, parse time.Durat
 	return d, time.Since(t0)
 }
 
-// matchParsedStreamDoc runs the scalar matcher over one already-parsed
-// stream document, with the same per-document panic isolation.
+// matchParsedStreamDoc matches one already-parsed stream document on its
+// own, with the same per-document panic isolation.
 func (e *Engine) matchParsedStreamDoc(ctx context.Context, r *Result, d *xmldoc.Document, parse time.Duration) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -67,21 +67,13 @@ func (e *Engine) matchParsedStreamDoc(ctx context.Context, r *Result, d *xmldoc.
 			r.Err = fmt.Errorf("predfilter: recovered panic matching document %d: %v", r.Index, p)
 		}
 	}()
-	t1 := time.Now()
-	sids, _, err := e.m.MatchDocumentBudget(d, guard.NewBudget(ctx, e.limits))
-	if err != nil {
-		r.Err = e.recordGovernance(err)
-		return
-	}
-	r.SIDs = sids
-	e.maybeLogSlow(ctx, parse, time.Since(t1), nil, len(r.Doc), len(d.Paths), len(sids))
+	r.SIDs, r.Err = e.matchDoc(ctx, d, guard.NewBudget(ctx, e.limits), parse, len(r.Doc))
 }
 
 // matchStreamGroup processes one dispatch group: every document is parsed
 // individually (per-document panic and limit isolation), and the
-// survivors are matched together — through the columnar batch matcher
-// when the group is large enough for the configured ColumnarMode, through
-// the scalar matcher per document otherwise.
+// survivors are matched together as one columnar batch — or one by one
+// under ColumnarOff, and after a panic in the batch.
 func (e *Engine) matchStreamGroup(ctx context.Context, rs []Result) {
 	docs := make([]*xmldoc.Document, len(rs))
 	parse := make([]time.Duration, len(rs))
@@ -95,7 +87,7 @@ func (e *Engine) matchStreamGroup(ctx context.Context, rs []Result) {
 	if live == 0 {
 		return
 	}
-	if e.colEngage(live) && e.matchColumnarGroup(ctx, rs, docs, parse) {
+	if e.columnar != ColumnarOff && e.matchColumnarGroup(ctx, rs, docs, parse) {
 		return
 	}
 	for k := range rs {
@@ -105,11 +97,11 @@ func (e *Engine) matchStreamGroup(ctx context.Context, rs []Result) {
 	}
 }
 
-// matchColumnarGroup matches a group's parsed documents through the
-// columnar kernel. A panic is recovered and reported by returning false,
-// and the caller re-matches the group through the scalar per-document
-// path (which carries its own per-document isolation); results assigned
-// before the panic are reset so the scalar pass starts clean.
+// matchColumnarGroup matches a group's parsed documents as one batch of
+// the columnar kernel. A panic is recovered and reported by returning
+// false, and the caller re-matches the group document by document (each
+// under its own isolation, so only the offender fails); results assigned
+// before the panic are reset so that pass starts clean.
 func (e *Engine) matchColumnarGroup(ctx context.Context, rs []Result, docs []*xmldoc.Document, parse []time.Duration) (ok bool) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -134,14 +126,14 @@ func (e *Engine) matchColumnarGroup(ctx context.Context, rs []Result, docs []*xm
 		buds = append(buds, guard.NewBudget(ctx, e.limits))
 		idx = append(idx, k)
 	}
-	outs, errs := e.m.MatchDocumentsColumnar(batch, buds)
+	outs, bds, errs := e.m.MatchDocumentsColumnar(batch, buds)
 	for j, k := range idx {
 		if errs[j] != nil {
 			rs[k].Err = e.recordGovernance(errs[j])
 			continue
 		}
 		rs[k].SIDs = outs[j]
-		e.maybeLogSlow(ctx, parse[k], 0, nil, len(rs[k].Doc), len(batch[j].Paths), len(outs[j]))
+		e.maybeLogSlow(ctx, parse[k], &bds[j], len(rs[k].Doc), len(batch[j].Paths), len(outs[j]))
 	}
 	return true
 }
