@@ -17,6 +17,8 @@ type ColumnarPoint struct {
 	Mode  string `json:"mode"`
 	Exprs int    `json:"exprs"`
 	// Batch is the configured dispatch-group bound (Config.StreamBatch).
+	// The dispatcher cuts what it takes in into several groups per worker,
+	// so the group the kernel saw is AvgBatch, well below the bound.
 	Batch        int     `json:"batch"`
 	DocsPerSec   float64 `json:"docs_per_sec"`
 	Speedup      float64 `json:"speedup_vs_scalar"`

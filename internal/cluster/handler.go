@@ -14,6 +14,7 @@ import (
 
 	"predfilter"
 	"predfilter/internal/metrics"
+	"predfilter/internal/server"
 	"predfilter/internal/store"
 	"predfilter/internal/trace"
 )
@@ -222,16 +223,12 @@ func (c *Coordinator) handlePublish(w http.ResponseWriter, r *http.Request) {
 		relayError(w, err)
 		return
 	}
-	resp := map[string]any{"matches": len(res.SIDs), "ids": res.SIDs}
-	if res.Degraded {
-		resp["degraded"] = true
-		resp["skipped"] = res.Skipped
-	}
 	if res.TraceID != "" {
-		resp["trace_id"] = res.TraceID
 		w.Header().Set(trace.ResponseHeaderName, res.TraceID)
 	}
-	cwriteJSON(w, http.StatusOK, resp)
+	server.WritePublishResponse(w, &server.PublishResult{
+		SIDs: res.SIDs, TraceID: res.TraceID, Degraded: res.Degraded, Skipped: res.Skipped,
+	})
 }
 
 // handleFlight dumps the flight recorder: the last K anomalous or

@@ -1,0 +1,81 @@
+//go:build !race
+
+// The race detector's instrumentation changes allocation behavior, so the
+// AllocsPerRun assertions only run in the regular test legs.
+
+package server
+
+import (
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"predfilter"
+)
+
+// wideServer has n subscriptions that every <x/> document matches, with
+// their queues already full.
+func wideServer(t *testing.T, n int) *Server {
+	t.Helper()
+	srv := New(Config{QueueLimit: 16, Workers: 2})
+	exprs := make([]string, n)
+	for i := range exprs {
+		exprs[i] = "//x"
+	}
+	if _, err := srv.Preload(exprs); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 17; i++ {
+		if rr := serve(srv, "POST", "/publish", "<x/>"); rr.Code != http.StatusOK {
+			t.Fatalf("publish: status %d", rr.Code)
+		}
+	}
+	return srv
+}
+
+// TestDeliverAllocs pins the steady-state cost of the delivery pass: one
+// document delivered to 8 192 full queues allocates its queue record and
+// nothing per subscription (about 500 allocations when every full queue
+// re-grew its slice).
+func TestDeliverAllocs(t *testing.T) {
+	const n = 8192
+	srv := wideServer(t, n)
+	sids := make([]predfilter.SID, n)
+	for i := range sids {
+		sids[i] = predfilter.SID(i)
+	}
+	res := PublishResult{SIDs: sids}
+	doc := []byte("<x/>")
+	buf, _ := appendPublishResult(nil, srv, &document{doc}, &res)
+	got := testing.AllocsPerRun(20, func() {
+		var delivered int
+		buf, delivered = appendPublishResult(buf[:0], srv, &document{doc}, &res)
+		if delivered != n {
+			t.Fatalf("delivered to %d, want %d", delivered, n)
+		}
+	})
+	if got > 4 {
+		t.Fatalf("delivery pass allocs = %v, want <= 4", got)
+	}
+}
+
+// TestPublishBatchAllocs bounds a whole /publish/batch request of 32
+// documents with 8 192 matches each, through ServeHTTP: request decoding,
+// parsing, matching, delivery and the response (17 494 allocations with
+// per-id encoding and slice queues).
+func TestPublishBatchAllocs(t *testing.T) {
+	srv := wideServer(t, 8192)
+	body := `{"documents":["<x/>"` + strings.Repeat(`,"<x/>"`, 31) + `]}`
+	post := func() {
+		rr := httptest.NewRecorder()
+		srv.ServeHTTP(rr, httptest.NewRequest("POST", "/publish/batch", strings.NewReader(body)))
+		if rr.Code != http.StatusOK || rr.Body.Len() < 32*8192*4 {
+			t.Fatalf("batch: status %d, %d bytes", rr.Code, rr.Body.Len())
+		}
+	}
+	post()
+	if got := testing.AllocsPerRun(10, post); got >= 1000 {
+		t.Fatalf("batch request allocs = %v, want < 1000", got)
+	}
+}

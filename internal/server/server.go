@@ -61,7 +61,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -159,8 +158,8 @@ type Server struct {
 	panics   atomic.Int64 // handler panics recovered
 	draining atomic.Bool  // Close/BeginDrain in progress: publishes get 503
 
-	mu   sync.Mutex
-	subs map[predfilter.SID]*subscription
+	mu  sync.Mutex
+	reg registry
 
 	// runID identifies this server instance to WAL-shipping followers: a
 	// follower whose cursor carries a different runID resyncs from a full
@@ -171,16 +170,6 @@ type Server struct {
 	// flight retains the span trees of recent anomalous publishes
 	// (nil when Config.FlightRecords < 0).
 	flight *trace.FlightRecorder
-}
-
-// subscription holds one registered expression and its delivery queue.
-type subscription struct {
-	Expression string `json:"expression"`
-	Delivered  int    `json:"delivered"`
-	Dropped    int    `json:"dropped"`
-	Pending    int    `json:"pending"`
-
-	queue [][]byte
 }
 
 // New returns a ready-to-serve Server. It panics if Config.StateDir is
@@ -213,7 +202,6 @@ func Open(cfg Config) (*Server, error) {
 	s := &Server{
 		mux:   http.NewServeMux(),
 		cfg:   cfg,
-		subs:  make(map[predfilter.SID]*subscription),
 		runID: fmt.Sprintf("%016x", rand.Uint64()),
 	}
 	if cfg.FlightRecords >= 0 {
@@ -235,7 +223,7 @@ func Open(cfg Config) (*Server, error) {
 		s.pe = pe
 		s.eng = pe.Engine
 		for _, sub := range pe.Subscriptions() {
-			s.subs[sub.ID] = &subscription{Expression: sub.Expression}
+			s.reg.put(sub.ID, sub.Expression)
 		}
 	} else {
 		s.eng = predfilter.New(cfg.Engine)
@@ -453,7 +441,7 @@ func (s *Server) ApplyAdd(sid predfilter.SID, expr string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if sub := s.subs[sid]; sub != nil {
+	if sub := s.reg.get(int(sid)); sub != nil {
 		if sub.Expression == canon {
 			return nil
 		}
@@ -462,7 +450,7 @@ func (s *Server) ApplyAdd(sid predfilter.SID, expr string) error {
 	if err := s.addExprWithSID(expr, sid); err != nil {
 		return err
 	}
-	s.subs[sid] = &subscription{Expression: canon}
+	s.reg.put(sid, canon)
 	return nil
 }
 
@@ -471,13 +459,13 @@ func (s *Server) ApplyAdd(sid predfilter.SID, expr string) error {
 func (s *Server) ApplyRemove(sid predfilter.SID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.subs[sid] == nil {
+	if s.reg.get(int(sid)) == nil {
 		return nil
 	}
 	if err := s.removeExpr(sid); err != nil {
 		return err
 	}
-	delete(s.subs, sid)
+	s.reg.remove(sid)
 	return nil
 }
 
@@ -486,9 +474,11 @@ func (s *Server) ApplyRemove(sid predfilter.SID) error {
 func (s *Server) SubscriptionIDs() map[predfilter.SID]string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[predfilter.SID]string, len(s.subs))
-	for sid, sub := range s.subs {
-		out[sid] = sub.Expression
+	out := make(map[predfilter.SID]string, s.reg.live)
+	for sid := range s.reg.subs {
+		if sub := s.reg.get(sid); sub != nil {
+			out[predfilter.SID(sid)] = sub.Expression
+		}
 	}
 	return out
 }
@@ -508,7 +498,7 @@ func (s *Server) Preload(xpes []string) ([]predfilter.SID, error) {
 		if err != nil {
 			return ids, fmt.Errorf("server: preload %q: %w", x, err)
 		}
-		s.subs[sid] = &subscription{Expression: canon}
+		s.reg.put(sid, canon)
 		ids = append(ids, sid)
 	}
 	return ids, nil
@@ -576,7 +566,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	s.subs[sid] = &subscription{Expression: canon}
+	s.reg.put(sid, canon)
 	writeJSON(w, http.StatusCreated, map[string]any{"id": sid})
 }
 
@@ -593,12 +583,13 @@ type SubscriptionEntry struct {
 // durable home of the subscription set).
 func (s *Server) handleListSubscriptions(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	entries := make([]SubscriptionEntry, 0, len(s.subs))
-	for sid, sub := range s.subs {
-		entries = append(entries, SubscriptionEntry{ID: sid, Expression: sub.Expression})
+	entries := make([]SubscriptionEntry, 0, s.reg.live)
+	for sid := range s.reg.subs {
+		if sub := s.reg.get(sid); sub != nil {
+			entries = append(entries, SubscriptionEntry{ID: predfilter.SID(sid), Expression: sub.Expression})
+		}
 	}
 	s.mu.Unlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
 	writeJSON(w, http.StatusOK, map[string]any{"count": len(entries), "subscriptions": entries})
 }
 
@@ -608,7 +599,7 @@ func (s *Server) sidFromPath(w http.ResponseWriter, r *http.Request) (predfilter
 		writeError(w, http.StatusBadRequest, "invalid subscription id %q", r.PathValue("id"))
 		return 0, nil, false
 	}
-	sub := s.subs[predfilter.SID(id)]
+	sub := s.reg.get(id)
 	if sub == nil {
 		writeError(w, http.StatusNotFound, "unknown subscription %d", id)
 		return 0, nil, false
@@ -623,10 +614,7 @@ func (s *Server) handleGetSubscription(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	info := *sub
-	info.Pending = len(sub.queue)
-	info.queue = nil
-	writeJSON(w, http.StatusOK, info)
+	writeJSON(w, http.StatusOK, sub)
 }
 
 func (s *Server) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
@@ -640,7 +628,7 @@ func (s *Server) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	delete(s.subs, sid)
+	s.reg.remove(sid)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -702,18 +690,16 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	}
 	s.docsPublished.Add(1)
 	s.matchesTotal.Add(int64(len(sids)))
-	dspan := dt.StartSpan("shard.deliver", 0)
-	delivered := s.deliver(doc, sids)
-	dspan.End()
-	s.recordPublishFlight(dt, elapsed, len(doc), len(delivered), nil)
-	resp := map[string]any{"matches": len(delivered), "ids": delivered}
-	if traced {
-		resp["trace"] = tr
-	}
+	res := PublishResult{SIDs: sids, Trace: tr}
 	if dt.Enabled() {
-		resp["trace_id"] = dt.ID().String()
+		res.TraceID = dt.ID().String()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	dspan := dt.StartSpan("shard.deliver", 0)
+	bp := publishBodies.Get().(*[]byte)
+	body, delivered := appendPublishResult((*bp)[:0], s, &document{doc}, &res)
+	dspan.End()
+	s.recordPublishFlight(dt, elapsed, len(doc), delivered, nil)
+	writePublishBody(w, bp, body)
 }
 
 // recordPublishFlight retains one publish in the flight recorder when it
@@ -775,31 +761,11 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// deliver enqueues doc for every matched, still-registered subscription
-// and returns the ids actually delivered to.
-func (s *Server) deliver(doc []byte, sids []predfilter.SID) []predfilter.SID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delivered := make([]predfilter.SID, 0, len(sids))
-	for _, sid := range sids {
-		sub := s.subs[sid]
-		if sub == nil {
-			continue // removed concurrently
-		}
-		if len(sub.queue) >= s.cfg.QueueLimit {
-			sub.queue = sub.queue[1:]
-			sub.Dropped++
-		}
-		sub.queue = append(sub.queue, doc)
-		sub.Delivered++
-		delivered = append(delivered, sid)
-	}
-	return delivered
-}
-
 // handlePublishBatch publishes a batch of documents through the parallel
-// matching pipeline. Per-document failures are reported per result; the
-// batch itself succeeds.
+// matching pipeline, delivering and encoding each result as it leaves the
+// ordered stream while the workers match the documents behind it.
+// Per-document failures are reported per result; the batch itself
+// succeeds.
 func (s *Server) handlePublishBatch(w http.ResponseWriter, r *http.Request) {
 	release, ok := s.admit(w, r)
 	if !ok {
@@ -822,26 +788,35 @@ func (s *Server) handlePublishBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "documents is required")
 		return
 	}
-	docs := make([][]byte, len(req.Documents))
+	// The whole batch is pending before the stream starts, so the
+	// dispatcher sees its size and cuts it into groups for every worker.
+	docs := make(chan []byte, len(req.Documents))
 	for i, d := range req.Documents {
 		if int64(len(d)) > s.cfg.MaxDocumentBytes {
 			writeError(w, http.StatusRequestEntityTooLarge, "document %d exceeds %d bytes", i, s.cfg.MaxDocumentBytes)
 			return
 		}
-		docs[i] = []byte(d)
+		docs <- []byte(d)
 	}
+	close(docs)
 
-	type item struct {
-		Matches int              `json:"matches"`
-		IDs     []predfilter.SID `json:"ids,omitempty"`
-		Error   string           `json:"error,omitempty"`
-	}
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	results := make([]item, 0, len(docs))
+	bp := publishBodies.Get().(*[]byte)
+	body := append((*bp)[:0], `{"results":[`...)
 	published := 0
 	t0 := time.Now()
-	for _, res := range s.eng.MatchBatchContext(ctx, docs, s.cfg.Workers) {
+	stream := s.eng.MatchStream(ctx, docs, s.cfg.Workers)
+	for range req.Documents {
+		res, ok := <-stream
+		if !ok {
+			// A cancelled stream drops its trailing documents; each still
+			// gets a result, so a shed batch is never mistaken for one that
+			// matched nothing.
+			if res.Err = ctx.Err(); res.Err == nil {
+				res.Err = context.Canceled
+			}
+		}
 		if res.Err != nil {
 			s.docsRejected.Add(1)
 			var le *predfilter.LimitError
@@ -851,18 +826,19 @@ func (s *Server) handlePublishBatch(w http.ResponseWriter, r *http.Request) {
 					s.timedOut.Add(1)
 				}
 			}
-			results = append(results, item{Error: res.Err.Error()})
-			continue
+		} else {
+			s.docsPublished.Add(1)
+			s.matchesTotal.Add(int64(len(res.SIDs)))
+			published++
 		}
-		s.docsPublished.Add(1)
-		s.matchesTotal.Add(int64(len(res.SIDs)))
-		published++
-		delivered := s.deliver(res.Doc, res.SIDs)
-		results = append(results, item{Matches: len(delivered), IDs: delivered})
+		body, _ = appendPublishResult(body, s, &document{res.Doc}, &PublishResult{SIDs: res.SIDs, Item: true, Err: res.Err})
+		body = append(body, ',')
 	}
 	s.publishNanos.Add(time.Since(t0).Nanoseconds())
-	s.batchDocsTotal.Add(int64(len(docs)))
-	writeJSON(w, http.StatusOK, map[string]any{"published": published, "results": results})
+	s.batchDocsTotal.Add(int64(len(req.Documents)))
+	body = append(body[:len(body)-1], `],"published":`...)
+	body = strconv.AppendInt(body, int64(published), 10)
+	writePublishBody(w, bp, append(body, '}'))
 }
 
 // handleAdminSnapshot compacts the durable store's log into a fresh
@@ -1083,19 +1059,15 @@ func (s *Server) handleDeliveries(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		return
 	}
-	n := len(sub.queue)
-	if n > max {
-		n = max
-	}
-	docs := sub.queue[:n]
-	sub.queue = sub.queue[n:]
+	docs := sub.pop(max)
+	remaining := sub.Pending
 	s.mu.Unlock()
 
 	out := make([]string, len(docs))
 	for i, d := range docs {
-		out[i] = string(d)
+		out[i] = string(d.body)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"documents": out, "remaining": len(sub.queue)})
+	writeJSON(w, http.StatusOK, map[string]any{"documents": out, "remaining": remaining})
 }
 
 // handleHealthz is the liveness probe: the process is up and the handler
@@ -1208,7 +1180,7 @@ func stageVars(h predfilter.HistogramStats) map[string]any {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.eng.Stats()
 	s.mu.Lock()
-	subs := len(s.subs)
+	subs := s.reg.live
 	s.mu.Unlock()
 	stats := map[string]any{
 		"subscriptions":        subs,

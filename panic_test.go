@@ -9,9 +9,20 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// setStreamHook installs the stream workers' per-document test hook for
+// the rest of the test. The hook is read atomically: a cancelled stream
+// returns before its workers have finished, so a test can end while one of
+// them is still about to read it.
+func setStreamHook(t *testing.T, hook func(doc []byte)) {
+	testHookStreamJob.Store(&hook)
+	t.Cleanup(func() { testHookStreamJob.Store(nil) })
+}
 
 func TestStreamPanicIsolated(t *testing.T) {
 	eng := New(Config{})
@@ -19,12 +30,11 @@ func TestStreamPanicIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	bomb := []byte("<panic/>")
-	testHookStreamJob = func(doc []byte) {
+	setStreamHook(t, func(doc []byte) {
 		if bytes.Equal(doc, bomb) {
 			panic("injected")
 		}
-	}
-	defer func() { testHookStreamJob = nil }()
+	})
 
 	healthy := []byte("<ok/>")
 	results := eng.MatchBatch([][]byte{healthy, bomb, healthy}, 2)
@@ -58,8 +68,7 @@ func TestStreamPanicWorkerSurvives(t *testing.T) {
 	if _, err := eng.Add("//a"); err != nil {
 		t.Fatal(err)
 	}
-	testHookStreamJob = func([]byte) { panic("always") }
-	defer func() { testHookStreamJob = nil }()
+	setStreamHook(t, func([]byte) { panic("always") })
 
 	const n = 32
 	docs := make([][]byte, n)
@@ -90,8 +99,7 @@ func TestMatchBatchContextFillsCancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	block := make(chan struct{})
-	testHookStreamJob = func([]byte) { <-block }
-	defer func() { testHookStreamJob = nil }()
+	setStreamHook(t, func([]byte) { <-block })
 
 	ctx, cancel := context.WithCancel(context.Background())
 	const n = 16
@@ -125,5 +133,67 @@ func TestMatchBatchContextFillsCancelled(t *testing.T) {
 	}
 	if filled == 0 {
 		t.Fatal("no result carries the cancellation; dropped documents were silently lost")
+	}
+}
+
+// TestMatchBatchEngagesEveryWorker: a batch no larger than StreamBatch is
+// cut into groups for min(workers, len(docs)) workers, not handed to one.
+// The hook holds each document until that many documents are in flight at
+// once, which a single worker can never satisfy; one document of a
+// two-document group panics and must fail alone.
+func TestMatchBatchEngagesEveryWorker(t *testing.T) {
+	for _, c := range []struct{ docs, workers, want int }{{32, 2, 2}, {3, 4, 3}, {5, 2, 2}} {
+		eng := New(Config{})
+		if _, err := eng.Add("//ok"); err != nil {
+			t.Fatal(err)
+		}
+		docs := make([][]byte, c.docs)
+		for i := range docs {
+			docs[i] = []byte("<ok/>")
+		}
+		bomb := c.docs - 1
+		docs[bomb] = []byte("<ok><panic/></ok>")
+
+		var inFlight atomic.Int32
+		met, gaveUp := make(chan struct{}), make(chan struct{})
+		var meet, giveUp sync.Once
+		setStreamHook(t, func(doc []byte) {
+			if inFlight.Add(1) == int32(c.want) {
+				meet.Do(func() { close(met) })
+			}
+			defer inFlight.Add(-1)
+			select {
+			case <-met:
+			case <-gaveUp:
+			case <-time.After(5 * time.Second):
+				giveUp.Do(func() { close(gaveUp) })
+			}
+			if bytes.Contains(doc, []byte("<panic/>")) {
+				panic("injected")
+			}
+		})
+		results := eng.MatchBatchContext(context.Background(), docs, c.workers)
+
+		select {
+		case <-met:
+		default:
+			t.Fatalf("%d documents, %d workers: never %d documents in flight at once", c.docs, c.workers, c.want)
+		}
+		if got := eng.mx.StreamBatches.Load(); got < int64(c.want) {
+			t.Fatalf("%d documents, %d workers: %d stream batches, want >= %d", c.docs, c.workers, got, c.want)
+		}
+		if len(results) != c.docs {
+			t.Fatalf("got %d results, want %d", len(results), c.docs)
+		}
+		for i, r := range results {
+			switch {
+			case r.Index != i:
+				t.Fatalf("result %d has Index %d", i, r.Index)
+			case i == bomb && (r.Err == nil || !strings.Contains(r.Err.Error(), "recovered panic")):
+				t.Fatalf("panicking document %d: err = %v", i, r.Err)
+			case i != bomb && (r.Err != nil || len(r.SIDs) != 1):
+				t.Fatalf("healthy document %d: sids %v, err %v", i, r.SIDs, r.Err)
+			}
+		}
 	}
 }

@@ -182,9 +182,10 @@ type Config struct {
 	// Columnar selects the matching kernel (see ColumnarMode): leave it
 	// zero except to obtain the scalar reference.
 	Columnar ColumnarMode
-	// StreamBatch bounds how many pending documents the stream dispatcher
-	// groups into one worker job (and thus one columnar batch). The
-	// dispatcher never waits to fill a group — it takes whatever is
+	// StreamBatch bounds how many pending documents per worker the stream
+	// dispatcher takes in at once; it splits them evenly into worker jobs
+	// (one columnar batch each), several per worker, so no job exceeds it.
+	// The dispatcher never waits to fill a job — it takes whatever is
 	// immediately available, so an idle stream keeps single-document
 	// latency. 0 selects the default (32); 1 disables grouping.
 	StreamBatch int
