@@ -104,9 +104,6 @@ func (m *Matcher) MatchDocumentAllBudget(doc *xmldoc.Document, bud *guard.Budget
 
 	out := make(map[SID]int, len(counts))
 	for id, n := range counts {
-		if id >= len(m.exprs) {
-			continue // group representative
-		}
 		for _, sid := range m.exprs[id].sids {
 			out[sid] = n
 		}

@@ -1,12 +1,13 @@
 package matcher
 
 import (
-	"math/bits"
+	"strings"
 	"time"
 
 	"predfilter/internal/bitset"
 	"predfilter/internal/guard"
 	"predfilter/internal/pathcache"
+	"predfilter/internal/predicate"
 	"predfilter/internal/predindex"
 	"predfilter/internal/xmldoc"
 )
@@ -16,41 +17,68 @@ import (
 // only on tag names and positions, so for a given path *signature* — its
 // tag sequence plus per-path occurrence vector — the predicate stage and
 // the occurrence determination of every value-independent iteration unit
-// produce the same result on every document. The columnar organization
-// (columnar.go) therefore splits its unit columns at freeze time:
+// produce the same result on every document. The iteration units
+// therefore split in two:
 //
 //   - structural units: every chain predicate is bare (no attribute
 //     filters), the expression carries no postponed annotations, and —
 //     for Postponed group representatives — neither does any member.
 //     Their per-path mark set is a pure function of the signature and is
 //     cached as the entry's Outcome. This is sound because every
-//     expression a structural unit can mark (containment covers, group
-//     members) is itself bare and annotation-free, and mark contributions
-//     are monotone, so OR-ing a cached outcome into the document state is
-//     exactly the sequential evaluation (the same argument that justifies
-//     the parallel merge).
+//     expression a structural unit can mark (its group members) is itself
+//     bare and annotation-free, and mark contributions are monotone, so
+//     OR-ing a cached outcome into the document state is exactly the
+//     sequential evaluation (the same argument that justifies the
+//     parallel merge).
 //
-//   - live units: anything touching attribute values. Whether one matches
-//     depends on the document, but whether it *can* match does not: a
-//     unit matches only if every chain predicate produced pairs, and an
-//     attribute-carrying predicate produces pairs only where its cell
-//     matched on tags and positions. The live units whose every predicate
-//     matched structurally are the entry's live plan — the same argument
-//     the Outcome makes, applied one step earlier. A hit replays the
-//     transcript (re-verifying attribute filters against the live tuples)
-//     and evaluates the plan's units only; every other live unit has a
-//     predicate that no document with this signature can satisfy. The
-//     transcript is pruned to the predicates the plan references, since
-//     nothing else reads the replayed results — except nested-path
-//     expressions, which are live too (their recombination needs node
-//     identities) and read arbitrary predicates, so their presence keeps
-//     the transcript whole.
+//   - live units (expr.live): anything touching attribute values. Whether
+//     one matches depends on the document, but whether it *can* match
+//     does not: a unit matches only if every chain predicate produced
+//     pairs, and an attribute-carrying predicate produces pairs only
+//     where its cell matched on tags and positions. The live units whose
+//     every predicate matched structurally are the entry's live plan —
+//     the same argument the Outcome makes, applied one step earlier. A
+//     hit replays the transcript (re-verifying attribute filters against
+//     the live tuples) and evaluates the plan's units only; every other
+//     live unit has a predicate that no document with this signature can
+//     satisfy. The transcript is pruned to the predicates the plan
+//     references, since nothing else reads the replayed results — except
+//     nested-path expressions, which are live too (their recombination
+//     needs node identities) and read arbitrary predicates, so their
+//     presence keeps the transcript whole.
 //
 // A miss builds the entry from one sweep over the structural touched set
 // and then takes the hit's tail, so there is one cached path. Structural
 // candidates evaluate against a clean matched buffer (sc.matched2) with
 // mark logging on, so the cached outcome never absorbs marks from earlier
 // paths of the same document.
+//
+// Registration changes (cacheEffect). An entry is a function of its
+// signature and the set of distinct expressions, so a change of SIDs —
+// Remove, Add of a registered expression — leaves the cache alone. When
+// distinct expressions X were added, the entries of the signatures no
+// x ∈ X can match structurally (canMatch: some predicate of x's chain
+// fails on the signature's tags and positions) are kept, and are still
+// the entries a miss would build now:
+//
+//	(a) x is on no such signature's Outcome or Plan: its unit is a sweep
+//	    candidate only where every predicate of its chain matched
+//	    structurally, which is what canMatch evaluates.
+//	(b) No other unit's marks changed. The kernel evaluates each unit on
+//	    its own (no cover relation is read), so the only unit an x
+//	    changes is the Postponed group it joins, possibly turning it
+//	    from structural to live — and the group has x's chain, so it is
+//	    a candidate on no kept signature either.
+//	(c) The pruned transcript has to serve the plan's units, which did
+//	    not change. Predicates new with X are referenced by X alone.
+//	(d) Expression ids, predicate ids and unit columns are append-only,
+//	    so what the entry names still means the same.
+//
+// Two cases flush instead, as rules rather than arguments: a nested-path
+// expression is registered (old or new — transcripts are kept whole for
+// those, and recombination reads predicates no chain test covers), or
+// more than maxEvictAdds expressions are pending (a bulk load: one walk
+// per catch-up tests every entry against every pending expression).
 
 // appendPubSig appends the path's structural signature: the tuple count
 // (little-endian, two bytes — paths deeper than 64k tags do not occur)
@@ -79,40 +107,80 @@ func sigHash(sig []byte) uint64 {
 	return h
 }
 
-// unitValueDependent reports whether the iteration unit rooted at e does
-// any attribute-value work: an attribute-carrying chain predicate
-// (Inline mode), postponed annotations on the expression itself, or on
-// any member of its structural group (Postponed mode).
-func (m *Matcher) unitValueDependent(e *expr) bool {
-	for _, pid := range e.pids {
-		if m.ix.Pred(pid).HasAttrs() {
-			return true
-		}
+// maxEvictAdds is the most pending distinct expressions a catch-up tests
+// cache entries against; past it the cache is flushed.
+const maxEvictAdds = 16
+
+// cacheEffect is the one place a registration change acts on the path
+// cache: added are the distinct expressions registered since the last
+// catch-up (none after a change of SIDs only, which therefore does
+// nothing). See the header for why the kept entries stay exact. Callers
+// hold the write lock, so the walk cannot interleave with a matcher's
+// Get/Put (matching holds the read lock).
+func (m *Matcher) cacheEffect(added []*expr) {
+	switch {
+	case m.cache == nil || len(added) == 0:
+	case len(m.nested) > 0 || len(added) > maxEvictAdds:
+		m.cache.Invalidate()
+	default:
+		var tags []string
+		m.cache.Evict(func(sig string) bool {
+			tags = sigTags(tags[:0], sig)
+			for _, e := range added {
+				if m.canMatch(e, tags) {
+					return true
+				}
+			}
+			return false
+		})
 	}
-	if e.post != nil {
-		return true
-	}
-	for _, mem := range e.members {
-		if mem.post != nil {
-			return true
-		}
-	}
-	return false
 }
 
-// invalidatePathCache bumps the cache generation so no stale outcome can
-// be served after a registration change. Callers hold the write lock, so
-// the bump cannot interleave with a matcher's Get/Put (matching holds the
-// read lock).
-func (m *Matcher) invalidatePathCache() {
-	if m.cache != nil {
-		m.cache.Invalidate()
+// sigTags appends the tag sequence of a signature (appendPubSig's format).
+func sigTags(tags []string, sig string) []string {
+	for rest := sig[2:]; rest != ""; {
+		end := strings.IndexByte(rest, 0)
+		tags = append(tags, rest[:end])
+		rest = rest[end+3:]
 	}
+	return tags
+}
+
+// canMatch reports whether every predicate of e's chain matches a path
+// with this tag sequence, attribute filters aside: the predicate stage's
+// rules (predindex.matchPath) read off the signature, where a tag's
+// position is its index plus one. It is the condition under which the
+// sweep makes e's unit a candidate, and it holds on every path e matches.
+func (m *Matcher) canMatch(e *expr, tags []string) bool {
+	for _, pid := range e.pids {
+		p := m.ix.Pred(pid)
+		holds := func(d int) bool { return d == p.Value || p.Op == predicate.GE && d > p.Value }
+		ok := p.Kind == predicate.Length && holds(len(tags))
+		for i := 0; i < len(tags) && !ok; i++ {
+			if tags[i] != p.Tag1 {
+				continue
+			}
+			switch p.Kind {
+			case predicate.Absolute:
+				ok = holds(i + 1)
+			case predicate.EndOfPath:
+				ok = holds(len(tags) - i - 1)
+			case predicate.Relative:
+				for j := i + 1; j < len(tags) && !ok; j++ {
+					ok = tags[j] == p.Tag2 && holds(j-i)
+				}
+			}
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // matchPathCached is the cache-enabled body of matchPath, entered after
 // the dedup check: the one cached path, on the columnar organization.
-// Callers hold the read lock with the columnar index current. A hit
+// Callers hold the read lock with the columnar index caught up. A hit
 // replays the pruned transcript; a miss runs stage 1 and builds the entry;
 // both then apply the structural outcome and walk the live plan.
 func (m *Matcher) matchPathCached(sc *scratch, cs *colScratch, pub *xmldoc.Publication, bd *Breakdown, t0 time.Time, bud *guard.Budget) {
@@ -129,7 +197,7 @@ func (m *Matcher) matchPathCached(sc *scratch, cs *colScratch, pub *xmldoc.Publi
 		bd.Cache += tc.Sub(t0)
 	}
 	if ok {
-		if ci.needRes {
+		if m.needRes {
 			sc.res.Reset(m.ix.Len())
 			m.ix.Replay(&ent.Rec, pub, sc.res)
 		}
@@ -143,7 +211,7 @@ func (m *Matcher) matchPathCached(sc *scratch, cs *colScratch, pub *xmldoc.Publi
 		ambiguous := cs.resolveTids(pub)
 		sc.res.Reset(m.ix.Len())
 		var rec *predindex.Recording
-		if ci.needRes {
+		if m.needRes {
 			sc.rec.Reset()
 			rec = &sc.rec
 		}
@@ -167,8 +235,8 @@ func (m *Matcher) matchPathCached(sc *scratch, cs *colScratch, pub *xmldoc.Publi
 		if !sc.res.Matched(p.Gate) {
 			continue
 		}
-		u := &ci.units[p.Col]
-		if sc.matched[u.id] || !sc.res.MatchedAll(u.e.pids) {
+		u := ci.units[p.Col]
+		if sc.matched[u.id] || !sc.res.MatchedAll(u.pids) {
 			continue
 		}
 		if bud.Exceeded() {
@@ -189,14 +257,13 @@ func (m *Matcher) matchPathCached(sc *scratch, cs *colScratch, pub *xmldoc.Publi
 // budget tripped: an entry must be the complete outcome and plan for its
 // signature, never a budget-truncated one.
 func (m *Matcher) buildEntry(sc *scratch, cs *colScratch, ambiguous bool, bd *Breakdown, bud *guard.Budget) *pathcache.Entry {
-	ci := cs.ci
 	// One sweep over the structural touched set: what stage 1 matched plus
 	// the attribute-carrying predicates whose cell matched but whose
 	// filters failed on this document. Structural units reference bare
 	// predicates only, so their candidate bits are unaffected by the
 	// extras; the live candidates become the plan.
 	touched := sc.res.Touched()
-	if ci.needRes && len(sc.rec.Residual) > 0 {
+	if m.needRes && len(sc.rec.Residual) > 0 {
 		cs.pids = append(cs.pids[:0], touched...)
 		for _, r := range sc.rec.Residual {
 			if !sc.res.Matched(r.PID) {
@@ -210,11 +277,13 @@ func (m *Matcher) buildEntry(sc *scratch, cs *colScratch, ambiguous bool, bd *Br
 		return nil
 	}
 
-	// Structural candidates against the clean buffer with logging on.
+	// Structural candidates against the clean buffer with logging on; the
+	// live ones are set aside as the plan.
 	sc.matched, sc.matched2 = sc.matched2, sc.matched
 	sc.log = sc.log[:0]
 	sc.logging = true
-	m.markCandidates(sc, ci, acc, ci.structMask, ambiguous, bud)
+	cs.plan = cs.plan[:0]
+	m.markCandidates(sc, cs, acc, true, ambiguous, bud)
 	sc.logging = false
 	sc.matched, sc.matched2 = sc.matched2, sc.matched
 	for _, id := range sc.log {
@@ -225,21 +294,14 @@ func (m *Matcher) buildEntry(sc *scratch, cs *colScratch, ambiguous bool, bd *Br
 	}
 
 	ne := &pathcache.Entry{Outcome: append([]int32(nil), sc.log...), Ambiguous: ambiguous}
-	if !ci.needRes {
+	if !m.needRes {
 		return ne
-	}
-	cs.plan = cs.plan[:0]
-	for w, word := range acc {
-		for word &= ci.liveMask[w]; word != 0; word &= word - 1 {
-			c := w<<6 + bits.TrailingZeros64(word)
-			cs.plan = append(cs.plan, pathcache.PlanUnit{Col: int32(c), Gate: ci.gate[c]})
-		}
 	}
 	ne.Plan = append([]pathcache.PlanUnit(nil), cs.plan...)
 	if len(m.nested) == 0 {
 		bitset.Zero(cs.planPids)
 		for _, p := range ne.Plan {
-			for _, pid := range ci.units[p.Col].e.pids {
+			for _, pid := range cs.ci.units[p.Col].pids {
 				bitset.Set(cs.planPids, int(pid))
 			}
 		}

@@ -6,8 +6,13 @@ import (
 	"reflect"
 	"testing"
 
+	"predfilter/internal/dtd"
 	"predfilter/internal/predicate"
+	"predfilter/internal/refmatch"
 	"predfilter/internal/xmldoc"
+	"predfilter/internal/xmlgen"
+	"predfilter/internal/xpath"
+	"predfilter/internal/xpgen"
 )
 
 // TestPathCacheHitsAndEquivalence matches the same document repeatedly
@@ -55,10 +60,10 @@ func TestPathCacheHitsAndEquivalence(t *testing.T) {
 	}
 }
 
-// TestPathCacheInvalidatedOnAdd ensures a registration between matches
+// TestPathCacheSeesLaterAdd ensures a registration between matches
 // cannot leave a stale outcome in place: the newly added expression must
 // match documents seen before it was added.
-func TestPathCacheInvalidatedOnAdd(t *testing.T) {
+func TestPathCacheSeesLaterAdd(t *testing.T) {
 	doc := xmldoc.FromPaths([]string{"a", "b", "c"})
 	for _, v := range allVariants {
 		m := New(Options{Variant: v})
@@ -70,14 +75,11 @@ func TestPathCacheInvalidatedOnAdd(t *testing.T) {
 		if got := matchSet(m, doc); !got[sids[0]] {
 			t.Fatalf("variant %v: expression added after caching not matched: %v", v, got)
 		}
-		if st := m.Stats(); st.PathCache.Invalidations == 0 {
-			t.Fatalf("variant %v: no invalidation recorded", v)
-		}
 	}
 }
 
-// TestPathCacheRemoveInvalidates mirrors the Add case for Remove.
-func TestPathCacheRemoveInvalidates(t *testing.T) {
+// TestPathCacheSeesRemove mirrors the Add case for Remove.
+func TestPathCacheSeesRemove(t *testing.T) {
 	doc := xmldoc.FromPaths([]string{"a", "b", "c"})
 	m := New(Options{})
 	sids := mustAdd(t, m, "/a/b/c", "a//c")
@@ -90,6 +92,130 @@ func TestPathCacheRemoveInvalidates(t *testing.T) {
 	got := matchSet(m, doc)
 	if got[sids[0]] || !got[sids[1]] {
 		t.Fatalf("after remove: %v", got)
+	}
+}
+
+// nitfSample is a matcher over generated NITF expressions with its cache
+// filled from generated NITF documents.
+func nitfSample(t *testing.T) (*Matcher, []*xmldoc.Document) {
+	t.Helper()
+	m := New(Options{})
+	mustAdd(t, m, xpgen.MustGenerate(dtd.NITF(), xpgen.Config{Count: 300, MaxLength: 6, Wildcard: 0.2, Descendant: 0.2, Distinct: true, Seed: 5})...)
+	var docs []*xmldoc.Document
+	for _, raw := range xmlgen.New(dtd.NITF(), xmlgen.Config{Seed: 6}).GenerateN(40) {
+		doc, err := xmldoc.Parse(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, doc)
+		m.MatchDocument(doc)
+	}
+	return m, docs
+}
+
+// TestRetainAcrossSIDChanges: Remove, Add of a registered expression and
+// Add of one whose last SID was removed change SIDs only, so the cache is
+// not touched and the next match of a cached document is all hits.
+func TestRetainAcrossSIDChanges(t *testing.T) {
+	m, docs := nitfSample(t)
+	sids := mustAdd(t, m, "/nitf/body", "/nitf/body")
+	m.MatchDocument(docs[0])
+	before := m.Stats().PathCache
+	if err := m.Remove(sids[0]); err != nil { // one of two SIDs
+		t.Fatal(err)
+	}
+	if err := m.Remove(sids[1]); err != nil { // the last SID
+		t.Fatal(err)
+	}
+	again := mustAdd(t, m, "/nitf/body") // registered, no live SID left
+	mustAdd(t, m, "/nitf/body")          // registered, live
+	got := matchSet(m, docs[0])
+	after := m.Stats().PathCache
+	if after.Entries != before.Entries || after.Generation != before.Generation ||
+		after.Invalidations != before.Invalidations || after.Evictions != before.Evictions {
+		t.Fatalf("SID-only changes touched the cache: before %+v after %+v", before, after)
+	}
+	if after.Misses != before.Misses || after.Hits == before.Hits {
+		t.Fatalf("match after SID-only changes was not all hits: before %+v after %+v", before, after)
+	}
+	if got[sids[0]] || got[sids[1]] || !got[again[0]] {
+		t.Fatalf("SIDs after remove and re-add: %v", got)
+	}
+}
+
+// TestEvictOnDistinctAdd: a new distinct expression costs the cache the
+// entries it can match and few others.
+func TestEvictOnDistinctAdd(t *testing.T) {
+	m, docs := nitfSample(t)
+	// An expression over tags no cached signature has evicts nothing.
+	before := m.Stats().PathCache
+	mustAdd(t, m, "/nowhere/nothing")
+	m.MatchDocument(docs[0])
+	if after := m.Stats().PathCache; after.Evictions != before.Evictions || after.Invalidations != before.Invalidations || after.Misses != before.Misses {
+		t.Fatalf("unmatchable expression touched the cache: before %+v after %+v", before, after)
+	}
+
+	// One that matches k signatures evicts those, and under a tenth of the
+	// rest.
+	const xpe = "/nitf/body//p"
+	path := xpath.MustParse(xpe)
+	sigs := make(map[string]bool) // signature → xpe matches it
+	for _, doc := range docs {
+		for i := range doc.Paths {
+			sigs[string(appendPubSig(nil, &doc.Paths[i]))] = refmatch.MatchPath(path, &doc.Paths[i])
+		}
+	}
+	k := 0
+	for _, matches := range sigs {
+		if matches {
+			k++
+		}
+	}
+	before = m.Stats().PathCache
+	if before.Entries != len(sigs) || k == 0 || k == len(sigs) {
+		t.Fatalf("precondition: %d entries for %d signatures, %d matched", before.Entries, len(sigs), k)
+	}
+	sids := mustAdd(t, m, xpe)
+	m.MatchDocument(xmldoc.FromPaths([]string{"elsewhere"})) // catches up
+	after := m.Stats().PathCache
+	evicted := int(after.Evictions - before.Evictions)
+	if after.Invalidations != before.Invalidations || after.Generation != before.Generation {
+		t.Fatalf("a single distinct add flushed: before %+v after %+v", before, after)
+	}
+	if evicted < k || evicted-k >= (len(sigs)-k)/10 {
+		t.Fatalf("evicted %d entries for %d matching signatures of %d", evicted, k, len(sigs))
+	}
+	for sig, matches := range sigs {
+		if _, ok := m.cache.Get(sigHash([]byte(sig)), []byte(sig)); ok && matches {
+			t.Errorf("entry of a signature %s matches was kept", xpe)
+		}
+	}
+	for i, doc := range docs {
+		if got, want := matchSet(m, doc)[sids[0]], refmatch.Match(path, doc); got != want {
+			t.Fatalf("%s on document %d: matched %v, refmatch %v", xpe, i, got, want)
+		}
+	}
+}
+
+// TestEvictFlushRules: a bulk load and a registered nested-path
+// expression flush the cache instead of walking it.
+func TestEvictFlushRules(t *testing.T) {
+	m, docs := nitfSample(t)
+	before := m.Stats().PathCache
+	for i := 0; i <= maxEvictAdds; i++ {
+		mustAdd(t, m, fmt.Sprintf("/nowhere/n%d", i))
+	}
+	m.MatchDocument(docs[0])
+	after := m.Stats().PathCache
+	if after.Invalidations != before.Invalidations+1 || after.Generation == before.Generation {
+		t.Fatalf("%d pending expressions did not flush once: before %+v after %+v", maxEvictAdds+1, before, after)
+	}
+	mustAdd(t, m, "/nitf[head]/body")
+	m.MatchDocument(docs[0])
+	mustAdd(t, m, "/nowhere/else") // a nested expression is present
+	m.MatchDocument(docs[0])
+	if last := m.Stats().PathCache; last.Invalidations != after.Invalidations+2 {
+		t.Fatalf("nested expression added, then present: %d flushes, want 2", last.Invalidations-after.Invalidations)
 	}
 }
 

@@ -18,19 +18,21 @@ import (
 // the equivalence suites, the benchmark oracle and the paper's Figure 6–9
 // organizations compare against.
 //
-// At freeze time the iteration units (m.ordered, longest chain first)
-// become bit columns. For each predicate pid, a CSR table records which
-// (column, chain level) slots reference it. Per path, the sweep scatters
-// the predicate stage's touched pids into per-level bitsets L[ℓ] — bit c
-// of L[ℓ] says "unit c's level-ℓ predicate produced occurrence pairs" —
-// and then folds acc = L[0] & L[1] & … down the levels. Because the
-// columns are sorted longest-chain-first, the units owning a level ℓ
-// occupy a prefix of the columns: the fold touches only levelWords[ℓ]
-// words per level, with a single boundary-word mask letting shorter
-// chains pass through. The surviving bits are the candidates — units
-// whose every chain level matched — so the per-path cost is
-// words(|units|/64) × maxLen word ops plus work proportional to the
-// (few) candidates, instead of the scalar loop's |units| probes.
+// Every iteration unit (m.units) is a bit column, and columns never move:
+// they are handed out in words of 64 that each hold chains of one length,
+// so a unit registered later takes the next free column of its length's
+// open word, or opens a new word at the end. A word of chain length n owns
+// n consecutive sweep slots, one per chain level; for each predicate pid a
+// membership list records which (slot, bit) pairs reference it. Per path,
+// the sweep scatters the predicate stage's touched pids into the slots —
+// bit b of a word's level-ℓ slot says "the level-ℓ predicate of the unit
+// at bit b produced occurrence pairs" — and then ANDs each word's slots
+// together. The surviving bits are the candidates — units whose every
+// chain level matched — so the per-path cost is Σ(chain lengths)/64 word
+// ops plus work proportional to the (few) candidates, instead of the
+// scalar loop's |units| probes. Because nothing a cache entry names ever
+// moves (columns here, expression and predicate ids by construction),
+// entries stay valid while the index grows (see cache.go).
 //
 // A candidate still needs occurrence determination in general; the sweep
 // only proves every level non-empty. The shortcut that makes the kernel
@@ -50,59 +52,41 @@ import (
 // of a full assignment — and every covered expression is itself a
 // column, so its own candidate bit fires on exactly the paths the
 // scalar cover-marking would mark it on. The columnar kernel therefore
-// evaluates every unit independently (evalExpr with cover=false) and
-// produces the same mark set; full-containment covers of a directly
-// marked unit are marked through markFullCovers as in the scalar path.
+// evaluates every unit independently and produces the same mark set
+// without building or reading either relation.
 
-// colRef is one CSR entry: predicate pid appears at chain level `level`
-// of unit column `col`.
+// colRef is one membership entry: the predicate is the chain level that
+// sweep slot `slot` stands for, of the unit at bit `bit` of that word.
 type colRef struct {
-	col   int32
-	level int32
+	slot int32
+	bit  uint32
 }
 
-// colIndex is the frozen columnar organization, derived from the frozen
-// scalar one (m.ordered) and keyed to the freeze generation.
+// colIndex is the columnar organization. It only grows (extend), under
+// the matcher's write lock.
 type colIndex struct {
-	gen   uint64
 	lay   *predindex.Layout
-	units []hotExpr // == m.ordered at build: columns, longest chain first
+	n     int     // m.units[:n] hold columns
+	units []*expr // column → unit, 64 per word; nil where a word has room left
 
-	words  int // bitset words covering len(units) columns
-	maxLen int // longest chain length
+	// free[n] is the next free column for a chain of length n; a multiple
+	// of 64 means no word of that length has room. wordOff[w] is word w's
+	// first sweep slot, with one entry past the last word.
+	free    []int32
+	wordOff []int32
 
-	// Per level ℓ: the number of words covering the columns whose chains
-	// reach level ℓ (a prefix, by the longest-first sort), and the
-	// valid-bit mask of the boundary word.
-	levelWords []int
-	levelMask  []uint64
+	refs [][]colRef // pid → membership
 
-	// CSR membership: refs[refOff[pid]:refOff[pid+1]] are pid's slots.
-	refOff []int32
-	refs   []colRef
-
-	// Cache-enabled split (nil when the path cache is off; see cache.go):
-	// columns of value-independent vs value-dependent units. needRes
-	// records whether any live work exists, i.e. whether cache entries
-	// must carry a plan and a replayable predicate transcript.
-	structMask []uint64
-	liveMask   []uint64
-	needRes    bool
-	gate       []predindex.PID // per column: see pathcache.PlanUnit
-
-	// sweepCost is the fixed word-op count of one sweep (level clears +
-	// fold); the per-path budget charge adds the scattered refs on top.
+	// sweepCost is the fixed word-op count of one sweep (slot clear + AND
+	// + acc store); the per-path budget charge adds the scattered refs.
 	sweepCost int
 }
 
-// colScratch is the pooled per-batch columnar working state. Buffer
-// sizes are keyed to the colIndex identity, so steady-state batches
-// allocate nothing.
+// colScratch is the pooled per-batch columnar working state.
 type colScratch struct {
 	ci    *colIndex
-	back  []uint64   // backing array for level
-	level [][]uint64 // level ℓ → levelWords[ℓ] words
-	acc   []uint64
+	slots []uint64 // sweep slots, word-major
+	acc   []uint64 // one candidate word per column word
 	tids  []int32
 	stats colStats
 
@@ -123,138 +107,84 @@ type colStats struct {
 	wordsLive  int64
 }
 
-// buildColumnar derives the columnar organization from the frozen scalar
-// one. Callers hold the write lock with freeze() already run.
-func (m *Matcher) buildColumnar() {
-	ci := &colIndex{gen: m.gen, lay: m.ix.BuildLayout(), units: m.ordered}
-	n := len(ci.units)
-	ci.words = bitset.Words(n)
-	for _, h := range ci.units {
-		if len(h.e.pids) > ci.maxLen {
-			ci.maxLen = len(h.e.pids)
-		}
-	}
-
-	// Level widths: count[ℓ] = units whose chain has a level ℓ. The
-	// longest-first sort makes them a prefix of the columns.
-	counts := make([]int, ci.maxLen)
-	npids := m.ix.Len()
-	refCnt := make([]int32, npids+1)
-	total := 0
-	for _, h := range ci.units {
-		for ℓ, pid := range h.e.pids {
-			counts[ℓ]++
-			refCnt[pid]++
-			total++
-		}
-	}
-	ci.levelWords = make([]int, ci.maxLen)
-	ci.levelMask = make([]uint64, ci.maxLen)
-	for ℓ, c := range counts {
-		ci.levelWords[ℓ] = bitset.Words(c)
-		ci.levelMask[ℓ] = bitset.TailMask(c)
-		ci.sweepCost += ci.levelWords[ℓ] // per-path clear
-		if ℓ > 0 {
-			ci.sweepCost += ci.levelWords[ℓ] // fold AND
-		}
-	}
-	ci.sweepCost += ci.words // acc copy
-
-	// CSR membership table.
-	ci.refOff = make([]int32, npids+1)
-	for pid := 0; pid < npids; pid++ {
-		ci.refOff[pid+1] = ci.refOff[pid] + refCnt[pid]
-	}
-	ci.refs = make([]colRef, total)
-	fill := make([]int32, npids)
-	copy(fill, ci.refOff[:npids])
-	for c, h := range ci.units {
-		for ℓ, pid := range h.e.pids {
-			ci.refs[fill[pid]] = colRef{col: int32(c), level: int32(ℓ)}
-			fill[pid]++
-		}
-	}
-
-	if m.cache != nil {
-		ci.structMask = make([]uint64, ci.words)
-		ci.liveMask = make([]uint64, ci.words)
-		ci.gate = make([]predindex.PID, n)
-		for c, h := range ci.units {
-			ci.gate[c] = h.first
-			for _, pid := range h.e.pids {
-				if m.ix.Pred(pid).HasAttrs() {
-					ci.gate[c] = pid
-					break
-				}
-			}
-			if m.unitValueDependent(h.e) {
-				bitset.Set(ci.liveMask, c)
-				ci.needRes = true
-			} else {
-				bitset.Set(ci.structMask, c)
-			}
-		}
-		ci.needRes = ci.needRes || len(m.nested) > 0
-	}
-	m.col = ci
+// size returns the number of column words and of sweep slots.
+func (ci *colIndex) size() (words, slots int) {
+	return len(ci.wordOff) - 1, int(ci.wordOff[len(ci.wordOff)-1])
 }
 
-// ensureColumnar returns with the read lock held, the scalar
-// organizations frozen, and the columnar index current for them. Like
-// ensureFrozen, the upgrade window is raced benignly: gen is re-checked
-// after every downgrade.
+// extend places the units (all of the matcher's, in creation order) and
+// hangs the predicates added since the last call, in time proportional to
+// their number.
+func (ci *colIndex) extend(units []*expr) {
+	ci.lay.Sync()
+	if n := ci.lay.Len() - len(ci.refs); n > 0 {
+		ci.refs = append(ci.refs, make([][]colRef, n)...)
+	}
+	for _, u := range units[ci.n:] {
+		n := len(u.pids)
+		for len(ci.free) <= n {
+			ci.free = append(ci.free, 0)
+		}
+		c := ci.free[n]
+		if c&63 == 0 { // open a word for this chain length
+			c = int32(len(ci.units))
+			ci.units = append(ci.units, make([]*expr, 64)...)
+			_, slots := ci.size()
+			ci.wordOff = append(ci.wordOff, int32(slots+n))
+		}
+		ci.units[c], ci.free[n] = u, c+1
+		for ℓ, pid := range u.pids {
+			ci.refs[pid] = append(ci.refs[pid], colRef{slot: ci.wordOff[c>>6] + int32(ℓ), bit: uint32(c) & 63})
+		}
+	}
+	ci.n = len(units)
+	words, slots := ci.size()
+	ci.sweepCost = 2*slots + words
+}
+
+// ensureColumnar returns with the read lock held and the columnar index
+// caught up with every registration. Like ensureFrozen, the upgrade
+// window is raced benignly: the condition is re-checked after every
+// downgrade.
 func (m *Matcher) ensureColumnar() *colIndex {
 	m.mu.RLock()
-	for m.dirty || m.col == nil || m.col.gen != m.gen {
+	for m.caught != len(m.exprs) || m.col == nil {
 		m.mu.RUnlock()
 		m.mu.Lock()
-		m.freeze()
-		if m.col == nil || m.col.gen != m.gen {
-			m.buildColumnar()
+		if m.col == nil {
+			m.col = &colIndex{lay: m.ix.BuildLayout(), wordOff: []int32{0}}
 		}
+		m.catchUp()
 		m.mu.Unlock()
 		m.mu.RLock()
 	}
 	return m.col
 }
 
-// getColScratch returns a pooled columnar scratch sized for ci. The
-// batch's stats accumulator starts zeroed.
+// sized returns b with length n, reallocating (with headroom, for an index
+// that grows a little at a time) only when it must grow.
+func sized(b []uint64, n int) []uint64 {
+	if cap(b) < n {
+		return make([]uint64, n, n+n/8)
+	}
+	return b[:n]
+}
+
+// getColScratch returns a pooled columnar scratch sized for ci, so
+// steady-state batches allocate nothing. The batch's stats accumulator
+// starts zeroed.
 func (m *Matcher) getColScratch(ci *colIndex) *colScratch {
 	cs := m.colPool.Get().(*colScratch)
-	if cs.ci != ci {
-		total := 0
-		for _, w := range ci.levelWords {
-			total += w
-		}
-		if cap(cs.back) < total {
-			cs.back = make([]uint64, total)
-		}
-		if cap(cs.level) < ci.maxLen {
-			cs.level = make([][]uint64, ci.maxLen)
-		}
-		cs.level = cs.level[:ci.maxLen]
-		off := 0
-		for ℓ, w := range ci.levelWords {
-			cs.level[ℓ] = cs.back[off : off+w : off+w]
-			off += w
-		}
-		if cap(cs.acc) < ci.words {
-			cs.acc = make([]uint64, ci.words)
-		}
-		cs.acc = cs.acc[:ci.words]
-		if n := bitset.Words(ci.lay.Len()); cap(cs.planPids) < n {
-			cs.planPids = make([]uint64, n)
-		} else {
-			cs.planPids = cs.planPids[:n]
-		}
-		cs.ci = ci
-	}
+	cs.ci = ci
+	words, slots := ci.size()
+	cs.slots = sized(cs.slots, slots)
+	cs.acc = sized(cs.acc, words)
+	cs.planPids = sized(cs.planPids, bitset.Words(ci.lay.Len()))
 	cs.stats = colStats{}
 	return cs
 }
 
-// resolveTids maps the publication's tags through the frozen layout and
+// resolveTids maps the publication's tags through the layout and
 // reports whether the path is ambiguous (some tag occurs more than once,
 // so occurrence pairs are not all (1,1) and candidates need scalar
 // occurrence determination).
@@ -279,44 +209,38 @@ func (cs *colScratch) resolveTids(pub *xmldoc.Publication) bool {
 // survives iff every chain level of unit c produced occurrence pairs.
 // refOps reports the scattered membership entries (for budget charging).
 func (ci *colIndex) sweep(cs *colScratch, touched []predindex.PID) (acc []uint64, refOps int) {
-	for _, lv := range cs.level {
-		bitset.Zero(lv)
-	}
-	refs, off := ci.refs, ci.refOff
+	slots := cs.slots
+	clear(slots)
 	for _, pid := range touched {
-		rs := refs[off[pid]:off[pid+1]]
+		rs := ci.refs[pid]
 		refOps += len(rs)
 		for _, r := range rs {
-			cs.level[r.level][r.col>>6] |= 1 << (uint(r.col) & 63)
+			slots[r.slot] |= 1 << r.bit
 		}
 	}
-	if ci.maxLen == 0 {
-		return cs.acc[:0], refOps
-	}
-	acc = cs.acc
-	copy(acc, cs.level[0])
-	for ℓ := 1; ℓ < ci.maxLen; ℓ++ {
-		lv := cs.level[ℓ]
-		lw := len(lv)
-		for w := 0; w < lw-1; w++ {
-			acc[w] &= lv[w]
+	acc, off := cs.acc, ci.wordOff
+	for w := range acc {
+		a := slots[off[w]]
+		for _, level := range slots[off[w]+1 : off[w+1]] {
+			a &= level
 		}
-		// Boundary word: columns past the level's unit count have no
-		// level ℓ and pass through; words past lw are untouched entirely.
-		acc[lw-1] &= lv[lw-1] | ^ci.levelMask[ℓ]
+		acc[w] = a
 	}
 	return acc, refOps
 }
 
-// markCandidates resolves the surviving candidate bits (restricted to
-// mask when non-nil) into definitive marks.
-func (m *Matcher) markCandidates(sc *scratch, ci *colIndex, acc, mask []uint64, ambiguous bool, bud *guard.Budget) {
+// markCandidates resolves the surviving candidate bits into definitive
+// marks. With split set (a cache miss building its entry) the
+// value-dependent candidates are not evaluated but appended to cs.plan.
+func (m *Matcher) markCandidates(sc *scratch, cs *colScratch, acc []uint64, split, ambiguous bool, bud *guard.Budget) {
 	for w, word := range acc {
-		if mask != nil {
-			word &= mask[w]
-		}
 		for ; word != 0; word &= word - 1 {
-			u := &ci.units[w<<6+bits.TrailingZeros64(word)]
+			c := w<<6 + bits.TrailingZeros64(word)
+			u := cs.ci.units[c]
+			if split && u.live {
+				cs.plan = append(cs.plan, pathcache.PlanUnit{Col: int32(c), Gate: u.gate})
+				continue
+			}
 			if sc.matched[u.id] {
 				continue
 			}
@@ -334,15 +258,12 @@ func (m *Matcher) markCandidates(sc *scratch, ci *colIndex, acc, mask []uint64, 
 // determination trivially succeeds); group representatives and
 // ambiguous-path candidates run the scalar evalExpr, which charges the
 // budget per occurrence pair as the scalar path does.
-func (m *Matcher) markUnit(sc *scratch, u *hotExpr, ambiguous bool, bud *guard.Budget) {
-	if ambiguous || u.e.members != nil {
-		m.evalExpr(sc, u.e, false, bud)
+func (m *Matcher) markUnit(sc *scratch, u *expr, ambiguous bool, bud *guard.Budget) {
+	if ambiguous || u.members != nil {
+		m.evalExpr(sc, u, false, bud)
 		return
 	}
-	sc.mark(int(u.id))
-	if len(u.e.fullCovers) > 0 {
-		m.markFullCovers(sc, u.e)
-	}
+	sc.mark(u.id)
 }
 
 // colSweep runs the budget-charged sweep for one path over the touched

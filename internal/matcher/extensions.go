@@ -94,11 +94,3 @@ func (m *Matcher) clusterPid(e *expr, refCount map[predindex.PID]int) predindex.
 	}
 	return best
 }
-
-// markFullCovers marks containment-covered expressions after a full match
-// of e.
-func (m *Matcher) markFullCovers(sc *scratch, e *expr) {
-	for _, c := range e.fullCovers {
-		sc.mark(c.id)
-	}
-}

@@ -18,7 +18,16 @@
 // The organizations shape the scalar per-unit loop, which runs uncached
 // only and is the reference the columnar kernel (columnar.go, the one
 // every served entry point uses) and its path cache (cache.go) are held
-// equal to; the kernel evaluates every unit independently, 64 at a time.
+// equal to; the kernel evaluates every unit independently, 64 at a time,
+// and reads none of them.
+//
+// Registration is lazy and a change costs what it changes. Add and Remove
+// touch the expression table and the SID lists only; the state derived
+// from the set of distinct expressions (iteration units, columnar index,
+// path cache) is caught up at the next match, once for a whole run of
+// Adds and in time proportional to what they added (catchUp). A change of
+// SIDs alone — Remove, or Add of an expression already registered —
+// changes nothing derived: results are resolved to SIDs when collected.
 //
 // Attribute filters follow §5 in either Inline mode (filters ride on the
 // structural predicates) or Postponed mode (structural match first, filter
@@ -28,7 +37,6 @@ package matcher
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -101,20 +109,29 @@ type Options struct {
 type Matcher struct {
 	opts Options
 
-	mu       sync.RWMutex
-	ix       *predindex.Index
+	mu sync.RWMutex
+	ix *predindex.Index
+	// exprs holds the matched-flag slots in id order, append-only: every
+	// distinct registered expression and, in Postponed mode, the synthetic
+	// group representatives (which never carry sids).
 	exprs    []*expr
 	byKey    map[uint64][]*expr // chainHash → bucket, resolved by full compare
 	sidOwner []*expr            // sid → owning expression (nil after Remove)
 	nsids    int                // live sid count
 
-	dirty    bool
-	ordered  []hotExpr                   // iteration units, longest chain first
+	// Derived from the distinct expressions, lazily (see catchUp):
+	// exprs[:caught] are accounted for in units, nested and col.
+	caught  int
+	units   []*expr            // iteration units, in creation order
+	reps    map[uint64][]*expr // Postponed: bare chainHash → group representatives
+	nested  []*expr            // expressions with nested path filters
+	needRes bool               // a unit is value-dependent or nested exists: cache entries carry a plan and a transcript
+
+	// The scalar reference's organizations, built by freeze for
+	// exprs[:frozen] when the uncached scalar loop next runs.
+	frozen   int
+	ordered  []hotExpr                   // units, longest chain first
 	clusters map[predindex.PID][]hotExpr // access-predicate clusters, each longest first
-	nested   []*expr                     // expressions with nested path filters
-	// matchedSlots sizes the per-call matched array: expressions plus
-	// synthetic group representatives.
-	matchedSlots int
 
 	// attrSensitive is set once any registered predicate inspects
 	// attribute values; it forces publication dedup keys to include them.
@@ -128,11 +145,9 @@ type Matcher struct {
 
 	pool sync.Pool // *scratch
 
-	// Columnar matching (see columnar.go): gen counts freeze rebuilds and
-	// keys the derived column index, which is rebuilt lazily on the first
-	// columnar match after a registration change. The uncached scalar
-	// reference never touches either.
-	gen     uint64
+	// Columnar matching (see columnar.go): the column index, created by the
+	// first columnar match and extended by every catch-up after it. The
+	// uncached scalar reference never touches it.
 	col     *colIndex
 	colPool sync.Pool // *colScratch
 }
@@ -174,6 +189,11 @@ type expr struct {
 	// The representative itself is synthetic (no sids); its matched flag
 	// means "every member matched".
 	members []*expr
+	// Iteration units only (see addUnit): live marks a unit that does
+	// attribute-value work, whose outcome the path cache cannot hold; gate
+	// is the predicate a cached plan dismisses it by (pathcache.PlanUnit).
+	live bool
+	gate predindex.PID
 
 	// Nested-path expressions:
 	root *nestedNode // non-nil iff the expression has nested path filters
@@ -279,9 +299,10 @@ func (m *Matcher) bind(e *expr, sid SID) {
 	m.nsids++
 }
 
-// Remove unregisters a SID. The expression's predicates remain in the
-// index (the paper does not evaluate deletion; predicate garbage
-// collection is out of scope), but the SID stops being reported.
+// Remove unregisters a SID. The expression and its predicates remain in
+// the index (the paper does not evaluate deletion; garbage collection is
+// out of scope), but the SID stops being reported. Nothing derived from
+// the expression set changes, the path cache included.
 func (m *Matcher) Remove(sid SID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -297,7 +318,6 @@ func (m *Matcher) Remove(sid SID) error {
 		}
 	}
 	m.nsids--
-	m.invalidatePathCache()
 	return nil
 }
 
@@ -333,8 +353,6 @@ func (m *Matcher) registerSingle(p *xpath.Path) (*expr, error) {
 	}
 	m.exprs = append(m.exprs, e)
 	m.byKey[key] = append(m.byKey[key], e)
-	m.dirty = true
-	m.invalidatePathCache()
 	return e, nil
 }
 
@@ -393,20 +411,102 @@ func postEqual(a, b []predicate.SideAttrs) bool {
 	return true
 }
 
-// freeze rebuilds the derived organizations after additions. It must run
-// under the write lock; it is an idempotent no-op when nothing changed.
-func (m *Matcher) freeze() {
-	if !m.dirty {
-		return
-	}
-	m.nested = m.nested[:0]
-	var singles []*expr
-	for _, e := range m.exprs {
+// catchUp accounts for the distinct expressions registered since the last
+// catch-up, in time proportional to their number: each becomes (Inline
+// mode) or joins (Postponed mode: the attribute-annotation variants of one
+// bare structural chain share a synthetic group representative, so the
+// structural occurrence determination runs once per chain per path and
+// only the attribute verification repeats per variant, §5) an iteration
+// unit, the columnar index places the new units, and the path cache drops
+// what they can affect. It must run under the write lock and is an
+// idempotent no-op when nothing was registered.
+func (m *Matcher) catchUp() {
+	added := m.exprs[m.caught:]
+	for _, e := range added {
 		if e.root != nil {
 			m.nested = append(m.nested, e)
+			m.needRes = true
 			continue
 		}
-		singles = append(singles, e)
+		u := e
+		if m.opts.AttrMode == predicate.Postponed {
+			u = m.groupOf(e) // may append a representative to m.exprs, past added
+			u.members = append(u.members, e)
+			u.live = u.live || e.post != nil
+		} else {
+			m.addUnit(e)
+		}
+		m.needRes = m.needRes || u.live
+	}
+	m.caught = len(m.exprs)
+	m.cacheEffect(added)
+	if m.col != nil {
+		m.col.extend(m.units)
+	}
+}
+
+// addUnit makes u an iteration unit: a column of the columnar index, an
+// entry of the scalar loop.
+func (m *Matcher) addUnit(u *expr) {
+	u.gate = u.pids[0]
+	for _, pid := range u.pids {
+		if m.ix.Pred(pid).HasAttrs() {
+			u.gate, u.live = pid, true
+			break
+		}
+	}
+	m.units = append(m.units, u)
+}
+
+// groupOf returns the group representative of e's bare structural chain,
+// allocating it — one matched-flag slot and one unit, for good — when e is
+// the chain's first variant.
+func (m *Matcher) groupOf(e *expr) *expr {
+	key := chainHashFn(e.pids, nil) // bare structural identity
+	for _, r := range m.reps[key] {
+		if pidsEqual(r.pids, e.pids) {
+			return r
+		}
+	}
+	rep := &expr{id: len(m.exprs), pids: e.pids}
+	m.exprs = append(m.exprs, rep)
+	if m.reps == nil {
+		m.reps = make(map[uint64][]*expr)
+	}
+	m.reps[key] = append(m.reps[key], rep)
+	m.addUnit(rep)
+	return rep
+}
+
+// byChainLen places expressions by chain length, keeping their order
+// within a length: the stable sort by length both of freeze's orders need,
+// without comparing.
+func byChainLen(es []*expr) [][]*expr {
+	var byLen [][]*expr
+	for _, e := range es {
+		for len(byLen) <= len(e.pids) {
+			byLen = append(byLen, nil)
+		}
+		byLen[len(e.pids)] = append(byLen[len(e.pids)], e)
+	}
+	return byLen
+}
+
+// freeze catches up and rebuilds the organizations of the scalar
+// reference — prefix and containment covers, the longest-first unit order,
+// the access-predicate clusters — which the served kernel never reads. It
+// must run under the write lock; it is an idempotent no-op when nothing
+// changed.
+func (m *Matcher) freeze() {
+	m.catchUp()
+	if m.frozen == m.caught {
+		return
+	}
+	var singles []*expr
+	for _, e := range m.exprs {
+		if e.root == nil && e.members == nil {
+			singles = append(singles, e)
+		}
 	}
 
 	// Prefix-cover bookkeeping: group by chain to find registered strict
@@ -451,12 +551,10 @@ func (m *Matcher) freeze() {
 	}
 	// Insert shortest first so that when a long chain is inserted all of
 	// its prefix expressions are already present.
-	byLenAsc := append([]*expr(nil), singles...)
-	sort.SliceStable(byLenAsc, func(i, j int) bool {
-		return len(byLenAsc[i].pids) < len(byLenAsc[j].pids)
-	})
-	for _, e := range byLenAsc {
-		insert(e)
+	for _, sameLen := range byChainLen(singles) {
+		for _, e := range sameLen {
+			insert(e)
+		}
 	}
 
 	// Containment covering (extension; see extensions.go).
@@ -464,42 +562,15 @@ func (m *Matcher) freeze() {
 		m.buildContainmentCovers(singles)
 	}
 
-	// Iteration units. In Inline mode each expression is its own unit; in
-	// Postponed mode the attribute-annotation variants of one bare
-	// structural chain share a synthetic group representative, so the
-	// structural occurrence determination runs once per chain per path and
-	// only the attribute verification repeats per variant (§5).
-	m.ordered = m.ordered[:0]
-	m.matchedSlots = len(m.exprs)
-	if m.opts.AttrMode == predicate.Postponed {
-		groups := make(map[uint64][]*expr)
-		for _, e := range singles {
-			sk := chainHashFn(e.pids, nil) // bare structural identity
-			var rep *expr
-			for _, r := range groups[sk] {
-				if pidsEqual(r.pids, e.pids) {
-					rep = r
-					break
-				}
-			}
-			if rep == nil {
-				rep = &expr{id: m.matchedSlots, pids: e.pids}
-				m.matchedSlots++
-				groups[sk] = append(groups[sk], rep)
-				m.ordered = append(m.ordered, hot(rep))
-			}
-			rep.members = append(rep.members, e)
-		}
-	} else {
-		for _, e := range singles {
-			m.ordered = append(m.ordered, hot(e))
-		}
-	}
 	// Longest chains first: evaluating the most-covering expressions first
 	// is the paper's approximation of best covering order (§4.2.2).
-	sort.SliceStable(m.ordered, func(i, j int) bool {
-		return len(m.ordered[i].e.pids) > len(m.ordered[j].e.pids)
-	})
+	m.ordered = m.ordered[:0]
+	byLen := byChainLen(m.units)
+	for n := len(byLen) - 1; n >= 0; n-- {
+		for _, u := range byLen[n] {
+			m.ordered = append(m.ordered, hot(u))
+		}
+	}
 
 	// Access-predicate clusters, keyed by the first pid (the paper's
 	// scheme) or by each expression's rarest pid (extension).
@@ -517,17 +588,15 @@ func (m *Matcher) freeze() {
 		pid := m.clusterPid(h.e, refCount)
 		m.clusters[pid] = append(m.clusters[pid], h)
 	}
-	m.invalidatePathCache()
-	m.gen++
-	m.dirty = false
+	m.frozen = m.caught
 }
 
 // Stats summarizes engine state.
 type Stats struct {
 	SIDs                int // live registered expressions (with duplicates)
-	DistinctExpressions int
-	DistinctPredicates  int
-	NestedExpressions   int
+	DistinctExpressions int // distinct expressions with a live SID
+	DistinctPredicates  int // never falls: predicates are not collected
+	NestedExpressions   int // those of DistinctExpressions with nested path filters
 	// PathCache reports the structural path-signature cache counters;
 	// zero-valued when the cache is disabled (PathCacheEnabled false).
 	PathCacheEnabled bool
@@ -539,17 +608,15 @@ type Stats struct {
 func (m *Matcher) Stats() Stats {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	nested := 0
+	st := Stats{SIDs: m.nsids, DistinctPredicates: m.ix.Len()}
 	for _, e := range m.exprs {
-		if e.root != nil {
-			nested++
+		if len(e.sids) == 0 {
+			continue // unsubscribed, or a group representative
 		}
-	}
-	st := Stats{
-		SIDs:                m.nsids,
-		DistinctExpressions: len(m.exprs),
-		DistinctPredicates:  m.ix.Len(),
-		NestedExpressions:   nested,
+		st.DistinctExpressions++
+		if e.root != nil {
+			st.NestedExpressions++
+		}
 	}
 	if m.cache != nil {
 		st.PathCacheEnabled = true
@@ -613,12 +680,11 @@ func (m *Matcher) getScratch() *scratch {
 	if sc.res == nil {
 		sc.res = predindex.NewResults(n)
 	}
-	slots := m.matchedSlots
-	if slots < len(m.exprs) {
-		slots = len(m.exprs)
-	}
+	// Both flag arrays grow with headroom: under distinct churn every
+	// registration adds a slot, and every pooled scratch would reallocate.
+	slots := len(m.exprs)
 	if cap(sc.matched) < slots {
-		sc.matched = make([]bool, slots)
+		sc.matched = make([]bool, slots, slots+slots/8)
 	} else {
 		sc.matched = sc.matched[:slots]
 		for i := range sc.matched {
@@ -629,7 +695,7 @@ func (m *Matcher) getScratch() *scratch {
 		// matched2 is all-false by invariant (misses undo their marks), so
 		// growth allocates fresh zeroes and reslicing needs no clearing.
 		if cap(sc.matched2) < slots {
-			sc.matched2 = make([]bool, slots)
+			sc.matched2 = make([]bool, slots, slots+slots/8)
 		} else {
 			sc.matched2 = sc.matched2[:slots]
 		}
@@ -657,17 +723,16 @@ func (m *Matcher) MatchDocument(doc *xmldoc.Document) []SID {
 	return sids
 }
 
-// ensureFrozen returns with the read lock held and the derived
+// ensureFrozen returns with the read lock held and the scalar
 // organizations up to date. The read lock cannot be upgraded atomically,
 // so after concurrent Adds several matchers may race through the
 // RUnlock→Lock window; freeze is an idempotent no-op once the first one
-// rebuilt, and dirty is re-checked after every downgrade so a
-// registration that slipped into the window is frozen too rather than
-// matched against a stale organization (whose synthetic group ids could
-// collide with the new expression ids).
+// rebuilt, and the condition is re-checked after every downgrade so a
+// registration that slipped into the window is accounted for too rather
+// than matched against a stale organization.
 func (m *Matcher) ensureFrozen() {
 	m.mu.RLock()
-	for m.dirty {
+	for m.caught != len(m.exprs) || m.frozen != m.caught {
 		m.mu.RUnlock()
 		m.mu.Lock()
 		m.freeze()
@@ -683,7 +748,8 @@ func (m *Matcher) ensureFrozen() {
 // keep clock calls off the workers). bud, when non-nil, charges
 // occurrence-determination effort to the per-document budget; once it
 // trips the path is abandoned and the caller must surface bud.Err instead
-// of a result. Callers must hold the read lock with organizations frozen.
+// of a result. Callers must hold the read lock with the derived state of
+// their kernel (ensureColumnar, ensureFrozen) current.
 func (m *Matcher) matchPath(sc *scratch, cs *colScratch, pub *xmldoc.Publication, dedup bool, bd *Breakdown, bud *guard.Budget) {
 	sc.pub = pub
 	sc.byTagOK = false
@@ -725,7 +791,7 @@ func (m *Matcher) matchPath(sc *scratch, cs *colScratch, pub *xmldoc.Publication
 		if bud.Exceeded() {
 			return
 		}
-		m.markCandidates(sc, cs.ci, acc, nil, ambiguous, bud)
+		m.markCandidates(sc, cs, acc, false, ambiguous, bud)
 	} else {
 		m.runUnits(sc, bud)
 	}
@@ -812,7 +878,7 @@ func (m *Matcher) MatchDocumentBudget(doc *xmldoc.Document, bud *guard.Budget) (
 // matchDoc is the per-document protocol behind every entry point: the
 // path loop with budget checkpoints, nested recombination, result
 // collection and metric observation (t0 is when the caller's clock for
-// this document started). Callers hold the read lock, organizations frozen.
+// this document started). Callers hold the read lock as for matchPath.
 func (m *Matcher) matchDoc(cs *colScratch, doc *xmldoc.Document, bud *guard.Budget, t0 time.Time) ([]SID, Breakdown, error) {
 	var bd Breakdown
 	sc := m.getScratch()
@@ -880,9 +946,10 @@ func (m *Matcher) observe(bd *Breakdown, total time.Duration, paths, matches int
 }
 
 // evalExpr evaluates one single-path expression against the current
-// publication's predicate results. With cover set (the pc variants), a
-// successful — or exhausted — occurrence determination marks the
-// expression's registered prefix expressions up to the reached depth.
+// publication's predicate results. With cover set (the scalar pc
+// variants), a successful — or exhausted — occurrence determination marks
+// the expression's registered prefix expressions up to the reached depth,
+// and a successful one its containment covers.
 func (m *Matcher) evalExpr(sc *scratch, e *expr, cover bool, bud *guard.Budget) {
 	chain := sc.chain[:0]
 	for _, pid := range e.pids {
@@ -906,12 +973,9 @@ func (m *Matcher) evalExpr(sc *scratch, e *expr, cover bool, bud *guard.Budget) 
 	}
 	if ok {
 		sc.mark(e.id)
-		if len(e.fullCovers) > 0 {
-			m.markFullCovers(sc, e)
-		}
 	}
 	if cover {
-		m.markCovers(sc, e, depth)
+		m.markCovers(sc, e, depth, ok)
 	}
 }
 
@@ -933,14 +997,11 @@ func (m *Matcher) evalGroup(sc *scratch, rep *expr, chain [][]occur.Pair, cover 
 		if mem.post == nil {
 			if ok {
 				sc.mark(mem.id)
-				if len(mem.fullCovers) > 0 {
-					m.markFullCovers(sc, mem)
-				}
 			} else {
 				done = false
 			}
 			if cover {
-				m.markCovers(sc, mem, depth)
+				m.markCovers(sc, mem, depth, ok)
 			}
 			continue
 		}
@@ -961,14 +1022,11 @@ func (m *Matcher) evalGroup(sc *scratch, rep *expr, chain [][]occur.Pair, cover 
 		}
 		if fok {
 			sc.mark(mem.id)
-			if len(mem.fullCovers) > 0 {
-				m.markFullCovers(sc, mem)
-			}
 		} else {
 			done = false
 		}
 		if cover {
-			m.markCovers(sc, mem, fdepth)
+			m.markCovers(sc, mem, fdepth, fok)
 		}
 	}
 	if done {
@@ -976,13 +1034,19 @@ func (m *Matcher) evalGroup(sc *scratch, rep *expr, chain [][]occur.Pair, cover 
 	}
 }
 
-// markCovers marks every registered prefix expression whose chain length
-// is within the consistent depth reached by occurrence determination; a
-// consistent partial assignment of length k is a match of the length-k
-// prefix (§4.2.2).
-func (m *Matcher) markCovers(sc *scratch, e *expr, depth int) {
+// markCovers marks what the scalar organizations know e to cover: every
+// registered prefix expression whose chain length is within the consistent
+// depth reached by occurrence determination — a consistent partial
+// assignment of length k is a match of the length-k prefix (§4.2.2) — and,
+// when e matched in full, its containment covers (extensions.go).
+func (m *Matcher) markCovers(sc *scratch, e *expr, depth int, matched bool) {
 	for _, c := range e.covers {
 		if len(c.pids) <= depth {
+			sc.mark(c.id)
+		}
+	}
+	if matched {
+		for _, c := range e.fullCovers {
 			sc.mark(c.id)
 		}
 	}

@@ -89,8 +89,6 @@ func (m *Matcher) registerNested(p *xpath.Path) (*expr, error) {
 	e := &expr{id: len(m.exprs), root: root, nsrc: src}
 	m.exprs = append(m.exprs, e)
 	m.byKey[key] = append(m.byKey[key], e)
-	m.dirty = true
-	m.invalidatePathCache()
 	return e, nil
 }
 

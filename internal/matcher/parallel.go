@@ -127,22 +127,6 @@ func (m *Matcher) MatchDocumentParallelBudget(doc *xmldoc.Document, workers int,
 		}
 	}
 
-	// Covering is monotone, so the OR already carries every per-shard
-	// cover mark; re-applying the full-match covers here keeps the merged
-	// flags closed under the covering relations by construction rather
-	// than by that argument.
-	for _, e := range m.exprs {
-		if !sc.matched[e.id] {
-			continue
-		}
-		for _, c := range e.covers {
-			sc.matched[c.id] = true
-		}
-		for _, c := range e.fullCovers {
-			sc.matched[c.id] = true
-		}
-	}
-
 	for _, e := range m.nested {
 		if e.root.resolveRoot(sc) {
 			sc.matched[e.id] = true

@@ -25,13 +25,13 @@ func TestPostponedGrouping(t *testing.T) {
 	m.mu.Lock()
 	m.freeze()
 	units := len(m.ordered)
-	slots := m.matchedSlots
+	slots := len(m.exprs)
 	m.mu.Unlock()
 	if units != 2 {
 		t.Errorf("iteration units = %d, want 2 (one group per structural chain)", units)
 	}
-	if slots != len(m.exprs)+2 {
-		t.Errorf("matchedSlots = %d, want %d", slots, len(m.exprs)+2)
+	if slots != len(xpes)+2 {
+		t.Errorf("matched slots = %d, want %d (one more per group)", slots, len(xpes)+2)
 	}
 
 	doc, err := xmldoc.Parse([]byte(`<a j="5"><b k="1"/></a>`))

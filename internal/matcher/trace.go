@@ -152,7 +152,7 @@ func (m *Matcher) MatchDocumentTracedBudget(doc *xmldoc.Document, bud *guard.Bud
 	}
 
 	t1 := time.Now()
-	m.ensureFrozen()
+	m.mu.RLock() // the explanation reads no derived state
 	defer m.mu.RUnlock()
 
 	matched := make(map[*expr]bool, len(sids))

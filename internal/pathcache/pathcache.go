@@ -18,16 +18,18 @@
 // Structure: a sharded LRU bounded by total byte size. Keys are the full
 // signature bytes, interned once per distinct signature as the map key —
 // lookups compare entire signatures (not hashes), so a hash collision
-// costs a shard choice, never a wrong result. A generation counter
-// invalidates the whole cache in O(1): the matcher bumps it on every
-// registration change (new expressions may add predicates and reorganize
-// covering), and entries stamped with an older generation are dropped on
-// access instead of being served stale.
+// costs a shard choice, never a wrong result. The matcher decides what a
+// registration change does to the cache (matcher/cache.go): nothing, for a
+// change of subscription ids only; Evict, one walk that drops the entries
+// a new expression could match and keeps the rest; or Invalidate, a
+// generation bump that makes every entry stale in O(1), dropped on access
+// instead of being served.
 //
 // Concurrency: all methods are safe for concurrent use. Callers must
-// ensure that a Put's value was computed at the current generation; the
-// matcher guarantees this by bumping the generation only under its write
-// lock while matching holds the read lock.
+// ensure that a Put's value was computed against the expression set the
+// cache currently stands for; the matcher guarantees this by calling
+// Evict and Invalidate only under its write lock while matching holds the
+// read lock.
 package pathcache
 
 import (
@@ -46,17 +48,23 @@ const DefaultMaxBytes = 16 << 20
 // cache; signatures spread across shards by hash.
 const nShards = 16
 
-// Entry is one cached per-signature result.
+// Entry is one cached per-signature result. It is a function of the
+// signature and of the set of distinct registered expressions, never of
+// subscription ids: everything it names — expression ids, unit columns,
+// predicate ids — is append-only in the matcher and is resolved to the
+// live SIDs when a document's result is collected. That is what lets
+// entries survive subscribe and unsubscribe.
 type Entry struct {
 	// Outcome is the structural matching contribution of the path: the
 	// ids (expression and group-representative slots) marked by the
 	// value-independent iteration units, starting from a clean state.
 	Outcome []int32
 	// Plan is the live plan: the value-dependent iteration units (as unit
-	// columns of the matcher's frozen organization) whose every chain
-	// predicate matched the signature structurally, whatever the attribute
-	// values of the recorded document were. Only these can match a
-	// document with this signature, so a hit walks them and nothing else.
+	// columns of the matcher's columnar index, which never move) whose
+	// every chain predicate matched the signature structurally, whatever
+	// the attribute values of the recorded document were. Only these can
+	// match a document with this signature, so a hit walks them and
+	// nothing else.
 	Plan []PlanUnit
 	// Ambiguous records that a tag repeats on the path (a function of the
 	// signature): plan units then need occurrence determination.
@@ -141,10 +149,31 @@ func New(maxBytes int64) *Cache {
 func (c *Cache) Generation() uint64 { return c.gen.Load() }
 
 // Invalidate makes every resident entry stale in O(1). Stale entries are
-// dropped lazily, when a lookup touches them or the LRU pushes them out.
+// dropped lazily, when a lookup or an Evict walk touches them or the LRU
+// pushes them out.
 func (c *Cache) Invalidate() {
 	c.gen.Add(1)
 	c.invalidations.Add(1)
+}
+
+// Evict walks the resident entries once, dropping those whose signature
+// drop reports true (and the stale ones it passes) and keeping the rest at
+// their generation and LRU position. Dropped entries count as evictions.
+func (c *Cache) Evict(drop func(sig string) bool) {
+	gen := c.gen.Load()
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		for n := s.front; n != nil; {
+			next := n.next
+			if n.gen != gen || drop(n.key) {
+				s.remove(n)
+				c.evictions.Add(1)
+			}
+			n = next
+		}
+		s.mu.Unlock()
+	}
 }
 
 func (c *Cache) shard(hash uint64) *shard { return &c.shards[hash%nShards] }
@@ -261,8 +290,8 @@ func (s *shard) remove(n *node) {
 type Stats struct {
 	Hits          int64
 	Misses        int64
-	Evictions     int64 // capacity evictions plus stale-entry drops
-	Invalidations int64 // Invalidate calls (generation bumps)
+	Evictions     int64 // entries dropped: capacity, Evict walks, stale after a flush
+	Invalidations int64 // whole-cache flushes (Invalidate calls, generation bumps)
 	Entries       int   // resident entries (stale ones included until dropped)
 	Bytes         int64 // resident byte estimate
 	MaxBytes      int64 // configured bound

@@ -84,6 +84,43 @@ func TestInvalidateDropsStale(t *testing.T) {
 	}
 }
 
+// TestEvictWalk: Evict drops what the callback names and what a flush
+// left stale, keeps the rest servable at the generation they have, and
+// counts evictions, not invalidations.
+func TestEvictWalk(t *testing.T) {
+	c := New(1 << 20)
+	stale := []byte("stale")
+	c.Put(hash(stale), stale, entry(1))
+	c.Invalidate()
+	var sigs [][]byte
+	for i := 0; i < 64; i++ {
+		sig := []byte(fmt.Sprintf("sig-%02d", i))
+		sigs = append(sigs, sig)
+		c.Put(hash(sig), sig, entry(2))
+	}
+	before := c.Stats()
+	asked := 0
+	c.Evict(func(sig string) bool {
+		asked++
+		return sig[len(sig)-1] == '7' // sig-07 … sig-57
+	})
+	st := c.Stats()
+	if asked != 64 {
+		t.Fatalf("callback consulted for %d entries, want the 64 current ones", asked)
+	}
+	if st.Entries != 64-6 || st.Evictions != before.Evictions+7 {
+		t.Fatalf("after the walk %+v, before %+v: want 6 named and 1 stale entry dropped", st, before)
+	}
+	if st.Invalidations != before.Invalidations || st.Generation != before.Generation {
+		t.Fatalf("the walk flushed: %+v, before %+v", st, before)
+	}
+	for i, sig := range sigs {
+		if _, ok := c.Get(hash(sig), sig); ok == (i%10 == 7) {
+			t.Fatalf("%s resident = %v", sig, ok)
+		}
+	}
+}
+
 func TestByteBoundEvictsLRU(t *testing.T) {
 	// Small bound: each entry is ~240 bytes (overhead + key + outcome),
 	// so only a handful fit per shard. Insert many and verify the bound

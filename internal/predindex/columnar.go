@@ -1,6 +1,9 @@
 package predindex
 
-import "predfilter/internal/xmldoc"
+import (
+	"predfilter/internal/predicate"
+	"predfilter/internal/xmldoc"
+)
 
 // Layout is a frozen struct-of-arrays projection of an Index: every tag
 // the index mentions gets a dense int32 id, and the per-tag hash-table
@@ -8,44 +11,54 @@ import "predfilter/internal/xmldoc"
 // slices. The matcher's columnar kernel resolves a publication's tags to
 // ids once per path and then runs the predicate stage entirely over
 // integer-indexed arrays — no string hashing in the tuple or tuple-pair
-// loops. A Layout is a read-only view: it shares the index's cell arrays
-// and is valid until predicates are added (the matcher rebuilds it on its
-// freeze generation).
+// loops. A Layout shares the index's cell arrays, so values added to an
+// existing row show through; Sync hangs the rows and tags of predicates
+// added since (the matcher calls it when it catches up with a registration
+// change, with matching excluded).
 type Layout struct {
 	ix   *Index
-	n    int // predicate count at build time
+	n    int // predicates accounted for
 	tids map[string]int32
 	abs  []*opArrays           // tag id → absolute-predicate arrays
 	eop  []*cells              // tag id → end-of-path GE array
 	rel  []map[int32]*opArrays // tag id → second-tag id → arrays
 }
 
-// BuildLayout freezes the index's current predicate set into a Layout.
+// BuildLayout returns a Layout of the index's current predicate set.
 func (ix *Index) BuildLayout() *Layout {
-	l := &Layout{ix: ix, n: ix.Len(), tids: make(map[string]int32)}
-	// tid grows the per-tag slices, so it must run before the slice header
-	// of its own assignment target is read.
-	for tag, a := range ix.abs {
-		id := l.tid(tag)
-		l.abs[id] = a
-	}
-	for tag, cs := range ix.eop {
-		id := l.tid(tag)
-		l.eop[id] = cs
-	}
-	for tag, m := range ix.rel {
-		row := make(map[int32]*opArrays, len(m))
-		for t2, a := range m {
-			row[l.tid(t2)] = a
-		}
-		id := l.tid(tag)
-		l.rel[id] = row
-	}
+	l := &Layout{ix: ix, tids: make(map[string]int32)}
+	l.Sync()
 	return l
 }
 
+// Sync extends the layout to the predicates the index gained since it was
+// built or last synced, in time proportional to their number.
+func (l *Layout) Sync() {
+	ix := l.ix
+	for _, p := range ix.preds[l.n:] {
+		if p.Kind == predicate.Length {
+			continue // no tag, no row
+		}
+		// tid grows the per-tag slices, so it runs before they are indexed.
+		id := l.tid(p.Tag1)
+		switch p.Kind {
+		case predicate.Absolute:
+			l.abs[id] = ix.abs[p.Tag1]
+		case predicate.EndOfPath:
+			l.eop[id] = ix.eop[p.Tag1]
+		case predicate.Relative:
+			id2 := l.tid(p.Tag2)
+			if l.rel[id] == nil {
+				l.rel[id] = make(map[int32]*opArrays)
+			}
+			l.rel[id][id2] = ix.rel[p.Tag1][p.Tag2]
+		}
+	}
+	l.n = ix.Len()
+}
+
 // tid returns the dense id for tag, assigning one (and growing the
-// per-tag slices) on first sight. Build-time only.
+// per-tag slices) on first sight. Sync only.
 func (l *Layout) tid(tag string) int32 {
 	id, ok := l.tids[tag]
 	if !ok {
@@ -67,7 +80,7 @@ func (l *Layout) Tid(tag string) int32 {
 	return -1
 }
 
-// Len returns the predicate count the layout was built for.
+// Len returns the predicate count the layout accounts for.
 func (l *Layout) Len() int { return l.n }
 
 // Tags returns the number of distinct tags the layout indexes.

@@ -46,14 +46,19 @@ func recordingEqual(a, b *Recording) error {
 // index's: identical pair sequences per predicate, identical touched
 // order, identical recording transcript — over randomized predicate sets
 // and publications, including repeated tags, attribute-carrying
-// predicates and tags the index has never seen.
+// predicates and tags the index has never seen. Every other trial builds
+// the layout halfway through the insertions and Syncs it after the rest.
 func TestLayoutMatchesMatchPathRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tags := []string{"a", "b", "c", "d", "e"}
 	for trial := 0; trial < 60; trial++ {
 		ix := New()
 		nexpr := 1 + rng.Intn(12)
+		var lay *Layout
 		for i := 0; i < nexpr; i++ {
+			if trial%2 == 1 && i == nexpr/2 {
+				lay = ix.BuildLayout()
+			}
 			s := randXPE(rng, tags)
 			enc, err := predicate.Encode(xpath.MustParse(s), predicate.Inline)
 			if err != nil {
@@ -63,7 +68,10 @@ func TestLayoutMatchesMatchPathRandomized(t *testing.T) {
 				ix.Insert(p)
 			}
 		}
-		lay := ix.BuildLayout()
+		if lay == nil {
+			lay = ix.BuildLayout()
+		}
+		lay.Sync()
 		if lay.Len() != ix.Len() {
 			t.Fatalf("layout Len %d, index Len %d", lay.Len(), ix.Len())
 		}

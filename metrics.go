@@ -183,7 +183,7 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	st := e.m.Stats()
 	x.Family("predfilter_expressions", "Live registered expression identifiers.", "gauge")
 	x.Int("predfilter_expressions", "", int64(st.SIDs))
-	x.Family("predfilter_distinct_expressions", "Distinct expressions after dedup.", "gauge")
+	x.Family("predfilter_distinct_expressions", "Distinct expressions with a live subscription, after dedup.", "gauge")
 	x.Int("predfilter_distinct_expressions", "", int64(st.DistinctExpressions))
 	x.Family("predfilter_distinct_predicates", "Size of the shared predicate index.", "gauge")
 	x.Int("predfilter_distinct_predicates", "", int64(st.DistinctPredicates))

@@ -467,14 +467,15 @@ type Stats struct {
 	Expressions int
 	// DistinctExpressions is the number of unique expressions after
 	// dedup (textually different expressions with identical encodings
-	// also collapse).
+	// also collapse) that some live identifier subscribes to; it falls
+	// when an expression's last identifier is removed.
 	DistinctExpressions int
 	// DistinctPredicates is the size of the shared predicate index; its
 	// sublinear growth in Expressions is the paper's central overlap
 	// observation.
 	DistinctPredicates int
-	// NestedExpressions counts distinct expressions with nested path
-	// filters.
+	// NestedExpressions counts those of DistinctExpressions with nested
+	// path filters.
 	NestedExpressions int
 	// PathCache reports the structural path-signature cache activity;
 	// zero-valued with Enabled false when the cache is disabled.
@@ -513,8 +514,8 @@ type PathCacheStats struct {
 	Enabled       bool
 	Hits          int64
 	Misses        int64
-	Evictions     int64 // capacity evictions plus stale-entry drops
-	Invalidations int64 // generation bumps from Add/Remove
+	Evictions     int64 // entries dropped: capacity, a new expression that can match them, stale after a flush
+	Invalidations int64 // whole-cache flushes (bulk load, nested-path expression)
 	Entries       int   // resident distinct path signatures
 	Bytes         int64 // resident byte estimate
 	MaxBytes      int64 // configured bound

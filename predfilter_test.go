@@ -138,24 +138,49 @@ func TestMatchReaderAndParsed(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	eng := predfilter.New(predfilter.Config{})
-	for _, s := range []string{"/a/b", "/a/b", "/a/c", "/a[b]/c"} {
-		if _, err := eng.Add(s); err != nil {
+	for _, mode := range []predfilter.AttributeMode{predfilter.InlineAttributes, predfilter.PostponedAttributes} {
+		eng := predfilter.New(predfilter.Config{AttributeMode: mode})
+		sids, err := eng.AddAll([]string{"/a/b", "/a/b", "/a/c", "/a[b]/c"})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	st := eng.Stats()
-	if st.Expressions != 4 {
-		t.Errorf("Expressions = %d, want 4", st.Expressions)
-	}
-	if st.DistinctExpressions != 3 {
-		t.Errorf("DistinctExpressions = %d, want 3", st.DistinctExpressions)
-	}
-	if st.NestedExpressions != 1 {
-		t.Errorf("NestedExpressions = %d, want 1", st.NestedExpressions)
-	}
-	if st.DistinctPredicates == 0 {
-		t.Error("DistinctPredicates = 0")
+		st := eng.Stats()
+		if st.Expressions != 4 {
+			t.Errorf("Expressions = %d, want 4", st.Expressions)
+		}
+		if st.DistinctExpressions != 3 {
+			t.Errorf("DistinctExpressions = %d, want 3", st.DistinctExpressions)
+		}
+		if st.NestedExpressions != 1 {
+			t.Errorf("NestedExpressions = %d, want 1", st.NestedExpressions)
+		}
+		if st.DistinctPredicates == 0 {
+			t.Error("DistinctPredicates = 0")
+		}
+
+		// The distinct counts are of expressions somebody subscribes to:
+		// they fall when an expression's last SID goes, not before, and
+		// whether or not a match has derived anything from the set.
+		for i, want := range [][2]int{{3, 1}, {2, 1}, {1, 1}, {0, 0}} { // after removing sids[i]: distinct, nested
+			if i == 2 {
+				if _, err := eng.Match([]byte("<a><b/><c/></a>")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := eng.Remove(sids[i]); err != nil {
+				t.Fatal(err)
+			}
+			if st := eng.Stats(); st.DistinctExpressions != want[0] || st.NestedExpressions != want[1] {
+				t.Errorf("mode %v after %d removes: distinct %d nested %d, want %v", mode, i+1, st.DistinctExpressions, st.NestedExpressions, want)
+			}
+		}
+		var b strings.Builder
+		if err := eng.WriteMetrics(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(b.String(), "\npredfilter_distinct_expressions 0\n") {
+			t.Errorf("predfilter_distinct_expressions gauge did not fall to 0")
+		}
 	}
 }
 
