@@ -9,6 +9,10 @@ import (
 	"testing"
 
 	"predfilter"
+	"predfilter/internal/refmatch"
+	"predfilter/internal/xmldoc"
+	"predfilter/internal/xpath"
+	"predfilter/internal/xpgen"
 	"predfilter/workload"
 )
 
@@ -34,9 +38,23 @@ func sortedSIDs(sids []predfilter.SID) []predfilter.SID {
 }
 
 // churnOps are the registration changes the matcher tells apart (see
-// internal/matcher/cache.go): the first adds to the set of distinct
-// expressions, the other four change subscription ids only.
-var churnOps = []string{"add new distinct", "add registered", "add unsubscribed", "remove one of several", "remove last"}
+// internal/matcher/cache.go): the first two add to the set of distinct
+// expressions, the other four change subscription ids only. "add new
+// constant" registers an expression no document can match structurally —
+// so every cache entry is retained — whose filter puts a constant below all
+// others on an attribute live filters already test: the value dictionary
+// re-ranks that attribute under the retained entries' programs.
+var churnOps = []string{"add new distinct", "add new constant", "add registered", "add unsubscribed", "remove one of several", "remove last"}
+
+// filterOf returns the attribute name of the expression's first filter
+// ("" when it has none).
+func filterOf(xpe string) string {
+	_, rest, ok := strings.Cut(xpe, "[@")
+	if !ok {
+		return ""
+	}
+	return rest[:strings.IndexAny(rest, "=!<>]")]
+}
 
 // TestCacheEquivalenceRandomized is the DTD-driven model test for the
 // served match path: engines on the one kernel — default cache, a tiny
@@ -52,9 +70,13 @@ var churnOps = []string{"add new distinct", "add registered", "add unsubscribed"
 // the engines under test and would share a stale entry's mistake. The
 // subtests cross both attribute modes, the three organizations,
 // containment covering and the presence of nested-path expressions (which
-// keep transcripts unpruned and flush instead of evicting); half of the
-// expressions carry an attribute filter. The CI race leg runs this under
-// -race, which also checks the shared cache's synchronization in the
+// keep transcripts unpruned and flush instead of evicting); two thirds of
+// the expressions carry one or two attribute filters, over all six
+// operators and the existence test, numeric and lexicographic constants,
+// some equal to no document value. Since every engine here decides
+// filters through the same value dictionary, each result is also held
+// against refmatch, which evaluates AttrFilter.Eval on the strings. The CI
+// race leg runs this under -race, which also checks the shared cache's synchronization in the
 // worker pipeline and the catch-up under concurrent registration.
 func TestCacheEquivalenceRandomized(t *testing.T) {
 	orgs := []predfilter.Organization{predfilter.Basic, predfilter.PrefixCover, predfilter.PrefixCoverAP}
@@ -73,8 +95,8 @@ func TestCacheEquivalenceRandomized(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			docs := workload.Documents(schema, 6, workload.DocumentConfig{MaxLevels: 6, Seed: seed})
 			var xpes []string
-			for filters := 0; filters < 2; filters++ { // half carry an attribute filter
-				part, err := workload.Expressions(schema, 15, workload.ExpressionConfig{
+			for filters := 0; filters < 3; filters++ { // none, one, two (on one step or two)
+				part, err := workload.Expressions(schema, 10, workload.ExpressionConfig{
 					MaxLength:  6,
 					Wildcard:   0.2,
 					Descendant: 0.2,
@@ -84,7 +106,9 @@ func TestCacheEquivalenceRandomized(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				xpes = append(xpes, part...)
+				for _, x := range part {
+					xpes = append(xpes, xpgen.VaryFilters(rng, x))
+				}
 			}
 			rng.Shuffle(len(xpes), func(i, j int) { xpes[i], xpes[j] = xpes[j], xpes[i] })
 			if nested {
@@ -142,6 +166,13 @@ func TestCacheEquivalenceRandomized(t *testing.T) {
 				}
 				return ref
 			}
+			parsed := make([]*xmldoc.Document, len(docs))
+			for i, d := range docs {
+				var err error
+				if parsed[i], err = xmldoc.Parse(d); err != nil {
+					t.Fatal(err)
+				}
+			}
 			check := func(step int, pipeline bool) {
 				ref := reference()
 				for _, d := range []int{step % len(docs), rng.Intn(len(docs))} {
@@ -151,6 +182,15 @@ func TestCacheEquivalenceRandomized(t *testing.T) {
 						t.Fatal(err)
 					}
 					ws := sortedSIDs(want)
+					var oracle []predfilter.SID
+					for _, s := range live {
+						if refmatch.Match(xpath.MustParse(s.xpe), parsed[d]) {
+							oracle = append(oracle, s.sid)
+						}
+					}
+					if !slices.Equal(sortedSIDs(oracle), ws) {
+						t.Fatalf("step %d doc %d: fresh reference %v != refmatch %v", step, d, ws, sortedSIDs(oracle))
+					}
 					for i, eng := range engines {
 						got, err := eng.Match(doc)
 						if err != nil {
@@ -188,7 +228,7 @@ func TestCacheEquivalenceRandomized(t *testing.T) {
 				}
 			}
 
-			next := 0
+			next, consts := 0, 0
 			for step := 0; step < 40; step++ {
 				var unsubscribed []string
 				for x, n := range subscribers {
@@ -197,12 +237,27 @@ func TestCacheEquivalenceRandomized(t *testing.T) {
 					}
 				}
 				slices.Sort(unsubscribed)
+				var filtered []string // attributes live filters test
+				for _, s := range live {
+					if name := filterOf(s.xpe); name != "" {
+						filtered = append(filtered, name)
+					}
+				}
 				op := ""
-				switch r := rng.Intn(12); {
+				switch r := rng.Intn(13); {
 				case r < 3 && next < len(xpes):
 					op = "add new distinct"
 					add(xpes[next])
 					next++
+				case r == 12 && len(filtered) > 0:
+					op = "add new constant"
+					consts++ // "-1", "-2", ...: below every schema value as a number and as a string
+					before := engines[0].Stats().PathCache
+					add(fmt.Sprintf("/no-such-tag[@%s>=-%d]", filtered[rng.Intn(len(filtered))], consts))
+					check(step, false)
+					if after := engines[0].Stats().PathCache; !nested && (after.Evictions != before.Evictions || after.Invalidations != before.Invalidations) {
+						t.Fatalf("step %d: an unmatchable expression cost the cache entries: before %+v after %+v", step, before, after)
+					}
 				case r == 3 && len(live) > 0:
 					op = "add registered"
 					add(live[rng.Intn(len(live))].xpe)

@@ -26,10 +26,16 @@ type churnFixture struct {
 const churnEveryDocs = 50 // as benchmark/workloads.go
 
 func newChurnFixture(tb testing.TB, n, pool int) *churnFixture {
+	return newFixture(tb, n, pool, 0, 500)
+}
+
+// newFixture is newChurnFixture with filters attribute filters per
+// expression and ndocs documents.
+func newFixture(tb testing.TB, n, pool, filters, ndocs int) *churnFixture {
 	tb.Helper()
 	sch := workload.NITF()
 	xpes, err := workload.Expressions(sch, n+pool, workload.ExpressionConfig{
-		MaxLength: 6, Wildcard: 0.2, Descendant: 0.2, Distinct: true, Seed: 1,
+		MaxLength: 6, Wildcard: 0.2, Descendant: 0.2, Distinct: true, Filters: filters, Seed: 1,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -38,7 +44,7 @@ func newChurnFixture(tb testing.TB, n, pool int) *churnFixture {
 	if _, err := f.eng.AddAll(f.base); err != nil {
 		tb.Fatal(err)
 	}
-	for _, raw := range workload.Documents(sch, 500, workload.DocumentConfig{Seed: 2}) {
+	for _, raw := range workload.Documents(sch, ndocs, workload.DocumentConfig{Seed: 2}) {
 		d, err := predfilter.ParseDocument(raw)
 		if err != nil {
 			tb.Fatal(err)
@@ -69,7 +75,7 @@ func (f *churnFixture) warm() {
 // life and a match's span are compared without a clock.
 func TestChurnConcurrentPublish(t *testing.T) {
 	const base, pool, perPublisher = 300, 40, 300
-	f := newChurnFixture(t, base, pool)
+	f := newFixture(t, base, pool, 1, 500) // filters: the churner also interns constants and re-ranks
 	docs := f.docs[:40]
 
 	ref := predfilter.New(predfilter.Config{Columnar: predfilter.ColumnarOff, PathCacheBytes: -1})
@@ -254,6 +260,20 @@ func BenchmarkChurnKnown(b *testing.B) { benchChurn(b, 64, true) }
 // seen in every pair (4000 of them: wrap-around, i.e. known pairs, starts
 // after 200 000 iterations).
 func BenchmarkChurnDistinct(b *testing.B) { benchChurn(b, 4000, false) }
+
+// BenchmarkFilterHit is the in-process twin of nitf10k_filters_single's
+// match stage: 10 000 expressions with one attribute filter each, 1 000
+// documents cycling over a warm cache, so every path is a hit that has
+// attribute values left to decide.
+func BenchmarkFilterHit(b *testing.B) {
+	f := newFixture(b, 10000, 0, 1, 1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.eng.MatchParsed(f.docs[i%len(f.docs)])
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/doc")
+}
 
 // BenchmarkFirstMatchAfterAdd is one new distinct Add, the first match
 // after it, and the Remove; first-match-ms is the median of those matches

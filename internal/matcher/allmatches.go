@@ -149,7 +149,7 @@ func (m *Matcher) countUnit(sc *scratch, e *expr, counts map[int]int, factor int
 			}
 			continue
 		}
-		filtered, ok := m.filterChain(sc, mem, chain)
+		filtered, ok := m.filterChain(sc, mem.pids, mem.postTests, chain)
 		if !ok {
 			continue
 		}

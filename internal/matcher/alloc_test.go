@@ -72,11 +72,11 @@ func TestMatchDocumentCacheHitAllocs(t *testing.T) {
 }
 
 // TestMatchDocumentPlanHitAllocs is the same guard for value-dependent
-// work: on a one-filter-per-expression set, a cache-hit document replays
-// the transcript (re-evaluating every attribute filter, numeric and
-// non-numeric constants alike) and walks the live plan, and still
-// allocates only the result slice — nothing per attribute evaluation,
-// nothing per plan unit.
+// work: on a one-filter-per-expression set, a cache-hit document resolves
+// its attribute values (numeric and non-numeric, against numeric and
+// non-numeric constants alike), runs each entry's program, and still
+// allocates only the result slice — nothing per value, per test or per
+// unit.
 func TestMatchDocumentPlanHitAllocs(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("<a>")
@@ -94,6 +94,7 @@ func TestMatchDocumentPlanHitAllocs(t *testing.T) {
 			fmt.Sprintf("/a/b[@n=%d]/c", i), fmt.Sprintf("//c[@n>=%d]", i),
 			fmt.Sprintf("/a/b[@s=v%d]", i), fmt.Sprintf("//d[@s!=v%d]", i))
 	}
+	xpes = append(xpes, "//d[@s>=3]", "//c[@n<k]") // each attribute compared both ways
 	// Inline mode, the default: Postponed verification re-indexes the
 	// path's tuples by tag (buildByTag), which allocates per path.
 	m := New(Options{Metrics: metrics.NewSet()})

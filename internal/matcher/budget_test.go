@@ -82,12 +82,16 @@ func TestMatchDocumentBudgetTripsOnBlowup(t *testing.T) {
 // TestMatchDocumentBudgetDoesNotPoisonCache: a budget trip during a miss
 // must not Put a truncated outcome or a partial live plan. The step bound
 // is raised one step at a time, so the trip lands at every point of the
-// miss — the sweep, the structural candidates, the plan walk — and after
-// each abort an unbudgeted re-match (served from whatever the aborted
-// attempt cached), and a second one on pure hits, must agree with an
-// uncached matcher.
+// miss — the sweep, the structural candidates, the plan walk or the hit
+// program — and after each abort an unbudgeted re-match (served from
+// whatever the aborted attempt cached), and a second one on pure hits,
+// must agree with an uncached matcher. The first fixture's path repeats a
+// tag (plan and transcript); the second's does not, and its entry carries a
+// program large enough to be charged: the budget that trips there trips
+// after the complete entry was stored, and a hit is charged what the miss's
+// tail was.
 func TestMatchDocumentBudgetDoesNotPoisonCache(t *testing.T) {
-	xpes := []string{
+	repeated := []string{
 		strings.Repeat("//a", 6),                // structural: cached outcome
 		strings.Repeat("//a", 5) + "//a[@k=v]",  // live: plan unit that matches
 		strings.Repeat("//a", 5) + "//a[@k=w]",  // live: plan unit that fails its filter
@@ -98,34 +102,62 @@ func TestMatchDocumentBudgetDoesNotPoisonCache(t *testing.T) {
 		fmt.Fprintf(&b, `<a k="%s">`, []string{"v", "u"}[i%2])
 	}
 	b.WriteString(strings.Repeat("</a>", 8))
-	doc, err := xmldoc.Parse([]byte(b.String()))
-	if err != nil {
-		t.Fatal(err)
+	program := []string{"/r/s/t", "/r[@k=v]/s[@k=u]"}
+	for i := 0; i < 100; i++ { // 100 tests, 50 of them passing: two 64-operation steps
+		program = append(program, fmt.Sprintf("/r/s[@k%s%d]", []string{"<", ">="}[i%2], i))
 	}
-	fresh := New(Options{Variant: PrefixCoverAP, PathCacheBytes: -1})
-	mustAdd(t, fresh, xpes...)
-	want := matchSet(fresh, doc)
-	if len(want) < 3 {
-		t.Fatalf("uncached matcher found %v, want structural, live and nested matches", want)
-	}
-
-	tripped := 0
-	for steps := int64(1); ; steps++ {
-		m := New(Options{Variant: PrefixCoverAP, PathCacheBytes: 1 << 20})
-		mustAdd(t, m, xpes...)
-		_, _, err := m.MatchDocumentBudget(doc, stepBudget(steps))
-		if err == nil {
-			break
+	for _, fx := range []struct {
+		xpes []string
+		xml  string
+		prog bool
+	}{
+		{repeated, b.String(), false},
+		{program, `<r k="v"><s k="100"><t/></s></r>`, true},
+	} {
+		doc, err := xmldoc.Parse([]byte(fx.xml))
+		if err != nil {
+			t.Fatal(err)
 		}
-		tripped++
-		for pass := 0; pass < 2; pass++ {
-			if got := matchSet(m, doc); !reflect.DeepEqual(got, want) {
-				t.Fatalf("budget %d, re-match %d after the abort = %v, want %v (cache poisoned?)", steps, pass, got, want)
+		fresh := New(Options{Variant: PrefixCoverAP, PathCacheBytes: -1})
+		mustAdd(t, fresh, fx.xpes...)
+		want := matchSet(fresh, doc)
+		if len(want) < 3 {
+			t.Fatalf("uncached matcher found %v, want structural, live and nested matches", want)
+		}
+
+		tripped, inProgram := 0, int64(0)
+		for steps := int64(1); ; steps++ {
+			m := New(Options{Variant: PrefixCoverAP, PathCacheBytes: 1 << 20})
+			mustAdd(t, m, fx.xpes...)
+			_, _, err := m.MatchDocumentBudget(doc, stepBudget(steps))
+			if err == nil {
+				if bud := stepBudget(steps); fx.prog {
+					// The same budget on the hit: charged the program, not the sweep.
+					if _, _, err := m.MatchDocumentBudget(doc, bud); err != nil || bud.Steps() == 0 || bud.Steps() >= steps {
+						t.Fatalf("hit under the miss's budget %d: err %v, %d steps", steps, err, bud.Steps())
+					}
+					if _, _, err := m.MatchDocumentBudget(doc, stepBudget(bud.Steps()-1)); err == nil {
+						t.Fatalf("hit survived a budget one step under its charge of %d", bud.Steps())
+					}
+				}
+				break
+			}
+			tripped++
+			if st, _ := m.PathCacheStats(); st.Entries > 0 {
+				inProgram = steps
+			}
+			for pass := 0; pass < 2; pass++ {
+				if got := matchSet(m, doc); !reflect.DeepEqual(got, want) {
+					t.Fatalf("budget %d, re-match %d after the abort = %v, want %v (cache poisoned?)", steps, pass, got, want)
+				}
 			}
 		}
-	}
-	if tripped < 3 {
-		t.Fatalf("only %d budgets tripped: the miss was not interrupted at distinct points", tripped)
+		if tripped < 3 {
+			t.Fatalf("only %d budgets tripped: the miss was not interrupted at distinct points", tripped)
+		}
+		if fx.prog && inProgram == 0 {
+			t.Fatal("no budget tripped in the hit program")
+		}
 	}
 }
 

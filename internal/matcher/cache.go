@@ -1,6 +1,7 @@
 package matcher
 
 import (
+	"math/bits"
 	"strings"
 	"time"
 
@@ -38,14 +39,41 @@ import (
 //     where its cell matched on tags and positions. The live units whose
 //     every predicate matched structurally are the entry's live plan —
 //     the same argument the Outcome makes, applied one step earlier. A
-//     hit replays the transcript (re-verifying attribute filters against
-//     the live tuples) and evaluates the plan's units only; every other
-//     live unit has a predicate that no document with this signature can
-//     satisfy. The transcript is pruned to the predicates the plan
-//     references, since nothing else reads the replayed results — except
-//     nested-path expressions, which are live too (their recombination
-//     needs node identities) and read arbitrary predicates, so their
-//     presence keeps the transcript whole.
+//     hit decides the plan's units and no others; every other live unit
+//     has a predicate that no document with this signature can satisfy.
+//
+// How a hit decides the plan depends on whether occurrence pairs can
+// matter:
+//
+//   - The program (pathcache.Program), for an unambiguous path in Inline
+//     mode with no nested-path expression registered. No tag repeats, so
+//     each tag, and each ordered pair of tags, names one tuple or tuple
+//     pair of the path, and every predicate has at most one structural
+//     occurrence on it — for an attribute-carrying predicate of a plan
+//     unit exactly one, the residual hit the miss transcribed. Replay
+//     would add that predicate's one pair iff the filters on its first tag
+//     hold on tuple T1 and those on its second on T2; MatchedAll(u.pids)
+//     would then hold iff that is so for every filtered predicate of u
+//     (the bare ones matched, or u were no candidate), and the unit would
+//     be marked directly, every level holding the pair (1,1) (columnar.go).
+//     So u is marked iff the conjunction of its (tuple, filter) tests
+//     holds, which is what the program stores and evaluates — each
+//     distinct test once, through predicate.Dict.Holds like every other
+//     filter decision — without results, replay or unit lookups. What it
+//     names is append-only: expression ids, and the dictionary's constant
+//     ids, whose ranks may change under it (Dict.Rerank) but not their
+//     meaning.
+//
+//   - Plan and transcript, otherwise: a repeated tag needs occurrence
+//     determination over the pairs, a Postponed group representative
+//     verifies its members' filters pair by pair, and nested-path
+//     expressions enumerate assignments. The hit replays the transcript
+//     (deciding the residual hits' filters against the live tuples) and
+//     runs evalExpr on the plan's units. The transcript is pruned to the
+//     predicates the plan references, since nothing else reads the
+//     replayed results — except nested-path expressions, which are live
+//     too (their recombination needs node identities) and read arbitrary
+//     predicates, so their presence keeps the transcript whole.
 //
 // A miss builds the entry from one sweep over the structural touched set
 // and then takes the hit's tail, so there is one cached path. Structural
@@ -69,10 +97,13 @@ import (
 //	    changes is the Postponed group it joins, possibly turning it
 //	    from structural to live — and the group has x's chain, so it is
 //	    a candidate on no kept signature either.
-//	(c) The pruned transcript has to serve the plan's units, which did
-//	    not change. Predicates new with X are referenced by X alone.
-//	(d) Expression ids, predicate ids and unit columns are append-only,
-//	    so what the entry names still means the same.
+//	(c) The program, or the pruned transcript, has to serve the plan's
+//	    units, which did not change. Predicates new with X are referenced
+//	    by X alone.
+//	(d) Expression ids, predicate ids, unit columns and the value
+//	    dictionary's constant ids are append-only, so what the entry names
+//	    still means the same; a constant new with X re-ranks its
+//	    attribute's others, and tests read ranks when they run.
 //
 // Two cases flush instead, as rules rather than arguments: a nested-path
 // expression is registered (old or new — transcripts are kept whole for
@@ -180,34 +211,23 @@ func (m *Matcher) canMatch(e *expr, tags []string) bool {
 
 // matchPathCached is the cache-enabled body of matchPath, entered after
 // the dedup check: the one cached path, on the columnar organization.
-// Callers hold the read lock with the columnar index caught up. A hit
-// replays the pruned transcript; a miss runs stage 1 and builds the entry;
-// both then apply the structural outcome and walk the live plan.
+// Callers hold the read lock with the columnar index caught up. A miss
+// runs stage 1 and builds the entry; hit and miss then both run the entry.
 func (m *Matcher) matchPathCached(sc *scratch, cs *colScratch, pub *xmldoc.Publication, bd *Breakdown, t0 time.Time, bud *guard.Budget) {
-	ci := cs.ci
 	sc.sig = appendPubSig(sc.sig[:0], pub)
 	h := sigHash(sc.sig)
 
 	ent, ok := m.cache.Get(h, sc.sig)
-	var tc, t1 time.Time
+	var tc time.Time
 	if bd != nil {
 		// Signature build + lookup is the cache stage; predicate work
-		// (replay or a fresh stage 1) is accounted separately below.
+		// (attribute tests, replay or a fresh stage 1) is accounted below.
 		tc = time.Now()
 		bd.Cache += tc.Sub(t0)
 	}
-	if ok {
-		if m.needRes {
-			sc.res.Reset(m.ix.Len())
-			m.ix.Replay(&ent.Rec, pub, sc.res)
-		}
-		if bd != nil {
-			t1 = time.Now()
-			bd.PredMatch += t1.Sub(tc)
-		}
-	} else {
+	if !ok {
 		// Stage 1 over the layout, recording the transcript when
-		// value-dependent work will need it replayed on later hits.
+		// value-dependent work will need it on later hits.
 		ambiguous := cs.resolveTids(pub)
 		sc.res.Reset(m.ix.Len())
 		var rec *predindex.Recording
@@ -215,7 +235,8 @@ func (m *Matcher) matchPathCached(sc *scratch, cs *colScratch, pub *xmldoc.Publi
 			sc.rec.Reset()
 			rec = &sc.rec
 		}
-		ci.lay.MatchPathTids(pub, cs.tids, sc.res, rec)
+		cs.ci.lay.MatchPathTids(pub, cs.tids, sc.res, rec)
+		var t1 time.Time
 		if bd != nil {
 			t1 = time.Now()
 			bd.PredMatch += t1.Sub(tc)
@@ -224,18 +245,52 @@ func (m *Matcher) matchPathCached(sc *scratch, cs *colScratch, pub *xmldoc.Publi
 			return
 		}
 		m.cache.Put(h, sc.sig, ent)
+		if bd != nil {
+			tc = time.Now()
+			bd.ExprMatch += tc.Sub(t1)
+		}
+	}
+	m.runEntry(sc, cs.ci, ent, pub, bd, tc, bud)
+}
+
+// runEntry is the cache hit: it folds the entry's contribution for the
+// current path into sc — the structural outcome as it stands, the
+// value-dependent units through the program or, where the entry has none,
+// through the replayed transcript and evalExpr. A miss ends here too, on
+// the entry it just built. t is when the caller last read the clock.
+func (m *Matcher) runEntry(sc *scratch, ci *colIndex, ent *pathcache.Entry, pub *xmldoc.Publication, bd *Breakdown, t time.Time, bud *guard.Budget) {
+	// Predicate stage: the document's attribute values against the
+	// program's tests, or against the transcript's residual hits.
+	p := ent.Prog
+	var pass []uint64
+	if p != nil {
+		pass = m.progTests(sc, p, pub)
+	} else if len(ent.Plan) > 0 || len(m.nested) > 0 {
+		sc.res.Reset(m.ix.Len())
+		m.ix.Replay(&ent.Rec, pub, sc.res)
+	}
+	var t1 time.Time
+	if bd != nil {
+		t1 = time.Now()
+		bd.PredMatch += t1.Sub(t)
 	}
 
+	// Expression stage.
 	for _, id := range ent.Outcome {
 		sc.matched[id] = true
 	}
-	for _, p := range ent.Plan {
+	if p != nil {
+		// Charged like the sweep, a step per 64 operations: an entry's
+		// tests and marks are bounded by the units a scalar loop would
+		// have evaluated at one step or more apiece.
+		if n := int64((len(p.Tests) + progUnits(sc, p, pass)) >> 6); n > 0 {
+			bud.StepN(n)
+		}
+	}
+	for _, c := range ent.Plan {
 		// The plan proves the chain structurally possible; the replayed
 		// results say whether this document's attribute values agree.
-		if !sc.res.Matched(p.Gate) {
-			continue
-		}
-		u := ci.units[p.Col]
+		u := ci.units[c]
 		if sc.matched[u.id] || !sc.res.MatchedAll(u.pids) {
 			continue
 		}
@@ -244,12 +299,51 @@ func (m *Matcher) matchPathCached(sc *scratch, cs *colScratch, pub *xmldoc.Publi
 		}
 		m.markUnit(sc, u, ent.Ambiguous, bud)
 	}
-	for _, e := range m.nested {
+	for _, e := range m.nested { // none while an entry has a program
 		e.root.collect(m, sc, bud)
 	}
 	if bd != nil {
 		bd.ExprMatch += time.Since(t1)
 	}
+}
+
+// progTests evaluates every distinct test of the program once, into a
+// bitset of a few words.
+func (m *Matcher) progTests(sc *scratch, p *pathcache.Program, pub *xmldoc.Publication) []uint64 {
+	sc.pass = sized(sc.pass, bitset.Words(len(p.Tests)))
+	clear(sc.pass)
+	for i := range p.Tests {
+		if f := &p.Tests[i]; m.ix.Vals.Holds(f.Test, &pub.Tuples[f.Tuple], &sc.res.Vals) {
+			bitset.Set(sc.pass, i)
+		}
+	}
+	return sc.pass
+}
+
+// progUnits walks the units under the tests that passed, marks those whose
+// further tests passed too, and returns how many it marked.
+func progUnits(sc *scratch, p *pathcache.Program, pass []uint64) (marked int) {
+	for w, word := range pass {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+		units:
+			for _, u := range p.Units[p.Start[i]:p.Start[i+1]] {
+				if u.More >= 0 {
+					for _, j := range p.More[u.More:] {
+						if j < 0 {
+							break
+						}
+						if !bitset.Get(pass, int(j)) {
+							continue units
+						}
+					}
+				}
+				sc.matched[u.ID] = true
+				marked++
+			}
+		}
+	}
+	return marked
 }
 
 // buildEntry computes the cache entry of the current path from the stage-1
@@ -294,21 +388,83 @@ func (m *Matcher) buildEntry(sc *scratch, cs *colScratch, ambiguous bool, bd *Br
 	}
 
 	ne := &pathcache.Entry{Outcome: append([]int32(nil), sc.log...), Ambiguous: ambiguous}
-	if !m.needRes {
-		return ne
+	nested := len(m.nested) > 0
+	switch {
+	case !m.needRes || !nested && len(cs.plan) == 0:
+	case !nested && !ambiguous && m.opts.AttrMode == predicate.Inline:
+		ne.Prog = m.compileProgram(sc, cs)
+	default:
+		ne.Plan = append([]int32(nil), cs.plan...)
+		if !nested {
+			bitset.Zero(cs.planPids)
+			for _, c := range ne.Plan {
+				for _, pid := range cs.ci.units[c].pids {
+					bitset.Set(cs.planPids, int(pid))
+				}
+			}
+			sc.rec.Keep(func(pid predindex.PID) bool { return bitset.Get(cs.planPids, int(pid)) })
+		}
+		ne.Rec = sc.rec.Clone()
 	}
-	ne.Plan = append([]pathcache.PlanUnit(nil), cs.plan...)
-	if len(m.nested) == 0 {
-		bitset.Zero(cs.planPids)
-		for _, p := range ne.Plan {
-			for _, pid := range cs.ci.units[p.Col].pids {
-				bitset.Set(cs.planPids, int(pid))
+	return ne
+}
+
+// compileProgram turns the plan of an unambiguous path (cs.plan, plain
+// units only) into the entry's hit program: each unit's filters become
+// tests on the tuples its predicates' one structural occurrence names
+// (the transcript's residual hits), numbered per entry and shared between
+// units, and the units are laid out under the first test each needs.
+func (m *Matcher) compileProgram(sc *scratch, cs *colScratch) *pathcache.Program {
+	at := make(map[predindex.PID]predindex.ResidualHit, len(sc.rec.Residual))
+	for _, h := range sc.rec.Residual {
+		at[h.PID] = h
+	}
+	p := &pathcache.Program{}
+	testIx := make(map[pathcache.ProgTest]int32)
+	first := make([]int32, len(cs.plan)) // per plan unit, the test it is laid out under
+	units := make([]pathcache.ProgUnit, len(cs.plan))
+	var need []int32
+	for k, c := range cs.plan {
+		u := cs.ci.units[c]
+		need = need[:0]
+		for _, pid := range u.pids {
+			h := at[pid] // present for every filtered predicate of a plan unit
+			tuple := [2]int32{h.T1, h.T2}
+			for side, tests := range m.ix.Tests(pid) {
+				for _, f := range tests {
+					pt := pathcache.ProgTest{Tuple: tuple[side], Test: f}
+					i, ok := testIx[pt]
+					if !ok {
+						i = int32(len(p.Tests))
+						testIx[pt] = i
+						p.Tests = append(p.Tests, pt)
+					}
+					need = append(need, i)
+				}
 			}
 		}
-		sc.rec.Keep(func(pid predindex.PID) bool { return bitset.Get(cs.planPids, int(pid)) })
+		first[k], units[k] = need[0], pathcache.ProgUnit{ID: int32(u.id), More: -1}
+		if len(need) > 1 {
+			units[k].More = int32(len(p.More))
+			p.More = append(append(p.More, need[1:]...), -1)
+		}
 	}
-	ne.Rec = sc.rec.Clone()
-	return ne
+	// Counting sort of the units by first test.
+	p.Start = make([]int32, len(p.Tests)+1)
+	for _, i := range first {
+		p.Start[i+1]++
+	}
+	for i := range p.Tests {
+		p.Start[i+1] += p.Start[i]
+	}
+	next := append([]int32(nil), p.Start...)
+	p.Units = make([]pathcache.ProgUnit, len(units))
+	for k, u := range units {
+		p.Units[next[first[k]]] = u
+		next[first[k]]++
+	}
+	p.Tests, p.More = append([]pathcache.ProgTest(nil), p.Tests...), append([]int32(nil), p.More...) // exact: retained
+	return p
 }
 
 // PathCacheStats returns the cache counters and whether the cache is

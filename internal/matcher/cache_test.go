@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"predfilter/internal/dtd"
+	"predfilter/internal/pathcache"
 	"predfilter/internal/predicate"
 	"predfilter/internal/refmatch"
 	"predfilter/internal/xmldoc"
@@ -410,5 +412,208 @@ func TestPostponedGroupCached(t *testing.T) {
 	got := matchSet(m, doc)
 	if !got[sids[0]] || !got[sids[1]] {
 		t.Fatalf("group member lost through cache: %v", got)
+	}
+}
+
+// entryOf returns the cache entry of the document's i-th path.
+func entryOf(t *testing.T, m *Matcher, doc *xmldoc.Document, i int) *pathcache.Entry {
+	t.Helper()
+	sig := appendPubSig(nil, &doc.Paths[i])
+	ent, ok := m.cache.Get(sigHash(sig), sig)
+	if !ok {
+		t.Fatalf("no cache entry for path %d", i)
+	}
+	return ent
+}
+
+func mustParse(t *testing.T, xml string) *xmldoc.Document {
+	t.Helper()
+	doc, err := xmldoc.Parse([]byte(xml))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+// TestProgramEntryLayout: what an entry holds for its value-dependent
+// units. An unambiguous path gets a program — one test per distinct
+// (tuple, filter) however many units and predicates name it, units under
+// their first test, further tests listed per unit — and neither plan nor
+// transcript; a repeated tag, Postponed mode and a registered nested-path
+// expression keep plan and transcript, the last one whole.
+func TestProgramEntryLayout(t *testing.T) {
+	xpes := []string{
+		"/a/b[@x=1]/c", "//b[@x=1]", "/a[@y>=2]/b[@x=1]", // three units on the test (b, x=1); the third needs (a, y>=2) too
+		"/a/b[@x!=1]", // its own test
+		"/a/b/c",      // structural: the outcome
+		"/q[@x=1]",    // cannot match this signature: not in the program
+	}
+	plain := mustParse(t, `<a y="3"><b x="1"><c/></b></a>`)
+	m := New(Options{})
+	sids := mustAdd(t, m, xpes...)
+	if got := matchSet(m, plain); !got[sids[0]] || !got[sids[1]] || !got[sids[2]] || got[sids[3]] || !got[sids[4]] {
+		t.Fatalf("match set %v", got)
+	}
+	ent := entryOf(t, m, plain, 0)
+	p := ent.Prog
+	if p == nil || ent.Plan != nil || ent.Rec.Bare != nil || ent.Rec.Residual != nil {
+		t.Fatalf("unambiguous path: want a program and nothing else, got %+v", ent)
+	}
+	if len(ent.Outcome) != 1 || len(p.Tests) != 3 || len(p.Units) != 4 || len(p.Start) != 4 {
+		t.Fatalf("outcome %v, program %+v: want 1 structural id, 3 tests, 4 units", ent.Outcome, p)
+	}
+	more := 0
+	for i, pt := range p.Tests {
+		for _, u := range p.Units[p.Start[i]:p.Start[i+1]] {
+			for k := u.More; k >= 0 && p.More[k] >= 0; k++ {
+				more++
+			}
+		}
+		if want := map[int32]string{0: "a", 1: "b"}[pt.Tuple]; plain.Paths[0].Tuples[pt.Tuple].Tag != want {
+			t.Fatalf("test %d on tuple %d", i, pt.Tuple)
+		}
+	}
+	if more != 1 {
+		t.Fatalf("%d further tests listed, want 1 (the two-filter expression): %+v", more, p)
+	}
+	// The same signature, other values: the retained program decides.
+	for _, tc := range []struct {
+		xml  string
+		want []bool
+	}{
+		{`<a y="1"><b x="1"><c/></b></a>`, []bool{true, true, false, false, true, false}},
+		{`<a y="10"><b x="2"><c/></b></a>`, []bool{false, false, false, true, true, false}},
+		{`<a><b><c/></b></a>`, []bool{false, false, false, false, true, false}},
+	} {
+		got := matchSet(m, mustParse(t, tc.xml))
+		for i, sid := range sids {
+			if got[sid] != tc.want[i] {
+				t.Fatalf("%s: %s matched=%v, want %v", tc.xml, xpes[i], got[sid], tc.want[i])
+			}
+		}
+	}
+	if st, _ := m.PathCacheStats(); st.Misses != 1 {
+		t.Fatalf("same-signature documents missed: %+v", st)
+	}
+
+	repeated := mustParse(t, `<a y="3"><b x="1"><b><c/></b></b></a>`)
+	matchSet(m, repeated)
+	if ent := entryOf(t, m, repeated, 0); ent.Prog != nil || !ent.Ambiguous || len(ent.Plan) == 0 || len(ent.Rec.Residual) == 0 {
+		t.Fatalf("repeated tag: want plan and transcript, got %+v", ent)
+	}
+
+	post := New(Options{AttrMode: predicate.Postponed})
+	mustAdd(t, post, xpes...)
+	matchSet(post, plain)
+	if ent := entryOf(t, post, plain, 0); ent.Prog != nil || len(ent.Plan) == 0 || len(ent.Rec.Bare) == 0 {
+		t.Fatalf("Postponed groups: want plan and transcript, got %+v", ent)
+	}
+
+	pruned := len(entryOf(t, m, repeated, 0).Rec.Bare)
+	mustAdd(t, m, "/a[b]/q")
+	matchSet(m, plain)
+	matchSet(m, repeated)
+	if ent := entryOf(t, m, plain, 0); ent.Prog != nil || len(ent.Plan) == 0 {
+		t.Fatalf("nested expression registered: want plan and transcript, got %+v", ent)
+	}
+	if whole := len(entryOf(t, m, repeated, 0).Rec.Bare); whole <= pruned {
+		t.Fatalf("nested expression registered: transcript has %d bare hits, pruned one had %d", whole, pruned)
+	}
+}
+
+// TestProgramSurvivesRerank: constants registered after an entry was built
+// — below, between and above the ones its program tests, in an expression
+// that can evict nothing — change every code of the attribute; the
+// retained program names constants by id and must decide as refmatch does.
+func TestProgramSurvivesRerank(t *testing.T) {
+	xpes := []string{"/a/b[@x<5]", "/a/b[@x>=5]", "//b[@x=10]", "/a/b[@x<=k]", "/a[@x>3]/b[@x!=4]", "//b[@x]"}
+	m := New(Options{})
+	sids := mustAdd(t, m, xpes...)
+	paths := make([]*xpath.Path, len(xpes))
+	for i, s := range xpes {
+		paths[i] = xpath.MustParse(s)
+	}
+	var docs []*xmldoc.Document
+	for _, v := range []string{"1", "4", "4.5", "5", "7", "10", "10.0", "11", "j", "k", "l", ""} {
+		docs = append(docs, mustParse(t, fmt.Sprintf(`<a x="%s"><b x="%s"/></a>`, v, v)))
+	}
+	check := func(stage string) {
+		t.Helper()
+		for _, doc := range docs {
+			got := matchSet(m, doc)
+			for i, p := range paths {
+				if want := refmatch.Match(p, doc); got[sids[i]] != want {
+					t.Fatalf("%s: %s on %v = %v, refmatch %v", stage, xpes[i], doc.Paths[0].Tuples[0].Attrs, got[sids[i]], want)
+				}
+			}
+		}
+	}
+	check("as built")
+	before, _ := m.PathCacheStats()
+	prog := entryOf(t, m, docs[0], 0).Prog
+	mustAdd(t, m, "/z[@x>0]", "/z[@x<4.7]", "/z[@x=9]", "/z[@x>=100]", "/z[@x!=a]", "/z[@x<jj]", "/z[@x>zz]")
+	check("after the re-rank")
+	after, _ := m.PathCacheStats()
+	if after.Misses != before.Misses || after.Evictions != before.Evictions || entryOf(t, m, docs[0], 0).Prog != prog || prog == nil {
+		t.Fatalf("the entry was not retained across the re-rank: before %+v after %+v", before, after)
+	}
+}
+
+// TestValueRanksAfterFailedAdd: a registration that fails after interning
+// its constants (the nested child's filter is inserted before the wildcard
+// host is refused) leaves no expression behind, but the constants must
+// still be ranked under the write lock before anything matches — not by the
+// first cache miss, under the read lock, while other publishers resolve
+// values (run with -race). The new constant 3 also moves 5's rank.
+func TestValueRanksAfterFailedAdd(t *testing.T) {
+	for _, opts := range []Options{{}, {PathCacheBytes: -1}, {AttrMode: predicate.Postponed}} {
+		m := New(opts)
+		lt := mustAdd(t, m, "//b[@x<5]")[0]
+		m.MatchDocument(mustParse(t, `<a><b x="4"/></a>`))
+		if _, err := m.Add("/a[b[@x = 3]]/*[c]"); err == nil {
+			t.Fatal("nested filter on a wildcard step was accepted")
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 20; i++ { // new signatures: every path misses
+					tag := fmt.Sprintf("t%d_%d", g, i)
+					doc := mustParse(t, fmt.Sprintf(`<a><%s><b x="4"/></%s><%s><b x="5"/></%s></a>`, tag, tag, tag, tag))
+					if got := matchSet(m, doc); !got[lt] {
+						t.Errorf("%+v: //b[@x<5] missed x=4", opts)
+					}
+					if matchSet(m, mustParse(t, fmt.Sprintf(`<%s><b x="7"/></%s>`, tag, tag)))[lt] {
+						t.Errorf("%+v: //b[@x<5] matched x=7", opts)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if m.ix.Vals.Dirty() {
+			t.Errorf("%+v: the failed Add's constants were never ranked", opts)
+		}
+	}
+}
+
+// TestProgramHitStageClocks: on a program hit the attribute tests are
+// predicate-stage time and the unit walk expression-stage time, and with
+// the cache probe and the collection they stay within the whole match, so
+// the ladder's stage sum keeps accounting for the match stage.
+func TestProgramHitStageClocks(t *testing.T) {
+	m := New(Options{})
+	for i := 0; i < 200; i++ {
+		mustAdd(t, m, fmt.Sprintf("/r/s[@k%s%d]", []string{"<", ">="}[i%2], i))
+	}
+	doc := mustParse(t, `<r><s k="100"/></r>`)
+	m.MatchDocument(doc)
+	if entryOf(t, m, doc, 0).Prog == nil {
+		t.Fatal("no program to time")
+	}
+	sids, bd := m.MatchDocumentBreakdown(doc)
+	if len(sids) != 99 || bd.Cache <= 0 || bd.PredMatch <= 0 || bd.ExprMatch <= 0 ||
+		bd.Cache+bd.PredMatch+bd.ExprMatch+bd.Other > bd.Total {
+		t.Fatalf("%d matches, breakdown %+v", len(sids), bd)
 	}
 }

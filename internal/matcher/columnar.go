@@ -6,7 +6,6 @@ import (
 
 	"predfilter/internal/bitset"
 	"predfilter/internal/guard"
-	"predfilter/internal/pathcache"
 	"predfilter/internal/predindex"
 	"predfilter/internal/xmldoc"
 )
@@ -93,7 +92,7 @@ type colScratch struct {
 	// Entry building on a cache miss (see buildEntry): the structural
 	// touched set, the plan, and the predicates its units reference.
 	pids     []predindex.PID
-	plan     []pathcache.PlanUnit
+	plan     []int32
 	planPids []uint64
 }
 
@@ -148,7 +147,7 @@ func (ci *colIndex) extend(units []*expr) {
 // downgrade.
 func (m *Matcher) ensureColumnar() *colIndex {
 	m.mu.RLock()
-	for m.caught != len(m.exprs) || m.col == nil {
+	for m.stale() || m.col == nil {
 		m.mu.RUnlock()
 		m.mu.Lock()
 		if m.col == nil {
@@ -238,7 +237,7 @@ func (m *Matcher) markCandidates(sc *scratch, cs *colScratch, acc []uint64, spli
 			c := w<<6 + bits.TrailingZeros64(word)
 			u := cs.ci.units[c]
 			if split && u.live {
-				cs.plan = append(cs.plan, pathcache.PlanUnit{Col: int32(c), Gate: u.gate})
+				cs.plan = append(cs.plan, int32(c))
 				continue
 			}
 			if sc.matched[u.id] {

@@ -58,7 +58,7 @@ var nestedXPEs = []string{"/a[b]/c", "a[b/c]", "//b[c]/d", "/a[b][c]/d"}
 // the path cache off, tiny (evicting) and on. Every document is matched
 // cold (a miss builds the entry and its live plan) and again (a hit walks
 // the plan), through the batch and the single-document entry points, with
-// an Add and a Remove between hits.
+// an Add, a Remove and a re-rank of the value dictionary between hits.
 func TestColumnarEquivalenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for round := 0; round < 25; round++ {
@@ -138,6 +138,13 @@ func TestColumnarEquivalenceRandomized(t *testing.T) {
 					mustAdd(t, m, extra)
 					mustAdd(t, ref, extra)
 					check("after Add")
+					// Constants below and between the others on attributes the
+					// retained entries test, in an expression that evicts
+					// nothing: the programs run on re-ranked codes.
+					rerank := []string{"/nowhere[@x<0.5]", "/nowhere[@y>=-1]", "/nowhere[@x!=2.25]", "/nowhere[@y<=aa]"}
+					mustAdd(t, m, rerank...)
+					mustAdd(t, ref, rerank...)
+					check("after re-rank")
 				}
 			}
 		}
@@ -155,12 +162,14 @@ func TestPlanSameSignatureDifferentValues(t *testing.T) {
 	xpes := []string{
 		"/a/b[@x=1]/c", "/a/b/c", "//b[@x=1]", "/a/b[@x=1]", "b[@y=2]/c", "/a[@x=1]/b[@x=1]/c",
 		"//b[@x=1]//c", "b/b[@x=1]", "/a/b[@x!=1]/b", "b[@x=1]/b[@x=2]/c", "b/c", "//c[@x>=2]",
+		"//b[@x<2][@y]", "/a[@y]/b", "//b[@x>1.5]", "//c[@x<=z]",
 	}
 	shapes := []string{
 		`<a%s><b%s><c%s/></b></a>`,        // unambiguous
 		`<a%s><b%s><b%s><c/></b></b></a>`, // b repeats: occurrence determination
 	}
-	values := []string{``, ` x="1"`, ` x="2"`, ` x="1" y="2"`, ` y="2"`}
+	// The first three reach every element; 1.7 and q equal no constant.
+	values := []string{``, ` x="1"`, ` x="2"`, ` x="1" y="2"`, ` y="2"`, ` x="1.7"`, ` x="q" y=""`}
 	for _, shape := range shapes {
 		var docs []*xmldoc.Document
 		for _, v1 := range values {

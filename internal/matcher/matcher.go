@@ -24,10 +24,11 @@
 // Registration is lazy and a change costs what it changes. Add and Remove
 // touch the expression table and the SID lists only; the state derived
 // from the set of distinct expressions (iteration units, columnar index,
-// path cache) is caught up at the next match, once for a whole run of
-// Adds and in time proportional to what they added (catchUp). A change of
-// SIDs alone — Remove, or Add of an expression already registered —
-// changes nothing derived: results are resolved to SIDs when collected.
+// value ranks, path cache) is caught up at the next match, once for a whole
+// run of Adds and in time proportional to what they added (catchUp). A
+// change of SIDs alone — Remove, or Add of an expression already
+// registered — changes nothing derived: results are resolved to SIDs when
+// collected.
 //
 // Attribute filters follow §5 in either Inline mode (filters ride on the
 // structural predicates) or Postponed mode (structural match first, filter
@@ -125,7 +126,7 @@ type Matcher struct {
 	units   []*expr            // iteration units, in creation order
 	reps    map[uint64][]*expr // Postponed: bare chainHash → group representatives
 	nested  []*expr            // expressions with nested path filters
-	needRes bool               // a unit is value-dependent or nested exists: cache entries carry a plan and a transcript
+	needRes bool               // a unit is value-dependent or nested exists: cache entries carry a program, or a plan and a transcript
 
 	// The scalar reference's organizations, built by freeze for
 	// exprs[:frozen] when the uncached scalar loop next runs.
@@ -178,6 +179,9 @@ type expr struct {
 	// Single-path expressions:
 	pids []predindex.PID
 	post []predicate.SideAttrs // postponed attribute filters; nil if none
+	// postTests are post compiled against the engine's dictionary, what
+	// filterChain evaluates; post stays the identity.
+	postTests [][2][]predicate.Test
 	// covers are the registered strict-prefix expressions of this one
 	// (same pid chain and, in Postponed mode, same filter annotations).
 	covers []*expr
@@ -190,10 +194,8 @@ type expr struct {
 	// means "every member matched".
 	members []*expr
 	// Iteration units only (see addUnit): live marks a unit that does
-	// attribute-value work, whose outcome the path cache cannot hold; gate
-	// is the predicate a cached plan dismisses it by (pathcache.PlanUnit).
+	// attribute-value work, whose outcome the path cache cannot hold.
 	live bool
-	gate predindex.PID
 
 	// Nested-path expressions:
 	root *nestedNode // non-nil iff the expression has nested path filters
@@ -343,7 +345,7 @@ func (m *Matcher) registerSingle(p *xpath.Path) (*expr, error) {
 	}
 	e := &expr{id: len(m.exprs), pids: pids}
 	if enc.HasPostAttrs() {
-		e.post = enc.PostAttrs
+		e.post, e.postTests = enc.PostAttrs, m.compilePost(enc)
 		m.attrSensitive = true
 	}
 	for _, pr := range enc.Preds {
@@ -439,19 +441,25 @@ func (m *Matcher) catchUp() {
 		m.needRes = m.needRes || u.live
 	}
 	m.caught = len(m.exprs)
+	m.ix.Vals.Rerank()
 	m.cacheEffect(added)
 	if m.col != nil {
 		m.col.extend(m.units)
 	}
 }
 
+// stale reports whether something was registered that catchUp has not
+// accounted for: a distinct expression, or a dictionary constant with no
+// expression to show for it (a registration that failed after interning).
+// Constants are ranked under the write lock only; matching reads the ranks.
+func (m *Matcher) stale() bool { return m.caught != len(m.exprs) || m.ix.Vals.Dirty() }
+
 // addUnit makes u an iteration unit: a column of the columnar index, an
 // entry of the scalar loop.
 func (m *Matcher) addUnit(u *expr) {
-	u.gate = u.pids[0]
 	for _, pid := range u.pids {
-		if m.ix.Pred(pid).HasAttrs() {
-			u.gate, u.live = pid, true
+		if ts := m.ix.Tests(pid); ts[0] != nil || ts[1] != nil {
+			u.live = true
 			break
 		}
 	}
@@ -652,12 +660,14 @@ type scratch struct {
 
 	// Path-cache working state (see cache.go). matched2 is kept all-false
 	// between uses: cache misses evaluate structural units against it with
-	// logging on, then undo exactly the logged marks.
+	// logging on, then undo exactly the logged marks. pass holds a hit
+	// program's test results.
 	sig      []byte
 	rec      predindex.Recording
 	matched2 []bool
 	log      []int32
 	logging  bool
+	pass     []uint64
 }
 
 // mark sets an expression (or group-representative) matched flag, logging
@@ -680,6 +690,7 @@ func (m *Matcher) getScratch() *scratch {
 	if sc.res == nil {
 		sc.res = predindex.NewResults(n)
 	}
+	sc.res.Vals.Reset() // a new document, possibly new ranks
 	// Both flag arrays grow with headroom: under distinct churn every
 	// registration adds a slot, and every pooled scratch would reallocate.
 	slots := len(m.exprs)
@@ -732,13 +743,24 @@ func (m *Matcher) MatchDocument(doc *xmldoc.Document) []SID {
 // than matched against a stale organization.
 func (m *Matcher) ensureFrozen() {
 	m.mu.RLock()
-	for m.caught != len(m.exprs) || m.frozen != m.caught {
+	for m.stale() || m.frozen != m.caught {
 		m.mu.RUnlock()
 		m.mu.Lock()
 		m.freeze()
 		m.mu.Unlock()
 		m.mu.RLock()
 	}
+}
+
+// ensureKernel returns with the read lock held and the derived state of the
+// kernel the configuration selects caught up: the columnar index (returned)
+// with the path cache on, the scalar organizations (nil) without.
+func (m *Matcher) ensureKernel() *colIndex {
+	if m.cache != nil {
+		return m.ensureColumnar()
+	}
+	m.ensureFrozen()
+	return nil
 }
 
 // matchPath runs the two matching stages for one publication, folding
@@ -903,22 +925,29 @@ func (m *Matcher) matchDoc(cs *colScratch, doc *xmldoc.Document, bud *guard.Budg
 	}
 
 	t2 := time.Now()
+	out := m.collect(sc)
+	bd.Other = time.Since(t2)
+	bd.Total = time.Since(t0)
+	m.observe(&bd, bd.Total, len(doc.Paths), len(out))
+	return out, bd, nil
+}
+
+// collect resolves nested-path candidates and returns the SIDs of the
+// matched flags, in expression order; a flag's index is its expression's
+// id, so only matched expressions are touched.
+func (m *Matcher) collect(sc *scratch) []SID {
 	for _, e := range m.nested {
 		if e.root.resolveRoot(sc) {
 			sc.matched[e.id] = true
 		}
 	}
 	clear(sc.ncands)
-	for _, e := range m.exprs {
-		if sc.matched[e.id] {
-			sc.out = append(sc.out, e.sids...)
+	for id, ok := range sc.matched {
+		if ok {
+			sc.out = append(sc.out, m.exprs[id].sids...)
 		}
 	}
-	out := append([]SID(nil), sc.out...)
-	bd.Other = time.Since(t2)
-	bd.Total = time.Since(t0)
-	m.observe(&bd, bd.Total, len(doc.Paths), len(out))
-	return out, bd, nil
+	return append([]SID(nil), sc.out...)
 }
 
 // observe folds one document's stage breakdown and whole-match duration
@@ -1011,7 +1040,7 @@ func (m *Matcher) evalGroup(sc *scratch, rep *expr, chain [][]occur.Pair, cover 
 			done = false
 			continue
 		}
-		filtered, nonempty := m.filterChain(sc, mem, chain)
+		filtered, nonempty := m.filterChain(sc, mem.pids, mem.postTests, chain)
 		if !nonempty {
 			done = false
 			continue

@@ -202,11 +202,33 @@ func randXPE(rng *rand.Rand, withAttrs bool) string {
 		}
 		b.WriteString(testTags[rng.Intn(len(testTags))])
 		if withAttrs && rng.Intn(3) == 0 {
-			ops := []string{"=", ">=", "<=", "!=", ">", "<"}
-			fmt.Fprintf(&b, "[@%s%s%d]", []string{"x", "y"}[rng.Intn(2)], ops[rng.Intn(len(ops))], 1+rng.Intn(3))
+			b.WriteString(randFilter(rng))
+			if rng.Intn(4) == 0 { // two filters on one step
+				b.WriteString(randFilter(rng))
+			}
 		}
 	}
 	return b.String()
+}
+
+// attrConsts are the constants random filters draw: numeric and
+// lexicographic, 2 and 2.0 one number and two strings, 10 below 2 as a
+// string and above it as a number. attrValues are what random documents
+// carry: those, values between, below and above them, and the empty value.
+var (
+	attrConsts = []string{"1", "2", "3", "2.0", "10", "b", "1a", "bb"}
+	attrValues = append([]string{"0", "2.5", "11", "a", "c", "ba", ""}, attrConsts...)
+)
+
+// randFilter draws one attribute filter: any of the six operators, or the
+// existence test.
+func randFilter(rng *rand.Rand) string {
+	name := []string{"x", "y"}[rng.Intn(2)]
+	ops := []string{"", "=", ">=", "<=", "!=", ">", "<"}
+	if op := ops[rng.Intn(len(ops))]; op != "" {
+		return fmt.Sprintf("[@%s%s%s]", name, op, attrConsts[rng.Intn(len(attrConsts))])
+	}
+	return "[@" + name + "]"
 }
 
 // randDoc generates a small random XML document.
@@ -217,7 +239,11 @@ func randDoc(rng *rand.Rand, withAttrs bool) *xmldoc.Document {
 		tag := testTags[rng.Intn(len(testTags))]
 		b.WriteString("<" + tag)
 		if withAttrs && rng.Intn(3) == 0 {
-			fmt.Fprintf(&b, ` %s="%d"`, []string{"x", "y"}[rng.Intn(2)], 1+rng.Intn(3))
+			names := []string{"x", "y"}
+			rng.Shuffle(2, func(i, j int) { names[i], names[j] = names[j], names[i] })
+			for _, name := range names[:1+rng.Intn(2)] {
+				fmt.Fprintf(&b, ` %s="%s"`, name, attrValues[rng.Intn(len(attrValues))])
+			}
 		}
 		b.WriteString(">")
 		if depth < 5 {

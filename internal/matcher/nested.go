@@ -34,7 +34,7 @@ type nestedNode struct {
 	path       *xpath.Path // linear (nested filters stripped)
 	enc        *predicate.Encoding
 	pids       []predindex.PID
-	post       []predicate.SideAttrs
+	post       [][2][]predicate.Test
 	branchStep int // 0-based hosting step index in the parent path; -1 at the root
 	children   []*nestedNode
 }
@@ -133,9 +133,7 @@ func (m *Matcher) buildNested(p *xpath.Path) (*nestedNode, error) {
 	for i, pr := range enc.Preds {
 		n.pids[i] = m.ix.Insert(pr)
 	}
-	if enc.HasPostAttrs() {
-		n.post = enc.PostAttrs
-	}
+	n.post = m.compilePost(enc)
 	return n, nil
 }
 
@@ -173,8 +171,7 @@ func (n *nestedNode) collect(m *Matcher, sc *scratch, bud *guard.Budget) {
 	}
 	sc.chain = chain
 	if n.post != nil {
-		ne := &expr{pids: n.pids, post: n.post}
-		filtered, ok := m.filterChain(sc, ne, chain)
+		filtered, ok := m.filterChain(sc, n.pids, n.post, chain)
 		if !ok {
 			return
 		}

@@ -56,12 +56,7 @@ func (m *Matcher) MatchDocumentParallelBudget(doc *xmldoc.Document, workers int,
 	}
 
 	t0 := time.Now()
-	var ci *colIndex // the cached path runs on the columnar organization
-	if m.cache != nil {
-		ci = m.ensureColumnar()
-	} else {
-		m.ensureFrozen()
-	}
+	ci := m.ensureKernel() // the cached path runs on the columnar organization
 	defer m.mu.RUnlock()
 
 	dedup := m.pathDedup()
@@ -127,18 +122,7 @@ func (m *Matcher) MatchDocumentParallelBudget(doc *xmldoc.Document, workers int,
 		}
 	}
 
-	for _, e := range m.nested {
-		if e.root.resolveRoot(sc) {
-			sc.matched[e.id] = true
-		}
-	}
-	clear(sc.ncands)
-	for _, e := range m.exprs {
-		if sc.matched[e.id] {
-			sc.out = append(sc.out, e.sids...)
-		}
-	}
-	out := append([]SID(nil), sc.out...)
+	out := m.collect(sc)
 	m.pool.Put(sc)
 	// The shards keep clock calls off their inner loops (bd == nil), so
 	// only the whole-document duration and counters are recorded.

@@ -3,6 +3,7 @@ package matcher
 import (
 	"predfilter/internal/occur"
 	"predfilter/internal/predicate"
+	"predfilter/internal/predindex"
 )
 
 // buildByTag lazily indexes the current publication's tuples by tag name
@@ -20,12 +21,28 @@ func (sc *scratch) buildByTag() {
 	sc.byTagOK = true
 }
 
-// filterChain applies the expression's postponed attribute filters to the
-// structural matching results, level by level (paper §5, "selection
-// postponed"): each occurrence pair survives only if the document tuples
-// it denotes satisfy the filters attached to the corresponding tag sides.
-// It reports the filtered chain and whether every level stayed non-empty.
-func (m *Matcher) filterChain(sc *scratch, e *expr, chain [][]occur.Pair) ([][]occur.Pair, bool) {
+// compilePost compiles an encoding's postponed filters against the
+// engine's dictionary: per predicate position, the tests on the first and
+// on the second tag. The filters stay the expression's identity; these are
+// what filterChain evaluates. nil when there is nothing postponed.
+func (m *Matcher) compilePost(enc *predicate.Encoding) [][2][]predicate.Test {
+	if !enc.HasPostAttrs() {
+		return nil
+	}
+	tests := make([][2][]predicate.Test, len(enc.PostAttrs))
+	for i, pa := range enc.PostAttrs {
+		tests[i] = [2][]predicate.Test{m.ix.Vals.Compile(pa.Left), m.ix.Vals.Compile(pa.Right)}
+	}
+	return tests
+}
+
+// filterChain applies postponed attribute filters (tests[i] on the tags of
+// pids[i]) to the structural matching results, level by level (paper §5,
+// "selection postponed"): each occurrence pair survives only if the
+// document tuples it denotes satisfy the filters attached to the
+// corresponding tag sides. It reports the filtered chain and whether every
+// level stayed non-empty.
+func (m *Matcher) filterChain(sc *scratch, pids []predindex.PID, tests [][2][]predicate.Test, chain [][]occur.Pair) ([][]occur.Pair, bool) {
 	sc.buildByTag()
 	total := 0
 	for _, pairs := range chain {
@@ -38,23 +55,23 @@ func (m *Matcher) filterChain(sc *scratch, e *expr, chain [][]occur.Pair) ([][]o
 	filt := sc.filt[:0]
 	ok := true
 	for i, pairs := range chain {
-		pa := e.post[i]
-		if len(pa.Left) == 0 && len(pa.Right) == 0 {
+		left, right := tests[i][0], tests[i][1]
+		if len(left) == 0 && len(right) == 0 {
 			filt = append(filt, pairs)
 			continue
 		}
-		pred := m.ix.Pred(e.pids[i])
+		pred := m.ix.Pred(pids[i])
 		start := len(buf)
 		for _, pr := range pairs {
-			if len(pa.Left) > 0 {
+			if len(left) > 0 {
 				t := sc.byTag[pred.Tag1][pr.A-1]
-				if !predicate.EvalAttrs(pa.Left, t) {
+				if !m.ix.Vals.HoldsAll(left, t, &sc.res.Vals) {
 					continue
 				}
 			}
-			if len(pa.Right) > 0 {
+			if len(right) > 0 {
 				t := sc.byTag[pred.Tag2][pr.B-1]
-				if !predicate.EvalAttrs(pa.Right, t) {
+				if !m.ix.Vals.HoldsAll(right, t, &sc.res.Vals) {
 					continue
 				}
 			}

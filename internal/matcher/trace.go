@@ -152,7 +152,9 @@ func (m *Matcher) MatchDocumentTracedBudget(doc *xmldoc.Document, bud *guard.Bud
 	}
 
 	t1 := time.Now()
-	m.mu.RLock() // the explanation reads no derived state
+	// Of the derived state the explanation reads the value dictionary's
+	// ranks only; a registration since the match above is caught up here.
+	m.ensureKernel()
 	defer m.mu.RUnlock()
 
 	matched := make(map[*expr]bool, len(sids))
@@ -268,7 +270,7 @@ func (m *Matcher) tracePath(sc *scratch, e *expr, pub *xmldoc.Publication, bud *
 		ok, depth, steps := occur.DetermineStepsBudget(chain, bud)
 		ev.Matched, ev.MaxDepth, ev.Steps = ok, depth, steps
 		if ok && e.post != nil {
-			filtered, nonempty := m.filterChain(sc, e, chain)
+			filtered, nonempty := m.filterChain(sc, e.pids, e.postTests, chain)
 			if !nonempty {
 				ev.Matched = false
 				ev.FilteredOut = true

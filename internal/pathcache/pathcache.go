@@ -10,10 +10,11 @@
 // the path's signature (tag sequence plus per-path occurrence vector).
 // This cache stores, per distinct signature, the structural matching
 // outcome (the expression ids marked by value-independent iteration
-// units) together with the live plan — the value-dependent units that are
-// structurally able to match — and the replayable predicate-stage
-// transcript needed to re-check them (attribute filters, nested path
-// filters) against the live document.
+// units) together with what the value-dependent units that are
+// structurally able to match need on a hit: a compiled program of
+// attribute tests, or — where occurrence pairs matter — the units and the
+// replayable predicate-stage transcript to re-check them against the live
+// document.
 //
 // Structure: a sharded LRU bounded by total byte size. Keys are the full
 // signature bytes, interned once per distinct signature as the map key —
@@ -36,6 +37,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"predfilter/internal/predicate"
 	"predfilter/internal/predindex"
 )
 
@@ -59,41 +61,69 @@ type Entry struct {
 	// ids (expression and group-representative slots) marked by the
 	// value-independent iteration units, starting from a clean state.
 	Outcome []int32
-	// Plan is the live plan: the value-dependent iteration units (as unit
-	// columns of the matcher's columnar index, which never move) whose
-	// every chain predicate matched the signature structurally, whatever
-	// the attribute values of the recorded document were. Only these can
-	// match a document with this signature, so a hit walks them and
-	// nothing else.
-	Plan []PlanUnit
 	// Ambiguous records that a tag repeats on the path (a function of the
-	// signature): plan units then need occurrence determination.
+	// signature): value-dependent units then need occurrence determination.
 	Ambiguous bool
-	// Rec is the replayable predicate-stage transcript, populated only
-	// when the matcher has value-dependent work to re-run on a hit, and
-	// pruned to the predicates the plan's units reference unless
-	// nested-path expressions (which read arbitrary predicates) exist.
+	// Prog decides the value-dependent units on a hit, when attribute
+	// values are all that is left to decide; Plan and Rec are then empty.
+	Prog *Program
+	// Plan is the live plan of an entry without a program (a repeated tag,
+	// Postponed group representatives, nested-path expressions present):
+	// the value-dependent iteration units (as unit columns of the
+	// matcher's columnar index, which never move) whose every chain
+	// predicate matched the signature structurally, whatever the attribute
+	// values of the recorded document were. Only these can match a
+	// document with this signature, so a hit evaluates them and nothing
+	// else, against Rec replayed.
+	Plan []int32
+	// Rec is the replayable predicate-stage transcript Plan needs, pruned
+	// to the predicates its units reference unless nested-path expressions
+	// (which read arbitrary predicates) exist.
 	Rec predindex.Recording
 }
 
-// PlanUnit is one live-plan entry: a unit column and its gate, the unit's
-// first attribute-carrying predicate (its first predicate when it has
-// none). A unit can match a document only if its gate did, so a hit
-// dismisses most units on the gate alone, without touching the unit.
-type PlanUnit struct {
-	Col  int32
-	Gate predindex.PID
+// Program is the live plan of an unambiguous signature compiled down to
+// attribute tests. On such a path every predicate has one structural
+// occurrence, so a plan unit matches exactly when the filters of its
+// predicates hold on the tuples of those occurrences: a conjunction of
+// tests, each a (tuple, filter) pair many units share. Tests holds the
+// distinct ones, in entry-local numbering; the units are grouped under the
+// first test each needs, so a hit evaluates every test once and then walks
+// only the units under the tests that passed.
+type Program struct {
+	Tests []ProgTest
+	Start []int32 // Units[Start[i]:Start[i+1]] need Tests[i] first; len(Tests)+1 long
+	Units []ProgUnit
+	More  []int32 // runs of further test indices, each closed by -1
+}
+
+// ProgTest is one attribute filter applied to the tuple at index Tuple of
+// the path.
+type ProgTest struct {
+	Tuple int32
+	predicate.Test
+}
+
+// ProgUnit is one value-dependent unit: the expression id a hit marks and
+// where in Program.More its tests beyond the first begin (-1: none).
+type ProgUnit struct {
+	ID   int32
+	More int32
 }
 
 // sizeBytes estimates the heap footprint of an entry under its interned
 // key; the constants are the struct sizes plus map/list bookkeeping.
 func sizeBytes(key string, e *Entry) int64 {
 	const overhead = 160 // entry struct, map bucket share, LRU links
-	return overhead + int64(len(key)) +
+	n := overhead + int64(len(key)) +
 		4*int64(len(e.Outcome)) +
-		8*int64(len(e.Plan)) +
+		4*int64(len(e.Plan)) +
 		12*int64(len(e.Rec.Bare)) +
 		20*int64(len(e.Rec.Residual))
+	if p := e.Prog; p != nil {
+		n += 96 + 24*int64(len(p.Tests)) + 4*int64(len(p.Start)) + 8*int64(len(p.Units)) + 4*int64(len(p.More))
+	}
+	return n
 }
 
 // node is one resident entry with its LRU links.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"predfilter/internal/predindex"
 )
@@ -202,20 +203,27 @@ func TestDefaultSize(t *testing.T) {
 }
 
 // TestPlanAndRecordingEntrySized: the byte bound must see everything an
-// entry retains — outcome, live plan and transcript.
+// entry retains — outcome, live plan and transcript, or the program.
 func TestPlanAndRecordingEntrySized(t *testing.T) {
 	e := &Entry{
 		Outcome: make([]int32, 2),
-		Plan:    make([]PlanUnit, 5),
+		Plan:    make([]int32, 5),
 		Rec: predindex.Recording{
 			Bare:     make([]predindex.BareHit, 3),
 			Residual: make([]predindex.ResidualHit, 1),
 		},
 	}
 	got := sizeBytes("k", e)
-	want := int64(160 + 1 + 4*2 + 8*5 + 12*3 + 20*1)
+	want := int64(160 + 1 + 4*2 + 4*5 + 12*3 + 20*1)
 	if got != want {
 		t.Fatalf("sizeBytes = %d, want %d", got, want)
+	}
+	if unsafe.Sizeof(ProgTest{}) != 24 || unsafe.Sizeof(ProgUnit{}) != 8 {
+		t.Fatalf("sizeBytes' constants are stale: ProgTest %d, ProgUnit %d bytes", unsafe.Sizeof(ProgTest{}), unsafe.Sizeof(ProgUnit{}))
+	}
+	p := &Entry{Prog: &Program{Tests: make([]ProgTest, 3), Start: make([]int32, 4), Units: make([]ProgUnit, 7), More: make([]int32, 2)}}
+	if got, want := sizeBytes("k", p), int64(160+1+96+24*3+4*4+8*7+4*2); got != want {
+		t.Fatalf("sizeBytes with a program = %d, want %d", got, want)
 	}
 }
 

@@ -147,12 +147,7 @@ func Encode(p *xpath.Path, mode AttrMode) (*Encoding, error) {
 		if len(attrs) == 0 {
 			return
 		}
-		// Registration is where each constant is classified, once: the
-		// match stages evaluate these copies, never the parsed path's.
-		own := make([]xpath.AttrFilter, len(attrs))
-		for i, f := range attrs {
-			own[i] = f.Classified()
-		}
+		own := append([]xpath.AttrFilter(nil), attrs...) // never the parsed path's
 		switch {
 		case mode == Inline && side == Left:
 			pred.Attrs1 = own

@@ -127,15 +127,13 @@ func (p Predicate) AttrKey() string {
 // HasAttrs reports whether the predicate carries inline attribute filters.
 func (p Predicate) HasAttrs() bool { return len(p.Attrs1) > 0 || len(p.Attrs2) > 0 }
 
-// EvalAttrs reports whether the tuple's attributes satisfy every filter
-// (see xpath.AttrFilter.Eval for the comparison semantics).
+// EvalAttrs reports whether the tuple's attributes satisfy every filter,
+// by xpath.AttrFilter.Eval on the strings: the reference the oracle
+// (refmatch) and the brute-force test oracles evaluate. The engine decides
+// filters through Dict.Holds.
 func EvalAttrs(filters []xpath.AttrFilter, t *xmldoc.Tuple) bool {
 	for _, f := range filters {
-		v, ok := t.Attr(f.Name)
-		if !ok {
-			return false
-		}
-		if !f.Eval(v) {
+		if v, ok := t.Attr(f.Name); !ok || !f.Eval(v) {
 			return false
 		}
 	}

@@ -72,7 +72,10 @@ func TestAttrKey(t *testing.T) {
 	}
 }
 
-func TestEvalAttrs(t *testing.T) {
+// TestHoldsExamples spells the comparison rules out on one tuple, for the
+// engine's evaluator (Dict.Holds) and for the oracle's (EvalAttrs) alike;
+// the exhaustive check of one against the other is FuzzValueResolve.
+func TestHoldsExamples(t *testing.T) {
 	tup := &xmldoc.Tuple{
 		Tag:   "a",
 		Attrs: []xmldoc.Attr{{Name: "n", Value: "10"}, {Name: "s", Value: "beta"}},
@@ -95,25 +98,33 @@ func TestEvalAttrs(t *testing.T) {
 		{xpath.AttrFilter{Name: "s", Op: xpath.AttrLT, Value: "alpha"}, false},
 		{xpath.AttrFilter{Name: "s", Op: xpath.AttrNE, Value: "beta"}, false},
 	}
+	d := NewDict()
+	var dv DocValues
+	var all []xpath.AttrFilter
 	for _, tc := range cases {
+		all = append(all, tc.f)
+	}
+	tests := d.Compile(all)
+	d.Rerank()
+	for i, tc := range cases {
+		if got := d.Holds(tests[i], tup, &dv); got != tc.want {
+			t.Errorf("Holds(%v) = %v, want %v", tc.f, got, tc.want)
+		}
 		if got := EvalAttrs([]xpath.AttrFilter{tc.f}, tup); got != tc.want {
 			t.Errorf("EvalAttrs(%v) = %v, want %v", tc.f, got, tc.want)
 		}
 	}
-	// Conjunction: all filters must hold.
-	both := []xpath.AttrFilter{
-		{Name: "n", Op: xpath.AttrGE, Value: "10"},
-		{Name: "s", Op: xpath.AttrEQ, Value: "beta"},
+	// Conjunction: all tests must hold; none hold trivially.
+	if !d.HoldsAll([]Test{tests[7], tests[9]}, tup, &dv) || d.HoldsAll([]Test{tests[7], tests[6]}, tup, &dv) || !d.HoldsAll(nil, nil, &dv) {
+		t.Error("HoldsAll is not the conjunction")
 	}
-	if !EvalAttrs(both, tup) {
-		t.Error("conjunction of satisfied filters failed")
+	if !EvalAttrs([]xpath.AttrFilter{all[7], all[9]}, tup) || EvalAttrs([]xpath.AttrFilter{all[7], all[6]}, tup) || !EvalAttrs(nil, tup) {
+		t.Error("EvalAttrs is not the conjunction")
 	}
-	both[1].Value = "gamma"
-	if EvalAttrs(both, tup) {
-		t.Error("conjunction with one failing filter passed")
-	}
-	if !EvalAttrs(nil, tup) {
-		t.Error("empty filter list must pass")
+	// A compared attribute that is missing fails the filter, whatever the operator.
+	gone := xpath.AttrFilter{Name: "missing", Op: xpath.AttrNE, Value: "1"}
+	if EvalAttrs([]xpath.AttrFilter{gone}, tup) || d.Holds(d.Compile([]xpath.AttrFilter{gone})[0], tup, &dv) {
+		t.Error("a filter on a missing attribute held")
 	}
 }
 

@@ -72,6 +72,7 @@ func TestLayoutMatchesMatchPathRandomized(t *testing.T) {
 			lay = ix.BuildLayout()
 		}
 		lay.Sync()
+		ix.Vals.Rerank()
 		if lay.Len() != ix.Len() {
 			t.Fatalf("layout Len %d, index Len %d", lay.Len(), ix.Len())
 		}

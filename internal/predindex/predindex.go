@@ -55,7 +55,15 @@ func (a *opArrays) sel(op predicate.Op) *cells {
 
 // Index is the predicate index. The zero value is not ready; use New.
 type Index struct {
-	preds  []predicate.Predicate
+	preds []predicate.Predicate
+	// tests[pid] are the predicate's attribute filters on its first and
+	// second tag, compiled against Vals, the value dictionary every filter
+	// registered with this index is interned in and decided through. Matching
+	// never ranks it: whoever inserts calls Vals.Rerank before the next
+	// match, with matching excluded (the matcher's catchUp).
+	tests [][2][]predicate.Test
+	Vals  *predicate.Dict
+
 	abs    map[string]*opArrays            // absolute: tag → arrays
 	rel    map[string]map[string]*opArrays // relative: tag1 → tag2 → arrays
 	eop    map[string]*cells               // end-of-path: tag → GE array
@@ -65,9 +73,10 @@ type Index struct {
 // New returns an empty predicate index.
 func New() *Index {
 	return &Index{
-		abs: make(map[string]*opArrays),
-		rel: make(map[string]map[string]*opArrays),
-		eop: make(map[string]*cells),
+		Vals: predicate.NewDict(),
+		abs:  make(map[string]*opArrays),
+		rel:  make(map[string]map[string]*opArrays),
+		eop:  make(map[string]*cells),
 	}
 }
 
@@ -120,6 +129,7 @@ func (ix *Index) Lookup(p predicate.Predicate) PID {
 func (ix *Index) add(p predicate.Predicate) PID {
 	pid := PID(len(ix.preds))
 	ix.preds = append(ix.preds, p)
+	ix.tests = append(ix.tests, [2][]predicate.Test{ix.Vals.Compile(p.Attrs1), ix.Vals.Compile(p.Attrs2)})
 	return pid
 }
 
@@ -158,12 +168,15 @@ func (ix *Index) cellFor(p predicate.Predicate) *cell {
 
 // Results accumulates per-predicate occurrence-pair matching results for
 // one publication. It is reusable across publications via Reset (epoch
-// stamping avoids clearing the whole arrays each time).
+// stamping avoids clearing the whole arrays each time). Vals outlives a
+// publication: it memoises the document's resolved attribute values, and
+// whoever matches a second document with the same Results resets it first.
 type Results struct {
 	pairs   [][]occur.Pair
 	stamp   []uint64
 	cur     uint64
 	touched []PID
+	Vals    predicate.DocValues
 }
 
 // NewResults returns a result accumulator sized for the index's current
@@ -318,24 +331,37 @@ func (ix *Index) MatchPathRecord(pub *xmldoc.Publication, res *Results, rec *Rec
 // been Reset for this publication), re-evaluating the attribute-dependent
 // hits against pub's live tuples. pub must be structurally identical (tag
 // sequence, positions and occurrence numbers) to the publication the
-// recording was made from, and the index must not have gained predicates
-// since; the per-predicate occurrence-pair sequences then equal a fresh
-// MatchPath run exactly. Replay performs no allocations beyond res's
-// amortized growth.
+// recording was made from; the per-predicate occurrence-pair sequences of
+// the recorded predicates then equal a fresh MatchPath run exactly. Replay
+// performs no allocations beyond res's amortized growth.
 func (ix *Index) Replay(rec *Recording, pub *xmldoc.Publication, res *Results) {
 	for _, h := range rec.Bare {
 		res.Add(h.PID, h.A, h.B)
 	}
 	for _, h := range rec.Residual {
-		p := &ix.preds[h.PID]
-		if h.T1 >= 0 && !predicate.EvalAttrs(p.Attrs1, &pub.Tuples[h.T1]) {
-			continue
+		var t1, t2 *xmldoc.Tuple
+		if h.T1 >= 0 {
+			t1 = &pub.Tuples[h.T1]
 		}
-		if h.T2 >= 0 && !predicate.EvalAttrs(p.Attrs2, &pub.Tuples[h.T2]) {
-			continue
+		if h.T2 >= 0 {
+			t2 = &pub.Tuples[h.T2]
 		}
-		res.Add(h.PID, h.A, h.B)
+		if ix.holds(h.PID, t1, t2, res) {
+			res.Add(h.PID, h.A, h.B)
+		}
 	}
+}
+
+// Tests returns the compiled attribute filters of pid on its first and
+// second tag (both nil for a bare predicate).
+func (ix *Index) Tests(pid PID) [2][]predicate.Test { return ix.tests[pid] }
+
+// holds reports whether the tuples standing for pid's tags (nil where the
+// predicate has no such tag, and so no filters on it) satisfy its attribute
+// filters.
+func (ix *Index) holds(pid PID, t1, t2 *xmldoc.Tuple, res *Results) bool {
+	ts := &ix.tests[pid]
+	return ix.Vals.HoldsAll(ts[0], t1, &res.Vals) && ix.Vals.HoldsAll(ts[1], t2, &res.Vals)
 }
 
 func (ix *Index) matchPath(pub *xmldoc.Publication, res *Results, rec *Recording) {
@@ -428,13 +454,8 @@ func (ix *Index) emit(c *cell, t1, t2 *xmldoc.Tuple, a, b int32, res *Results, r
 			}
 			rec.Residual = append(rec.Residual, ResidualHit{PID: pid, T1: i1, T2: i2, A: a, B: b})
 		}
-		p := &ix.preds[pid]
-		if t1 != nil && !predicate.EvalAttrs(p.Attrs1, t1) {
-			continue
+		if ix.holds(pid, t1, t2, res) {
+			res.Add(pid, a, b)
 		}
-		if t2 != nil && !predicate.EvalAttrs(p.Attrs2, t2) {
-			continue
-		}
-		res.Add(pid, a, b)
 	}
 }

@@ -281,3 +281,43 @@ func TestResultsGrowth(t *testing.T) {
 		t.Error("grown accumulator lost results for new pid")
 	}
 }
+
+// TestValueRanksFollowInsert: after the inserter's Vals.Rerank, ordered
+// filters registered around existing ones — below, between, above — are all
+// decided correctly, old ones included.
+func TestValueRanksFollowInsert(t *testing.T) {
+	ix := New()
+	pids := make(map[string]PID)
+	insert := func(xpes ...string) {
+		for _, s := range xpes {
+			for _, p := range predicate.MustEncode(xpath.MustParse(s), predicate.Inline).Preds {
+				pids[s] = ix.Insert(p)
+			}
+		}
+		ix.Vals.Rerank()
+	}
+	doc, err := xmldoc.Parse([]byte(`<a x="15"/>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := ix.NewResults()
+	check := func(want map[string]bool) {
+		t.Helper()
+		res.Vals.Reset()
+		res.Reset(ix.Len())
+		ix.MatchPath(&doc.Paths[0], res)
+		for s, w := range want {
+			if got := res.Matched(pids[s]); got != w {
+				t.Errorf("%s: matched %v, want %v", s, got, w)
+			}
+		}
+	}
+	insert("/a[@x<20]", "/a[@x>=10]", "/a[@x<9]")
+	want := map[string]bool{"/a[@x<20]": true, "/a[@x>=10]": true, "/a[@x<9]": false}
+	check(want)
+	insert("/a[@x>2]", "/a[@x<=15.0]", "/a[@x>15]", "/a[@x<100]", "/a[@x!=k]")
+	for s, w := range map[string]bool{"/a[@x>2]": true, "/a[@x<=15.0]": true, "/a[@x>15]": false, "/a[@x<100]": true, "/a[@x!=k]": true} {
+		want[s] = w
+	}
+	check(want)
+}

@@ -41,6 +41,7 @@ func TestReplayReproducesMatchPath(t *testing.T) {
 			ix.Insert(p)
 		}
 	}
+	ix.Vals.Rerank()
 
 	docs := []*xmldoc.Document{
 		xmldoc.FromPaths([]string{"a", "b", "c", "a", "b", "c"}),
@@ -96,6 +97,7 @@ func TestReplayReVerifiesAttributesOnLivePath(t *testing.T) {
 	for _, p := range enc.Preds {
 		pids = append(pids, ix.Insert(p))
 	}
+	ix.Vals.Rerank()
 
 	matching, _ := xmldoc.Parse([]byte(`<a><b x="1"/></a>`))
 	nonMatching, _ := xmldoc.Parse([]byte(`<a><b x="2"/></a>`))
@@ -170,6 +172,7 @@ func TestReplayRandomized(t *testing.T) {
 				ix.Insert(pr)
 			}
 		}
+		ix.Vals.Rerank()
 		var xb []byte
 		depth := 1 + rng.Intn(5)
 		open := make([]string, 0, depth)
@@ -234,6 +237,7 @@ func TestKeepPrunesReplayToKeptPredicates(t *testing.T) {
 			ix.Insert(p)
 		}
 	}
+	ix.Vals.Rerank()
 	recorded, err := xmldoc.Parse([]byte(`<a y="z"><b x="1"><c x="1"/></b></a>`))
 	if err != nil {
 		t.Fatal(err)

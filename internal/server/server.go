@@ -632,13 +632,26 @@ func (s *Server) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// readDocument reads a publish body: into one slice of the declared length
+// when the request declares one within the bound, else (a chunked body, or
+// one declaring too much) growing up to one byte past the bound, which the
+// caller turns into 413. A body shorter than it declared is an error.
+func (s *Server) readDocument(r *http.Request) ([]byte, error) {
+	if n := r.ContentLength; n >= 0 && n <= s.cfg.MaxDocumentBytes {
+		doc := make([]byte, n)
+		_, err := io.ReadFull(r.Body, doc)
+		return doc, err
+	}
+	return io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxDocumentBytes+1))
+}
+
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	release, ok := s.admit(w, r)
 	if !ok {
 		return
 	}
 	defer release()
-	doc, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxDocumentBytes+1))
+	doc, err := s.readDocument(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "read body: %v", err)
 		return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -223,6 +224,18 @@ func TestBadRequests(t *testing.T) {
 			resp, _ := http.Post(ts.URL+"/publish", "application/xml", strings.NewReader("<a>"+strings.Repeat("x", 100)+"</a>"))
 			return resp
 		}, http.StatusRequestEntityTooLarge},
+		{"too-large-chunked", func() *http.Response {
+			resp, _ := http.Post(ts.URL+"/publish", "application/xml", io.MultiReader(strings.NewReader("<a>"+strings.Repeat("x", 100)+"</a>")))
+			return resp
+		}, http.StatusRequestEntityTooLarge},
+		{"chunked", func() *http.Response { // no declared length: the growing read
+			resp, _ := http.Post(ts.URL+"/publish", "application/xml", io.MultiReader(strings.NewReader("<a><b/></a>")))
+			return resp
+		}, http.StatusOK},
+		{"declared-length", func() *http.Response { // the exact-size read
+			resp, _ := http.Post(ts.URL+"/publish", "application/xml", strings.NewReader("<a><b/></a>"))
+			return resp
+		}, http.StatusOK},
 		{"unknown-subscription", func() *http.Response {
 			resp, _ := http.Get(ts.URL + "/deliveries/999")
 			return resp
@@ -245,6 +258,18 @@ func TestBadRequests(t *testing.T) {
 				t.Errorf("status = %d, want %d", resp.StatusCode, tc.want)
 			}
 		})
+	}
+}
+
+// TestPublishShortBody: a body that ends before its declared length is a
+// bad request, not a document.
+func TestPublishShortBody(t *testing.T) {
+	req := httptest.NewRequest(http.MethodPost, "/publish", strings.NewReader("<a><b/>"))
+	req.ContentLength = 11 // what <a><b/></a> would have declared
+	rec := httptest.NewRecorder()
+	New(Config{}).ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "read body") {
+		t.Fatalf("short body: status %d %s, want 400 read body", rec.Code, rec.Body)
 	}
 }
 

@@ -62,17 +62,11 @@ func (o AttrOp) String() string { return attrOpNames[o] }
 
 // AttrFilter is an attribute-based filter attached to a location step,
 // e.g. [@x = 3]. Value is kept as written; numeric comparison is applied
-// when both sides parse as numbers (see Eval in package matcher).
+// when both sides parse as numbers (see Eval).
 type AttrFilter struct {
 	Name  string
 	Op    AttrOp
 	Value string
-
-	// kind and num cache whether Value parses as a number (see Classified).
-	// num holds the float's bits, not the float, so == between filters —
-	// which expression dedup relies on — stays reflexive for "NaN".
-	kind numKind
-	num  uint64
 }
 
 // String returns the filter in canonical form, e.g. `[@x = "3"]` is

@@ -194,3 +194,31 @@ func attachFilters(expr string, steps []stepInfo, n int, rng *rand.Rand) string 
 	}
 	return expr
 }
+
+// VaryFilters rewrites the equality filters Generate attaches into the
+// whole filter language, for tests that want more than Diao's generator
+// draws: each [@a=v] keeps its attribute and gets a random operator (all
+// six, or none: the existence test), and one constant in four becomes a
+// value no schema-valid document carries ("v5": 3.05 for 3.0, news5 for
+// news), so document values fall between, below and above the constants.
+func VaryFilters(rng *rand.Rand, expr string) string {
+	ops := []string{"", "=", "!=", "<", "<=", ">", ">="}
+	var b strings.Builder
+	for {
+		i := strings.Index(expr, "[@")
+		if i < 0 {
+			return b.String() + expr
+		}
+		j := i + strings.IndexByte(expr[i:], ']')
+		name, val, _ := strings.Cut(expr[i+2:j], "=")
+		b.WriteString(expr[:i+2] + name)
+		if op := ops[rng.Intn(len(ops))]; op != "" {
+			if rng.Intn(4) == 0 {
+				val += "5"
+			}
+			b.WriteString(op + val)
+		}
+		b.WriteByte(']')
+		expr = expr[j+1:]
+	}
+}
