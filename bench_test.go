@@ -294,43 +294,6 @@ func BenchmarkAblationPathDedup(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCovering compares the paper's prefix covering against
-// the containment-covering extension (suffix/infix marking), and the
-// paper's first-predicate clustering against rarest-predicate clustering,
-// on the high-match PSD workload where covering pays.
-func BenchmarkAblationCovering(b *testing.B) {
-	w := benchWorkload(b, dtd.PSD(), 10000, nil)
-	cfgs := []struct {
-		name string
-		opts matcher.Options
-	}{
-		{"prefix-cover", matcher.Options{Variant: matcher.PrefixCoverAP}},
-		{"containment-cover", matcher.Options{Variant: matcher.PrefixCoverAP, CoverMode: matcher.Containment}},
-		{"first-pred-cluster", matcher.Options{Variant: matcher.PrefixCoverAP}},
-		{"rarest-pred-cluster", matcher.Options{Variant: matcher.PrefixCoverAP, ClusterBy: matcher.RarestPredicate}},
-		{"all-extensions", matcher.Options{Variant: matcher.PrefixCoverAP, CoverMode: matcher.Containment, ClusterBy: matcher.RarestPredicate}},
-	}
-	docs, err := w.ParseDocs()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range cfgs {
-		b.Run(c.name, func(b *testing.B) {
-			m := matcher.New(c.opts)
-			for _, s := range w.XPEs {
-				if _, err := m.Add(s); err != nil {
-					b.Fatal(err)
-				}
-			}
-			m.MatchDocument(docs[0])
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.MatchDocument(docs[i%len(docs)])
-			}
-		})
-	}
-}
-
 // BenchmarkAblationRegistration measures expression registration:
 // duplicate-heavy registration exercises the dedup fast path (predicate
 // and expression sharing), distinct registration the slow path.

@@ -69,7 +69,7 @@ func filterOf(xpe string) string {
 // each time because a maintained one shares the append-only history of
 // the engines under test and would share a stale entry's mistake. The
 // subtests cross both attribute modes, the three organizations,
-// containment covering and the presence of nested-path expressions (which
+// path dedup on and off and the presence of nested-path expressions (which
 // keep transcripts unpruned and flush instead of evicting); two thirds of
 // the expressions carry one or two attribute filters, over all six
 // operators and the existence test, numeric and lexicographic constants,
@@ -85,12 +85,12 @@ func TestCacheEquivalenceRandomized(t *testing.T) {
 	for trial := 0; trial < 24; trial++ {
 		schema := schemas[trial%2]
 		base := predfilter.Config{
-			Organization:        orgs[trial%3],
-			AttributeMode:       predfilter.AttributeMode(trial / 3 % 2),
-			ContainmentCovering: trial/6%2 == 1,
+			Organization:     orgs[trial%3],
+			AttributeMode:    predfilter.AttributeMode(trial / 3 % 2),
+			DisablePathDedup: trial/6%2 == 1,
 		}
 		nested := trial/12 == 1
-		t.Run(fmt.Sprintf("%s/org%d-attr%d-cc%v-nested%v", schema.Name(), base.Organization, base.AttributeMode, base.ContainmentCovering, nested), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s/org%d-attr%d-nodedup%v-nested%v", schema.Name(), base.Organization, base.AttributeMode, base.DisablePathDedup, nested), func(t *testing.T) {
 			seed := int64(1000*trial + 17)
 			rng := rand.New(rand.NewSource(seed))
 			docs := workload.Documents(schema, 6, workload.DocumentConfig{MaxLevels: 6, Seed: seed})

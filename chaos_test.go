@@ -314,24 +314,3 @@ func TestChaosMatchCountsHealthy(t *testing.T) {
 		}
 	}
 }
-
-func TestChaosMatchParsedParallelContextGoverned(t *testing.T) {
-	doc, expr := workload.OccurrenceBomb(42, 48)
-	eng := predfilter.New(predfilter.Config{Limits: predfilter.Limits{MatchDeadline: 100 * time.Millisecond}})
-	if _, err := eng.Add(expr); err != nil {
-		t.Fatal(err)
-	}
-	d, err := predfilter.ParseDocument(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0 := time.Now()
-	sids, err := eng.MatchParsedParallelContext(context.Background(), d, 4)
-	if took := time.Since(t0); took > 5*time.Second {
-		t.Fatalf("parallel deadline stop took %v, want ~100ms", took)
-	}
-	if sids != nil {
-		t.Fatalf("partial result %v alongside error", sids)
-	}
-	wantLimitErr(t, err, predfilter.LimitDeadline)
-}

@@ -8,14 +8,7 @@
 //	xfbench -exp fig6a                # one experiment at the default scale
 //	xfbench -exp all -scale smoke     # everything, fast sanity pass
 //	xfbench -exp fig7 -scale full     # paper scale (millions of XPEs)
-//	xfbench -exp pipeline -workers 1,2,4   # streaming throughput → BENCH_pipeline.json
-//	xfbench -exp cache -cache-kb 256,4096  # path-signature cache sweep → BENCH_cache.json
-//	xfbench -exp pipeline -metrics         # + per-stage p50/p95/p99 in the JSON report
-//	xfbench -exp guard                     # bombs vs resource limits → BENCH_guard.json
-//	xfbench -exp parse                     # scanner vs encoding/xml parse throughput → BENCH_parse.json
-//	xfbench -exp cluster -cluster-shards 1,2,4,8  # scatter/gather vs shard count → BENCH_cluster.json
-//	xfbench -exp columnar -col-batches 1,8,32,64  # bitset batch matcher vs scalar → BENCH_columnar.json
-//	xfbench -exp chaos                     # cluster fault injection: partition/flap/slow → BENCH_chaos.json
+//	xfbench -exp chaos                # cluster fault injection: partition/flap/slow → BENCH_chaos.json
 //	xfbench -list                     # list experiment ids
 //	xfbench -stats                    # print workload statistics
 package main
@@ -27,8 +20,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"predfilter/internal/bench"
@@ -38,18 +29,13 @@ import (
 
 func main() {
 	var (
-		expID       = flag.String("exp", "all", "experiment id (see -list) or 'all'")
-		scale       = flag.String("scale", "default", "scale: smoke, default or full")
-		workers     = flag.String("workers", "1,2,4", "comma-separated worker counts for -exp pipeline")
-		cacheKB     = flag.String("cache-kb", "", "comma-separated cache bounds in KiB for -exp cache (default 256,1024,4096,16384)")
-		shardCounts = flag.String("cluster-shards", "1,2,4,8", "comma-separated shard counts for -exp cluster")
-		colBatches  = flag.String("col-batches", "", "comma-separated dispatch-group bounds for -exp columnar (default 1,8,32,64)")
-		withMet     = flag.Bool("metrics", false, "append per-stage latency digests (count, p50/p95/p99) to the pipeline and cache JSON reports")
-		jsonOut     = flag.String("json", "", "write results as JSON to this file (pipeline default: BENCH_pipeline.json)")
-		list        = flag.Bool("list", false, "list experiments and exit")
-		stats       = flag.Bool("stats", false, "print workload statistics and exit")
-		verbose     = flag.Bool("v", true, "print per-point progress")
-		validate    = flag.String("validate-metrics", "", "fetch this /metrics URL, validate it against the strict Prometheus 0.0.4 checker, and exit (CI smoke)")
+		expID    = flag.String("exp", "all", "experiment id (see -list) or 'all'")
+		scale    = flag.String("scale", "default", "scale: smoke, default or full")
+		jsonOut  = flag.String("json", "", "write results as JSON to this file (chaos default: BENCH_chaos.json)")
+		list     = flag.Bool("list", false, "list experiments and exit")
+		stats    = flag.Bool("stats", false, "print workload statistics and exit")
+		verbose  = flag.Bool("v", true, "print per-point progress")
+		validate = flag.String("validate-metrics", "", "fetch this /metrics URL, validate it against the strict Prometheus 0.0.4 checker, and exit (CI smoke)")
 	)
 	flag.Parse()
 
@@ -83,125 +69,6 @@ func main() {
 		progress = nil
 	}
 
-	// The pipeline experiment has its own report shape (docs/sec and
-	// allocs/doc rather than a timing series), so -exp pipeline takes the
-	// dedicated path and writes the JSON report.
-	if *expID == "pipeline" {
-		ws, err := parseWorkers(*workers)
-		if err != nil {
-			fatal(err)
-		}
-		out := *jsonOut
-		if out == "" {
-			out = "BENCH_pipeline.json"
-		}
-		fmt.Printf("== streaming pipeline throughput [scale %s, workers %v]\n", s.Name, ws)
-		rep, err := bench.RunPipeline(s, ws, progress, *withMet)
-		if err != nil {
-			fatal(err)
-		}
-		if err := writeJSON(out, rep); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("-- wrote %s\n", out)
-		return
-	}
-
-	// Likewise -exp cache: its report (docs/sec cache-off vs cache-on over
-	// size bounds, with hit/miss/eviction counters) goes to BENCH_cache.json.
-	if *expID == "cache" {
-		sizes := bench.DefaultCacheSizesKB()
-		if *cacheKB != "" {
-			var err error
-			if sizes, err = parseWorkers(*cacheKB); err != nil {
-				fatal(fmt.Errorf("bad -cache-kb: %w", err))
-			}
-		}
-		out := *jsonOut
-		if out == "" {
-			out = "BENCH_cache.json"
-		}
-		fmt.Printf("== path-signature cache throughput [scale %s, sizes %v KiB]\n", s.Name, sizes)
-		rep, err := bench.RunCache(s, sizes, progress, *withMet)
-		if err != nil {
-			fatal(err)
-		}
-		if err := writeJSON(out, rep); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("-- wrote %s\n", out)
-		return
-	}
-
-	// -exp columnar: the columnar batch matcher against the scalar loop
-	// over dispatch-group bounds and expression counts, cache off →
-	// BENCH_columnar.json.
-	if *expID == "columnar" {
-		bs := bench.DefaultColumnarBatches()
-		if *colBatches != "" {
-			var err error
-			if bs, err = parseWorkers(*colBatches); err != nil {
-				fatal(fmt.Errorf("bad -col-batches: %w", err))
-			}
-		}
-		out := *jsonOut
-		if out == "" {
-			out = "BENCH_columnar.json"
-		}
-		fmt.Printf("== columnar batch matcher throughput [scale %s, batches %v]\n", s.Name, bs)
-		rep, err := bench.RunColumnar(s, bs, progress)
-		if err != nil {
-			fatal(err)
-		}
-		if err := writeJSON(out, rep); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("-- wrote %s\n", out)
-		return
-	}
-
-	// -exp parse: parser throughput, the zero-copy scanner against
-	// encoding/xml on the same corpora → BENCH_parse.json.
-	if *expID == "parse" {
-		out := *jsonOut
-		if out == "" {
-			out = "BENCH_parse.json"
-		}
-		fmt.Printf("== document parser throughput [scale %s]\n", s.Name)
-		rep, err := bench.RunParse(s, progress)
-		if err != nil {
-			fatal(err)
-		}
-		if err := writeJSON(out, rep); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("-- wrote %s\n", out)
-		return
-	}
-
-	// -exp cluster: scatter/gather publish throughput against the shard
-	// count, all shards in-process over loopback → BENCH_cluster.json.
-	if *expID == "cluster" {
-		counts, err := parseWorkers(*shardCounts)
-		if err != nil {
-			fatal(fmt.Errorf("bad -cluster-shards: %w", err))
-		}
-		out := *jsonOut
-		if out == "" {
-			out = "BENCH_cluster.json"
-		}
-		fmt.Printf("== cluster scatter/gather throughput [scale %s, shards %v]\n", s.Name, counts)
-		rep, err := bench.RunCluster(s, counts, progress)
-		if err != nil {
-			fatal(err)
-		}
-		if err := writeJSON(out, rep); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("-- wrote %s\n", out)
-		return
-	}
-
 	// -exp chaos: cluster fault behavior through the deterministic
 	// fault-injection proxy — partition, flap, and slow-link scenarios
 	// with breaker activity and recovery times → BENCH_chaos.json.
@@ -216,26 +83,6 @@ func main() {
 			fatal(err)
 		}
 		if err := writeJSON(out, rep); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("-- wrote %s\n", out)
-		return
-	}
-
-	// -exp guard: resource governance under pathological documents. Each
-	// bomb runs against its guarding limit; the report records which limit
-	// tripped and the time-to-trip → BENCH_guard.json.
-	if *expID == "guard" {
-		out := *jsonOut
-		if out == "" {
-			out = "BENCH_guard.json"
-		}
-		fmt.Println("== resource governance: bombs vs limits")
-		points, err := runGuard(*verbose)
-		if err != nil {
-			fatal(err)
-		}
-		if err := writeJSON(out, points); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("-- wrote %s\n", out)
@@ -271,18 +118,6 @@ func main() {
 		}
 		fmt.Printf("-- wrote %s\n", *jsonOut)
 	}
-}
-
-func parseWorkers(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -workers element %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 func writeJSON(name string, v any) error {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
 	"sort"
 	"strings"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"predfilter/internal/cluster"
 	"predfilter/internal/dtd"
 	"predfilter/internal/faultnet"
+	"predfilter/internal/server"
 )
 
 // ChaosScenario is one fault pattern measured end to end: publish
@@ -272,8 +275,45 @@ func runChaosScenario(w *Workload, name string) (ChaosScenario, error) {
 	return sc, nil
 }
 
+// shardProc is one in-process shard behind a real loopback listener.
+type shardProc struct {
+	hs   *http.Server
+	addr string
+}
+
+func startShard() (*shardProc, error) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	hs := &http.Server{Handler: server.New(server.Config{})}
+	go func() { _ = hs.Serve(l) }()
+	return &shardProc{hs: hs, addr: "http://" + l.Addr().String()}, nil
+}
+
+func (p *shardProc) stop() {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	_ = p.hs.Shutdown(ctx)
+}
+
 func latQuantilesMs(lats []time.Duration) (p50, p99 float64) {
 	sorted := append([]time.Duration(nil), lats...)
 	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
 	return float64(percentileDur(sorted, 0.50)) / 1e6, float64(percentileDur(sorted, 0.99)) / 1e6
+}
+
+// percentileDur returns the p-quantile of sorted durations (nearest-rank).
+func percentileDur(sorted []time.Duration, p float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(p*float64(len(sorted))+0.5) - 1
+	if i < 0 {
+		i = 0
+	}
+	if i >= len(sorted) {
+		i = len(sorted) - 1
+	}
+	return sorted[i]
 }

@@ -94,9 +94,6 @@ var Experiments = []Experiment{
 	{ID: "parse", Title: "§6.5: document parsing time is negligible (paper: 314/355 µs)", Run: runParse},
 	{ID: "sharing", Title: "Extension: what sharing buys — per-expression FSMs (XFilter) vs shared NFA (YFilter) vs shared predicates", Run: runSharing},
 	{ID: "space", Title: "Extension: the whole solution space — predicate engine vs YFilter, XTrie, Index-Filter and XFilter", Run: runSpace},
-	{ID: "pipeline", Title: "Extension: streaming pipeline throughput — sequential Match vs MatchBatch worker pool", Run: runPipeline},
-	{ID: "cache", Title: "Extension: structural path-signature cache — match throughput cache-off vs cache-on across size bounds", Run: runCache},
-	{ID: "columnar", Title: "Extension: columnar batch matcher — bitset-parallel expression matching vs the scalar loop, cache off", Run: runColumnar},
 }
 
 // ExperimentByID resolves an experiment.

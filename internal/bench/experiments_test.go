@@ -2,30 +2,63 @@ package bench
 
 import (
 	"io"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
 
-// TestExperimentRegistry checks ids resolve and are unique.
+// TestExperimentRegistry pins the registry to exactly the ids
+// EXPERIMENTS.md cites, in paper order: the figures and tables of §6 and
+// the two related-work extensions. System benchmarks live in benchmark/,
+// so -exp all runs the paper and nothing else.
 func TestExperimentRegistry(t *testing.T) {
-	seen := map[string]bool{}
+	want := []string{
+		"table1", "fig6a", "fig6b", "fig7", "fig7nitf", "fig8w", "fig8do",
+		"fig9a", "fig9b", "fig10", "parse", "sharing", "space",
+	}
+	var ids []string
 	for _, e := range Experiments {
-		if seen[e.ID] {
-			t.Errorf("duplicate experiment id %q", e.ID)
-		}
-		seen[e.ID] = true
+		ids = append(ids, e.ID)
 		got, err := ExperimentByID(e.ID)
 		if err != nil || got.ID != e.ID {
 			t.Errorf("ExperimentByID(%q) = %v, %v", e.ID, got.ID, err)
 		}
 	}
+	if !reflect.DeepEqual(ids, want) {
+		t.Errorf("registry ids = %v, want %v", ids, want)
+	}
 	if _, err := ExperimentByID("nope"); err == nil {
 		t.Error("ExperimentByID accepted an unknown id")
 	}
-	// Every figure and table of §6 must be covered.
-	for _, id := range []string{"table1", "fig6a", "fig6b", "fig7", "fig8w", "fig8do", "fig9a", "fig9b", "fig10", "parse"} {
-		if !seen[id] {
-			t.Errorf("experiment %q missing from the registry", id)
+}
+
+// TestDocsCiteLiveExperiments keeps the documentation from drifting off
+// the tree: every `xfbench -exp <id>` it shows must be a registered
+// experiment (or chaos, or all), and every BENCH_*.json it names must be a
+// committed file.
+func TestDocsCiteLiveExperiments(t *testing.T) {
+	expRe := regexp.MustCompile(`xfbench -exp ([a-z0-9]+)`)
+	snapRe := regexp.MustCompile(`BENCH_[a-z0-9]+\.json`)
+	root := filepath.Join("..", "..")
+	for _, name := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "cmd/xfbench/main.go"} {
+		data, err := os.ReadFile(filepath.Join(root, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range expRe.FindAllStringSubmatch(string(data), -1) {
+			if id := m[1]; id != "all" && id != "chaos" {
+				if _, err := ExperimentByID(id); err != nil {
+					t.Errorf("%s cites xfbench -exp %s: %v", name, id, err)
+				}
+			}
+		}
+		for _, snap := range snapRe.FindAllString(string(data), -1) {
+			if _, err := os.Stat(filepath.Join(root, snap)); err != nil {
+				t.Errorf("%s cites %s: %v", name, snap, err)
+			}
 		}
 	}
 }

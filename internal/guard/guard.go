@@ -148,9 +148,8 @@ func (l Limits) bounded() bool { return l.MaxSteps > 0 || l.MatchDeadline > 0 }
 const checkMask = 1<<12 - 1
 
 // Budget is the per-document match accounting threaded through the
-// matching pipeline. It is single-goroutine state (parallel matchers give
-// each shard its own budget via Fork); a nil *Budget means unlimited and
-// is accepted by the pipeline everywhere.
+// matching pipeline. It is single-goroutine state; a nil *Budget means
+// unlimited and is accepted by the pipeline everywhere.
 type Budget struct {
 	ctx      context.Context
 	maxSteps int64
@@ -184,11 +183,10 @@ func NewBudget(ctx context.Context, lim Limits) *Budget {
 }
 
 // Fork returns a fresh budget with the same limits and context, for a
-// parallel shard or a second pass over the same document: steps reset
-// (each fork may spend the full step budget; across parallel shards the
-// aggregate bound is workers × MaxSteps), while the wall-clock anchor and
-// deadline carry over unchanged — the whole document still has to finish
-// within the original MatchDeadline. Fork of a nil budget is nil.
+// second pass over the same document (the trace explanation pass): steps
+// reset, so the fork may spend the full step budget, while the wall-clock
+// anchor and deadline carry over unchanged — the whole document still has
+// to finish within the original MatchDeadline. Fork of a nil budget is nil.
 func (b *Budget) Fork() *Budget {
 	if b == nil {
 		return nil

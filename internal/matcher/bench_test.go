@@ -150,56 +150,3 @@ func BenchmarkAttrModes(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkMatchParallel measures intra-document path sharding against the
-// sequential matcher on a wide document (hundreds of root-to-leaf paths).
-// Worker counts above GOMAXPROCS cannot speed anything up; the benchmark
-// reports what sharding costs or buys on the current host.
-func BenchmarkMatchParallel(b *testing.B) {
-	xpes, _ := microWorkload(20000)
-	rng := rand.New(rand.NewSource(17))
-	tags := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	var sb strings.Builder
-	var build func(depth int)
-	build = func(depth int) {
-		tag := tags[rng.Intn(len(tags))]
-		sb.WriteString("<" + tag + ">")
-		if depth < 6 {
-			for k := 1 + rng.Intn(3); k > 0; k-- {
-				build(depth + 1)
-			}
-		}
-		sb.WriteString("</" + tag + ">")
-	}
-	sb.WriteString("<a>")
-	for k := 0; k < 40; k++ {
-		build(2)
-	}
-	sb.WriteString("</a>")
-	doc, err := xmldoc.Parse([]byte(sb.String()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := New(Options{Variant: PrefixCoverAP})
-	for _, s := range xpes {
-		if _, err := m.Add(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-	m.MatchDocument(doc)
-	b.Logf("document paths: %d", len(doc.Paths))
-	b.Run("sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m.MatchDocument(doc)
-		}
-	})
-	for _, workers := range []int{2, 4} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m.MatchDocumentParallel(doc, workers)
-			}
-		})
-	}
-}

@@ -180,30 +180,6 @@ func TestMatchDocumentBudgetScratchReuseAfterAbort(t *testing.T) {
 	}
 }
 
-func TestMatchDocumentParallelBudget(t *testing.T) {
-	m := New(Options{Variant: PrefixCoverAP})
-	mustAdd(t, m, strings.Repeat("//a", 20))
-	doc := chainDoc(t, 18)
-	_, err := m.MatchDocumentParallelBudget(doc, 4, stepBudget(1000))
-	var le *guard.LimitError
-	if !errors.As(err, &le) || le.Kind != guard.Steps {
-		t.Fatalf("parallel err = %v, want Steps *LimitError", err)
-	}
-
-	// Nil budget: parallel equals sequential.
-	m2 := New(Options{Variant: PrefixCoverAP})
-	mustAdd(t, m2, "//a//a", "/a/a")
-	small := chainDoc(t, 6)
-	seq := matchSet(m2, small)
-	par, err := m2.MatchDocumentParallelBudget(small, 4, nil)
-	if err != nil {
-		t.Fatalf("parallel nil budget: %v", err)
-	}
-	if len(par) != len(seq) {
-		t.Fatalf("parallel %v != sequential %v", par, seq)
-	}
-}
-
 func TestMatchDocumentBudgetCanceledContext(t *testing.T) {
 	m := New(Options{Variant: PrefixCoverAP})
 	mustAdd(t, m, "//a")

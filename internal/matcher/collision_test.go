@@ -98,21 +98,6 @@ func TestCollisionPostponedGroups(t *testing.T) {
 	}
 }
 
-// TestCollisionContainmentCovers forces collisions in the containment
-// cover scan: subchain buckets contain unrelated expressions that must be
-// rejected by the full compare.
-func TestCollisionContainmentCovers(t *testing.T) {
-	forceCollisions(t)
-	doc := xmldoc.FromPaths([]string{"a", "b", "c", "d"})
-	m := New(Options{Variant: PrefixCover, CoverMode: Containment})
-	sids := mustAdd(t, m, "/a/b/c/d", "b/c", "/x/y")
-	got := matchSet(m, doc)
-	want := map[SID]bool{sids[0]: true, sids[1]: true}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-}
-
 // TestCollisionNestedDedup: two distinct nested expressions and one
 // duplicate under a constant nested key.
 func TestCollisionNestedDedup(t *testing.T) {

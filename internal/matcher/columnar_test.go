@@ -78,13 +78,10 @@ func TestColumnarEquivalenceRandomized(t *testing.T) {
 		for i := range docs {
 			docs[i] = randDoc(rng, true)
 		}
-		for vi, v := range allVariants {
+		for _, v := range allVariants {
 			for mode := 0; mode < 2; mode++ {
 				for _, cacheBytes := range []int64{-1, 1 << 9, 1 << 20} {
 					opts := Options{Variant: v, AttrMode: predAttrMode(mode), PathCacheBytes: cacheBytes}
-					if (round+vi+mode)%2 == 1 {
-						opts.CoverMode = Containment
-					}
 					name := fmt.Sprintf("round %d %+v", round, opts)
 					m := New(opts)
 					opts.PathCacheBytes = -1
@@ -156,8 +153,8 @@ func TestColumnarEquivalenceRandomized(t *testing.T) {
 // in attribute values, so the second rides entries the first recorded. A
 // plan built from a document that *fails* a filter must still hold the
 // unit for a later document that passes, and the reverse; on unambiguous
-// and repeated-tag paths, in both attribute modes, for every organization
-// and cover mode, against the scalar cache-off reference.
+// and repeated-tag paths, in both attribute modes, for every organization,
+// against the scalar cache-off reference.
 func TestPlanSameSignatureDifferentValues(t *testing.T) {
 	xpes := []string{
 		"/a/b[@x=1]/c", "/a/b/c", "//b[@x=1]", "/a/b[@x=1]", "b[@y=2]/c", "/a[@x=1]/b[@x=1]/c",
@@ -185,40 +182,38 @@ func TestPlanSameSignatureDifferentValues(t *testing.T) {
 		}
 		for _, v := range allVariants {
 			for mode := 0; mode < 2; mode++ {
-				for _, cm := range []CoverMode{PrefixOnly, Containment} {
-					opts := Options{Variant: v, AttrMode: predAttrMode(mode), CoverMode: cm}
-					optsRef := opts
-					optsRef.PathCacheBytes = -1
-					ref := New(optsRef)
-					mustAdd(t, ref, xpes...)
-					// Forward, then reversed: every document is at some point
-					// the one whose values the entry was recorded from.
-					for _, reversed := range []bool{false, true} {
-						m := New(opts)
-						mustAdd(t, m, xpes...)
-						for k := range docs {
-							doc := docs[k]
-							if reversed {
-								doc = docs[len(docs)-1-k]
-							}
-							out, _, err := m.MatchDocumentColumnar(doc, nil)
-							if err != nil {
-								t.Fatal(err)
-							}
-							got := make(map[SID]bool)
-							for _, sid := range out {
-								got[sid] = true
-							}
-							if want := matchSet(ref, doc); !setsEqual(got, want) {
-								t.Fatalf("%+v reversed=%v doc %v: plan %v != scalar reference %v",
-									opts, reversed, docPaths(doc), got, want)
-							}
+				opts := Options{Variant: v, AttrMode: predAttrMode(mode)}
+				optsRef := opts
+				optsRef.PathCacheBytes = -1
+				ref := New(optsRef)
+				mustAdd(t, ref, xpes...)
+				// Forward, then reversed: every document is at some point
+				// the one whose values the entry was recorded from.
+				for _, reversed := range []bool{false, true} {
+					m := New(opts)
+					mustAdd(t, m, xpes...)
+					for k := range docs {
+						doc := docs[k]
+						if reversed {
+							doc = docs[len(docs)-1-k]
 						}
-						// One signature set: everything after the first
-						// document was served from recorded entries.
-						if st, _ := m.PathCacheStats(); st.Misses > 2 || st.Hits == 0 {
-							t.Fatalf("%+v: documents did not share signatures: %+v", opts, st)
+						out, _, err := m.MatchDocumentColumnar(doc, nil)
+						if err != nil {
+							t.Fatal(err)
 						}
+						got := make(map[SID]bool)
+						for _, sid := range out {
+							got[sid] = true
+						}
+						if want := matchSet(ref, doc); !setsEqual(got, want) {
+							t.Fatalf("%+v reversed=%v doc %v: plan %v != scalar reference %v",
+								opts, reversed, docPaths(doc), got, want)
+						}
+					}
+					// One signature set: everything after the first
+					// document was served from recorded entries.
+					if st, _ := m.PathCacheStats(); st.Misses > 2 || st.Hits == 0 {
+						t.Fatalf("%+v: documents did not share signatures: %+v", opts, st)
 					}
 				}
 			}

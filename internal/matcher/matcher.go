@@ -88,12 +88,6 @@ type Options struct {
 	// DisablePathDedup turns off per-document deduplication of
 	// structurally identical publications (kept for ablation benchmarks).
 	DisablePathDedup bool
-	// CoverMode selects the covering relations exploited by the pc
-	// variants (default: the paper's prefix covering).
-	CoverMode CoverMode
-	// ClusterBy selects the access predicate for PrefixCoverAP (default:
-	// the paper's first-predicate clustering).
-	ClusterBy ClusterBy
 	// PathCacheBytes bounds the structural path-signature cache (see
 	// internal/pathcache): 0 selects the default size
 	// (pathcache.DefaultMaxBytes), a negative value disables the cache.
@@ -185,9 +179,6 @@ type expr struct {
 	// covers are the registered strict-prefix expressions of this one
 	// (same pid chain and, in Postponed mode, same filter annotations).
 	covers []*expr
-	// fullCovers are suffix/infix-contained registered expressions,
-	// marked on a full match (Containment cover mode only).
-	fullCovers []*expr
 	// members is set on group representatives only (Postponed mode): the
 	// attribute-annotation variants sharing this bare structural chain.
 	// The representative itself is synthetic (no sids); its matched flag
@@ -501,7 +492,7 @@ func byChainLen(es []*expr) [][]*expr {
 }
 
 // freeze catches up and rebuilds the organizations of the scalar
-// reference — prefix and containment covers, the longest-first unit order,
+// reference — prefix covers, the longest-first unit order,
 // the access-predicate clusters — which the served kernel never reads. It
 // must run under the write lock; it is an idempotent no-op when nothing
 // changed.
@@ -565,11 +556,6 @@ func (m *Matcher) freeze() {
 		}
 	}
 
-	// Containment covering (extension; see extensions.go).
-	if m.opts.CoverMode == Containment {
-		m.buildContainmentCovers(singles)
-	}
-
 	// Longest chains first: evaluating the most-covering expressions first
 	// is the paper's approximation of best covering order (§4.2.2).
 	m.ordered = m.ordered[:0]
@@ -580,21 +566,10 @@ func (m *Matcher) freeze() {
 		}
 	}
 
-	// Access-predicate clusters, keyed by the first pid (the paper's
-	// scheme) or by each expression's rarest pid (extension).
-	var refCount map[predindex.PID]int
-	if m.opts.ClusterBy == RarestPredicate {
-		refCount = make(map[predindex.PID]int)
-		for _, h := range m.ordered {
-			for _, pid := range h.e.pids {
-				refCount[pid]++
-			}
-		}
-	}
+	// Access-predicate clusters, keyed by the first pid.
 	m.clusters = make(map[predindex.PID][]hotExpr)
 	for _, h := range m.ordered { // already longest-first
-		pid := m.clusterPid(h.e, refCount)
-		m.clusters[pid] = append(m.clusters[pid], h)
+		m.clusters[h.first] = append(m.clusters[h.first], h)
 	}
 	m.frozen = m.caught
 }
@@ -766,8 +741,7 @@ func (m *Matcher) ensureKernel() *colIndex {
 // matchPath runs the two matching stages for one publication, folding
 // results into sc. cs carries the columnar kernel's state; nil selects the
 // scalar reference loop, which exists only uncached. bd, when non-nil,
-// accumulates the Figure-10 stage timings (the parallel path passes nil to
-// keep clock calls off the workers). bud, when non-nil, charges
+// accumulates the Figure-10 stage timings. bud, when non-nil, charges
 // occurrence-determination effort to the per-document budget; once it
 // trips the path is abandoned and the caller must surface bud.Err instead
 // of a result. Callers must hold the read lock with the derived state of
@@ -928,7 +902,7 @@ func (m *Matcher) matchDoc(cs *colScratch, doc *xmldoc.Document, bud *guard.Budg
 	out := m.collect(sc)
 	bd.Other = time.Since(t2)
 	bd.Total = time.Since(t0)
-	m.observe(&bd, bd.Total, len(doc.Paths), len(out))
+	m.observe(&bd, len(doc.Paths), len(out))
 	return out, bd, nil
 }
 
@@ -952,23 +926,20 @@ func (m *Matcher) collect(sc *scratch) []SID {
 
 // observe folds one document's stage breakdown and whole-match duration
 // into the metric set. The recording contract is zero allocations, so this
-// is safe on every match path; bd is nil on paths that skip per-stage
-// clocks (the parallel shards), which record the duration only.
-func (m *Matcher) observe(bd *Breakdown, total time.Duration, paths, matches int) {
+// is safe on every match path.
+func (m *Matcher) observe(bd *Breakdown, paths, matches int) {
 	if m.mx == nil {
 		return
 	}
-	if bd != nil {
-		m.mx.PredMatch.Observe(bd.PredMatch)
-		m.mx.Occur.Observe(bd.ExprMatch + bd.Other)
-		if m.cache != nil {
-			m.mx.Cache.Observe(bd.Cache)
-		}
-		if bd.Sweep > 0 {
-			m.mx.ColSweep.Observe(bd.Sweep)
-		}
+	m.mx.PredMatch.Observe(bd.PredMatch)
+	m.mx.Occur.Observe(bd.ExprMatch + bd.Other)
+	if m.cache != nil {
+		m.mx.Cache.Observe(bd.Cache)
 	}
-	m.mx.Match.Observe(total)
+	if bd.Sweep > 0 {
+		m.mx.ColSweep.Observe(bd.Sweep)
+	}
+	m.mx.Match.Observe(bd.Total)
 	m.mx.DocsTotal.Inc()
 	m.mx.PathsTotal.Add(int64(paths))
 	m.mx.MatchesTotal.Add(int64(matches))
@@ -977,8 +948,7 @@ func (m *Matcher) observe(bd *Breakdown, total time.Duration, paths, matches int
 // evalExpr evaluates one single-path expression against the current
 // publication's predicate results. With cover set (the scalar pc
 // variants), a successful — or exhausted — occurrence determination marks
-// the expression's registered prefix expressions up to the reached depth,
-// and a successful one its containment covers.
+// the expression's registered prefix expressions up to the reached depth.
 func (m *Matcher) evalExpr(sc *scratch, e *expr, cover bool, bud *guard.Budget) {
 	chain := sc.chain[:0]
 	for _, pid := range e.pids {
@@ -1004,7 +974,7 @@ func (m *Matcher) evalExpr(sc *scratch, e *expr, cover bool, bud *guard.Budget) 
 		sc.mark(e.id)
 	}
 	if cover {
-		m.markCovers(sc, e, depth, ok)
+		m.markCovers(sc, e, depth)
 	}
 }
 
@@ -1030,7 +1000,7 @@ func (m *Matcher) evalGroup(sc *scratch, rep *expr, chain [][]occur.Pair, cover 
 				done = false
 			}
 			if cover {
-				m.markCovers(sc, mem, depth, ok)
+				m.markCovers(sc, mem, depth)
 			}
 			continue
 		}
@@ -1055,7 +1025,7 @@ func (m *Matcher) evalGroup(sc *scratch, rep *expr, chain [][]occur.Pair, cover 
 			done = false
 		}
 		if cover {
-			m.markCovers(sc, mem, fdepth, fok)
+			m.markCovers(sc, mem, fdepth)
 		}
 	}
 	if done {
@@ -1066,16 +1036,10 @@ func (m *Matcher) evalGroup(sc *scratch, rep *expr, chain [][]occur.Pair, cover 
 // markCovers marks what the scalar organizations know e to cover: every
 // registered prefix expression whose chain length is within the consistent
 // depth reached by occurrence determination — a consistent partial
-// assignment of length k is a match of the length-k prefix (§4.2.2) — and,
-// when e matched in full, its containment covers (extensions.go).
-func (m *Matcher) markCovers(sc *scratch, e *expr, depth int, matched bool) {
+// assignment of length k is a match of the length-k prefix (§4.2.2).
+func (m *Matcher) markCovers(sc *scratch, e *expr, depth int) {
 	for _, c := range e.covers {
 		if len(c.pids) <= depth {
-			sc.mark(c.id)
-		}
-	}
-	if matched {
-		for _, c := range e.fullCovers {
 			sc.mark(c.id)
 		}
 	}

@@ -36,21 +36,13 @@ func TestRemoveAfterFreeze(t *testing.T) {
 			t.Fatalf("%v: Stats().SIDs = %d after Remove, want 3", v, st.SIDs)
 		}
 
-		for name, match := range map[string]func() []SID{
-			"MatchDocument":         func() []SID { return m.MatchDocument(doc) },
-			"MatchDocumentParallel": func() []SID { return m.MatchDocumentParallel(doc, 2) },
-		} {
-			got := map[SID]bool{}
-			for _, sid := range match() {
-				got[sid] = true
-			}
-			if got[sids[1]] {
-				t.Fatalf("%v: %s reported removed sid %d", v, name, sids[1])
-			}
-			// The duplicate's siblings keep matching via the shared entry.
-			if !got[sids[0]] || !got[sids[3]] || !got[sids[2]] {
-				t.Fatalf("%v: %s dropped surviving sids: %v", v, name, got)
-			}
+		got := matchSet(m, doc)
+		if got[sids[1]] {
+			t.Fatalf("%v: MatchDocument reported removed sid %d", v, sids[1])
+		}
+		// The duplicate's siblings keep matching via the shared entry.
+		if !got[sids[0]] || !got[sids[3]] || !got[sids[2]] {
+			t.Fatalf("%v: MatchDocument dropped surviving sids: %v", v, got)
 		}
 
 		// Double removal errors, and the count stays at the live value.
@@ -113,15 +105,10 @@ func TestRemoveConcurrentWithMatching(t *testing.T) {
 
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func(par bool) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
-				var sids []SID
-				if par {
-					sids = m.MatchDocumentParallel(doc, 2)
-				} else {
-					sids = m.MatchDocument(doc)
-				}
+				sids := m.MatchDocument(doc)
 				found := false
 				for _, sid := range sids {
 					if isDead[sid] {
@@ -137,7 +124,7 @@ func TestRemoveConcurrentWithMatching(t *testing.T) {
 					return
 				}
 			}
-		}(w%2 == 0)
+		}()
 	}
 	wg.Wait() // matcher goroutines finish first
 	close(stop)

@@ -32,13 +32,13 @@ func TestParseScanAllocs(t *testing.T) {
 
 	// Warm up pool, dictionary, and scratch capacities.
 	for i := 0; i < 3; i++ {
-		if _, err := ParseLimitsMode(data, guard.Limits{}, ModeScan); err != nil {
+		if _, err := ParseLimitsMode(data, guard.Limits{}, ModeAuto); err != nil {
 			t.Fatal(err)
 		}
 	}
 	const bound = 8
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := ParseLimitsMode(data, guard.Limits{}, ModeScan); err != nil {
+		if _, err := ParseLimitsMode(data, guard.Limits{}, ModeAuto); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -60,13 +60,13 @@ func TestParseScanAllocsReader(t *testing.T) {
 	data := sb.String()
 
 	for i := 0; i < 3; i++ {
-		if _, err := ParseReaderLimitsMode(strings.NewReader(data), guard.Limits{}, ModeScan); err != nil {
+		if _, err := ParseReader(strings.NewReader(data), nil, guard.Limits{}, ModeAuto); err != nil {
 			t.Fatal(err)
 		}
 	}
 	const bound = 12
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := ParseReaderLimitsMode(strings.NewReader(data), guard.Limits{}, ModeScan); err != nil {
+		if _, err := ParseReader(strings.NewReader(data), nil, guard.Limits{}, ModeAuto); err != nil {
 			t.Fatal(err)
 		}
 	})

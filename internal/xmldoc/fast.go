@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sync"
-	"sync/atomic"
 
 	"predfilter/internal/guard"
 	"predfilter/internal/xmlscan"
@@ -17,41 +15,12 @@ import (
 type Mode int
 
 const (
-	// ModeAuto uses the package default: the zero-copy scanner, unless the
-	// PREDFILTER_XML_PARSER environment variable forces encoding/xml.
+	// ModeAuto is the zero-copy scanner, with its encoding/xml fallback
+	// for out-of-subset input.
 	ModeAuto Mode = iota
-	// ModeScan forces the zero-copy scanner fast path (with its
-	// encoding/xml fallback for out-of-subset input).
-	ModeScan
 	// ModeStd forces encoding/xml.
 	ModeStd
 )
-
-// ParserEnv is the environment variable consulted by ModeAuto: set it to
-// "std" (or "stdlib", "encoding/xml") to take the encoding/xml path for
-// every document — the escape hatch if the fast path misbehaves in the
-// field.
-const ParserEnv = "PREDFILTER_XML_PARSER"
-
-var envForceStd atomic.Bool
-
-func init() {
-	switch os.Getenv(ParserEnv) {
-	case "std", "stdlib", "encoding/xml":
-		envForceStd.Store(true)
-	}
-}
-
-func useStd(mode Mode) bool {
-	switch mode {
-	case ModeStd:
-		return true
-	case ModeScan:
-		return false
-	default:
-		return envForceStd.Load()
-	}
-}
 
 // The fast path re-parses with encoding/xml whenever the scanner stops for
 // any reason other than a structural limit trip: malformed input, input
@@ -255,7 +224,7 @@ func parseBytesMode(data []byte, lim guard.Limits, mode Mode) (*Document, bool, 
 	if lim.MaxDocBytes > 0 && int64(len(data)) > lim.MaxDocBytes {
 		return nil, false, guard.ParseError(guard.DocBytes, lim.MaxDocBytes, int64(len(data)))
 	}
-	if useStd(mode) {
+	if mode == ModeStd {
 		d, err := parseStdReader(bytes.NewReader(data), lim)
 		return d, false, err
 	}
@@ -281,7 +250,7 @@ func parseBytesMode(data []byte, lim guard.Limits, mode Mode) (*Document, bool, 
 // enforced while streaming on both paths (the fallback re-counts from
 // zero over the replayed prefix, so nothing is double-charged).
 func parseReaderMode(r io.Reader, lim guard.Limits, mode Mode) (*Document, bool, error) {
-	if useStd(mode) {
+	if mode == ModeStd {
 		d, err := parseStdReader(r, lim)
 		return d, false, err
 	}

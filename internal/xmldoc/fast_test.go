@@ -12,7 +12,7 @@ import (
 
 // equivCases is shared by the table test and the fuzz seed corpus: inputs
 // chosen to hit the scanner's edges (accepted and rejected alike). On
-// every one of them ModeScan and ModeStd must agree.
+// every one of them ModeAuto and ModeStd must agree.
 var equivCases = []string{
 	// Plain structure.
 	`<a/>`,
@@ -140,7 +140,7 @@ var equivCases = []string{
 // any accept/reject or structural divergence. It returns the ModeStd view.
 func parseBoth(t testing.TB, data []byte, lim guard.Limits) (*Document, error) {
 	t.Helper()
-	ds, errS := ParseLimitsMode(data, lim, ModeScan)
+	ds, errS := ParseLimitsMode(data, lim, ModeAuto)
 	dx, errX := ParseLimitsMode(data, lim, ModeStd)
 	if (errS == nil) != (errX == nil) {
 		t.Fatalf("accept/reject divergence on %q:\n  scan: %v\n  std:  %v", data, errS, errX)
@@ -149,7 +149,7 @@ func parseBoth(t testing.TB, data []byte, lim guard.Limits) (*Document, error) {
 		t.Fatalf("document divergence on %q:\n  scan: %+v\n  std:  %+v", data, ds, dx)
 	}
 	// Reader mode must agree with byte mode.
-	dr, errR := ParseReaderLimitsMode(bytes.NewReader(data), lim, ModeScan)
+	dr, errR := ParseReader(bytes.NewReader(data), nil, lim, ModeAuto)
 	if (errR == nil) != (errX == nil) {
 		t.Fatalf("reader accept/reject divergence on %q:\n  scan(reader): %v\n  std:          %v", data, errR, errX)
 	}
@@ -169,7 +169,7 @@ func TestScanEquivalenceOneByteReader(t *testing.T) {
 	// Every refill boundary in reader mode, on the accepted subset.
 	for _, in := range equivCases {
 		dx, errX := ParseLimitsMode([]byte(in), guard.Limits{}, ModeStd)
-		dr, errR := ParseReaderLimitsMode(oneByteReader{strings.NewReader(in)}, guard.Limits{}, ModeScan)
+		dr, errR := ParseReader(oneByteReader{strings.NewReader(in)}, nil, guard.Limits{}, ModeAuto)
 		if (errR == nil) != (errX == nil) {
 			t.Fatalf("one-byte reader divergence on %q: scan=%v std=%v", in, errR, errX)
 		}
@@ -208,7 +208,7 @@ func TestScanModeLimitsEquivalence(t *testing.T) {
 		{wide, guard.Limits{MaxDocBytes: int64(len(wide))}},
 	}
 	for _, c := range cases {
-		_, errS := ParseLimitsMode([]byte(c.in), c.lim, ModeScan)
+		_, errS := ParseLimitsMode([]byte(c.in), c.lim, ModeAuto)
 		_, errX := ParseLimitsMode([]byte(c.in), c.lim, ModeStd)
 		var leS, leX *guard.LimitError
 		asS, asX := errors.As(errS, &leS), errors.As(errX, &leX)
@@ -224,7 +224,7 @@ func TestScanModeLimitsEquivalence(t *testing.T) {
 func TestScanFallbackProducesStdErrors(t *testing.T) {
 	// A rejected document must surface encoding/xml's own error through
 	// the fast path, because the fallback re-parse is authoritative.
-	_, errS := ParseLimitsMode([]byte(`<a><b></a>`), guard.Limits{}, ModeScan)
+	_, errS := ParseLimitsMode([]byte(`<a><b></a>`), guard.Limits{}, ModeAuto)
 	_, errX := ParseLimitsMode([]byte(`<a><b></a>`), guard.Limits{}, ModeStd)
 	if errS == nil || errX == nil {
 		t.Fatalf("both must reject: scan=%v std=%v", errS, errX)
@@ -239,7 +239,7 @@ func TestScanReaderFallbackReplaysConsumedPrefix(t *testing.T) {
 	// stream is consumed; the replay must hand encoding/xml the full
 	// document.
 	doc := `<!DOCTYPE doc><doc><a x="1"/><b>t</b></doc>`
-	d, err := ParseReaderLimitsMode(strings.NewReader(doc), guard.Limits{}, ModeScan)
+	d, err := ParseReader(strings.NewReader(doc), nil, guard.Limits{}, ModeAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestScanReaderFallbackReplaysConsumedPrefix(t *testing.T) {
 }
 
 func TestScanAttrsNilWhenAbsent(t *testing.T) {
-	d, err := ParseLimitsMode([]byte(`<a><b c="1"/></a>`), guard.Limits{}, ModeScan)
+	d, err := ParseLimitsMode([]byte(`<a><b c="1"/></a>`), guard.Limits{}, ModeAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,25 +259,5 @@ func TestScanAttrsNilWhenAbsent(t *testing.T) {
 	}
 	if v, ok := tup[1].Attr("c"); !ok || v != "1" {
 		t.Errorf("attr lookup: %q %v", v, ok)
-	}
-}
-
-func TestParserEnvForcesStd(t *testing.T) {
-	// The env knob is latched in init, so exercise the switch directly.
-	old := envForceStd.Load()
-	defer envForceStd.Store(old)
-	envForceStd.Store(true)
-	if !useStd(ModeAuto) {
-		t.Fatal("ModeAuto must follow the env override")
-	}
-	if useStd(ModeScan) {
-		t.Fatal("ModeScan must ignore the env override")
-	}
-	if !useStd(ModeStd) {
-		t.Fatal("ModeStd must always use the stdlib parser")
-	}
-	envForceStd.Store(false)
-	if useStd(ModeAuto) {
-		t.Fatal("ModeAuto must default to the scanner")
 	}
 }

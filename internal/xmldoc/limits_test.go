@@ -47,7 +47,7 @@ func wantLimit(t *testing.T, err error, kind guard.Kind) *guard.LimitError {
 
 func TestParseLimitsDepth(t *testing.T) {
 	doc := nested(10)
-	if _, err := ParseLimits(doc, guard.Limits{MaxDepth: 10}); err != nil {
+	if _, err := ParseLimitsMode(doc, guard.Limits{MaxDepth: 10}, ModeAuto); err != nil {
 		t.Fatalf("depth exactly at bound: %v", err)
 	}
 	le := wantLimit(t, mustErr(t, doc, guard.Limits{MaxDepth: 9}), guard.Depth)
@@ -58,7 +58,7 @@ func TestParseLimitsDepth(t *testing.T) {
 
 func TestParseLimitsPaths(t *testing.T) {
 	doc := wide(8)
-	if _, err := ParseLimits(doc, guard.Limits{MaxPaths: 8}); err != nil {
+	if _, err := ParseLimitsMode(doc, guard.Limits{MaxPaths: 8}, ModeAuto); err != nil {
 		t.Fatalf("paths exactly at bound: %v", err)
 	}
 	le := wantLimit(t, mustErr(t, doc, guard.Limits{MaxPaths: 7}), guard.Paths)
@@ -70,7 +70,7 @@ func TestParseLimitsPaths(t *testing.T) {
 func TestParseLimitsTuples(t *testing.T) {
 	// wide(8) decomposes into 8 paths of 2 tuples each = 16 tuples.
 	doc := wide(8)
-	if _, err := ParseLimits(doc, guard.Limits{MaxTuples: 16}); err != nil {
+	if _, err := ParseLimitsMode(doc, guard.Limits{MaxTuples: 16}, ModeAuto); err != nil {
 		t.Fatalf("tuples exactly at bound: %v", err)
 	}
 	wantLimit(t, mustErr(t, doc, guard.Limits{MaxTuples: 15}), guard.Tuples)
@@ -78,7 +78,7 @@ func TestParseLimitsTuples(t *testing.T) {
 
 func TestParseLimitsDocBytes(t *testing.T) {
 	doc := []byte("<a><b/></a>")
-	if _, err := ParseLimits(doc, guard.Limits{MaxDocBytes: int64(len(doc))}); err != nil {
+	if _, err := ParseLimitsMode(doc, guard.Limits{MaxDocBytes: int64(len(doc))}, ModeAuto); err != nil {
 		t.Fatalf("size exactly at bound: %v", err)
 	}
 	le := wantLimit(t, mustErr(t, doc, guard.Limits{MaxDocBytes: int64(len(doc)) - 1}), guard.DocBytes)
@@ -90,20 +90,20 @@ func TestParseLimitsDocBytes(t *testing.T) {
 func TestParseReaderLimitsDocBytes(t *testing.T) {
 	doc := "<a><b/></a>"
 	// A stream ending exactly at the bound parses; one byte more trips.
-	if _, err := ParseReaderLimits(strings.NewReader(doc), guard.Limits{MaxDocBytes: int64(len(doc))}); err != nil {
+	if _, err := ParseReader(strings.NewReader(doc), nil, guard.Limits{MaxDocBytes: int64(len(doc))}, ModeAuto); err != nil {
 		t.Fatalf("stream exactly at bound: %v", err)
 	}
-	_, err := ParseReaderLimits(strings.NewReader(doc+" "), guard.Limits{MaxDocBytes: int64(len(doc))})
+	_, err := ParseReader(strings.NewReader(doc+" "), nil, guard.Limits{MaxDocBytes: int64(len(doc))}, ModeAuto)
 	wantLimit(t, err, guard.DocBytes)
 }
 
 func TestParseReaderLimitsDepth(t *testing.T) {
-	_, err := ParseReaderLimits(bytes.NewReader(nested(64)), guard.Limits{MaxDepth: 8})
+	_, err := ParseReader(bytes.NewReader(nested(64)), nil, guard.Limits{MaxDepth: 8}, ModeAuto)
 	wantLimit(t, err, guard.Depth)
 }
 
 func TestParseLimitsZeroEnforcesNothing(t *testing.T) {
-	d, err := ParseLimits(nested(100), guard.Limits{})
+	d, err := ParseLimitsMode(nested(100), guard.Limits{}, ModeAuto)
 	if err != nil {
 		t.Fatalf("zero limits rejected a document: %v", err)
 	}
@@ -122,13 +122,13 @@ func TestParseLimitsFailsFast(t *testing.T) {
 	for i := 0; i < 1<<20; i++ {
 		b.WriteString("<d>")
 	}
-	_, err := ParseReaderLimits(bytes.NewReader(b.Bytes()), guard.Limits{MaxDepth: 16})
+	_, err := ParseReader(bytes.NewReader(b.Bytes()), nil, guard.Limits{MaxDepth: 16}, ModeAuto)
 	wantLimit(t, err, guard.Depth)
 }
 
 func mustErr(t *testing.T, data []byte, lim guard.Limits) error {
 	t.Helper()
-	d, err := ParseLimits(data, lim)
+	d, err := ParseLimitsMode(data, lim, ModeAuto)
 	if err == nil {
 		t.Fatalf("parse succeeded (%d paths), want a limit error", len(d.Paths))
 	}

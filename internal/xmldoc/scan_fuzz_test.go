@@ -12,7 +12,7 @@ import (
 func limitAs(err error, le **guard.LimitError) bool { return errors.As(err, le) }
 
 // FuzzScanEquivalence is the differential oracle for the zero-copy
-// scanner: on every input, the scanner path (ModeScan, with its
+// scanner: on every input, the scanner path (ModeAuto, with its
 // encoding/xml fallback) and the pure encoding/xml path (ModeStd) must
 // agree — both reject, or both accept with deep-equal Documents — in byte
 // mode and in reader mode alike. Because the fast path delegates every
@@ -28,7 +28,7 @@ func FuzzScanEquivalence(f *testing.F) {
 	f.Add(bytes.Repeat([]byte("<d>"), 40))
 	f.Add([]byte(`<a aa="1" ab="2" ac="3" ad="4" ae="5" af="6" ag="7" ah="8" ai="9" aj="10" ak="11" al="12"/>`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ds, errS := ParseLimitsMode(data, guard.Limits{}, ModeScan)
+		ds, errS := ParseLimitsMode(data, guard.Limits{}, ModeAuto)
 		dx, errX := ParseLimitsMode(data, guard.Limits{}, ModeStd)
 		if (errS == nil) != (errX == nil) {
 			t.Fatalf("accept/reject divergence:\n  scan: %v\n  std:  %v", errS, errX)
@@ -36,7 +36,7 @@ func FuzzScanEquivalence(f *testing.F) {
 		if errS == nil && !reflect.DeepEqual(ds, dx) {
 			t.Fatalf("document divergence:\n  scan: %+v\n  std:  %+v", ds, dx)
 		}
-		dr, errR := ParseReaderLimitsMode(bytes.NewReader(data), guard.Limits{}, ModeScan)
+		dr, errR := ParseReader(bytes.NewReader(data), nil, guard.Limits{}, ModeAuto)
 		if (errR == nil) != (errX == nil) {
 			t.Fatalf("reader accept/reject divergence:\n  scan(reader): %v\n  std: %v", errR, errX)
 		}
@@ -46,7 +46,7 @@ func FuzzScanEquivalence(f *testing.F) {
 
 		// Under tight structural limits both paths must trip identically.
 		lim := guard.Limits{MaxDepth: 4, MaxPaths: 4, MaxTuples: 12, MaxDocBytes: 96}
-		_, errS = ParseLimitsMode(data, lim, ModeScan)
+		_, errS = ParseLimitsMode(data, lim, ModeAuto)
 		_, errX = ParseLimitsMode(data, lim, ModeStd)
 		var leS, leX *guard.LimitError
 		if asS, asX := limitAs(errS, &leS), limitAs(errX, &leX); asS != asX {

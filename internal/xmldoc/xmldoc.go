@@ -12,9 +12,8 @@
 // of allocations per document); input the scanner does not accept —
 // malformed or outside its subset, e.g. DOCTYPE declarations or
 // namespaced element names — is transparently re-parsed with
-// encoding/xml, whose verdict is authoritative. ModeStd (or the
-// PREDFILTER_XML_PARSER environment variable) forces the encoding/xml
-// path outright.
+// encoding/xml, whose verdict is authoritative. ModeStd forces the
+// encoding/xml path outright.
 package xmldoc
 
 import (
@@ -93,65 +92,39 @@ type Document struct {
 
 // Parse decomposes the XML document in data.
 func Parse(data []byte) (*Document, error) {
-	return ParseLimits(data, guard.Limits{})
+	return ParseLimitsMode(data, guard.Limits{}, ModeAuto)
 }
 
-// ParseLimits is Parse with structural limits enforced as the document
-// streams: nesting depth, path count, total tuple count, and raw size
-// (checked up front for byte-slice input). Exceeding a limit returns a
-// typed *guard.LimitError; zero limits enforce nothing.
-func ParseLimits(data []byte, lim guard.Limits) (*Document, error) {
-	return ParseLimitsMode(data, lim, ModeAuto)
-}
-
-// ParseLimitsMode is ParseLimits with an explicit parser selection (see
-// Mode; ModeAuto is what ParseLimits uses).
+// ParseLimitsMode is Parse with structural limits enforced as the document
+// streams — nesting depth, path count, total tuple count, and raw size
+// (checked up front for byte-slice input) — and an explicit parser
+// selection (see Mode). Exceeding a limit returns a typed
+// *guard.LimitError; zero limits enforce nothing.
 func ParseLimitsMode(data []byte, lim guard.Limits, mode Mode) (*Document, error) {
 	d, _, err := parseBytesMode(data, lim, mode)
 	return d, err
 }
 
-// ParseMetered is Parse with stage observation: the parse + path
-// extraction duration and input size land in ms (the engine's metric
-// set). A nil ms records nothing.
-func ParseMetered(data []byte, ms *metrics.Set) (*Document, error) {
-	return ParseMeteredLimits(data, ms, guard.Limits{})
-}
-
-// ParseMeteredLimits is ParseLimits with stage observation.
-func ParseMeteredLimits(data []byte, ms *metrics.Set, lim guard.Limits) (*Document, error) {
-	return ParseMeteredLimitsMode(data, ms, lim, ModeAuto)
-}
-
-// ParseMeteredLimitsMode is ParseMeteredLimits with an explicit parser
-// selection. Alongside duration and size it records which parse path
-// served the document (scanner fast path vs encoding/xml fallback).
-func ParseMeteredLimitsMode(data []byte, ms *metrics.Set, lim guard.Limits, mode Mode) (*Document, error) {
+// ParseMetered is ParseLimitsMode with stage observation: the parse + path
+// extraction duration, the input size and which parse path served the
+// document (scanner fast path vs encoding/xml fallback) land in ms (the
+// engine's metric set). A nil ms records nothing.
+func ParseMetered(data []byte, ms *metrics.Set, lim guard.Limits, mode Mode) (*Document, error) {
 	t0 := time.Now()
 	d, fellBack, err := parseBytesMode(data, lim, mode)
 	ms.ObserveParse(time.Since(t0), len(data), err)
-	ms.ObserveParsePath(!useStd(mode) && err == nil && !fellBack, fellBack)
+	ms.ObserveParsePath(mode != ModeStd && err == nil && !fellBack, fellBack)
 	return d, err
 }
 
-// ParseReaderMetered is ParseReader with stage observation. The input
-// size of a stream is not known, so only the duration is recorded.
-func ParseReaderMetered(r io.Reader, ms *metrics.Set) (*Document, error) {
-	return ParseReaderMeteredLimits(r, ms, guard.Limits{})
-}
-
-// ParseReaderMeteredLimits is ParseReaderLimits with stage observation.
-func ParseReaderMeteredLimits(r io.Reader, ms *metrics.Set, lim guard.Limits) (*Document, error) {
-	return ParseReaderMeteredLimitsMode(r, ms, lim, ModeAuto)
-}
-
-// ParseReaderMeteredLimitsMode is ParseReaderMeteredLimits with an
-// explicit parser selection.
-func ParseReaderMeteredLimitsMode(r io.Reader, ms *metrics.Set, lim guard.Limits, mode Mode) (*Document, error) {
+// ParseReader is ParseMetered over a stream: the limits are enforced as
+// the stream is consumed, and its size not being known, only the duration
+// is recorded. Input with more than one top-level element is rejected.
+func ParseReader(r io.Reader, ms *metrics.Set, lim guard.Limits, mode Mode) (*Document, error) {
 	t0 := time.Now()
 	d, fellBack, err := parseReaderMode(r, lim, mode)
 	ms.ObserveParse(time.Since(t0), 0, err)
-	ms.ObserveParsePath(!useStd(mode) && err == nil && !fellBack, fellBack)
+	ms.ObserveParsePath(mode != ModeStd && err == nil && !fellBack, fellBack)
 	return d, err
 }
 
@@ -183,26 +156,6 @@ func (l *limitReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ParseReader decomposes the XML document read from r. Input with more
-// than one top-level element is rejected; use ParseStream for
-// concatenated documents.
-func ParseReader(r io.Reader) (*Document, error) {
-	return ParseReaderLimits(r, guard.Limits{})
-}
-
-// ParseReaderLimits is ParseReader with structural limits enforced as the
-// stream is consumed (see ParseLimits).
-func ParseReaderLimits(r io.Reader, lim guard.Limits) (*Document, error) {
-	return ParseReaderLimitsMode(r, lim, ModeAuto)
-}
-
-// ParseReaderLimitsMode is ParseReaderLimits with an explicit parser
-// selection.
-func ParseReaderLimitsMode(r io.Reader, lim guard.Limits, mode Mode) (*Document, error) {
-	d, _, err := parseReaderMode(r, lim, mode)
-	return d, err
-}
-
 // parseStdReader is the encoding/xml path: the original parser, kept both
 // as the ModeStd implementation and as the authority the scanner fast
 // path falls back to on any input it does not accept.
@@ -228,41 +181,13 @@ func parseStdReader(r io.Reader, lim guard.Limits) (*Document, error) {
 		}
 		switch tok.(type) {
 		case xml.StartElement, xml.EndElement:
-			return nil, fmt.Errorf("xmldoc: content after the document root; use ParseStream for concatenated documents")
+			return nil, fmt.Errorf("xmldoc: content after the document root")
 		}
 	}
 }
 
-// ParseStream reads a sequence of concatenated XML documents from r
-// (optionally separated by whitespace), invoking fn for each. It stops at
-// the first parse error or when fn returns an error, and reports the
-// number of complete documents processed.
-func ParseStream(r io.Reader, fn func(*Document) error) (int, error) {
-	dec := xml.NewDecoder(r)
-	n := 0
-	for {
-		doc, err := parseOne(dec)
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		if err := fn(doc); err != nil {
-			return n, err
-		}
-		n++
-	}
-}
-
-// parseOne decodes a single document's element tree from an open decoder
-// with no structural limits. It returns io.EOF when no further document
-// starts.
-func parseOne(dec *xml.Decoder) (*Document, error) {
-	return parseOneLimits(dec, guard.Limits{})
-}
-
-// parseOneLimits is parseOne enforcing the structural limits as the token
+// parseOneLimits decodes a single document's element tree from an open
+// decoder (io.EOF when none starts), enforcing the limits as the token
 // stream is consumed: the decoder never holds more than MaxDepth open
 // elements, and path extraction stops at MaxPaths paths / MaxTuples total
 // tuples — a bomb is rejected while still small, not after

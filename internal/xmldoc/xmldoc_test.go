@@ -1,7 +1,6 @@
 package xmldoc
 
 import (
-	"io"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -211,51 +210,6 @@ func TestPathCount(t *testing.T) {
 	}
 	if len(doc.Paths) != 4 { // b, d, e, g
 		t.Errorf("paths = %d, want 4", len(doc.Paths))
-	}
-}
-
-func TestParseStream(t *testing.T) {
-	in := `<a><b/></a> <c/>
-	<d><e/></d>`
-	var roots []string
-	n, err := ParseStream(strings.NewReader(in), func(d *Document) error {
-		roots = append(roots, d.Paths[0].Tuples[0].Tag)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 || !reflect.DeepEqual(roots, []string{"a", "c", "d"}) {
-		t.Errorf("n=%d roots=%v", n, roots)
-	}
-
-	// Errors stop the stream with the count of complete documents.
-	n, err = ParseStream(strings.NewReader(`<a/><b>`), func(*Document) error { return nil })
-	if err == nil || n != 1 {
-		t.Errorf("truncated stream: n=%d err=%v", n, err)
-	}
-
-	// Callback errors propagate.
-	sentinel := false
-	_, err = ParseStream(strings.NewReader(`<a/><b/>`), func(*Document) error {
-		if sentinel {
-			t.Fatal("callback ran after error")
-		}
-		sentinel = true
-		return io.ErrUnexpectedEOF
-	})
-	if err != io.ErrUnexpectedEOF {
-		t.Errorf("callback error not propagated: %v", err)
-	}
-
-	// Node ids restart per document (documents are independent).
-	var first []int
-	ParseStream(strings.NewReader(`<a><b/></a><a><b/></a>`), func(d *Document) error {
-		first = append(first, d.Paths[0].Tuples[0].NodeID)
-		return nil
-	})
-	if len(first) != 2 || first[0] != first[1] {
-		t.Errorf("per-document node ids = %v, want equal restarts", first)
 	}
 }
 

@@ -88,7 +88,7 @@ func (e *Engine) MatchTraced(doc []byte) ([]SID, *MatchTrace, error) {
 // governed fast path would have rejected.
 func (e *Engine) MatchTracedContext(ctx context.Context, doc []byte) ([]SID, *MatchTrace, error) {
 	t0 := time.Now()
-	d, err := xmldoc.ParseMeteredLimitsMode(doc, e.mx, e.limits, e.pmode)
+	d, err := xmldoc.ParseMetered(doc, e.mx, e.limits, xmldoc.ModeAuto)
 	if err != nil {
 		return nil, nil, e.recordGovernance(err)
 	}

@@ -140,17 +140,6 @@ type Config struct {
 	// optimization (identical paths have identical matching results);
 	// this switch exists for benchmarking its effect.
 	DisablePathDedup bool
-	// ContainmentCovering additionally exploits suffix- and
-	// infix-containment between expressions (the paper publishes prefix
-	// covering and names the rest as future work): a full match of an
-	// expression marks every registered expression whose predicate chain
-	// it contains.
-	ContainmentCovering bool
-	// RarestAccessPredicate clusters each expression on its globally
-	// least common predicate instead of its first one, improving the
-	// chance whole clusters are skipped (another extension the paper
-	// suggests).
-	RarestAccessPredicate bool
 	// PathCacheBytes bounds the structural path-signature cache, which
 	// memoizes per-path structural matching results across documents
 	// (documents generated from one DTD repeat the same root-to-leaf tag
@@ -172,13 +161,6 @@ type Config struct {
 	// matching. Exceeding a limit returns a typed *LimitError; the zero
 	// value enforces nothing.
 	Limits Limits
-	// StdXMLParser forces document parsing through encoding/xml instead of
-	// the default zero-copy scanner (internal/xmlscan). The scanner is
-	// behavior-identical — input outside its subset falls back to
-	// encoding/xml automatically — so this switch exists as an escape
-	// hatch and for benchmarking. The PREDFILTER_XML_PARSER=std
-	// environment variable forces the same process-wide.
-	StdXMLParser bool
 	// Columnar selects the matching kernel (see ColumnarMode): leave it
 	// zero except to obtain the scalar reference.
 	Columnar ColumnarMode
@@ -201,7 +183,6 @@ type Engine struct {
 	logger   *slog.Logger
 	slow     time.Duration
 	limits   Limits
-	pmode    xmldoc.Mode
 	columnar ColumnarMode
 	batchMax int // stream dispatch-group bound, ≥ 1
 }
@@ -221,22 +202,10 @@ func New(cfg Config) *Engine {
 	if cfg.AttributeMode == PostponedAttributes {
 		mode = predicate.Postponed
 	}
-	var cover matcher.CoverMode
-	if cfg.ContainmentCovering {
-		cover = matcher.Containment
-	}
-	var cluster matcher.ClusterBy
-	if cfg.RarestAccessPredicate {
-		cluster = matcher.RarestPredicate
-	}
 	mx := metrics.NewSet()
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.Default()
-	}
-	pmode := xmldoc.ModeAuto
-	if cfg.StdXMLParser {
-		pmode = xmldoc.ModeStd
 	}
 	batchMax := cfg.StreamBatch
 	if batchMax <= 0 {
@@ -247,8 +216,6 @@ func New(cfg Config) *Engine {
 			Variant:          v,
 			AttrMode:         mode,
 			DisablePathDedup: cfg.DisablePathDedup,
-			CoverMode:        cover,
-			ClusterBy:        cluster,
 			PathCacheBytes:   cfg.PathCacheBytes,
 			Metrics:          mx,
 		}),
@@ -256,7 +223,6 @@ func New(cfg Config) *Engine {
 		logger:   logger,
 		slow:     cfg.SlowDocThreshold,
 		limits:   cfg.Limits,
-		pmode:    pmode,
 		columnar: cfg.Columnar,
 		batchMax: batchMax,
 	}
@@ -345,7 +311,7 @@ func (e *Engine) Match(doc []byte) ([]SID, error) {
 // unwrap to the matching context error.
 func (e *Engine) MatchContext(ctx context.Context, doc []byte) ([]SID, error) {
 	t0 := time.Now()
-	d, err := xmldoc.ParseMeteredLimitsMode(doc, e.mx, e.limits, e.pmode)
+	d, err := xmldoc.ParseMetered(doc, e.mx, e.limits, xmldoc.ModeAuto)
 	if err != nil {
 		return nil, e.recordGovernance(err)
 	}
@@ -397,7 +363,7 @@ func (e *Engine) MatchCounts(doc []byte) (map[SID]int, error) {
 // is charged to the step budget. A governance stop returns a typed
 // *LimitError (never partial counts).
 func (e *Engine) MatchCountsContext(ctx context.Context, doc []byte) (map[SID]int, error) {
-	d, err := xmldoc.ParseMeteredLimitsMode(doc, e.mx, e.limits, e.pmode)
+	d, err := xmldoc.ParseMetered(doc, e.mx, e.limits, xmldoc.ModeAuto)
 	if err != nil {
 		return nil, e.recordGovernance(err)
 	}
@@ -418,7 +384,7 @@ func (e *Engine) MatchReader(r io.Reader) ([]SID, error) {
 // MatchReaderContext is MatchContext over a stream.
 func (e *Engine) MatchReaderContext(ctx context.Context, r io.Reader) ([]SID, error) {
 	t0 := time.Now()
-	d, err := xmldoc.ParseReaderMeteredLimitsMode(r, e.mx, e.limits, e.pmode)
+	d, err := xmldoc.ParseReader(r, e.mx, e.limits, xmldoc.ModeAuto)
 	if err != nil {
 		return nil, e.recordGovernance(err)
 	}
@@ -492,7 +458,7 @@ type Stats struct {
 	// ParseScanDocs counts documents parsed end-to-end by the zero-copy
 	// scanner fast path; ParseFallbacks counts documents the fast path
 	// handed to the encoding/xml fallback (malformed or out-of-subset
-	// input). With StdXMLParser set both stay zero.
+	// input).
 	ParseScanDocs  int64
 	ParseFallbacks int64
 	// LimitTrips counts documents stopped by each governance limit, keyed

@@ -328,44 +328,6 @@ func TestIntroductionExample(t *testing.T) {
 	}
 }
 
-// TestExtensionConfigsAgree: the public extension toggles must not change
-// results.
-func TestExtensionConfigsAgree(t *testing.T) {
-	configs := []predfilter.Config{
-		{},
-		{ContainmentCovering: true},
-		{RarestAccessPredicate: true},
-		{ContainmentCovering: true, RarestAccessPredicate: true},
-	}
-	psd := workload.PSD()
-	xpes, err := workload.Expressions(psd, 400, workload.ExpressionConfig{Wildcard: 0.2, Descendant: 0.2, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs := workload.Documents(psd, 4, workload.DocumentConfig{Seed: 9})
-	var counts []int
-	for _, cfg := range configs {
-		eng := predfilter.New(cfg)
-		if _, err := eng.AddAll(xpes); err != nil {
-			t.Fatal(err)
-		}
-		total := 0
-		for _, d := range docs {
-			sids, err := eng.Match(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += len(sids)
-		}
-		counts = append(counts, total)
-	}
-	for i := 1; i < len(counts); i++ {
-		if counts[i] != counts[0] {
-			t.Errorf("extension config %d matched %d, default matched %d", i, counts[i], counts[0])
-		}
-	}
-}
-
 // TestMatchCountsPublic exercises the all-matches mode via the public API.
 func TestMatchCountsPublic(t *testing.T) {
 	eng := predfilter.New(predfilter.Config{})

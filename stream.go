@@ -63,7 +63,7 @@ func (e *Engine) parseStreamDoc(r *Result) (d *xmldoc.Document, parse time.Durat
 		(*hook)(r.Doc)
 	}
 	t0 := time.Now()
-	d, err := xmldoc.ParseMeteredLimitsMode(r.Doc, e.mx, e.limits, e.pmode)
+	d, err := xmldoc.ParseMetered(r.Doc, e.mx, e.limits, xmldoc.ModeAuto)
 	if err != nil {
 		r.Err = e.recordGovernance(err)
 		return nil, 0
@@ -382,42 +382,4 @@ func MergeSIDSets(sets [][]SID) []SID {
 			out = append(out, v)
 		}
 	}
-}
-
-// MatchParallel parses the document and matches it with its root-to-leaf
-// paths sharded across worker goroutines (workers ≤ 0 selects
-// GOMAXPROCS). Results are identical to Match; use it for single large
-// documents, and MatchStream/MatchBatch to parallelize across documents.
-// The engine's structural limits apply while parsing; the match budget
-// applies per shard (the aggregate step bound is workers × MaxSteps).
-func (e *Engine) MatchParallel(doc []byte, workers int) ([]SID, error) {
-	d, err := xmldoc.ParseLimitsMode(doc, e.limits, e.pmode)
-	if err != nil {
-		return nil, e.recordGovernance(err)
-	}
-	sids, err := e.m.MatchDocumentParallelBudget(d, workers, guard.NewBudget(context.Background(), e.limits))
-	if err != nil {
-		return nil, e.recordGovernance(err)
-	}
-	return sids, nil
-}
-
-// MatchParsedParallel is MatchParallel for a pre-parsed document, without
-// limits (the caller already accepted the document's size by parsing it;
-// use MatchParsedParallelContext to budget the match stage).
-func (e *Engine) MatchParsedParallel(d *Document, workers int) []SID {
-	return e.m.MatchDocumentParallel(d.doc, workers)
-}
-
-// MatchParsedParallelContext is MatchParsedParallel under the engine's
-// match budget and the caller's context (the parse-stage limits do not
-// apply — the document is already materialized). The deadline and
-// cancellation bound the whole match; the step budget applies per shard
-// (the aggregate bound is workers × MaxSteps).
-func (e *Engine) MatchParsedParallelContext(ctx context.Context, d *Document, workers int) ([]SID, error) {
-	sids, err := e.m.MatchDocumentParallelBudget(d.doc, workers, guard.NewBudget(ctx, e.limits))
-	if err != nil {
-		return nil, e.recordGovernance(err)
-	}
-	return sids, nil
 }

@@ -147,26 +147,6 @@ func TestMatchStreamEchoesDoc(t *testing.T) {
 	}
 }
 
-// TestMatchParallelMatchesMatch checks the intra-document sharded path at
-// the engine level.
-func TestMatchParallelMatchesMatch(t *testing.T) {
-	eng := streamEngine(t)
-	doc := []byte(`<feed><a><b/></a><c k="1"/><a/><b/><c/><a><b/><b/></a></feed>`)
-	want, err := eng.Match(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 4} {
-		got, err := eng.MatchParallel(doc, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sidSet(got) != sidSet(want) {
-			t.Fatalf("workers=%d: %v != %v", workers, got, want)
-		}
-	}
-}
-
 func TestMergeSIDSets(t *testing.T) {
 	cases := []struct {
 		name string
