@@ -154,18 +154,6 @@ func (b *breaker) snapshot() (state string, opens, fastFails int64) {
 	return breakerStateNames[s], b.opens.Load(), b.fastFails.Load()
 }
 
-// stateGauge maps the breaker state onto the metric value for
-// predfilter_cluster_breaker_state: 0 closed, 1 half-open, 2 open
-// (disabled breakers report 0 — a disabled breaker never blocks).
-func (b *breaker) stateGauge() int64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return int64(b.state)
-}
-
 // recordOutcome classifies one finished shard call into the breaker.
 // err == nil and deliberate shard answers — non-transient statuses and
 // 429 backpressure — are successes (the shard is alive); transport

@@ -128,7 +128,7 @@ func TestBreakerNilDisabled(t *testing.T) {
 	if st, opens, fastFails := b.snapshot(); st != "disabled" || opens != 0 || fastFails != 0 {
 		t.Fatalf("nil snapshot = %q/%d/%d", st, opens, fastFails)
 	}
-	if b.stateGauge() != 0 {
+	if st, _, _ := b.snapshot(); breakerGauge(st) != 0 {
 		t.Fatal("nil breaker gauge != 0")
 	}
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -417,114 +416,9 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	st := c.Stats()
-	var buf bytes.Buffer
-	x := metrics.NewExposition(&buf)
-	x.Family("predfilter_cluster_shards", "Shards on the ring.", "gauge")
-	x.Int("predfilter_cluster_shards", "", int64(st.Shards))
-	x.Family("predfilter_cluster_subscriptions", "Live subscriptions across all shards.", "gauge")
-	x.Int("predfilter_cluster_subscriptions", "", int64(st.Subscriptions))
-	x.Family("predfilter_cluster_docs_published_total", "Documents accepted by the scatter/gather publish path.", "counter")
-	x.Int("predfilter_cluster_docs_published_total", "", st.DocsPublished)
-	x.Family("predfilter_cluster_docs_degraded_total", "Published documents answered with a partial match set.", "counter")
-	x.Int("predfilter_cluster_docs_degraded_total", "", st.DocsDegraded)
-	x.Family("predfilter_cluster_docs_failed_total", "Published documents refused outright.", "counter")
-	x.Int("predfilter_cluster_docs_failed_total", "", st.DocsFailed)
-	x.Family("predfilter_cluster_failovers_total", "Standby promotions.", "counter")
-	x.Int("predfilter_cluster_failovers_total", "", st.Failovers)
-	x.Family("predfilter_cluster_shard_subscriptions", "Subscriptions owned per shard.", "gauge")
-	for _, s := range st.PerShard {
-		x.Int("predfilter_cluster_shard_subscriptions", shardLabel(s.Name), int64(s.Subscriptions))
-	}
-	x.Family("predfilter_cluster_shard_healthy", "Last health probe outcome per shard (1 healthy).", "gauge")
-	for _, s := range st.PerShard {
-		v := int64(0)
-		if s.Healthy {
-			v = 1
-		}
-		x.Int("predfilter_cluster_shard_healthy", shardLabel(s.Name), v)
-	}
-	x.Family("predfilter_cluster_shard_published_total", "Successful per-shard publish calls.", "counter")
-	for _, s := range st.PerShard {
-		x.Int("predfilter_cluster_shard_published_total", shardLabel(s.Name), s.Published)
-	}
-	x.Family("predfilter_cluster_shard_errors_total", "Failed per-shard publish calls (after retries).", "counter")
-	for _, s := range st.PerShard {
-		x.Int("predfilter_cluster_shard_errors_total", shardLabel(s.Name), s.Errors)
-	}
-	x.Family("predfilter_cluster_shard_retries_total", "Per-shard publish attempts retried.", "counter")
-	for _, s := range st.PerShard {
-		x.Int("predfilter_cluster_shard_retries_total", shardLabel(s.Name), s.Retries)
-	}
-	x.Family("predfilter_cluster_shard_skipped_total", "Documents that skipped a shard after exhausting retries.", "counter")
-	for _, s := range st.PerShard {
-		x.Int("predfilter_cluster_shard_skipped_total", shardLabel(s.Name), s.Skipped)
-	}
-	x.Family("predfilter_cluster_shard_publish_seconds_total", "Wall time spent in per-shard publish calls.", "counter")
-	for _, s := range st.PerShard {
-		x.Value("predfilter_cluster_shard_publish_seconds_total", shardLabel(s.Name), s.PublishSecs)
-	}
-	x.Family("predfilter_cluster_breaker_state", "Circuit breaker state per shard (0 closed, 1 half-open, 2 open).", "gauge")
-	for _, sh := range shards {
-		x.Int("predfilter_cluster_breaker_state", shardLabel(sh.name), sh.brk.stateGauge())
-	}
-	x.Family("predfilter_cluster_breaker_opens_total", "Circuit breaker open transitions per shard.", "counter")
-	for _, s := range st.PerShard {
-		x.Int("predfilter_cluster_breaker_opens_total", shardLabel(s.Name), s.BreakerOpens)
-	}
-	x.Family("predfilter_cluster_breaker_fast_fails_total", "Calls refused by an open breaker without touching the network.", "counter")
-	for _, s := range st.PerShard {
-		x.Int("predfilter_cluster_breaker_fast_fails_total", shardLabel(s.Name), s.FastFails)
-	}
-	x.Family("predfilter_cluster_orphan_sids", "Burned subscription ids awaiting reap.", "gauge")
-	x.Int("predfilter_cluster_orphan_sids", "", int64(st.Orphans))
-	if st.Store != nil {
-		x.Family("predfilter_coord_store_wal_records", "Coordinator state records since the last snapshot.", "gauge")
-		x.Int("predfilter_coord_store_wal_records", "", st.Store.WALRecords)
-		x.Family("predfilter_coord_store_appends_total", "Coordinator state records appended.", "counter")
-		x.Int("predfilter_coord_store_appends_total", "", st.Store.Appends)
-		x.Family("predfilter_coord_store_snapshots_total", "Coordinator state snapshot compactions.", "counter")
-		x.Int("predfilter_coord_store_snapshots_total", "", st.Store.Snapshots)
-		x.Family("predfilter_coord_store_torn_bytes", "Torn-tail bytes discarded at last coordinator state recovery.", "gauge")
-		x.Int("predfilter_coord_store_torn_bytes", "", st.Store.TornBytes)
-	}
-	x.Family("predfilter_cluster_rpc_duration_seconds", "Coordinator-to-shard RPC latency per shard and stage (every attempt, including retried ones).", "histogram")
-	for _, sh := range shards {
-		for stage := 0; stage < numRPCStages; stage++ {
-			s := sh.rpc[stage].Snapshot()
-			if s.Count == 0 {
-				continue
-			}
-			x.Histogram("predfilter_cluster_rpc_duration_seconds",
-				shardLabel(sh.name)+","+metrics.Label("stage", rpcStageNames[stage]), s)
-		}
-	}
-	x.Family("predfilter_cluster_gather_merge_seconds", "Gather-merge stage of scatter/gather publish.", "histogram")
-	x.Histogram("predfilter_cluster_gather_merge_seconds", "", c.gatherMerge.Snapshot())
-	x.Family("predfilter_cluster_scrape_errors_total", "Shard scrapes that failed during /metrics or /stats rollup.", "counter")
-	x.Int("predfilter_cluster_scrape_errors_total", "", c.scrapeErrs.Load())
-	x.Family("predfilter_cluster_scrape_ok", "Whether the shard's /metrics scrape succeeded on this pass (1 ok).", "gauge")
-	for i, sh := range shards {
-		ok := int64(1)
-		if errs[i] != nil {
-			ok = 0
-		}
-		x.Int("predfilter_cluster_scrape_ok", shardLabel(sh.name), ok)
-	}
-	if err := x.Err(); err != nil {
-		cwriteError(w, http.StatusInternalServerError, "metrics: %v", err)
-		return
-	}
-	if err := roll.WriteText(&buf); err != nil {
-		cwriteError(w, http.StatusInternalServerError, "metrics rollup: %v", err)
-		return
-	}
+	sc := coordScrape{st: c.Stats(), shards: shards, errs: errs, gather: c.gatherMerge.Snapshot(), scrapeErrs: c.scrapeErrs.Load()}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf.Bytes())
+	if metrics.WriteText(w, coordTable, &sc) == nil {
+		_ = roll.WriteText(w)
+	}
 }
-
-// shardLabel renders the shard label with the name escaped per the
-// text-format rules — a shard named with quotes, backslashes or newlines
-// must not corrupt the exposition.
-func shardLabel(name string) string { return metrics.Label("shard", name) }

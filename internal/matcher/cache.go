@@ -29,8 +29,8 @@ import (
 //     expression a structural unit can mark (its group members) is itself
 //     bare and annotation-free, and mark contributions are monotone, so
 //     OR-ing a cached outcome into the document state is exactly the
-//     sequential evaluation (the same argument that justifies the
-//     parallel merge).
+//     sequential evaluation: marks only ever set bits, so the order in
+//     which units contribute them cannot change the result.
 //
 //   - live units (expr.live): anything touching attribute values. Whether
 //     one matches depends on the document, but whether it *can* match

@@ -38,31 +38,24 @@ func (e *Exposition) Family(name, help, typ string) {
 
 // Value writes one sample. labels is either empty or a pre-rendered
 // label body such as `stage="parse"`.
-func (e *Exposition) Value(name, labels string, v float64) {
-	if labels != "" {
-		e.printf("%s{%s} %s\n", name, labels, fmtFloat(v))
-		return
-	}
-	e.printf("%s %s\n", name, fmtFloat(v))
-}
+func (e *Exposition) Value(name, labels string, v float64) { e.sample(name, labels, fmtFloat(v)) }
 
 // Int is Value for integer-valued samples.
 func (e *Exposition) Int(name, labels string, v int64) {
+	e.sample(name, labels, strconv.FormatInt(v, 10))
+}
+
+func (e *Exposition) sample(name, labels, v string) {
 	if labels != "" {
-		e.printf("%s{%s} %d\n", name, labels, v)
-		return
+		labels = "{" + labels + "}"
 	}
-	e.printf("%s %d\n", name, v)
+	e.printf("%s%s %s\n", name, labels, v)
 }
 
 // Histogram writes a histogram family member: cumulative buckets with
 // upper bounds in seconds, then _sum (seconds) and _count. labels may be
 // empty; the le label is appended to it.
 func (e *Exposition) Histogram(name, labels string, s HistSnapshot) {
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
 	var cum uint64
 	for i := 0; i < NumBuckets; i++ {
 		cum += s.Buckets[i]
@@ -70,15 +63,10 @@ func (e *Exposition) Histogram(name, labels string, s HistSnapshot) {
 		if i < NumBuckets-1 {
 			le = fmtFloat(BucketUpperNanos(i) / 1e9)
 		}
-		e.printf("%s_bucket{%s%sle=%q} %d\n", name, labels, sep, le, cum)
+		e.sample(name+"_bucket", joinLabels(labels, `le="`+le+`"`), strconv.FormatUint(cum, 10))
 	}
-	if labels != "" {
-		e.printf("%s_sum{%s} %s\n", name, labels, fmtFloat(float64(s.SumNanos)/1e9))
-		e.printf("%s_count{%s} %d\n", name, labels, s.Count)
-		return
-	}
-	e.printf("%s_sum %s\n", name, fmtFloat(float64(s.SumNanos)/1e9))
-	e.printf("%s_count %d\n", name, s.Count)
+	e.Value(name+"_sum", labels, float64(s.SumNanos)/1e9)
+	e.sample(name+"_count", labels, strconv.FormatUint(s.Count, 10))
 }
 
 // fmtFloat renders a float the way Prometheus clients expect: shortest
@@ -91,26 +79,9 @@ func fmtFloat(v float64) string {
 // format: backslash, double-quote and newline become \\, \" and \n.
 // These are the only three escapes the format defines — Go's %q is not
 // a substitute (it escapes tabs and non-ASCII in ways scrapers reject).
-func EscapeLabelValue(s string) string {
-	if !strings.ContainsAny(s, "\\\"\n") {
-		return s
-	}
-	var b strings.Builder
-	b.Grow(len(s) + 8)
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteByte(c)
-		}
-	}
-	return b.String()
-}
+func EscapeLabelValue(s string) string { return labelEscaper.Replace(s) }
+
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // Label renders one name="value" label pair with the value escaped,
 // ready to pass (possibly comma-joined with others) as the labels

@@ -6,10 +6,9 @@ import (
 	"predfilter/internal/guard"
 )
 
-// The metrics package stays dependency-free, so NumLimitKinds is a plain
-// constant rather than guard.NumKinds. This cross-check is the only
-// coupling: adding a guard.Kind without growing the counter array would
-// silently drop its trips.
+// Adding a guard.Kind without growing the trip counter array would
+// silently drop its trips; NumLimitKinds follows guard.NumKinds, and this
+// check keeps it that way.
 func TestNumLimitKindsCoversGuard(t *testing.T) {
 	if NumLimitKinds < int(guard.NumKinds) {
 		t.Fatalf("metrics.NumLimitKinds = %d < guard.NumKinds = %d; grow the counter array",
@@ -25,7 +24,7 @@ func TestObserveLimitTrip(t *testing.T) {
 	// Out-of-range kinds are clamped, not panicked on.
 	s.ObserveLimitTrip(-1)
 	s.ObserveLimitTrip(NumLimitKinds + 5)
-	trips := s.LimitTrips()
+	trips := s.Scrape().LimitTrips
 	if trips[guard.Steps] != 2 || trips[guard.Deadline] != 1 {
 		t.Fatalf("trips = %v", trips)
 	}

@@ -1,14 +1,17 @@
-// Package metrics is the engine's stdlib-only observability core:
-// lock-free counters, gauges and fixed-bucket latency histograms cheap
-// enough to stay on permanently, plus a hand-rolled Prometheus
-// text-exposition writer (expo.go).
+// Package metrics is the engine's observability core: lock-free
+// counters, gauges and fixed-bucket latency histograms cheap enough to
+// stay on permanently, a hand-rolled Prometheus text-exposition writer
+// (expo.go), and the metric table (table.go): each metric is declared
+// once, as a row, and one renderer writes /metrics, /stats and
+// /debug/vars from the rows. Its only non-stdlib import is internal/guard,
+// for the limit names.
 //
 // The recording contract is zero heap allocations per operation:
 // Counter.Add, Gauge.Set and Histogram.Observe touch only preallocated
 // atomics, so instrumented hot paths (per-document, per-path) keep their
 // allocation profile with metrics enabled. Histograms are sharded into
 // cache-line-padded stripes to keep concurrent recorders (the stream
-// worker pool, parallel matchers) off one contended line; stripe
+// worker pool, concurrent publish requests) off one contended line; stripe
 // selection is a multiplicative hash of the observed value, so no extra
 // shared state is touched to pick a stripe.
 //

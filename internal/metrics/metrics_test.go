@@ -106,7 +106,7 @@ func TestSetStreamBusyClamps(t *testing.T) {
 	s := NewSet()
 	s.StreamBusy(-1).Add(1)
 	s.StreamBusy(MaxStreamWorkers + 5).Add(2)
-	busy := s.StreamBusyNanos()
+	busy := s.Scrape().StreamBusy
 	if len(busy) != MaxStreamWorkers {
 		t.Fatalf("busy length = %d, want %d", len(busy), MaxStreamWorkers)
 	}

@@ -294,7 +294,7 @@ func (r *Rollup) Add(shard, text string) error {
 			f.typ = pf.Type
 		}
 		for _, smp := range pf.Samples {
-			key := seriesKey(smp.Name, smp.Labels)
+			key := seriesKey(smp.Name, smp.Labels, "")
 			sr := f.series[key]
 			if sr == nil {
 				sr = &rollupSeries{name: smp.Name, labels: smp.Labels, shards: make(map[string]float64)}
@@ -310,10 +310,16 @@ func (r *Rollup) Add(shard, text string) error {
 	return nil
 }
 
-func seriesKey(name string, labels []LabelPair) string {
+// seriesKey identifies one series: the sample name plus its labels, in
+// order, less the one named skip (a histogram's le: its _count sample
+// carries the same labels without it).
+func seriesKey(name string, labels []LabelPair, skip string) string {
 	var b strings.Builder
 	b.WriteString(name)
 	for _, lp := range labels {
+		if lp.Name == skip {
+			continue
+		}
 		b.WriteByte(0)
 		b.WriteString(lp.Name)
 		b.WriteByte(0)
@@ -357,20 +363,16 @@ func (r *Rollup) WriteText(w io.Writer) error {
 	return e.Err()
 }
 
-func renderLabels(labels []LabelPair) string {
-	if len(labels) == 0 {
-		return ""
+func renderLabels(labels []LabelPair) (out string) {
+	for _, lp := range labels {
+		out = joinLabels(out, Label(lp.Name, lp.Value))
 	}
-	parts := make([]string, len(labels))
-	for i, lp := range labels {
-		parts[i] = Label(lp.Name, lp.Value)
-	}
-	return strings.Join(parts, ",")
+	return out
 }
 
 func joinLabels(a, b string) string {
-	if b == "" {
-		return a
+	if a == "" || b == "" {
+		return a + b
 	}
 	return a + "," + b
 }

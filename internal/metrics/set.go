@@ -1,15 +1,18 @@
 package metrics
 
-import "time"
+import (
+	"time"
+
+	"predfilter/internal/guard"
+)
 
 // MaxStreamWorkers bounds the per-worker busy-time counter vector of the
 // stream pipeline; workers beyond the bound share the last slot.
 const MaxStreamWorkers = 32
 
-// NumLimitKinds sizes the per-limit trip counter vector. It must be at
-// least guard.NumKinds; the two constants are cross-checked by a test
-// (this package stays dependency-free, so it cannot import guard).
-const NumLimitKinds = 8
+// NumLimitKinds sizes the per-limit trip counter vector: one slot per
+// guard.Kind.
+const NumLimitKinds = int(guard.NumKinds)
 
 // Set is the engine-wide pipeline metric set: one instance per Engine,
 // always on, shared by every stage (parse, predicate matching, occurrence
@@ -37,8 +40,7 @@ type Set struct {
 	// path extraction; Cache the path-signature cache probes and replays;
 	// PredMatch the predicate matching stage; Occur occurrence
 	// determination plus result collection; Match the whole post-parse
-	// matching call. The parallel path records Match only (its workers
-	// deliberately keep clock calls off the shards).
+	// matching call.
 	Parse     Histogram
 	Cache     Histogram
 	PredMatch Histogram
@@ -76,6 +78,109 @@ type Set struct {
 	// (stream workers, HTTP handlers).
 	limitTrips [NumLimitKinds]Counter
 	Panics     Counter
+
+	// ReadGauges, installed by the engine, reads the registration state
+	// (expression table, path cache) into each Scrape; nil for a bare Set.
+	ReadGauges func(*Scrape)
+}
+
+// Scrape is one reading of a Set: every counter and histogram loaded
+// once, plus the engine's registration state. Every surface of one
+// request renders from one Scrape, so a value reported twice is reported
+// equal.
+type Scrape struct {
+	DocsTotal, DocErrors, DocBytes, PathsTotal, MatchesTotal, SlowDocs int64
+	ParseScanDocs, ParseFallbackDocs                                   int64
+	Parse, Cache, PredMatch, Occur, Match, WALAppend, Snapshot         HistSnapshot
+	StreamQueueDepth, StreamJobs, StreamBatches                        int64
+	StreamBusy                                                         []int64 // per worker, nanoseconds
+	Columnar                                                           Columnar
+	ColSweep                                                           HistSnapshot
+	LimitTrips                                                         [NumLimitKinds]int64
+	Panics                                                             int64
+
+	Expressions, DistinctExpressions, DistinctPredicates, NestedExpressions int
+	PathCache                                                               PathCache
+}
+
+// Columnar summarizes the columnar batch matcher (the bitset kernel; the
+// Col* fields of Set): how many batches and documents it evaluated, the
+// paths swept, the candidate bits that survived the per-path fold, the
+// paths that needed scalar occurrence verification because a tag
+// repeated, and the occupancy pair — candidate-bitset words scanned vs
+// words that held at least one candidate (low occupancy means the
+// word-parallel fold is doing its job: most expressions are dismissed 64
+// at a time). It is predfilter.ColumnarStats.
+type Columnar struct {
+	Batches        int64
+	Docs           int64
+	Paths          int64
+	Candidates     int64
+	AmbiguousPaths int64
+	WordsSwept     int64
+	WordsLive      int64
+}
+
+// PathCache summarizes the structural path-signature cache; zero-valued
+// with Enabled false when the engine runs without it. It is
+// predfilter.PathCacheStats.
+type PathCache struct {
+	Enabled       bool
+	Hits          int64
+	Misses        int64
+	Evictions     int64 // entries dropped: capacity, a new expression that can match them, stale after a flush
+	Invalidations int64 // whole-cache flushes (bulk load, nested-path expression)
+	Entries       int   // resident distinct path signatures
+	Bytes         int64 // resident byte estimate
+	MaxBytes      int64 // configured bound
+}
+
+// Occupancy returns WordsLive / WordsSwept, or 0 before any sweep.
+func (c Columnar) Occupancy() float64 { return Ratio(c.WordsLive, float64(c.WordsSwept)) }
+
+// AvgBatch returns the average documents per batch, or 0.
+func (c Columnar) AvgBatch() float64 { return Ratio(c.Docs, float64(c.Batches)) }
+
+// HitRate returns hits / (hits + misses), or 0 before any lookup. The sum
+// is taken in floating point so counters near the int64 limit cannot
+// overflow into a negative total.
+func (c PathCache) HitRate() float64 { return Ratio(c.Hits, float64(c.Hits)+float64(c.Misses)) }
+
+// Ratio returns num / den, or 0 while den is 0.
+func Ratio(num int64, den float64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return float64(num) / den
+}
+
+// Scrape reads the set once.
+func (s *Set) Scrape() Scrape {
+	sc := Scrape{
+		DocsTotal: s.DocsTotal.Load(), DocErrors: s.DocErrors.Load(), DocBytes: s.DocBytes.Load(),
+		PathsTotal: s.PathsTotal.Load(), MatchesTotal: s.MatchesTotal.Load(), SlowDocs: s.SlowDocs.Load(),
+		ParseScanDocs: s.ParseScanDocs.Load(), ParseFallbackDocs: s.ParseFallbackDocs.Load(),
+		Parse: s.Parse.Snapshot(), Cache: s.Cache.Snapshot(), PredMatch: s.PredMatch.Snapshot(), Occur: s.Occur.Snapshot(),
+		Match: s.Match.Snapshot(), WALAppend: s.WALAppend.Snapshot(), Snapshot: s.Snapshot.Snapshot(),
+		StreamQueueDepth: s.StreamQueueDepth.Load(), StreamJobs: s.StreamJobs.Load(),
+		StreamBatches: s.StreamBatches.Load(),
+		Columnar: Columnar{s.ColBatches.Load(), s.ColDocs.Load(), s.ColPaths.Load(), s.ColCandidates.Load(),
+			s.ColAmbiguous.Load(), s.ColWords.Load(), s.ColWordsLive.Load()},
+		ColSweep: s.ColSweep.Snapshot(), Panics: s.Panics.Load(),
+	}
+	for i := range sc.LimitTrips {
+		sc.LimitTrips[i] = s.limitTrips[i].Load()
+	}
+	var busy [MaxStreamWorkers]int64
+	for i := range busy {
+		if busy[i] = s.streamBusy[i].Load(); busy[i] > 0 {
+			sc.StreamBusy = busy[: i+1 : i+1] // up to the highest worker that recorded anything
+		}
+	}
+	if s.ReadGauges != nil {
+		s.ReadGauges(&sc)
+	}
+	return sc
 }
 
 // NewSet returns a ready-to-record metric set.
@@ -152,19 +257,6 @@ func (s *Set) ObservePanic() {
 	s.Panics.Inc()
 }
 
-// LimitTrips returns the per-kind governance trip counts (indexed by
-// guard.Kind).
-func (s *Set) LimitTrips() [NumLimitKinds]int64 {
-	var out [NumLimitKinds]int64
-	if s == nil {
-		return out
-	}
-	for i := range out {
-		out[i] = s.limitTrips[i].Load()
-	}
-	return out
-}
-
 // StreamBusy returns worker w's cumulative busy-time counter
 // (nanoseconds), clamping out-of-range workers to the last slot.
 func (s *Set) StreamBusy(w int) *Counter {
@@ -175,20 +267,4 @@ func (s *Set) StreamBusy(w int) *Counter {
 		w = MaxStreamWorkers - 1
 	}
 	return &s.streamBusy[w]
-}
-
-// StreamBusyNanos returns the per-worker busy-time counters up to the
-// highest worker that recorded anything.
-func (s *Set) StreamBusyNanos() []int64 {
-	n := 0
-	for i := range s.streamBusy {
-		if s.streamBusy[i].Load() > 0 {
-			n = i + 1
-		}
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = s.streamBusy[i].Load()
-	}
-	return out
 }

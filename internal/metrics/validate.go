@@ -16,92 +16,57 @@ import (
 // It is used by the package tests, the server tests and the CI smoke
 // check.
 func ValidateExposition(text string) error {
+	fams, err := ParseExposition(text)
+	if err != nil {
+		return fmt.Errorf("malformed exposition %w", err)
+	}
 	type histState struct {
-		last    float64
-		lastLe  float64
-		infSeen bool
-		inf     float64
-		first   string
+		last, lastLe, inf float64
+		infSeen           bool
 	}
 	hists := make(map[string]*histState)
 	counts := make(map[string]float64)
-	lineNo := 0
-	for len(text) > 0 {
-		lineNo++
-		line := text
-		if i := strings.IndexByte(text, '\n'); i >= 0 {
-			line, text = text[:i], text[i+1:]
-		} else {
-			text = ""
-		}
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		s, err := parseSampleLine(line)
-		if err != nil {
-			return fmt.Errorf("malformed exposition line %d: %w", lineNo, err)
-		}
-		le, hasLe := s.Label("le")
-		switch {
-		case strings.HasSuffix(s.Name, "_bucket") && hasLe:
-			if s.Value < 0 || s.Value != math.Trunc(s.Value) {
-				return fmt.Errorf("bucket count %v not a whole number at %q", s.Value, line)
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			le, hasLe := s.Label("le")
+			bucket, count := strings.HasSuffix(s.Name, "_bucket") && hasLe, strings.HasSuffix(s.Name, "_count")
+			if (bucket || count) && (s.Value < 0 || s.Value != math.Trunc(s.Value)) {
+				return fmt.Errorf("%s value %v not a whole number", s.Name, s.Value)
 			}
-			key := histKey(s.Name, s.Labels)
-			h := hists[key]
-			if h == nil {
-				h = &histState{lastLe: math.Inf(-1), first: line}
-				hists[key] = h
-			}
-			if le == "+Inf" {
-				h.infSeen = true
-				h.inf = s.Value
-			} else {
-				b, err := strconv.ParseFloat(le, 64)
+			switch {
+			case bucket:
+				key := seriesKey(s.Name, s.Labels, "le")
+				h := hists[key]
+				if h == nil {
+					h = &histState{lastLe: math.Inf(-1)}
+					hists[key] = h
+				}
+				b, err := strconv.ParseFloat(le, 64) // "+Inf" parses
 				if err != nil {
 					return fmt.Errorf("le bound %q: %v", le, err)
 				}
 				if b <= h.lastLe {
-					return fmt.Errorf("le bounds not increasing at %q", line)
+					return fmt.Errorf("le bounds not increasing at %s le=%q", s.Name, le)
 				}
-				h.lastLe = b
+				if s.Value < h.last {
+					return fmt.Errorf("bucket counts not cumulative at %s le=%q", s.Name, le)
+				}
+				h.lastLe, h.last = b, s.Value
+				if math.IsInf(b, 1) {
+					h.inf, h.infSeen = s.Value, true
+				}
+			case count:
+				counts[seriesKey(strings.TrimSuffix(s.Name, "_count")+"_bucket", s.Labels, "le")] = s.Value
 			}
-			if s.Value < h.last {
-				return fmt.Errorf("bucket counts not cumulative at %q", line)
-			}
-			h.last = s.Value
-		case strings.HasSuffix(s.Name, "_count"):
-			if s.Value < 0 || s.Value != math.Trunc(s.Value) {
-				return fmt.Errorf("count %v not a whole number at %q", s.Value, line)
-			}
-			counts[histKey(strings.TrimSuffix(s.Name, "_count")+"_bucket", s.Labels)] = s.Value
 		}
 	}
 	for key, h := range hists {
 		if !h.infSeen {
-			return fmt.Errorf("histogram series %q has no +Inf bucket", h.first)
+			return fmt.Errorf("histogram series %q has no +Inf bucket", key)
 		}
 		if n, ok := counts[key]; ok && n != h.inf {
 			return fmt.Errorf("histogram series %q: +Inf bucket %v != count %v", key, h.inf, n)
 		}
 	}
 	return nil
-}
-
-// histKey identifies one histogram series: the sample name plus its
-// labels minus le, order-preserved. The same key is produced by the
-// series' _count sample (which carries the identical labels, sans le).
-func histKey(name string, labels []LabelPair) string {
-	var b strings.Builder
-	b.WriteString(name)
-	for _, lp := range labels {
-		if lp.Name == "le" {
-			continue
-		}
-		b.WriteByte(0)
-		b.WriteString(lp.Name)
-		b.WriteByte(0)
-		b.WriteString(lp.Value)
-	}
-	return b.String()
 }

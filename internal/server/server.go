@@ -51,16 +51,15 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/pprof"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -236,9 +235,9 @@ func Open(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /publish", s.handlePublish)
 	s.mux.HandleFunc("POST /publish/batch", s.handlePublishBatch)
 	s.mux.HandleFunc("GET /deliveries/{id}", s.handleDeliveries)
-	s.mux.HandleFunc("GET /stats", s.handleStats)
+	s.mux.HandleFunc("GET /stats", s.handleJSON(metrics.OnStats))
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /debug/vars", s.handleDebugVars)
+	s.mux.HandleFunc("GET /debug/vars", s.handleJSON(metrics.OnVars))
 	s.mux.HandleFunc("GET /debug/flight", s.handleFlight)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -866,194 +865,30 @@ func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "snapshot: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"store": s.storeVars()})
+	writeJSON(w, http.StatusOK, map[string]any{"store": metrics.JSON(Rows, s.readScrape(metrics.OnStats), metrics.OnStats)["store"]})
 }
 
-// storeVars flattens the persistence counters for /stats, /debug/vars and
-// the admin snapshot response. Returns nil when persistence is off.
-func (s *Server) storeVars() map[string]any {
-	if s.pe == nil {
-		return nil
-	}
-	st := s.pe.StoreStats()
-	var last any
-	if !st.LastSnapshot.IsZero() {
-		last = st.LastSnapshot.UTC().Format(time.RFC3339Nano)
-	}
-	return map[string]any{
-		"live":             st.Live,
-		"next_sid":         st.NextSID,
-		"wal_records":      st.WALRecords,
-		"wal_bytes":        st.WALBytes,
-		"appends":          st.Appends,
-		"snapshots":        st.Snapshots,
-		"last_snapshot":    last,
-		"snapshot_entries": st.SnapshotEntries,
-		"replayed_records": st.ReplayedRecords,
-		"torn_bytes":       st.TornBytes,
+// handleJSON serves /stats or /debug/vars: the engine's and the server's
+// keys for that surface, rendered from one scrape.
+func (s *Server) handleJSON(on metrics.Surface) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		sc := s.readScrape(on)
+		out := metrics.JSON(metrics.EngineRows, &sc.eng, on)
+		maps.Copy(out, metrics.JSON(Rows, sc, on))
+		writeJSON(w, http.StatusOK, out)
 	}
 }
 
-// pathCacheVars flattens the engine's path-signature cache counters for
-// /stats and /debug/vars. Returns nil when the cache is disabled.
-func (s *Server) pathCacheVars() map[string]any {
-	pc := s.eng.Stats().PathCache
-	if !pc.Enabled {
-		return nil
-	}
-	return map[string]any{
-		"hits":          pc.Hits,
-		"misses":        pc.Misses,
-		"hit_rate":      pc.HitRate(),
-		"evictions":     pc.Evictions,
-		"invalidations": pc.Invalidations,
-		"entries":       pc.Entries,
-		"bytes":         pc.Bytes,
-		"max_bytes":     pc.MaxBytes,
-	}
-}
-
-// columnarVars flattens the columnar batch matcher's counters for /stats
-// and /debug/vars. Returns nil until a batch entry point has engaged the
-// kernel, so scalar-only deployments keep their response shape.
-func (s *Server) columnarVars() map[string]any {
-	cs := s.eng.Stats().Columnar
-	if cs.Batches == 0 {
-		return nil
-	}
-	return map[string]any{
-		"batches":         cs.Batches,
-		"docs":            cs.Docs,
-		"avg_batch":       cs.AvgBatch(),
-		"paths":           cs.Paths,
-		"candidates":      cs.Candidates,
-		"ambiguous_paths": cs.AmbiguousPaths,
-		"words_swept":     cs.WordsSwept,
-		"words_live":      cs.WordsLive,
-		"occupancy":       cs.Occupancy(),
-	}
-}
-
-// publishCounters is one consistent-enough snapshot of the publish-path
-// counters: every atomic is loaded exactly once per request, and all
-// derived values (docs/sec) come from those loads, so a response can
-// never contradict itself about a counter it reports twice.
-type publishCounters struct {
-	docs, rejected, batch, matches, nanos int64
-}
-
-func (s *Server) snapshotPublishCounters() publishCounters {
-	return publishCounters{
-		docs:     s.docsPublished.Load(),
-		rejected: s.docsRejected.Load(),
-		batch:    s.batchDocsTotal.Load(),
-		matches:  s.matchesTotal.Load(),
-		nanos:    s.publishNanos.Load(),
-	}
-}
-
-// handleDebugVars reports publish-path throughput counters and allocation
-// statistics (a /debug/vars-style snapshot for profiling the pipeline).
-// The response is marshaled to a buffer before writing so concurrent
-// publishes can never interleave with a partially written body.
-func (s *Server) handleDebugVars(w http.ResponseWriter, r *http.Request) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	pc := s.snapshotPublishCounters()
-	var docsPerSec float64
-	if pc.nanos > 0 {
-		docsPerSec = float64(pc.docs) / (float64(pc.nanos) / 1e9)
-	}
-	vars := map[string]any{
-		"docs_published":       pc.docs,
-		"docs_rejected":        pc.rejected,
-		"batch_docs":           pc.batch,
-		"matches_total":        pc.matches,
-		"publish_ns":           pc.nanos,
-		"publish_docs_per_sec": docsPerSec,
-		"shed":                 s.shed.Load(),
-		"timed_out":            s.timedOut.Load(),
-		"limit_stopped":        s.limited.Load(),
-		"panics_recovered":     s.panics.Load(),
-		"inflight_queued":      s.queued.Load(),
-		"draining":             s.draining.Load(),
-		"workers":              s.cfg.Workers,
-		"gomaxprocs":           runtime.GOMAXPROCS(0),
-		"goroutines":           runtime.NumGoroutine(),
-		"mem_total_alloc":      ms.TotalAlloc,
-		"mem_mallocs":          ms.Mallocs,
-		"mem_heap_alloc":       ms.HeapAlloc,
-		"num_gc":               ms.NumGC,
-	}
-	if sv := s.storeVars(); sv != nil {
-		vars["store"] = sv
-	}
-	if cv := s.pathCacheVars(); cv != nil {
-		vars["path_cache"] = cv
-	}
-	if cl := s.columnarVars(); cl != nil {
-		vars["columnar"] = cl
-	}
-	body, err := json.Marshal(vars)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "marshal vars: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
-}
-
-// handleMetrics serves the engine's metric state plus the server's
-// publish-path and store counters in the Prometheus text exposition
-// format (version 0.0.4). Always on: recording follows the engine's
-// zero-allocation contract, so there is nothing to toggle.
+// handleMetrics serves the engine's and the server's families in the
+// Prometheus text exposition format (version 0.0.4), from one scrape.
+// Always on: recording follows the engine's zero-allocation contract, so
+// there is nothing to toggle.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var buf bytes.Buffer
-	if err := s.eng.WriteMetrics(&buf); err != nil {
-		writeError(w, http.StatusInternalServerError, "metrics: %v", err)
-		return
-	}
-	pc := s.snapshotPublishCounters()
-	x := metrics.NewExposition(&buf)
-	x.Family("predfilter_server_docs_published_total", "Documents accepted by /publish and /publish/batch.", "counter")
-	x.Int("predfilter_server_docs_published_total", "", pc.docs)
-	x.Family("predfilter_server_docs_rejected_total", "Published documents that failed to parse.", "counter")
-	x.Int("predfilter_server_docs_rejected_total", "", pc.rejected)
-	x.Family("predfilter_server_batch_docs_total", "Documents that arrived via /publish/batch.", "counter")
-	x.Int("predfilter_server_batch_docs_total", "", pc.batch)
-	x.Family("predfilter_server_matches_total", "Sum of per-document match counts on the publish paths.", "counter")
-	x.Int("predfilter_server_matches_total", "", pc.matches)
-	x.Family("predfilter_server_publish_seconds_total", "Wall time spent matching published documents.", "counter")
-	x.Value("predfilter_server_publish_seconds_total", "", float64(pc.nanos)/1e9)
-	x.Family("predfilter_server_shed_total", "Publish requests shed by admission control (429 or abandoned wait).", "counter")
-	x.Int("predfilter_server_shed_total", "", s.shed.Load())
-	x.Family("predfilter_server_timed_out_total", "Published documents that hit the per-request or match deadline.", "counter")
-	x.Int("predfilter_server_timed_out_total", "", s.timedOut.Load())
-	x.Family("predfilter_server_limit_stopped_total", "Published documents stopped by a resource-governance limit.", "counter")
-	x.Int("predfilter_server_limit_stopped_total", "", s.limited.Load())
-	x.Family("predfilter_server_panics_recovered_total", "Handler panics recovered by the isolation layer.", "counter")
-	x.Int("predfilter_server_panics_recovered_total", "", s.panics.Load())
-	if s.pe != nil {
-		st := s.pe.StoreStats()
-		x.Family("predfilter_store_live_subscriptions", "Live persisted subscriptions.", "gauge")
-		x.Int("predfilter_store_live_subscriptions", "", int64(st.Live))
-		x.Family("predfilter_store_wal_records", "Records in the write-ahead log since the last snapshot.", "gauge")
-		x.Int("predfilter_store_wal_records", "", st.WALRecords)
-		x.Family("predfilter_store_wal_bytes", "Write-ahead log body size in bytes.", "gauge")
-		x.Int("predfilter_store_wal_bytes", "", st.WALBytes)
-		x.Family("predfilter_store_appends_total", "Records appended to the write-ahead log.", "counter")
-		x.Int("predfilter_store_appends_total", "", st.Appends)
-		x.Family("predfilter_store_snapshots_total", "Snapshots written.", "counter")
-		x.Int("predfilter_store_snapshots_total", "", st.Snapshots)
-	}
-	if err := x.Err(); err != nil {
-		writeError(w, http.StatusInternalServerError, "metrics: %v", err)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf.Bytes())
+	sc := s.readScrape(0)
+	if metrics.WriteText(w, metrics.EngineRows, &sc.eng) == nil {
+		_ = metrics.WriteText(w, Rows, sc)
+	}
 }
 
 func (s *Server) handleDeliveries(w http.ResponseWriter, r *http.Request) {
@@ -1177,61 +1012,4 @@ func (s *Server) handleWALShip(w http.ResponseWriter, r *http.Request) {
 		resp.Entries[i] = WALShipEntry{ID: sub.ID, Expression: sub.Expression}
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// stageVars flattens one stage-latency summary for /stats.
-func stageVars(h predfilter.HistogramStats) map[string]any {
-	return map[string]any{
-		"count":    h.Count,
-		"total_ns": h.TotalNanos,
-		"p50_ns":   h.P50Nanos,
-		"p95_ns":   h.P95Nanos,
-		"p99_ns":   h.P99Nanos,
-	}
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.eng.Stats()
-	s.mu.Lock()
-	subs := s.reg.live
-	s.mu.Unlock()
-	stats := map[string]any{
-		"subscriptions":        subs,
-		"expressions":          st.Expressions,
-		"distinct_expressions": st.DistinctExpressions,
-		"distinct_predicates":  st.DistinctPredicates,
-		"nested_expressions":   st.NestedExpressions,
-		"documents":            st.Documents,
-		"doc_errors":           st.DocErrors,
-		"doc_bytes":            st.DocBytes,
-		"paths":                st.Paths,
-		"matches":              st.Matches,
-		"slow_docs":            st.SlowDocs,
-		"shed":                 s.shed.Load(),
-		"timed_out":            s.timedOut.Load(),
-		"limit_stopped":        s.limited.Load(),
-		"panics_recovered":     st.Panics,
-		"stages": map[string]any{
-			"parse":           stageVars(st.Stages.Parse),
-			"cache":           stageVars(st.Stages.Cache),
-			"predicate_match": stageVars(st.Stages.PredicateMatch),
-			"occurrence":      stageVars(st.Stages.Occurrence),
-			"match":           stageVars(st.Stages.Match),
-			"wal_append":      stageVars(st.Stages.WALAppend),
-			"snapshot":        stageVars(st.Stages.Snapshot),
-		},
-	}
-	if len(st.LimitTrips) > 0 {
-		stats["limit_trips"] = st.LimitTrips
-	}
-	if sv := s.storeVars(); sv != nil {
-		stats["store"] = sv
-	}
-	if pc := s.pathCacheVars(); pc != nil {
-		stats["path_cache"] = pc
-	}
-	if cl := s.columnarVars(); cl != nil {
-		stats["columnar"] = cl
-	}
-	writeJSON(w, http.StatusOK, stats)
 }

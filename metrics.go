@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 	"log/slog"
-	"strconv"
 	"time"
 
 	"predfilter/internal/guard"
@@ -25,8 +24,7 @@ type HistogramStats struct {
 	P99Nanos   float64
 }
 
-func summarize(h *metrics.Histogram) HistogramStats {
-	s := h.Snapshot()
+func summarize(s metrics.HistSnapshot) HistogramStats {
 	return HistogramStats{
 		Count:      s.Count,
 		TotalNanos: int64(s.SumNanos),
@@ -129,120 +127,26 @@ func (e *Engine) maybeLogSlow(ctx context.Context, parse time.Duration, bd *matc
 }
 
 // Metrics returns the engine's metric set for direct recording access
-// (the stream pipeline and the durable store record into it).
+// (the stream pipeline and the durable store record into it) and for
+// scraping (Set.Scrape, which includes the engine's gauges).
 func (e *Engine) Metrics() *metrics.Set { return e.mx }
 
-// stageStats summarizes every stage histogram.
-func (e *Engine) stageStats() StageStats {
-	return StageStats{
-		Parse:          summarize(&e.mx.Parse),
-		Cache:          summarize(&e.mx.Cache),
-		PredicateMatch: summarize(&e.mx.PredMatch),
-		Occurrence:     summarize(&e.mx.Occur),
-		Match:          summarize(&e.mx.Match),
-		WALAppend:      summarize(&e.mx.WALAppend),
-		Snapshot:       summarize(&e.mx.Snapshot),
-	}
+// WriteMetrics writes the engine's full metric state to w in the
+// Prometheus text exposition format (version 0.0.4): the families of
+// metrics.EngineRows, read from one scrape of the metric set.
+func (e *Engine) WriteMetrics(w io.Writer) error {
+	sc := e.mx.Scrape()
+	return metrics.WriteText(w, metrics.EngineRows, &sc)
 }
 
-// WriteMetrics writes the engine's full metric state to w in the
-// Prometheus text exposition format (version 0.0.4): the document
-// counters, the per-stage latency histograms, the expression-table
-// gauges, the path-cache counters and the stream-pipeline
-// instrumentation. It is the payload of the server's GET /metrics.
-func (e *Engine) WriteMetrics(w io.Writer) error {
-	x := metrics.NewExposition(w)
-
-	x.Family("predfilter_docs_total", "Documents matched (all entry points).", "counter")
-	x.Int("predfilter_docs_total", "", e.mx.DocsTotal.Load())
-	x.Family("predfilter_doc_errors_total", "Documents rejected by the XML parser.", "counter")
-	x.Int("predfilter_doc_errors_total", "", e.mx.DocErrors.Load())
-	x.Family("predfilter_doc_bytes_total", "XML bytes parsed.", "counter")
-	x.Int("predfilter_doc_bytes_total", "", e.mx.DocBytes.Load())
-	x.Family("predfilter_paths_total", "Root-to-leaf paths matched.", "counter")
-	x.Int("predfilter_paths_total", "", e.mx.PathsTotal.Load())
-	x.Family("predfilter_matches_total", "Matching expression identifiers reported.", "counter")
-	x.Int("predfilter_matches_total", "", e.mx.MatchesTotal.Load())
-	x.Family("predfilter_slow_docs_total", "Documents over the slow-document threshold.", "counter")
-	x.Int("predfilter_slow_docs_total", "", e.mx.SlowDocs.Load())
-	x.Family("predfilter_parse_docs_total", "Documents by parse path: the zero-copy scanner fast path vs the encoding/xml fallback.", "counter")
-	x.Int("predfilter_parse_docs_total", `path="scan"`, e.mx.ParseScanDocs.Load())
-	x.Int("predfilter_parse_docs_total", `path="fallback"`, e.mx.ParseFallbackDocs.Load())
-
-	x.Family("predfilter_stage_duration_seconds", "Per-document pipeline stage latency.", "histogram")
-	x.Histogram("predfilter_stage_duration_seconds", `stage="parse"`, e.mx.Parse.Snapshot())
-	x.Histogram("predfilter_stage_duration_seconds", `stage="cache"`, e.mx.Cache.Snapshot())
-	x.Histogram("predfilter_stage_duration_seconds", `stage="predicate_match"`, e.mx.PredMatch.Snapshot())
-	x.Histogram("predfilter_stage_duration_seconds", `stage="occurrence"`, e.mx.Occur.Snapshot())
-	x.Histogram("predfilter_stage_duration_seconds", `stage="match"`, e.mx.Match.Snapshot())
-
-	x.Family("predfilter_store_duration_seconds", "Durable store operation latency.", "histogram")
-	x.Histogram("predfilter_store_duration_seconds", `op="wal_append"`, e.mx.WALAppend.Snapshot())
-	x.Histogram("predfilter_store_duration_seconds", `op="snapshot"`, e.mx.Snapshot.Snapshot())
-
+// gauges reads the registration state into a scrape (installed as the
+// metric set's ReadGauges).
+func (e *Engine) gauges(sc *metrics.Scrape) {
 	st := e.m.Stats()
-	x.Family("predfilter_expressions", "Live registered expression identifiers.", "gauge")
-	x.Int("predfilter_expressions", "", int64(st.SIDs))
-	x.Family("predfilter_distinct_expressions", "Distinct expressions with a live subscription, after dedup.", "gauge")
-	x.Int("predfilter_distinct_expressions", "", int64(st.DistinctExpressions))
-	x.Family("predfilter_distinct_predicates", "Size of the shared predicate index.", "gauge")
-	x.Int("predfilter_distinct_predicates", "", int64(st.DistinctPredicates))
-	x.Family("predfilter_nested_expressions", "Distinct expressions with nested path filters.", "gauge")
-	x.Int("predfilter_nested_expressions", "", int64(st.NestedExpressions))
-
-	if st.PathCacheEnabled {
-		pc := st.PathCache
-		x.Family("predfilter_path_cache_hits_total", "Path-signature cache hits.", "counter")
-		x.Int("predfilter_path_cache_hits_total", "", pc.Hits)
-		x.Family("predfilter_path_cache_misses_total", "Path-signature cache misses.", "counter")
-		x.Int("predfilter_path_cache_misses_total", "", pc.Misses)
-		x.Family("predfilter_path_cache_evictions_total", "Path-signature cache evictions.", "counter")
-		x.Int("predfilter_path_cache_evictions_total", "", pc.Evictions)
-		x.Family("predfilter_path_cache_invalidations_total", "Path-signature cache generation bumps.", "counter")
-		x.Int("predfilter_path_cache_invalidations_total", "", pc.Invalidations)
-		x.Family("predfilter_path_cache_entries", "Resident path-signature cache entries.", "gauge")
-		x.Int("predfilter_path_cache_entries", "", int64(pc.Entries))
-		x.Family("predfilter_path_cache_bytes", "Resident path-signature cache bytes.", "gauge")
-		x.Int("predfilter_path_cache_bytes", "", pc.Bytes)
+	sc.Expressions, sc.DistinctExpressions = st.SIDs, st.DistinctExpressions
+	sc.DistinctPredicates, sc.NestedExpressions = st.DistinctPredicates, st.NestedExpressions
+	if pc := st.PathCache; st.PathCacheEnabled {
+		sc.PathCache = metrics.PathCache{Enabled: true, Hits: pc.Hits, Misses: pc.Misses, Evictions: pc.Evictions,
+			Invalidations: pc.Invalidations, Entries: pc.Entries, Bytes: pc.Bytes, MaxBytes: pc.MaxBytes}
 	}
-
-	x.Family("predfilter_limit_trips_total", "Documents stopped by each resource-governance limit.", "counter")
-	trips := e.mx.LimitTrips()
-	for k := guard.Kind(0); k < guard.NumKinds; k++ {
-		x.Int("predfilter_limit_trips_total", `limit="`+k.String()+`"`, trips[k])
-	}
-	x.Family("predfilter_panics_recovered_total", "Panics recovered by the isolation layer.", "counter")
-	x.Int("predfilter_panics_recovered_total", "", e.mx.Panics.Load())
-
-	x.Family("predfilter_stream_queue_depth", "Stream documents dispatched but not yet picked up.", "gauge")
-	x.Int("predfilter_stream_queue_depth", "", e.mx.StreamQueueDepth.Load())
-	x.Family("predfilter_stream_jobs_total", "Documents that entered the stream worker pool.", "counter")
-	x.Int("predfilter_stream_jobs_total", "", e.mx.StreamJobs.Load())
-	x.Family("predfilter_stream_batches_total", "Dispatch groups delivered to stream workers (jobs/batches = effective batch size).", "counter")
-	x.Int("predfilter_stream_batches_total", "", e.mx.StreamBatches.Load())
-
-	x.Family("predfilter_columnar_batches_total", "Batches evaluated by the columnar bitset matcher.", "counter")
-	x.Int("predfilter_columnar_batches_total", "", e.mx.ColBatches.Load())
-	x.Family("predfilter_columnar_docs_total", "Documents matched by the columnar bitset matcher.", "counter")
-	x.Int("predfilter_columnar_docs_total", "", e.mx.ColDocs.Load())
-	x.Family("predfilter_columnar_paths_total", "Paths evaluated by the columnar sweep.", "counter")
-	x.Int("predfilter_columnar_paths_total", "", e.mx.ColPaths.Load())
-	x.Family("predfilter_columnar_candidates_total", "Candidate bits surviving the per-path fold.", "counter")
-	x.Int("predfilter_columnar_candidates_total", "", e.mx.ColCandidates.Load())
-	x.Family("predfilter_columnar_ambiguous_paths_total", "Swept paths needing scalar occurrence verification (a tag repeated).", "counter")
-	x.Int("predfilter_columnar_ambiguous_paths_total", "", e.mx.ColAmbiguous.Load())
-	x.Family("predfilter_columnar_words_total", "Candidate-bitset words by sweep outcome: scanned vs holding at least one candidate (live/swept = occupancy).", "counter")
-	x.Int("predfilter_columnar_words_total", `state="swept"`, e.mx.ColWords.Load())
-	x.Int("predfilter_columnar_words_total", `state="live"`, e.mx.ColWordsLive.Load())
-	x.Family("predfilter_columnar_sweep_duration_seconds", "Per-document time in pure bitset sweep work (sub-stage of occurrence).", "histogram")
-	x.Histogram("predfilter_columnar_sweep_duration_seconds", "", e.mx.ColSweep.Snapshot())
-
-	if busy := e.mx.StreamBusyNanos(); len(busy) > 0 {
-		x.Family("predfilter_stream_worker_busy_seconds_total", "Cumulative per-worker busy time.", "counter")
-		for wkr, ns := range busy {
-			x.Value("predfilter_stream_worker_busy_seconds_total",
-				`worker="`+strconv.Itoa(wkr)+`"`, float64(ns)/1e9)
-		}
-	}
-	return x.Err()
 }

@@ -237,7 +237,7 @@ func TestStreamMetricsObserved(t *testing.T) {
 		t.Fatalf("StreamQueueDepth after drain = %d, want 0", got)
 	}
 	var busy int64
-	for _, b := range mx.StreamBusyNanos() {
+	for _, b := range mx.Scrape().StreamBusy {
 		busy += b
 	}
 	if busy <= 0 {

@@ -211,7 +211,7 @@ func New(cfg Config) *Engine {
 	if batchMax <= 0 {
 		batchMax = defaultStreamBatch
 	}
-	return &Engine{
+	e := &Engine{
 		m: matcher.New(matcher.Options{
 			Variant:          v,
 			AttrMode:         mode,
@@ -226,6 +226,8 @@ func New(cfg Config) *Engine {
 		columnar: cfg.Columnar,
 		batchMax: batchMax,
 	}
+	mx.ReadGauges = e.gauges
+	return e
 }
 
 // Limits returns the engine's configured resource limits.
@@ -475,109 +477,35 @@ type Stats struct {
 	Stages StageStats
 }
 
-// PathCacheStats summarizes the structural path-signature cache.
-type PathCacheStats struct {
-	Enabled       bool
-	Hits          int64
-	Misses        int64
-	Evictions     int64 // entries dropped: capacity, a new expression that can match them, stale after a flush
-	Invalidations int64 // whole-cache flushes (bulk load, nested-path expression)
-	Entries       int   // resident distinct path signatures
-	Bytes         int64 // resident byte estimate
-	MaxBytes      int64 // configured bound
-}
+// PathCacheStats summarizes the structural path-signature cache; the
+// fields and HitRate are documented on metrics.PathCache.
+type PathCacheStats = metrics.PathCache
 
-// ColumnarStats summarizes the columnar batch matcher (the bitset
-// kernel): how many batches and documents it evaluated, the paths swept,
-// the candidate bits that survived the per-path fold, the paths that
-// needed scalar occurrence verification because a tag repeated, and the
-// occupancy pair — candidate-bitset words scanned vs words that held at
-// least one candidate (low occupancy means the word-parallel fold is
-// doing its job: most expressions are dismissed 64 at a time).
-type ColumnarStats struct {
-	Batches        int64
-	Docs           int64
-	Paths          int64
-	Candidates     int64
-	AmbiguousPaths int64
-	WordsSwept     int64
-	WordsLive      int64
-}
+// ColumnarStats summarizes the columnar batch matcher; the fields,
+// Occupancy and AvgBatch are documented on metrics.Columnar.
+type ColumnarStats = metrics.Columnar
 
-// Occupancy returns WordsLive / WordsSwept, or 0 before any sweep.
-func (s ColumnarStats) Occupancy() float64 {
-	if s.WordsSwept == 0 {
-		return 0
-	}
-	return float64(s.WordsLive) / float64(s.WordsSwept)
-}
-
-// AvgBatch returns the average documents per columnar batch, or 0.
-func (s ColumnarStats) AvgBatch() float64 {
-	if s.Batches == 0 {
-		return 0
-	}
-	return float64(s.Docs) / float64(s.Batches)
-}
-
-// HitRate returns hits / (hits + misses), or 0 before any lookup. The sum
-// is computed in floating point so counters near the int64 limit cannot
-// overflow into a negative total.
-func (s PathCacheStats) HitRate() float64 {
-	total := float64(s.Hits) + float64(s.Misses)
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / total
-}
-
-// Stats returns engine statistics.
+// Stats returns engine statistics, read from one scrape of the metric
+// set.
 func (e *Engine) Stats() Stats {
-	st := e.m.Stats()
+	sc := e.mx.Scrape()
 	out := Stats{
-		Expressions:         st.SIDs,
-		DistinctExpressions: st.DistinctExpressions,
-		DistinctPredicates:  st.DistinctPredicates,
-		NestedExpressions:   st.NestedExpressions,
-		Documents:           e.mx.DocsTotal.Load(),
-		DocErrors:           e.mx.DocErrors.Load(),
-		DocBytes:            e.mx.DocBytes.Load(),
-		Paths:               e.mx.PathsTotal.Load(),
-		Matches:             e.mx.MatchesTotal.Load(),
-		SlowDocs:            e.mx.SlowDocs.Load(),
-		ParseScanDocs:       e.mx.ParseScanDocs.Load(),
-		ParseFallbacks:      e.mx.ParseFallbackDocs.Load(),
-		Panics:              e.mx.Panics.Load(),
-		Columnar: ColumnarStats{
-			Batches:        e.mx.ColBatches.Load(),
-			Docs:           e.mx.ColDocs.Load(),
-			Paths:          e.mx.ColPaths.Load(),
-			Candidates:     e.mx.ColCandidates.Load(),
-			AmbiguousPaths: e.mx.ColAmbiguous.Load(),
-			WordsSwept:     e.mx.ColWords.Load(),
-			WordsLive:      e.mx.ColWordsLive.Load(),
-		},
-		Stages: e.stageStats(),
+		Expressions: sc.Expressions, DistinctExpressions: sc.DistinctExpressions,
+		DistinctPredicates: sc.DistinctPredicates, NestedExpressions: sc.NestedExpressions,
+		PathCache: sc.PathCache,
+		Documents: sc.DocsTotal, DocErrors: sc.DocErrors, DocBytes: sc.DocBytes,
+		Paths: sc.PathsTotal, Matches: sc.MatchesTotal, SlowDocs: sc.SlowDocs,
+		ParseScanDocs: sc.ParseScanDocs, ParseFallbacks: sc.ParseFallbackDocs,
+		Panics: sc.Panics, Columnar: sc.Columnar,
+		Stages: StageStats{summarize(sc.Parse), summarize(sc.Cache), summarize(sc.PredMatch),
+			summarize(sc.Occur), summarize(sc.Match), summarize(sc.WALAppend), summarize(sc.Snapshot)},
 	}
-	trips := e.mx.LimitTrips()
 	for k := guard.Kind(0); k < guard.NumKinds; k++ {
-		if n := trips[k]; n > 0 {
+		if n := sc.LimitTrips[k]; n > 0 {
 			if out.LimitTrips == nil {
 				out.LimitTrips = make(map[string]int64)
 			}
 			out.LimitTrips[k.String()] = n
-		}
-	}
-	if st.PathCacheEnabled {
-		out.PathCache = PathCacheStats{
-			Enabled:       true,
-			Hits:          st.PathCache.Hits,
-			Misses:        st.PathCache.Misses,
-			Evictions:     st.PathCache.Evictions,
-			Invalidations: st.PathCache.Invalidations,
-			Entries:       st.PathCache.Entries,
-			Bytes:         st.PathCache.Bytes,
-			MaxBytes:      st.PathCache.MaxBytes,
 		}
 	}
 	return out
