@@ -65,7 +65,10 @@ func filterOf(xpe string) string {
 // subscriptions, after every operation of a randomized interleaving of
 // churnOps and repeated matching (which serves later documents from
 // outcomes and plans cached before the change), through Match, and every
-// so often through MatchBatch and MatchStream. The reference is rebuilt
+// so often through MatchBatch and MatchStream. Match and the stream's
+// groups match each path as the scan closes it; the first engine is also
+// held to the same sets on the parsed document (MatchParsedContext), and
+// the fresh reference and the maintained scalar engine parse first. The reference is rebuilt
 // each time because a maintained one shares the append-only history of
 // the engines under test and would share a stale entry's mistake. The
 // subtests cross both attribute modes, the three organizations,
@@ -167,9 +170,13 @@ func TestCacheEquivalenceRandomized(t *testing.T) {
 				return ref
 			}
 			parsed := make([]*xmldoc.Document, len(docs))
+			materialized := make([]*predfilter.Document, len(docs))
 			for i, d := range docs {
 				var err error
 				if parsed[i], err = xmldoc.Parse(d); err != nil {
+					t.Fatal(err)
+				}
+				if materialized[i], err = predfilter.ParseDocument(d); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -199,6 +206,15 @@ func TestCacheEquivalenceRandomized(t *testing.T) {
 						if !slices.Equal(sortedSIDs(got), ws) {
 							t.Fatalf("step %d engine %d doc %d: match %v != fresh reference %v", step, i, d, sortedSIDs(got), ws)
 						}
+					}
+					// The materialized column: parsed first, then matched, on
+					// the engine whose Match scans.
+					mat, err := engines[0].MatchParsedContext(context.Background(), materialized[d])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(sortedSIDs(mat), ws) {
+						t.Fatalf("step %d doc %d: materialized %v != fresh reference %v", step, d, sortedSIDs(mat), ws)
 					}
 				}
 				if !pipeline {

@@ -314,3 +314,53 @@ func TestChaosMatchCountsHealthy(t *testing.T) {
 		}
 	}
 }
+
+// TestChaosParseVerdictBeatsBudget: the served path matches each path as
+// its leaf closes, so the step budget trips on a document's first path
+// here, long before its end — yet a parse-stage verdict anywhere in the
+// document still wins, as it does when the document is parsed before it is
+// matched (the scalar reference, here). After the trip the scan runs on to
+// the parse verdict without matching: a later MaxPaths overflow, a
+// mismatched last element or trailing content. A namespaced last element
+// sends the scanner to the encoding/xml fallback, which accepts it; the
+// budget restarts with the fallback's pass and trips again.
+func TestChaosParseVerdictBeatsBudget(t *testing.T) {
+	lim := predfilter.Limits{MaxSteps: 32, MaxPaths: 8}
+	served := predfilter.New(predfilter.Config{Limits: lim})
+	ref := predfilter.New(predfilter.Config{Limits: lim, Columnar: predfilter.ColumnarOff, PathCacheBytes: -1})
+	for _, eng := range []*predfilter.Engine{served, ref} {
+		if _, err := eng.AddAll([]string{strings.Repeat("//a", 10), "//p"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chain := strings.Repeat("<a>", 8) + strings.Repeat("</a>", 8) // 2^8 search against 10 steps
+	for _, c := range []struct {
+		doc  string
+		kind predfilter.LimitKind // -1: a parse error, not a limit
+	}{
+		{"<r>" + chain + strings.Repeat("<p/>", 8) + "</r>", predfilter.LimitPaths},
+		{"<r>" + chain + "<p></q></r>", -1},
+		{"<r>" + chain + "</r><r/>", -1},
+		{"<r>" + chain + `<x:p xmlns:x="u"/></r>`, predfilter.LimitSteps},
+	} {
+		_, want := ref.Match([]byte(c.doc))
+		for mode, match := range map[string]func() ([]predfilter.SID, error){
+			"bytes":  func() ([]predfilter.SID, error) { return served.Match([]byte(c.doc)) },
+			"reader": func() ([]predfilter.SID, error) { return served.MatchReader(strings.NewReader(c.doc)) },
+		} {
+			sids, err := match()
+			if sids != nil || err == nil {
+				t.Fatalf("%s %q: sids %v, err %v", mode, c.doc, sids, err)
+			}
+			var le *predfilter.LimitError
+			if c.kind < 0 {
+				if errors.As(err, &le) || err.Error() != want.Error() {
+					t.Fatalf("%s %q: err %v, want the parse error %v", mode, c.doc, err, want)
+				}
+				continue
+			}
+			wantLimitErr(t, err, c.kind)
+			wantLimitErr(t, want, c.kind)
+		}
+	}
+}

@@ -1,8 +1,13 @@
 package predfilter_test
 
 import (
+	"bytes"
+	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +16,7 @@ import (
 	"predfilter/internal/refmatch"
 	"predfilter/internal/xmldoc"
 	"predfilter/internal/xpath"
+	"predfilter/workload"
 )
 
 // FuzzMatch drives the whole public pipeline — expression registration,
@@ -199,4 +205,162 @@ func FuzzMatchColumnar(f *testing.F) {
 			}
 		}
 	})
+}
+
+// scanSeeds returns the FuzzScanEquivalence corpus: the scanner edge-case
+// table and the corpus entries checked in beside it.
+func scanSeeds(f *testing.F) []string {
+	data, err := os.ReadFile("internal/xmldoc/testdata/scan_cases.txt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	lines := strings.Split(string(data), "\n")
+	corpus, err := filepath.Glob("internal/xmldoc/testdata/fuzz/FuzzScanEquivalence/*")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range corpus {
+		entry, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		// "go test fuzz v1" then one line: []byte("...")
+		for _, l := range strings.Split(string(entry), "\n") {
+			if q, ok := strings.CutPrefix(l, "[]byte("); ok {
+				lines = append(lines, strings.TrimSuffix(q, ")"))
+			}
+		}
+	}
+	var seeds []string
+	for _, l := range lines {
+		if l == "" || l[0] == '#' {
+			continue
+		}
+		s, err := strconv.Unquote(l)
+		if err != nil {
+			f.Fatalf("%s: %v", l, err)
+		}
+		seeds = append(seeds, s)
+	}
+	return seeds
+}
+
+// FuzzMatchScanned is the differential oracle for matching inside the
+// scan. On arbitrary bytes, Engine.Match — each path matched as its leaf
+// closes, the encoding/xml fallback restarting the document — must agree
+// with parsing first (ParseDocument + MatchParsedContext on the same
+// engine) and with the scalar reference, which parses into a Document and
+// runs the paper's per-unit loop: equal match sets, and equal errors (a
+// *LimitError's Kind, Limit and Got, or else the text). Without limits the
+// reader form is held to the same. Under tight limits the materialized side
+// parses under them first (a parse verdict beats a budget trip) and runs on
+// a twin engine, so the step charges of the two see the same cache. Two
+// comparisons of step trips are out of reach and skipped: across kernels,
+// which charge differently, and after a fallback, whose discarded pass may
+// have warmed the cache the twin still misses in.
+func FuzzMatchScanned(f *testing.F) {
+	for _, s := range scanSeeds(f) {
+		f.Add([]byte(s))
+	}
+	for _, d := range workload.Documents(workload.NITF(), 4, workload.DocumentConfig{MaxLevels: 6, Seed: 3}) {
+		f.Add(d)
+	}
+	chain := strings.Repeat("<a>", 6) + strings.Repeat("</a>", 6) // trips the tight step budget on //a×8
+	for _, late := range []string{
+		strings.Repeat("<p/>", 8) + "</r>", // a step-budget blowup ahead of a MaxPaths overflow
+		"<p></q></r>",                      // a mismatched last element
+		`<x:p xmlns:x="u"/></r>`,           // a namespaced last element: the fallback, restarted
+		"</r><r/>",                         // trailing content
+		"<p k='&bad;'/></r>",               // an entity the fallback rejects too
+	} {
+		f.Add([]byte("<r>" + chain + late))
+	}
+	nitf, err := workload.Expressions(workload.NITF(), 24, workload.ExpressionConfig{MaxLength: 6, Wildcard: 0.2, Descendant: 0.2, Filters: 1, Seed: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	xpes := append([]string{
+		"//a", "/a/b", "/a//c", "//a//a", "/*/*", "/r/a/a", strings.Repeat("//a", 8),
+		"//p", "/r/p", "//b[@x]", `//a[@x="1"]`, "//a[@v>=1]", "//p[@k]", "/a[@x<=2]/b", "//d//d",
+	}, nitf...)
+	nested := []string{"/a[b]/c", "//r[p]//a", "/nitf[head/title]/body"}
+	tight := predfilter.Limits{MaxDepth: 8, MaxPaths: 8, MaxTuples: 40, MaxDocBytes: 512, MaxSteps: 24}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		engine := func(cfg predfilter.Config) *predfilter.Engine {
+			eng := predfilter.New(cfg)
+			regs := xpes
+			if len(doc)%2 == 1 { // nested paths change the kernel's dedup and cache rules
+				regs = append(xpes[:len(xpes):len(xpes)], nested...)
+			}
+			if _, err := eng.AddAll(regs); err != nil {
+				t.Fatal(err)
+			}
+			return eng
+		}
+		scalar := predfilter.Config{Columnar: predfilter.ColumnarOff, PathCacheBytes: -1}
+		ctx := context.Background()
+
+		// No limits: one engine scanned, materialized and read; the reference.
+		eng, ref := engine(predfilter.Config{}), engine(scalar)
+		got, gerr := eng.Match(doc)
+		want, werr := ref.Match(doc)
+		sameVerdict(t, "scanned", "reference", got, gerr, want, werr)
+		var mat []predfilter.SID
+		pd, merr := predfilter.ParseDocument(doc)
+		if merr == nil {
+			mat, merr = eng.MatchParsedContext(ctx, pd)
+		}
+		sameVerdict(t, "scanned", "materialized", got, gerr, mat, merr)
+		read, rerr := eng.MatchReader(bytes.NewReader(doc))
+		sameVerdict(t, "read", "scanned", read, rerr, got, gerr)
+
+		// Tight limits: twins, cold and then warm.
+		scfg, rcfg := predfilter.Config{Limits: tight}, scalar
+		rcfg.Limits = tight
+		s, m, ref := engine(scfg), engine(scfg), engine(rcfg)
+		for round := 0; round < 2; round++ {
+			got, gerr := s.Match(doc)
+			var mat []predfilter.SID
+			_, merr := xmldoc.ParseLimitsMode(doc, tight, xmldoc.ModeAuto)
+			if merr == nil {
+				pd, _ := predfilter.ParseDocument(doc)
+				mat, merr = m.MatchParsedContext(ctx, pd)
+			}
+			if fellBack := s.Stats().ParseFallbacks > 0; !fellBack || !isSteps(gerr) && !isSteps(merr) {
+				sameVerdict(t, "tight scanned", "tight materialized", got, gerr, mat, merr)
+			}
+			if want, werr := ref.Match(doc); !isSteps(gerr) && !isSteps(werr) {
+				sameVerdict(t, "tight scanned", "tight reference", got, gerr, want, werr)
+			}
+		}
+	})
+}
+
+func isSteps(err error) bool {
+	var le *predfilter.LimitError
+	return errors.As(err, &le) && le.Kind == predfilter.LimitSteps
+}
+
+// sameVerdict fails the test unless two outcomes agree: equal match sets,
+// or errors with the same LimitError Kind, Limit and Got, else the same
+// text.
+func sameVerdict(t *testing.T, a, b string, sa []predfilter.SID, ea error, sb []predfilter.SID, eb error) {
+	t.Helper()
+	if ea == nil && eb == nil {
+		if !slices.Equal(sortedSIDs(sa), sortedSIDs(sb)) {
+			t.Fatalf("%s matched %v, %s %v", a, sa, b, sb)
+		}
+		return
+	}
+	var la, lb *predfilter.LimitError
+	switch {
+	case ea == nil || eb == nil:
+	case errors.As(ea, &la) && errors.As(eb, &lb):
+		if la.Kind == lb.Kind && la.Limit == lb.Limit && la.Got == lb.Got {
+			return
+		}
+	case ea.Error() == eb.Error():
+		return
+	}
+	t.Fatalf("%s: %v (sids %v); %s: %v (sids %v)", a, ea, sa, b, eb, sb)
 }

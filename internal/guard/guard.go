@@ -131,7 +131,8 @@ type Limits struct {
 	// summed over all paths and expressions, counts one step.
 	MaxSteps int64
 	// MatchDeadline bounds the wall-clock match time per document,
-	// measured from budget creation (document entry to the match stage).
+	// measured from budget creation (document entry to the match stage;
+	// where matching runs inside the scan, the start of the scan).
 	MatchDeadline time.Duration
 }
 
@@ -202,6 +203,16 @@ func (b *Budget) Fork() *Budget {
 		f.maxSteps = b.lim.MaxSteps
 	}
 	return f
+}
+
+// Restart forgets the steps spent and any trip, keeping the wall-clock
+// anchor: a scan that falls back to encoding/xml matches the document again
+// from its first path, and the discarded pass must not count against it. A
+// nil budget stays nil.
+func (b *Budget) Restart() {
+	if b != nil {
+		b.steps, b.err = 0, nil
+	}
 }
 
 // Step consumes one unit of occurrence-determination effort. It returns

@@ -38,7 +38,7 @@ func (m *Matcher) MatchDocumentAllBudget(doc *xmldoc.Document, bud *guard.Budget
 	m.ensureFrozen()
 	defer m.mu.RUnlock()
 
-	sc := m.getScratch()
+	sc := m.getScratch(nil, bud)
 	defer m.pool.Put(sc)
 
 	dedup := m.pathDedup()
@@ -56,7 +56,6 @@ func (m *Matcher) MatchDocumentAllBudget(doc *xmldoc.Document, bud *guard.Budget
 
 	for i := range doc.Paths {
 		if !bud.CheckPoint() {
-			clear(sc.ncands)
 			return nil, bud.Err()
 		}
 		pub := &doc.Paths[i]
@@ -82,7 +81,6 @@ func (m *Matcher) MatchDocumentAllBudget(doc *xmldoc.Document, bud *guard.Budget
 			}
 			m.countUnit(sc, h.e, counts, factor, bud)
 			if bud.Exceeded() {
-				clear(sc.ncands)
 				return nil, bud.Err()
 			}
 		}
@@ -90,7 +88,6 @@ func (m *Matcher) MatchDocumentAllBudget(doc *xmldoc.Document, bud *guard.Budget
 			e.root.collect(m, sc, bud)
 		}
 		if bud.Exceeded() {
-			clear(sc.ncands)
 			return nil, bud.Err()
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"predfilter/internal/guard"
 	"predfilter/internal/metrics"
 	"predfilter/internal/xmldoc"
 )
@@ -112,5 +113,52 @@ func TestMatchDocumentPlanHitAllocs(t *testing.T) {
 	}
 	if st, _ := m.PathCacheStats(); st.Hits == 0 {
 		t.Fatalf("no cache hits recorded: %+v", st)
+	}
+}
+
+// TestMatchScannedCacheHitAllocs holds the served entry, which matches each
+// path inside the scan as its leaf closes, to the bounds above with the
+// parse included: once the vocabulary is interned and the pools are warm, a
+// cache-hit document allocates its result slice and nothing else — no
+// Document, and nothing per element, attribute value or path.
+func TestMatchScannedCacheHitAllocs(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("<a>")
+	for i := 0; i < 20; i++ {
+		fmt.Fprintf(&sb, `<b k="v%d"><c n="%d"/></b><d s="x&amp;y"/>`, i%3, i)
+	}
+	sb.WriteString("</a>")
+	src := xmldoc.Source{Bytes: []byte(sb.String())}
+	for _, tc := range []struct {
+		name  string
+		xpes  []string
+		bound float64
+	}{
+		{"matching", []string{"/a/b/c", "//d", "/a/b[@k=v1]/c", "//c[@n>=7]"}, 1},
+		{"non-matching", []string{"/a/x", "//y/z", "/a/b[@k=w]", "//c[@n>99]"}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New(Options{Metrics: metrics.NewSet()})
+			mustAdd(t, m, tc.xpes...)
+			docs := make([]ScanDoc, 1)
+			scan := func() {
+				docs[0] = ScanDoc{Src: src}
+				m.MatchScanned(docs, guard.Limits{})
+				if docs[0].Err != nil {
+					t.Fatal(docs[0].Err)
+				}
+			}
+			scan() // warm-up: catch up, size the pools, fill the cache
+			if st, _ := m.PathCacheStats(); st.Misses == 0 {
+				t.Fatalf("cache not filled by the warm-up: %+v", st)
+			}
+			allocs := testing.AllocsPerRun(50, scan)
+			if allocs > tc.bound {
+				t.Fatalf("MatchScanned allocates %.1f per cache-hit document, want <= %.0f", allocs, tc.bound)
+			}
+			if (len(docs[0].SIDs) > 0) != (tc.bound > 0) {
+				t.Fatalf("matched %v", docs[0].SIDs)
+			}
+		})
 	}
 }

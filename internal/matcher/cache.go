@@ -218,13 +218,10 @@ func (m *Matcher) matchPathCached(sc *scratch, cs *colScratch, pub *xmldoc.Publi
 	h := sigHash(sc.sig)
 
 	ent, ok := m.cache.Get(h, sc.sig)
-	var tc time.Time
-	if bd != nil {
-		// Signature build + lookup is the cache stage; predicate work
-		// (attribute tests, replay or a fresh stage 1) is accounted below.
-		tc = time.Now()
-		bd.Cache += tc.Sub(t0)
-	}
+	// Signature build + lookup is the cache stage; predicate work
+	// (attribute tests, replay or a fresh stage 1) is accounted below.
+	tc := time.Now()
+	bd.Cache += tc.Sub(t0)
 	if !ok {
 		// Stage 1 over the layout, recording the transcript when
 		// value-dependent work will need it on later hits.
@@ -236,19 +233,14 @@ func (m *Matcher) matchPathCached(sc *scratch, cs *colScratch, pub *xmldoc.Publi
 			rec = &sc.rec
 		}
 		cs.ci.lay.MatchPathTids(pub, cs.tids, sc.res, rec)
-		var t1 time.Time
-		if bd != nil {
-			t1 = time.Now()
-			bd.PredMatch += t1.Sub(tc)
-		}
+		t1 := time.Now()
+		bd.PredMatch += t1.Sub(tc)
 		if ent = m.buildEntry(sc, cs, ambiguous, bd, bud); ent == nil {
 			return
 		}
 		m.cache.Put(h, sc.sig, ent)
-		if bd != nil {
-			tc = time.Now()
-			bd.ExprMatch += tc.Sub(t1)
-		}
+		tc = time.Now()
+		bd.ExprMatch += tc.Sub(t1)
 	}
 	m.runEntry(sc, cs.ci, ent, pub, bd, tc, bud)
 }
@@ -269,11 +261,8 @@ func (m *Matcher) runEntry(sc *scratch, ci *colIndex, ent *pathcache.Entry, pub 
 		sc.res.Reset(m.ix.Len())
 		m.ix.Replay(&ent.Rec, pub, sc.res)
 	}
-	var t1 time.Time
-	if bd != nil {
-		t1 = time.Now()
-		bd.PredMatch += t1.Sub(t)
-	}
+	t1 := time.Now()
+	bd.PredMatch += t1.Sub(t)
 
 	// Expression stage.
 	for _, id := range ent.Outcome {
@@ -302,9 +291,7 @@ func (m *Matcher) runEntry(sc *scratch, ci *colIndex, ent *pathcache.Entry, pub 
 	for _, e := range m.nested { // none while an entry has a program
 		e.root.collect(m, sc, bud)
 	}
-	if bd != nil {
-		bd.ExprMatch += time.Since(t1)
-	}
+	bd.ExprMatch += time.Since(t1)
 }
 
 // progTests evaluates every distinct test of the program once, into a

@@ -10,15 +10,15 @@ import (
 	"strings"
 	"testing"
 
+	"predfilter/internal/guard"
 	"predfilter/internal/metrics"
 	"predfilter/internal/xmldoc"
 )
 
-// TestColumnarBatchAllocs pins the steady-state allocation cost of
-// columnar batch matching: with the pooled columnar scratch warm, one
-// MatchDocumentsColumnar call allocates only the three result-vector
-// headers plus one []SID per document that matched something — no
-// per-path or per-word allocations, with metrics recording on.
+// TestColumnarBatchAllocs pins the steady-state allocation cost of the
+// served batch (MatchScanned): with the pools warm, a batch allocates one
+// []SID per document that matched something — no per-document, per-path
+// or per-word allocations, with metrics recording on.
 func TestColumnarBatchAllocs(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("<a>")
@@ -26,14 +26,7 @@ func TestColumnarBatchAllocs(t *testing.T) {
 		sb.WriteString(fmt.Sprintf("<b><c n=\"%d\"/></b><d/>", i))
 	}
 	sb.WriteString("</a>")
-	doc, err := xmldoc.Parse([]byte(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	miss, err := xmldoc.Parse([]byte("<q><r/></q>"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc, miss := []byte(sb.String()), []byte("<q><r/></q>")
 
 	for _, v := range []Variant{Basic, PrefixCover, PrefixCoverAP} {
 		t.Run(v.String(), func(t *testing.T) {
@@ -45,24 +38,26 @@ func TestColumnarBatchAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// Two matching documents, one non-matching: expected allocs are
-			// the outs/bds/errs headers (3) plus one result slice per
-			// matching document (2).
-			docs := []*xmldoc.Document{doc, miss, doc}
-			m.MatchDocumentsColumnar(docs, nil) // warm pools and sizing
-			const bound = 5
-			got := testing.AllocsPerRun(50, func() {
-				outs, _, errs := m.MatchDocumentsColumnar(docs, nil)
-				for i := range docs {
-					if errs[i] != nil {
-						t.Fatalf("doc %d: %v", i, errs[i])
+			// Two matching documents, one non-matching: one result slice
+			// per matching document.
+			batch := make([]ScanDoc, 3)
+			run := func() {
+				for i, d := range [][]byte{doc, miss, doc} {
+					batch[i] = ScanDoc{Src: xmldoc.Source{Bytes: d}}
+				}
+				m.MatchScanned(batch, guard.Limits{})
+				for i := range batch {
+					if batch[i].Err != nil {
+						t.Fatalf("doc %d: %v", i, batch[i].Err)
 					}
 				}
-				if len(outs[0]) == 0 || len(outs[1]) != 0 {
+				if len(batch[0].SIDs) == 0 || len(batch[1].SIDs) != 0 {
 					t.Fatal("unexpected match sets")
 				}
-			})
-			if got > bound {
+			}
+			run() // warm pools and sizing
+			const bound = 2
+			if got := testing.AllocsPerRun(50, run); got > bound {
 				t.Fatalf("columnar batch allocs = %v, want <= %d", got, bound)
 			}
 		})

@@ -272,10 +272,7 @@ func (m *Matcher) markUnit(sc *scratch, u *expr, ambiguous bool, bud *guard.Budg
 // enough for the scalar matcher never trips only under the columnar one.
 func (m *Matcher) colSweep(touched []predindex.PID, cs *colScratch, ambiguous bool, bd *Breakdown, bud *guard.Budget) []uint64 {
 	ci := cs.ci
-	var ts time.Time
-	if bd != nil {
-		ts = time.Now()
-	}
+	ts := time.Now()
 	acc, refOps := ci.sweep(cs, touched)
 	live, cands := 0, 0
 	for _, w := range acc {
@@ -284,9 +281,7 @@ func (m *Matcher) colSweep(touched []predindex.PID, cs *colScratch, ambiguous bo
 			cands += bits.OnesCount64(w)
 		}
 	}
-	if bd != nil {
-		bd.Sweep += time.Since(ts)
-	}
+	bd.Sweep += time.Since(ts)
 	cs.stats.paths++
 	cs.stats.words += int64(len(acc))
 	cs.stats.wordsLive += int64(live)
@@ -298,40 +293,70 @@ func (m *Matcher) colSweep(touched []predindex.PID, cs *colScratch, ambiguous bo
 	return acc
 }
 
-// MatchDocumentsColumnar matches a batch of parsed documents through the
-// columnar kernel, sharing one pooled columnar scratch (level bitsets,
-// accumulator, tag-id arena) across the batch. buds[i] budgets document
-// i (a short or nil slice leaves the remainder unbudgeted); each
-// document fails or succeeds independently — outs[i] is nil exactly
-// when errs[i] is non-nil — and bds[i] is its cost split. Results are
-// identical to the scalar reference on each document; registration may
-// run concurrently.
-func (m *Matcher) MatchDocumentsColumnar(docs []*xmldoc.Document, buds []*guard.Budget) (outs [][]SID, bds []Breakdown, errs []error) {
-	outs = make([][]SID, len(docs))
-	bds = make([]Breakdown, len(docs))
-	errs = make([]error, len(docs))
-	if len(docs) == 0 {
-		return outs, bds, errs
-	}
-	cs := m.lockColumnar()
-	defer m.unlockColumnar(cs, len(docs))
-	for i, doc := range docs {
-		var bud *guard.Budget
-		if i < len(buds) {
-			bud = buds[i]
-		}
-		outs[i], bds[i], errs[i] = m.matchDoc(cs, doc, bud, time.Now())
-	}
-	return outs, bds, errs
-}
-
-// MatchDocumentColumnar is MatchDocumentsColumnar for one document: the
-// entry point of a single publish.
+// MatchDocumentColumnar matches a parsed document through the columnar
+// kernel: the materialized counterpart of MatchScanned, whose results it
+// equals. A budget trip returns the budget's *guard.LimitError and no
+// result; registration may run concurrently.
 func (m *Matcher) MatchDocumentColumnar(doc *xmldoc.Document, bud *guard.Budget) ([]SID, Breakdown, error) {
 	t0 := time.Now()
 	cs := m.lockColumnar()
 	defer m.unlockColumnar(cs, 1)
 	return m.matchDoc(cs, doc, bud, t0)
+}
+
+// ScanDoc is one document of MatchScanned: the input and budget the caller
+// sets, and the outcome.
+type ScanDoc struct {
+	Src xmldoc.Source
+	Bud *guard.Budget
+
+	SIDs  []SID // nil when Err is set
+	Err   error // the parse verdict, else the budget's
+	Scan  xmldoc.Scanned
+	Bd    Breakdown     // Bd.Total is the match stage
+	Parse time.Duration // the parse stage: the document's wall time less Bd.Total
+}
+
+// MatchScanned matches documents as they are scanned, the served path: the
+// columnar kernel runs on each root-to-leaf path as its leaf closes, inside
+// xmldoc.Scan under the parse-stage limits lim, and no Document is built.
+// The documents share one columnar scratch and one hold of the read lock,
+// so a registration waits for the batch's scans. Each document fails or
+// succeeds on its own, and its verdict is the one a parse followed by
+// MatchDocumentColumnar would give: a parse error or parse-stage limit
+// anywhere in it beats a budget trip, after which its scan runs on to the
+// parse verdict without matching. A document gets one parse and one match
+// stage observation. The match stage is the kernel time Breakdown clocks
+// per path, plus the lock wait for the first document; the parse stage is
+// the rest of the document's wall time, so no clock is read per path for
+// it. Documents that do not parse leave no columnar counts.
+func (m *Matcher) MatchScanned(docs []ScanDoc, lim guard.Limits) {
+	start := time.Now()
+	cs := m.lockColumnar()
+	wait := time.Since(start)
+	parsed := 0
+	defer func() { m.unlockColumnar(cs, parsed) }()
+	for i := range docs {
+		d := &docs[i]
+		sc := m.getScratch(cs, d.Bud)
+		var perr error
+		if d.Scan, perr = xmldoc.Scan(d.Src, lim, sc); perr != nil {
+			cs.stats, d.Err = sc.stats, perr
+		} else {
+			parsed++
+			d.SIDs, d.Err = m.end(sc)
+		}
+		d.Bd = sc.bd
+		m.pool.Put(sc)
+		now := time.Now()
+		d.Bd.Total = wait + d.Bd.Cache + d.Bd.PredMatch + d.Bd.ExprMatch + d.Bd.Other
+		d.Parse = now.Sub(start) - d.Bd.Total
+		start, wait = now, 0
+		d.Scan.Observe(m.mx, d.Parse, perr)
+		if d.Err == nil {
+			m.observe(&d.Bd, d.Scan.Paths, len(d.SIDs))
+		}
+	}
 }
 
 // lockColumnar returns a pooled columnar scratch on a current columnar
@@ -341,10 +366,10 @@ func (m *Matcher) lockColumnar() *colScratch {
 }
 
 // unlockColumnar undoes lockColumnar after docs documents, flushing the
-// kernel counters the scratch accumulated.
+// kernel counters the scratch accumulated; a batch of none is not counted.
 func (m *Matcher) unlockColumnar(cs *colScratch, docs int) {
 	m.mu.RUnlock()
-	if m.mx != nil {
+	if m.mx != nil && docs > 0 {
 		m.mx.ColBatches.Inc()
 		m.mx.ColDocs.Add(int64(docs))
 		m.mx.ColPaths.Add(cs.stats.paths)

@@ -15,22 +15,32 @@ import (
 	"predfilter/internal/xpath"
 )
 
-// colMatchSets runs one columnar batch and folds each document's result
-// into a set, failing on unexpected errors.
-func colMatchSets(t *testing.T, m *Matcher, docs []*xmldoc.Document) []map[SID]bool {
+// colMatchSets matches XML documents as one served batch (MatchScanned)
+// and folds each document's result into a set, failing on errors.
+func colMatchSets(t *testing.T, m *Matcher, docs ...[]byte) []map[SID]bool {
 	t.Helper()
-	outs, _, errs := m.MatchDocumentsColumnar(docs, nil)
+	batch := scanBatch(docs...)
+	m.MatchScanned(batch, guard.Limits{})
 	sets := make([]map[SID]bool, len(docs))
-	for i := range docs {
-		if errs[i] != nil {
-			t.Fatalf("columnar doc %d: %v", i, errs[i])
+	for i, d := range batch {
+		if d.Err != nil {
+			t.Fatalf("columnar doc %d: %v", i, d.Err)
 		}
 		sets[i] = make(map[SID]bool)
-		for _, sid := range outs[i] {
+		for _, sid := range d.SIDs {
 			sets[i][sid] = true
 		}
 	}
 	return sets
+}
+
+// scanBatch makes an unbudgeted MatchScanned batch of XML documents.
+func scanBatch(docs ...[]byte) []ScanDoc {
+	batch := make([]ScanDoc, len(docs))
+	for i, d := range docs {
+		batch[i].Src = xmldoc.Source{Bytes: d}
+	}
+	return batch
 }
 
 func setsEqual(a, b map[SID]bool) bool {
@@ -57,7 +67,7 @@ var nestedXPEs = []string{"/a[b]/c", "a[b/c]", "//b[c]/d", "/a[b][c]/d"}
 // attribute modes, all three organizations and containment covering, with
 // the path cache off, tiny (evicting) and on. Every document is matched
 // cold (a miss builds the entry and its live plan) and again (a hit walks
-// the plan), through the batch and the single-document entry points, with
+// the plan), as the scanned batch and parsed, one document at a time, with
 // an Add, a Remove and a re-rank of the value dictionary between hits.
 func TestColumnarEquivalenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -74,9 +84,11 @@ func TestColumnarEquivalenceRandomized(t *testing.T) {
 		for i, s := range xpes {
 			paths[i] = xpath.MustParse(s)
 		}
-		docs := make([]*xmldoc.Document, 6)
+		xmls := make([][]byte, 6)
+		docs := make([]*xmldoc.Document, len(xmls))
 		for i := range docs {
-			docs[i] = randDoc(rng, true)
+			xmls[i] = randXML(rng, true)
+			docs[i] = mustParse(t, string(xmls[i]))
 		}
 		for _, v := range allVariants {
 			for mode := 0; mode < 2; mode++ {
@@ -90,7 +102,7 @@ func TestColumnarEquivalenceRandomized(t *testing.T) {
 					mustAdd(t, ref, xpes...)
 
 					// Cold batch, against the reference matcher.
-					got := colMatchSets(t, m, docs)
+					got := colMatchSets(t, m, xmls...)
 					for di, doc := range docs {
 						for i, p := range paths {
 							if want := refmatch.Match(p, doc); got[di][sids[i]] != want {
@@ -115,7 +127,7 @@ func TestColumnarEquivalenceRandomized(t *testing.T) {
 								t.Fatalf("%s doc %d %s: single %v != scalar reference %v", name, di, stage, single, want)
 							}
 						}
-						for di, set := range colMatchSets(t, m, docs) {
+						for di, set := range colMatchSets(t, m, xmls...) {
 							if want := matchSet(ref, docs[di]); !setsEqual(set, want) {
 								t.Fatalf("%s doc %d %s: batch %v != scalar reference %v", name, di, stage, set, want)
 							}
@@ -234,13 +246,12 @@ func TestColumnarBudget(t *testing.T) {
 		if err != nil {
 			t.Fatalf("scalar budget tripped: %v", err)
 		}
-		outs, _, errs := m.MatchDocumentsColumnar([]*xmldoc.Document{doc},
-			[]*guard.Budget{stepBudget(1_000_000)})
-		if errs[0] != nil {
-			t.Fatalf("columnar tripped where scalar did not: %v", errs[0])
+		out, _, err := m.MatchDocumentColumnar(doc, stepBudget(1_000_000))
+		if err != nil {
+			t.Fatalf("columnar tripped where scalar did not: %v", err)
 		}
-		if len(outs[0]) != len(want) {
-			t.Fatalf("columnar %v != scalar %v", outs[0], want)
+		if len(out) != len(want) {
+			t.Fatalf("columnar %v != scalar %v", out, want)
 		}
 	})
 
@@ -249,15 +260,13 @@ func TestColumnarBudget(t *testing.T) {
 		mustAdd(t, m, strings.Repeat("//a", 20))
 		// An ambiguous path (every tuple's tag repeats), so candidates run
 		// the scalar determination and hit the exponential dead-end space.
-		doc := chainDoc(t, 18)
-		outs, _, errs := m.MatchDocumentsColumnar([]*xmldoc.Document{doc},
-			[]*guard.Budget{stepBudget(1000)})
+		out, _, err := m.MatchDocumentColumnar(chainDoc(t, 18), stepBudget(1000))
 		var le *guard.LimitError
-		if !errors.As(errs[0], &le) || le.Kind != guard.Steps {
-			t.Fatalf("err = %v, want Steps *LimitError", errs[0])
+		if !errors.As(err, &le) || le.Kind != guard.Steps {
+			t.Fatalf("err = %v, want Steps *LimitError", err)
 		}
-		if outs[0] != nil {
-			t.Fatalf("partial result %v alongside error", outs[0])
+		if out != nil {
+			t.Fatalf("partial result %v alongside error", out)
 		}
 	})
 
@@ -266,35 +275,28 @@ func TestColumnarBudget(t *testing.T) {
 		mustAdd(t, m, "//a")
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		_, _, errs := m.MatchDocumentsColumnar([]*xmldoc.Document{chainDoc(t, 4)},
-			[]*guard.Budget{guard.NewBudget(ctx, guard.Limits{})})
+		_, _, err := m.MatchDocumentColumnar(chainDoc(t, 4), guard.NewBudget(ctx, guard.Limits{}))
 		var le *guard.LimitError
-		if !errors.As(errs[0], &le) || le.Kind != guard.Canceled {
-			t.Fatalf("err = %v, want Canceled *LimitError", errs[0])
+		if !errors.As(err, &le) || le.Kind != guard.Canceled {
+			t.Fatalf("err = %v, want Canceled *LimitError", err)
 		}
 	})
 
 	t.Run("per-document independence", func(t *testing.T) {
 		m := New(Options{Variant: PrefixCoverAP})
 		sids := mustAdd(t, m, strings.Repeat("//a", 20), "//b/c")
-		good, err := xmldoc.Parse([]byte("<b><c/></b>"))
-		if err != nil {
-			t.Fatal(err)
-		}
 		// Doc 0 trips its budget; docs 1 (nil budget) and 2 must be
 		// unaffected by the abort, including scratch-state reuse.
-		docs := []*xmldoc.Document{chainDoc(t, 18), good, good}
-		outs, _, errs := m.MatchDocumentsColumnar(docs,
-			[]*guard.Budget{stepBudget(100), nil, nil})
-		if errs[0] == nil {
+		good := []byte("<b><c/></b>")
+		batch := scanBatch([]byte(strings.Repeat("<a>", 18)+strings.Repeat("</a>", 18)), good, good)
+		batch[0].Bud = stepBudget(100)
+		m.MatchScanned(batch, guard.Limits{})
+		if batch[0].Err == nil {
 			t.Fatal("doc 0 budget survived the blowup")
 		}
 		for i := 1; i < 3; i++ {
-			if errs[i] != nil {
-				t.Fatalf("doc %d: %v", i, errs[i])
-			}
-			if len(outs[i]) != 1 || outs[i][0] != sids[1] {
-				t.Fatalf("doc %d = %v, want [%d]", i, outs[i], sids[1])
+			if d := batch[i]; d.Err != nil || len(d.SIDs) != 1 || d.SIDs[0] != sids[1] {
+				t.Fatalf("doc %d = %v, %v, want [%d]", i, d.SIDs, d.Err, sids[1])
 			}
 		}
 	})
@@ -306,14 +308,14 @@ func TestColumnarBudget(t *testing.T) {
 func TestColumnarRebuildOnMutation(t *testing.T) {
 	m := New(Options{Variant: PrefixCoverAP, Metrics: metrics.NewSet()})
 	sidA := mustAdd(t, m, "/a/b")[0]
-	doc := xmldoc.FromPaths([]string{"a", "b"})
-	got := colMatchSets(t, m, []*xmldoc.Document{doc})[0]
+	doc := []byte("<a><b/></a>")
+	got := colMatchSets(t, m, doc)[0]
 	if !got[sidA] || len(got) != 1 {
 		t.Fatalf("first batch = %v, want {%d}", got, sidA)
 	}
 
 	sidB := mustAdd(t, m, "a/*")[0]
-	got = colMatchSets(t, m, []*xmldoc.Document{doc})[0]
+	got = colMatchSets(t, m, doc)[0]
 	if !got[sidA] || !got[sidB] || len(got) != 2 {
 		t.Fatalf("after Add = %v, want {%d,%d}", got, sidA, sidB)
 	}
@@ -321,7 +323,7 @@ func TestColumnarRebuildOnMutation(t *testing.T) {
 	if err := m.Remove(sidA); err != nil {
 		t.Fatal(err)
 	}
-	got = colMatchSets(t, m, []*xmldoc.Document{doc})[0]
+	got = colMatchSets(t, m, doc)[0]
 	if got[sidA] || !got[sidB] {
 		t.Fatalf("after Remove = %v, want only %d", got, sidB)
 	}
@@ -331,25 +333,21 @@ func TestColumnarRebuildOnMutation(t *testing.T) {
 // expressions), the all-wildcard length-predicate chains, and an empty
 // batch.
 func TestColumnarEmptyAndDegenerate(t *testing.T) {
-	doc := xmldoc.FromPaths([]string{"a", "b", "c"})
+	doc := []byte("<a><b><c/></b></a>")
 
 	m := New(Options{})
-	outs, _, errs := m.MatchDocumentsColumnar([]*xmldoc.Document{doc}, nil)
-	if errs[0] != nil || len(outs[0]) != 0 {
-		t.Fatalf("empty matcher: outs=%v errs=%v", outs, errs)
+	if got := colMatchSets(t, m, doc)[0]; len(got) != 0 {
+		t.Fatalf("empty matcher: %v", got)
 	}
 
 	m2 := New(Options{})
 	sids := mustAdd(t, m2, "/*/*/*", "/*/*/*/*", "*")
-	got := colMatchSets(t, m2, []*xmldoc.Document{doc})[0]
+	got := colMatchSets(t, m2, doc)[0]
 	if !got[sids[0]] || got[sids[1]] || !got[sids[2]] {
 		t.Fatalf("wildcard chains = %v, want {%d,%d}", got, sids[0], sids[2])
 	}
 
-	outs, _, errs = m2.MatchDocumentsColumnar(nil, nil)
-	if len(outs) != 0 || len(errs) != 0 {
-		t.Fatalf("empty batch: outs=%v errs=%v", outs, errs)
-	}
+	m2.MatchScanned(nil, guard.Limits{}) // an empty batch
 }
 
 // TestColumnarRepeatedTagDocs drills the ambiguous-path branch directly:
@@ -357,11 +355,11 @@ func TestColumnarEmptyAndDegenerate(t *testing.T) {
 // columnar kernel (candidates on repeated-tag paths go through scalar
 // occurrence determination).
 func TestColumnarRepeatedTagDocs(t *testing.T) {
-	doc := xmldoc.FromPaths([]string{"a", "b", "c", "a", "b", "c"})
+	doc := []byte("<a><b><c><a><b><c/></b></a></c></b></a>")
 	for _, v := range allVariants {
 		m := New(Options{Variant: v})
 		sids := mustAdd(t, m, "a//b/c", "c//b//a", "/a/b/c", "//c//a//c")
-		got := colMatchSets(t, m, []*xmldoc.Document{doc})[0]
+		got := colMatchSets(t, m, doc)[0]
 		want := map[SID]bool{sids[0]: true, sids[2]: true, sids[3]: true}
 		if !setsEqual(got, want) {
 			t.Fatalf("%v: columnar = %v, want %v", v, got, want)

@@ -619,8 +619,18 @@ type Breakdown struct {
 	Total     time.Duration // the whole match as observed in the match-stage histogram
 }
 
-// scratch is the per-call reusable working state.
+// scratch is the pooled working state of one document, and the state of
+// the per-document protocol: the kernel (cs; nil selects the scalar
+// reference), budget and stage clocks the document runs under. It is the
+// xmldoc.Visitor a scanned document's paths are matched by (Path).
 type scratch struct {
+	m     *Matcher
+	cs    *colScratch
+	bud   *guard.Budget
+	dedup bool
+	bd    Breakdown
+	stats colStats // cs.stats as the document began: what discarding its work restores
+
 	res     *predindex.Results
 	matched []bool
 	chain   [][]occur.Pair
@@ -659,13 +669,16 @@ func (sc *scratch) mark(id int) {
 	}
 }
 
-func (m *Matcher) getScratch() *scratch {
+// getScratch takes a scratch for one document matched on cs under bud.
+func (m *Matcher) getScratch(cs *colScratch, bud *guard.Budget) *scratch {
 	sc := m.pool.Get().(*scratch)
-	n := m.ix.Len()
-	if sc.res == nil {
-		sc.res = predindex.NewResults(n)
+	sc.m, sc.cs, sc.bud, sc.dedup = m, cs, bud, m.pathDedup()
+	if cs != nil {
+		sc.stats = cs.stats
 	}
-	sc.res.Vals.Reset() // a new document, possibly new ranks
+	if sc.res == nil {
+		sc.res = predindex.NewResults(m.ix.Len())
+	}
 	// Both flag arrays grow with headroom: under distinct churn every
 	// registration adds a slot, and every pooled scratch would reallocate.
 	slots := len(m.exprs)
@@ -673,9 +686,6 @@ func (m *Matcher) getScratch() *scratch {
 		sc.matched = make([]bool, slots, slots+slots/8)
 	} else {
 		sc.matched = sc.matched[:slots]
-		for i := range sc.matched {
-			sc.matched[i] = false
-		}
 	}
 	if m.cache != nil {
 		// matched2 is all-false by invariant (misses undo their marks), so
@@ -695,9 +705,39 @@ func (m *Matcher) getScratch() *scratch {
 	if sc.seen == nil {
 		sc.seen = make(map[uint64]struct{})
 	}
-	clear(sc.seen)
-	sc.out = sc.out[:0]
+	sc.reset()
 	return sc
+}
+
+// reset starts the document afresh: no marks, paths seen, nested-path
+// candidates or resolved values (the ranks may be new), no stage time.
+func (sc *scratch) reset() {
+	clear(sc.matched)
+	clear(sc.seen)
+	clear(sc.ncands)
+	sc.res.Vals.Reset()
+	sc.out = sc.out[:0]
+	sc.bd = Breakdown{}
+}
+
+// Path matches one root-to-leaf path of the document. Once the budget
+// trips the remaining paths are skipped: the budget's error is the
+// document's verdict, unless a scan's own verdict beats it.
+func (sc *scratch) Path(pub *xmldoc.Publication) {
+	if sc.bud.CheckPoint() {
+		sc.m.matchPath(sc, pub)
+	}
+}
+
+// Restart discards the document's work when its scan falls back to
+// encoding/xml, which emits every path again: marks, resolved values,
+// stage clocks, kernel counters and spent budget.
+func (sc *scratch) Restart() {
+	sc.reset()
+	sc.bud.Restart()
+	if sc.cs != nil {
+		sc.cs.stats = sc.stats
+	}
 }
 
 // MatchDocument returns the SIDs of all expressions matched by the
@@ -739,27 +779,23 @@ func (m *Matcher) ensureKernel() *colIndex {
 }
 
 // matchPath runs the two matching stages for one publication, folding
-// results into sc. cs carries the columnar kernel's state; nil selects the
-// scalar reference loop, which exists only uncached. bd, when non-nil,
-// accumulates the Figure-10 stage timings. bud, when non-nil, charges
-// occurrence-determination effort to the per-document budget; once it
-// trips the path is abandoned and the caller must surface bud.Err instead
-// of a result. Callers must hold the read lock with the derived state of
-// their kernel (ensureColumnar, ensureFrozen) current.
-func (m *Matcher) matchPath(sc *scratch, cs *colScratch, pub *xmldoc.Publication, dedup bool, bd *Breakdown, bud *guard.Budget) {
+// results into sc and the Figure-10 stage timings into sc.bd. sc.cs
+// carries the columnar kernel's state; nil selects the scalar reference
+// loop, which exists only uncached. Effort is charged to sc.bud (nil is
+// unlimited); once it trips the path is abandoned and the caller must
+// surface its error instead of a result. Callers must hold the read lock
+// with the derived state of their kernel (ensureColumnar, ensureFrozen)
+// current.
+func (m *Matcher) matchPath(sc *scratch, pub *xmldoc.Publication) {
 	sc.pub = pub
 	sc.byTagOK = false
+	cs, bd, bud := sc.cs, &sc.bd, sc.bud
 
-	var t0 time.Time
-	if bd != nil {
-		t0 = time.Now()
-	}
-	if dedup {
+	t0 := time.Now()
+	if sc.dedup {
 		key := pubHash(pub, m.attrSensitive)
 		if _, ok := sc.seen[key]; ok {
-			if bd != nil {
-				bd.PredMatch += time.Since(t0)
-			}
+			bd.PredMatch += time.Since(t0)
 			return
 		}
 		sc.seen[key] = struct{}{}
@@ -776,11 +812,8 @@ func (m *Matcher) matchPath(sc *scratch, cs *colScratch, pub *xmldoc.Publication
 	} else {
 		m.ix.MatchPath(pub, sc.res)
 	}
-	var t1 time.Time
-	if bd != nil {
-		t1 = time.Now()
-		bd.PredMatch += t1.Sub(t0)
-	}
+	t1 := time.Now()
+	bd.PredMatch += t1.Sub(t0)
 
 	if cs != nil {
 		acc := m.colSweep(sc.res.Touched(), cs, ambiguous, bd, bud)
@@ -794,9 +827,7 @@ func (m *Matcher) matchPath(sc *scratch, cs *colScratch, pub *xmldoc.Publication
 	for _, e := range m.nested {
 		e.root.collect(m, sc, bud)
 	}
-	if bd != nil {
-		bd.ExprMatch += time.Since(t1)
-	}
+	bd.ExprMatch += time.Since(t1)
 }
 
 // runUnits is the scalar reference's expression-matching stage: the
@@ -871,39 +902,39 @@ func (m *Matcher) MatchDocumentBudget(doc *xmldoc.Document, bud *guard.Budget) (
 	return m.matchDoc(nil, doc, bud, t0)
 }
 
-// matchDoc is the per-document protocol behind every entry point: the
-// path loop with budget checkpoints, nested recombination, result
-// collection and metric observation (t0 is when the caller's clock for
-// this document started). Callers hold the read lock as for matchPath.
+// matchDoc is the per-document protocol over a materialized Document:
+// getScratch, Path per path (matchPath behind the budget checkpoint), end,
+// observe. MatchScanned runs the same protocol with the scan feeding Path.
+// t0 is when the caller's clock for this document started. Callers hold
+// the read lock as for matchPath.
 func (m *Matcher) matchDoc(cs *colScratch, doc *xmldoc.Document, bud *guard.Budget, t0 time.Time) ([]SID, Breakdown, error) {
-	var bd Breakdown
-	sc := m.getScratch()
+	sc := m.getScratch(cs, bud)
 	defer m.pool.Put(sc)
-
-	dedup := m.pathDedup()
 	for i := range doc.Paths {
-		if !bud.CheckPoint() {
-			break
-		}
-		m.matchPath(sc, cs, &doc.Paths[i], dedup, &bd, bud)
 		if bud.Exceeded() {
 			break
 		}
+		sc.Path(&doc.Paths[i])
 	}
-	if err := bud.Err(); err != nil {
-		// The pooled scratch must not leak this document's nested-path
-		// candidates into the next match (the success path clears them
-		// after recombination).
-		clear(sc.ncands)
-		return nil, bd, err
+	out, err := m.end(sc)
+	bd := sc.bd
+	if err == nil {
+		bd.Total = time.Since(t0)
+		m.observe(&bd, len(doc.Paths), len(out))
 	}
+	return out, bd, err
+}
 
-	t2 := time.Now()
+// end closes the document's match: the budget's error, or nested-path
+// recombination and the matched SIDs, collect's time in sc.bd.Other.
+func (m *Matcher) end(sc *scratch) ([]SID, error) {
+	if err := sc.bud.Err(); err != nil {
+		return nil, err
+	}
+	t := time.Now()
 	out := m.collect(sc)
-	bd.Other = time.Since(t2)
-	bd.Total = time.Since(t0)
-	m.observe(&bd, len(doc.Paths), len(out))
-	return out, bd, nil
+	sc.bd.Other = time.Since(t)
+	return out, nil
 }
 
 // collect resolves nested-path candidates and returns the SIDs of the

@@ -233,6 +233,15 @@ func randFilter(rng *rand.Rand) string {
 
 // randDoc generates a small random XML document.
 func randDoc(rng *rand.Rand, withAttrs bool) *xmldoc.Document {
+	doc, err := xmldoc.Parse(randXML(rng, withAttrs))
+	if err != nil {
+		panic(err)
+	}
+	return doc
+}
+
+// randXML is randDoc's serialized form.
+func randXML(rng *rand.Rand, withAttrs bool) []byte {
 	var b strings.Builder
 	var build func(depth int)
 	build = func(depth int) {
@@ -254,11 +263,7 @@ func randDoc(rng *rand.Rand, withAttrs bool) *xmldoc.Document {
 		b.WriteString("</" + tag + ">")
 	}
 	build(1)
-	doc, err := xmldoc.Parse([]byte(b.String()))
-	if err != nil {
-		panic(err)
-	}
-	return doc
+	return []byte(b.String())
 }
 
 // TestRandomEquivalence is the Theorem A.1 test: on random workloads every

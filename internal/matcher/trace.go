@@ -86,8 +86,8 @@ type Trace struct {
 	Paths   int `json:"paths"`
 	Matches int `json:"matches"`
 	// Stage costs of the authoritative match, in nanoseconds. ParseNanos
-	// is zero here; the engine layer fills it in (the matcher never sees
-	// raw bytes).
+	// is zero here; the engine layer fills it in (a trace matches a
+	// parsed document).
 	ParseNanos     int64 `json:"parse_nanos,omitempty"`
 	CacheNanos     int64 `json:"cache_nanos"`
 	PredMatchNanos int64 `json:"pred_match_nanos"`

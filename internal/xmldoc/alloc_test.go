@@ -60,13 +60,13 @@ func TestParseScanAllocsReader(t *testing.T) {
 	data := sb.String()
 
 	for i := 0; i < 3; i++ {
-		if _, err := ParseReader(strings.NewReader(data), nil, guard.Limits{}, ModeAuto); err != nil {
+		if _, err := parseReader(strings.NewReader(data), guard.Limits{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	const bound = 12
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := ParseReader(strings.NewReader(data), nil, guard.Limits{}, ModeAuto); err != nil {
+		if _, err := parseReader(strings.NewReader(data), guard.Limits{}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -90,15 +90,15 @@ func TestParseLimitsDocBytes(t *testing.T) {
 func TestParseReaderLimitsDocBytes(t *testing.T) {
 	doc := "<a><b/></a>"
 	// A stream ending exactly at the bound parses; one byte more trips.
-	if _, err := ParseReader(strings.NewReader(doc), nil, guard.Limits{MaxDocBytes: int64(len(doc))}, ModeAuto); err != nil {
+	if _, err := parseReader(strings.NewReader(doc), guard.Limits{MaxDocBytes: int64(len(doc))}); err != nil {
 		t.Fatalf("stream exactly at bound: %v", err)
 	}
-	_, err := ParseReader(strings.NewReader(doc+" "), nil, guard.Limits{MaxDocBytes: int64(len(doc))}, ModeAuto)
+	_, err := parseReader(strings.NewReader(doc+" "), guard.Limits{MaxDocBytes: int64(len(doc))})
 	wantLimit(t, err, guard.DocBytes)
 }
 
 func TestParseReaderLimitsDepth(t *testing.T) {
-	_, err := ParseReader(bytes.NewReader(nested(64)), nil, guard.Limits{MaxDepth: 8}, ModeAuto)
+	_, err := parseReader(bytes.NewReader(nested(64)), guard.Limits{MaxDepth: 8})
 	wantLimit(t, err, guard.Depth)
 }
 
@@ -122,7 +122,7 @@ func TestParseLimitsFailsFast(t *testing.T) {
 	for i := 0; i < 1<<20; i++ {
 		b.WriteString("<d>")
 	}
-	_, err := ParseReader(bytes.NewReader(b.Bytes()), nil, guard.Limits{MaxDepth: 16}, ModeAuto)
+	_, err := parseReader(bytes.NewReader(b.Bytes()), guard.Limits{MaxDepth: 16})
 	wantLimit(t, err, guard.Depth)
 }
 

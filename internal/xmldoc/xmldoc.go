@@ -5,20 +5,18 @@
 // occurrence numbers, element attributes, per-document node identifiers
 // and child indices (the <m1,...,mn> structure tuples of §5).
 //
-// Parsing is streaming (SAX style): only a stack of open elements is
-// retained, and a path is emitted each time a leaf element closes. Two
-// parsers implement that contract. The default is the zero-copy scanner
-// of internal/xmlscan (pooled scratch, interned tag dictionary, a handful
-// of allocations per document); input the scanner does not accept —
-// malformed or outside its subset, e.g. DOCTYPE declarations or
-// namespaced element names — is transparently re-parsed with
-// encoding/xml, whose verdict is authoritative. ModeStd forces the
-// encoding/xml path outright.
+// Scan is the one decomposition: only the open elements are retained, and
+// each path is handed to a Visitor as its leaf closes. Two loops feed it.
+// The default is the zero-copy scanner of internal/xmlscan (pooled
+// scratch, interned tag dictionary, no allocation per document once warm);
+// input the scanner does not accept — malformed or outside its subset,
+// e.g. DOCTYPE declarations or namespaced element names — is re-parsed
+// with encoding/xml, whose verdict is authoritative. ModeStd forces the
+// encoding/xml loop outright. Parse is Scan into a visitor that collects
+// the paths into a Document.
 package xmldoc
 
 import (
-	"encoding/xml"
-	"fmt"
 	"io"
 	"strings"
 	"time"
@@ -95,43 +93,28 @@ func Parse(data []byte) (*Document, error) {
 	return ParseLimitsMode(data, guard.Limits{}, ModeAuto)
 }
 
-// ParseLimitsMode is Parse with structural limits enforced as the document
-// streams — nesting depth, path count, total tuple count, and raw size
-// (checked up front for byte-slice input) — and an explicit parser
-// selection (see Mode). Exceeding a limit returns a typed
-// *guard.LimitError; zero limits enforce nothing.
+// ParseLimitsMode is Parse with the structural limits Scan enforces and an
+// explicit parser selection (see Mode): Scan into a visitor that collects
+// every path.
 func ParseLimitsMode(data []byte, lim guard.Limits, mode Mode) (*Document, error) {
-	d, _, err := parseBytesMode(data, lim, mode)
+	d, _, err := parse(Source{Bytes: data}, lim, mode)
 	return d, err
 }
 
-// ParseMetered is ParseLimitsMode with stage observation: the parse + path
-// extraction duration, the input size and which parse path served the
-// document (scanner fast path vs encoding/xml fallback) land in ms (the
-// engine's metric set). A nil ms records nothing.
-func ParseMetered(data []byte, ms *metrics.Set, lim guard.Limits, mode Mode) (*Document, error) {
+// ParseSource is ParseLimitsMode of a byte or stream source under the
+// scanner, with the parse stage observed in ms (see Scanned.Observe). A
+// stream with more than one top-level element is rejected.
+func ParseSource(src Source, ms *metrics.Set, lim guard.Limits) (*Document, Scanned, error) {
 	t0 := time.Now()
-	d, fellBack, err := parseBytesMode(data, lim, mode)
-	ms.ObserveParse(time.Since(t0), len(data), err)
-	ms.ObserveParsePath(mode != ModeStd && err == nil && !fellBack, fellBack)
-	return d, err
+	d, st, err := parse(src, lim, ModeAuto)
+	st.Observe(ms, time.Since(t0), err)
+	return d, st, err
 }
 
-// ParseReader is ParseMetered over a stream: the limits are enforced as
-// the stream is consumed, and its size not being known, only the duration
-// is recorded. Input with more than one top-level element is rejected.
-func ParseReader(r io.Reader, ms *metrics.Set, lim guard.Limits, mode Mode) (*Document, error) {
-	t0 := time.Now()
-	d, fellBack, err := parseReaderMode(r, lim, mode)
-	ms.ObserveParse(time.Since(t0), 0, err)
-	ms.ObserveParsePath(mode != ModeStd && err == nil && !fellBack, fellBack)
-	return d, err
-}
-
-// limitReader bounds the bytes consumed from a stream, failing with a
-// typed *guard.LimitError once the bound is crossed (unlike io.LimitReader
-// it errors instead of faking EOF, so a truncated bomb cannot masquerade
-// as a well-formed smaller document error).
+// limitReader counts the bytes consumed from a stream and, when max is
+// positive, bounds them, failing with a typed *guard.LimitError once the
+// bound is crossed (unlike io.LimitReader it errors instead of faking EOF,
+// so a truncated bomb cannot masquerade as a well-formed smaller document).
 type limitReader struct {
 	r   io.Reader
 	n   int64 // bytes consumed
@@ -139,141 +122,23 @@ type limitReader struct {
 }
 
 func (l *limitReader) Read(p []byte) (int, error) {
-	// Allow one sentinel byte past the bound: a document ending exactly at
-	// the bound reads EOF there and parses, while a longer one trips.
-	rem := l.max - l.n + 1
-	if rem <= 0 {
-		return 0, guard.ParseError(guard.DocBytes, l.max, l.n)
-	}
-	if int64(len(p)) > rem {
-		p = p[:rem]
+	if l.max > 0 {
+		// Allow one sentinel byte past the bound: a document ending exactly
+		// at the bound reads EOF there and parses, while a longer one trips.
+		rem := l.max - l.n + 1
+		if rem <= 0 {
+			return 0, guard.ParseError(guard.DocBytes, l.max, l.n)
+		}
+		if int64(len(p)) > rem {
+			p = p[:rem]
+		}
 	}
 	n, err := l.r.Read(p)
 	l.n += int64(n)
-	if l.n > l.max {
+	if l.max > 0 && l.n > l.max {
 		return n, guard.ParseError(guard.DocBytes, l.max, l.n)
 	}
 	return n, err
-}
-
-// parseStdReader is the encoding/xml path: the original parser, kept both
-// as the ModeStd implementation and as the authority the scanner fast
-// path falls back to on any input it does not accept.
-func parseStdReader(r io.Reader, lim guard.Limits) (*Document, error) {
-	if lim.MaxDocBytes > 0 {
-		r = &limitReader{r: r, max: lim.MaxDocBytes}
-	}
-	dec := xml.NewDecoder(r)
-	doc, err := parseOneLimits(dec, lim)
-	if err == io.EOF {
-		return nil, fmt.Errorf("xmldoc: no document element")
-	}
-	if err != nil {
-		return nil, err
-	}
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			return doc, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmldoc: %w", err)
-		}
-		switch tok.(type) {
-		case xml.StartElement, xml.EndElement:
-			return nil, fmt.Errorf("xmldoc: content after the document root")
-		}
-	}
-}
-
-// parseOneLimits decodes a single document's element tree from an open
-// decoder (io.EOF when none starts), enforcing the limits as the token
-// stream is consumed: the decoder never holds more than MaxDepth open
-// elements, and path extraction stops at MaxPaths paths / MaxTuples total
-// tuples — a bomb is rejected while still small, not after
-// materialization.
-func parseOneLimits(dec *xml.Decoder, lim guard.Limits) (*Document, error) {
-	doc := &Document{}
-	type frame struct {
-		tag      string
-		attrs    []Attr
-		nodeID   int
-		childIdx int
-		children int
-	}
-	var stack []frame
-	nextID := 0
-	started := false
-	tuples := 0
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			if !started {
-				return nil, io.EOF
-			}
-			return nil, fmt.Errorf("xmldoc: unexpected EOF with %d open elements", len(stack))
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmldoc: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			started = true
-			if lim.MaxDepth > 0 && len(stack) >= lim.MaxDepth {
-				return nil, guard.ParseError(guard.Depth, int64(lim.MaxDepth), int64(len(stack)+1))
-			}
-			childIdx := 1
-			if n := len(stack); n > 0 {
-				stack[n-1].children++
-				childIdx = stack[n-1].children
-			}
-			var attrs []Attr
-			if len(t.Attr) > 0 {
-				attrs = make([]Attr, len(t.Attr))
-				for i, a := range t.Attr {
-					attrs[i] = Attr{Name: a.Name.Local, Value: a.Value}
-				}
-			}
-			stack = append(stack, frame{tag: t.Name.Local, attrs: attrs, nodeID: nextID, childIdx: childIdx})
-			nextID++
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmldoc: unbalanced end element <%s>", t.Name.Local)
-			}
-			if stack[len(stack)-1].children == 0 {
-				if lim.MaxPaths > 0 && len(doc.Paths) >= lim.MaxPaths {
-					return nil, guard.ParseError(guard.Paths, int64(lim.MaxPaths), int64(len(doc.Paths)+1))
-				}
-				tuples += len(stack)
-				if lim.MaxTuples > 0 && tuples > lim.MaxTuples {
-					return nil, guard.ParseError(guard.Tuples, int64(lim.MaxTuples), int64(tuples))
-				}
-				pub := Publication{Length: len(stack), Tuples: make([]Tuple, len(stack))}
-				for i, f := range stack {
-					// Occurrence number by scanning the open ancestors:
-					// quadratic in the nesting depth, but depths are small
-					// and it beats a per-path map allocation on the parse
-					// hot path.
-					occ := 1
-					for j := 0; j < i; j++ {
-						if stack[j].tag == f.tag {
-							occ++
-						}
-					}
-					pub.Tuples[i] = Tuple{
-						Tag: f.tag, Pos: i + 1, Occ: occ,
-						NodeID: f.nodeID, ChildIdx: f.childIdx, Attrs: f.attrs,
-					}
-				}
-				doc.Paths = append(doc.Paths, pub)
-			}
-			stack = stack[:len(stack)-1]
-			if len(stack) == 0 {
-				doc.Elements = nextID
-				return doc, nil
-			}
-		}
-	}
 }
 
 // FromPaths builds a Document directly from tag-name paths, computing

@@ -86,7 +86,7 @@ func (e *Engine) MatchTraced(doc []byte) ([]SID, *MatchTrace, error) {
 // governed fast path would have rejected.
 func (e *Engine) MatchTracedContext(ctx context.Context, doc []byte) ([]SID, *MatchTrace, error) {
 	t0 := time.Now()
-	d, err := xmldoc.ParseMetered(doc, e.mx, e.limits, xmldoc.ModeAuto)
+	d, _, err := xmldoc.ParseSource(xmldoc.Source{Bytes: doc}, e.mx, e.limits)
 	if err != nil {
 		return nil, nil, e.recordGovernance(err)
 	}

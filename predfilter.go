@@ -183,8 +183,11 @@ type Engine struct {
 	logger   *slog.Logger
 	slow     time.Duration
 	limits   Limits
-	columnar ColumnarMode
 	batchMax int // stream dispatch-group bound, ≥ 1
+	// scalar selects the reference (ColumnarOff, cache off): documents are
+	// parsed into an xmldoc.Document and matched by the scalar loop.
+	// Otherwise they are matched as they are scanned.
+	scalar bool
 }
 
 // New returns an engine with the given configuration.
@@ -223,8 +226,8 @@ func New(cfg Config) *Engine {
 		logger:   logger,
 		slow:     cfg.SlowDocThreshold,
 		limits:   cfg.Limits,
-		columnar: cfg.Columnar,
 		batchMax: batchMax,
+		scalar:   cfg.Columnar == ColumnarOff && cfg.PathCacheBytes < 0,
 	}
 	mx.ReadGauges = e.gauges
 	return e
@@ -308,24 +311,46 @@ func (e *Engine) Match(doc []byte) ([]SID, error) {
 // MatchContext is Match under the caller's context and the engine's
 // configured limits: the document is parsed under the structural limits
 // and matched under the step budget, the configured deadline, and the
-// context's own deadline/cancellation. A governance stop returns a typed
-// *LimitError (never a partial result); ctx-originated stops additionally
-// unwrap to the matching context error.
+// context's own deadline/cancellation. Each root-to-leaf path is matched
+// as its leaf closes in the scan; a parse error anywhere in the document
+// still beats a budget trip. A governance stop returns a typed *LimitError
+// (never a partial result); ctx-originated stops additionally unwrap to
+// the matching context error.
 func (e *Engine) MatchContext(ctx context.Context, doc []byte) ([]SID, error) {
-	t0 := time.Now()
-	d, err := xmldoc.ParseMetered(doc, e.mx, e.limits, xmldoc.ModeAuto)
-	if err != nil {
-		return nil, e.recordGovernance(err)
+	return e.matchSource(ctx, xmldoc.Source{Bytes: doc})
+}
+
+// matchSource matches one document as it is scanned, or parsed and then
+// matched under the scalar reference.
+func (e *Engine) matchSource(ctx context.Context, src xmldoc.Source) ([]SID, error) {
+	if e.scalar {
+		t0 := time.Now()
+		d, st, err := xmldoc.ParseSource(src, e.mx, e.limits)
+		if err != nil {
+			return nil, e.recordGovernance(err)
+		}
+		return e.matchDoc(ctx, d, guard.NewBudget(ctx, e.limits), time.Since(t0), int(st.Bytes))
 	}
-	return e.matchDoc(ctx, d, guard.NewBudget(ctx, e.limits), time.Since(t0), len(doc))
+	docs := [1]matcher.ScanDoc{{Src: src, Bud: guard.NewBudget(ctx, e.limits)}}
+	e.m.MatchScanned(docs[:], e.limits)
+	return e.scanned(ctx, &docs[0])
+}
+
+// scanned counts a scanned document's limit trip or logs it when slow.
+func (e *Engine) scanned(ctx context.Context, d *matcher.ScanDoc) ([]SID, error) {
+	if d.Err != nil {
+		return nil, e.recordGovernance(d.Err)
+	}
+	e.maybeLogSlow(ctx, d.Parse, &d.Bd, int(d.Scan.Bytes), d.Scan.Paths, len(d.SIDs))
+	return d.SIDs, nil
 }
 
 // matchDoc matches one parsed document — a columnar batch of one, or the
-// scalar reference under ColumnarOff — counting a limit trip or a slow
-// document (parse is the time already spent parsing it, nbytes its size).
+// scalar reference — counting a limit trip or a slow document (parse is
+// the time already spent parsing it, nbytes its size).
 func (e *Engine) matchDoc(ctx context.Context, d *xmldoc.Document, bud *guard.Budget, parse time.Duration, nbytes int) (sids []SID, err error) {
 	var bd matcher.Breakdown
-	if e.columnar == ColumnarOff {
+	if e.scalar {
 		sids, bd, err = e.m.MatchDocumentBudget(d, bud)
 	} else {
 		sids, bd, err = e.m.MatchDocumentColumnar(d, bud)
@@ -365,7 +390,7 @@ func (e *Engine) MatchCounts(doc []byte) (map[SID]int, error) {
 // is charged to the step budget. A governance stop returns a typed
 // *LimitError (never partial counts).
 func (e *Engine) MatchCountsContext(ctx context.Context, doc []byte) (map[SID]int, error) {
-	d, err := xmldoc.ParseMetered(doc, e.mx, e.limits, xmldoc.ModeAuto)
+	d, _, err := xmldoc.ParseSource(xmldoc.Source{Bytes: doc}, e.mx, e.limits)
 	if err != nil {
 		return nil, e.recordGovernance(err)
 	}
@@ -378,19 +403,16 @@ func (e *Engine) MatchCountsContext(ctx context.Context, doc []byte) (map[SID]in
 
 // MatchReader is Match over a stream. The size limit is enforced as the
 // stream is consumed, so an oversized document is rejected without being
-// read to the end.
+// read to the end. Matching runs as the stream is read, under the lock a
+// registration takes, so Add and Remove wait for the stream's end: hand it
+// a stream that is already local (a file, a buffered body).
 func (e *Engine) MatchReader(r io.Reader) ([]SID, error) {
 	return e.MatchReaderContext(context.Background(), r)
 }
 
 // MatchReaderContext is MatchContext over a stream.
 func (e *Engine) MatchReaderContext(ctx context.Context, r io.Reader) ([]SID, error) {
-	t0 := time.Now()
-	d, err := xmldoc.ParseReader(r, e.mx, e.limits, xmldoc.ModeAuto)
-	if err != nil {
-		return nil, e.recordGovernance(err)
-	}
-	return e.matchDoc(ctx, d, guard.NewBudget(ctx, e.limits), time.Since(t0), 0)
+	return e.matchSource(ctx, xmldoc.Source{Reader: r})
 }
 
 // Document is a pre-parsed document, reusable across engines.

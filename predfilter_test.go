@@ -137,6 +137,28 @@ func TestMatchReaderAndParsed(t *testing.T) {
 	}
 }
 
+// TestMatchReaderCountsDocBytes: a stream's size is the bytes its parse
+// consumed, so MatchReader of an N-byte document moves DocBytes by N, as
+// Match of the same bytes does — through the scanner, through the
+// encoding/xml fallback (a DOCTYPE), and under the scalar reference.
+func TestMatchReaderCountsDocBytes(t *testing.T) {
+	for _, cfg := range []predfilter.Config{{}, {Columnar: predfilter.ColumnarOff, PathCacheBytes: -1}} {
+		eng := predfilter.New(cfg)
+		if _, err := eng.Add("/order//price"); err != nil {
+			t.Fatal(err)
+		}
+		for _, doc := range []string{sampleDoc, "<!DOCTYPE order>" + sampleDoc} {
+			before := eng.Stats().DocBytes
+			if got, err := eng.MatchReader(strings.NewReader(doc)); err != nil || len(got) != 1 {
+				t.Fatalf("MatchReader = %v, %v", got, err)
+			}
+			if got := eng.Stats().DocBytes - before; got != int64(len(doc)) {
+				t.Errorf("config %+v: MatchReader of %d bytes moved DocBytes by %d", cfg, len(doc), got)
+			}
+		}
+	}
+}
+
 func TestStats(t *testing.T) {
 	for _, mode := range []predfilter.AttributeMode{predfilter.InlineAttributes, predfilter.PostponedAttributes} {
 		eng := predfilter.New(predfilter.Config{AttributeMode: mode})

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"predfilter/internal/guard"
+	"predfilter/internal/matcher"
 	"predfilter/internal/xmldoc"
 )
 
@@ -42,38 +43,14 @@ type Result struct {
 const groupsPerWorker = 8
 
 // testHookStreamJob, when non-nil, runs inside each stream worker's
-// per-document recover scope before parsing. Tests use it to inject
-// panics; production code never sets it.
+// per-document recover scope before the document is matched. Tests use it
+// to inject panics; production code never sets it.
 var testHookStreamJob atomic.Pointer[func(doc []byte)]
 
-// parseStreamDoc parses one stream document under the engine's limits,
-// isolating panics: a panicking or failing document is counted, reported
-// in its own Result, and fails only itself. It returns nil when the
-// document did not parse (r.Err is set).
-func (e *Engine) parseStreamDoc(r *Result) (d *xmldoc.Document, parse time.Duration) {
-	defer func() {
-		if p := recover(); p != nil {
-			e.mx.ObservePanic()
-			d = nil
-			r.SIDs = nil
-			r.Err = fmt.Errorf("predfilter: recovered panic matching document %d: %v", r.Index, p)
-		}
-	}()
-	if hook := testHookStreamJob.Load(); hook != nil {
-		(*hook)(r.Doc)
-	}
-	t0 := time.Now()
-	d, err := xmldoc.ParseMetered(r.Doc, e.mx, e.limits, xmldoc.ModeAuto)
-	if err != nil {
-		r.Err = e.recordGovernance(err)
-		return nil, 0
-	}
-	return d, time.Since(t0)
-}
-
-// matchParsedStreamDoc matches one already-parsed stream document on its
-// own, with the same per-document panic isolation.
-func (e *Engine) matchParsedStreamDoc(ctx context.Context, r *Result, d *xmldoc.Document, parse time.Duration) {
+// isolate runs f for one stream document, isolating a panic: it is counted
+// and reported in the document's own Result, which fails only itself. It
+// reports whether f returned.
+func (e *Engine) isolate(r *Result, f func()) (ok bool) {
 	defer func() {
 		if p := recover(); p != nil {
 			e.mx.ObservePanic()
@@ -81,82 +58,72 @@ func (e *Engine) matchParsedStreamDoc(ctx context.Context, r *Result, d *xmldoc.
 			r.Err = fmt.Errorf("predfilter: recovered panic matching document %d: %v", r.Index, p)
 		}
 	}()
-	r.SIDs, r.Err = e.matchDoc(ctx, d, guard.NewBudget(ctx, e.limits), parse, len(r.Doc))
+	f()
+	return true
 }
 
-// matchStreamGroup processes one dispatch group: every document is parsed
-// individually (per-document panic and limit isolation), and the
-// survivors are matched together as one columnar batch — or one by one
-// under ColumnarOff, and after a panic in the batch.
+// matchStreamGroup processes one dispatch group: the documents are scanned
+// and matched together, one columnar batch — or one by one under the
+// scalar reference, and after a panic in the batch, each under its own
+// isolation so only the offender fails.
 func (e *Engine) matchStreamGroup(ctx context.Context, rs []Result) {
-	docs := make([]*xmldoc.Document, len(rs))
-	parse := make([]time.Duration, len(rs))
-	live := 0
+	live := make([]bool, len(rs))
+	n := 0
+	hook := testHookStreamJob.Load()
 	for k := range rs {
-		docs[k], parse[k] = e.parseStreamDoc(&rs[k])
-		if docs[k] != nil {
-			live++
+		live[k] = hook == nil || e.isolate(&rs[k], func() { (*hook)(rs[k].Doc) })
+		if live[k] {
+			n++
 		}
 	}
-	if live == 0 {
-		return
-	}
-	if e.columnar != ColumnarOff && e.matchColumnarGroup(ctx, rs, docs, parse) {
+	if n == 0 || !e.scalar && e.matchScannedGroup(ctx, rs, live) {
 		return
 	}
 	for k := range rs {
-		if docs[k] != nil {
-			e.matchParsedStreamDoc(ctx, &rs[k], docs[k], parse[k])
+		if live[k] {
+			e.isolate(&rs[k], func() { rs[k].SIDs, rs[k].Err = e.MatchContext(ctx, rs[k].Doc) })
 		}
 	}
 }
 
-// matchColumnarGroup matches a group's parsed documents as one batch of
-// the columnar kernel. A panic is recovered and reported by returning
-// false, and the caller re-matches the group document by document (each
-// under its own isolation, so only the offender fails); results assigned
-// before the panic are reset so that pass starts clean.
-func (e *Engine) matchColumnarGroup(ctx context.Context, rs []Result, docs []*xmldoc.Document, parse []time.Duration) (ok bool) {
+// matchScannedGroup matches a group's live documents as one batch of the
+// columnar kernel, each as it is scanned. A panic is recovered and reported
+// by returning false, with the live results reset so the caller's
+// document-by-document pass starts clean.
+func (e *Engine) matchScannedGroup(ctx context.Context, rs []Result, live []bool) (ok bool) {
 	defer func() {
 		if p := recover(); p != nil {
 			e.mx.ObservePanic()
 			for k := range rs {
-				if docs[k] != nil {
-					rs[k].SIDs = nil
-					rs[k].Err = nil
+				if live[k] {
+					rs[k].SIDs, rs[k].Err = nil, nil
 				}
 			}
 			ok = false
 		}
 	}()
-	batch := make([]*xmldoc.Document, 0, len(rs))
-	buds := make([]*guard.Budget, 0, len(rs))
-	idx := make([]int, 0, len(rs))
+	batch := make([]matcher.ScanDoc, 0, len(rs))
 	for k := range rs {
-		if docs[k] == nil {
-			continue
+		if live[k] {
+			batch = append(batch, matcher.ScanDoc{Src: xmldoc.Source{Bytes: rs[k].Doc}, Bud: guard.NewBudget(ctx, e.limits)})
 		}
-		batch = append(batch, docs[k])
-		buds = append(buds, guard.NewBudget(ctx, e.limits))
-		idx = append(idx, k)
 	}
-	outs, bds, errs := e.m.MatchDocumentsColumnar(batch, buds)
-	for j, k := range idx {
-		if errs[j] != nil {
-			rs[k].Err = e.recordGovernance(errs[j])
-			continue
+	e.m.MatchScanned(batch, e.limits)
+	j := 0
+	for k := range rs {
+		if live[k] {
+			rs[k].SIDs, rs[k].Err = e.scanned(ctx, &batch[j])
+			j++
 		}
-		rs[k].SIDs = outs[j]
-		e.maybeLogSlow(ctx, parse[k], &bds[j], len(rs[k].Doc), len(batch[j].Paths), len(outs[j]))
 	}
 	return true
 }
 
 // MatchStream filters a stream of XML documents through a worker pipeline:
-// each worker overlaps SAX path extraction with predicate matching for its
-// current document while the others do the same, so parsing and matching
-// of consecutive documents proceed concurrently. Results are delivered in
-// input order (Index is strictly increasing), one per input document.
+// each worker takes a dispatch group of pending documents and scans them,
+// matching every root-to-leaf path as its leaf closes, while the other
+// workers do the same with theirs. Results are delivered in input order
+// (Index is strictly increasing), one per input document.
 //
 // workers ≤ 0 selects GOMAXPROCS. The returned channel is closed after
 // the last result, or after ctx is cancelled (in which case trailing
