@@ -101,7 +101,7 @@ func (m *Matcher) MatchDocumentAllBudget(doc *xmldoc.Document, bud *guard.Budget
 
 	out := make(map[SID]int, len(counts))
 	for id, n := range counts {
-		for _, sid := range m.exprs[id].sids {
+		for _, sid := range m.sids(id) {
 			out[sid] = n
 		}
 	}

@@ -38,6 +38,7 @@ package matcher
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -114,6 +115,15 @@ type Matcher struct {
 	sidOwner []*expr            // sid → owning expression (nil after Remove)
 	nsids    int                // live sid count
 
+	// The live SIDs of each expression in bind order, as flat columns
+	// indexed by expression id that bind and Remove keep current (see
+	// sids): sidOne[id] is the only SID, noSID for none, or manyRef(k)
+	// when there are several, listed in sidMany[k]. Ids past sidOne's end
+	// have none. sidFree lists the sidMany slots no expression uses.
+	sidOne  []SID
+	sidMany [][]SID
+	sidFree []int
+
 	// Derived from the distinct expressions, lazily (see catchUp):
 	// exprs[:caught] are accounted for in units, nested and col.
 	caught  int
@@ -165,10 +175,10 @@ func hot(e *expr) hotExpr {
 	return h
 }
 
-// expr is one distinct registered expression.
+// expr is one distinct registered expression; its SIDs are in the
+// matcher's SID columns under its id.
 type expr struct {
-	id   int
-	sids []SID
+	id int
 
 	// Single-path expressions:
 	pids []predindex.PID
@@ -288,8 +298,48 @@ func (m *Matcher) bind(e *expr, sid SID) {
 		m.sidOwner = append(m.sidOwner, nil)
 	}
 	m.sidOwner[sid] = e
-	e.sids = append(e.sids, sid)
 	m.nsids++
+	for len(m.sidOne) <= e.id {
+		m.sidOne = append(m.sidOne, noSID)
+	}
+	switch v := m.sidOne[e.id]; {
+	case v == noSID:
+		m.sidOne[e.id] = sid
+	case v >= 0:
+		k := len(m.sidMany)
+		if n := len(m.sidFree); n > 0 {
+			k, m.sidFree = m.sidFree[n-1], m.sidFree[:n-1]
+		} else {
+			m.sidMany = append(m.sidMany, nil)
+		}
+		m.sidMany[k] = append(m.sidMany[k][:0], v, sid)
+		m.sidOne[e.id] = manyRef(k)
+	default:
+		k := manyIndex(v)
+		m.sidMany[k] = append(m.sidMany[k], sid)
+	}
+}
+
+// noSID marks an expression without live SIDs in sidOne; manyRef and
+// manyIndex map a sidMany slot to the negative sidOne value below it and
+// back.
+const noSID SID = -1
+
+func manyRef(k int) SID   { return SID(-2 - k) }
+func manyIndex(v SID) int { return int(-2 - v) }
+
+// sids returns the live SIDs bound to expression id, in bind order, as a
+// view of the SID columns that is good until the next bind or Remove.
+func (m *Matcher) sids(id int) []SID {
+	if id < len(m.sidOne) {
+		switch v := m.sidOne[id]; {
+		case v >= 0:
+			return m.sidOne[id : id+1]
+		case v != noSID:
+			return m.sidMany[manyIndex(v)]
+		}
+	}
+	return nil
 }
 
 // Remove unregisters a SID. The expression and its predicates remain in
@@ -302,15 +352,24 @@ func (m *Matcher) Remove(sid SID) error {
 	if int(sid) >= len(m.sidOwner) || m.sidOwner[sid] == nil {
 		return fmt.Errorf("matcher: unknown sid %d", sid)
 	}
-	e := m.sidOwner[sid]
+	id := m.sidOwner[sid].id
 	m.sidOwner[sid] = nil
-	for i, s := range e.sids {
-		if s == sid {
-			e.sids = append(e.sids[:i], e.sids[i+1:]...)
-			break
-		}
-	}
 	m.nsids--
+	v := m.sidOne[id]
+	if v >= 0 {
+		m.sidOne[id] = noSID
+		return nil
+	}
+	k := manyIndex(v)
+	i := slices.Index(m.sidMany[k], sid)
+	rest := slices.Delete(m.sidMany[k], i, i+1)
+	if len(rest) > 1 {
+		m.sidMany[k] = rest
+		return nil
+	}
+	m.sidOne[id] = rest[0]
+	m.sidMany[k] = rest[:0]
+	m.sidFree = append(m.sidFree, k)
 	return nil
 }
 
@@ -593,7 +652,7 @@ func (m *Matcher) Stats() Stats {
 	defer m.mu.RUnlock()
 	st := Stats{SIDs: m.nsids, DistinctPredicates: m.ix.Len()}
 	for _, e := range m.exprs {
-		if len(e.sids) == 0 {
+		if len(m.sids(e.id)) == 0 {
 			continue // unsubscribed, or a group representative
 		}
 		st.DistinctExpressions++
@@ -938,8 +997,10 @@ func (m *Matcher) end(sc *scratch) ([]SID, error) {
 }
 
 // collect resolves nested-path candidates and returns the SIDs of the
-// matched flags, in expression order; a flag's index is its expression's
-// id, so only matched expressions are touched.
+// matched flags: expression order, then bind order. A flag's index is its
+// expression's id, so the walk reads the SID columns at the matched ids
+// only, and an expression with one SID — most of them — costs one load
+// from sidOne.
 func (m *Matcher) collect(sc *scratch) []SID {
 	for _, e := range m.nested {
 		if e.root.resolveRoot(sc) {
@@ -947,12 +1008,19 @@ func (m *Matcher) collect(sc *scratch) []SID {
 		}
 	}
 	clear(sc.ncands)
-	for id, ok := range sc.matched {
-		if ok {
-			sc.out = append(sc.out, m.exprs[id].sids...)
+	one, out := m.sidOne, sc.out
+	for id, ok := range sc.matched[:min(len(sc.matched), len(one))] {
+		if !ok {
+			continue
+		}
+		if v := one[id]; v >= 0 {
+			out = append(out, v)
+		} else if v != noSID {
+			out = append(out, m.sidMany[manyIndex(v)]...)
 		}
 	}
-	return append([]SID(nil), sc.out...)
+	sc.out = out
+	return append([]SID(nil), out...)
 }
 
 // observe folds one document's stage breakdown and whole-match duration

@@ -168,7 +168,7 @@ func (m *Matcher) MatchDocumentTracedBudget(doc *xmldoc.Document, bud *guard.Bud
 	// least one live SID, in registration order, up to the cap.
 	var traced []*expr
 	for _, e := range m.exprs {
-		if len(e.sids) == 0 {
+		if len(m.sids(e.id)) == 0 {
 			continue
 		}
 		if len(traced) == MaxTraceExprs {
@@ -181,7 +181,7 @@ func (m *Matcher) MatchDocumentTracedBudget(doc *xmldoc.Document, bud *guard.Bud
 	tr.Exprs = make([]ExprTrace, len(traced))
 	for i, e := range traced {
 		et := &tr.Exprs[i]
-		et.SIDs = append([]SID(nil), e.sids...)
+		et.SIDs = append([]SID(nil), m.sids(e.id)...)
 		et.Matched = matched[e]
 		if e.root != nil {
 			et.Nested = true

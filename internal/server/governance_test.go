@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -263,6 +264,75 @@ func TestPublishBatchBodyTooLarge(t *testing.T) {
 	resp = post(t, ts.URL+"/publish/batch", "application/json", `{"documents":["<a/>"]}`)
 	if drainClose(t, resp); resp.StatusCode != http.StatusOK {
 		t.Fatalf("small batch: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// batchRequest is a POST /publish/batch declaring a Content-Length of
+// declared; a negative one sends the body chunked.
+func batchRequest(body string, declared int64) *http.Request {
+	r := httptest.NewRequest("POST", "/publish/batch", strings.NewReader(body))
+	r.ContentLength = declared
+	return r
+}
+
+// TestPublishBatchRequestRead: the batch body is read once under
+// MaxRequestBytes. A body of exactly the bound publishes, declared or
+// chunked; one byte more is 413 either way, and so is a body over the
+// bound whose JSON object ends early; a body shorter than its
+// Content-Length is 400.
+func TestPublishBatchRequestRead(t *testing.T) {
+	const max = 1024
+	srv := New(Config{MaxRequestBytes: max})
+	if _, err := srv.Preload([]string{"//a"}); err != nil {
+		t.Fatal(err)
+	}
+	const obj = `{"documents":["<a/>"]}`
+	exact := obj + strings.Repeat(" ", max-len(obj))
+	tooLarge := fmt.Sprintf(`{"error":"request body exceeds %d bytes"}`+"\n", max)
+	for _, c := range []struct {
+		name     string
+		body     string
+		declared int64
+		code     int
+		resp     string
+	}{
+		{"exactly the bound", exact, max, http.StatusOK, `{"results":[{"ids":[0],"matches":1}],"published":1}` + "\n"},
+		{"exactly the bound, chunked", exact, -1, http.StatusOK, `{"results":[{"ids":[0],"matches":1}],"published":1}` + "\n"},
+		{"one byte over", exact + " ", max + 1, http.StatusRequestEntityTooLarge, tooLarge},
+		{"one byte over, chunked", exact + " ", -1, http.StatusRequestEntityTooLarge, tooLarge},
+		{"over the bound after the object", obj + strings.Repeat("x", max), -1, http.StatusRequestEntityTooLarge, tooLarge},
+		{"declared over the bound", obj, max + 1, http.StatusRequestEntityTooLarge, tooLarge},
+		{"shorter than declared", obj, int64(len(obj)) + 1, http.StatusBadRequest, `{"error":"read body: unexpected EOF"}` + "\n"},
+	} {
+		rr := httptest.NewRecorder()
+		srv.ServeHTTP(rr, batchRequest(c.body, c.declared))
+		if rr.Code != c.code || rr.Body.String() != c.resp {
+			t.Errorf("%s: status %d body %s, want %d %s", c.name, rr.Code, rr.Body, c.code, c.resp)
+		}
+	}
+}
+
+// TestPublishBatchDeclaredLengthNotTrusted: a request that declares
+// MaxRequestBytes (64 MiB by default) and sends 20 bytes costs a bounded
+// read buffer, not the declared size.
+func TestPublishBatchDeclaredLengthNotTrusted(t *testing.T) {
+	srv := New(Config{})
+	const body = `{"documents":["<a/>"` // 20 bytes
+	run := func() {
+		rr := httptest.NewRecorder()
+		srv.ServeHTTP(rr, batchRequest(body, srv.cfg.MaxRequestBytes))
+		if rr.Code != http.StatusBadRequest {
+			t.Fatalf("status %d: %s", rr.Code, rr.Body)
+		}
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, run) // and one warm-up run
+	runtime.ReadMemStats(&after)
+	perRun := int64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	if allocs > 100 || perRun > srv.cfg.MaxRequestBytes/16 {
+		t.Fatalf("a 20-byte body declaring %d bytes costs %v allocations and %d bytes", srv.cfg.MaxRequestBytes, allocs, perRun)
 	}
 }
 

@@ -35,7 +35,12 @@
 //
 // Batch publishes run through the engine's parallel matching pipeline
 // (Engine.MatchStream), overlapping parsing and matching across the batch
-// while preserving input order in the response.
+// while preserving input order in the response. The request body is read
+// once under MaxRequestBytes (over it is 413, whatever the body holds),
+// and a body of the shape json.Marshal gives it is un-escaped in one pass
+// straight into one []byte per document; any other body is decoded by
+// encoding/json, whose results and errors are the definition
+// (batchdecode.go).
 //
 // Deliveries are held in bounded per-subscription queues; a slow consumer
 // loses oldest-first (counted in the subscription info) rather than
@@ -89,7 +94,8 @@ type Config struct {
 
 	// MaxRequestBytes bounds the JSON request bodies of POST
 	// /subscriptions and POST /publish/batch (default 64 MiB; oversized
-	// requests get 413). It is the one knob for every JSON endpoint —
+	// requests get 413, a batch body even when its JSON object ends
+	// before the bound). It is the one knob for every JSON endpoint —
 	// published XML documents are bounded separately by MaxDocumentBytes
 	// and the engine's Limits.
 	MaxRequestBytes int64
@@ -784,33 +790,36 @@ func (s *Server) handlePublishBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	var req struct {
-		Documents []string `json:"documents"`
-	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)).Decode(&req); err != nil {
+	raw, err := readBody(w, r, s.cfg.MaxRequestBytes)
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", s.cfg.MaxRequestBytes)
 			return
 		}
+		writeError(w, http.StatusBadRequest, "read body: %v", err)
+		return
+	}
+	docs, err := decodeBatch(raw)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
-	if len(req.Documents) == 0 {
+	if len(docs) == 0 {
 		writeError(w, http.StatusBadRequest, "documents is required")
 		return
 	}
 	// The whole batch is pending before the stream starts, so the
 	// dispatcher sees its size and cuts it into groups for every worker.
-	docs := make(chan []byte, len(req.Documents))
-	for i, d := range req.Documents {
+	in := make(chan []byte, len(docs))
+	for i, d := range docs {
 		if int64(len(d)) > s.cfg.MaxDocumentBytes {
 			writeError(w, http.StatusRequestEntityTooLarge, "document %d exceeds %d bytes", i, s.cfg.MaxDocumentBytes)
 			return
 		}
-		docs <- []byte(d)
+		in <- d
 	}
-	close(docs)
+	close(in)
 
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
@@ -818,8 +827,8 @@ func (s *Server) handlePublishBatch(w http.ResponseWriter, r *http.Request) {
 	body := append((*bp)[:0], `{"results":[`...)
 	published := 0
 	t0 := time.Now()
-	stream := s.eng.MatchStream(ctx, docs, s.cfg.Workers)
-	for range req.Documents {
+	stream := s.eng.MatchStream(ctx, in, s.cfg.Workers)
+	for range docs {
 		res, ok := <-stream
 		if !ok {
 			// A cancelled stream drops its trailing documents; each still
@@ -847,7 +856,7 @@ func (s *Server) handlePublishBatch(w http.ResponseWriter, r *http.Request) {
 		body = append(body, ',')
 	}
 	s.publishNanos.Add(time.Since(t0).Nanoseconds())
-	s.batchDocsTotal.Add(int64(len(req.Documents)))
+	s.batchDocsTotal.Add(int64(len(docs)))
 	body = append(body[:len(body)-1], `],"published":`...)
 	body = strconv.AppendInt(body, int64(published), 10)
 	writePublishBody(w, bp, append(body, '}'))
