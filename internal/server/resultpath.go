@@ -13,99 +13,10 @@ import (
 
 // The result path: from the []SID the engine returns to the bytes of the
 // publish response. One pass per document (appendPublishResult) skips
-// concurrently removed subscriptions, enqueues the document on each
-// remaining subscription's ring and writes the id's decimal digits into a
-// pooled response buffer; DESIGN.md, "Result path", has the layout and the
-// reasons.
-
-// document is one published document as the delivery queues hold it. Every
-// matched subscription's ring stores the same pointer, so a queue slot is
-// one word and retains exactly this document's bytes.
-type document struct{ body []byte }
-
-// subscription is one registered expression and its delivery queue: a ring
-// of QueueLimit slots allocated at the first delivery. Pending slots end
-// just before next; a delivery into a full ring lands on the oldest
-// pending slot, which is what drop-oldest asks for. The exported fields are
-// the GET /subscriptions/{id} response.
-type subscription struct {
-	Expression string `json:"expression"`
-	Delivered  int    `json:"delivered"`
-	Dropped    int    `json:"dropped"`
-	Pending    int    `json:"pending"`
-
-	ring []*document
-	next int // slot the next delivery is written to
-}
-
-// push enqueues d, overwriting the oldest pending document when the ring
-// is full.
-func (sub *subscription) push(d *document, limit int) {
-	if sub.ring == nil {
-		sub.ring = make([]*document, limit)
-	}
-	sub.ring[sub.next] = d
-	if sub.next++; sub.next == len(sub.ring) {
-		sub.next = 0
-	}
-	if sub.Pending == len(sub.ring) {
-		sub.Dropped++
-	} else {
-		sub.Pending++
-	}
-	sub.Delivered++
-}
-
-// pop dequeues up to max documents, oldest first, and clears their slots
-// so the ring stops retaining them.
-func (sub *subscription) pop(max int) []*document {
-	n := min(max, sub.Pending)
-	out := make([]*document, n)
-	at := sub.next - sub.Pending
-	if at < 0 {
-		at += len(sub.ring)
-	}
-	for i := range out {
-		out[i], sub.ring[at] = sub.ring[at], nil
-		if at++; at == len(sub.ring) {
-			at = 0
-		}
-	}
-	sub.Pending -= n
-	return out
-}
-
-// registry is the live subscription set as a table of subscriptions
-// indexed by SID, so a delivery pass over ascending ids walks memory in
-// order instead of probing a hash and chasing a pointer per id. It grows to
-// the highest id ever registered, like the matcher's own SID table; a slot
-// whose Expression is empty is not live. Server.mu guards it, and a
-// *subscription taken from it is good only while that lock is held.
-type registry struct {
-	subs []subscription
-	live int
-}
-
-// get takes an int so ids parsed from a URL need no narrowing first.
-func (g *registry) get(id int) *subscription {
-	if uint(id) < uint(len(g.subs)) && g.subs[id].Expression != "" {
-		return &g.subs[id]
-	}
-	return nil
-}
-
-func (g *registry) put(sid predfilter.SID, expr string) {
-	for len(g.subs) <= int(sid) {
-		g.subs = append(g.subs, subscription{})
-	}
-	g.subs[sid] = subscription{Expression: expr}
-	g.live++
-}
-
-func (g *registry) remove(sid predfilter.SID) {
-	g.subs[sid] = subscription{}
-	g.live--
-}
+// concurrently removed subscriptions, logs the document once with the bits
+// of the remaining ones (delivery.go) and writes their decimal digits into
+// a pooled response buffer; DESIGN.md, "Result path", has the layout and
+// the reasons.
 
 // PublishResult is one document's outcome as a publish response reports
 // it: a whole /publish response, or one element of a /publish/batch
@@ -139,7 +50,7 @@ type PublishResult struct {
 //
 // With d set it is also the delivery pass, under s.mu: an id whose
 // subscription was removed since the match is neither reported nor
-// delivered to, every other one has d pushed on its ring. The coordinator,
+// delivered to, every other one has d logged for it. The coordinator,
 // whose shards have delivered already, passes neither s nor d.
 func appendPublishResult(buf []byte, s *Server, d *document, r *PublishResult) ([]byte, int) {
 	buf = append(buf, '{')
@@ -152,22 +63,15 @@ func appendPublishResult(buf []byte, s *Server, d *document, r *PublishResult) (
 		b, p := buf[:cap(buf)], len(buf)
 		if d != nil {
 			s.mu.Lock()
-		}
-		for _, sid := range r.SIDs {
-			if d != nil {
-				sub := s.reg.get(int(sid))
-				if sub == nil {
-					continue
-				}
-				sub.push(d, s.cfg.QueueLimit)
-			}
-			p = putDecimal(b, p, uint32(sid))
-			b[p] = ','
-			p++
-			n++
-		}
-		if d != nil {
+			p, n = s.reg.deliver(b, p, d, r.SIDs)
 			s.mu.Unlock()
+		} else {
+			for _, sid := range r.SIDs {
+				p = putDecimal(b, p, uint32(sid))
+				b[p] = ','
+				p++
+			}
+			n = len(r.SIDs)
 		}
 		switch {
 		case n > 0:

@@ -44,12 +44,17 @@ func (m *modelSub) poll(max int) (docs [][]byte, remaining int) {
 func pendingDocs(s *Server, sid int) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sub := s.reg.get(sid)
-	out := make([]string, 0, sub.Pending)
-	for i := sub.Pending; i > 0; i-- {
-		out = append(out, string(sub.ring[(sub.next-i+len(sub.ring))%len(sub.ring)].body))
+	g := &s.reg
+	out, r := []string{}, g.rings[sid]
+	for i := 0; i < int(r.n); i++ {
+		out = append(out, string(g.slab[(int(r.chunk)-1)*g.q+(int(r.head)+i)%g.q].body))
 	}
-	return out
+	for i := range g.size {
+		if e := g.at(i); e.has(sid) {
+			out = append(out, string(e.doc.body))
+		}
+	}
+	return out[len(out)-g.pending(sid):]
 }
 
 // serve runs one request through the handler in process.
@@ -146,27 +151,6 @@ func TestQueueRingMatchesModel(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRingPopReleasesDocuments: a polled slot must not keep its document
-// reachable.
-func TestRingPopReleasesDocuments(t *testing.T) {
-	var sub subscription
-	for i := 0; i < 5; i++ {
-		sub.push(&document{[]byte{byte(i)}}, 3)
-	}
-	if got := sub.pop(2); len(got) != 2 || got[0].body[0] != 2 || got[1].body[0] != 3 {
-		t.Fatalf("pop(2) = %v, want documents 2 and 3", got)
-	}
-	held := 0
-	for _, d := range sub.ring {
-		if d != nil {
-			held++
-		}
-	}
-	if held != 1 || sub.Pending != 1 {
-		t.Fatalf("ring holds %d documents with %d pending, want 1 and 1", held, sub.Pending)
 	}
 }
 

@@ -44,7 +44,10 @@
 //
 // Deliveries are held in bounded per-subscription queues; a slow consumer
 // loses oldest-first (counted in the subscription info) rather than
-// blocking the publish path.
+// blocking the publish path. A publish logs its document once, with the
+// bitset of the subscriptions it matched, in a server-wide log of the last
+// 2 × QueueLimit documents; a document is copied into a subscription's
+// queue only when it leaves that log still pending (delivery.go).
 //
 // Observability is always on: GET /metrics serves the engine's per-stage
 // latency histograms and counters in the Prometheus text exposition
@@ -62,6 +65,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/pprof"
@@ -209,6 +213,7 @@ func Open(cfg Config) (*Server, error) {
 		cfg:   cfg,
 		runID: fmt.Sprintf("%016x", rand.Uint64()),
 	}
+	s.reg.init(cfg.QueueLimit)
 	if cfg.FlightRecords >= 0 {
 		s.flight = trace.NewFlightRecorder(cfg.FlightRecords)
 	}
@@ -446,8 +451,8 @@ func (s *Server) ApplyAdd(sid predfilter.SID, expr string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if sub := s.reg.get(int(sid)); sub != nil {
-		if sub.Expression == canon {
+	if live := s.reg.get(int(sid)); live != "" {
+		if live == canon {
 			return nil
 		}
 		return fmt.Errorf("server: sid %d is live with a different expression", sid)
@@ -464,7 +469,7 @@ func (s *Server) ApplyAdd(sid predfilter.SID, expr string) error {
 func (s *Server) ApplyRemove(sid predfilter.SID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.reg.get(int(sid)) == nil {
+	if s.reg.get(int(sid)) == "" {
 		return nil
 	}
 	if err := s.removeExpr(sid); err != nil {
@@ -479,10 +484,10 @@ func (s *Server) ApplyRemove(sid predfilter.SID) error {
 func (s *Server) SubscriptionIDs() map[predfilter.SID]string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[predfilter.SID]string, s.reg.live)
-	for sid := range s.reg.subs {
-		if sub := s.reg.get(sid); sub != nil {
-			out[predfilter.SID(sid)] = sub.Expression
+	out := make(map[predfilter.SID]string, s.reg.count)
+	for sid, expr := range s.reg.expr {
+		if expr != "" {
+			out[predfilter.SID(sid)] = expr
 		}
 	}
 	return out
@@ -543,8 +548,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.ID != nil {
-		if *req.ID < 0 {
-			writeError(w, http.StatusBadRequest, "negative subscription id %d", *req.ID)
+		if *req.ID < 0 || *req.ID > math.MaxInt32 {
+			writeError(w, http.StatusBadRequest, "subscription id %d out of range [0, %d]", *req.ID, math.MaxInt32)
 			return
 		}
 		sid := predfilter.SID(*req.ID)
@@ -588,52 +593,52 @@ type SubscriptionEntry struct {
 // durable home of the subscription set).
 func (s *Server) handleListSubscriptions(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	entries := make([]SubscriptionEntry, 0, s.reg.live)
-	for sid := range s.reg.subs {
-		if sub := s.reg.get(sid); sub != nil {
-			entries = append(entries, SubscriptionEntry{ID: predfilter.SID(sid), Expression: sub.Expression})
+	entries := make([]SubscriptionEntry, 0, s.reg.count)
+	for sid, expr := range s.reg.expr {
+		if expr != "" {
+			entries = append(entries, SubscriptionEntry{ID: predfilter.SID(sid), Expression: expr})
 		}
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{"count": len(entries), "subscriptions": entries})
 }
 
-func (s *Server) sidFromPath(w http.ResponseWriter, r *http.Request) (predfilter.SID, *subscription, bool) {
+// sidFromPath returns the live id the path names; callers hold s.mu.
+func (s *Server) sidFromPath(w http.ResponseWriter, r *http.Request) (int, bool) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid subscription id %q", r.PathValue("id"))
-		return 0, nil, false
+		return 0, false
 	}
-	sub := s.reg.get(id)
-	if sub == nil {
+	if s.reg.get(id) == "" {
 		writeError(w, http.StatusNotFound, "unknown subscription %d", id)
-		return 0, nil, false
+		return 0, false
 	}
-	return predfilter.SID(id), sub, true
+	return id, true
 }
 
 func (s *Server) handleGetSubscription(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, sub, ok := s.sidFromPath(w, r)
+	id, ok := s.sidFromPath(w, r)
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, sub)
+	writeJSON(w, http.StatusOK, s.reg.info(id))
 }
 
 func (s *Server) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sid, _, ok := s.sidFromPath(w, r)
+	id, ok := s.sidFromPath(w, r)
 	if !ok {
 		return
 	}
-	if err := s.removeExpr(sid); err != nil {
+	if err := s.removeExpr(predfilter.SID(id)); err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	s.reg.remove(sid)
+	s.reg.remove(predfilter.SID(id))
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -911,13 +916,13 @@ func (s *Server) handleDeliveries(w http.ResponseWriter, r *http.Request) {
 		max = v
 	}
 	s.mu.Lock()
-	_, sub, ok := s.sidFromPath(w, r)
+	id, ok := s.sidFromPath(w, r)
 	if !ok {
 		s.mu.Unlock()
 		return
 	}
-	docs := sub.pop(max)
-	remaining := sub.Pending
+	docs := s.reg.pop(id, max)
+	remaining := s.reg.pending(id)
 	s.mu.Unlock()
 
 	out := make([]string, len(docs))

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -490,15 +491,37 @@ func TestStatsOmitDisabledPathCache(t *testing.T) {
 	}
 }
 
+// lockedBuffer collects log output written from several goroutines.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
 // TestSlowMatchCounted: slow-document accounting must see match time, not
-// only parse time, on /publish and on /publish/batch alike. The document
-// parses in microseconds and matches in tens of milliseconds (an ambiguous
-// path with no chained combination: exhaustive occurrence determination),
-// and the cache is off so every copy pays it; the threshold sits between.
+// only parse time, on /publish and on /publish/batch alike. The threshold
+// is one nanosecond, so every document is slow and no wall-clock margin
+// decides the count; the logged records then show the total is parse plus
+// match. The document parses in microseconds and matches in tens of
+// milliseconds (an ambiguous path with no chained combination: exhaustive
+// occurrence determination), so its match time is nonzero on any clock.
 func TestSlowMatchCounted(t *testing.T) {
+	var logged lockedBuffer
 	ts := newTestServer(t, Config{Workers: 2, Engine: predfilter.Config{
 		PathCacheBytes:   -1,
-		SlowDocThreshold: 2 * time.Millisecond,
+		SlowDocThreshold: time.Nanosecond,
+		Logger:           slog.New(slog.NewJSONHandler(&logged, nil)),
 	}})
 	subscribe(t, ts, strings.Repeat("//a", 20))
 	slow := strings.Repeat("<a>", 18) + strings.Repeat("</a>", 18)
@@ -511,21 +534,32 @@ func TestSlowMatchCounted(t *testing.T) {
 		return decodeBody(t, resp)["slow_docs"].(float64)
 	}
 
-	publish(t, ts, `<b/>`)
-	if got := slowDocs(); got != 0 {
-		t.Fatalf("slow_docs after a fast publish = %v, want 0", got)
-	}
 	publish(t, ts, slow)
 	if got := slowDocs(); got != 1 {
-		t.Fatalf("slow_docs after a slow-match publish = %v, want 1", got)
+		t.Fatalf("slow_docs after a publish = %v, want 1", got)
 	}
-	resp, body := postJSON(t, ts.URL+"/publish/batch", map[string]any{
-		"documents": []string{slow, `<b/>`, slow, `<b/>`},
-	})
+	resp, body := postJSON(t, ts.URL+"/publish/batch", map[string]any{"documents": []string{slow, slow}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: status %d body %v", resp.StatusCode, body)
 	}
 	if got := slowDocs(); got != 3 {
-		t.Fatalf("slow_docs after a batch with two slow matches = %v, want 3", got)
+		t.Fatalf("slow_docs after a batch of two = %v, want 3", got)
+	}
+	records := strings.Split(strings.TrimSpace(logged.String()), "\n")
+	if len(records) != 3 {
+		t.Fatalf("%d slow-document records, want 3:\n%s", len(records), logged.String())
+	}
+	for _, line := range records {
+		var rec struct {
+			Total int64 `json:"total_ns"`
+			Parse int64 `json:"parse_ns"`
+			Match int64 `json:"match_ns"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Match <= 0 || rec.Total != rec.Parse+rec.Match {
+			t.Fatalf("slow-document record leaves out the match: %s", line)
+		}
 	}
 }

@@ -16,6 +16,7 @@ type scrape struct {
 	store                                                                          *predfilter.StoreStats // nil without persistence
 	mem                                                                            runtime.MemStats       // read for /debug/vars only
 	docs, rejected, batch, matches, nanos, shed, timedOut, limited, panics, queued int64
+	ringPushes                                                                     int64
 	subs, workers                                                                  int
 	draining                                                                       bool
 }
@@ -32,7 +33,7 @@ func (s *Server) readScrape(on metrics.Surface) *scrape {
 		workers: s.cfg.Workers,
 	}
 	s.mu.Lock()
-	sc.subs = s.reg.live
+	sc.subs, sc.ringPushes = s.reg.count, s.reg.ringPushes
 	s.mu.Unlock()
 	if s.pe != nil {
 		st := s.pe.StoreStats()
@@ -51,6 +52,7 @@ var Rows = []metrics.Row[scrape]{
 	{Name: "predfilter_server_docs_rejected_total", Kind: "counter", Help: "Published documents that failed to parse.", JSON: "docs_rejected", On: metrics.OnVars, Read: func(s *scrape, e metrics.Emit) { e(s.rejected) }},
 	{Name: "predfilter_server_batch_docs_total", Kind: "counter", Help: "Documents that arrived via /publish/batch.", JSON: "batch_docs", On: metrics.OnVars, Read: func(s *scrape, e metrics.Emit) { e(s.batch) }},
 	{Name: "predfilter_server_matches_total", Kind: "counter", Help: "Sum of per-document match counts on the publish paths.", JSON: "matches_total", On: metrics.OnVars, Read: func(s *scrape, e metrics.Emit) { e(s.matches) }},
+	{Name: "predfilter_server_ring_pushes_total", Kind: "counter", Help: "Deliveries copied into a subscription's ring as their document left the delivery log still pending.", JSON: "ring_pushes", On: metrics.OnVars, Read: func(s *scrape, e metrics.Emit) { e(s.ringPushes) }},
 	{Name: "predfilter_server_publish_seconds_total", Kind: "counter", Help: "Wall time spent matching published documents.", Read: func(s *scrape, e metrics.Emit) { e(float64(s.nanos) / 1e9) }},
 	{Name: "predfilter_server_shed_total", Kind: "counter", Help: "Publish requests shed by admission control (429 or abandoned wait).", JSON: "shed", On: metrics.OnStats | metrics.OnVars, Read: func(s *scrape, e metrics.Emit) { e(s.shed) }},
 	{Name: "predfilter_server_timed_out_total", Kind: "counter", Help: "Published documents that hit the per-request or match deadline.", JSON: "timed_out", On: metrics.OnStats | metrics.OnVars, Read: func(s *scrape, e metrics.Emit) { e(s.timedOut) }},
