@@ -6,6 +6,7 @@
 package predfilter_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -366,7 +367,7 @@ func BenchmarkMatchStream(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for done := 0; done < b.N; done += len(w.Docs) {
-				for _, r := range eng.MatchBatch(w.Docs, workers) {
+				for _, r := range eng.MatchBatchContext(context.Background(), w.Docs, workers) {
 					if r.Err != nil {
 						b.Fatal(r.Err)
 					}
@@ -380,27 +381,26 @@ func BenchmarkMatchStream(b *testing.B) {
 // expression) against the all-matches mode.
 func BenchmarkMatchCounts(b *testing.B) {
 	w := benchWorkload(b, dtd.PSD(), 5000, nil)
-	m := matcher.New(matcher.Options{Variant: matcher.PrefixCoverAP})
-	for _, s := range w.XPEs {
-		if _, err := m.Add(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-	docs, err := w.ParseDocs()
-	if err != nil {
+	eng := predfilter.New(predfilter.Config{})
+	if _, err := eng.AddAll(w.XPEs); err != nil {
 		b.Fatal(err)
 	}
-	m.MatchDocument(docs[0])
-	b.Run("first-match", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.MatchDocument(docs[i%len(docs)])
-		}
-	})
-	b.Run("all-matches", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.MatchDocumentAll(docs[i%len(docs)])
-		}
-	})
+	ctx := context.Background()
+	for _, c := range []struct {
+		name  string
+		match func(doc []byte) error
+	}{
+		{"first-match", func(doc []byte) error { _, err := eng.MatchContext(ctx, doc); return err }},
+		{"all-matches", func(doc []byte) error { _, err := eng.MatchCountsContext(ctx, doc); return err }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := c.match(w.Docs[i%len(w.Docs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkAblationSharing quantifies what expression sharing buys: the

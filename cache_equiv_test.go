@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"predfilter"
+	"predfilter/internal/matcher"
 	"predfilter/internal/refmatch"
 	"predfilter/internal/xmldoc"
 	"predfilter/internal/xpath"
@@ -65,14 +66,14 @@ func filterOf(xpe string) string {
 // subscriptions, after every operation of a randomized interleaving of
 // churnOps and repeated matching (which serves later documents from
 // outcomes and plans cached before the change), through Match, and every
-// so often through MatchBatch and MatchStream. Match and the stream's
+// so often through MatchBatchContext and MatchStream. Match and the stream's
 // groups match each path as the scan closes it; the first engine is also
 // held to the same sets on the parsed document (MatchParsedContext), and
 // the fresh reference and the maintained scalar engine parse first. The reference is rebuilt
 // each time because a maintained one shares the append-only history of
 // the engines under test and would share a stale entry's mistake. The
-// subtests cross both attribute modes, the three organizations,
-// path dedup on and off and the presence of nested-path expressions (which
+// subtests cross both attribute modes, the three organizations of the
+// scalar engines, path dedup on and off and the presence of nested-path expressions (which
 // keep transcripts unpruned and flush instead of evicting); two thirds of
 // the expressions carry one or two attribute filters, over all six
 // operators and the existence test, numeric and lexicographic constants,
@@ -82,18 +83,17 @@ func filterOf(xpe string) string {
 // race leg runs this under -race, which also checks the shared cache's synchronization in the
 // worker pipeline and the catch-up under concurrent registration.
 func TestCacheEquivalenceRandomized(t *testing.T) {
-	orgs := []predfilter.Organization{predfilter.Basic, predfilter.PrefixCover, predfilter.PrefixCoverAP}
+	// The organizations, numbered in the subtest names as 0 basic-pc-ap,
+	// 1 basic-pc, 2 basic.
+	orgs := []matcher.Variant{matcher.Basic, matcher.PrefixCover, matcher.PrefixCoverAP}
 	schemas := []workload.Schema{workload.NITF(), workload.PSD()}
 	seen := make(map[string]int) // churn op → times exercised
 	for trial := 0; trial < 24; trial++ {
 		schema := schemas[trial%2]
-		base := predfilter.Config{
-			Organization:     orgs[trial%3],
-			AttributeMode:    predfilter.AttributeMode(trial / 3 % 2),
-			DisablePathDedup: trial/6%2 == 1,
-		}
+		base := predfilter.Config{AttributeMode: predfilter.AttributeMode(trial / 3 % 2)}
+		org, noDedup := orgs[trial%3], trial/6%2 == 1
 		nested := trial/12 == 1
-		t.Run(fmt.Sprintf("%s/org%d-attr%d-nodedup%v-nested%v", schema.Name(), base.Organization, base.AttributeMode, base.DisablePathDedup, nested), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s/org%d-attr%d-nodedup%v-nested%v", schema.Name(), int(matcher.PrefixCoverAP-org), base.AttributeMode, noDedup, nested), func(t *testing.T) {
 			seed := int64(1000*trial + 17)
 			rng := rand.New(rand.NewSource(seed))
 			docs := workload.Documents(schema, 6, workload.DocumentConfig{MaxLevels: 6, Seed: seed})
@@ -125,13 +125,12 @@ func TestCacheEquivalenceRandomized(t *testing.T) {
 			with := func(edit func(*predfilter.Config)) *predfilter.Engine {
 				cfg := base
 				edit(&cfg)
-				return predfilter.New(cfg)
+				return predfilter.NewOrganized(cfg, org, noDedup)
 			}
 			scalar := func(c *predfilter.Config) { c.Columnar = predfilter.ColumnarOff; c.PathCacheBytes = -1 }
 			engines := []*predfilter.Engine{
-				with(func(c *predfilter.Config) {}),                             // default cache
-				with(func(c *predfilter.Config) { c.PathCacheBytes = 8 << 10 }), // tiny: constant eviction pressure
-				with(func(c *predfilter.Config) { c.PathCacheBytes = 8 << 10; c.StreamBatch = 4 }),
+				with(func(c *predfilter.Config) {}),                                      // default cache
+				with(func(c *predfilter.Config) { c.PathCacheBytes = 8 << 10 }),          // tiny: constant eviction pressure
 				with(func(c *predfilter.Config) { c.PathCacheBytes = -1 }),               // the kernel uncached
 				with(func(c *predfilter.Config) { c.Columnar = predfilter.ColumnarOff }), // cached: still the one kernel
 				with(scalar), // the scalar loop, maintained through the same history
@@ -220,7 +219,7 @@ func TestCacheEquivalenceRandomized(t *testing.T) {
 				if !pipeline {
 					return
 				}
-				want := ref.MatchBatch(docs, 3)
+				want := ref.MatchBatchContext(context.Background(), docs, 3)
 				for i, eng := range engines {
 					in := make(chan []byte, len(docs))
 					for _, d := range docs {

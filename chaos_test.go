@@ -187,7 +187,7 @@ func TestChaosStreamBombsIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	healthy := []byte("<ok/>")
-	results := eng.MatchBatch([][]byte{healthy, doc, workload.DepthBomb(1 << 12), healthy}, 2)
+	results := eng.MatchBatchContext(context.Background(), [][]byte{healthy, doc, workload.DepthBomb(1 << 12), healthy}, 2)
 	if len(results) != 4 {
 		t.Fatalf("got %d results, want 4", len(results))
 	}
@@ -200,12 +200,12 @@ func TestChaosStreamBombsIsolated(t *testing.T) {
 	wantLimitErr(t, results[2].Err, predfilter.LimitDepth)
 }
 
-func TestChaosMatchReaderDocBytes(t *testing.T) {
+func TestChaosMatchDocBytes(t *testing.T) {
 	eng := predfilter.New(predfilter.Config{Limits: predfilter.Limits{MaxDocBytes: 256}})
 	if _, err := eng.Add("//p"); err != nil {
 		t.Fatal(err)
 	}
-	_, err := eng.MatchReader(strings.NewReader(string(workload.PathBomb(1 << 10))))
+	_, err := eng.Match(workload.PathBomb(1 << 10))
 	wantLimitErr(t, err, predfilter.LimitDocBytes)
 }
 
@@ -219,7 +219,7 @@ func TestChaosTracedGoverned(t *testing.T) {
 		t.Fatal(err)
 	}
 	t0 := time.Now()
-	sids, tr, err := eng.MatchTraced(doc)
+	sids, tr, err := eng.MatchTracedContext(context.Background(), doc)
 	if took := time.Since(t0); took > 10*time.Second {
 		t.Fatalf("traced occurrence bomb took %v under a step budget", took)
 	}
@@ -267,7 +267,7 @@ func TestChaosMatchCountsGoverned(t *testing.T) {
 		t.Fatal(err)
 	}
 	t0 := time.Now()
-	counts, err := eng.MatchCounts(doc)
+	counts, err := eng.MatchCountsContext(context.Background(), doc)
 	if took := time.Since(t0); took > 10*time.Second {
 		t.Fatalf("counting occurrence bomb took %v under a step budget", took)
 	}
@@ -297,7 +297,7 @@ func TestChaosMatchCountsHealthy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := free.MatchCounts(doc)
+	want, err := free.MatchCountsContext(context.Background(), doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,23 +344,18 @@ func TestChaosParseVerdictBeatsBudget(t *testing.T) {
 		{"<r>" + chain + `<x:p xmlns:x="u"/></r>`, predfilter.LimitSteps},
 	} {
 		_, want := ref.Match([]byte(c.doc))
-		for mode, match := range map[string]func() ([]predfilter.SID, error){
-			"bytes":  func() ([]predfilter.SID, error) { return served.Match([]byte(c.doc)) },
-			"reader": func() ([]predfilter.SID, error) { return served.MatchReader(strings.NewReader(c.doc)) },
-		} {
-			sids, err := match()
-			if sids != nil || err == nil {
-				t.Fatalf("%s %q: sids %v, err %v", mode, c.doc, sids, err)
-			}
-			var le *predfilter.LimitError
-			if c.kind < 0 {
-				if errors.As(err, &le) || err.Error() != want.Error() {
-					t.Fatalf("%s %q: err %v, want the parse error %v", mode, c.doc, err, want)
-				}
-				continue
-			}
-			wantLimitErr(t, err, c.kind)
-			wantLimitErr(t, want, c.kind)
+		sids, err := served.Match([]byte(c.doc))
+		if sids != nil || err == nil {
+			t.Fatalf("%q: sids %v, err %v", c.doc, sids, err)
 		}
+		var le *predfilter.LimitError
+		if c.kind < 0 {
+			if errors.As(err, &le) || err.Error() != want.Error() {
+				t.Fatalf("%q: err %v, want the parse error %v", c.doc, err, want)
+			}
+			continue
+		}
+		wantLimitErr(t, err, c.kind)
+		wantLimitErr(t, want, c.kind)
 	}
 }

@@ -1,6 +1,7 @@
 package predfilter_test
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sync"
@@ -56,10 +57,17 @@ func newFixture(tb testing.TB, n, pool, filters, ndocs int) *churnFixture {
 }
 
 // warm catches the engine up with its registrations and fills the path
+// matchParsed is MatchParsedContext on an engine without limits, which
+// never fails.
+func matchParsed(eng *predfilter.Engine, d *predfilter.Document) []predfilter.SID {
+	sids, _ := eng.MatchParsedContext(context.Background(), d)
+	return sids
+}
+
 // cache.
 func (f *churnFixture) warm() {
 	for _, d := range f.docs {
-		f.eng.MatchParsed(d)
+		matchParsed(f.eng, d)
 	}
 }
 
@@ -84,7 +92,7 @@ func TestChurnConcurrentPublish(t *testing.T) {
 	}
 	want := make([][]predfilter.SID, len(docs)) // base SIDs, then base+i for pool expression i
 	for d, doc := range docs {
-		want[d] = sortedSIDs(ref.MatchParsed(doc))
+		want[d] = sortedSIDs(matchParsed(ref, doc))
 	}
 
 	type life struct{ expr, addFrom, addTo, remFrom, remTo int64 } // ticks; 0: not yet
@@ -150,7 +158,7 @@ func TestChurnConcurrentPublish(t *testing.T) {
 			for i := 0; i < perPublisher; i++ {
 				d := (i*7 + p*13) % len(docs)
 				r := result{doc: d, from: tick.Load()}
-				r.sids = f.eng.MatchParsed(docs[d])
+				r.sids = matchParsed(f.eng, docs[d])
 				r.to = tick.Load()
 				results[p] = append(results[p], r)
 				select {
@@ -241,7 +249,7 @@ func benchChurn(b *testing.B, poolSize int, prime bool) {
 				if poolSize > 0 && i%churnEveryDocs == churnEveryDocs-1 {
 					f.pair(b, f.pool[i/churnEveryDocs%poolSize])
 				}
-				f.eng.MatchParsed(f.docs[i%len(f.docs)])
+				matchParsed(f.eng, f.docs[i%len(f.docs)])
 			}
 		})
 	}
@@ -270,7 +278,7 @@ func BenchmarkFilterHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.eng.MatchParsed(f.docs[i%len(f.docs)])
+		matchParsed(f.eng, f.docs[i%len(f.docs)])
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/doc")
 }
@@ -286,7 +294,7 @@ func BenchmarkFirstMatchAfterAdd(b *testing.B) {
 			doc := slices.MaxFunc(f.docs, func(x, y *predfilter.Document) int { return x.Paths() - y.Paths() })
 			match := func() float64 {
 				t0 := time.Now()
-				f.eng.MatchParsed(doc)
+				matchParsed(f.eng, doc)
 				return float64(time.Since(t0)) / float64(time.Millisecond)
 			}
 			var steady, first []float64

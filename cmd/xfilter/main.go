@@ -8,13 +8,18 @@
 //
 //	xfilter -e '/nitf/body//p' -e '//keyword[@key=storm]' doc1.xml doc2.xml
 //	xfilter -f subscriptions.txt < doc.xml
-//	xfilter -f subs.txt -org basic -attrs postponed -count docs/*.xml
+//	xfilter -f subs.txt -attrs postponed -count docs/*.xml
 //	xfilter -f subs.txt -workers 4 -count docs/*.xml
 //	xfilter -e '/nitf/body//p' -trace doc.xml      # per-predicate match evidence
+//
+// Every mode runs the served columnar kernel. The paper's expression
+// organizations (basic, basic-pc, basic-pc-ap) are compared by the figure
+// experiments instead: xfbench -exp fig6a (and fig6b … fig9b).
 package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -34,7 +39,6 @@ func main() {
 	var (
 		exprs     exprList
 		exprFile  = flag.String("f", "", "file with one XPath expression per line")
-		org       = flag.String("org", "pc-ap", "expression organization: basic, pc, pc-ap")
 		attrs     = flag.String("attrs", "inline", "attribute filter evaluation: inline, postponed")
 		countOnly = flag.Bool("count", false, "print match counts only")
 		allMode   = flag.Bool("all", false, "report the number of match combinations per expression (all-matches mode)")
@@ -53,19 +57,19 @@ func main() {
 		matchDeadline = flag.Duration("match-deadline", 0, "wall-clock match deadline per document (0 = none)")
 	)
 	flag.Var(&exprs, "e", "XPath expression (repeatable)")
+	flag.Usage = func() {
+		fmt.Fprint(flag.CommandLine.Output(), `usage: xfilter [flags] [doc.xml ...]
+
+Every mode runs the served columnar kernel. The paper's expression
+organizations (basic, basic-pc, basic-pc-ap) are compared by
+xfbench -exp fig6a (and fig6b … fig9b).
+
+`)
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 
 	cfg := predfilter.Config{}
-	switch *org {
-	case "basic":
-		cfg.Organization = predfilter.Basic
-	case "pc":
-		cfg.Organization = predfilter.PrefixCover
-	case "pc-ap", "":
-		cfg.Organization = predfilter.PrefixCoverAP
-	default:
-		fatal(fmt.Errorf("unknown -org %q", *org))
-	}
 	switch *attrs {
 	case "inline", "":
 		cfg.AttributeMode = predfilter.InlineAttributes
@@ -139,7 +143,7 @@ func main() {
 			names[i] = name
 		}
 		t0 := time.Now()
-		results := eng.MatchBatch(docs, *workers)
+		results := eng.MatchBatchContext(context.Background(), docs, *workers)
 		took := time.Since(t0)
 		for i, r := range results {
 			if r.Err != nil {
@@ -178,12 +182,12 @@ func main() {
 		var err2 error
 		switch {
 		case *allMode:
-			counts, err2 = eng.MatchCounts(data)
+			counts, err2 = eng.MatchCountsContext(context.Background(), data)
 			for sid := range counts {
 				sids = append(sids, sid)
 			}
 		case *traceDoc:
-			sids, tr, err2 = eng.MatchTraced(data)
+			sids, tr, err2 = eng.MatchTracedContext(context.Background(), data)
 		default:
 			sids, err2 = eng.Match(data)
 		}

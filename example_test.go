@@ -1,6 +1,7 @@
 package predfilter_test
 
 import (
+	"context"
 	"fmt"
 
 	"predfilter"
@@ -63,7 +64,7 @@ func ExampleParseDocument() {
 
 	eng := predfilter.New(predfilter.Config{})
 	sid, _ := eng.Add("/a/c/d")
-	matches := eng.MatchParsed(doc)
+	matches, _ := eng.MatchParsedContext(context.Background(), doc)
 	fmt.Println("matched:", len(matches) == 1 && matches[0] == sid)
 	// Output:
 	// elements: 4

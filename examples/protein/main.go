@@ -1,14 +1,17 @@
 // Protein: annotation routing over PSD-style protein records — the
 // high-match regime where the predicate-based engine shines. The example
-// registers the same expression set in all three engine organizations
-// (basic, prefix covering, prefix covering + access predicates) and in
-// both attribute evaluation modes, then compares their filter times on
-// one generated record stream.
+// registers the same expression set in the served engine (the columnar
+// kernel over the path cache), in the paper's scalar reference loop
+// (basic-pc-ap, uncached) and in the served engine with postponed
+// attribute filters, checks that all three agree, and compares their
+// filter times on one generated record stream. The paper's organizations
+// (basic, basic-pc, basic-pc-ap) are compared by xfbench -exp fig6b.
 //
 //	go run ./examples/protein
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -27,29 +30,15 @@ func main() {
 	}
 	docs := workload.Documents(psd, 40, workload.DocumentConfig{Seed: 11})
 
-	// Parse each record once; the parsed form is shared by every engine.
-	parsed := make([]*predfilter.Document, len(docs))
-	for i, d := range docs {
-		p, err := predfilter.ParseDocument(d)
-		if err != nil {
-			log.Fatal(err)
-		}
-		parsed[i] = p
-	}
-	fmt.Printf("protein: %d expressions over %d records (%d elements, %d paths in record 1)\n\n",
-		len(exprs), len(docs), parsed[0].Elements(), parsed[0].Paths())
+	fmt.Printf("protein: %d expressions over %d records\n\n", len(exprs), len(docs))
 
 	configs := []struct {
 		name string
 		cfg  predfilter.Config
 	}{
-		{"basic / inline", predfilter.Config{Organization: predfilter.Basic}},
-		{"basic-pc / inline", predfilter.Config{Organization: predfilter.PrefixCover}},
-		{"basic-pc-ap / inline", predfilter.Config{Organization: predfilter.PrefixCoverAP}},
-		{"basic-pc-ap / postponed", predfilter.Config{
-			Organization:  predfilter.PrefixCoverAP,
-			AttributeMode: predfilter.PostponedAttributes,
-		}},
+		{"served / inline", predfilter.Config{}},
+		{"scalar reference / inline", predfilter.Config{Columnar: predfilter.ColumnarOff, PathCacheBytes: -1}},
+		{"served / postponed", predfilter.Config{AttributeMode: predfilter.PostponedAttributes}},
 	}
 	var firstMatches int
 	for _, c := range configs {
@@ -59,8 +48,12 @@ func main() {
 		}
 		var matches int
 		t0 := time.Now()
-		for _, p := range parsed {
-			matches += len(eng.MatchParsed(p))
+		for _, d := range docs {
+			sids, err := eng.MatchContext(context.Background(), d)
+			if err != nil {
+				log.Fatal(err)
+			}
+			matches += len(sids)
 		}
 		took := time.Since(t0)
 		if firstMatches == 0 {
@@ -69,9 +62,9 @@ func main() {
 			log.Fatalf("%s disagreed: %d matches vs %d", c.name, matches, firstMatches)
 		}
 		st := eng.Stats()
-		fmt.Printf("%-24s %8v/record  %d notifications  (%d distinct predicates)\n",
-			c.name, (took / time.Duration(len(parsed))).Round(time.Microsecond), matches, st.DistinctPredicates)
+		fmt.Printf("%-26s %8v/record  %d notifications  (%d distinct predicates)\n",
+			c.name, (took / time.Duration(len(docs))).Round(time.Microsecond), matches, st.DistinctPredicates)
 	}
 	fmt.Printf("\nall configurations agree on %d notifications (%.0f%% of expressions match per record)\n",
-		firstMatches, 100*float64(firstMatches)/float64(len(exprs)*len(parsed)))
+		firstMatches, 100*float64(firstMatches)/float64(len(exprs)*len(docs)))
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -35,7 +36,7 @@ func main() {
 		}
 	}
 
-	sids, tr, err := eng.MatchTraced([]byte(doc))
+	sids, tr, err := eng.MatchTracedContext(context.Background(), []byte(doc))
 	if err != nil {
 		log.Fatal(err)
 	}

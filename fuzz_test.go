@@ -1,7 +1,6 @@
 package predfilter_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -155,7 +154,7 @@ func FuzzMatchColumnar(f *testing.F) {
 			t.Fatalf("columnar engine rejected %q that the scalar one accepted: %v", expr, err)
 		}
 		want, err := scalar.Match([]byte(doc))
-		batch := col.MatchBatch([][]byte{[]byte(doc), []byte(doc)}, 1)
+		batch := col.MatchBatchContext(context.Background(), [][]byte{[]byte(doc), []byte(doc)}, 1)
 		if err != nil {
 			for _, r := range batch {
 				if r.Err == nil {
@@ -251,8 +250,10 @@ func scanSeeds(f *testing.F) []string {
 // with parsing first (ParseDocument + MatchParsedContext on the same
 // engine) and with the scalar reference, which parses into a Document and
 // runs the paper's per-unit loop: equal match sets, and equal errors (a
-// *LimitError's Kind, Limit and Got, or else the text). Without limits the
-// reader form is held to the same. Under tight limits the materialized side
+// *LimitError's Kind, Limit and Got, or else the text). MatchCountsContext
+// is held to the same verdict, an expression counting combinations exactly
+// when it matched, wherever its enumeration fits a step budget (which the
+// fuzzer's documents can exhaust). Under tight limits the materialized side
 // parses under them first (a parse verdict beats a budget trip) and runs on
 // a twin engine, so the step charges of the two see the same cache. Two
 // comparisons of step trips are out of reach and skipped: across kernels,
@@ -300,7 +301,8 @@ func FuzzMatchScanned(f *testing.F) {
 		scalar := predfilter.Config{Columnar: predfilter.ColumnarOff, PathCacheBytes: -1}
 		ctx := context.Background()
 
-		// No limits: one engine scanned, materialized and read; the reference.
+		// No limits: one engine scanned, materialized and counted; the
+		// reference.
 		eng, ref := engine(predfilter.Config{}), engine(scalar)
 		got, gerr := eng.Match(doc)
 		want, werr := ref.Match(doc)
@@ -311,8 +313,17 @@ func FuzzMatchScanned(f *testing.F) {
 			mat, merr = eng.MatchParsedContext(ctx, pd)
 		}
 		sameVerdict(t, "scanned", "materialized", got, gerr, mat, merr)
-		read, rerr := eng.MatchReader(bytes.NewReader(doc))
-		sameVerdict(t, "read", "scanned", read, rerr, got, gerr)
+		counts, cerr := engine(predfilter.Config{Limits: predfilter.Limits{MaxSteps: 1 << 20}}).MatchCountsContext(ctx, doc)
+		if !isSteps(cerr) {
+			var counted []predfilter.SID
+			for sid, n := range counts {
+				if n <= 0 {
+					t.Fatalf("sid %d counted %d combinations", sid, n)
+				}
+				counted = append(counted, sid)
+			}
+			sameVerdict(t, "counted", "scanned", counted, cerr, got, gerr)
+		}
 
 		// Tight limits: twins, cold and then warm.
 		scfg, rcfg := predfilter.Config{Limits: tight}, scalar

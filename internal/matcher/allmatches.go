@@ -1,106 +1,112 @@
 package matcher
 
 import (
-	"predfilter/internal/guard"
+	"slices"
+	"time"
+
 	"predfilter/internal/occur"
 	"predfilter/internal/xmldoc"
 )
 
-// MatchDocumentAll returns, for every matching expression, the number of
-// distinct occurrence-chain combinations across all document paths.
+// counter is the visitor of a counted document (ScanDoc.Count): in place
+// of the served kernel it counts, for every expression, the distinct
+// occurrence-chain combinations across all document paths.
 //
 // The paper's filtering semantics needs only the first match per
 // expression (Algorithm 1 stops there; §2 notes the Index-Filter baseline
-// was modified accordingly). This method is the contrasting all-matches
+// was modified accordingly). Counting is the contrasting all-matches
 // capability: it keeps enumerating, which is what applications that need
 // every match site (the original Index-Filter problem statement) pay for.
-// Nested-path expressions report 1 when matched (their recombination is
-// defined on match existence, §5).
+// Covering and access-predicate shortcuts prove existence, not counts, so
+// every unit whose first predicate matched is enumerated. Nested-path
+// expressions report 1 when matched (their recombination is defined on
+// match existence, §5).
 //
 // Path deduplication remains sound here: structurally identical paths
-// contribute identical combination counts, so each distinct path's count
-// is multiplied by its multiplicity.
-func (m *Matcher) MatchDocumentAll(doc *xmldoc.Document) map[SID]int {
-	counts, _ := m.MatchDocumentAllBudget(doc, nil)
-	return counts
+// contribute identical combination counts, so a repeated path replays the
+// counts its first occurrence memoised.
+type counter struct {
+	sc     *scratch
+	counts map[int]int          // expr id → combinations
+	memo   map[uint64][]idCount // distinct path → its counts
+	path   []idCount            // the current path's counts
 }
 
-// MatchDocumentAllBudget is MatchDocumentAll charging the enumeration to
-// a per-document budget: every occurrence pair the combination
-// enumeration visits counts one step, and the wall clock and context are
-// consulted between paths. Exhaustive enumeration is the most expensive
-// pipeline path (it keeps searching where filtering stops at the first
-// match), so a governed engine must bound it like any other match. When
-// the budget trips, the typed *guard.LimitError is returned and the
-// partial counts are discarded. A nil budget is unlimited and never
-// errors.
-func (m *Matcher) MatchDocumentAllBudget(doc *xmldoc.Document, bud *guard.Budget) (map[SID]int, error) {
-	m.ensureFrozen()
-	defer m.mu.RUnlock()
+type idCount struct{ id, n int }
 
-	sc := m.getScratch(nil, bud)
-	defer m.pool.Put(sc)
+func newCounter(sc *scratch) *counter {
+	return &counter{sc: sc, counts: make(map[int]int), memo: make(map[uint64][]idCount)}
+}
 
-	dedup := m.pathDedup()
-	counts := make(map[int]int) // expr id → combination count
-	mult := make(map[uint64]int)
-
-	// First pass over paths: with dedup, count each distinct publication's
-	// multiplicity up front so one evaluation covers all copies.
-	if dedup {
-		for i := range doc.Paths {
-			mult[pubHash(&doc.Paths[i], m.attrSensitive)]++
+// Path counts one path, charging every occurrence pair the enumeration
+// visits to the budget; once it trips the remaining paths are skipped.
+func (k *counter) Path(pub *xmldoc.Publication) {
+	sc := k.sc
+	m := sc.m
+	if !sc.bud.CheckPoint() {
+		return
+	}
+	t := time.Now()
+	defer func() { sc.bd.ExprMatch += time.Since(t) }()
+	var key uint64
+	if sc.dedup {
+		key = pubHash(pub, m.attrSensitive)
+		if c, ok := k.memo[key]; ok {
+			k.add(c)
+			return
 		}
 	}
-	seen := make(map[uint64]bool)
-
-	for i := range doc.Paths {
-		if !bud.CheckPoint() {
-			return nil, bud.Err()
+	sc.pub, sc.byTagOK = pub, false
+	sc.res.Reset(m.ix.Len())
+	m.ix.MatchPath(pub, sc.res)
+	k.path = k.path[:0]
+	for _, u := range m.units {
+		if !sc.res.Matched(u.pids[0]) {
+			continue
 		}
-		pub := &doc.Paths[i]
-		sc.pub = pub
-		sc.byTagOK = false
-		factor := 1
-		if dedup {
-			key := pubHash(pub, m.attrSensitive)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			factor = mult[key]
-		}
-		sc.res.Reset(m.ix.Len())
-		m.ix.MatchPath(pub, sc.res)
-
-		// Covering and access-predicate shortcuts prove existence, not
-		// counts, so every unit is enumerated (with the cheap rejects).
-		for _, h := range m.ordered {
-			if !sc.res.Matched(h.first) {
-				continue
-			}
-			m.countUnit(sc, h.e, counts, factor, bud)
-			if bud.Exceeded() {
-				return nil, bud.Err()
-			}
-		}
-		for _, e := range m.nested {
-			e.root.collect(m, sc, bud)
-		}
-		if bud.Exceeded() {
-			return nil, bud.Err()
+		k.countUnit(u)
+		if sc.bud.Exceeded() {
+			return
 		}
 	}
+	for _, e := range m.nested {
+		e.root.collect(m, sc, sc.bud)
+	}
+	k.add(k.path)
+	if sc.dedup {
+		k.memo[key] = slices.Clone(k.path)
+	}
+}
 
+func (k *counter) add(c []idCount) {
+	for _, ic := range c {
+		k.counts[ic.id] += ic.n
+	}
+}
+
+// Restart discards the counts with the marks: the fallback counts every
+// path again.
+func (k *counter) Restart() {
+	k.sc.Restart()
+	clear(k.counts)
+	clear(k.memo)
+}
+
+// end recombines the nested expressions and resolves the counts to SIDs,
+// or returns the budget's error and no counts.
+func (k *counter) end() (map[SID]int, error) {
+	sc, m := k.sc, k.sc.m
+	if err := sc.bud.Err(); err != nil {
+		return nil, err
+	}
 	for _, e := range m.nested {
 		if e.root.resolveRoot(sc) {
-			counts[e.id] = 1
+			k.counts[e.id] = 1
 		}
 	}
 	clear(sc.ncands)
-
-	out := make(map[SID]int, len(counts))
-	for id, n := range counts {
+	out := make(map[SID]int, len(k.counts))
+	for id, n := range k.counts {
 		for _, sid := range m.sids(id) {
 			out[sid] = n
 		}
@@ -108,11 +114,12 @@ func (m *Matcher) MatchDocumentAllBudget(doc *xmldoc.Document, bud *guard.Budget
 	return out, nil
 }
 
-// countUnit accumulates combination counts for one iteration unit (an
-// expression, or a structural group whose members are counted over the
-// filtered chains). A budget trip leaves a partial count behind; the
-// caller discards the whole map when bud.Exceeded.
-func (m *Matcher) countUnit(sc *scratch, e *expr, counts map[int]int, factor int, bud *guard.Budget) {
+// countUnit counts the combinations of one iteration unit (an expression,
+// or a structural group whose members are counted over the filtered
+// chains) on the current path. A budget trip leaves a partial count
+// behind, which end discards.
+func (k *counter) countUnit(e *expr) {
+	sc, m := k.sc, k.sc.m
 	chain := sc.chain[:0]
 	for _, pid := range e.pids {
 		r := sc.res.Get(pid)
@@ -124,34 +131,27 @@ func (m *Matcher) countUnit(sc *scratch, e *expr, counts map[int]int, factor int
 	}
 	sc.chain = chain
 
-	enumerate := func(ch [][]occur.Pair) int {
+	count := func(id int, ch [][]occur.Pair) {
 		n := 0
-		occur.EnumerateBudget(ch, bud, func([]occur.Pair) bool {
+		occur.EnumerateBudget(ch, sc.bud, func([]occur.Pair) bool {
 			n++
 			return true
 		})
-		return n
-	}
-
-	if e.members == nil {
-		if n := enumerate(chain); n > 0 {
-			counts[e.id] += n * factor
+		if n > 0 {
+			k.path = append(k.path, idCount{id, n})
 		}
+	}
+	if e.members == nil {
+		count(e.id, chain)
 		return
 	}
 	for _, mem := range e.members {
 		if mem.post == nil {
-			if n := enumerate(chain); n > 0 {
-				counts[mem.id] += n * factor
-			}
+			count(mem.id, chain)
 			continue
 		}
-		filtered, ok := m.filterChain(sc, mem.pids, mem.postTests, chain)
-		if !ok {
-			continue
-		}
-		if n := enumerate(filtered); n > 0 {
-			counts[mem.id] += n * factor
+		if filtered, ok := m.filterChain(sc, mem.pids, mem.postTests, chain); ok {
+			count(mem.id, filtered)
 		}
 	}
 }

@@ -4,12 +4,24 @@ import (
 	"math/rand"
 	"testing"
 
+	"predfilter/internal/guard"
 	"predfilter/internal/predicate"
 	"predfilter/internal/xmldoc"
 	"predfilter/internal/xpath"
 )
 
-// bruteCounts is the oracle for MatchDocumentAll: naive per-predicate
+// scanCounts counts doc's combinations through MatchScanned (ScanDoc.Count).
+func scanCounts(t *testing.T, m *Matcher, doc []byte) map[SID]int {
+	t.Helper()
+	d := []ScanDoc{{Doc: doc, Count: true}}
+	m.MatchScanned(d, guard.Limits{})
+	if d[0].Err != nil || d[0].SIDs != nil {
+		t.Fatalf("counting: sids %v, err %v", d[0].SIDs, d[0].Err)
+	}
+	return d[0].Counts
+}
+
+// bruteCounts is the oracle for counting: naive per-predicate
 // evaluation (the §4.1.1 rules applied literally) plus exhaustive chain
 // enumeration, per path, no dedup.
 func bruteCounts(t *testing.T, xpes []string, doc *xmldoc.Document, mode predicate.AttrMode) []int {
@@ -133,11 +145,7 @@ func TestMatchDocumentAllTargeted(t *testing.T) {
 	m := New(Options{})
 	sids := mustAdd(t, m, "/r/a/b", "a/b", "//b", "/r/x")
 	// r → a → b, a → b (two a's, three b's total).
-	doc, err := xmldoc.Parse([]byte(`<r><a><b/><b/></a><a><b/></a></r>`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := m.MatchDocumentAll(doc)
+	counts := scanCounts(t, m, []byte(`<r><a><b/><b/></a><a><b/></a></r>`))
 	byIdx := func(i int) int { return counts[sids[i]] }
 	if byIdx(0) != 3 { // three (a,b) chains anchored at /r
 		t.Errorf("/r/a/b count = %d, want 3", byIdx(0))
@@ -163,7 +171,11 @@ func TestMatchDocumentAllAgainstBrute(t *testing.T) {
 		for i := range xpes {
 			xpes[i] = randXPE(rng, withAttrs)
 		}
-		doc := randDoc(rng, withAttrs)
+		xml := randXML(rng, withAttrs)
+		doc, err := xmldoc.Parse(xml)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, mode := range []predicate.AttrMode{predicate.Inline, predicate.Postponed} {
 			want := bruteCounts(t, xpes, doc, mode)
 			for _, dedupOff := range []bool{false, true} {
@@ -176,7 +188,7 @@ func TestMatchDocumentAllAgainstBrute(t *testing.T) {
 					}
 					sids[i] = sid
 				}
-				got := m.MatchDocumentAll(doc)
+				got := scanCounts(t, m, xml)
 				for i := range xpes {
 					if got[sids[i]] != want[i] {
 						t.Fatalf("round %d mode=%d dedupOff=%v: %q count=%d, oracle=%d",
@@ -204,9 +216,13 @@ func TestMatchDocumentAllConsistentWithMatch(t *testing.T) {
 			}
 			sids[i] = sid
 		}
-		doc := randDoc(rng, false)
+		xml := randXML(rng, false)
+		doc, err := xmldoc.Parse(xml)
+		if err != nil {
+			t.Fatal(err)
+		}
 		matched := matchSet(m, doc)
-		counts := m.MatchDocumentAll(doc)
+		counts := scanCounts(t, m, xml)
 		for i, sid := range sids {
 			if matched[sid] != (counts[sid] > 0) {
 				t.Fatalf("round %d: %q matched=%v but count=%d", round, xpes[i], matched[sid], counts[sid])
@@ -219,11 +235,7 @@ func TestMatchDocumentAllConsistentWithMatch(t *testing.T) {
 func TestMatchDocumentAllNested(t *testing.T) {
 	m := New(Options{})
 	sids := mustAdd(t, m, "/a[b]/c", "/a[x]/c")
-	doc, err := xmldoc.Parse([]byte(`<a><b/><c/></a>`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := m.MatchDocumentAll(doc)
+	counts := scanCounts(t, m, []byte(`<a><b/><c/></a>`))
 	if counts[sids[0]] != 1 {
 		t.Errorf("nested match count = %d, want 1", counts[sids[0]])
 	}

@@ -57,14 +57,14 @@ func TestMatchDocumentCacheHitAllocs(t *testing.T) {
 				}
 				// Warm up: freeze, size the scratch buffers, fill the cache.
 				m.MatchDocument(doc)
-				if st, ok := m.PathCacheStats(); !ok || st.Misses == 0 {
+				if st, ok := m.cacheStats(); !ok || st.Misses == 0 {
 					t.Fatalf("cache not active after warmup: %+v ok=%v", st, ok)
 				}
 				allocs := testing.AllocsPerRun(50, func() { m.MatchDocument(doc) })
 				if allocs > tc.bound {
 					t.Fatalf("MatchDocument allocates %.1f per call on cache hits, want <= %.0f", allocs, tc.bound)
 				}
-				if st, _ := m.PathCacheStats(); st.Hits == 0 {
+				if st, _ := m.cacheStats(); st.Hits == 0 {
 					t.Fatalf("no cache hits recorded: %+v", st)
 				}
 			})
@@ -111,7 +111,7 @@ func TestMatchDocumentPlanHitAllocs(t *testing.T) {
 	if allocs > 1 {
 		t.Fatalf("cache-hit document with live plan allocates %.1f per call, want <= 1", allocs)
 	}
-	if st, _ := m.PathCacheStats(); st.Hits == 0 {
+	if st, _ := m.cacheStats(); st.Hits == 0 {
 		t.Fatalf("no cache hits recorded: %+v", st)
 	}
 }
@@ -128,7 +128,7 @@ func TestMatchScannedCacheHitAllocs(t *testing.T) {
 		fmt.Fprintf(&sb, `<b k="v%d"><c n="%d"/></b><d s="x&amp;y"/>`, i%3, i)
 	}
 	sb.WriteString("</a>")
-	src := xmldoc.Source{Bytes: []byte(sb.String())}
+	src := []byte(sb.String())
 	for _, tc := range []struct {
 		name  string
 		xpes  []string
@@ -142,14 +142,14 @@ func TestMatchScannedCacheHitAllocs(t *testing.T) {
 			mustAdd(t, m, tc.xpes...)
 			docs := make([]ScanDoc, 1)
 			scan := func() {
-				docs[0] = ScanDoc{Src: src}
+				docs[0] = ScanDoc{Doc: src}
 				m.MatchScanned(docs, guard.Limits{})
 				if docs[0].Err != nil {
 					t.Fatal(docs[0].Err)
 				}
 			}
 			scan() // warm-up: catch up, size the pools, fill the cache
-			if st, _ := m.PathCacheStats(); st.Misses == 0 {
+			if st, _ := m.cacheStats(); st.Misses == 0 {
 				t.Fatalf("cache not filled by the warm-up: %+v", st)
 			}
 			allocs := testing.AllocsPerRun(50, scan)

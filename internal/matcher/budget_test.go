@@ -143,7 +143,7 @@ func TestMatchDocumentBudgetDoesNotPoisonCache(t *testing.T) {
 				break
 			}
 			tripped++
-			if st, _ := m.PathCacheStats(); st.Entries > 0 {
+			if st, _ := m.cacheStats(); st.Entries > 0 {
 				inProgram = steps
 			}
 			for pass := 0; pass < 2; pass++ {

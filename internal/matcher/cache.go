@@ -453,12 +453,3 @@ func (m *Matcher) compileProgram(sc *scratch, cs *colScratch) *pathcache.Program
 	p.Tests, p.More = append([]pathcache.ProgTest(nil), p.Tests...), append([]int32(nil), p.More...) // exact: retained
 	return p
 }
-
-// PathCacheStats returns the cache counters and whether the cache is
-// enabled.
-func (m *Matcher) PathCacheStats() (pathcache.Stats, bool) {
-	if m.cache == nil {
-		return pathcache.Stats{}, false
-	}
-	return m.cache.Stats(), true
-}

@@ -466,7 +466,7 @@ func TestProgramEntryLayout(t *testing.T) {
 			}
 		}
 	}
-	if st, _ := m.PathCacheStats(); st.Misses != 1 {
+	if st, _ := m.cacheStats(); st.Misses != 1 {
 		t.Fatalf("same-signature documents missed: %+v", st)
 	}
 
@@ -523,11 +523,11 @@ func TestProgramSurvivesRerank(t *testing.T) {
 		}
 	}
 	check("as built")
-	before, _ := m.PathCacheStats()
+	before, _ := m.cacheStats()
 	prog := entryOf(t, m, docs[0], 0).Prog
 	mustAdd(t, m, "/z[@x>0]", "/z[@x<4.7]", "/z[@x=9]", "/z[@x>=100]", "/z[@x!=a]", "/z[@x<jj]", "/z[@x>zz]")
 	check("after the re-rank")
-	after, _ := m.PathCacheStats()
+	after, _ := m.cacheStats()
 	if after.Misses != before.Misses || after.Evictions != before.Evictions || entryOf(t, m, docs[0], 0).Prog != prog || prog == nil {
 		t.Fatalf("the entry was not retained across the re-rank: before %+v after %+v", before, after)
 	}

@@ -12,7 +12,6 @@ import (
 
 	"predfilter/internal/guard"
 	"predfilter/internal/metrics"
-	"predfilter/internal/xmldoc"
 )
 
 // TestColumnarBatchAllocs pins the steady-state allocation cost of the
@@ -43,7 +42,7 @@ func TestColumnarBatchAllocs(t *testing.T) {
 			batch := make([]ScanDoc, 3)
 			run := func() {
 				for i, d := range [][]byte{doc, miss, doc} {
-					batch[i] = ScanDoc{Src: xmldoc.Source{Bytes: d}}
+					batch[i] = ScanDoc{Doc: d}
 				}
 				m.MatchScanned(batch, guard.Limits{})
 				for i := range batch {

@@ -78,7 +78,7 @@ func TestCollectSIDOrder(t *testing.T) {
 						}
 					}
 					got := m.MatchDocument(doc)
-					scan := []ScanDoc{{Src: xmldoc.Source{Bytes: []byte(src)}}}
+					scan := []ScanDoc{{Doc: []byte(src)}}
 					m.MatchScanned(scan, guard.Limits{})
 					if scan[0].Err != nil {
 						t.Fatalf("%s: %s: %v", step, src, scan[0].Err)

@@ -304,17 +304,24 @@ func (m *Matcher) MatchDocumentColumnar(doc *xmldoc.Document, bud *guard.Budget)
 	return m.matchDoc(cs, doc, bud, t0)
 }
 
-// ScanDoc is one document of MatchScanned: the input and budget the caller
-// sets, and the outcome.
+// ScanDoc is one document of MatchScanned: the input, budget and options
+// the caller sets, and the outcome.
 type ScanDoc struct {
-	Src xmldoc.Source
+	Doc []byte
 	Bud *guard.Budget
+	// Explain adds a Trace to the SIDs; Count replaces the SIDs with
+	// Counts, each matching expression's distinct occurrence-chain
+	// combinations (the all-matches problem), enumerated on every
+	// distinct path.
+	Explain, Count bool
 
-	SIDs  []SID // nil when Err is set
-	Err   error // the parse verdict, else the budget's
-	Scan  xmldoc.Scanned
-	Bd    Breakdown     // Bd.Total is the match stage
-	Parse time.Duration // the parse stage: the document's wall time less Bd.Total
+	SIDs   []SID // nil when Err is set, and with Count
+	Trace  *Trace
+	Counts map[SID]int
+	Err    error // the parse verdict, else the budget's
+	Scan   xmldoc.Scanned
+	Bd     Breakdown     // Bd.Total is the match stage
+	Parse  time.Duration // the parse stage: the document's wall time less Bd.Total and the explanation
 }
 
 // MatchScanned matches documents as they are scanned, the served path: the
@@ -329,7 +336,8 @@ type ScanDoc struct {
 // stage observation. The match stage is the kernel time Breakdown clocks
 // per path, plus the lock wait for the first document; the parse stage is
 // the rest of the document's wall time, so no clock is read per path for
-// it. Documents that do not parse leave no columnar counts.
+// it. Documents that do not parse, and counted ones, leave no columnar
+// counts.
 func (m *Matcher) MatchScanned(docs []ScanDoc, lim guard.Limits) {
 	start := time.Now()
 	cs := m.lockColumnar()
@@ -339,9 +347,22 @@ func (m *Matcher) MatchScanned(docs []ScanDoc, lim guard.Limits) {
 	for i := range docs {
 		d := &docs[i]
 		sc := m.getScratch(cs, d.Bud)
+		var v xmldoc.Visitor = sc
+		var x *explainer
+		var k *counter
+		switch {
+		case d.Count:
+			k = newCounter(sc)
+			v = k
+		case d.Explain:
+			x = m.newExplainer(sc)
+			v = x
+		}
 		var perr error
-		if d.Scan, perr = xmldoc.Scan(d.Src, lim, sc); perr != nil {
+		if d.Scan, perr = xmldoc.Scan(d.Doc, lim, v); perr != nil {
 			cs.stats, d.Err = sc.stats, perr
+		} else if k != nil {
+			d.Counts, d.Err = k.end()
 		} else {
 			parsed++
 			d.SIDs, d.Err = m.end(sc)
@@ -351,11 +372,19 @@ func (m *Matcher) MatchScanned(docs []ScanDoc, lim guard.Limits) {
 		now := time.Now()
 		d.Bd.Total = wait + d.Bd.Cache + d.Bd.PredMatch + d.Bd.ExprMatch + d.Bd.Other
 		d.Parse = now.Sub(start) - d.Bd.Total
+		if x != nil {
+			d.Parse -= x.took
+			if d.Err == nil {
+				d.Trace, d.Err = x.end(d)
+			}
+		}
 		start, wait = now, 0
 		d.Scan.Observe(m.mx, d.Parse, perr)
-		if d.Err == nil {
-			m.observe(&d.Bd, d.Scan.Paths, len(d.SIDs))
+		if d.Err != nil {
+			d.SIDs = nil
+			continue
 		}
+		m.observe(&d.Bd, d.Scan.Paths, len(d.SIDs)+len(d.Counts))
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"predfilter/internal/guard"
 	"predfilter/internal/metrics"
+	"predfilter/internal/predicate"
 	"predfilter/internal/refmatch"
 	"predfilter/internal/xmldoc"
 	"predfilter/internal/xpath"
@@ -38,7 +39,7 @@ func colMatchSets(t *testing.T, m *Matcher, docs ...[]byte) []map[SID]bool {
 func scanBatch(docs ...[]byte) []ScanDoc {
 	batch := make([]ScanDoc, len(docs))
 	for i, d := range docs {
-		batch[i].Src = xmldoc.Source{Bytes: d}
+		batch[i].Doc = d
 	}
 	return batch
 }
@@ -224,7 +225,7 @@ func TestPlanSameSignatureDifferentValues(t *testing.T) {
 					}
 					// One signature set: everything after the first
 					// document was served from recorded entries.
-					if st, _ := m.PathCacheStats(); st.Misses > 2 || st.Hits == 0 {
+					if st, _ := m.cacheStats(); st.Misses > 2 || st.Hits == 0 {
 						t.Fatalf("%+v: documents did not share signatures: %+v", opts, st)
 					}
 				}
@@ -363,6 +364,37 @@ func TestColumnarRepeatedTagDocs(t *testing.T) {
 		want := map[SID]bool{sids[0]: true, sids[2]: true, sids[3]: true}
 		if !setsEqual(got, want) {
 			t.Fatalf("%v: columnar = %v, want %v", v, got, want)
+		}
+	}
+}
+
+// TestScannedNeverFreezes: the scan is the only way a served engine reads
+// a document — a match, a count and a trace alike — and none of them
+// builds the scalar reference's organizations (prefix covers, the
+// longest-first order, access-predicate clusters). Options are the
+// engine's defaults.
+func TestScannedNeverFreezes(t *testing.T) {
+	for _, mode := range []predicate.AttrMode{predicate.Inline, predicate.Postponed} {
+		xpes := []string{"/a/b/c", "/a/b", "//c[@k>1]", "/a[b]//c"}
+		m := New(Options{Variant: PrefixCoverAP, AttrMode: mode})
+		mustAdd(t, m, xpes...)
+		doc := []byte(`<a><b><c k="2"/></b><b><c/></b></a>`)
+		for _, opt := range []ScanDoc{{}, {Count: true}, {Explain: true}} {
+			opt.Doc = doc
+			d := []ScanDoc{opt}
+			m.MatchScanned(d, guard.Limits{})
+			if d[0].Err != nil {
+				t.Fatal(d[0].Err)
+			}
+		}
+		if m.frozen != 0 || len(m.ordered) != 0 || m.clusters != nil {
+			t.Fatalf("mode %d: frozen %d, %d ordered, %d clusters", mode, m.frozen, len(m.ordered), len(m.clusters))
+		}
+		// The fields are the ones the uncached scalar reference fills.
+		ref := New(Options{Variant: PrefixCoverAP, AttrMode: mode, PathCacheBytes: -1})
+		mustAdd(t, ref, xpes...)
+		if ref.MatchDocument(xmldoc.FromPaths([]string{"a", "b"})); ref.frozen == 0 || len(ref.ordered) == 0 || ref.clusters == nil {
+			t.Fatalf("mode %d: the scalar reference did not freeze", mode)
 		}
 	}
 }

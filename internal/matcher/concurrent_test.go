@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"predfilter/internal/guard"
 	"predfilter/internal/predicate"
 	"predfilter/internal/xmldoc"
 )
@@ -15,7 +16,7 @@ import (
 // Add and Match used to race through the RUnlock→Lock freeze window; an
 // Add slipping in between could leave a matcher running against a stale
 // organization whose synthetic group ids collide with new expression ids.
-// Run under -race.
+// Traced and counted scans join the matchers. Run under -race.
 func TestConcurrentAddAndMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var exprs []string
@@ -31,8 +32,8 @@ func TestConcurrentAddAndMatch(t *testing.T) {
 		}
 		exprs = append(exprs, b.String())
 	}
-	doc, err := xmldoc.Parse([]byte(
-		`<a><b k="1"><c/><d k="2"/></b><c><d/></c><b/><d k="0"/></a>`))
+	raw := []byte(`<a><b k="1"><c/><d k="2"/></b><c><d/></c><b/><d k="0"/></a>`)
+	doc, err := xmldoc.Parse(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,16 @@ func TestConcurrentAddAndMatch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				for _, sid := range m.MatchDocument(doc) {
+				sids := m.MatchDocument(doc)
+				if i%4 > 1 {
+					d := []ScanDoc{{Doc: raw, Explain: i%4 == 2, Count: i%4 == 3}}
+					m.MatchScanned(d, guard.Limits{})
+					sids = d[0].SIDs
+					for sid := range d[0].Counts {
+						sids = append(sids, sid)
+					}
+				}
+				for _, sid := range sids {
 					if sid < 0 || int(sid) >= len(exprs) {
 						t.Errorf("matched sid %d outside the %d registered expressions", sid, len(exprs))
 						return

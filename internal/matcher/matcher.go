@@ -151,8 +151,9 @@ type Matcher struct {
 	pool sync.Pool // *scratch
 
 	// Columnar matching (see columnar.go): the column index, created by the
-	// first columnar match and extended by every catch-up after it. The
-	// uncached scalar reference never touches it.
+	// first columnar match — any scan, on every configuration — and
+	// extended by every catch-up after it. The uncached scalar reference
+	// loop never reads it.
 	col     *colIndex
 	colPool sync.Pool // *colScratch
 }
@@ -218,9 +219,6 @@ func New(opts Options) *Matcher {
 	m.colPool.New = func() any { return &colScratch{} }
 	return m
 }
-
-// Options returns the matcher's configuration.
-func (m *Matcher) Options() Options { return m.opts }
 
 // Add parses and registers an expression, returning its SID.
 func (m *Matcher) Add(s string) (SID, error) {
@@ -824,17 +822,6 @@ func (m *Matcher) ensureFrozen() {
 		m.mu.Unlock()
 		m.mu.RLock()
 	}
-}
-
-// ensureKernel returns with the read lock held and the derived state of the
-// kernel the configuration selects caught up: the columnar index (returned)
-// with the path cache on, the scalar organizations (nil) without.
-func (m *Matcher) ensureKernel() *colIndex {
-	if m.cache != nil {
-		return m.ensureColumnar()
-	}
-	m.ensureFrozen()
-	return nil
 }
 
 // matchPath runs the two matching stages for one publication, folding

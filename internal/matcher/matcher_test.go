@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"predfilter/internal/pathcache"
 	"predfilter/internal/predicate"
 	"predfilter/internal/refmatch"
 	"predfilter/internal/xmldoc"
@@ -40,6 +41,12 @@ func withScalar(cfgs []Options) []Options {
 		out = append(out, o)
 	}
 	return out
+}
+
+// cacheStats returns the path cache's counters and whether it is enabled.
+func (m *Matcher) cacheStats() (pathcache.Stats, bool) {
+	st := m.Stats()
+	return st.PathCache, st.PathCacheEnabled
 }
 
 func matchSet(m *Matcher, doc *xmldoc.Document) map[SID]bool {

@@ -11,12 +11,13 @@ import (
 )
 
 // Match tracing: a per-document explanation mode. The authoritative result
-// comes from the normal matching path (so tracing can never report a
-// different answer than matching would); a second, deliberately slow pass
-// then re-evaluates every registered expression directly — no covering, no
-// clustering, no path cache — and records, per candidate expression and
-// per document path, which chain predicates produced occurrence pairs,
-// which came up empty, and how hard occurrence determination had to search.
+// comes from the served kernel (so tracing can never report a different
+// answer than matching would); a second, deliberately slow pass over the
+// same scan then re-evaluates every registered expression directly — no
+// covering, no clustering, no path cache — and records, per candidate
+// expression and per document path, which chain predicates produced
+// occurrence pairs, which came up empty, and how hard occurrence
+// determination had to search.
 // The trace is the observable form of the paper's two-stage split: stage 1
 // evidence is the per-predicate pair lists, stage 2 evidence is the
 // occurrence-determination outcome over them.
@@ -85,9 +86,9 @@ type ExprTrace struct {
 type Trace struct {
 	Paths   int `json:"paths"`
 	Matches int `json:"matches"`
-	// Stage costs of the authoritative match, in nanoseconds. ParseNanos
-	// is zero here; the engine layer fills it in (a trace matches a
-	// parsed document).
+	// Stage costs of the authoritative match, in nanoseconds: the parse
+	// and match stages MatchScanned observes, split as ScanDoc's Parse
+	// and Bd are. TraceNanos, the explanation pass, is in neither.
 	ParseNanos     int64 `json:"parse_nanos,omitempty"`
 	CacheNanos     int64 `json:"cache_nanos"`
 	PredMatchNanos int64 `json:"pred_match_nanos"`
@@ -118,71 +119,51 @@ func (m *Matcher) exprString(e *expr) string {
 	return b.String()
 }
 
-// MatchDocumentTraced matches the document normally and then produces the
-// explanation trace. It is the slow path by design: per-path predicate
-// matching reruns without the path cache and every expression is evaluated
-// directly (covering relations are reported, not exploited).
-func (m *Matcher) MatchDocumentTraced(doc *xmldoc.Document) ([]SID, *Trace) {
-	sids, tr, _ := m.MatchDocumentTracedBudget(doc, nil)
-	return sids, tr
+// explainer is the visitor of a traced document (ScanDoc.Explain): each
+// path is matched by the served scratch first and then, unless the
+// document's budget has tripped, explained in a second, deliberately slow
+// pass — a fresh predicate-matching run, and every traced expression
+// evaluated directly, without covers, clustering or the path cache. The
+// pass runs under a fork of the budget (its own step allocation, the same
+// wall clock), so its extra search can never pin a worker on a document
+// the served match would have rejected, nor trip the served match.
+type explainer struct {
+	m      *Matcher
+	sc     *scratch
+	x      scratch       // the pass's predicate results and filter buffers
+	bud    *guard.Budget // a fork of sc.bud
+	traced []*expr       // the expressions tr.Exprs explains, in order
+	direct []bool        // per traced expression: matched some path directly
+	tr     *Trace
+	took   time.Duration
 }
 
-// MatchDocumentTracedBudget is MatchDocumentTraced under a budget. The
-// authoritative match is charged to bud directly; the explanation pass —
-// which re-evaluates every expression without covers or the path cache,
-// so it can spend far more search effort than the match it explains —
-// runs under bud.Fork(): the step budget resets for the second pass while
-// the wall-clock deadline and cancellation carry over. Either pass
-// tripping returns the typed *guard.LimitError with no partial trace. A
-// nil budget is unlimited and never errors.
-func (m *Matcher) MatchDocumentTracedBudget(doc *xmldoc.Document, bud *guard.Budget) ([]SID, *Trace, error) {
-	t0 := time.Now()
-	sids, bd, err := m.MatchDocumentBudget(doc, bud)
-	if err != nil {
-		return nil, nil, err
+// newExplainer starts a traced document: every distinct registered
+// expression with at least one live SID, in registration order, up to the
+// cap. Callers hold the read lock with the derived state caught up.
+func (m *Matcher) newExplainer(sc *scratch) *explainer {
+	x := &explainer{
+		m:   m,
+		sc:  sc,
+		x:   scratch{res: predindex.NewResults(m.ix.Len()), byTag: make(map[string][]*xmldoc.Tuple)},
+		bud: sc.bud.Fork(),
+		tr:  &Trace{},
 	}
-
-	tr := &Trace{
-		Paths:          len(doc.Paths),
-		Matches:        len(sids),
-		CacheNanos:     bd.Cache.Nanoseconds(),
-		PredMatchNanos: bd.PredMatch.Nanoseconds(),
-		OccurNanos:     (bd.ExprMatch + bd.Other).Nanoseconds(),
-		TotalNanos:     time.Since(t0).Nanoseconds(),
-	}
-
-	t1 := time.Now()
-	// Of the derived state the explanation reads the value dictionary's
-	// ranks only; a registration since the match above is caught up here.
-	m.ensureKernel()
-	defer m.mu.RUnlock()
-
-	matched := make(map[*expr]bool, len(sids))
-	for _, sid := range sids {
-		if int(sid) < len(m.sidOwner) && m.sidOwner[sid] != nil {
-			matched[m.sidOwner[sid]] = true
-		}
-	}
-
-	// Traced expressions: every distinct registered expression with at
-	// least one live SID, in registration order, up to the cap.
-	var traced []*expr
 	for _, e := range m.exprs {
 		if len(m.sids(e.id)) == 0 {
 			continue
 		}
-		if len(traced) == MaxTraceExprs {
-			tr.TruncatedExprs = true
+		if len(x.traced) == MaxTraceExprs {
+			x.tr.TruncatedExprs = true
 			break
 		}
-		traced = append(traced, e)
+		x.traced = append(x.traced, e)
 	}
-
-	tr.Exprs = make([]ExprTrace, len(traced))
-	for i, e := range traced {
-		et := &tr.Exprs[i]
+	x.direct = make([]bool, len(x.traced))
+	x.tr.Exprs = make([]ExprTrace, len(x.traced))
+	for i, e := range x.traced {
+		et := &x.tr.Exprs[i]
 		et.SIDs = append([]SID(nil), m.sids(e.id)...)
-		et.Matched = matched[e]
 		if e.root != nil {
 			et.Nested = true
 			et.Expr = e.nsrc
@@ -190,47 +171,69 @@ func (m *Matcher) MatchDocumentTracedBudget(doc *xmldoc.Document, bud *guard.Bud
 			et.Expr = m.exprString(e)
 		}
 	}
+	return x
+}
 
-	// Explanation pass: one fresh predicate-matching run per path, shared
-	// by all traced expressions of that path.
-	sc := &scratch{
-		res:   predindex.NewResults(m.ix.Len()),
-		byTag: make(map[string][]*xmldoc.Tuple),
+// Path matches the path, then explains it.
+func (x *explainer) Path(pub *xmldoc.Publication) {
+	x.sc.Path(pub)
+	if x.sc.bud.Exceeded() || !x.bud.CheckPoint() {
+		return
 	}
-	tb := bud.Fork()
-	directMatch := make([]bool, len(traced))
-	for p := range doc.Paths {
-		if !tb.CheckPoint() {
-			return nil, nil, tb.Err()
+	t := time.Now()
+	defer func() { x.took += time.Since(t) }()
+	m := x.m
+	x.x.pub, x.x.byTagOK = pub, false
+	x.x.res.Reset(m.ix.Len())
+	m.ix.MatchPath(pub, x.x.res)
+	for i, e := range x.traced {
+		if e.root != nil {
+			continue
 		}
-		pub := &doc.Paths[p]
-		sc.pub = pub
-		sc.byTagOK = false
-		sc.res.Reset(m.ix.Len())
-		m.ix.MatchPath(pub, sc.res)
-		for i, e := range traced {
-			if e.root != nil {
-				continue
-			}
-			ev, direct := m.tracePath(sc, e, pub, tb)
-			if tb.Exceeded() {
-				return nil, nil, tb.Err()
-			}
-			if direct {
-				directMatch[i] = true
-			}
-			if ev != nil && len(tr.Exprs[i].Paths) < maxTracePaths {
-				tr.Exprs[i].Paths = append(tr.Exprs[i].Paths, *ev)
-			}
+		ev, direct := m.tracePath(&x.x, e, pub, x.bud)
+		if x.bud.Exceeded() {
+			return
+		}
+		x.direct[i] = x.direct[i] || direct
+		if ev != nil && len(x.tr.Exprs[i].Paths) < maxTracePaths {
+			x.tr.Exprs[i].Paths = append(x.tr.Exprs[i].Paths, *ev)
 		}
 	}
-	for i, e := range traced {
-		if e.root == nil && tr.Exprs[i].Matched && !directMatch[i] {
-			tr.Exprs[i].ViaCover = true
-		}
+}
+
+// Restart discards the evidence along with the served marks: the fallback
+// explains every path again.
+func (x *explainer) Restart() {
+	x.sc.Restart()
+	x.bud.Restart()
+	x.x.res.Vals.Reset()
+	clear(x.direct)
+	for i := range x.tr.Exprs {
+		x.tr.Exprs[i].Paths = nil
 	}
-	tr.TraceNanos = time.Since(t1).Nanoseconds()
-	return sids, tr, nil
+}
+
+// end completes the trace of the matched document d: each traced
+// expression's verdict from d's SIDs, and d's stage costs. It returns the
+// explanation pass's budget error instead, and no trace.
+func (x *explainer) end(d *ScanDoc) (*Trace, error) {
+	if err := x.bud.Err(); err != nil {
+		return nil, err
+	}
+	matched := make(map[*expr]bool, len(d.SIDs))
+	for _, sid := range d.SIDs {
+		matched[x.m.sidOwner[sid]] = true
+	}
+	for i, e := range x.traced {
+		et := &x.tr.Exprs[i]
+		et.Matched = matched[e]
+		et.ViaCover = e.root == nil && et.Matched && !x.direct[i]
+	}
+	tr := x.tr
+	tr.Paths, tr.Matches = d.Scan.Paths, len(d.SIDs)
+	tr.ParseNanos, tr.CacheNanos, tr.PredMatchNanos = d.Parse.Nanoseconds(), d.Bd.Cache.Nanoseconds(), d.Bd.PredMatch.Nanoseconds()
+	tr.OccurNanos, tr.TotalNanos, tr.TraceNanos = (d.Bd.ExprMatch + d.Bd.Other).Nanoseconds(), d.Bd.Total.Nanoseconds(), x.took.Nanoseconds()
+	return tr, nil
 }
 
 // tracePath evaluates one single-path expression directly against one

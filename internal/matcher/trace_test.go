@@ -5,9 +5,22 @@ import (
 	"strings"
 	"testing"
 
+	"predfilter/internal/guard"
 	"predfilter/internal/predicate"
 	"predfilter/internal/xmldoc"
 )
+
+// scanTrace matches and explains doc through MatchScanned
+// (ScanDoc.Explain).
+func scanTrace(t *testing.T, m *Matcher, doc string) ([]SID, *Trace) {
+	t.Helper()
+	d := []ScanDoc{{Doc: []byte(doc), Explain: true}}
+	m.MatchScanned(d, guard.Limits{})
+	if d[0].Err != nil {
+		t.Fatal(d[0].Err)
+	}
+	return d[0].SIDs, d[0].Trace
+}
 
 // findTrace returns the ExprTrace carrying the given sid.
 func findTrace(t *testing.T, tr *Trace, sid SID) *ExprTrace {
@@ -34,8 +47,7 @@ func TestMatchDocumentTraced(t *testing.T) {
 			"/a/b/d", // miss: the (d(p_b, p_d), =, 1) predicate never fires
 			"/x/y",   // miss: no predicate hits at all
 		)
-		doc := xmldoc.FromPaths([]string{"a", "b", "c"})
-		got, tr := m.MatchDocumentTraced(doc)
+		got, tr := scanTrace(t, m, "<a><b><c/></b></a>")
 
 		if len(got) != 1 || got[0] != sids[0] {
 			t.Fatalf("[%v] traced match = %v, want [%d]", variant, got, sids[0])
@@ -108,17 +120,21 @@ func TestTracedAgreesWithMatch(t *testing.T) {
 		"/a/b/c", "/a/b", "/a", "a//c", "b/c", "//b/c", "/a/*/c",
 		"/x/y/z", "c", "/*/*/*", "/a/b/c/d",
 	}
-	docs := []*xmldoc.Document{
-		xmldoc.FromPaths([]string{"a", "b", "c"}, []string{"a", "d"}),
-		xmldoc.FromPaths([]string{"x", "y", "z"}),
-		xmldoc.FromPaths([]string{"a", "b"}, []string{"a", "b", "c", "d"}),
+	docs := []string{
+		"<a><b><c/></b><d/></a>",
+		"<x><y><z/></y></x>",
+		"<a><b/><b><c><d/></c></b></a>",
 	}
 	for _, variant := range allVariants {
 		m := New(Options{Variant: variant})
 		mustAdd(t, m, xpes...)
 		for di, doc := range docs {
-			want := matchSet(m, doc)
-			got, tr := m.MatchDocumentTraced(doc)
+			parsed, err := xmldoc.Parse([]byte(doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := matchSet(m, parsed)
+			got, tr := scanTrace(t, m, doc)
 			if len(got) != len(want) {
 				t.Fatalf("[%v] doc %d: traced %d sids, want %d", variant, di, len(got), len(want))
 			}
@@ -148,8 +164,7 @@ func TestTracedAgreesWithMatch(t *testing.T) {
 func TestTracedViaCover(t *testing.T) {
 	m := New(Options{Variant: PrefixCover})
 	sids := mustAdd(t, m, "/a/b/c", "/a/b")
-	doc := xmldoc.FromPaths([]string{"a", "b", "c"})
-	_, tr := m.MatchDocumentTraced(doc)
+	_, tr := scanTrace(t, m, "<a><b><c/></b></a>")
 	for _, sid := range sids {
 		et := findTrace(t, tr, sid)
 		if !et.Matched || et.ViaCover {
@@ -163,11 +178,7 @@ func TestTracedViaCover(t *testing.T) {
 func TestTracedPostponedFilter(t *testing.T) {
 	m := New(Options{Variant: Basic, AttrMode: predicate.Postponed})
 	sids := mustAdd(t, m, `/a/b[@k="v"]/c`, `/a/b[@k="w"]/c`)
-	doc, err := xmldoc.Parse([]byte(`<a><b k="v"><c/></b></a>`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, tr := m.MatchDocumentTraced(doc)
+	got, tr := scanTrace(t, m, `<a><b k="v"><c/></b></a>`)
 	if len(got) != 1 || got[0] != sids[0] {
 		t.Fatalf("traced match = %v, want [%d]", got, sids[0])
 	}
@@ -189,11 +200,7 @@ func TestTracedPostponedFilter(t *testing.T) {
 func TestTracedNestedSummarized(t *testing.T) {
 	m := New(Options{Variant: Basic})
 	sids := mustAdd(t, m, "/a[b]/c", "/a/b/c")
-	doc, err := xmldoc.Parse([]byte(`<a><b/><c/></a>`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, tr := m.MatchDocumentTraced(doc)
+	got, tr := scanTrace(t, m, `<a><b/><c/></a>`)
 	if len(got) != 1 || got[0] != sids[0] {
 		t.Fatalf("traced match = %v, want [%d]", got, sids[0])
 	}
@@ -215,8 +222,7 @@ func TestTraceExprCap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	doc := xmldoc.FromPaths([]string{"a", "ta", "x0"})
-	_, tr := m.MatchDocumentTraced(doc)
+	_, tr := scanTrace(t, m, "<a><ta><x0/></ta></a>")
 	if !tr.TruncatedExprs {
 		t.Fatal("trace not marked truncated")
 	}

@@ -2,10 +2,13 @@ package server
 
 import (
 	"io"
+	"log/slog"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"predfilter/internal/metrics"
 )
@@ -155,6 +158,52 @@ func TestPublishTraced(t *testing.T) {
 // TestDebugVarsConcurrentPublish hammers /publish while polling
 // /debug/vars, checking that every response is valid JSON with mutually
 // consistent counters. Run with -race this also exercises the
+// TestPublishTracedTimedLikeUntraced: a traced publish is observed as one
+// document of each pipeline stage, the explanation pass in neither, and is
+// counted as slow past the threshold like any other document.
+func TestPublishTracedTimedLikeUntraced(t *testing.T) {
+	cfg := Config{}
+	cfg.Engine.SlowDocThreshold = time.Nanosecond
+	cfg.Engine.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+	ts := newTestServer(t, cfg)
+	subscribe(t, ts, "/feed/alert")
+	scrape := func() map[string]string {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		out := make(map[string]string)
+		for _, line := range strings.Split(string(body), "\n") {
+			if k, v, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+				out[k] = v
+			}
+		}
+		return out
+	}
+	before := scrape()
+	resp, err := http.Post(ts.URL+"/publish?trace=1", "application/xml", strings.NewReader(`<feed><alert/><other/></feed>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := decodeBody(t, resp); body["trace"] == nil {
+		t.Fatalf("no trace in %v", body)
+	}
+	after := scrape()
+	for _, k := range []string{
+		`predfilter_stage_duration_seconds_count{stage="parse"}`,
+		`predfilter_stage_duration_seconds_count{stage="match"}`,
+		"predfilter_slow_docs_total",
+	} {
+		b, _ := strconv.Atoi(before[k])
+		a, err := strconv.Atoi(after[k])
+		if err != nil || a-b != 1 {
+			t.Errorf("%s: %q → %q, want one more", k, before[k], after[k])
+		}
+	}
+}
+
 // snapshot-once counter reads against the publish-path writers.
 func TestDebugVarsConcurrentPublish(t *testing.T) {
 	ts := newTestServer(t, Config{})

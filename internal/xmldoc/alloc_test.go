@@ -46,31 +46,3 @@ func TestParseScanAllocs(t *testing.T) {
 		t.Fatalf("scanner parse allocates %.1f per document, want <= %d", allocs, bound)
 	}
 }
-
-// TestParseScanAllocsReader is the reader-mode variant: the retained input
-// buffer and read scratch are pooled too, so a stream parse stays within a
-// small constant plus the one reader wrapper the caller provides.
-func TestParseScanAllocsReader(t *testing.T) {
-	var sb strings.Builder
-	sb.WriteString("<doc>")
-	for i := 0; i < 12; i++ {
-		fmt.Fprintf(&sb, `<sec id="s%d"><p>text</p></sec>`, i)
-	}
-	sb.WriteString("</doc>")
-	data := sb.String()
-
-	for i := 0; i < 3; i++ {
-		if _, err := parseReader(strings.NewReader(data), guard.Limits{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const bound = 12
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := parseReader(strings.NewReader(data), guard.Limits{}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > bound {
-		t.Fatalf("reader-mode scanner parse allocates %.1f per document, want <= %d", allocs, bound)
-	}
-}

@@ -3,7 +3,6 @@ package xmldoc
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 
 	"predfilter/internal/guard"
@@ -87,21 +86,6 @@ func TestParseLimitsDocBytes(t *testing.T) {
 	}
 }
 
-func TestParseReaderLimitsDocBytes(t *testing.T) {
-	doc := "<a><b/></a>"
-	// A stream ending exactly at the bound parses; one byte more trips.
-	if _, err := parseReader(strings.NewReader(doc), guard.Limits{MaxDocBytes: int64(len(doc))}); err != nil {
-		t.Fatalf("stream exactly at bound: %v", err)
-	}
-	_, err := parseReader(strings.NewReader(doc+" "), guard.Limits{MaxDocBytes: int64(len(doc))})
-	wantLimit(t, err, guard.DocBytes)
-}
-
-func TestParseReaderLimitsDepth(t *testing.T) {
-	_, err := parseReader(bytes.NewReader(nested(64)), guard.Limits{MaxDepth: 8})
-	wantLimit(t, err, guard.Depth)
-}
-
 func TestParseLimitsZeroEnforcesNothing(t *testing.T) {
 	d, err := ParseLimitsMode(nested(100), guard.Limits{}, ModeAuto)
 	if err != nil {
@@ -122,7 +106,7 @@ func TestParseLimitsFailsFast(t *testing.T) {
 	for i := 0; i < 1<<20; i++ {
 		b.WriteString("<d>")
 	}
-	_, err := parseReader(bytes.NewReader(b.Bytes()), guard.Limits{MaxDepth: 16})
+	_, err := ParseLimitsMode(b.Bytes(), guard.Limits{MaxDepth: 16}, ModeAuto)
 	wantLimit(t, err, guard.Depth)
 }
 

@@ -40,15 +40,9 @@ type Visitor interface {
 	Restart()
 }
 
-// Source is one document's input: Bytes, or Reader when it is non-nil.
-type Source struct {
-	Bytes  []byte
-	Reader io.Reader
-}
-
 // Scanned describes a finished scan.
 type Scanned struct {
-	Bytes    int64 // input consumed; a stream's whole size once it parsed
+	Bytes    int64 // the document's size
 	Paths    int   // paths handed to the visitor (by the fallback, if it ran)
 	Elements int
 	FellBack bool // the scanner stopped and encoding/xml re-parsed the document
@@ -62,26 +56,26 @@ func (s Scanned) Observe(ms *metrics.Set, d time.Duration, err error) {
 	ms.ObserveParsePath(err == nil && !s.FellBack, s.FellBack)
 }
 
-// Scan decomposes the document in src into its root-to-leaf paths and
+// Scan decomposes the document in data into its root-to-leaf paths and
 // hands each to v as its leaf closes; no Document is built. The structural
-// limits are enforced as the input streams (raw size up front for bytes),
-// each exceeded one a typed *guard.LimitError; zero limits enforce nothing.
+// limits are enforced as the document is scanned (its size up front), each
+// exceeded one a typed *guard.LimitError; zero limits enforce nothing.
 // The scanner runs first; input it does not accept is re-parsed from its
 // first byte by encoding/xml (after v.Restart), whose verdict is
 // authoritative. The error is the document's parse verdict, which the
 // visitor cannot stop early.
-func Scan(src Source, lim guard.Limits, v Visitor) (Scanned, error) {
+func Scan(data []byte, lim guard.Limits, v Visitor) (Scanned, error) {
 	b := builders.Get().(*builder)
-	st, err := b.run(src, lim, ModeAuto, v)
+	st, err := b.run(data, lim, ModeAuto, v)
 	b.release()
 	return st, err
 }
 
 // parse is a scan into the collecting visitor, finalized into a Document.
-func parse(src Source, lim guard.Limits, mode Mode) (*Document, Scanned, error) {
+func parse(data []byte, lim guard.Limits, mode Mode) (*Document, Scanned, error) {
 	b := builders.Get().(*builder)
 	b.col.Restart()
-	st, err := b.run(src, lim, mode, &b.col)
+	st, err := b.run(data, lim, mode, &b.col)
 	var d *Document
 	if err == nil {
 		d = b.col.finalize(st.Elements)
@@ -111,7 +105,6 @@ var (
 // over as it stands.
 type builder struct {
 	sc     xmlscan.Scanner
-	lr     limitReader
 	v      Visitor
 	pub    Publication
 	frames []frame // per open element, beside its tuple
@@ -134,60 +127,35 @@ var builders = sync.Pool{New: func() any {
 	return b
 }}
 
-// run scans src into v: the scanner first (ModeAuto), then, if it stopped
-// short of a verdict, encoding/xml from the first byte — for a stream, the
-// bytes the scanner consumed replayed ahead of the rest, through a fresh
-// limitReader, so nothing is charged twice.
-func (b *builder) run(src Source, lim guard.Limits, mode Mode, v Visitor) (Scanned, error) {
+// run scans data into v: the scanner first (ModeAuto), then, if it
+// stopped short of a verdict, encoding/xml from the first byte.
+func (b *builder) run(data []byte, lim guard.Limits, mode Mode, v Visitor) (Scanned, error) {
 	b.v = v
-	st := Scanned{Bytes: int64(len(src.Bytes))}
-	r := src.Reader
-	if r == nil && lim.MaxDocBytes > 0 && st.Bytes > lim.MaxDocBytes {
+	st := Scanned{Bytes: int64(len(data))}
+	if lim.MaxDocBytes > 0 && st.Bytes > lim.MaxDocBytes {
 		return st, guard.ParseError(guard.DocBytes, lim.MaxDocBytes, st.Bytes)
 	}
 	if mode != ModeStd {
 		b.reset()
-		if r == nil {
-			b.sc.ResetBytes(src.Bytes)
-		} else {
-			b.lr = limitReader{r: r, max: lim.MaxDocBytes}
-			b.sc.ResetReader(&b.lr)
-		}
+		b.sc.ResetBytes(data)
 		err := b.scan(lim)
 		if err == nil {
-			return b.scanned(st, src.Reader), nil
+			return b.scanned(st), nil
 		}
-		var le *guard.LimitError
-		if errors.As(err, &le) {
-			if le.Kind == guard.DocBytes {
-				// Only a stream trips this mid-scan. encoding/xml hands
-				// reader errors through in the package prefix; the
-				// builder's own trips are bare on both paths.
-				err = fmt.Errorf("xmldoc: %w", err)
-			}
+		if _, ok := err.(*guard.LimitError); ok {
 			return st, err
 		}
 		st.FellBack = true
 		v.Restart()
-		if r != nil {
-			r = io.MultiReader(bytes.NewReader(b.sc.Consumed()), r)
-		}
 	}
-	if r == nil {
-		r = bytes.NewReader(src.Bytes)
-	}
-	b.lr = limitReader{r: r, max: lim.MaxDocBytes}
 	b.reset()
-	if err := b.std(lim); err != nil {
+	if err := b.std(data, lim); err != nil {
 		return st, err
 	}
-	return b.scanned(st, src.Reader), nil
+	return b.scanned(st), nil
 }
 
-func (b *builder) scanned(st Scanned, r io.Reader) Scanned {
-	if r != nil {
-		st.Bytes = b.lr.n
-	}
+func (b *builder) scanned(st Scanned) Scanned {
 	st.Paths, st.Elements = b.paths, b.nextID
 	return st
 }
@@ -201,7 +169,7 @@ func (b *builder) reset() {
 // release returns the builder to the pool without the caller's input.
 func (b *builder) release() {
 	b.sc.Release()
-	b.lr, b.v = limitReader{}, nil
+	b.v = nil
 	builders.Put(b)
 }
 
@@ -315,12 +283,12 @@ func (b *builder) scan(lim guard.Limits) error {
 	}
 }
 
-// std is the encoding/xml loop over b.lr: the original parser, kept as the
+// std is the encoding/xml loop: the original parser, kept as the
 // ModeStd implementation and as the authority the scanner falls back to. It
 // builds through the scanner loop's open, push and close, so the limits
 // trip at the same points and the visitor sees the same paths.
-func (b *builder) std(lim guard.Limits) error {
-	dec := xml.NewDecoder(&b.lr)
+func (b *builder) std(data []byte, lim guard.Limits) error {
+	dec := xml.NewDecoder(bytes.NewReader(data))
 	for {
 		tok, err := dec.Token()
 		switch {

@@ -1,10 +1,8 @@
 package xmldoc
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"reflect"
 	"strconv"
@@ -53,14 +51,6 @@ func parseBoth(t testing.TB, data []byte, lim guard.Limits) (*Document, error) {
 	if errS == nil && !reflect.DeepEqual(ds, dx) {
 		t.Fatalf("document divergence on %q:\n  scan: %+v\n  std:  %+v", data, ds, dx)
 	}
-	// Reader mode must agree with byte mode.
-	dr, errR := parseReader(bytes.NewReader(data), lim)
-	if (errR == nil) != (errX == nil) {
-		t.Fatalf("reader accept/reject divergence on %q:\n  scan(reader): %v\n  std:          %v", data, errR, errX)
-	}
-	if errR == nil && !reflect.DeepEqual(dr, dx) {
-		t.Fatalf("reader document divergence on %q", data)
-	}
 	return dx, errX
 }
 
@@ -68,35 +58,6 @@ func TestScanEquivalenceTable(t *testing.T) {
 	for _, in := range equivCases {
 		parseBoth(t, []byte(in), guard.Limits{})
 	}
-}
-
-func TestScanEquivalenceOneByteReader(t *testing.T) {
-	// Every refill boundary in reader mode, on the accepted subset.
-	for _, in := range equivCases {
-		dx, errX := ParseLimitsMode([]byte(in), guard.Limits{}, ModeStd)
-		dr, errR := parseReader(oneByteReader{strings.NewReader(in)}, guard.Limits{})
-		if (errR == nil) != (errX == nil) {
-			t.Fatalf("one-byte reader divergence on %q: scan=%v std=%v", in, errR, errX)
-		}
-		if errR == nil && !reflect.DeepEqual(dr, dx) {
-			t.Fatalf("one-byte reader document divergence on %q", in)
-		}
-	}
-}
-
-// parseReader parses a stream as the served reader path does.
-func parseReader(r io.Reader, lim guard.Limits) (*Document, error) {
-	d, _, err := ParseSource(Source{Reader: r}, nil, lim)
-	return d, err
-}
-
-type oneByteReader struct{ r *strings.Reader }
-
-func (o oneByteReader) Read(p []byte) (int, error) {
-	if len(p) > 1 {
-		p = p[:1]
-	}
-	return o.r.Read(p)
 }
 
 func TestScanModeLimitsEquivalence(t *testing.T) {
@@ -145,20 +106,6 @@ func TestScanFallbackProducesStdErrors(t *testing.T) {
 	}
 }
 
-func TestScanReaderFallbackReplaysConsumedPrefix(t *testing.T) {
-	// DOCTYPE up front sends the scanner to the fallback after part of the
-	// stream is consumed; the replay must hand encoding/xml the full
-	// document.
-	doc := `<!DOCTYPE doc><doc><a x="1"/><b>t</b></doc>`
-	d, err := parseReader(strings.NewReader(doc), guard.Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Elements != 3 || len(d.Paths) != 2 {
-		t.Fatalf("Elements=%d Paths=%d", d.Elements, len(d.Paths))
-	}
-}
-
 func TestScanAttrsNilWhenAbsent(t *testing.T) {
 	d, err := ParseLimitsMode([]byte(`<a><b c="1"/></a>`), guard.Limits{}, ModeAuto)
 	if err != nil {
@@ -195,7 +142,7 @@ func renderPath(pub *Publication) string {
 }
 
 // TestScanVisitsParsePaths: Scan hands its visitor exactly the paths Parse
-// collects, in order, with the same verdict, in byte and reader mode. When
+// collects, in order, with the same verdict. When
 // the scanner emits paths and then stops on input outside its subset (the
 // last cases), Restart comes before the fallback emits them all again.
 func TestScanVisitsParsePaths(t *testing.T) {
@@ -206,28 +153,26 @@ func TestScanVisitsParsePaths(t *testing.T) {
 		`<a><b/><c></d></a>`)                                  // mismatched end tag: fallback rejects
 	for _, in := range cases {
 		want, werr := ParseLimitsMode([]byte(in), guard.Limits{}, ModeAuto)
-		for _, src := range []Source{{Bytes: []byte(in)}, {Reader: strings.NewReader(in)}} {
-			var log pathLog
-			st, err := Scan(src, guard.Limits{}, &log)
-			if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
-				t.Fatalf("%q: Scan err %v, Parse err %v", in, err, werr)
-			}
-			if st.FellBack != (log.restarts == 1) || log.restarts > 1 {
-				t.Fatalf("%q: %d restarts, fell back %v", in, log.restarts, st.FellBack)
-			}
-			if err != nil {
-				continue
-			}
-			var paths []string
-			for i := range want.Paths {
-				paths = append(paths, renderPath(&want.Paths[i]))
-			}
-			if !reflect.DeepEqual(log.paths, paths) {
-				t.Fatalf("%q: visited\n  %q\nparsed\n  %q", in, log.paths, paths)
-			}
-			if st.Paths != len(want.Paths) || st.Elements != want.Elements || st.Bytes != int64(len(in)) {
-				t.Fatalf("%q: %+v, want %d paths, %d elements, %d bytes", in, st, len(want.Paths), want.Elements, len(in))
-			}
+		var log pathLog
+		st, err := Scan([]byte(in), guard.Limits{}, &log)
+		if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+			t.Fatalf("%q: Scan err %v, Parse err %v", in, err, werr)
+		}
+		if st.FellBack != (log.restarts == 1) || log.restarts > 1 {
+			t.Fatalf("%q: %d restarts, fell back %v", in, log.restarts, st.FellBack)
+		}
+		if err != nil {
+			continue
+		}
+		var paths []string
+		for i := range want.Paths {
+			paths = append(paths, renderPath(&want.Paths[i]))
+		}
+		if !reflect.DeepEqual(log.paths, paths) {
+			t.Fatalf("%q: visited\n  %q\nparsed\n  %q", in, log.paths, paths)
+		}
+		if st.Paths != len(want.Paths) || st.Elements != want.Elements || st.Bytes != int64(len(in)) {
+			t.Fatalf("%q: %+v, want %d paths, %d elements, %d bytes", in, st, len(want.Paths), want.Elements, len(in))
 		}
 	}
 }

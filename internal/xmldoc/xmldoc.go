@@ -17,7 +17,6 @@
 package xmldoc
 
 import (
-	"io"
 	"strings"
 	"time"
 
@@ -63,15 +62,6 @@ type Publication struct {
 	Tuples []Tuple
 }
 
-// Tags returns the tag names of the path in order.
-func (p *Publication) Tags() []string {
-	tags := make([]string, len(p.Tuples))
-	for i, t := range p.Tuples {
-		tags[i] = t.Tag
-	}
-	return tags
-}
-
 // String renders the path as /t1/t2/.../tn.
 func (p *Publication) String() string {
 	var b strings.Builder
@@ -97,48 +87,17 @@ func Parse(data []byte) (*Document, error) {
 // explicit parser selection (see Mode): Scan into a visitor that collects
 // every path.
 func ParseLimitsMode(data []byte, lim guard.Limits, mode Mode) (*Document, error) {
-	d, _, err := parse(Source{Bytes: data}, lim, mode)
+	d, _, err := parse(data, lim, mode)
 	return d, err
 }
 
-// ParseSource is ParseLimitsMode of a byte or stream source under the
-// scanner, with the parse stage observed in ms (see Scanned.Observe). A
-// stream with more than one top-level element is rejected.
-func ParseSource(src Source, ms *metrics.Set, lim guard.Limits) (*Document, Scanned, error) {
+// ParseSource is ParseLimitsMode under the scanner, with the parse stage
+// observed in ms (see Scanned.Observe).
+func ParseSource(data []byte, ms *metrics.Set, lim guard.Limits) (*Document, Scanned, error) {
 	t0 := time.Now()
-	d, st, err := parse(src, lim, ModeAuto)
+	d, st, err := parse(data, lim, ModeAuto)
 	st.Observe(ms, time.Since(t0), err)
 	return d, st, err
-}
-
-// limitReader counts the bytes consumed from a stream and, when max is
-// positive, bounds them, failing with a typed *guard.LimitError once the
-// bound is crossed (unlike io.LimitReader it errors instead of faking EOF,
-// so a truncated bomb cannot masquerade as a well-formed smaller document).
-type limitReader struct {
-	r   io.Reader
-	n   int64 // bytes consumed
-	max int64
-}
-
-func (l *limitReader) Read(p []byte) (int, error) {
-	if l.max > 0 {
-		// Allow one sentinel byte past the bound: a document ending exactly
-		// at the bound reads EOF there and parses, while a longer one trips.
-		rem := l.max - l.n + 1
-		if rem <= 0 {
-			return 0, guard.ParseError(guard.DocBytes, l.max, l.n)
-		}
-		if int64(len(p)) > rem {
-			p = p[:rem]
-		}
-	}
-	n, err := l.r.Read(p)
-	l.n += int64(n)
-	if l.max > 0 && l.n > l.max {
-		return n, guard.ParseError(guard.DocBytes, l.max, l.n)
-	}
-	return n, err
 }
 
 // FromPaths builds a Document directly from tag-name paths, computing

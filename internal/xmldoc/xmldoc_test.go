@@ -2,7 +2,6 @@ package xmldoc
 
 import (
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -147,8 +146,8 @@ func TestFromPaths(t *testing.T) {
 	if p.Tuples[2].Occ != 2 {
 		t.Errorf("occ of second a = %d", p.Tuples[2].Occ)
 	}
-	if got := p.Tags(); !reflect.DeepEqual(got, []string{"a", "b", "a"}) {
-		t.Errorf("Tags = %v", got)
+	if got := p.String(); got != "/a/b/a" {
+		t.Errorf("path = %s", got)
 	}
 }
 

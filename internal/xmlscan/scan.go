@@ -21,7 +21,6 @@ package xmlscan
 
 import (
 	"fmt"
-	"io"
 	"unicode/utf8"
 )
 
@@ -67,17 +66,11 @@ func (e *SyntaxError) Error() string {
 }
 
 // Scanner tokenizes one document. The zero value is unusable; call
-// ResetBytes or ResetReader first. A Scanner is reusable (that is the
-// point: its internal buffers persist across documents) but not safe for
-// concurrent use.
+// ResetBytes first. A Scanner is reusable (that is the point: its internal
+// buffers persist across documents) but not safe for concurrent use.
 type Scanner struct {
-	buf []byte // input seen so far; all of it is retained (no compaction)
+	buf []byte // the input
 	pos int
-
-	r    io.Reader
-	rerr error  // deferred error from r (io.EOF for normal end)
-	rbuf []byte // read scratch, reused across fills
-	own  []byte // retained grow-buffer for reader mode
 
 	// Current token, valid until the next call to Next. All byte slices
 	// alias buf.
@@ -89,35 +82,12 @@ type Scanner struct {
 	err        error
 }
 
-const (
-	readChunk    = 32 << 10
-	maxRetainBuf = 1 << 20 // reader-mode buffer kept across Resets
-	maxEntityLen = 64      // longest &...; span the scanner accepts
-)
+const maxEntityLen = 64 // longest &...; span the scanner accepts
 
 // ResetBytes readies the scanner over in-memory input. The input is not
 // copied; tokens alias it.
 func (s *Scanner) ResetBytes(data []byte) {
 	s.buf = data
-	s.reset()
-	s.r = nil
-	s.rerr = nil
-}
-
-// ResetReader readies the scanner over streaming input. Consumed bytes
-// are retained (so a caller can replay the stream into another parser via
-// Consumed); the retention buffer is reused across Resets up to a cap.
-func (s *Scanner) ResetReader(r io.Reader) {
-	if cap(s.own) > maxRetainBuf {
-		s.own = nil
-	}
-	s.buf = s.own[:0]
-	s.reset()
-	s.r = r
-	s.rerr = nil
-}
-
-func (s *Scanner) reset() {
 	s.pos = 0
 	s.Name = nil
 	s.Data = nil
@@ -126,63 +96,17 @@ func (s *Scanner) reset() {
 	s.err = nil
 }
 
-// Release drops the reference to the input (and, in reader mode, keeps the
-// grow-buffer for reuse). Call it before pooling the scanner so a pooled
-// scanner does not pin a caller's document alive.
+// Release drops the reference to the input. Call it before pooling the
+// scanner so a pooled scanner does not pin a caller's document alive.
 func (s *Scanner) Release() {
-	if s.r != nil {
-		s.own = s.buf[:0]
-	}
 	s.buf = nil
-	s.r = nil
 	s.Name = nil
 	s.Data = nil
 	s.Attrs = s.Attrs[:0]
 }
 
-// Consumed returns every input byte read so far (reader mode: everything
-// consumed from the reader, parsed or not). Callers use it to hand a
-// rejected stream to another parser without losing the prefix.
-func (s *Scanner) Consumed() []byte { return s.buf }
-
-// fill reads more input in reader mode, reporting whether the buffer grew.
-// On failure the error is parked in rerr for the caller to classify.
-func (s *Scanner) fill() bool {
-	if s.r == nil || s.rerr != nil {
-		return false
-	}
-	if s.rbuf == nil {
-		s.rbuf = make([]byte, readChunk)
-	}
-	for spins := 0; ; spins++ {
-		n, err := s.r.Read(s.rbuf)
-		if n > 0 {
-			s.buf = append(s.buf, s.rbuf[:n]...)
-			s.own = s.buf
-		}
-		if err != nil {
-			s.rerr = err
-			return n > 0
-		}
-		if n > 0 {
-			return true
-		}
-		if spins >= 100 {
-			s.rerr = io.ErrNoProgress
-			return false
-		}
-	}
-}
-
-// ensure makes at least n bytes available at pos, filling as needed.
-func (s *Scanner) ensure(n int) bool {
-	for len(s.buf)-s.pos < n {
-		if !s.fill() {
-			return false
-		}
-	}
-	return true
-}
+// ensure reports whether at least n bytes are left at pos.
+func (s *Scanner) ensure(n int) bool { return len(s.buf)-s.pos >= n }
 
 // serr records and returns a syntax error at the current offset.
 func (s *Scanner) serr(msg string) error {
@@ -190,19 +114,12 @@ func (s *Scanner) serr(msg string) error {
 	return s.err
 }
 
-// needMore records the right error for "ran out of input": the reader's
-// own failure if it had one, else an unexpected-EOF syntax error.
-func (s *Scanner) needMore() error {
-	if s.rerr != nil && s.rerr != io.EOF {
-		s.err = s.rerr
-		return s.err
-	}
-	return s.serr("unexpected EOF")
-}
+// needMore records running out of input mid-token.
+func (s *Scanner) needMore() error { return s.serr("unexpected EOF") }
 
 // Next advances to the next token. It returns EOF with a nil error at
 // clean end of input; any other condition that stops the scan returns the
-// sticky error (a *SyntaxError, or the reader's error in reader mode).
+// sticky *SyntaxError.
 func (s *Scanner) Next() (Kind, error) {
 	if s.err != nil {
 		return EOF, s.err
@@ -213,10 +130,6 @@ func (s *Scanner) Next() (Kind, error) {
 	}
 	for {
 		if !s.ensure(1) {
-			if s.rerr != nil && s.rerr != io.EOF {
-				s.err = s.rerr
-				return EOF, s.err
-			}
 			return EOF, nil
 		}
 		if s.buf[s.pos] != '<' {
@@ -251,11 +164,7 @@ func (s *Scanner) Next() (Kind, error) {
 func (s *Scanner) text() (Kind, error) {
 	start := s.pos
 	for {
-		if s.pos == len(s.buf) && !s.fill() {
-			if s.rerr != nil && s.rerr != io.EOF {
-				s.err = s.rerr
-				return EOF, s.err
-			}
+		if s.pos == len(s.buf) {
 			break
 		}
 		c := s.buf[s.pos]
@@ -268,8 +177,7 @@ func (s *Scanner) text() (Kind, error) {
 			}
 		case c == ']':
 			// "]]>" may not appear raw in character data.
-			s.ensure(3)
-			if len(s.buf)-s.pos >= 3 && s.buf[s.pos+1] == ']' && s.buf[s.pos+2] == '>' {
+			if s.ensure(3) && s.buf[s.pos+1] == ']' && s.buf[s.pos+2] == '>' {
 				return EOF, s.serr("unescaped ]]> not in CDATA section")
 			}
 			s.pos++
@@ -294,7 +202,7 @@ done:
 func (s *Scanner) checkEntity() error {
 	i := s.pos + 1
 	for {
-		if i == len(s.buf) && !s.fill() {
+		if i == len(s.buf) {
 			return s.needMore()
 		}
 		if i-s.pos > maxEntityLen {
@@ -313,13 +221,8 @@ func (s *Scanner) checkEntity() error {
 }
 
 // checkRune validates one multi-byte UTF-8 sequence at pos and steps past
-// it, filling first if the sequence straddles a read boundary.
+// it.
 func (s *Scanner) checkRune() error {
-	for len(s.buf)-s.pos < utf8.UTFMax && !utf8.FullRune(s.buf[s.pos:]) {
-		if !s.fill() {
-			break
-		}
-	}
 	r, size := utf8.DecodeRune(s.buf[s.pos:])
 	if r == utf8.RuneError && size <= 1 {
 		return s.serr("invalid UTF-8")
@@ -353,7 +256,7 @@ func isNameByte(c byte) bool {
 // readName scans an XML name at pos per the kind's rules and returns the
 // local part.
 func (s *Scanner) readName(kind int) ([]byte, error) {
-	if s.pos == len(s.buf) && !s.fill() {
+	if s.pos == len(s.buf) {
 		return nil, s.needMore()
 	}
 	start := s.pos
@@ -367,7 +270,7 @@ func (s *Scanner) readName(kind int) ([]byte, error) {
 	}
 	s.pos++
 	for {
-		if s.pos == len(s.buf) && !s.fill() {
+		if s.pos == len(s.buf) {
 			break
 		}
 		c = s.buf[s.pos]
@@ -407,7 +310,7 @@ func (s *Scanner) readName(kind int) ([]byte, error) {
 // byte is available on return.
 func (s *Scanner) skipSpace() error {
 	for {
-		if s.pos == len(s.buf) && !s.fill() {
+		if s.pos == len(s.buf) {
 			return s.needMore()
 		}
 		switch s.buf[s.pos] {
@@ -468,7 +371,7 @@ func (s *Scanner) startTag() (Kind, error) {
 		s.pos++
 		vstart := s.pos
 		for {
-			if s.pos == len(s.buf) && !s.fill() {
+			if s.pos == len(s.buf) {
 				return EOF, s.needMore()
 			}
 			if s.buf[s.pos] == q {
@@ -654,14 +557,13 @@ func (s *Scanner) comment() error {
 func (s *Scanner) cdata() error {
 	start := s.pos
 	for {
-		if s.pos == len(s.buf) && !s.fill() {
+		if s.pos == len(s.buf) {
 			return s.needMore()
 		}
 		c := s.buf[s.pos]
 		switch {
 		case c == ']':
-			s.ensure(3)
-			if len(s.buf)-s.pos >= 3 && s.buf[s.pos+1] == ']' && s.buf[s.pos+2] == '>' {
+			if s.ensure(3) && s.buf[s.pos+1] == ']' && s.buf[s.pos+2] == '>' {
 				s.Data = s.buf[start:s.pos]
 				s.pos += 3
 				return nil

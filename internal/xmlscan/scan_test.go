@@ -2,8 +2,6 @@ package xmlscan
 
 import (
 	"bytes"
-	"io"
-	"strings"
 	"testing"
 )
 
@@ -159,52 +157,6 @@ func TestScannerEntities(t *testing.T) {
 	}
 }
 
-func TestScannerReaderMode(t *testing.T) {
-	// A one-byte-at-a-time reader forces every refill boundary.
-	doc := `<root a="v&amp;v"><child><leaf/></child>text<other>x</other></root>`
-	var s Scanner
-	s.ResetReader(iotest{r: strings.NewReader(doc)})
-	toks, err := drain(t, &s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, tk := range toks {
-		if tk.kind == Start {
-			names = append(names, tk.name)
-		}
-	}
-	want := []string{"root", "child", "leaf", "other"}
-	if strings.Join(names, ",") != strings.Join(want, ",") {
-		t.Errorf("start tags %v, want %v", names, want)
-	}
-	if string(s.Consumed()) != doc {
-		t.Errorf("Consumed() = %q", s.Consumed())
-	}
-}
-
-// iotest reads one byte at a time.
-type iotest struct{ r io.Reader }
-
-func (o iotest) Read(p []byte) (int, error) {
-	if len(p) > 1 {
-		p = p[:1]
-	}
-	return o.r.Read(p)
-}
-
-func TestScannerReaderError(t *testing.T) {
-	var s Scanner
-	s.ResetReader(io.MultiReader(strings.NewReader("<a><b>"), errReader{}))
-	if _, err := drain(t, &s); err != io.ErrUnexpectedEOF {
-		t.Fatalf("want the reader's own error back, got %v", err)
-	}
-}
-
-type errReader struct{}
-
-func (errReader) Read([]byte) (int, error) { return 0, io.ErrUnexpectedEOF }
-
 func TestDictInterns(t *testing.T) {
 	d := NewDict()
 	a := d.Intern([]byte("headline"))
@@ -258,8 +210,7 @@ func TestScannerAttrNamespaceSplit(t *testing.T) {
 }
 
 func TestScannerLargeDocNoCorruption(t *testing.T) {
-	// Force several reader refills and check the token stream stays
-	// coherent (spans index a growing buffer).
+	// A large document's token stream stays coherent end to end.
 	var b bytes.Buffer
 	b.WriteString("<root>")
 	for i := 0; i < 5000; i++ {
@@ -267,7 +218,7 @@ func TestScannerLargeDocNoCorruption(t *testing.T) {
 	}
 	b.WriteString("</root>")
 	var s Scanner
-	s.ResetReader(bytes.NewReader(b.Bytes()))
+	s.ResetBytes(b.Bytes())
 	starts, ends := 0, 0
 	for {
 		k, err := s.Next()

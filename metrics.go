@@ -6,11 +6,9 @@ import (
 	"log/slog"
 	"time"
 
-	"predfilter/internal/guard"
 	"predfilter/internal/matcher"
 	"predfilter/internal/metrics"
 	"predfilter/internal/trace"
-	"predfilter/internal/xmldoc"
 )
 
 // HistogramStats summarizes one stage-latency histogram: observation
@@ -50,7 +48,8 @@ type StageStats struct {
 }
 
 // Match tracing (per-document explanation mode). The types are produced
-// by Engine.MatchTraced; see internal/matcher for field documentation.
+// by Engine.MatchTracedContext; see internal/matcher for field
+// documentation.
 type (
 	// MatchTrace is the full per-document explanation: per-expression
 	// evidence plus the nanosecond cost of each pipeline stage.
@@ -63,40 +62,21 @@ type (
 	PredicateEval = matcher.PredicateEval
 )
 
-// MatchTraced is Match with an explanation: alongside the matching SIDs it
-// returns, for every registered expression, which chain predicates
-// produced occurrence pairs on which paths, the occurrence-determination
-// outcome over them, and the per-stage costs. The match result is
-// authoritative (identical to Match); the explanation is a deliberately
-// slow second pass intended for debugging single documents. Configured
-// limits are enforced; MatchTraced is MatchTracedContext without
-// caller-side cancellation.
-func (e *Engine) MatchTraced(doc []byte) ([]SID, *MatchTrace, error) {
-	return e.MatchTracedContext(context.Background(), doc)
-}
-
-// MatchTracedContext is MatchTraced under the caller's context and the
-// engine's configured limits: the document is parsed under the structural
-// limits, the authoritative match runs under the step budget and
-// deadline, and the explanation pass — which re-evaluates every
-// expression without covers or the path cache — runs under a forked
-// budget (its own full step allocation, the same wall-clock deadline). A
-// governance stop returns a typed *LimitError and no trace; the slow
-// explanation pass can therefore never pin a worker on a document the
-// governed fast path would have rejected.
+// MatchTracedContext is MatchContext with an explanation: alongside the
+// matching SIDs it returns, for every registered expression, which chain
+// predicates produced occurrence pairs on which paths, the
+// occurrence-determination outcome over them, and the per-stage costs.
+// The match result is authoritative (identical to Match). The explanation
+// is a deliberately slow second pass over each path as it is scanned,
+// intended for debugging single documents: it re-evaluates every
+// expression without covers or the path cache, under a forked budget (its
+// own full step allocation, the same wall-clock deadline). A governance
+// stop returns a typed *LimitError and no trace; the slow explanation pass
+// can therefore never pin a worker on a document the governed fast path
+// would have rejected.
 func (e *Engine) MatchTracedContext(ctx context.Context, doc []byte) ([]SID, *MatchTrace, error) {
-	t0 := time.Now()
-	d, _, err := xmldoc.ParseSource(xmldoc.Source{Bytes: doc}, e.mx, e.limits)
-	if err != nil {
-		return nil, nil, e.recordGovernance(err)
-	}
-	parse := time.Since(t0)
-	sids, tr, err := e.m.MatchDocumentTracedBudget(d, guard.NewBudget(ctx, e.limits))
-	if err != nil {
-		return nil, nil, e.recordGovernance(err)
-	}
-	tr.ParseNanos = parse.Nanoseconds()
-	return sids, tr, nil
+	d, err := e.scan(ctx, matcher.ScanDoc{Doc: doc, Explain: true})
+	return d.SIDs, d.Trace, err
 }
 
 // maybeLogSlow counts and logs documents whose parse+match time reached

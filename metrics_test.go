@@ -2,6 +2,7 @@ package predfilter_test
 
 import (
 	"bytes"
+	"context"
 	"log/slog"
 	"math"
 	"strings"
@@ -129,7 +130,7 @@ func TestSlowDocLogging(t *testing.T) {
 
 	// The streaming path logs too, with the same per-stage breakdown.
 	buf.Reset()
-	for _, r := range eng.MatchBatch([][]byte{[]byte(sampleDoc)}, 2) {
+	for _, r := range eng.MatchBatchContext(context.Background(), [][]byte{[]byte(sampleDoc)}, 2) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
@@ -183,7 +184,7 @@ func TestMatchTracedPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sids, tr, err := eng.MatchTraced([]byte(sampleDoc))
+	sids, tr, err := eng.MatchTracedContext(context.Background(), []byte(sampleDoc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestStreamMetricsObserved(t *testing.T) {
 	for i := range docs {
 		docs[i] = []byte(sampleDoc)
 	}
-	for _, r := range eng.MatchBatch(docs, 3) {
+	for _, r := range eng.MatchBatchContext(context.Background(), docs, 3) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}

@@ -37,7 +37,7 @@ func TestStreamPanicIsolated(t *testing.T) {
 	})
 
 	healthy := []byte("<ok/>")
-	results := eng.MatchBatch([][]byte{healthy, bomb, healthy}, 2)
+	results := eng.MatchBatchContext(context.Background(), [][]byte{healthy, bomb, healthy}, 2)
 	if len(results) != 3 {
 		t.Fatalf("got %d results, want 3", len(results))
 	}
@@ -75,7 +75,7 @@ func TestStreamPanicWorkerSurvives(t *testing.T) {
 	for i := range docs {
 		docs[i] = []byte("<a/>")
 	}
-	results := eng.MatchBatch(docs, 4)
+	results := eng.MatchBatchContext(context.Background(), docs, 4)
 	if len(results) != n {
 		t.Fatalf("got %d results, want %d", len(results), n)
 	}

@@ -98,7 +98,7 @@ func copyStateDir(t *testing.T, src string) string {
 func TestPersistentRestartRoundTrip(t *testing.T) {
 	for _, cfg := range []PersistentConfig{
 		{NoSync: true},
-		{NoSync: true, Engine: Config{Organization: Basic, AttributeMode: PostponedAttributes}},
+		{NoSync: true, Engine: Config{AttributeMode: PostponedAttributes}},
 		{NoSync: true, SnapshotEvery: 3}, // snapshots interleave with the ops
 	} {
 		dir := t.TempDir()

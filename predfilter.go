@@ -24,12 +24,24 @@
 // Engines are safe for concurrent Match calls. Registration is
 // constant-time per expression; duplicate expressions share all storage
 // and evaluation work and are reported under their own identifiers.
+//
+// # Matching
+//
+// Every match scans the document straight into one columnar kernel, each
+// root-to-leaf path matched as its leaf closes, and builds no document
+// tree: Match and MatchContext for one document, MatchStream and
+// MatchBatchContext for many, MatchTracedContext to explain per expression
+// and path why the document matched or missed, and MatchCountsContext for
+// the number of match combinations. The exception is MatchParsedContext:
+// it runs the same kernel over a document ParseDocument materialized once
+// for several engines.
+// Config{Columnar: ColumnarOff, PathCacheBytes: -1} selects the paper's
+// scalar reference loop instead (see ColumnarMode).
 package predfilter
 
 import (
 	"context"
 	"errors"
-	"io"
 	"log/slog"
 	"time"
 
@@ -73,35 +85,20 @@ const (
 	LimitCanceled LimitKind = guard.Canceled
 )
 
-// Organization selects how expressions are organized for matching
-// (§4.2.2 of the paper). The zero value is PrefixCoverAP, the best
-// performing variant in the paper's evaluation and in this package's
-// benchmarks.
-type Organization int
-
-const (
-	// PrefixCoverAP clusters expressions by their first predicate (the
-	// access predicate) and shares matches between prefix-related
-	// expressions; the paper's basic-pc-ap.
-	PrefixCoverAP Organization = iota
-	// PrefixCover shares matches between prefix-related expressions; the
-	// paper's basic-pc.
-	PrefixCover
-	// Basic evaluates every expression independently; the paper's
-	// unoptimized baseline, kept for benchmarking and ablation.
-	Basic
-)
-
 // ColumnarMode selects the expression-matching kernel. Every entry point
-// — a single Match, MatchParsed, MatchReader, and MatchStream/MatchBatch
-// dispatch groups as batches of 1..n — runs the columnar kernel in
+// — Match, MatchStream and MatchBatchContext dispatch groups, the traced
+// and counting matches, MatchParsedContext — runs the columnar kernel in
 // internal/matcher: bit columns of expressions, so matching cost scales
 // with words(|expressions|/64) instead of |expressions|, and with the path
 // cache on, a cached live-candidate plan per path signature. ColumnarOff
-// exists for reference only: together with a negative PathCacheBytes it
-// selects the paper's scalar per-expression loop (the Organization
-// variants), which the equivalence tests, the benchmark oracle and the
-// Figure 6–9 experiments compare against. Both produce identical results.
+// exists for reference only: Config{Columnar: ColumnarOff, PathCacheBytes:
+// -1} is the one public route to the paper's scalar per-expression loop
+// under its best organization (basic-pc-ap: prefix covers and
+// access-predicate clusters, §4.2.2), which the equivalence tests and the
+// benchmark oracle compare against; it parses each document into a
+// Document first. The organizations themselves are compared by the
+// Figure 6–9 experiments (internal/bench). Both kernels produce identical
+// results. Traces and counts come from the scan on every engine.
 type ColumnarMode int
 
 const (
@@ -113,9 +110,12 @@ const (
 	ColumnarOff
 )
 
-// defaultStreamBatch is the dispatch-group bound used when
-// Config.StreamBatch is unset.
-const defaultStreamBatch = 32
+// streamBatch bounds how many pending documents per worker the stream
+// dispatcher takes in at once; it splits them evenly into worker jobs (one
+// columnar batch each), several per worker, so no job exceeds it. The
+// dispatcher never waits to fill a job — it takes whatever is immediately
+// available, so an idle stream keeps single-document latency.
+const streamBatch = 32
 
 // AttributeMode selects when attribute filters are evaluated (§5).
 type AttributeMode int
@@ -133,13 +133,7 @@ const (
 
 // Config configures an Engine. The zero value is ready to use.
 type Config struct {
-	Organization  Organization
 	AttributeMode AttributeMode
-	// DisablePathDedup turns off per-document deduplication of
-	// structurally identical root-to-leaf paths. Dedup is a pure
-	// optimization (identical paths have identical matching results);
-	// this switch exists for benchmarking its effect.
-	DisablePathDedup bool
 	// PathCacheBytes bounds the structural path-signature cache, which
 	// memoizes per-path structural matching results across documents
 	// (documents generated from one DTD repeat the same root-to-leaf tag
@@ -164,13 +158,6 @@ type Config struct {
 	// Columnar selects the matching kernel (see ColumnarMode): leave it
 	// zero except to obtain the scalar reference.
 	Columnar ColumnarMode
-	// StreamBatch bounds how many pending documents per worker the stream
-	// dispatcher takes in at once; it splits them evenly into worker jobs
-	// (one columnar batch each), several per worker, so no job exceeds it.
-	// The dispatcher never waits to fill a job — it takes whatever is
-	// immediately available, so an idle stream keeps single-document
-	// latency. 0 selects the default (32); 1 disables grouping.
-	StreamBatch int
 }
 
 // Engine is the filtering engine. Every engine carries an always-on
@@ -178,12 +165,11 @@ type Config struct {
 // zero-allocation contract of internal/metrics, so there is no
 // instrumentation toggle.
 type Engine struct {
-	m        *matcher.Matcher
-	mx       *metrics.Set
-	logger   *slog.Logger
-	slow     time.Duration
-	limits   Limits
-	batchMax int // stream dispatch-group bound, ≥ 1
+	m      *matcher.Matcher
+	mx     *metrics.Set
+	logger *slog.Logger
+	slow   time.Duration
+	limits Limits
 	// scalar selects the reference (ColumnarOff, cache off): documents are
 	// parsed into an xmldoc.Document and matched by the scalar loop.
 	// Otherwise they are matched as they are scanned.
@@ -192,15 +178,6 @@ type Engine struct {
 
 // New returns an engine with the given configuration.
 func New(cfg Config) *Engine {
-	var v matcher.Variant
-	switch cfg.Organization {
-	case PrefixCover:
-		v = matcher.PrefixCover
-	case Basic:
-		v = matcher.Basic
-	default:
-		v = matcher.PrefixCoverAP
-	}
 	mode := predicate.Inline
 	if cfg.AttributeMode == PostponedAttributes {
 		mode = predicate.Postponed
@@ -210,24 +187,18 @@ func New(cfg Config) *Engine {
 	if logger == nil {
 		logger = slog.Default()
 	}
-	batchMax := cfg.StreamBatch
-	if batchMax <= 0 {
-		batchMax = defaultStreamBatch
-	}
 	e := &Engine{
 		m: matcher.New(matcher.Options{
-			Variant:          v,
-			AttrMode:         mode,
-			DisablePathDedup: cfg.DisablePathDedup,
-			PathCacheBytes:   cfg.PathCacheBytes,
-			Metrics:          mx,
+			Variant:        matcher.PrefixCoverAP,
+			AttrMode:       mode,
+			PathCacheBytes: cfg.PathCacheBytes,
+			Metrics:        mx,
 		}),
-		mx:       mx,
-		logger:   logger,
-		slow:     cfg.SlowDocThreshold,
-		limits:   cfg.Limits,
-		batchMax: batchMax,
-		scalar:   cfg.Columnar == ColumnarOff && cfg.PathCacheBytes < 0,
+		mx:     mx,
+		logger: logger,
+		slow:   cfg.SlowDocThreshold,
+		limits: cfg.Limits,
+		scalar: cfg.Columnar == ColumnarOff && cfg.PathCacheBytes < 0,
 	}
 	mx.ReadGauges = e.gauges
 	return e
@@ -317,32 +288,35 @@ func (e *Engine) Match(doc []byte) ([]SID, error) {
 // (never a partial result); ctx-originated stops additionally unwrap to
 // the matching context error.
 func (e *Engine) MatchContext(ctx context.Context, doc []byte) ([]SID, error) {
-	return e.matchSource(ctx, xmldoc.Source{Bytes: doc})
-}
-
-// matchSource matches one document as it is scanned, or parsed and then
-// matched under the scalar reference.
-func (e *Engine) matchSource(ctx context.Context, src xmldoc.Source) ([]SID, error) {
 	if e.scalar {
 		t0 := time.Now()
-		d, st, err := xmldoc.ParseSource(src, e.mx, e.limits)
+		d, st, err := xmldoc.ParseSource(doc, e.mx, e.limits)
 		if err != nil {
 			return nil, e.recordGovernance(err)
 		}
 		return e.matchDoc(ctx, d, guard.NewBudget(ctx, e.limits), time.Since(t0), int(st.Bytes))
 	}
-	docs := [1]matcher.ScanDoc{{Src: src, Bud: guard.NewBudget(ctx, e.limits)}}
-	e.m.MatchScanned(docs[:], e.limits)
-	return e.scanned(ctx, &docs[0])
+	d, err := e.scan(ctx, matcher.ScanDoc{Doc: doc})
+	return d.SIDs, err
 }
 
-// scanned counts a scanned document's limit trip or logs it when slow.
-func (e *Engine) scanned(ctx context.Context, d *matcher.ScanDoc) ([]SID, error) {
+// scan matches one document as it is scanned, with d's options, under the
+// engine's limits and ctx (see MatchScanned).
+func (e *Engine) scan(ctx context.Context, d matcher.ScanDoc) (matcher.ScanDoc, error) {
+	d.Bud = guard.NewBudget(ctx, e.limits)
+	docs := [1]matcher.ScanDoc{d}
+	e.m.MatchScanned(docs[:], e.limits)
+	return docs[0], e.scanned(ctx, &docs[0])
+}
+
+// scanned counts a scanned document's limit trip or logs it when slow,
+// returning its error.
+func (e *Engine) scanned(ctx context.Context, d *matcher.ScanDoc) error {
 	if d.Err != nil {
-		return nil, e.recordGovernance(d.Err)
+		return e.recordGovernance(d.Err)
 	}
 	e.maybeLogSlow(ctx, d.Parse, &d.Bd, int(d.Scan.Bytes), d.Scan.Paths, len(d.SIDs))
-	return d.SIDs, nil
+	return nil
 }
 
 // matchDoc matches one parsed document — a columnar batch of one, or the
@@ -372,47 +346,19 @@ func (e *Engine) recordGovernance(err error) error {
 	return err
 }
 
-// MatchCounts parses the document and returns, for every matching
-// expression, the number of distinct match combinations (the all-matches
-// problem Index-Filter originally targets; the filtering semantics of
-// Match needs only existence and is cheaper). Configured limits are
-// enforced; MatchCounts is MatchCountsContext without caller-side
-// cancellation.
-func (e *Engine) MatchCounts(doc []byte) (map[SID]int, error) {
-	return e.MatchCountsContext(context.Background(), doc)
-}
-
-// MatchCountsContext is MatchCounts under the caller's context and the
-// engine's configured limits. Exhaustive combination enumeration keeps
-// searching where filtering stops at the first match, so it is the
-// pipeline path that needs governance most: the document is parsed under
-// the structural limits and every occurrence pair the enumeration visits
-// is charged to the step budget. A governance stop returns a typed
+// MatchCountsContext returns, for every matching expression, the number of
+// distinct match combinations (the all-matches problem Index-Filter
+// originally targets; the filtering semantics of Match needs only
+// existence and is cheaper), under the caller's context and the engine's
+// configured limits. Exhaustive combination enumeration keeps searching
+// where filtering stops at the first match, so it is the pipeline path
+// that needs governance most: the document is scanned under the
+// structural limits and every occurrence pair the enumeration visits is
+// charged to the step budget. A governance stop returns a typed
 // *LimitError (never partial counts).
 func (e *Engine) MatchCountsContext(ctx context.Context, doc []byte) (map[SID]int, error) {
-	d, _, err := xmldoc.ParseSource(xmldoc.Source{Bytes: doc}, e.mx, e.limits)
-	if err != nil {
-		return nil, e.recordGovernance(err)
-	}
-	counts, err := e.m.MatchDocumentAllBudget(d, guard.NewBudget(ctx, e.limits))
-	if err != nil {
-		return nil, e.recordGovernance(err)
-	}
-	return counts, nil
-}
-
-// MatchReader is Match over a stream. The size limit is enforced as the
-// stream is consumed, so an oversized document is rejected without being
-// read to the end. Matching runs as the stream is read, under the lock a
-// registration takes, so Add and Remove wait for the stream's end: hand it
-// a stream that is already local (a file, a buffered body).
-func (e *Engine) MatchReader(r io.Reader) ([]SID, error) {
-	return e.MatchReaderContext(context.Background(), r)
-}
-
-// MatchReaderContext is MatchContext over a stream.
-func (e *Engine) MatchReaderContext(ctx context.Context, r io.Reader) ([]SID, error) {
-	return e.matchSource(ctx, xmldoc.Source{Reader: r})
+	d, err := e.scan(ctx, matcher.ScanDoc{Doc: doc, Count: true})
+	return d.Counts, err
 }
 
 // Document is a pre-parsed document, reusable across engines.
@@ -435,14 +381,6 @@ func (d *Document) Elements() int { return d.doc.Elements }
 
 // Paths returns the document's root-to-leaf path count.
 func (d *Document) Paths() int { return len(d.doc.Paths) }
-
-// MatchParsed matches a pre-parsed document, without limits (the caller
-// already accepted the document's size by parsing it; use
-// MatchParsedContext to budget the match stage).
-func (e *Engine) MatchParsed(d *Document) []SID {
-	sids, _ := e.matchDoc(context.Background(), d.doc, nil, 0, 0) // a nil budget never errors
-	return sids
-}
 
 // MatchParsedContext matches a pre-parsed document under the engine's
 // match budget and the caller's context (the parse-stage limits do not

@@ -1,6 +1,7 @@
 package predfilter_test
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -59,10 +60,9 @@ func TestEngineBasics(t *testing.T) {
 func TestEngineConfigsAgree(t *testing.T) {
 	configs := []predfilter.Config{
 		{},
-		{Organization: predfilter.Basic},
-		{Organization: predfilter.PrefixCover},
+		{Columnar: predfilter.ColumnarOff, PathCacheBytes: -1},
 		{AttributeMode: predfilter.PostponedAttributes},
-		{DisablePathDedup: true},
+		{PathCacheBytes: -1},
 	}
 	nitf := workload.NITF()
 	xpes, err := workload.Expressions(nitf, 500, workload.ExpressionConfig{Wildcard: 0.2, Descendant: 0.2, Filters: 1, Seed: 3})
@@ -109,18 +109,11 @@ func TestEngineErrors(t *testing.T) {
 	}
 }
 
-func TestMatchReaderAndParsed(t *testing.T) {
+func TestMatchParsedContext(t *testing.T) {
 	eng := predfilter.New(predfilter.Config{})
 	sid, err := eng.Add("/order//price")
 	if err != nil {
 		t.Fatal(err)
-	}
-	got, err := eng.MatchReader(strings.NewReader(sampleDoc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != sid {
-		t.Errorf("MatchReader = %v", got)
 	}
 	doc, err := predfilter.ParseDocument([]byte(sampleDoc))
 	if err != nil {
@@ -132,30 +125,8 @@ func TestMatchReaderAndParsed(t *testing.T) {
 	if doc.Paths() != 3 { // leaves: name, price, price
 		t.Errorf("Paths = %d, want 3", doc.Paths())
 	}
-	if got := eng.MatchParsed(doc); len(got) != 1 || got[0] != sid {
-		t.Errorf("MatchParsed = %v", got)
-	}
-}
-
-// TestMatchReaderCountsDocBytes: a stream's size is the bytes its parse
-// consumed, so MatchReader of an N-byte document moves DocBytes by N, as
-// Match of the same bytes does — through the scanner, through the
-// encoding/xml fallback (a DOCTYPE), and under the scalar reference.
-func TestMatchReaderCountsDocBytes(t *testing.T) {
-	for _, cfg := range []predfilter.Config{{}, {Columnar: predfilter.ColumnarOff, PathCacheBytes: -1}} {
-		eng := predfilter.New(cfg)
-		if _, err := eng.Add("/order//price"); err != nil {
-			t.Fatal(err)
-		}
-		for _, doc := range []string{sampleDoc, "<!DOCTYPE order>" + sampleDoc} {
-			before := eng.Stats().DocBytes
-			if got, err := eng.MatchReader(strings.NewReader(doc)); err != nil || len(got) != 1 {
-				t.Fatalf("MatchReader = %v, %v", got, err)
-			}
-			if got := eng.Stats().DocBytes - before; got != int64(len(doc)) {
-				t.Errorf("config %+v: MatchReader of %d bytes moved DocBytes by %d", cfg, len(doc), got)
-			}
-		}
+	if got, err := eng.MatchParsedContext(context.Background(), doc); err != nil || len(got) != 1 || got[0] != sid {
+		t.Errorf("MatchParsedContext = %v, %v", got, err)
 	}
 }
 
@@ -357,14 +328,14 @@ func TestMatchCountsPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts, err := eng.MatchCounts([]byte(`<o><item/><item/><item/></o>`))
+	counts, err := eng.MatchCountsContext(context.Background(), []byte(`<o><item/><item/><item/></o>`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if counts[sid] != 3 {
 		t.Errorf("count = %d, want 3", counts[sid])
 	}
-	if _, err := eng.MatchCounts([]byte("<bad>")); err == nil {
-		t.Error("MatchCounts accepted malformed XML")
+	if _, err := eng.MatchCountsContext(context.Background(), []byte("<bad>")); err == nil {
+		t.Error("MatchCountsContext accepted malformed XML")
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"predfilter/internal/guard"
 	"predfilter/internal/matcher"
-	"predfilter/internal/xmldoc"
 )
 
 // Result is the outcome of matching one document of a stream or batch.
@@ -105,14 +104,14 @@ func (e *Engine) matchScannedGroup(ctx context.Context, rs []Result, live []bool
 	batch := make([]matcher.ScanDoc, 0, len(rs))
 	for k := range rs {
 		if live[k] {
-			batch = append(batch, matcher.ScanDoc{Src: xmldoc.Source{Bytes: rs[k].Doc}, Bud: guard.NewBudget(ctx, e.limits)})
+			batch = append(batch, matcher.ScanDoc{Doc: rs[k].Doc, Bud: guard.NewBudget(ctx, e.limits)})
 		}
 	}
 	e.m.MatchScanned(batch, e.limits)
 	j := 0
 	for k := range rs {
 		if live[k] {
-			rs[k].SIDs, rs[k].Err = e.scanned(ctx, &batch[j])
+			rs[k].SIDs, rs[k].Err = batch[j].SIDs, e.scanned(ctx, &batch[j])
 			j++
 		}
 	}
@@ -159,13 +158,13 @@ func (e *Engine) MatchStream(ctx context.Context, docs <-chan []byte, workers in
 	// drain is strictly non-blocking, so a trickling stream keeps
 	// single-document dispatch latency — up to a full group for every
 	// worker, and splits that wave evenly: groupsPerWorker groups per
-	// worker, none above e.batchMax. A finite batch, all of it pending when
+	// worker, none above streamBatch. A finite batch, all of it pending when
 	// the stream starts, therefore reaches every worker, and its first
 	// results leave the ordered stream while later groups are still being
 	// matched.
 	go func() {
 		defer close(jobs)
-		base, limit := 0, workers*e.batchMax
+		base, limit := 0, workers*streamBatch
 		for open := true; open; {
 			var wave [][]byte
 			select {
@@ -272,19 +271,14 @@ func (e *Engine) MatchStream(ctx context.Context, docs <-chan []byte, workers in
 	return out
 }
 
-// MatchBatch filters a slice of documents through the MatchStream pipeline
-// and returns one Result per document, in input order. Per-document
-// failures (parse errors, limit trips, recovered panics) are reported in
-// the corresponding Result, not as a batch failure.
-func (e *Engine) MatchBatch(docs [][]byte, workers int) []Result {
-	return e.MatchBatchContext(context.Background(), docs, workers)
-}
-
-// MatchBatchContext is MatchBatch under the caller's context. It always
-// returns exactly one Result per input document: documents the cancelled
-// stream dropped are filled in with the context's error, so a shed batch
-// is distinguishable from an empty match — partial work is never silently
-// reported as "no match".
+// MatchBatchContext filters a slice of documents through the MatchStream
+// pipeline under the caller's context and returns one Result per
+// document, in input order. Per-document failures (parse errors, limit
+// trips, recovered panics) are reported in the corresponding Result, not
+// as a batch failure. It always returns exactly one Result per input
+// document: documents the cancelled stream dropped are filled in with the
+// context's error, so a shed batch is distinguishable from an empty match
+// — partial work is never silently reported as "no match".
 func (e *Engine) MatchBatchContext(ctx context.Context, docs [][]byte, workers int) []Result {
 	in := make(chan []byte, len(docs))
 	for _, d := range docs {

@@ -57,7 +57,7 @@ func TestMatchBatchMatchesSequential(t *testing.T) {
 		want = append(want, sids)
 	}
 	for _, workers := range []int{0, 1, 2, 4, 7} {
-		results := eng.MatchBatch(docs, workers)
+		results := eng.MatchBatchContext(context.Background(), docs, workers)
 		if len(results) != len(docs) {
 			t.Fatalf("workers=%d: %d results for %d docs", workers, len(results), len(docs))
 		}
@@ -85,7 +85,7 @@ func TestMatchBatchBadDocument(t *testing.T) {
 		[]byte(`<unclosed>`),
 		[]byte(`<feed><c k="1"/></feed>`),
 	}
-	results := eng.MatchBatch(docs, 2)
+	results := eng.MatchBatchContext(context.Background(), docs, 2)
 	if len(results) != 3 {
 		t.Fatalf("got %d results", len(results))
 	}
@@ -140,7 +140,7 @@ func TestMatchStreamCancel(t *testing.T) {
 func TestMatchStreamEchoesDoc(t *testing.T) {
 	eng := streamEngine(t)
 	docs := streamDocs(9)
-	for i, r := range eng.MatchBatch(docs, 3) {
+	for i, r := range eng.MatchBatchContext(context.Background(), docs, 3) {
 		if string(r.Doc) != string(docs[i]) {
 			t.Fatalf("doc %d not echoed back", i)
 		}
