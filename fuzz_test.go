@@ -313,6 +313,16 @@ func FuzzMatchScanned(f *testing.F) {
 			mat, merr = eng.MatchParsedContext(ctx, pd)
 		}
 		sameVerdict(t, "scanned", "materialized", got, gerr, mat, merr)
+		// Emitted, by the kernel (one document in the caller's goroutine,
+		// two through the stream) and by the scalar reference's []SID
+		// rendered: Match's result in Match's order.
+		for _, e := range []*predfilter.Engine{eng, ref} {
+			for _, n := range []int{1, 2} {
+				e.MatchEmit(ctx, [][]byte{doc, doc}[:n], 2, func(i int, em *predfilter.Emitted, err error) {
+					checkEmitted(t, em, err, got, gerr)
+				})
+			}
+		}
 		counts, cerr := engine(predfilter.Config{Limits: predfilter.Limits{MaxSteps: 1 << 20}}).MatchCountsContext(ctx, doc)
 		if !isSteps(cerr) {
 			var counted []predfilter.SID
@@ -345,6 +355,60 @@ func FuzzMatchScanned(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkEmitted fails the test unless em, err is the emitted form of sids,
+// serr: the same verdict, a text that parses to exactly sids in the same
+// order, a count of len(sids), and a bitset of exactly their set.
+func checkEmitted(t *testing.T, em *predfilter.Emitted, err error, sids []predfilter.SID, serr error) {
+	t.Helper()
+	if err != nil || serr != nil {
+		sameVerdict(t, "emitted", "scanned", nil, err, sids, serr)
+		if err != nil && em != nil {
+			t.Fatalf("emitted %+v with error %v", em, err)
+		}
+		return
+	}
+	var text []predfilter.SID
+	for _, f := range strings.SplitAfter(string(em.Text), ",") {
+		if f == "" {
+			continue
+		}
+		v, perr := strconv.Atoi(strings.TrimSuffix(f, ","))
+		if perr != nil || !strings.HasSuffix(f, ",") || strconv.Itoa(v) != strings.TrimSuffix(f, ",") {
+			t.Fatalf("emitted text %q: field %q", em.Text, f)
+		}
+		text = append(text, predfilter.SID(v))
+	}
+	if !slices.Equal(text, sids) || em.N != len(sids) {
+		t.Fatalf("emitted %d ids %v (text %q), Match %v", em.N, text, em.Text, sids)
+	}
+	set := map[predfilter.SID]bool{}
+	if len(em.Words) != len(em.Masks) {
+		t.Fatalf("emitted %d words, %d masks", len(em.Words), len(em.Masks))
+	}
+	for i, w := range em.Words {
+		if em.Masks[i] == 0 {
+			t.Fatalf("emitted word %d is empty", w)
+		}
+		for b := 0; b < 64; b++ {
+			if em.Masks[i]>>b&1 != 0 {
+				sid := predfilter.SID(int(w)<<6 | b)
+				if set[sid] {
+					t.Fatalf("emitted word %d twice", w)
+				}
+				set[sid] = true
+			}
+		}
+	}
+	if len(set) != len(sids) {
+		t.Fatalf("emitted bitset holds %d ids, Match %d", len(set), len(sids))
+	}
+	for _, sid := range sids {
+		if !set[sid] {
+			t.Fatalf("emitted bitset lacks %d", sid)
+		}
+	}
 }
 
 func isSteps(err error) bool {

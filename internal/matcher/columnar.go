@@ -314,14 +314,26 @@ type ScanDoc struct {
 	// combinations (the all-matches problem), enumerated on every
 	// distinct path.
 	Explain, Count bool
+	// Emit, when set on a scan with neither option, receives the result
+	// in place of SIDs; it is left empty when Err is set.
+	Emit *Emit
 
-	SIDs   []SID // nil when Err is set, and with Count
+	SIDs   []SID // nil when Err is set, with Count, and with Emit
 	Trace  *Trace
 	Counts map[SID]int
 	Err    error // the parse verdict, else the budget's
 	Scan   xmldoc.Scanned
 	Bd     Breakdown     // Bd.Total is the match stage
 	Parse  time.Duration // the parse stage: the document's wall time less Bd.Total and the explanation
+}
+
+// Matches returns the number of SIDs in d's result.
+func (d *ScanDoc) Matches() int {
+	n := len(d.SIDs) + len(d.Counts)
+	if d.Emit != nil {
+		n += d.Emit.N
+	}
+	return n
 }
 
 // MatchScanned matches documents as they are scanned, the served path: the
@@ -346,6 +358,9 @@ func (m *Matcher) MatchScanned(docs []ScanDoc, lim guard.Limits) {
 	defer func() { m.unlockColumnar(cs, parsed) }()
 	for i := range docs {
 		d := &docs[i]
+		if d.Emit != nil {
+			d.Emit.reset()
+		}
 		sc := m.getScratch(cs, d.Bud)
 		var v xmldoc.Visitor = sc
 		var x *explainer
@@ -365,7 +380,7 @@ func (m *Matcher) MatchScanned(docs []ScanDoc, lim guard.Limits) {
 			d.Counts, d.Err = k.end()
 		} else {
 			parsed++
-			d.SIDs, d.Err = m.end(sc)
+			d.SIDs, d.Err = m.end(sc, d.Emit)
 		}
 		d.Bd = sc.bd
 		m.pool.Put(sc)
@@ -384,7 +399,7 @@ func (m *Matcher) MatchScanned(docs []ScanDoc, lim guard.Limits) {
 			d.SIDs = nil
 			continue
 		}
-		m.observe(&d.Bd, d.Scan.Paths, len(d.SIDs)+len(d.Counts))
+		m.observe(&d.Bd, d.Scan.Paths, d.Matches())
 	}
 }
 

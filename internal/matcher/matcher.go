@@ -27,8 +27,8 @@
 // value ranks, path cache) is caught up at the next match, once for a whole
 // run of Adds and in time proportional to what they added (catchUp). A
 // change of SIDs alone — Remove, or Add of an expression already
-// registered — changes nothing derived: results are resolved to SIDs when
-// collected.
+// registered — changes only the output column of the expression's block
+// of 64 ids (emit.go), which the catch-up re-renders.
 //
 // Attribute filters follow §5 in either Inline mode (filters ride on the
 // structural predicates) or Postponed mode (structural match first, filter
@@ -42,6 +42,7 @@ import (
 	"sync"
 	"time"
 
+	"predfilter/internal/bitset"
 	"predfilter/internal/guard"
 	"predfilter/internal/metrics"
 	"predfilter/internal/occur"
@@ -100,8 +101,15 @@ type Options struct {
 	Metrics *metrics.Set
 }
 
-// Matcher is the filtering engine. It is safe for concurrent MatchDocument
-// calls; Add/Remove must not run concurrently with matching.
+// Matcher is the filtering engine. Every method is safe for concurrent
+// use. Matching holds the read lock for a whole document or batch and
+// registration (Add, AddWithSID, Remove) the write lock, so a
+// registration waits for the matches in flight and a document is matched
+// against the registrations that preceded its lock: an expression added
+// meanwhile misses it, a SID removed meanwhile is still in its result. The
+// state derived from the registrations, the SID blocks included, is
+// brought up to date only under the write lock, by the first match after
+// a change.
 type Matcher struct {
 	opts Options
 
@@ -123,6 +131,11 @@ type Matcher struct {
 	sidOne  []SID
 	sidMany [][]SID
 	sidFree []int
+
+	// The SID columns again, as output columns per block of 64 expression
+	// ids (see emit.go); redo lists the blocks bind and Remove marked dirty.
+	blocks []sidBlock
+	redo   []int32
 
 	// Derived from the distinct expressions, lazily (see catchUp):
 	// exprs[:caught] are accounted for in units, nested and col.
@@ -297,6 +310,7 @@ func (m *Matcher) bind(e *expr, sid SID) {
 	}
 	m.sidOwner[sid] = e
 	m.nsids++
+	m.touch(e.id)
 	for len(m.sidOne) <= e.id {
 		m.sidOne = append(m.sidOne, noSID)
 	}
@@ -353,6 +367,7 @@ func (m *Matcher) Remove(sid SID) error {
 	id := m.sidOwner[sid].id
 	m.sidOwner[sid] = nil
 	m.nsids--
+	m.touch(id)
 	v := m.sidOne[id]
 	if v >= 0 {
 		m.sidOne[id] = noSID
@@ -461,8 +476,9 @@ func postEqual(a, b []predicate.SideAttrs) bool {
 	return true
 }
 
-// catchUp accounts for the distinct expressions registered since the last
-// catch-up, in time proportional to their number: each becomes (Inline
+// catchUp re-renders the SID blocks bind and Remove dirtied and accounts
+// for the distinct expressions registered since the last catch-up, in time
+// proportional to their number: each becomes (Inline
 // mode) or joins (Postponed mode: the attribute-annotation variants of one
 // bare structural chain share a synthetic group representative, so the
 // structural occurrence determination runs once per chain per path and
@@ -471,6 +487,7 @@ func postEqual(a, b []predicate.SideAttrs) bool {
 // what they can affect. It must run under the write lock and is an
 // idempotent no-op when nothing was registered.
 func (m *Matcher) catchUp() {
+	m.render()
 	added := m.exprs[m.caught:]
 	for _, e := range added {
 		if e.root != nil {
@@ -497,10 +514,13 @@ func (m *Matcher) catchUp() {
 }
 
 // stale reports whether something was registered that catchUp has not
-// accounted for: a distinct expression, or a dictionary constant with no
-// expression to show for it (a registration that failed after interning).
-// Constants are ranked under the write lock only; matching reads the ranks.
-func (m *Matcher) stale() bool { return m.caught != len(m.exprs) || m.ix.Vals.Dirty() }
+// accounted for: a distinct expression, a dirty SID block, or a dictionary
+// constant with no expression to show for it (a registration that failed
+// after interning). Constants are ranked under the write lock only;
+// matching reads the ranks.
+func (m *Matcher) stale() bool {
+	return m.caught != len(m.exprs) || len(m.redo) > 0 || m.ix.Vals.Dirty()
+}
 
 // addUnit makes u an iteration unit: a column of the columnar index, an
 // entry of the scalar loop.
@@ -696,6 +716,7 @@ type scratch struct {
 	byTag   map[string][]*xmldoc.Tuple
 	byTagOK bool
 	out     []SID
+	sidBits []uint64 // collect's SID bitset, all-zero between uses
 	pub     *xmldoc.Publication
 	ncands  map[*nestedNode][]nestedCand
 	seen    map[uint64]struct{} // per-document distinct publication hashes
@@ -752,6 +773,9 @@ func (m *Matcher) getScratch(cs *colScratch, bud *guard.Budget) *scratch {
 		} else {
 			sc.matched2 = sc.matched2[:slots]
 		}
+	}
+	if w := bitset.Words(len(m.sidOwner)); len(sc.sidBits) < w {
+		sc.sidBits = make([]uint64, w+w/8)
 	}
 	if sc.byTag == nil {
 		sc.byTag = make(map[string][]*xmldoc.Tuple)
@@ -962,7 +986,7 @@ func (m *Matcher) matchDoc(cs *colScratch, doc *xmldoc.Document, bud *guard.Budg
 		}
 		sc.Path(&doc.Paths[i])
 	}
-	out, err := m.end(sc)
+	out, err := m.end(sc, nil)
 	bd := sc.bd
 	if err == nil {
 		bd.Total = time.Since(t0)
@@ -972,42 +996,16 @@ func (m *Matcher) matchDoc(cs *colScratch, doc *xmldoc.Document, bud *guard.Budg
 }
 
 // end closes the document's match: the budget's error, or nested-path
-// recombination and the matched SIDs, collect's time in sc.bd.Other.
-func (m *Matcher) end(sc *scratch) ([]SID, error) {
+// recombination and the result — emitted into em when it is set, else
+// returned — with collect's time in sc.bd.Other.
+func (m *Matcher) end(sc *scratch, em *Emit) ([]SID, error) {
 	if err := sc.bud.Err(); err != nil {
 		return nil, err
 	}
 	t := time.Now()
-	out := m.collect(sc)
+	out := m.collect(sc, em)
 	sc.bd.Other = time.Since(t)
 	return out, nil
-}
-
-// collect resolves nested-path candidates and returns the SIDs of the
-// matched flags: expression order, then bind order. A flag's index is its
-// expression's id, so the walk reads the SID columns at the matched ids
-// only, and an expression with one SID — most of them — costs one load
-// from sidOne.
-func (m *Matcher) collect(sc *scratch) []SID {
-	for _, e := range m.nested {
-		if e.root.resolveRoot(sc) {
-			sc.matched[e.id] = true
-		}
-	}
-	clear(sc.ncands)
-	one, out := m.sidOne, sc.out
-	for id, ok := range sc.matched[:min(len(sc.matched), len(one))] {
-		if !ok {
-			continue
-		}
-		if v := one[id]; v >= 0 {
-			out = append(out, v)
-		} else if v != noSID {
-			out = append(out, m.sidMany[manyIndex(v)]...)
-		}
-	}
-	sc.out = out
-	return append([]SID(nil), out...)
 }
 
 // observe folds one document's stage breakdown and whole-match duration

@@ -36,9 +36,9 @@ func wideServer(t *testing.T, n int) *Server {
 }
 
 // TestDeliverAllocs pins the steady-state cost of the delivery pass: one
-// document delivered to 8 192 full queues allocates its queue record and
-// nothing per subscription (about 500 allocations when every full queue
-// re-grew its slice).
+// document's emitted ids committed to 8 192 full queues allocates its
+// queue record and nothing per subscription (about 500 allocations when
+// every full queue re-grew its slice).
 func TestDeliverAllocs(t *testing.T) {
 	const n = 8192
 	srv := wideServer(t, n)
@@ -46,7 +46,9 @@ func TestDeliverAllocs(t *testing.T) {
 	for i := range sids {
 		sids[i] = predfilter.SID(i)
 	}
-	res := PublishResult{SIDs: sids}
+	em := new(predfilter.Emitted)
+	em.SetSIDs(sids)
+	res := PublishResult{Emit: em}
 	doc := []byte("<x/>")
 	buf, _ := appendPublishResult(nil, srv, &document{doc}, &res)
 	got := testing.AllocsPerRun(20, func() {
@@ -82,9 +84,10 @@ func TestDecodeBatchAllocs(t *testing.T) {
 
 // TestPublishBatchAllocs bounds a whole /publish/batch request of 32
 // documents with 8 192 matches each, through ServeHTTP: request decoding,
-// parsing, matching, delivery and the response. Go 1.24 measures 190
-// allocations; 235 when encoding/json decoded the request into strings
-// that were then copied.
+// parsing, matching, delivery and the response. Go 1.24 measures 157–166
+// allocations (median 160) with the ids emitted; 190 when each document's
+// ids came as a []SID, 235 when encoding/json decoded the request into
+// strings that were then copied. The bound is the median plus 10 %.
 func TestPublishBatchAllocs(t *testing.T) {
 	srv := wideServer(t, 8192)
 	body := `{"documents":["<x/>"` + strings.Repeat(`,"<x/>"`, 31) + `]}`
@@ -96,7 +99,7 @@ func TestPublishBatchAllocs(t *testing.T) {
 		}
 	}
 	post()
-	if got := testing.AllocsPerRun(10, post); got >= 230 {
-		t.Fatalf("batch request allocs = %v, want < 230", got)
+	if got := testing.AllocsPerRun(10, post); got >= 176 {
+		t.Fatalf("batch request allocs = %v, want < 176", got)
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/binary"
 	"math/bits"
 
 	"predfilter"
@@ -10,12 +9,12 @@ import (
 
 // The delivery log: the live subscription set as columns indexed by SID,
 // and one server-wide log of the last 2 × QueueLimit published documents,
-// each with the bitset of the SIDs it is still pending for. A publish sets
-// one bit per matched id and adds its bitset into bit-sliced per-SID window
-// counters; a document is copied into a subscription's ring only when it
-// leaves the log and is still among that subscription's newest QueueLimit
-// pending documents. DESIGN.md §12, "Registry and the delivery log", has
-// the invariants and the reasons.
+// each with the bitset of the SIDs it is still pending for. A publish takes
+// the engine's bitset of the matched ids a word at a time and adds it into
+// bit-sliced per-SID window counters; a document is copied into a
+// subscription's ring only when it leaves the log and is still among that
+// subscription's newest QueueLimit pending documents. DESIGN.md §12,
+// "Registry and the delivery log", has the invariants and the reasons.
 
 // document is one published document as the log and the rings hold it.
 // Every place that holds it stores the same pointer, so a queue slot is one
@@ -55,7 +54,6 @@ type registry struct {
 
 	expr      []string // "" when not live
 	live      []uint64 // bitset of live SIDs
-	digits    []uint64 // the id's digits and a comma, length in the top byte; 0 = render with putDecimal
 	delivered []int64
 	popped    []int64
 	rings     []ring
@@ -97,7 +95,7 @@ func (g *registry) get(id int) string {
 func (g *registry) put(sid predfilter.SID, expr string) {
 	id := int(sid)
 	if n := id + 1; n > len(g.expr) {
-		g.expr, g.digits = growTo(g.expr, n), growTo(g.digits, n)
+		g.expr = growTo(g.expr, n)
 		g.delivered, g.popped = growTo(g.delivered, n), growTo(g.popped, n)
 		g.rings = growTo(g.rings, n)
 		w := bitset.Words(n)
@@ -105,12 +103,6 @@ func (g *registry) put(sid predfilter.SID, expr string) {
 	}
 	g.expr[id] = expr
 	bitset.Set(g.live, id)
-	if id < 1e6 {
-		var b [8]byte
-		p := putDecimal(b[:], 0, uint32(id))
-		b[p], b[7] = ',', byte(p+1)
-		g.digits[id] = binary.LittleEndian.Uint64(b[:])
-	}
 	g.count++
 }
 
@@ -133,12 +125,14 @@ func (g *registry) remove(sid predfilter.SID) {
 	g.count--
 }
 
-// deliver logs d for every live id of sids and writes each such id's
-// digits and a comma at b[p:], which has 11 bytes of room per id. It
-// returns the position after them and the number of ids written.
-func (g *registry) deliver(b []byte, p int, d *document, sids []predfilter.SID) (int, int) {
-	if len(sids) == 0 {
-		return p, 0
+// commit logs d for every id of em that is live and appends their text to
+// buf, returning it and the number of ids. When every id is still live, as
+// it is unless one was unsubscribed since the match, the entry takes em's
+// masks as they are and the text is one copy; otherwise commitLive skips
+// the removed ids one by one.
+func (g *registry) commit(buf []byte, d *document, em *predfilter.Emitted) ([]byte, int) {
+	if em.N == 0 {
+		return buf, 0
 	}
 	if g.size == 2*g.q {
 		g.evict()
@@ -148,26 +142,26 @@ func (g *registry) deliver(b []byte, p int, d *document, sids []predfilter.SID) 
 		e.bits = growTo(e.bits, len(g.live))
 		e.words = make([]int32, 0, len(g.live))
 	}
-	n := 0
-	for _, sid := range sids {
-		wi, m := int(sid)>>6, uint64(1)<<(sid&63)
-		if uint(wi) >= uint(len(g.live)) || g.live[wi]&m == 0 {
-			continue
+	allLive := true
+	for i, wi := range em.Words {
+		if uint(wi) >= uint(len(g.live)) || em.Masks[i]&^g.live[wi] != 0 {
+			allLive = false
+			break
 		}
-		if e.bits[wi] == 0 {
-			e.words = append(e.words, int32(wi))
+	}
+	n := em.N
+	if allLive {
+		for i, wi := range em.Words {
+			m := em.Masks[i]
+			e.bits[wi] = m
+			for x := m; x != 0; x &= x - 1 {
+				g.delivered[int(wi)<<6|bits.TrailingZeros64(x)]++
+			}
 		}
-		e.bits[wi] |= m
-		g.delivered[sid]++
-		if v := g.digits[sid]; v != 0 {
-			binary.LittleEndian.PutUint64(b[p:], v)
-			p += int(v >> 56)
-		} else {
-			p = putDecimal(b, p, uint32(sid))
-			b[p] = ','
-			p++
-		}
-		n++
+		e.words = append(e.words, em.Words...)
+		buf = append(buf, em.Text...)
+	} else {
+		buf, n = g.commitLive(buf, e, em.Text)
 	}
 	if n > 0 {
 		e.doc, e.n = d, n
@@ -176,7 +170,32 @@ func (g *registry) deliver(b []byte, p int, d *document, sids []predfilter.SID) 
 		}
 		g.size++
 	}
-	return p, n
+	return buf, n
+}
+
+// commitLive is commit's way when some id is no longer live: it reads the
+// ids back from text and, for each live one, sets its bit in e, bumps its
+// delivered count and appends its text.
+func (g *registry) commitLive(buf []byte, e *entry, text []byte) ([]byte, int) {
+	n := 0
+	for p := 0; p < len(text); {
+		id, q := 0, p
+		for ; text[q] != ','; q++ {
+			id = id*10 + int(text[q]-'0')
+		}
+		wi, m := id>>6, uint64(1)<<(id&63)
+		if wi < len(g.live) && g.live[wi]&m != 0 {
+			if e.bits[wi] == 0 {
+				e.words = append(e.words, int32(wi))
+			}
+			e.bits[wi] |= m
+			g.delivered[id]++
+			buf = append(buf, text[p:q+1]...)
+			n++
+		}
+		p = q + 1
+	}
+	return buf, n
 }
 
 // at returns the i-th oldest log entry; i == size is the free slot a

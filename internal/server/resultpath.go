@@ -2,26 +2,28 @@ package server
 
 import (
 	"encoding/json"
-	"math/bits"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync"
 
 	"predfilter"
 )
 
-// The result path: from the []SID the engine returns to the bytes of the
-// publish response. One pass per document (appendPublishResult) skips
-// concurrently removed subscriptions, logs the document once with the bits
-// of the remaining ones (delivery.go) and writes their decimal digits into
-// a pooled response buffer; DESIGN.md, "Result path", has the layout and
-// the reasons.
+// The result path: from the ids the engine emits to the bytes of the
+// publish response. The engine hands over each document's ids as text and
+// as a bitset (predfilter.Emitted); one commit per document
+// (appendPublishResult) logs the document once with that bitset
+// (delivery.go) and copies the text into a pooled response buffer,
+// skipping subscriptions removed since the match. DESIGN.md, "Result
+// path", has the layout and the reasons.
 
 // PublishResult is one document's outcome as a publish response reports
 // it: a whole /publish response, or one element of a /publish/batch
 // response's results.
 type PublishResult struct {
+	// Emit is the engine's emitted form of the ids; without it they are
+	// SIDs, which are rendered into that form first.
+	Emit *predfilter.Emitted
 	SIDs []predfilter.SID
 	// Item marks a /publish/batch element, which leaves ids out when it
 	// has none; Err is its per-document failure.
@@ -56,27 +58,25 @@ func appendPublishResult(buf []byte, s *Server, d *document, r *PublishResult) (
 	buf = append(buf, '{')
 	n := 0
 	if r.Err == nil {
+		em := r.Emit
+		if em == nil {
+			em = emits.Get().(*predfilter.Emitted)
+			defer emits.Put(em)
+			em.SetSIDs(r.SIDs)
+		}
 		mark := len(buf)
 		buf = append(buf, `"ids":[`...)
-		// 10 digits and a comma per id, written in place.
-		buf = slices.Grow(buf, 11*len(r.SIDs))
-		b, p := buf[:cap(buf)], len(buf)
 		if d != nil {
 			s.mu.Lock()
-			p, n = s.reg.deliver(b, p, d, r.SIDs)
+			buf, n = s.reg.commit(buf, d, em)
 			s.mu.Unlock()
 		} else {
-			for _, sid := range r.SIDs {
-				p = putDecimal(b, p, uint32(sid))
-				b[p] = ','
-				p++
-			}
-			n = len(r.SIDs)
+			buf, n = append(buf, em.Text...), em.N
 		}
 		switch {
 		case n > 0:
-			b[p-1] = ']'
-			buf = append(b[:p], ',')
+			buf[len(buf)-1] = ']'
+			buf = append(buf, ',')
 		case r.Item:
 			buf = buf[:mark]
 		default:
@@ -114,36 +114,8 @@ func appendMember(buf []byte, name string, v any) []byte {
 	return append(buf, enc...)
 }
 
-const digitPairs = "0001020304050607080910111213141516171819202122232425262728293031323334353637383940414243444546474849" +
-	"5051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899"
-
-// pow10[n] is the smallest value with n+1 digits (0 for n = 0, so that 0
-// has one digit).
-var pow10 = [...]uint32{0, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
-
-// putDecimal writes v in decimal at b[p:], two digits per division, and
-// returns the position after it. b needs 10 bytes of room at p.
-func putDecimal(b []byte, p int, v uint32) int {
-	n := bits.Len32(v) * 1233 >> 12 // ⌊log10 v⌋, or one more
-	if v >= pow10[n] {
-		n++
-	}
-	end := p + n
-	i := end
-	for v >= 100 {
-		q := v / 100
-		r := 2 * (v - 100*q)
-		i -= 2
-		b[i], b[i+1] = digitPairs[r], digitPairs[r+1]
-		v = q
-	}
-	if v >= 10 {
-		b[i-2], b[i-1] = digitPairs[2*v], digitPairs[2*v+1]
-	} else {
-		b[i-1] = '0' + byte(v)
-	}
-	return end
-}
+// emits recycles the emitted form of ids that arrive as SIDs.
+var emits = sync.Pool{New: func() any { return new(predfilter.Emitted) }}
 
 // publishBodies recycles publish response buffers: a batch response is
 // over a megabyte on a high-selectivity workload.

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -310,30 +309,6 @@ func TestPublishResponseGolden(t *testing.T) {
 					i, client.Error, len(client.IDs), err, oldClient.Error, len(oldClient.IDs))
 			}
 		}
-	}
-}
-
-// TestPublishResponseDigits checks the digit writer against strconv at
-// every digit-count boundary.
-func TestPublishResponseDigits(t *testing.T) {
-	b := make([]byte, 16)
-	check := func(v uint32) {
-		t.Helper()
-		if got, want := string(b[3:putDecimal(b, 3, v)]), strconv.FormatUint(uint64(v), 10); got != want {
-			t.Fatalf("putDecimal(%d) wrote %q", v, got)
-		}
-	}
-	for v := uint32(0); v < 20000; v++ {
-		check(v)
-	}
-	for _, p := range pow10 {
-		check(p - 1)
-		check(p)
-		check(p + 1)
-	}
-	for v := uint32(1); v != 0; v <<= 1 {
-		check(v - 1)
-		check(v)
 	}
 }
 

@@ -34,7 +34,7 @@
 // guarantees). Delivery queues are intentionally volatile.
 //
 // Batch publishes run through the engine's parallel matching pipeline
-// (Engine.MatchStream), overlapping parsing and matching across the batch
+// (Engine.MatchEmit), overlapping parsing and matching across the batch
 // while preserving input order in the response. The request body is read
 // once under MaxRequestBytes (over it is 413, whatever the body holds),
 // and a body of the shape json.Marshal gives it is un-escaped in one pass
@@ -684,46 +684,57 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	} else if traced {
 		dt = trace.New()
 	}
-	var (
-		sids []predfilter.SID
-		tr   *predfilter.MatchTrace
-	)
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	ctx = trace.NewContext(ctx, dt)
 	span := dt.StartSpan("shard.match", 0)
 	t0 := time.Now()
+	commit := func(res *PublishResult, err error) {
+		elapsed := time.Since(t0)
+		span.SetError(err)
+		span.End()
+		s.publishNanos.Add(elapsed.Nanoseconds())
+		if dt.Enabled() {
+			w.Header().Set(trace.ResponseHeaderName, dt.ID().String())
+		}
+		if err != nil {
+			s.docsRejected.Add(1)
+			s.recordPublishFlight(dt, elapsed, len(doc), 0, err)
+			s.publishError(w, err)
+			return
+		}
+		s.docsPublished.Add(1)
+		if dt.Enabled() {
+			res.TraceID = dt.ID().String()
+		}
+		if h := testHookCommit; h != nil {
+			h()
+		}
+		dspan := dt.StartSpan("shard.deliver", 0)
+		bp := publishBodies.Get().(*[]byte)
+		body, delivered := appendPublishResult((*bp)[:0], s, &document{doc}, res)
+		dspan.End()
+		s.recordPublishFlight(dt, elapsed, len(doc), delivered, nil)
+		writePublishBody(w, bp, body)
+	}
 	if traced {
-		sids, tr, err = s.eng.MatchTracedContext(ctx, doc)
-	} else {
-		sids, err = s.eng.MatchContext(ctx, doc)
-	}
-	elapsed := time.Since(t0)
-	span.SetError(err)
-	span.End()
-	s.publishNanos.Add(elapsed.Nanoseconds())
-	if dt.Enabled() {
-		w.Header().Set(trace.ResponseHeaderName, dt.ID().String())
-	}
-	if err != nil {
-		s.docsRejected.Add(1)
-		s.recordPublishFlight(dt, elapsed, len(doc), 0, err)
-		s.publishError(w, err)
+		sids, tr, err := s.eng.MatchTracedContext(ctx, doc)
+		s.matchesTotal.Add(int64(len(sids)))
+		commit(&PublishResult{SIDs: sids, Trace: tr}, err)
 		return
 	}
-	s.docsPublished.Add(1)
-	s.matchesTotal.Add(int64(len(sids)))
-	res := PublishResult{SIDs: sids, Trace: tr}
-	if dt.Enabled() {
-		res.TraceID = dt.ID().String()
-	}
-	dspan := dt.StartSpan("shard.deliver", 0)
-	bp := publishBodies.Get().(*[]byte)
-	body, delivered := appendPublishResult((*bp)[:0], s, &document{doc}, &res)
-	dspan.End()
-	s.recordPublishFlight(dt, elapsed, len(doc), delivered, nil)
-	writePublishBody(w, bp, body)
+	s.eng.MatchEmit(ctx, [][]byte{doc}, 1, func(_ int, em *predfilter.Emitted, err error) {
+		if err == nil {
+			s.matchesTotal.Add(int64(em.N))
+		}
+		commit(&PublishResult{Emit: em}, err)
+	})
 }
+
+// testHookCommit, when non-nil, runs after a publish's match and before its
+// commit. Tests use it to change subscriptions in between; production code
+// never sets it.
+var testHookCommit func()
 
 // recordPublishFlight retains one publish in the flight recorder when it
 // is anomalous — limit-tripped/timed-out/failed, or slow past the
@@ -816,15 +827,12 @@ func (s *Server) handlePublishBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// The whole batch is pending before the stream starts, so the
 	// dispatcher sees its size and cuts it into groups for every worker.
-	in := make(chan []byte, len(docs))
 	for i, d := range docs {
 		if int64(len(d)) > s.cfg.MaxDocumentBytes {
 			writeError(w, http.StatusRequestEntityTooLarge, "document %d exceeds %d bytes", i, s.cfg.MaxDocumentBytes)
 			return
 		}
-		in <- d
 	}
-	close(in)
 
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
@@ -832,21 +840,14 @@ func (s *Server) handlePublishBatch(w http.ResponseWriter, r *http.Request) {
 	body := append((*bp)[:0], `{"results":[`...)
 	published := 0
 	t0 := time.Now()
-	stream := s.eng.MatchStream(ctx, in, s.cfg.Workers)
-	for range docs {
-		res, ok := <-stream
-		if !ok {
-			// A cancelled stream drops its trailing documents; each still
-			// gets a result, so a shed batch is never mistaken for one that
-			// matched nothing.
-			if res.Err = ctx.Err(); res.Err == nil {
-				res.Err = context.Canceled
-			}
-		}
-		if res.Err != nil {
+	// Every document gets a result, one a cancelled stream dropped
+	// included, so a shed batch is never mistaken for one that matched
+	// nothing.
+	s.eng.MatchEmit(ctx, docs, s.cfg.Workers, func(i int, em *predfilter.Emitted, err error) {
+		if err != nil {
 			s.docsRejected.Add(1)
 			var le *predfilter.LimitError
-			if errors.As(res.Err, &le) {
+			if errors.As(err, &le) {
 				s.limited.Add(1)
 				if le.Kind == predfilter.LimitDeadline || le.Kind == predfilter.LimitCanceled {
 					s.timedOut.Add(1)
@@ -854,12 +855,15 @@ func (s *Server) handlePublishBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		} else {
 			s.docsPublished.Add(1)
-			s.matchesTotal.Add(int64(len(res.SIDs)))
+			s.matchesTotal.Add(int64(em.N))
 			published++
 		}
-		body, _ = appendPublishResult(body, s, &document{res.Doc}, &PublishResult{SIDs: res.SIDs, Item: true, Err: res.Err})
+		if h := testHookCommit; h != nil {
+			h()
+		}
+		body, _ = appendPublishResult(body, s, &document{docs[i]}, &PublishResult{Emit: em, Item: true, Err: err})
 		body = append(body, ',')
-	}
+	})
 	s.publishNanos.Add(time.Since(t0).Nanoseconds())
 	s.batchDocsTotal.Add(int64(len(docs)))
 	body = append(body[:len(body)-1], `],"published":`...)

@@ -61,6 +61,46 @@ func TestStreamPanicIsolated(t *testing.T) {
 	}
 }
 
+// TestMatchEmitPanicIsolated: MatchEmit isolates a panic to its document,
+// in a batch and for a single document, on the columnar engine and on the
+// scalar reference, whose documents are matched one by one into a []SID
+// and emitted from it as after a batch's panic.
+func TestMatchEmitPanicIsolated(t *testing.T) {
+	bomb := []byte("<panic/>")
+	setStreamHook(t, func(doc []byte) {
+		if bytes.Equal(doc, bomb) {
+			panic("injected")
+		}
+	})
+	healthy := []byte("<ok/>")
+	for _, cfg := range []Config{{}, {Columnar: ColumnarOff, PathCacheBytes: -1}} {
+		eng := New(cfg)
+		if _, err := eng.AddAll([]string{"//ok", "/ok", "//no"}); err != nil {
+			t.Fatal(err)
+		}
+		for _, docs := range [][][]byte{{healthy, bomb, healthy}, {bomb}, {healthy}} {
+			calls := 0
+			eng.MatchEmit(context.Background(), docs, 2, func(i int, em *Emitted, err error) {
+				if i != calls {
+					t.Fatalf("result %d arrived as %d", calls, i)
+				}
+				calls++
+				switch {
+				case bytes.Equal(docs[i], bomb):
+					if em != nil || err == nil || !strings.Contains(err.Error(), "recovered panic") {
+						t.Fatalf("panicking document: %v, %v", em, err)
+					}
+				case err != nil || string(em.Text) != "0,1," || em.N != 2 || len(em.Words) != 1 || em.Masks[0] != 3:
+					t.Fatalf("healthy document %d: %+v, %v", i, em, err)
+				}
+			})
+			if calls != len(docs) {
+				t.Fatalf("%d results for %d documents", calls, len(docs))
+			}
+		}
+	}
+}
+
 func TestStreamPanicWorkerSurvives(t *testing.T) {
 	// Every document panics; the workers must drain the whole stream
 	// anyway, one failed Result per document.

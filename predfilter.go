@@ -31,10 +31,11 @@
 // root-to-leaf path matched as its leaf closes, and builds no document
 // tree: Match and MatchContext for one document, MatchStream and
 // MatchBatchContext for many, MatchTracedContext to explain per expression
-// and path why the document matched or missed, and MatchCountsContext for
-// the number of match combinations. The exception is MatchParsedContext:
-// it runs the same kernel over a document ParseDocument materialized once
-// for several engines.
+// and path why the document matched or missed, MatchCountsContext for the
+// number of match combinations, and MatchEmit for documents whose
+// identifiers are wanted as text and as a bitset rather than as a []SID.
+// The exception is MatchParsedContext: it runs the same kernel over a
+// document ParseDocument materialized once for several engines.
 // Config{Columnar: ColumnarOff, PathCacheBytes: -1} selects the paper's
 // scalar reference loop instead (see ColumnarMode).
 package predfilter
@@ -315,7 +316,7 @@ func (e *Engine) scanned(ctx context.Context, d *matcher.ScanDoc) error {
 	if d.Err != nil {
 		return e.recordGovernance(d.Err)
 	}
-	e.maybeLogSlow(ctx, d.Parse, &d.Bd, int(d.Scan.Bytes), d.Scan.Paths, len(d.SIDs))
+	e.maybeLogSlow(ctx, d.Parse, &d.Bd, int(d.Scan.Bytes), d.Scan.Paths, d.Matches())
 	return nil
 }
 

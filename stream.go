@@ -26,7 +26,19 @@ type Result struct {
 	// context, or a recovered worker panic. One bad document does not
 	// stop the stream.
 	Err error
+
+	emit *Emitted // MatchEmit's form of SIDs
 }
+
+// Emitted is one document's matching identifiers as MatchEmit hands them
+// over: Text is the identifiers in Match's order, each as its decimal
+// digits followed by a comma; Words and Masks are the same identifiers as
+// a sparse bitset, Masks[i] holding the bits of word Words[i]
+// (identifiers 64·Words[i] … 64·Words[i]+63); N counts them.
+type Emitted = matcher.Emit
+
+// emits recycles MatchEmit's results.
+var emits = sync.Pool{New: func() any { return new(Emitted) }}
 
 // groupsPerWorker is how many dispatch groups each stream worker gets out
 // of one wave of pending documents. One group each would already occupy
@@ -53,7 +65,7 @@ func (e *Engine) isolate(r *Result, f func()) (ok bool) {
 	defer func() {
 		if p := recover(); p != nil {
 			e.mx.ObservePanic()
-			r.SIDs = nil
+			r.SIDs, r.emit = nil, nil
 			r.Err = fmt.Errorf("predfilter: recovered panic matching document %d: %v", r.Index, p)
 		}
 	}()
@@ -64,8 +76,9 @@ func (e *Engine) isolate(r *Result, f func()) (ok bool) {
 // matchStreamGroup processes one dispatch group: the documents are scanned
 // and matched together, one columnar batch — or one by one under the
 // scalar reference, and after a panic in the batch, each under its own
-// isolation so only the offender fails.
-func (e *Engine) matchStreamGroup(ctx context.Context, rs []Result) {
+// isolation so only the offender fails. With emit set each result is
+// Emitted rather than SIDs, whichever way it was matched.
+func (e *Engine) matchStreamGroup(ctx context.Context, rs []Result, emit bool) {
 	live := make([]bool, len(rs))
 	n := 0
 	hook := testHookStreamJob.Load()
@@ -75,12 +88,17 @@ func (e *Engine) matchStreamGroup(ctx context.Context, rs []Result) {
 			n++
 		}
 	}
-	if n == 0 || !e.scalar && e.matchScannedGroup(ctx, rs, live) {
+	if n == 0 || !e.scalar && e.matchScannedGroup(ctx, rs, live, emit) {
 		return
 	}
 	for k := range rs {
-		if live[k] {
-			e.isolate(&rs[k], func() { rs[k].SIDs, rs[k].Err = e.MatchContext(ctx, rs[k].Doc) })
+		if !live[k] || !e.isolate(&rs[k], func() { rs[k].SIDs, rs[k].Err = e.MatchContext(ctx, rs[k].Doc) }) {
+			continue
+		}
+		if r := &rs[k]; emit && r.Err == nil {
+			r.emit = emits.Get().(*Emitted)
+			r.emit.SetSIDs(r.SIDs)
+			r.SIDs = nil
 		}
 	}
 }
@@ -89,13 +107,13 @@ func (e *Engine) matchStreamGroup(ctx context.Context, rs []Result) {
 // columnar kernel, each as it is scanned. A panic is recovered and reported
 // by returning false, with the live results reset so the caller's
 // document-by-document pass starts clean.
-func (e *Engine) matchScannedGroup(ctx context.Context, rs []Result, live []bool) (ok bool) {
+func (e *Engine) matchScannedGroup(ctx context.Context, rs []Result, live []bool, emit bool) (ok bool) {
 	defer func() {
 		if p := recover(); p != nil {
 			e.mx.ObservePanic()
 			for k := range rs {
 				if live[k] {
-					rs[k].SIDs, rs[k].Err = nil, nil
+					rs[k].SIDs, rs[k].emit, rs[k].Err = nil, nil, nil
 				}
 			}
 			ok = false
@@ -104,14 +122,24 @@ func (e *Engine) matchScannedGroup(ctx context.Context, rs []Result, live []bool
 	batch := make([]matcher.ScanDoc, 0, len(rs))
 	for k := range rs {
 		if live[k] {
-			batch = append(batch, matcher.ScanDoc{Doc: rs[k].Doc, Bud: guard.NewBudget(ctx, e.limits)})
+			d := matcher.ScanDoc{Doc: rs[k].Doc, Bud: guard.NewBudget(ctx, e.limits)}
+			if emit {
+				d.Emit = emits.Get().(*Emitted)
+			}
+			batch = append(batch, d)
 		}
 	}
 	e.m.MatchScanned(batch, e.limits)
 	j := 0
 	for k := range rs {
 		if live[k] {
-			rs[k].SIDs, rs[k].Err = batch[j].SIDs, e.scanned(ctx, &batch[j])
+			d := &batch[j]
+			rs[k].SIDs, rs[k].Err = d.SIDs, e.scanned(ctx, d)
+			if rs[k].Err == nil {
+				rs[k].emit = d.Emit
+			} else if d.Emit != nil {
+				emits.Put(d.Emit)
+			}
 			j++
 		}
 	}
@@ -141,6 +169,11 @@ func (e *Engine) matchScannedGroup(ctx context.Context, rs []Result, live []bool
 // the cache for every later document — the streaming workload (many
 // same-DTD documents) is the cache's best case.
 func (e *Engine) MatchStream(ctx context.Context, docs <-chan []byte, workers int) <-chan Result {
+	return e.stream(ctx, docs, workers, false)
+}
+
+// stream is MatchStream, its results Emitted with emit set.
+func (e *Engine) stream(ctx context.Context, docs <-chan []byte, workers int, emit bool) <-chan Result {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -229,7 +262,7 @@ func (e *Engine) MatchStream(ctx context.Context, docs <-chan []byte, workers in
 				for k := range rs {
 					rs[k] = Result{Index: j.base + k, Doc: j.docs[k]}
 				}
-				e.matchStreamGroup(ctx, rs)
+				e.matchStreamGroup(ctx, rs, emit)
 				busy.Add(int64(time.Since(t0)))
 				for k := range rs {
 					select {
@@ -280,29 +313,56 @@ func (e *Engine) MatchStream(ctx context.Context, docs <-chan []byte, workers in
 // context's error, so a shed batch is distinguishable from an empty match
 // — partial work is never silently reported as "no match".
 func (e *Engine) MatchBatchContext(ctx context.Context, docs [][]byte, workers int) []Result {
+	out := make([]Result, len(docs))
+	e.batch(ctx, docs, workers, false, func(r *Result) { out[r.Index] = *r })
+	return out
+}
+
+// batch runs docs through the stream and hands f each result in input
+// order, then a result carrying the context's error for each document the
+// cancelled stream dropped.
+func (e *Engine) batch(ctx context.Context, docs [][]byte, workers int, emit bool, f func(r *Result)) {
 	in := make(chan []byte, len(docs))
 	for _, d := range docs {
 		in <- d
 	}
 	close(in)
-	out := make([]Result, len(docs))
-	filled := make([]bool, len(docs))
-	for r := range e.MatchStream(ctx, in, workers) {
-		if r.Index >= 0 && r.Index < len(out) {
-			out[r.Index] = r
-			filled[r.Index] = true
+	next := 0
+	var r Result // one variable for the loop: f's pointer would move a per-iteration one to the heap
+	for r = range e.stream(ctx, in, workers, emit) {
+		f(&r)
+		next++
+	}
+	for ; next < len(docs); next++ {
+		err := ctx.Err()
+		if err == nil {
+			err = context.Canceled
+		}
+		f(&Result{Index: next, Doc: docs[next], Err: err})
+	}
+}
+
+// MatchEmit matches docs as MatchBatchContext does, but hands each
+// document's outcome to f, in input order, as Emitted instead of a []SID:
+// the form a writer of the identifiers as text, or of a per-identifier
+// bitset, wants, produced without a per-document slice. f gets the index
+// of the document and either its Emitted (valid only until f returns) or
+// its error, once per document, documents a cancelled stream dropped
+// included. A single document is matched in the caller's goroutine.
+func (e *Engine) MatchEmit(ctx context.Context, docs [][]byte, workers int, f func(i int, em *Emitted, err error)) {
+	give := func(r *Result) {
+		f(r.Index, r.emit, r.Err)
+		if r.emit != nil {
+			emits.Put(r.emit)
 		}
 	}
-	for i := range out {
-		if !filled[i] {
-			err := ctx.Err()
-			if err == nil {
-				err = context.Canceled
-			}
-			out[i] = Result{Index: i, Doc: docs[i], Err: err}
-		}
+	if len(docs) != 1 {
+		e.batch(ctx, docs, workers, true, give)
+		return
 	}
-	return out
+	rs := [1]Result{{Doc: docs[0]}}
+	e.matchStreamGroup(ctx, rs[:], true)
+	give(&rs[0])
 }
 
 // MergeSIDSets merges ascending-ordered SID sets into one ascending,
