@@ -90,10 +90,6 @@ type Config struct {
 	// Throughput over durability: a host crash (not a process crash) can
 	// lose the last appended records.
 	NoSync bool
-	// SnapshotEvery compacts the coordinator state log into a snapshot
-	// once it accumulates this many records (default 4096; negative
-	// disables size-triggered compaction — Close still snapshots).
-	SnapshotEvery int
 	// Recover reconciles the coordinator's records against every shard's
 	// live set (GET /subscriptions) at startup. Without StateDir it is the
 	// only recovery path: ownership is recorded from where each id
@@ -126,6 +122,10 @@ type Config struct {
 	// failovers, migrations, orphan reaping); nil selects slog.Default().
 	Logger *slog.Logger
 }
+
+// snapshotEvery is the number of coordinator state records after which
+// the log is compacted into a snapshot (Close snapshots as well).
+const snapshotEvery = 4096
 
 // RPC stages instrumented per shard: each gets its own latency
 // histogram, exposed as predfilter_cluster_rpc_duration_seconds with
@@ -267,9 +267,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 2 * time.Second
-	}
-	if cfg.SnapshotEvery == 0 {
-		cfg.SnapshotEvery = 4096
 	}
 	if cfg.FailThreshold <= 0 {
 		cfg.FailThreshold = 3
@@ -477,12 +474,9 @@ func (c *Coordinator) persistReap(sid predfilter.SID) {
 }
 
 // maybeSnapshot compacts the coordinator state log once it accumulates
-// Config.SnapshotEvery records. Callers hold adminMu.
+// snapshotEvery records. Callers hold adminMu.
 func (c *Coordinator) maybeSnapshot() {
-	if c.st == nil || c.cfg.SnapshotEvery <= 0 {
-		return
-	}
-	if c.st.WALRecords() < int64(c.cfg.SnapshotEvery) {
+	if c.st == nil || c.st.WALRecords() < snapshotEvery {
 		return
 	}
 	if err := c.st.Snapshot(); err != nil {

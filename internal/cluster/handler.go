@@ -263,7 +263,7 @@ type Stats struct {
 	SubscribedNext uint32       `json:"next_sid"`
 	// Store reports the durable coordinator state (nil when the
 	// coordinator runs without Config.StateDir).
-	Store *store.CoordStats `json:"store,omitempty"`
+	Store *store.Stats `json:"store,omitempty"`
 }
 
 // ShardStats is one shard's routing state and publish counters.

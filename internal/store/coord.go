@@ -3,27 +3,17 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
-	"sort"
-	"sync"
-	"time"
 )
 
-// Coordinator state store: the durable half of the cluster coordinator.
+// The coordinator schema: the durable half of the cluster coordinator.
 //
 // The coordinator's authoritative state — the global SID counter, the
 // sid→(owner shard, expression) routing table, and the orphan set of
-// burned sids — used to live only in memory, which made a coordinator
-// restart depend on every shard being reachable for recovery. CoordStore
-// persists that state with the same machinery as the subscription store:
-// an append-only CRC32-C-framed WAL of routing operations plus an
-// atomically-replaced snapshot that compacts it. A kill -9'd coordinator
-// reopens its CoordStore and is fully routed again with zero shard
-// round-trips.
+// burned sids — is kept in the same kind of log as a shard's
+// subscriptions, so a kill -9'd coordinator reopens its CoordStore and is
+// fully routed again with zero shard round-trips.
 //
-// WAL record payloads (framed exactly like the subscription WAL):
+// WAL record payloads:
 //
 //	'A' [4]sid [2]ownerLen [ownerLen]owner [n]expression — route sid to owner
 //	'R' [4]sid                                           — remove sid
@@ -31,10 +21,11 @@ import (
 //	'P' [4]sid                                           — reap (clear) an orphan
 //	'O' [4]sid [n]owner                                  — re-route sid (migration)
 //
-// Replay is idempotent under the same rules as the subscription store:
-// an add overwrites, a remove/reap of an unknown sid is a no-op, and the
-// SID counter only ever advances, so records that survive a crash
-// between snapshot and WAL truncation converge to the same state.
+// The snapshot has two sections: one 'A' record per routed subscription,
+// then one 'B' record per orphan. Replay overwrites: an add or burn sets
+// its entry, a remove/reap of an unknown sid is a no-op, and the SID
+// counter only ever advances, so records that survive a crash between
+// snapshot and WAL truncation converge to the same state.
 
 const (
 	coordWALMagic  = "XFCWAL01"
@@ -49,6 +40,8 @@ const (
 	opCoordReap   = 'P'
 	opCoordOwner  = 'O'
 )
+
+var coordFormat = format{wal: coordWALFile, walMagic: coordWALMagic, snap: coordSnapFile, snapMagic: coordSnapMagic, sections: 2}
 
 // CoordSub is one routed subscription: the shard that holds it and the
 // expression as the coordinator accepted it.
@@ -68,19 +61,6 @@ type CoordState struct {
 	NextSID uint32
 }
 
-// CoordStats counts coordinator-store activity, mirroring Stats.
-type CoordStats struct {
-	Live            int    `json:"live"`
-	Orphans         int    `json:"orphans"`
-	NextSID         uint32 `json:"next_sid"`
-	SnapshotEntries int    `json:"snapshot_entries"`
-	ReplayedRecords int    `json:"replayed_records"`
-	TornBytes       int64  `json:"torn_bytes"`
-	WALRecords      int64  `json:"wal_records"`
-	Appends         int64  `json:"appends"`
-	Snapshots       int64  `json:"snapshots"`
-}
-
 // coordRec is one decoded coordinator WAL operation.
 type coordRec struct {
 	op    byte
@@ -94,125 +74,23 @@ type coordRec struct {
 // collide, so a coordinator that is also a shard could share one — they
 // normally do not). Safe for concurrent use.
 type CoordStore struct {
-	dir  string
-	opts Options
-
-	mu      sync.Mutex
-	w       *wal
+	log[coordRec]
 	subs    map[uint32]CoordSub
 	orphans map[uint32]string
-	nextSID uint32
-	closed  bool
-
-	walRecords int64
-	stats      CoordStats
 }
 
 // OpenCoord opens (creating if necessary) the coordinator store in dir
 // and recovers its state: snapshot load, WAL replay, torn tail truncated
 // at the first corrupt record.
 func OpenCoord(dir string, opts Options) (*CoordStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	cs := &CoordStore{subs: make(map[uint32]CoordSub), orphans: make(map[uint32]string)}
+	if err := cs.open(dir, opts, coordFormat, cs); err != nil {
 		return nil, err
-	}
-	subs, orphans, nextSID, err := readCoordSnapshot(filepath.Join(dir, coordSnapFile))
-	if err != nil {
-		return nil, err
-	}
-	cs := &CoordStore{
-		dir:     dir,
-		opts:    opts,
-		subs:    subs,
-		orphans: orphans,
-		nextSID: nextSID,
-	}
-	cs.stats.SnapshotEntries = len(subs) + len(orphans)
-
-	w, body, torn, err := openRawWAL(filepath.Join(dir, coordWALFile), coordWALMagic, !opts.NoSync)
-	if err != nil {
-		return nil, err
-	}
-	recs, valid := scanCoordRecords(body)
-	if valid != len(body) {
-		// A frame that does not decode as a coordinator op is a tear for
-		// this format; truncate it like any other.
-		w.size = int64(len(coordWALMagic)) + int64(valid)
-		torn += int64(len(body)) - int64(valid)
-		if terr := w.f.Truncate(w.size); terr != nil {
-			w.f.Close()
-			return nil, terr
-		}
-		if serr := w.fsync(); serr != nil {
-			w.f.Close()
-			return nil, serr
-		}
-	}
-	cs.w = w
-	cs.stats.TornBytes = torn
-	cs.stats.ReplayedRecords = len(recs)
-	cs.walRecords = int64(len(recs))
-	for _, r := range recs {
-		cs.apply(r)
 	}
 	return cs, nil
 }
 
-// apply folds one WAL record into the state. Replay tolerance mirrors
-// Store.apply: records already compacted into the snapshot re-apply as
-// no-ops, and the SID counter only advances.
-func (cs *CoordStore) apply(r coordRec) {
-	switch r.op {
-	case opCoordAdd:
-		cs.subs[r.sid] = CoordSub{Owner: r.owner, Expr: r.expr}
-		if r.sid >= cs.nextSID {
-			cs.nextSID = r.sid + 1
-		}
-	case opCoordRemove:
-		delete(cs.subs, r.sid)
-	case opCoordBurn:
-		cs.orphans[r.sid] = r.owner
-		if r.sid >= cs.nextSID {
-			cs.nextSID = r.sid + 1
-		}
-	case opCoordReap:
-		delete(cs.orphans, r.sid)
-	case opCoordOwner:
-		if sub, ok := cs.subs[r.sid]; ok {
-			sub.Owner = r.owner
-			cs.subs[r.sid] = sub
-		}
-	}
-}
-
-// scanCoordRecords decodes the framed coordinator operations in body and
-// returns them plus the byte offset of the first frame whose payload does
-// not decode — len(body) when all do.
-func scanCoordRecords(body []byte) (recs []coordRec, valid int) {
-	off := 0
-	for {
-		if len(body)-off < frameSize {
-			return recs, off
-		}
-		n := int(binary.LittleEndian.Uint32(body[off:]))
-		if n > maxRecord || len(body)-off-frameSize < n {
-			return recs, off
-		}
-		payload := body[off+frameSize : off+frameSize+n]
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(body[off+4:]) {
-			return recs, off
-		}
-		r, ok := decodeCoordPayload(payload)
-		if !ok {
-			return recs, off
-		}
-		recs = append(recs, r)
-		off += frameSize + n
-	}
-}
-
-// decodeCoordPayload decodes one coordinator operation payload; false
-// means corruption (recovery truncates there).
-func decodeCoordPayload(p []byte) (coordRec, bool) {
+func (*CoordStore) decode(p []byte) (coordRec, bool) {
 	if len(p) < 5 {
 		return coordRec{}, false
 	}
@@ -224,14 +102,11 @@ func decodeCoordPayload(p []byte) (coordRec, bool) {
 			return coordRec{}, false
 		}
 		ol := int(binary.LittleEndian.Uint16(rest))
-		if len(rest)-2 < ol {
+		if ol == 0 || len(rest)-2 < ol {
 			return coordRec{}, false
 		}
 		r.owner = string(rest[2 : 2+ol])
 		r.expr = string(rest[2+ol:])
-		if r.owner == "" {
-			return coordRec{}, false
-		}
 	case opCoordRemove, opCoordReap:
 		if len(rest) != 0 {
 			return coordRec{}, false
@@ -247,41 +122,60 @@ func decodeCoordPayload(p []byte) (coordRec, bool) {
 	return r, true
 }
 
-// encodeCoordPayload is the inverse of decodeCoordPayload.
-func encodeCoordPayload(buf []byte, r coordRec) []byte {
-	buf = append(buf, r.op)
-	buf = binary.LittleEndian.AppendUint32(buf, r.sid)
-	switch r.op {
-	case opCoordAdd:
+func (*CoordStore) encode(buf []byte, r coordRec) []byte {
+	buf = binary.LittleEndian.AppendUint32(append(buf, r.op), r.sid)
+	if r.op == opCoordAdd {
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.owner)))
-		buf = append(buf, r.owner...)
-		buf = append(buf, r.expr...)
-	case opCoordBurn, opCoordOwner:
-		buf = append(buf, r.owner...)
 	}
-	return buf
+	buf = append(buf, r.owner...)
+	return append(buf, r.expr...)
 }
 
-// append durably logs one operation and folds it into the in-memory
-// state. Callers hold cs.mu.
-func (cs *CoordStore) append(r coordRec) error {
-	if cs.closed {
-		return fmt.Errorf("store: coordinator store closed")
+func (cs *CoordStore) apply(r coordRec) {
+	switch r.op {
+	case opCoordAdd:
+		cs.subs[r.sid] = CoordSub{Owner: r.owner, Expr: r.expr}
+		cs.advance(r.sid)
+	case opCoordRemove:
+		delete(cs.subs, r.sid)
+	case opCoordBurn:
+		cs.orphans[r.sid] = r.owner
+		cs.advance(r.sid)
+	case opCoordReap:
+		delete(cs.orphans, r.sid)
+	case opCoordOwner:
+		if sub, ok := cs.subs[r.sid]; ok {
+			sub.Owner = r.owner
+			cs.subs[r.sid] = sub
+		}
 	}
-	payload := encodeCoordPayload(make([]byte, 0, 16+len(r.owner)+len(r.expr)), r)
-	if len(payload) > maxRecord {
-		return fmt.Errorf("store: coordinator record of %d bytes exceeds record limit", len(payload))
-	}
-	t0 := time.Now()
-	if err := cs.w.append(payload); err != nil {
-		return err
-	}
-	cs.opts.Metrics.ObserveWALAppend(time.Since(t0))
-	cs.apply(r)
-	cs.walRecords++
-	cs.stats.Appends++
-	return nil
 }
+
+func (cs *CoordStore) save(put func(sec int, p []byte)) {
+	var p []byte
+	for _, sid := range sortedKeys(cs.subs) {
+		sub := cs.subs[sid]
+		p = cs.encode(p[:0], coordRec{op: opCoordAdd, sid: sid, owner: sub.Owner, expr: sub.Expr})
+		put(0, p)
+	}
+	for _, sid := range sortedKeys(cs.orphans) {
+		p = cs.encode(p[:0], coordRec{op: opCoordBurn, sid: sid, owner: cs.orphans[sid]})
+		put(1, p)
+	}
+}
+
+// load takes the routed section's entries as adds and the orphan
+// section's as burns; an entry of the other op is damage.
+func (cs *CoordStore) load(sec int, p []byte) bool {
+	r, ok := cs.decode(p)
+	if !ok || r.op != [2]byte{opCoordAdd, opCoordBurn}[sec] {
+		return false
+	}
+	cs.apply(r)
+	return true
+}
+
+func (cs *CoordStore) count() (live, orphans int) { return len(cs.subs), len(cs.orphans) }
 
 // AppendAdd durably routes sid to owner under expr. sid must be the
 // store's NextSID or beyond (the coordinator assigns ids in order but
@@ -298,7 +192,7 @@ func (cs *CoordStore) AppendAdd(sid uint32, owner, expr string) error {
 	if _, live := cs.subs[sid]; live {
 		return fmt.Errorf("store: add of already-routed sid %d", sid)
 	}
-	return cs.append(coordRec{op: opCoordAdd, sid: sid, owner: owner, expr: expr})
+	return cs.commit(coordRec{op: opCoordAdd, sid: sid, owner: owner, expr: expr})
 }
 
 // AppendRemove durably removes a routed sid.
@@ -308,7 +202,7 @@ func (cs *CoordStore) AppendRemove(sid uint32) error {
 	if _, live := cs.subs[sid]; !live {
 		return fmt.Errorf("store: remove of unrouted sid %d", sid)
 	}
-	return cs.append(coordRec{op: opCoordRemove, sid: sid})
+	return cs.commit(coordRec{op: opCoordRemove, sid: sid})
 }
 
 // AppendBurn durably records sid as burned: the shard may hold an
@@ -319,7 +213,7 @@ func (cs *CoordStore) AppendBurn(sid uint32, shard string) error {
 	if shard == "" {
 		return fmt.Errorf("store: burn sid %d with empty shard", sid)
 	}
-	return cs.append(coordRec{op: opCoordBurn, sid: sid, owner: shard})
+	return cs.commit(coordRec{op: opCoordBurn, sid: sid, owner: shard})
 }
 
 // AppendReap durably clears a burned sid once its shard-side copy is
@@ -330,7 +224,7 @@ func (cs *CoordStore) AppendReap(sid uint32) error {
 	if _, ok := cs.orphans[sid]; !ok {
 		return fmt.Errorf("store: reap of unknown orphan sid %d", sid)
 	}
-	return cs.append(coordRec{op: opCoordReap, sid: sid})
+	return cs.commit(coordRec{op: opCoordReap, sid: sid})
 }
 
 // AppendOwner durably re-routes a live sid to a new owner (migration).
@@ -343,7 +237,7 @@ func (cs *CoordStore) AppendOwner(sid uint32, owner string) error {
 	if _, live := cs.subs[sid]; !live {
 		return fmt.Errorf("store: re-route of unrouted sid %d", sid)
 	}
-	return cs.append(coordRec{op: opCoordOwner, sid: sid, owner: owner})
+	return cs.commit(coordRec{op: opCoordOwner, sid: sid, owner: owner})
 }
 
 // State returns a copy of the recovered routing state.
@@ -353,7 +247,7 @@ func (cs *CoordStore) State() CoordState {
 	st := CoordState{
 		Subs:    make(map[uint32]CoordSub, len(cs.subs)),
 		Orphans: make(map[uint32]string, len(cs.orphans)),
-		NextSID: cs.nextSID,
+		NextSID: cs.next,
 	}
 	for sid, sub := range cs.subs {
 		st.Subs[sid] = sub
@@ -362,177 +256,4 @@ func (cs *CoordStore) State() CoordState {
 		st.Orphans[sid] = shard
 	}
 	return st
-}
-
-// Snapshot compacts the store: the snapshot file is atomically replaced
-// with the current routing state and the WAL truncated, exactly like
-// Store.Snapshot.
-func (cs *CoordStore) Snapshot() error {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if cs.closed {
-		return fmt.Errorf("store: coordinator store closed")
-	}
-	t0 := time.Now()
-	if err := writeCoordSnapshot(filepath.Join(cs.dir, coordSnapFile), cs.subs, cs.orphans, cs.nextSID, !cs.opts.NoSync); err != nil {
-		return err
-	}
-	cs.opts.Metrics.ObserveSnapshot(time.Since(t0))
-	if err := cs.w.reset(); err != nil {
-		return err
-	}
-	cs.walRecords = 0
-	cs.stats.Snapshots++
-	return nil
-}
-
-// WALRecords returns the records accumulated since the last snapshot —
-// the input to size-triggered snapshot policies.
-func (cs *CoordStore) WALRecords() int64 {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.walRecords
-}
-
-// Stats returns a snapshot of the store counters.
-func (cs *CoordStore) Stats() CoordStats {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	st := cs.stats
-	st.Live = len(cs.subs)
-	st.Orphans = len(cs.orphans)
-	st.NextSID = cs.nextSID
-	st.WALRecords = cs.walRecords
-	return st
-}
-
-// Close closes the store's files without snapshotting.
-func (cs *CoordStore) Close() error {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if cs.closed {
-		return nil
-	}
-	cs.closed = true
-	return cs.w.close()
-}
-
-// Coordinator snapshot file layout:
-//
-//	[8]  magic "XFCSNP01"
-//	[4]  uint32 LE routed-subscription count
-//	[4]  uint32 LE orphan count
-//	[4]  uint32 LE next sid
-//	[*]  one framed record per routed subscription, payload as opCoordAdd
-//	     (op byte included), ascending by sid
-//	[*]  one framed record per orphan, payload as opCoordBurn, ascending
-//
-// Same contract as the subscription snapshot: written to a temp file,
-// fsynced, renamed; damage is a hard error, never a silent partial load.
-func writeCoordSnapshot(path string, subs map[uint32]CoordSub, orphans map[uint32]string, nextSID uint32, sync bool) error {
-	subIDs := make([]uint32, 0, len(subs))
-	for sid := range subs {
-		subIDs = append(subIDs, sid)
-	}
-	sort.Slice(subIDs, func(i, j int) bool { return subIDs[i] < subIDs[j] })
-	orphIDs := make([]uint32, 0, len(orphans))
-	for sid := range orphans {
-		orphIDs = append(orphIDs, sid)
-	}
-	sort.Slice(orphIDs, func(i, j int) bool { return orphIDs[i] < orphIDs[j] })
-
-	buf := make([]byte, 0, 20+len(subIDs)*48+len(orphIDs)*24)
-	buf = append(buf, coordSnapMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(subIDs)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(orphIDs)))
-	buf = binary.LittleEndian.AppendUint32(buf, nextSID)
-	payload := make([]byte, 0, 64)
-	for _, sid := range subIDs {
-		sub := subs[sid]
-		payload = encodeCoordPayload(payload[:0], coordRec{op: opCoordAdd, sid: sid, owner: sub.Owner, expr: sub.Expr})
-		buf = appendFrame(buf, payload)
-	}
-	for _, sid := range orphIDs {
-		payload = encodeCoordPayload(payload[:0], coordRec{op: opCoordBurn, sid: sid, owner: orphans[sid]})
-		buf = appendFrame(buf, payload)
-	}
-
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".coord-snapshot-*.tmp")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return err
-	}
-	if sync {
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			return err
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	if sync {
-		return syncDir(dir)
-	}
-	return nil
-}
-
-// readCoordSnapshot loads the coordinator snapshot at path. A missing
-// file returns empty maps and nextSID 0.
-func readCoordSnapshot(path string) (subs map[uint32]CoordSub, orphans map[uint32]string, nextSID uint32, err error) {
-	subs = make(map[uint32]CoordSub)
-	orphans = make(map[uint32]string)
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return subs, orphans, 0, nil
-	}
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if len(data) < len(coordSnapMagic)+12 || string(data[:len(coordSnapMagic)]) != coordSnapMagic {
-		return nil, nil, 0, fmt.Errorf("store: %s: not a coordinator snapshot (bad magic)", path)
-	}
-	nsubs := binary.LittleEndian.Uint32(data[len(coordSnapMagic):])
-	norph := binary.LittleEndian.Uint32(data[len(coordSnapMagic)+4:])
-	nextSID = binary.LittleEndian.Uint32(data[len(coordSnapMagic)+8:])
-	body := data[len(coordSnapMagic)+12:]
-
-	off := 0
-	total := nsubs + norph
-	for i := uint32(0); i < total; i++ {
-		if len(body)-off < frameSize {
-			return nil, nil, 0, fmt.Errorf("store: %s: truncated coordinator snapshot (%d of %d entries)", path, i, total)
-		}
-		n := int(binary.LittleEndian.Uint32(body[off:]))
-		sum := binary.LittleEndian.Uint32(body[off+4:])
-		if n > maxRecord || len(body)-off-frameSize < n {
-			return nil, nil, 0, fmt.Errorf("store: %s: truncated coordinator snapshot (%d of %d entries)", path, i, total)
-		}
-		payload := body[off+frameSize : off+frameSize+n]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			return nil, nil, 0, fmt.Errorf("store: %s: coordinator snapshot entry %d fails checksum", path, i)
-		}
-		r, ok := decodeCoordPayload(payload)
-		if !ok {
-			return nil, nil, 0, fmt.Errorf("store: %s: coordinator snapshot entry %d malformed", path, i)
-		}
-		switch {
-		case i < nsubs && r.op == opCoordAdd:
-			subs[r.sid] = CoordSub{Owner: r.owner, Expr: r.expr}
-		case i >= nsubs && r.op == opCoordBurn:
-			orphans[r.sid] = r.owner
-		default:
-			return nil, nil, 0, fmt.Errorf("store: %s: coordinator snapshot entry %d has op %q out of section", path, i, r.op)
-		}
-		off += frameSize + n
-	}
-	return subs, orphans, nextSID, nil
 }

@@ -1,43 +1,22 @@
-// Package store implements the durable subscription store behind the
-// filtering engine: an append-only, CRC32-C-checksummed write-ahead log of
-// subscription operations (add sid expression / remove sid) plus an
-// atomically-replaced snapshot file that compacts the log.
-//
-// The store exists to split the engine's lifecycle into a slow build phase
-// and a fast, restartable serving phase: subscriptions survive process
-// restarts, and recovery is a snapshot load plus a WAL replay instead of a
-// full re-registration of the workload.
-//
-// Durability contract:
-//
-//   - Every operation acknowledged by AppendAdd/AppendRemove is on disk
-//     (fsynced unless Options.NoSync) before the call returns.
-//   - A crash at any point leaves at most a torn WAL tail; recovery
-//     truncates the tail at the first corrupt record and keeps every
-//     acknowledged operation before it.
-//   - Snapshot replaces the snapshot file atomically (temp file + rename)
-//     and only then truncates the WAL. A crash between the two leaves old
-//     WAL records that replay idempotently over the new snapshot: an add
-//     of an already-live sid and a remove of an unknown sid are no-ops,
-//     and sids are never reissued, so replay converges to the same state.
-//
-// SID assignment is owned by the store: NextSID is strictly monotone,
-// persisted in the snapshot, and advanced by replay, so a subscription id
-// handed to a client remains valid — and is never reassigned to someone
-// else — across any number of restarts.
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"sync"
-	"time"
-
-	"predfilter/internal/metrics"
 )
+
+// The subscription schema. WAL record payloads:
+//
+//	'A' [4]sid [n]expression   — add sid with canonical expression
+//	'R' [4]sid                 — remove sid
+//
+// The snapshot has one section, one entry per live subscription, payload
+// [4]sid [n]expression. Replay adds only an absent sid and removes only
+// a present one: after a crash between snapshot and WAL truncation the
+// WAL still holds records the snapshot already holds, and since sids are
+// unique and never reassigned, "already live" can only mean "already
+// applied".
 
 // ErrStaleCursor reports a WAL-shipping cursor that no longer identifies
 // a position in the live log: the epoch moved on (a snapshot compacted
@@ -46,134 +25,117 @@ import (
 // (ShipSnapshot) instead of tailing.
 var ErrStaleCursor = errors.New("store: wal cursor is stale; resync from snapshot")
 
-// Default file names inside a state directory.
+// The subscription files in a state directory, their magics, and the
+// record ops.
 const (
-	walFile  = "wal.log"
-	snapFile = "snapshot.snap"
+	walFile   = "wal.log"
+	snapFile  = "snapshot.snap"
+	walMagic  = "XFWAL001"
+	snapMagic = "XFSNAP01"
+
+	opAdd    = 'A'
+	opRemove = 'R'
 )
 
-// Options configures a Store.
-type Options struct {
-	// NoSync disables fsync on WAL appends and snapshot writes. The store
-	// then survives process crashes (the page cache keeps the writes) but
-	// not OS crashes or power loss. Intended for tests and benchmarks.
-	NoSync bool
-	// Metrics, when non-nil, receives WAL-append and snapshot latency
-	// observations (the store histograms of internal/metrics).
-	Metrics *metrics.Set
+var subFormat = format{wal: walFile, walMagic: walMagic, snap: snapFile, snapMagic: snapMagic, sections: 1}
+
+// Entry is one live subscription in the store.
+type Entry struct {
+	SID  uint32
+	Expr string
 }
 
-// Stats counts store activity. Recovery fields describe the last Open;
-// the remaining counters accumulate over the store's lifetime.
-type Stats struct {
-	// Live is the number of live subscriptions.
-	Live int
-	// NextSID is the next subscription id to be assigned.
-	NextSID uint32
-	// SnapshotEntries is the number of entries loaded from the snapshot at
-	// Open.
-	SnapshotEntries int
-	// ReplayedRecords is the number of intact WAL records replayed at Open.
-	ReplayedRecords int
-	// TornBytes is the number of torn-tail bytes truncated at Open.
-	TornBytes int64
-	// WALRecords is the number of records currently in the WAL (since the
-	// last snapshot), including replayed ones.
-	WALRecords int64
-	// WALBytes is the WAL body size in bytes (header excluded).
-	WALBytes int64
-	// Appends is the number of records appended through this handle.
-	Appends int64
-	// Snapshots is the number of snapshots written through this handle.
-	Snapshots int64
-	// LastSnapshot is the wall-clock time of the last snapshot written
-	// through this handle (zero if none).
-	LastSnapshot time.Time
+// Rec is one WAL operation, as replayed and as surfaced to WAL-shipping
+// readers: either the addition of SID under Expr, or (Remove set) the
+// removal of SID.
+type Rec struct {
+	Remove bool
+	SID    uint32
+	Expr   string
 }
 
 // Store is a durable subscription store rooted at one state directory.
 // It is safe for concurrent use.
 type Store struct {
-	dir  string
-	opts Options
-
-	mu      sync.Mutex
-	w       *wal
-	live    map[uint32]string
-	nextSID uint32
-	closed  bool
-
-	// epoch counts WAL resets (snapshot compactions) since Open. Within
-	// one epoch the WAL body is append-only, so (epoch, byte offset) is a
-	// stable shipping cursor; a reset invalidates every outstanding cursor.
-	epoch int64
-
-	walRecords int64
-	stats      Stats
+	log[Rec]
+	live map[uint32]string
 }
 
 // Open opens (creating if necessary) the store in dir and recovers its
 // state: the latest snapshot is loaded, the WAL is replayed over it, and
 // any torn WAL tail is truncated at the first corrupt record.
 func Open(dir string, opts Options) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	s := &Store{live: make(map[uint32]string)}
+	if err := s.open(dir, opts, subFormat, s); err != nil {
 		return nil, err
-	}
-	entries, nextSID, _, err := readSnapshot(filepath.Join(dir, snapFile))
-	if err != nil {
-		return nil, err
-	}
-	s := &Store{
-		dir:     dir,
-		opts:    opts,
-		live:    make(map[uint32]string, len(entries)),
-		nextSID: nextSID,
-	}
-	for _, e := range entries {
-		s.live[e.SID] = e.Expr
-		if e.SID >= s.nextSID {
-			s.nextSID = e.SID + 1
-		}
-	}
-	s.stats.SnapshotEntries = len(entries)
-
-	w, recs, torn, err := openWAL(filepath.Join(dir, walFile), !opts.NoSync)
-	if err != nil {
-		return nil, err
-	}
-	s.w = w
-	s.stats.TornBytes = torn
-	s.stats.ReplayedRecords = len(recs)
-	s.walRecords = int64(len(recs))
-	for _, r := range recs {
-		s.apply(r)
 	}
 	return s, nil
 }
 
-// apply folds one WAL record into the live set. Replay is deliberately
-// tolerant: after a crash between snapshot and WAL truncation the WAL
-// still holds records already compacted into the snapshot, so an add of a
-// live sid and a remove of an unknown sid are no-ops (sids are unique and
-// never reassigned, so "already live" can only mean "already applied").
-func (s *Store) apply(r rec) {
-	if r.remove {
-		delete(s.live, r.sid)
+func (*Store) decode(p []byte) (Rec, bool) {
+	if len(p) < 5 {
+		return Rec{}, false
+	}
+	r := Rec{SID: binary.LittleEndian.Uint32(p[1:5])}
+	switch p[0] {
+	case opAdd:
+		r.Expr = string(p[5:])
+	case opRemove:
+		r.Remove = true
+		if len(p) != 5 {
+			return Rec{}, false
+		}
+	default:
+		return Rec{}, false
+	}
+	return r, true
+}
+
+func (*Store) encode(buf []byte, r Rec) []byte {
+	op := byte(opAdd)
+	if r.Remove {
+		op = opRemove
+	}
+	buf = binary.LittleEndian.AppendUint32(append(buf, op), r.SID)
+	return append(buf, r.Expr...)
+}
+
+func (s *Store) apply(r Rec) {
+	if r.Remove {
+		delete(s.live, r.SID)
 		return
 	}
-	if _, ok := s.live[r.sid]; !ok {
-		s.live[r.sid] = r.expr
+	if _, ok := s.live[r.SID]; !ok {
+		s.live[r.SID] = r.Expr
 	}
-	if r.sid >= s.nextSID {
-		s.nextSID = r.sid + 1
+	s.advance(r.SID)
+}
+
+func (s *Store) save(put func(sec int, p []byte)) {
+	var p []byte
+	for _, sid := range sortedKeys(s.live) {
+		p = binary.LittleEndian.AppendUint32(p[:0], sid)
+		put(0, append(p, s.live[sid]...))
 	}
 }
+
+func (s *Store) load(_ int, p []byte) bool {
+	if len(p) < 4 {
+		return false
+	}
+	sid := binary.LittleEndian.Uint32(p)
+	s.live[sid] = string(p[4:])
+	s.advance(sid)
+	return true
+}
+
+func (s *Store) count() (live, orphans int) { return len(s.live), 0 }
 
 // NextSID returns the id the next AppendAdd will assign.
 func (s *Store) NextSID() uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.nextSID
+	return s.next
 }
 
 // AppendAdd durably records the addition of a subscription and returns
@@ -182,48 +144,20 @@ func (s *Store) NextSID() uint32 {
 func (s *Store) AppendAdd(sid uint32, expr string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: closed")
+	if sid != s.next {
+		return fmt.Errorf("store: add sid %d out of order (next is %d)", sid, s.next)
 	}
-	if sid != s.nextSID {
-		return fmt.Errorf("store: add sid %d out of order (next is %d)", sid, s.nextSID)
-	}
-	if len(expr) > maxRecord-5 {
-		return fmt.Errorf("store: expression of %d bytes exceeds record limit", len(expr))
-	}
-	payload := appendAddPayload(make([]byte, 0, 5+len(expr)), sid, expr)
-	t0 := time.Now()
-	if err := s.w.append(payload); err != nil {
-		return err
-	}
-	s.opts.Metrics.ObserveWALAppend(time.Since(t0))
-	s.live[sid] = expr
-	s.nextSID = sid + 1
-	s.walRecords++
-	s.stats.Appends++
-	return nil
+	return s.commit(Rec{SID: sid, Expr: expr})
 }
 
 // AppendRemove durably records the removal of a live subscription.
 func (s *Store) AppendRemove(sid uint32) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: closed")
-	}
 	if _, ok := s.live[sid]; !ok {
 		return fmt.Errorf("store: remove of unknown sid %d", sid)
 	}
-	payload := appendRemovePayload(make([]byte, 0, 5), sid)
-	t0 := time.Now()
-	if err := s.w.append(payload); err != nil {
-		return err
-	}
-	s.opts.Metrics.ObserveWALAppend(time.Since(t0))
-	delete(s.live, sid)
-	s.walRecords++
-	s.stats.Appends++
-	return nil
+	return s.commit(Rec{Remove: true, SID: sid})
 }
 
 // AppendAddAt durably records the addition of a subscription under a
@@ -235,37 +169,10 @@ func (s *Store) AppendRemove(sid uint32) error {
 func (s *Store) AppendAddAt(sid uint32, expr string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: closed")
-	}
 	if _, ok := s.live[sid]; ok {
 		return fmt.Errorf("store: add of already-live sid %d", sid)
 	}
-	if len(expr) > maxRecord-5 {
-		return fmt.Errorf("store: expression of %d bytes exceeds record limit", len(expr))
-	}
-	payload := appendAddPayload(make([]byte, 0, 5+len(expr)), sid, expr)
-	t0 := time.Now()
-	if err := s.w.append(payload); err != nil {
-		return err
-	}
-	s.opts.Metrics.ObserveWALAppend(time.Since(t0))
-	s.live[sid] = expr
-	if sid >= s.nextSID {
-		s.nextSID = sid + 1
-	}
-	s.walRecords++
-	s.stats.Appends++
-	return nil
-}
-
-// Rec is one decoded WAL operation, as surfaced to WAL-shipping readers:
-// either the addition of SID under Expr, or (Remove set) the removal of
-// SID.
-type Rec struct {
-	Remove bool
-	SID    uint32
-	Expr   string
+	return s.commit(Rec{SID: sid, Expr: expr})
 }
 
 // WALEpoch returns the current shipping epoch. The epoch increments on
@@ -293,27 +200,31 @@ func (s *Store) ReadFrom(epoch, off int64) ([]Rec, int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, 0, fmt.Errorf("store: closed")
+		return nil, 0, errClosed
 	}
-	if epoch != s.epoch || off < 0 || off > s.w.bodySize() {
+	size := s.bodySize()
+	if epoch != s.epoch || off < 0 || off > size {
 		return nil, 0, ErrStaleCursor
 	}
-	if off == s.w.bodySize() {
+	if off == size {
 		return nil, off, nil
 	}
-	data, err := s.w.readBody(off, s.w.bodySize()-off)
-	if err != nil {
+	data := make([]byte, size-off)
+	if _, err := s.f.ReadAt(data, int64(len(walMagic))+off); err != nil {
 		return nil, 0, err
 	}
-	recs, valid := scanRecords(data)
-	if int64(valid) != int64(len(data)) {
+	var out []Rec
+	valid := scan(data, func(p []byte) bool {
+		r, ok := s.decode(p)
+		if ok {
+			out = append(out, r)
+		}
+		return ok
+	})
+	if valid != len(data) {
 		// The acknowledged body is intact by construction, so a scan that
 		// stops early can only mean off was not a record boundary.
 		return nil, 0, ErrStaleCursor
-	}
-	out := make([]Rec, len(recs))
-	for i, r := range recs {
-		out[i] = Rec{Remove: r.remove, SID: r.sid, Expr: r.expr}
 	}
 	return out, off + int64(valid), nil
 }
@@ -326,7 +237,7 @@ func (s *Store) ReadFrom(epoch, off int64) ([]Rec, int64, error) {
 func (s *Store) ShipSnapshot() (entries []Entry, nextSID uint32, epoch, offset int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.entriesLocked(), s.nextSID, s.epoch, s.w.bodySize()
+	return s.entriesLocked(), s.next, s.epoch, s.bodySize()
 }
 
 // Entries returns the live subscriptions, ascending by sid. Ascending sid
@@ -340,10 +251,9 @@ func (s *Store) Entries() []Entry {
 
 func (s *Store) entriesLocked() []Entry {
 	out := make([]Entry, 0, len(s.live))
-	for sid, expr := range s.live {
-		out = append(out, Entry{SID: sid, Expr: expr})
+	for _, sid := range sortedKeys(s.live) {
+		out = append(out, Entry{SID: sid, Expr: s.live[sid]})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].SID < out[j].SID })
 	return out
 }
 
@@ -355,65 +265,5 @@ func (s *Store) Expr(sid uint32) (string, bool) {
 	return expr, ok
 }
 
-// Snapshot compacts the store: it atomically replaces the snapshot file
-// with the current live set and then truncates the WAL. Restart cost after
-// a snapshot is proportional to the live set, not to operation history.
-func (s *Store) Snapshot() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: closed")
-	}
-	path := filepath.Join(s.dir, snapFile)
-	t0 := time.Now()
-	if err := writeSnapshot(path, s.entriesLocked(), s.nextSID, !s.opts.NoSync); err != nil {
-		return err
-	}
-	s.opts.Metrics.ObserveSnapshot(time.Since(t0))
-	// The snapshot is durable; the WAL records it subsumes can go. A crash
-	// before this truncate only means those records replay (idempotently)
-	// on the next Open.
-	if err := s.w.reset(); err != nil {
-		return err
-	}
-	s.epoch++
-	s.walRecords = 0
-	s.stats.Snapshots++
-	s.stats.LastSnapshot = time.Now()
-	return nil
-}
-
-// WALRecords returns the number of records accumulated in the WAL since
-// the last snapshot — the input to size-triggered snapshot policies.
-func (s *Store) WALRecords() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.walRecords
-}
-
-// Stats returns a snapshot of the store counters.
-func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.stats
-	st.Live = len(s.live)
-	st.NextSID = s.nextSID
-	st.WALRecords = s.walRecords
-	st.WALBytes = s.w.bodySize()
-	return st
-}
-
 // Dir returns the store's state directory.
 func (s *Store) Dir() string { return s.dir }
-
-// Close closes the store's files. It does not snapshot; callers that want
-// a compacted shutdown call Snapshot first.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	return s.w.close()
-}
