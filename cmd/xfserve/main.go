@@ -39,7 +39,9 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -55,25 +57,22 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", "127.0.0.1:8080", "listen address")
-		queue      = flag.Int("queue", 128, "per-subscription delivery queue limit")
-		maxDoc     = flag.Int64("max-doc", 1<<20, "maximum published document size in bytes")
-		postponed  = flag.Bool("postponed", false, "use selection-postponed attribute evaluation")
-		subsFile   = flag.String("subs", "", "file with one subscription expression per line to preload")
-		workers    = flag.Int("workers", 0, "worker count for batch publishes (0 = GOMAXPROCS)")
-		debug      = flag.Bool("debug", false, "expose /debug/pprof/ and /debug/vars")
-		state      = flag.String("state", "", "state directory for durable subscriptions (empty = in-memory)")
-		snapEvery  = flag.Int("snapshot-every", 0, "snapshot after this many logged operations (0 = default 8192, negative = disabled)")
-		snapPeriod = flag.Duration("snapshot-interval", 0, "additionally snapshot on this interval (0 = disabled)")
-		noSync     = flag.Bool("nosync", false, "skip fsync on the state directory (faster, loses power-failure durability)")
-		drain      = flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
-		cacheMB    = flag.Int64("cache-mb", 0, "path-signature cache bound in MiB (0 = default 16, negative = disabled)")
-		slowMS     = flag.Int64("slow-ms", 0, "log documents whose parse+match exceeds this many milliseconds (0 = disabled)")
+		addr      = flag.String("addr", "127.0.0.1:8080", "listen address")
+		queue     = flag.Int("queue", 128, "per-subscription delivery queue limit")
+		maxDoc    = flag.Int64("max-doc", 1<<20, "maximum published document size in bytes")
+		postponed = flag.Bool("postponed", false, "use selection-postponed attribute evaluation")
+		subsFile  = flag.String("subs", "", "file with one subscription expression per line to preload")
+		workers   = flag.Int("workers", 0, "worker count for batch publishes (0 = GOMAXPROCS)")
+		debug     = flag.Bool("debug", false, "expose /debug/pprof/ and /debug/vars")
+		state     = flag.String("state", "", "state directory for durable subscriptions (empty = in-memory)")
+		noSync    = flag.Bool("nosync", false, "skip fsync on the state directory (faster, loses power-failure durability)")
+		drain     = flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
+		cacheMB   = flag.Int64("cache-mb", 0, "path-signature cache bound in MiB (0 = default 16, negative = disabled)")
+		slowMS    = flag.Int64("slow-ms", 0, "log documents whose parse+match exceeds this many milliseconds (0 = disabled)")
 
 		// Observability.
-		flightRecords = flag.Int("flight-records", 0, "flight recorder ring capacity for anomalous publishes, dumped on SIGQUIT and served at /debug/flight (0 = default 64, negative = disabled)")
-		slowPublish   = flag.Duration("slow-publish", 0, "cluster: retain publishes slower than this in the coordinator's flight recorder (0 = disabled)")
-		traceAll      = flag.Bool("trace-all", false, "cluster: trace every publish, not only those carrying X-Predfilter-Trace or ?trace=1")
+		slowPublish = flag.Duration("slow-publish", 0, "cluster: retain publishes slower than this in the coordinator's flight recorder (0 = disabled)")
+		traceAll    = flag.Bool("trace-all", false, "cluster: trace every publish, not only those carrying X-Predfilter-Trace or ?trace=1")
 
 		// Resource governance (0 disables each bound).
 		maxDepth      = flag.Int("max-depth", 0, "maximum XML nesting depth per document (0 = unlimited)")
@@ -87,12 +86,6 @@ func main() {
 		maxQueued   = flag.Int("inflight-queue", 0, "bounded wait queue beyond -max-inflight (0 = 4x max-inflight)")
 		reqTimeout  = flag.Duration("request-timeout", 0, "per-publish-request deadline (0 = none)")
 		maxReqBytes = flag.Int64("max-request-bytes", 0, "JSON request body bound for /subscriptions and /publish/batch (0 = default 64 MiB)")
-
-		// HTTP server timeouts (slowloris defense; 0 disables one).
-		readHeaderTimeout = flag.Duration("read-header-timeout", 5*time.Second, "http.Server ReadHeaderTimeout")
-		readTimeout       = flag.Duration("read-timeout", 30*time.Second, "http.Server ReadTimeout")
-		writeTimeout      = flag.Duration("write-timeout", 60*time.Second, "http.Server WriteTimeout")
-		idleTimeout       = flag.Duration("idle-timeout", 120*time.Second, "http.Server IdleTimeout")
 
 		// Cluster mode.
 		clusterShards  = flag.String("cluster", "", "run as cluster coordinator over this comma-separated shard URL list (instead of serving an engine)")
@@ -110,8 +103,12 @@ func main() {
 	)
 	flag.Parse()
 
+	stop, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// After the first signal a second one kills the process, drain or not.
+	context.AfterFunc(stop, cancel)
+
 	if *clusterShards != "" {
-		runCoordinator(coordinatorOptions{
+		runCoordinator(stop, coordinatorOptions{
 			addr:           *addr,
 			shards:         splitList(*clusterShards),
 			standbys:       splitList(*standbys),
@@ -125,14 +122,9 @@ func main() {
 			breakerCool:    *breakerCool,
 			retryBackMax:   *retryBackMax,
 			maxDoc:         *maxDoc,
-			flightRecords:  *flightRecords,
 			slowPublish:    *slowPublish,
 			traceAll:       *traceAll,
 			drain:          *drain,
-			readHeader:     *readHeaderTimeout,
-			read:           *readTimeout,
-			write:          *writeTimeout,
-			idle:           *idleTimeout,
 		})
 		return
 	}
@@ -143,14 +135,11 @@ func main() {
 		Workers:          *workers,
 		Debug:            *debug,
 		StateDir:         *state,
-		SnapshotEvery:    *snapEvery,
-		SnapshotInterval: *snapPeriod,
 		NoSync:           *noSync,
 		MaxRequestBytes:  *maxReqBytes,
 		MaxInflight:      *maxInflight,
 		MaxQueued:        *maxQueued,
 		RequestTimeout:   *reqTimeout,
-		FlightRecords:    *flightRecords,
 	}
 	cfg.Engine.Limits = predfilter.Limits{
 		MaxDepth:      *maxDepth,
@@ -206,45 +195,60 @@ func main() {
 
 	dumpFlightOnQuit(srv.FlightRecorder())
 
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           srv,
-		ReadHeaderTimeout: *readHeaderTimeout,
-		ReadTimeout:       *readTimeout,
-		WriteTimeout:      *writeTimeout,
-		IdleTimeout:       *idleTimeout,
-	}
-	errc := make(chan error, 1)
-	go func() {
-		log.Printf("xfserve listening on %s", *addr)
-		errc <- hs.ListenAndServe()
-	}()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errc:
-		// Listener failed before any signal; still close the store so the
-		// log is compacted.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
 		srv.Close()
 		log.Fatal(err)
-	case <-ctx.Done():
 	}
-	stop()
-
-	log.Printf("xfserve: shutting down (draining for up to %v)", *drain)
-	// Refuse new publishes with 503 while the listener drains in-flight
-	// requests; Close (below) would set this too, but only after Shutdown.
-	srv.BeginDrain()
-	dctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := hs.Shutdown(dctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Printf("xfserve: drain: %v", err)
-	}
-	if err := srv.Close(); err != nil {
-		log.Fatalf("xfserve: close state: %v", err)
+	log.Printf("xfserve listening on %s", *addr)
+	if err := serve(stop, ln, srv, *drain, srv.Close); err != nil {
+		log.Fatal(err)
 	}
 	log.Printf("xfserve: bye")
+}
+
+// Listener timeouts (slowloris defense).
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 60 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// serve serves h on ln until stop is done, then shuts down in order: a
+// handler that can refuse new publishes (BeginDrain) starts doing so, the
+// requests in flight get up to drain to finish, and only then does
+// closeState close the durable state, so no request in flight finds its
+// store closed. A listener failure before stop closes the state too.
+func serve(stop context.Context, ln net.Listener, h http.Handler, drain time.Duration, closeState func() error) error {
+	hs := &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- hs.Serve(ln) }()
+	select {
+	case err := <-errc:
+		return errors.Join(err, closeState())
+	case <-stop.Done():
+	}
+
+	log.Printf("xfserve: shutting down (draining for up to %v)", drain)
+	if d, ok := h.(interface{ BeginDrain() }); ok {
+		d.BeginDrain()
+	}
+	dctx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	if err := hs.Shutdown(dctx); err != nil {
+		log.Printf("xfserve: drain: %v", err)
+	}
+	if err := closeState(); err != nil {
+		return fmt.Errorf("xfserve: close state: %w", err)
+	}
+	return nil
 }
 
 type coordinatorOptions struct {
@@ -261,25 +265,16 @@ type coordinatorOptions struct {
 	breakerCool    time.Duration
 	retryBackMax   time.Duration
 	maxDoc         int64
-	flightRecords  int
 	slowPublish    time.Duration
 	traceAll       bool
 	drain          time.Duration
-	readHeader     time.Duration
-	read           time.Duration
-	write          time.Duration
-	idle           time.Duration
 }
 
 // dumpFlightOnQuit installs a SIGQUIT handler that dumps the flight
 // recorder — the last K anomalous publishes with their span trees — to
 // the log, so a wedged or misbehaving process can be asked for its
-// recent history with kill -QUIT without restarting it. No-op when the
-// recorder is disabled.
+// recent history with kill -QUIT without restarting it.
 func dumpFlightOnQuit(f *trace.FlightRecorder) {
-	if f == nil {
-		return
-	}
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, syscall.SIGQUIT)
 	go func() {
@@ -300,8 +295,8 @@ func dumpFlightOnQuit(f *trace.FlightRecorder) {
 }
 
 // runCoordinator serves the cluster coordinator: the single-server API
-// routed over the configured shards.
-func runCoordinator(o coordinatorOptions) {
+// routed over the configured shards, until stop.
+func runCoordinator(stop context.Context, o coordinatorOptions) {
 	if len(o.standbys) > len(o.shards) {
 		log.Fatalf("xfserve: %d standbys for %d shards", len(o.standbys), len(o.shards))
 	}
@@ -324,7 +319,6 @@ func runCoordinator(o coordinatorOptions) {
 		BreakerCooldown:      o.breakerCool,
 		RetryBackoffMax:      o.retryBackMax,
 		MaxDocumentBytes:     o.maxDoc,
-		FlightRecords:        o.flightRecords,
 		SlowPublishThreshold: o.slowPublish,
 		TraceAll:             o.traceAll,
 	})
@@ -332,34 +326,14 @@ func runCoordinator(o coordinatorOptions) {
 		log.Fatal(err)
 	}
 	dumpFlightOnQuit(coord.FlightRecorder())
-	hs := &http.Server{
-		Addr:              o.addr,
-		Handler:           coord,
-		ReadHeaderTimeout: o.readHeader,
-		ReadTimeout:       o.read,
-		WriteTimeout:      o.write,
-		IdleTimeout:       o.idle,
-	}
-	errc := make(chan error, 1)
-	go func() {
-		log.Printf("xfserve: cluster coordinator for %d shards listening on %s", len(specs), o.addr)
-		errc <- hs.ListenAndServe()
-	}()
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errc:
+	ln, err := net.Listen("tcp", o.addr)
+	if err != nil {
 		coord.Close()
 		log.Fatal(err)
-	case <-ctx.Done():
 	}
-	stop()
-	log.Printf("xfserve: coordinator shutting down")
-	coord.Close()
-	dctx, cancel := context.WithTimeout(context.Background(), o.drain)
-	defer cancel()
-	if err := hs.Shutdown(dctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Printf("xfserve: drain: %v", err)
+	log.Printf("xfserve: cluster coordinator for %d shards listening on %s", len(specs), o.addr)
+	if err := serve(stop, ln, coord, o.drain, func() error { coord.Close(); return nil }); err != nil {
+		log.Fatal(err)
 	}
 	log.Printf("xfserve: bye")
 }

@@ -111,9 +111,6 @@ type Config struct {
 	// this bound. 0 disables the slow criterion; degraded, failed,
 	// retried and explicitly traced publishes are retained regardless.
 	SlowPublishThreshold time.Duration
-	// FlightRecords sizes the flight recorder ring (0 uses
-	// trace.DefaultFlightRecords; negative disables it).
-	FlightRecords int
 	// TraceAll records a full span tree for every publish, not only those
 	// carrying a trace header or ?trace=1. Meant for debugging sessions —
 	// it puts an allocation on every publish.
@@ -122,10 +119,6 @@ type Config struct {
 	// failovers, migrations, orphan reaping); nil selects slog.Default().
 	Logger *slog.Logger
 }
-
-// snapshotEvery is the number of coordinator state records after which
-// the log is compacted into a snapshot (Close snapshots as well).
-const snapshotEvery = 4096
 
 // RPC stages instrumented per shard: each gets its own latency
 // histogram, exposed as predfilter_cluster_rpc_duration_seconds with
@@ -292,9 +285,7 @@ func New(cfg Config) (*Coordinator, error) {
 		subs:    make(map[predfilter.SID]*subRecord),
 		orphans: make(map[predfilter.SID]string),
 		done:    make(chan struct{}),
-	}
-	if cfg.FlightRecords >= 0 {
-		c.flight = trace.NewFlightRecorder(cfg.FlightRecords)
+		flight:  trace.NewFlightRecorder(trace.DefaultFlightRecords),
 	}
 	for _, spec := range cfg.Shards {
 		name := spec.Name
@@ -470,17 +461,6 @@ func (c *Coordinator) persistReap(sid predfilter.SID) {
 		c.log.Debug("cluster: persist orphan reap",
 			slog.Int64("sid", int64(sid)),
 			slog.String("error", err.Error()))
-	}
-}
-
-// maybeSnapshot compacts the coordinator state log once it accumulates
-// snapshotEvery records. Callers hold adminMu.
-func (c *Coordinator) maybeSnapshot() {
-	if c.st == nil || c.st.WALRecords() < snapshotEvery {
-		return
-	}
-	if err := c.st.Snapshot(); err != nil {
-		c.log.Error("cluster: coordinator state snapshot", slog.String("error", err.Error()))
 	}
 }
 
@@ -749,7 +729,6 @@ func (c *Coordinator) Subscribe(ctx context.Context, expr string) (predfilter.SI
 	c.subs[sid] = &subRecord{expr: expr, owner: owner}
 	c.nextSID++
 	c.mu.Unlock()
-	c.maybeSnapshot()
 	return sid, nil
 }
 
@@ -886,7 +865,6 @@ func (c *Coordinator) Unsubscribe(ctx context.Context, sid predfilter.SID) error
 				slog.String("error", perr.Error()))
 		}
 	}
-	c.maybeSnapshot()
 	return nil
 }
 
@@ -1153,9 +1131,6 @@ func (c *Coordinator) Publish(ctx context.Context, doc []byte) (*PublishResult, 
 // attributes the latency shard by shard. Normal untraced publishes
 // return before any allocation.
 func (c *Coordinator) recordPublishFlight(tr *trace.Trace, start time.Time, elapsed time.Duration, docBytes, matches int, out []shardResult, skipped []string, retried int, errMsg string) {
-	if c.flight == nil {
-		return
-	}
 	var reasons []string
 	if errMsg != "" {
 		reasons = append(reasons, "failed")
@@ -1202,8 +1177,7 @@ func (c *Coordinator) recordPublishFlight(tr *trace.Trace, start time.Time, elap
 	c.flight.Add(rec)
 }
 
-// FlightRecorder returns the coordinator's flight recorder (nil when
-// disabled via Config.FlightRecords < 0).
+// FlightRecorder returns the coordinator's flight recorder.
 func (c *Coordinator) FlightRecorder() *trace.FlightRecorder { return c.flight }
 
 // filterOrphans drops burned sids from a merged match set: an orphan has

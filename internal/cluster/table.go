@@ -42,6 +42,7 @@ var coordTable = []metrics.Row[coordScrape]{
 	{Name: "predfilter_coord_store_wal_records", Kind: "gauge", Help: "Coordinator state records since the last snapshot.", When: hasStore, Read: func(s *coordScrape, e metrics.Emit) { e(s.st.Store.WALRecords) }},
 	{Name: "predfilter_coord_store_appends_total", Kind: "counter", Help: "Coordinator state records appended.", When: hasStore, Read: func(s *coordScrape, e metrics.Emit) { e(s.st.Store.Appends) }},
 	{Name: "predfilter_coord_store_snapshots_total", Kind: "counter", Help: "Coordinator state snapshot compactions.", When: hasStore, Read: func(s *coordScrape, e metrics.Emit) { e(s.st.Store.Snapshots) }},
+	{Name: "predfilter_coord_store_compact_failures_total", Kind: "counter", Help: "Coordinator state compactions started by an append that failed (the append succeeded).", When: hasStore, Read: func(s *coordScrape, e metrics.Emit) { e(s.st.Store.CompactFailures) }},
 	{Name: "predfilter_coord_store_torn_bytes", Kind: "gauge", Help: "Torn-tail bytes discarded at last coordinator state recovery.", When: hasStore, Read: func(s *coordScrape, e metrics.Emit) { e(s.st.Store.TornBytes) }},
 	{Name: "predfilter_cluster_rpc_duration_seconds", Kind: "histogram", Help: "Coordinator-to-shard RPC latency per shard and stage (every attempt, including retried ones).", Labels: []string{"shard", "stage"},
 		Read: func(s *coordScrape, e metrics.Emit) {

@@ -123,20 +123,8 @@ type Config struct {
 	// their original ids (use Open, which can report recovery errors).
 	// Delivery queues are in-memory only and do not survive restarts.
 	StateDir string
-	// SnapshotEvery compacts the log after this many operations
-	// (0 = engine default, negative disables); see predfilter.PersistentConfig.
-	SnapshotEvery int
-	// SnapshotInterval additionally compacts on a timer (0 disables).
-	SnapshotInterval time.Duration
 	// NoSync disables fsync on the persistent store (tests/benchmarks).
 	NoSync bool
-
-	// FlightRecords sizes the flight recorder ring holding the span trees
-	// of the last K anomalous publishes — slow (past the engine's
-	// SlowDocThreshold), limit-tripped, timed-out, panicked, or
-	// explicitly traced. 0 uses trace.DefaultFlightRecords; negative
-	// disables the recorder. Exposed at GET /debug/flight.
-	FlightRecords int
 }
 
 // Server is the dissemination service. Create with New or, when
@@ -176,8 +164,10 @@ type Server struct {
 	// epoch counter) can never be mistaken for cursor continuity.
 	runID string
 
-	// flight retains the span trees of recent anomalous publishes
-	// (nil when Config.FlightRecords < 0).
+	// flight retains the span trees of the last trace.DefaultFlightRecords
+	// anomalous publishes — slow (past the engine's SlowDocThreshold),
+	// limit-tripped, timed-out, panicked, or explicitly traced. Exposed
+	// at GET /debug/flight.
 	flight *trace.FlightRecorder
 }
 
@@ -209,23 +199,19 @@ func Open(cfg Config) (*Server, error) {
 		cfg.MaxQueued = 4 * cfg.MaxInflight
 	}
 	s := &Server{
-		mux:   http.NewServeMux(),
-		cfg:   cfg,
-		runID: fmt.Sprintf("%016x", rand.Uint64()),
+		mux:    http.NewServeMux(),
+		cfg:    cfg,
+		runID:  fmt.Sprintf("%016x", rand.Uint64()),
+		flight: trace.NewFlightRecorder(trace.DefaultFlightRecords),
 	}
 	s.reg.init(cfg.QueueLimit)
-	if cfg.FlightRecords >= 0 {
-		s.flight = trace.NewFlightRecorder(cfg.FlightRecords)
-	}
 	if cfg.MaxInflight > 0 {
 		s.sem = make(chan struct{}, cfg.MaxInflight)
 	}
 	if cfg.StateDir != "" {
 		pe, err := predfilter.Open(cfg.StateDir, predfilter.PersistentConfig{
-			Engine:           cfg.Engine,
-			SnapshotEvery:    cfg.SnapshotEvery,
-			SnapshotInterval: cfg.SnapshotInterval,
-			NoSync:           cfg.NoSync,
+			Engine: cfg.Engine,
+			NoSync: cfg.NoSync,
 		})
 		if err != nil {
 			return nil, err
@@ -294,8 +280,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// FlightRecorder returns the server's flight recorder (nil when
-// disabled); xfserve dumps it on SIGQUIT.
+// FlightRecorder returns the server's flight recorder; xfserve dumps it
+// on SIGQUIT.
 func (s *Server) FlightRecorder() *trace.FlightRecorder { return s.flight }
 
 // BeginDrain puts the server into draining mode: publish requests are
@@ -741,9 +727,6 @@ var testHookCommit func()
 // engine's SlowDocThreshold — or when it was explicitly traced (so a
 // traced publish can always be found at /debug/flight afterwards).
 func (s *Server) recordPublishFlight(dt *trace.Trace, elapsed time.Duration, docBytes, matches int, err error) {
-	if s.flight == nil {
-		return
-	}
 	var reasons []string
 	if err != nil {
 		var le *predfilter.LimitError

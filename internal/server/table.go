@@ -63,6 +63,7 @@ var Rows = []metrics.Row[scrape]{
 	storeRow("predfilter_store_wal_bytes", "gauge", "Write-ahead log body size in bytes.", "wal_bytes", func(st *predfilter.StoreStats) any { return st.WALBytes }),
 	storeRow("predfilter_store_appends_total", "counter", "Records appended to the write-ahead log.", "appends", func(st *predfilter.StoreStats) any { return st.Appends }),
 	storeRow("predfilter_store_snapshots_total", "counter", "Snapshots written.", "snapshots", func(st *predfilter.StoreStats) any { return st.Snapshots }),
+	storeRow("predfilter_store_compact_failures_total", "counter", "Compactions started by an append that failed (the append succeeded).", "compact_failures", func(st *predfilter.StoreStats) any { return st.CompactFailures }),
 	storeRow("", "", "", "next_sid", func(st *predfilter.StoreStats) any { return st.NextSID }),
 	storeRow("", "", "", "snapshot_entries", func(st *predfilter.StoreStats) any { return st.SnapshotEntries }),
 	storeRow("", "", "", "replayed_records", func(st *predfilter.StoreStats) any { return st.ReplayedRecords }),

@@ -12,7 +12,11 @@
 // Durability contract, for both kinds:
 //
 //   - Every acknowledged append is on disk (fsynced unless
-//     Options.NoSync) before the call returns.
+//     Options.NoSync) before the call returns. An append that reaches the
+//     compaction threshold (below) also compacts the log, but a failed
+//     compaction never fails the append: the record is already durable,
+//     the failure is counted in Stats.CompactFailures, and the next
+//     append retries it.
 //   - A crash at any point leaves at most a torn WAL tail; recovery
 //     truncates the tail at the first corrupt record and keeps every
 //     acknowledged operation before it.
@@ -23,6 +27,13 @@
 //     so replay converges to the same state.
 //   - A snapshot that fails validation is a hard error, never a partial
 //     load.
+//
+// The log alone decides when to compact: after each append, once the WAL
+// body is at least max(compactFloor, the size of the last snapshot written
+// or loaded). Each compaction then writes at most about twice the WAL
+// bytes appended since the previous one, so the snapshot work for n
+// operations is O(n), and a reopen replays at most about one snapshot's
+// worth of WAL. Snapshot compacts on demand as well.
 //
 // SID assignment is owned by the store: the next sid is strictly monotone,
 // persisted in the snapshot, and advanced by replay, so a subscription id
@@ -61,6 +72,14 @@ const (
 	// real record and is treated as corruption.
 	maxRecord = 1 << 20
 	frameSize = 8 // length + checksum
+
+	// compactFloor is the WAL body size below which the log never
+	// compacts on its own, however small its snapshot: it keeps a small
+	// store from rewriting its snapshot on every few appends.
+	compactFloor = 1 << 20
+	// compactRatio is the WAL body size, in units of the last snapshot's
+	// size, at which an append compacts a log past compactFloor.
+	compactRatio = 1
 )
 
 // castagnoli is the CRC32-C table (hardware-accelerated on most targets).
@@ -106,6 +125,9 @@ type Stats struct {
 	Appends int64 `json:"appends"`
 	// Snapshots is the number of snapshots written through this handle.
 	Snapshots int64 `json:"snapshots"`
+	// CompactFailures is the number of compactions an append started that
+	// failed; the append itself succeeded, and the next one retried.
+	CompactFailures int64 `json:"compact_failures"`
 	// LastSnapshot is the wall-clock time of the last snapshot written
 	// through this handle (zero if none).
 	LastSnapshot time.Time `json:"-"`
@@ -156,6 +178,10 @@ type log[R any] struct {
 	frame   []byte // reused by every append
 	next    uint32 // next subscription id; see advance
 	closed  bool
+
+	// snapSize is the size of the last snapshot written or loaded (0 if
+	// none): the input to the compaction threshold.
+	snapSize int64
 
 	// epoch counts WAL resets (snapshot compactions) since open. Within
 	// one epoch the WAL body is append-only, so (epoch, byte offset) is a
@@ -280,6 +306,14 @@ func (l *log[R]) commit(r R) error {
 	l.schema.apply(r)
 	l.walRecords++
 	l.stats.Appends++
+	// The record is acknowledged whatever the compaction does: a failure
+	// leaves the WAL whole and over the threshold, so the next append
+	// tries again.
+	if l.bodySize() >= max(compactFloor, compactRatio*l.snapSize) {
+		if err := l.compact(); err != nil {
+			l.stats.CompactFailures++
+		}
+	}
 	return nil
 }
 
@@ -291,12 +325,14 @@ func (l *log[R]) advance(sid uint32) {
 	}
 }
 
-// reset empties the WAL back to a bare header.
+// reset empties the WAL back to a bare header. The header is written
+// before the body goes, so a failure at either step leaves a WAL that
+// still opens, and l.end still matches it until the truncate succeeds.
 func (l *log[R]) reset() error {
-	if err := l.f.Truncate(0); err != nil {
+	if _, err := l.f.WriteAt([]byte(l.format.walMagic), 0); err != nil {
 		return err
 	}
-	if _, err := l.f.WriteAt([]byte(l.format.walMagic), 0); err != nil {
+	if err := l.f.Truncate(int64(len(l.format.walMagic))); err != nil {
 		return err
 	}
 	l.end = int64(len(l.format.walMagic))
@@ -313,15 +349,21 @@ func (l *log[R]) fsync() error {
 // bodySize returns the WAL body size in bytes (header excluded).
 func (l *log[R]) bodySize() int64 { return l.end - int64(len(l.format.walMagic)) }
 
-// Snapshot compacts the store: it atomically replaces the snapshot file
-// with the current state and then truncates the WAL. Restart cost after
-// a snapshot is proportional to the live state, not to operation history.
+// Snapshot compacts the store now, whatever the size of its WAL: it
+// atomically replaces the snapshot file with the current state and then
+// truncates the WAL. Restart cost after a snapshot is proportional to the
+// live state, not to operation history.
 func (l *log[R]) Snapshot() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return errClosed
 	}
+	return l.compact()
+}
+
+// compact writes a snapshot and resets the WAL. Callers hold l.mu.
+func (l *log[R]) compact() error {
 	t0 := time.Now()
 	if err := l.writeSnapshot(); err != nil {
 		return err
@@ -373,8 +415,12 @@ func (l *log[R]) writeSnapshot() error {
 	if err == nil {
 		err = os.Rename(tmp.Name(), filepath.Join(l.dir, fm.snap))
 	}
-	if err != nil || l.opts.NoSync {
+	if err != nil {
 		return err
+	}
+	l.snapSize = int64(len(buf))
+	if l.opts.NoSync {
+		return nil
 	}
 	d, err := os.Open(l.dir)
 	if err != nil {
@@ -429,11 +475,12 @@ func (l *log[R]) loadSnapshot() error {
 			path, n, total, len(data)-hdr-valid)
 	}
 	l.stats.SnapshotEntries = int(n)
+	l.snapSize = int64(len(data))
 	return nil
 }
 
 // WALRecords returns the number of records accumulated in the WAL since
-// the last snapshot — the input to size-triggered snapshot policies.
+// the last snapshot.
 func (l *log[R]) WALRecords() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -3,25 +3,19 @@ package predfilter
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"predfilter/internal/store"
 	"predfilter/internal/xpath"
 )
 
 // PersistentConfig configures a persistent engine. The zero value is
-// ready to use: fsynced writes, size-triggered snapshots every 8192
-// operations, no periodic snapshots.
+// ready to use: fsynced writes. When to compact the log into a snapshot
+// is not configurable: the store compacts once the log is at least as
+// large as the last snapshot (and at least 1 MiB), which keeps the total
+// snapshot work linear in the number of operations.
 type PersistentConfig struct {
 	// Engine configures the wrapped filtering engine.
 	Engine Config
-	// SnapshotEvery compacts the write-ahead log into a snapshot once it
-	// accumulates this many operations. 0 means the default (8192);
-	// negative disables size-triggered snapshots.
-	SnapshotEvery int
-	// SnapshotInterval additionally snapshots on a timer when the log is
-	// non-empty. 0 disables periodic snapshots.
-	SnapshotInterval time.Duration
 	// NoSync disables fsync on log appends and snapshot writes: the state
 	// then survives process crashes but not OS crashes or power loss.
 	NoSync bool
@@ -40,10 +34,10 @@ type Subscription struct {
 
 // PersistentEngine is an Engine whose subscription set survives restarts.
 // Every Add and Remove is appended to a checksummed write-ahead log before
-// it is acknowledged, and a snapshot file compacts the log (on policy
-// triggers, on Snapshot, and on Close). Open recovers the live set and
-// re-registers it under the original identifiers, so SIDs held by clients
-// remain valid across restarts.
+// it is acknowledged, and a snapshot file compacts the log (when the log
+// outgrows the last snapshot, on Snapshot, and on Close). Open recovers
+// the live set and re-registers it under the original identifiers, so
+// SIDs held by clients remain valid across restarts.
 //
 // Matching methods are inherited from Engine and stay safe for concurrent
 // use. Registration must go through the PersistentEngine's Add/AddAll/
@@ -51,16 +45,12 @@ type Subscription struct {
 // diverge from the durable state.
 type PersistentEngine struct {
 	*Engine
-	cfg PersistentConfig
-	st  *store.Store
+	st *store.Store
 
 	// mu serializes mutations so the matcher and the store apply them in
 	// the same order; matching does not take it.
 	mu     sync.Mutex
 	closed bool
-
-	done chan struct{}
-	wg   sync.WaitGroup
 }
 
 // Open opens (creating if necessary) the persistent engine state in dir
@@ -68,9 +58,6 @@ type PersistentEngine struct {
 // it — truncating a torn tail at the first corrupt record — and every
 // surviving subscription is re-registered under its original SID.
 func Open(dir string, cfg PersistentConfig) (*PersistentEngine, error) {
-	if cfg.SnapshotEvery == 0 {
-		cfg.SnapshotEvery = 8192
-	}
 	eng := New(cfg.Engine)
 	st, err := store.Open(dir, store.Options{NoSync: cfg.NoSync, Metrics: eng.mx})
 	if err != nil {
@@ -82,12 +69,7 @@ func Open(dir string, cfg PersistentConfig) (*PersistentEngine, error) {
 			return nil, fmt.Errorf("predfilter: replay sid %d (%q): %w", e.SID, e.Expr, err)
 		}
 	}
-	pe := &PersistentEngine{Engine: eng, cfg: cfg, st: st, done: make(chan struct{})}
-	if cfg.SnapshotInterval > 0 {
-		pe.wg.Add(1)
-		go pe.snapshotLoop()
-	}
-	return pe, nil
+	return &PersistentEngine{Engine: eng, st: st}, nil
 }
 
 // Add registers an expression, durably logs it, and returns its SID. The
@@ -115,7 +97,6 @@ func (pe *PersistentEngine) Add(xpe string) (SID, error) {
 		_ = pe.Engine.m.Remove(sid)
 		return 0, err
 	}
-	pe.maybeSnapshotLocked()
 	return sid, nil
 }
 
@@ -144,7 +125,6 @@ func (pe *PersistentEngine) AddWithSID(xpe string, sid SID) error {
 		_ = pe.Engine.m.Remove(sid)
 		return err
 	}
-	pe.maybeSnapshotLocked()
 	return nil
 }
 
@@ -181,7 +161,6 @@ func (pe *PersistentEngine) Remove(sid SID) error {
 		_ = pe.Engine.m.AddWithSID(expr, sid)
 		return err
 	}
-	pe.maybeSnapshotLocked()
 	return nil
 }
 
@@ -196,8 +175,7 @@ func (pe *PersistentEngine) Subscriptions() []Subscription {
 	return out
 }
 
-// Snapshot compacts the log into a fresh snapshot now, regardless of
-// policy triggers.
+// Snapshot compacts the log into a fresh snapshot now, whatever its size.
 func (pe *PersistentEngine) Snapshot() error {
 	pe.mu.Lock()
 	defer pe.mu.Unlock()
@@ -258,54 +236,17 @@ func (pe *PersistentEngine) ShipRead(epoch, offset int64) ([]WALOp, int64, error
 // snapshot compaction).
 func (pe *PersistentEngine) WALEpoch() int64 { return pe.st.WALEpoch() }
 
-// maybeSnapshotLocked applies the size-triggered snapshot policy. Failure
-// is deliberately swallowed: the operation that triggered it is already
-// durable in the log, and a failed compaction only defers to the next
-// trigger (or to Close, which does surface the error).
-func (pe *PersistentEngine) maybeSnapshotLocked() {
-	if pe.cfg.SnapshotEvery > 0 && pe.st.WALRecords() >= int64(pe.cfg.SnapshotEvery) {
-		_ = pe.st.Snapshot()
-	}
-}
-
-// snapshotLoop is the periodic snapshot policy: compact whenever the log
-// is non-empty at the tick.
-func (pe *PersistentEngine) snapshotLoop() {
-	defer pe.wg.Done()
-	t := time.NewTicker(pe.cfg.SnapshotInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			pe.mu.Lock()
-			if !pe.closed && pe.st.WALRecords() > 0 {
-				_ = pe.st.Snapshot()
-			}
-			pe.mu.Unlock()
-		case <-pe.done:
-			return
-		}
-	}
-}
-
 // Close takes a final snapshot (when the log holds operations not yet
 // compacted) and closes the store. A PersistentEngine that was Closed
 // rejects further mutations; matching remains available on the in-memory
 // engine.
 func (pe *PersistentEngine) Close() error {
 	pe.mu.Lock()
+	defer pe.mu.Unlock()
 	if pe.closed {
-		pe.mu.Unlock()
 		return nil
 	}
 	pe.closed = true
-	pe.mu.Unlock()
-
-	close(pe.done)
-	pe.wg.Wait()
-
-	pe.mu.Lock()
-	defer pe.mu.Unlock()
 	var err error
 	if pe.st.WALRecords() > 0 {
 		err = pe.st.Snapshot()

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 )
 
 // The persistence acceptance property: add N subscriptions (some later
@@ -58,18 +57,33 @@ func matchAllSorted(t *testing.T, eng *Engine) [][]SID {
 }
 
 // populate adds every expression and removes a few, returning the removed
-// sids.
-func populate(t *testing.T, pe *PersistentEngine) []SID {
+// sids. With snapEvery > 0 it calls Snapshot after every snapEvery
+// operations.
+func populate(t *testing.T, pe *PersistentEngine, snapEvery int) []SID {
 	t.Helper()
-	sids, err := pe.AddAll(persistExprs)
-	if err != nil {
-		t.Fatalf("AddAll: %v", err)
+	ops := 0
+	op := func() {
+		if ops++; snapEvery > 0 && ops%snapEvery == 0 {
+			if err := pe.Snapshot(); err != nil {
+				t.Fatalf("Snapshot after %d ops: %v", ops, err)
+			}
+		}
+	}
+	var sids []SID
+	for _, x := range persistExprs {
+		sid, err := pe.Add(x)
+		if err != nil {
+			t.Fatalf("Add(%q): %v", x, err)
+		}
+		sids = append(sids, sid)
+		op()
 	}
 	removed := []SID{sids[1], sids[4], sids[9]}
 	for _, sid := range removed {
 		if err := pe.Remove(sid); err != nil {
 			t.Fatalf("Remove(%d): %v", sid, err)
 		}
+		op()
 	}
 	return removed
 }
@@ -96,17 +110,21 @@ func copyStateDir(t *testing.T, src string) string {
 }
 
 func TestPersistentRestartRoundTrip(t *testing.T) {
-	for _, cfg := range []PersistentConfig{
-		{NoSync: true},
-		{NoSync: true, Engine: Config{AttributeMode: PostponedAttributes}},
-		{NoSync: true, SnapshotEvery: 3}, // snapshots interleave with the ops
+	for _, tc := range []struct {
+		cfg       PersistentConfig
+		snapEvery int
+	}{
+		{cfg: PersistentConfig{NoSync: true}},
+		{cfg: PersistentConfig{NoSync: true, Engine: Config{AttributeMode: PostponedAttributes}}},
+		{cfg: PersistentConfig{NoSync: true}, snapEvery: 3}, // snapshots interleave with the ops
 	} {
+		cfg := tc.cfg
 		dir := t.TempDir()
 		pe, err := Open(dir, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		removed := populate(t, pe)
+		removed := populate(t, pe, tc.snapEvery)
 		want := matchAllSorted(t, pe.Engine)
 		wantSubs := pe.Subscriptions()
 		if err := pe.Close(); err != nil {
@@ -145,11 +163,11 @@ func TestPersistentRestartRoundTrip(t *testing.T) {
 // (no snapshot was ever written).
 func TestPersistentCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
-	pe, err := Open(dir, PersistentConfig{NoSync: true, SnapshotEvery: -1})
+	pe, err := Open(dir, PersistentConfig{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	populate(t, pe)
+	populate(t, pe, 0)
 	want := matchAllSorted(t, pe.Engine)
 	crashed := copyStateDir(t, dir)
 
@@ -172,7 +190,7 @@ func TestPersistentCrashRecovery(t *testing.T) {
 // surviving operation prefix.
 func TestPersistentTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
-	pe, err := Open(dir, PersistentConfig{NoSync: true, SnapshotEvery: -1})
+	pe, err := Open(dir, PersistentConfig{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +239,7 @@ func TestRecoveredMatchesInMemoryEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	populate(t, pe)
+	populate(t, pe, 0)
 	if err := pe.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -242,46 +260,6 @@ func TestRecoveredMatchesInMemoryEquivalent(t *testing.T) {
 	}
 	if got, want := matchAllSorted(t, pe2.Engine), matchAllSorted(t, mem); !reflect.DeepEqual(got, want) {
 		t.Fatalf("snapshot recovery = %v, in-memory equivalent = %v", got, want)
-	}
-}
-
-func TestSnapshotPolicies(t *testing.T) {
-	dir := t.TempDir()
-	pe, err := Open(dir, PersistentConfig{NoSync: true, SnapshotEvery: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if _, err := pe.Add("/a/b"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := pe.StoreStats()
-	if st.Snapshots != 2 {
-		t.Fatalf("size-triggered snapshots = %d, want 2 (10 ops, every 4)", st.Snapshots)
-	}
-	if st.WALRecords != 2 {
-		t.Fatalf("WALRecords = %d, want 2", st.WALRecords)
-	}
-	pe.Close()
-
-	// Periodic policy.
-	pe2, err := Open(dir, PersistentConfig{NoSync: true, SnapshotEvery: -1, SnapshotInterval: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pe2.Add("/c"); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for pe2.StoreStats().Snapshots == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("periodic snapshot never fired")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := pe2.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
