@@ -103,6 +103,42 @@ func TestPublishRequestTimeout(t *testing.T) {
 	}
 }
 
+// TestPublishBatchDeadlineCounted: a batch whose request deadline passes
+// before its documents are matched reports every item as timed out, and
+// counts each in timed_out and limit_stopped, as /publish counts one
+// document with the same deadline.
+func TestPublishBatchDeadlineCounted(t *testing.T) {
+	ts := newTestServer(t, Config{RequestTimeout: time.Nanosecond, Workers: 2})
+	subscribe(t, ts, "//a")
+	docs := make([]string, 32)
+	for i := range docs {
+		docs[i] = "<a/>"
+	}
+	resp, body := postJSON(t, ts.URL+"/publish/batch", map[string]any{"documents": docs})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d body %v", resp.StatusCode, body)
+	}
+	results, _ := body["results"].([]any)
+	if len(results) != len(docs) {
+		t.Fatalf("%d results for %d documents", len(results), len(docs))
+	}
+	for i, r := range results {
+		if msg, _ := r.(map[string]any)["error"].(string); !strings.Contains(msg, "deadline") {
+			t.Fatalf("item %d: %v, want a deadline error", i, r)
+		}
+	}
+	sresp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := decodeBody(t, sresp)
+	for _, k := range []string{"timed_out", "limit_stopped"} {
+		if stats[k].(float64) != float64(len(docs)) {
+			t.Fatalf("%s = %v, want %d", k, stats[k], len(docs))
+		}
+	}
+}
+
 func TestPublishTracedGoverned(t *testing.T) {
 	// The ?trace=1 path runs the deliberately slow explaining match; it
 	// must observe the same request deadline and engine limits as the

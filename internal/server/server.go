@@ -33,7 +33,7 @@
 // its original id (internal/store has the file formats and crash-recovery
 // guarantees). Delivery queues are intentionally volatile.
 //
-// Batch publishes run through the engine's parallel matching pipeline
+// Batch publishes run through the engine's parallel batch runner
 // (Engine.MatchEmit), overlapping parsing and matching across the batch
 // while preserving input order in the response. The request body is read
 // once under MaxRequestBytes (over it is 413, whatever the body holds),
@@ -779,8 +779,9 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePublishBatch publishes a batch of documents through the parallel
-// matching pipeline, delivering and encoding each result as it leaves the
-// ordered stream while the workers match the documents behind it.
+// batch runner, delivering and encoding each result as soon as it and
+// every result before it are matched, while the workers match the
+// documents behind it.
 // Per-document failures are reported per result; the batch itself
 // succeeds.
 func (s *Server) handlePublishBatch(w http.ResponseWriter, r *http.Request) {
@@ -808,8 +809,6 @@ func (s *Server) handlePublishBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "documents is required")
 		return
 	}
-	// The whole batch is pending before the stream starts, so the
-	// dispatcher sees its size and cuts it into groups for every worker.
 	for i, d := range docs {
 		if int64(len(d)) > s.cfg.MaxDocumentBytes {
 			writeError(w, http.StatusRequestEntityTooLarge, "document %d exceeds %d bytes", i, s.cfg.MaxDocumentBytes)
@@ -823,7 +822,7 @@ func (s *Server) handlePublishBatch(w http.ResponseWriter, r *http.Request) {
 	body := append((*bp)[:0], `{"results":[`...)
 	published := 0
 	t0 := time.Now()
-	// Every document gets a result, one a cancelled stream dropped
+	// Every document gets a result, one a cancelled batch never started
 	// included, so a shed batch is never mistaken for one that matched
 	// nothing.
 	s.eng.MatchEmit(ctx, docs, s.cfg.Workers, func(i int, em *predfilter.Emitted, err error) {

@@ -1,8 +1,8 @@
 package predfilter
 
-// White-box tests for the stream pipeline's panic isolation (the
-// testHookStreamJob injection point is unexported) and for batch
-// cancellation fill-in.
+// White-box tests for the batch runner's panic isolation (the
+// testHookStreamJob injection point is unexported) and for what a
+// cancelled batch or stream leaves behind.
 
 import (
 	"bytes"
@@ -15,10 +15,9 @@ import (
 	"time"
 )
 
-// setStreamHook installs the stream workers' per-document test hook for
-// the rest of the test. The hook is read atomically: a cancelled stream
-// returns before its workers have finished, so a test can end while one of
-// them is still about to read it.
+// setStreamHook installs the workers' per-document test hook for the rest
+// of the test. The hook is read atomically, since the workers of one test
+// read it while another test's cleanup may store it.
 func setStreamHook(t *testing.T, hook func(doc []byte)) {
 	testHookStreamJob.Store(&hook)
 	t.Cleanup(func() { testHookStreamJob.Store(nil) })
@@ -235,5 +234,135 @@ func TestMatchBatchEngagesEveryWorker(t *testing.T) {
 				t.Fatalf("healthy document %d: sids %v, err %v", i, r.SIDs, r.Err)
 			}
 		}
+	}
+}
+
+// TestQueueDepthAfterCancel: once a cancelled MatchBatchContext or
+// MatchEmit returns, every group it queued has been picked up, so the
+// queue-depth gauge reads zero, and each document the workers never
+// started carries a typed *LimitError of kind Canceled.
+func TestQueueDepthAfterCancel(t *testing.T) {
+	docs := make([][]byte, 64)
+	for i := range docs {
+		docs[i] = []byte("<a/>")
+	}
+	for _, emit := range []bool{false, true} {
+		eng := New(Config{})
+		if _, err := eng.Add("//a"); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		setStreamHook(t, func([]byte) { <-ctx.Done() })
+		time.AfterFunc(5*time.Millisecond, cancel)
+		var errs []error
+		if emit {
+			eng.MatchEmit(ctx, docs, 2, func(_ int, _ *Emitted, err error) { errs = append(errs, err) })
+		} else {
+			for _, r := range eng.MatchBatchContext(ctx, docs, 2) {
+				errs = append(errs, r.Err)
+			}
+		}
+		if got := eng.mx.StreamQueueDepth.Load(); got != 0 {
+			t.Fatalf("emit=%v: StreamQueueDepth = %d after the cancelled batch returned, want 0", emit, got)
+		}
+		limited := 0
+		for i, err := range errs {
+			var le *LimitError
+			switch {
+			case err == nil:
+			case !errors.As(err, &le) || le.Kind != LimitCanceled || !errors.Is(err, context.Canceled):
+				t.Fatalf("emit=%v: document %d: err = %v, want a *LimitError of kind Canceled", emit, i, err)
+			default:
+				limited++
+			}
+		}
+		if len(errs) != len(docs) || limited < len(docs)/2 {
+			t.Fatalf("emit=%v: %d results, %d cancelled, want %d results, most cancelled", emit, len(errs), limited, len(docs))
+		}
+		if got := eng.Stats().LimitTrips["canceled"]; got != int64(limited) {
+			t.Fatalf("emit=%v: %d Canceled limit trips counted, want %d", emit, got, limited)
+		}
+	}
+}
+
+// TestNoMatchOutlivesCall: MatchBatchContext and MatchEmit return, and
+// MatchStream closes its channel, only once no document is being matched.
+// The first documents pass the hook; the rest block in it until well after
+// the cancel. MatchBatchContext is cancelled while the first results are
+// still being handed over; MatchEmit's callback and MatchStream's reader
+// hold the first result until the cancel, which comes once both workers
+// are blocked, so results queue up behind them. When the call ends no hook
+// may be running, and none may start afterwards.
+func TestNoMatchOutlivesCall(t *testing.T) {
+	docs := make([][]byte, 48)
+	for i := range docs {
+		docs[i] = []byte("<a/>")
+		if i < 8 {
+			docs[i] = []byte("<b/>")
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		settle time.Duration // from the first blocked hook to the cancel
+		run    func(eng *Engine, ctx context.Context, first func())
+	}{
+		{"MatchBatchContext", 0, func(eng *Engine, ctx context.Context, _ func()) { eng.MatchBatchContext(ctx, docs, 2) }},
+		{"MatchEmit", 5 * time.Millisecond, func(eng *Engine, ctx context.Context, first func()) {
+			eng.MatchEmit(ctx, docs, 2, func(i int, _ *Emitted, _ error) {
+				if i == 0 {
+					first()
+				}
+			})
+		}},
+		{"MatchStream", 5 * time.Millisecond, func(eng *Engine, ctx context.Context, first func()) {
+			in := make(chan []byte, len(docs))
+			for _, d := range docs {
+				in <- d
+			}
+			close(in)
+			for r := range eng.MatchStream(ctx, in, 2) {
+				if r.Index == 0 {
+					first()
+				}
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng := New(Config{})
+			if _, err := eng.Add("//a"); err != nil {
+				t.Fatal(err)
+			}
+			var inFlight, calls atomic.Int32
+			blocked, cancelled, release := make(chan struct{}, len(docs)), make(chan struct{}), make(chan struct{})
+			setStreamHook(t, func(doc []byte) {
+				calls.Add(1)
+				if bytes.Equal(doc, []byte("<b/>")) {
+					return
+				}
+				inFlight.Add(1)
+				defer inFlight.Add(-1)
+				blocked <- struct{}{}
+				<-release
+			})
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			go func() {
+				<-blocked
+				time.Sleep(c.settle)
+				cancel()
+				close(cancelled)
+				time.Sleep(20 * time.Millisecond)
+				close(release)
+			}()
+			c.run(eng, ctx, func() { <-cancelled })
+			if n := inFlight.Load(); n != 0 {
+				t.Fatalf("%d documents still being matched after the call ended", n)
+			}
+			before := calls.Load()
+			time.Sleep(20 * time.Millisecond)
+			if after := calls.Load(); after != before {
+				t.Fatalf("%d hook calls started after the call ended", after-before)
+			}
+		})
 	}
 }

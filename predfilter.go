@@ -87,7 +87,7 @@ const (
 )
 
 // ColumnarMode selects the expression-matching kernel. Every entry point
-// — Match, MatchStream and MatchBatchContext dispatch groups, the traced
+// — Match, the groups of MatchStream and MatchBatchContext, the traced
 // and counting matches, MatchParsedContext — runs the columnar kernel in
 // internal/matcher: bit columns of expressions, so matching cost scales
 // with words(|expressions|/64) instead of |expressions|, and with the path
@@ -111,10 +111,9 @@ const (
 	ColumnarOff
 )
 
-// streamBatch bounds how many pending documents per worker the stream
-// dispatcher takes in at once; it splits them evenly into worker jobs (one
-// columnar batch each), several per worker, so no job exceeds it. The
-// dispatcher never waits to fill a job — it takes whatever is immediately
+// streamBatch bounds a batch's groups (one columnar batch each) and how
+// many pending documents per worker MatchStream takes into one wave. The
+// stream never waits to fill a wave — it takes whatever is immediately
 // available, so an idle stream keeps single-document latency.
 const streamBatch = 32
 

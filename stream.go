@@ -40,14 +40,14 @@ type Emitted = matcher.Emit
 // emits recycles MatchEmit's results.
 var emits = sync.Pool{New: func() any { return new(Emitted) }}
 
-// groupsPerWorker is how many dispatch groups each stream worker gets out
-// of one wave of pending documents. One group each would already occupy
-// every worker, but a result cannot leave the ordered stream before its
-// whole group is matched, and the slower worker's last group is the tail
-// everyone waits for. Measured on 32-document batches, two workers, two
-// cores (ms per batch at 1, 2, 4, 8, 16 groups per worker): engine alone
-// 5.48, 5.43, 5.23, 5.15, 5.30 on PSD and 2.71, 2.49, 2.46, 2.37, 2.49 on
-// NITF; /publish/batch in process, where the handler delivers behind the
+// groupsPerWorker is how many groups each worker gets out of one batch or
+// stream wave. One group each would already occupy every worker, but a
+// result cannot be handed over in input order before its whole group is
+// matched, and the slower worker's last group is the tail everyone waits
+// for. Measured on 32-document batches, two workers, two cores (ms per
+// batch at 1, 2, 4, 8, 16 groups per worker): engine alone 5.48, 5.43,
+// 5.23, 5.15, 5.30 on PSD and 2.71, 2.49, 2.46, 2.37, 2.49 on NITF;
+// /publish/batch in process, where the handler delivers behind the
 // workers, 13.7, 12.6, 12.8, 12.1, 11.9. The columnar kernel is no cheaper
 // per document in a large group than in a small one, so nothing is lost
 // by cutting finer until the per-group hand-offs show.
@@ -73,7 +73,7 @@ func (e *Engine) isolate(r *Result, f func()) (ok bool) {
 	return true
 }
 
-// matchStreamGroup processes one dispatch group: the documents are scanned
+// matchStreamGroup processes one group of a batch: the documents are scanned
 // and matched together, one columnar batch — or one by one under the
 // scalar reference, and after a panic in the batch, each under its own
 // isolation so only the offender fails. With emit set each result is
@@ -146,16 +146,18 @@ func (e *Engine) matchScannedGroup(ctx context.Context, rs []Result, live []bool
 	return true
 }
 
-// MatchStream filters a stream of XML documents through a worker pipeline:
-// each worker takes a dispatch group of pending documents and scans them,
-// matching every root-to-leaf path as its leaf closes, while the other
-// workers do the same with theirs. Results are delivered in input order
-// (Index is strictly increasing), one per input document.
+// MatchStream filters a stream of XML documents. It takes a wave of them
+// — the next document, then, without waiting, whatever else is already in
+// the channel, up to streamBatch per worker — and matches it as
+// MatchBatchContext matches a slice; results leave in input order (Index
+// is strictly increasing), one per input document, as soon as their
+// group and every group before it are matched.
 //
 // workers ≤ 0 selects GOMAXPROCS. The returned channel is closed after
 // the last result, or after ctx is cancelled (in which case trailing
-// documents are dropped). Registration may run concurrently; documents
-// matched before an Add simply miss the new expression.
+// documents are dropped), and only once no document is being matched.
+// Registration may run concurrently; documents matched before an Add
+// simply miss the new expression.
 //
 // The engine's configured limits apply per document: a document exceeding
 // a structural limit or the match budget fails with a *LimitError in its
@@ -169,36 +171,14 @@ func (e *Engine) matchScannedGroup(ctx context.Context, rs []Result, live []bool
 // the cache for every later document — the streaming workload (many
 // same-DTD documents) is the cache's best case.
 func (e *Engine) MatchStream(ctx context.Context, docs <-chan []byte, workers int) <-chan Result {
-	return e.stream(ctx, docs, workers, false)
-}
-
-// stream is MatchStream, its results Emitted with emit set.
-func (e *Engine) stream(ctx context.Context, docs <-chan []byte, workers int, emit bool) <-chan Result {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-
-	type job struct {
-		base int      // input ordinal of docs[0]
-		docs [][]byte // contiguous dispatch group
-	}
-	jobs := make(chan job, workers)
-	unordered := make(chan Result, workers)
 	out := make(chan Result, workers)
-
-	// Dispatcher: assign input ordinals and cut pending documents into
-	// dispatch groups. It takes whatever is immediately available — the
-	// drain is strictly non-blocking, so a trickling stream keeps
-	// single-document dispatch latency — up to a full group for every
-	// worker, and splits that wave evenly: groupsPerWorker groups per
-	// worker, none above streamBatch. A finite batch, all of it pending when
-	// the stream starts, therefore reaches every worker, and its first
-	// results leave the ordered stream while later groups are still being
-	// matched.
 	go func() {
-		defer close(jobs)
+		defer close(out)
 		base, limit := 0, workers*streamBatch
-		for open := true; open; {
+		for open := true; open && ctx.Err() == nil; {
 			var wave [][]byte
 			select {
 			case doc, ok := <-docs:
@@ -222,124 +202,98 @@ func (e *Engine) stream(ctx context.Context, docs <-chan []byte, workers int, em
 					break drain
 				}
 			}
-			size := (len(wave) + groupsPerWorker*workers - 1) / (groupsPerWorker * workers)
-			for len(wave) > 0 {
-				group := wave[:min(size, len(wave))]
-				wave = wave[len(group):]
-				e.mx.StreamQueueDepth.Add(int64(len(group)))
+			e.run(ctx, wave, base, workers, false, func(r *Result) {
 				select {
-				case jobs <- job{base, group}:
-					base += len(group)
+				case out <- *r:
 				case <-ctx.Done():
-					e.mx.StreamQueueDepth.Add(int64(-len(group)))
-					return
 				}
-			}
-		}
-	}()
-
-	// Workers: parse + match one dispatch group at a time. Each worker
-	// accumulates its busy time (from group pickup to result delivery
-	// readiness) into its own counter, so the per-worker utilization of
-	// the pool is observable; queue depth reflects documents dispatched
-	// but not yet picked up, and StreamJobs/StreamBatches expose the
-	// effective group size.
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			busy := e.mx.StreamBusy(w)
-			for j := range jobs {
-				e.mx.StreamQueueDepth.Add(int64(-len(j.docs)))
-				if ctx.Err() != nil {
-					continue // cancelled: nobody reads the results of the groups still queued
-				}
-				e.mx.StreamJobs.Add(int64(len(j.docs)))
-				e.mx.StreamBatches.Inc()
-				t0 := time.Now()
-				rs := make([]Result, len(j.docs))
-				for k := range rs {
-					rs[k] = Result{Index: j.base + k, Doc: j.docs[k]}
-				}
-				e.matchStreamGroup(ctx, rs, emit)
-				busy.Add(int64(time.Since(t0)))
-				for k := range rs {
-					select {
-					case unordered <- rs[k]:
-					case <-ctx.Done():
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	go func() {
-		wg.Wait()
-		close(unordered)
-	}()
-
-	// Reorderer: restore input order.
-	go func() {
-		defer close(out)
-		pending := make(map[int]Result)
-		next := 0
-		for r := range unordered {
-			pending[r.Index] = r
-			for {
-				rr, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				select {
-				case out <- rr:
-					next++
-				case <-ctx.Done():
-					return
-				}
-			}
+			})
+			base += len(wave)
 		}
 	}()
 	return out
 }
 
-// MatchBatchContext filters a slice of documents through the MatchStream
-// pipeline under the caller's context and returns one Result per
-// document, in input order. Per-document failures (parse errors, limit
+// run matches docs, input ordinals base onward, hands f each result in
+// input order, and returns them all. It cuts docs into groupsPerWorker
+// groups per worker, none above streamBatch documents; the workers claim
+// them in input order, and a group's results go to f as soon as it and
+// every group before it are matched. A batch of one is matched in the
+// caller's goroutine. Once ctx is done, a group claimed is not matched:
+// each of its documents gets the *LimitError a budget over ctx reports,
+// counted as a trip mid-match would be. run returns only after every
+// group has finished.
+func (e *Engine) run(ctx context.Context, docs [][]byte, base, workers int, emit bool, f func(r *Result)) []Result {
+	rs := make([]Result, len(docs))
+	for i, d := range docs {
+		rs[i] = Result{Index: base + i, Doc: d}
+	}
+	switch len(rs) {
+	case 0:
+		return rs
+	case 1:
+		e.matchStreamGroup(ctx, rs, emit)
+		f(&rs[0])
+		return rs
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	size := min(streamBatch, (len(rs)+groupsPerWorker*workers-1)/(groupsPerWorker*workers))
+	groups := (len(rs) + size - 1) / size
+	groupOf := func(g int) []Result { return rs[g*size : min(g*size+size, len(rs))] }
+	e.mx.StreamQueueDepth.Add(int64(len(rs)))
+	var next atomic.Int64
+	done := make(chan int, groups)
+	for w := range min(workers, groups) {
+		go func() {
+			busy := e.mx.StreamBusy(w)
+			for g := int(next.Add(1) - 1); g < groups; g = int(next.Add(1) - 1) {
+				group := groupOf(g)
+				e.mx.StreamQueueDepth.Add(int64(-len(group)))
+				if ctx.Err() != nil {
+					for k := range group {
+						b := guard.NewBudget(ctx, e.limits)
+						b.CheckPoint()
+						group[k].Err = e.recordGovernance(b.Err())
+					}
+				} else {
+					e.mx.StreamJobs.Add(int64(len(group)))
+					e.mx.StreamBatches.Inc()
+					t0 := time.Now()
+					e.matchStreamGroup(ctx, group, emit)
+					busy.Add(int64(time.Since(t0)))
+				}
+				done <- g
+			}
+		}()
+	}
+	ready := make([]bool, groups)
+	for g := 0; g < groups; {
+		ready[<-done] = true
+		for ; g < groups && ready[g]; g++ {
+			group := groupOf(g)
+			for k := range group {
+				f(&group[k])
+			}
+		}
+	}
+	return rs
+}
+
+// MatchBatchContext filters a slice of documents under the caller's
+// context and returns one Result per document, in input order: the
+// documents are cut into groups, the workers claim them in input order
+// and match each as one columnar batch, and a batch of one is matched in
+// the caller's goroutine. Per-document failures (parse errors, limit
 // trips, recovered panics) are reported in the corresponding Result, not
 // as a batch failure. It always returns exactly one Result per input
-// document: documents the cancelled stream dropped are filled in with the
-// context's error, so a shed batch is distinguishable from an empty match
-// — partial work is never silently reported as "no match".
+// document, and only once none is being matched: documents a cancelled
+// batch never started carry the *LimitError (Deadline or Canceled) of
+// its context, so a shed batch is distinguishable from an empty match —
+// partial work is never silently reported as "no match".
 func (e *Engine) MatchBatchContext(ctx context.Context, docs [][]byte, workers int) []Result {
-	out := make([]Result, len(docs))
-	e.batch(ctx, docs, workers, false, func(r *Result) { out[r.Index] = *r })
-	return out
-}
-
-// batch runs docs through the stream and hands f each result in input
-// order, then a result carrying the context's error for each document the
-// cancelled stream dropped.
-func (e *Engine) batch(ctx context.Context, docs [][]byte, workers int, emit bool, f func(r *Result)) {
-	in := make(chan []byte, len(docs))
-	for _, d := range docs {
-		in <- d
-	}
-	close(in)
-	next := 0
-	var r Result // one variable for the loop: f's pointer would move a per-iteration one to the heap
-	for r = range e.stream(ctx, in, workers, emit) {
-		f(&r)
-		next++
-	}
-	for ; next < len(docs); next++ {
-		err := ctx.Err()
-		if err == nil {
-			err = context.Canceled
-		}
-		f(&Result{Index: next, Doc: docs[next], Err: err})
-	}
+	return e.run(ctx, docs, 0, workers, false, func(*Result) {})
 }
 
 // MatchEmit matches docs as MatchBatchContext does, but hands each
@@ -347,33 +301,26 @@ func (e *Engine) batch(ctx context.Context, docs [][]byte, workers int, emit boo
 // the form a writer of the identifiers as text, or of a per-identifier
 // bitset, wants, produced without a per-document slice. f gets the index
 // of the document and either its Emitted (valid only until f returns) or
-// its error, once per document, documents a cancelled stream dropped
-// included. A single document is matched in the caller's goroutine.
+// its error, once per document, documents a cancelled batch never started
+// included. f runs in the caller's goroutine while the workers match the
+// groups behind the document.
 func (e *Engine) MatchEmit(ctx context.Context, docs [][]byte, workers int, f func(i int, em *Emitted, err error)) {
-	give := func(r *Result) {
+	e.run(ctx, docs, 0, workers, true, func(r *Result) {
 		f(r.Index, r.emit, r.Err)
 		if r.emit != nil {
 			emits.Put(r.emit)
 		}
-	}
-	if len(docs) != 1 {
-		e.batch(ctx, docs, workers, true, give)
-		return
-	}
-	rs := [1]Result{{Doc: docs[0]}}
-	e.matchStreamGroup(ctx, rs[:], true)
-	give(&rs[0])
+	})
 }
 
 // MergeSIDSets merges ascending-ordered SID sets into one ascending,
 // duplicate-free result — the gather half of a scatter/gather publish,
 // where each cluster shard reports the matches of its subscription
 // partition and the union must come out in one canonical delivery order.
-// It is the cross-shard generalization of the ordered-merge machinery
-// MatchStream uses within one process: a k-way merge that, like the
-// stream's reorderer, imposes a deterministic order on concurrently
-// produced partial results. Sets must each be sorted ascending; they may
-// overlap (duplicates collapse).
+// A k-way merge, it imposes a deterministic order on concurrently
+// produced partial results, as MatchStream's in-order delivery does within
+// one process. Sets must each be sorted ascending; they may overlap
+// (duplicates collapse).
 func MergeSIDSets(sets [][]SID) []SID {
 	heads := make([]int, len(sets))
 	total := 0
