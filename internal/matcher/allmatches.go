@@ -43,19 +43,20 @@ func newCounter(sc *scratch) *counter {
 func (k *counter) Path(pub *xmldoc.Publication) {
 	sc := k.sc
 	m := sc.m
-	if !sc.bud.CheckPoint() {
-		return
-	}
-	t := time.Now()
-	defer func() { sc.bd.ExprMatch += time.Since(t) }()
 	var key uint64
 	if sc.dedup {
-		key = pubHash(pub, m.attrSensitive)
+		key = sc.key(pub)
 		if c, ok := k.memo[key]; ok {
 			k.add(c)
 			return
 		}
 	}
+	sc.paths++
+	if !sc.bud.CheckPoint() {
+		return
+	}
+	t := time.Now()
+	defer func() { sc.bd.ExprMatch += time.Since(t) }()
 	sc.pub, sc.byTagOK = pub, false
 	sc.res.Reset(m.ix.Len())
 	m.ix.MatchPath(pub, sc.res)

@@ -128,16 +128,6 @@ func appendPubSig(b []byte, pub *xmldoc.Publication) []byte {
 	return b
 }
 
-// sigHash is the FNV-1a shard-selection hash of a signature. Collisions
-// are harmless: the cache compares full signature bytes.
-func sigHash(sig []byte) uint64 {
-	h := fnvOffset64
-	for _, c := range sig {
-		h = fnvByte(h, c)
-	}
-	return h
-}
-
 // maxEvictAdds is the most pending distinct expressions a catch-up tests
 // cache entries against; past it the cache is flushed.
 const maxEvictAdds = 16
@@ -211,13 +201,13 @@ func (m *Matcher) canMatch(e *expr, tags []string) bool {
 
 // matchPathCached is the cache-enabled body of matchPath, entered after
 // the dedup check: the one cached path, on the columnar organization.
-// Callers hold the read lock with the columnar index caught up. A miss
-// runs stage 1 and builds the entry; hit and miss then both run the entry.
+// Callers hold the read lock with the columnar index caught up. The
+// path's Shape picks the cache shard; the signature decides the entry. A
+// miss runs stage 1 and builds the entry; hit and miss then both run the
+// entry.
 func (m *Matcher) matchPathCached(sc *scratch, cs *colScratch, pub *xmldoc.Publication, bd *Breakdown, t0 time.Time, bud *guard.Budget) {
 	sc.sig = appendPubSig(sc.sig[:0], pub)
-	h := sigHash(sc.sig)
-
-	ent, ok := m.cache.Get(h, sc.sig)
+	ent, ok := m.cache.Get(pub.Shape, sc.sig)
 	// Signature build + lookup is the cache stage; predicate work
 	// (attribute tests, replay or a fresh stage 1) is accounted below.
 	tc := time.Now()
@@ -238,7 +228,7 @@ func (m *Matcher) matchPathCached(sc *scratch, cs *colScratch, pub *xmldoc.Publi
 		if ent = m.buildEntry(sc, cs, ambiguous, bd, bud); ent == nil {
 			return
 		}
-		m.cache.Put(h, sc.sig, ent)
+		m.cache.Put(pub.Shape, sc.sig, ent)
 		tc = time.Now()
 		bd.ExprMatch += tc.Sub(t1)
 	}

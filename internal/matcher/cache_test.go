@@ -161,10 +161,13 @@ func TestEvictOnDistinctAdd(t *testing.T) {
 	// rest.
 	const xpe = "/nitf/body//p"
 	path := xpath.MustParse(xpe)
-	sigs := make(map[string]bool) // signature → xpe matches it
+	sigs := make(map[string]bool)     // signature → xpe matches it
+	shapes := make(map[string]uint64) // signature → its paths' Shape
 	for _, doc := range docs {
 		for i := range doc.Paths {
-			sigs[string(appendPubSig(nil, &doc.Paths[i]))] = refmatch.MatchPath(path, &doc.Paths[i])
+			sig := string(appendPubSig(nil, &doc.Paths[i]))
+			sigs[sig] = refmatch.MatchPath(path, &doc.Paths[i])
+			shapes[sig] = doc.Paths[i].Shape
 		}
 	}
 	k := 0
@@ -187,10 +190,18 @@ func TestEvictOnDistinctAdd(t *testing.T) {
 	if evicted < k || evicted-k >= (len(sigs)-k)/10 {
 		t.Fatalf("evicted %d entries for %d matching signatures of %d", evicted, k, len(sigs))
 	}
+	kept := 0
 	for sig, matches := range sigs {
-		if _, ok := m.cache.Get(sigHash([]byte(sig)), []byte(sig)); ok && matches {
+		_, ok := m.cache.Get(shapes[sig], []byte(sig))
+		if ok && matches {
 			t.Errorf("entry of a signature %s matches was kept", xpe)
 		}
+		if ok && !m.canMatch(m.sidOwner[sids[0]], sigTags(nil, sig)) {
+			kept++
+		}
+	}
+	if kept == 0 {
+		t.Fatalf("no entry of a signature %s cannot match was found", xpe)
 	}
 	for i, doc := range docs {
 		if got, want := matchSet(m, doc)[sids[0]], refmatch.Match(path, doc); got != want {
@@ -393,7 +404,7 @@ func TestPostponedGroupCached(t *testing.T) {
 func entryOf(t *testing.T, m *Matcher, doc *xmldoc.Document, i int) *pathcache.Entry {
 	t.Helper()
 	sig := appendPubSig(nil, &doc.Paths[i])
-	ent, ok := m.cache.Get(sigHash(sig), sig)
+	ent, ok := m.cache.Get(doc.Paths[i].Shape, sig)
 	if !ok {
 		t.Fatalf("no cache entry for path %d", i)
 	}

@@ -383,6 +383,7 @@ func (m *Matcher) MatchScanned(docs []ScanDoc, lim guard.Limits) {
 			d.SIDs, d.Err = m.end(sc, d.Emit)
 		}
 		d.Bd = sc.bd
+		distinct := sc.paths
 		m.pool.Put(sc)
 		now := time.Now()
 		d.Bd.Total = wait + d.Bd.Cache + d.Bd.PredMatch + d.Bd.ExprMatch + d.Bd.Other
@@ -399,7 +400,7 @@ func (m *Matcher) MatchScanned(docs []ScanDoc, lim guard.Limits) {
 			d.SIDs = nil
 			continue
 		}
-		m.observe(&d.Bd, d.Scan.Paths, d.Matches())
+		m.observe(&d.Bd, d.Scan.Paths, distinct, d.Matches())
 	}
 }
 

@@ -3,27 +3,30 @@ package matcher
 import (
 	"predfilter/internal/predicate"
 	"predfilter/internal/predindex"
-	"predfilter/internal/xmldoc"
 	"predfilter/internal/xpath"
 )
 
-// The registration and per-document dedup paths used to build string keys
-// (chain serializations, publication tag sequences) for map lookups; the
-// allocation and copying showed up prominently in profiles. All of those
-// keys are now FNV-1a hashes folded incrementally into a uint64 — no
+// Registration used to build string keys (chain serializations) for map
+// lookups; the allocation and copying showed up prominently in profiles.
+// Those keys are now FNV-1a hashes folded incrementally into a uint64 — no
 // intermediate buffer, no string header, and map[uint64] lookups avoid the
 // byte-wise comparisons of string keys.
 //
-// Registration and freeze no longer trust the hash as identity: every
-// map keyed by one of these hashes holds a bucket ([]…) whose entries are
+// Registration and freeze do not trust the hash as identity: every map
+// keyed by one of these hashes holds a bucket ([]…) whose entries are
 // resolved by comparing the full encoded chain (pids, annotations, nested
 // source text), so a 64-bit collision costs one extra compare, never a
-// wrongly merged expression. The per-document dedup path (pubHash) stays
-// hash-only: a collision there skips one structurally distinct path of
-// one document — an accepted trade (~N²/2⁶⁵ for N distinct paths) for
-// keeping the per-path hot loop free of key materialization; ablate with
-// DisablePathDedup. The hash functions are vars so collision tests can
-// force bucket conflicts.
+// wrongly merged expression. The hash functions are vars so collision
+// tests can force bucket conflicts.
+//
+// The document side hashes nothing here: the scan hands over each path
+// with its identity already built (xmldoc.Publication's Shape and Key,
+// one splitmix64 step per element from its parent's). Per-document dedup
+// trusts that hash alone — Key once a predicate inspects attributes,
+// else Shape — so a collision skips one distinct path of one document,
+// an accepted trade (about N²/2⁶⁵ for N distinct paths) for a repeated
+// path that costs one map probe; ablate with DisablePathDedup. The path
+// cache only shards by Shape and compares the full signature.
 
 const (
 	fnvOffset64 uint64 = 0xcbf29ce484222325
@@ -99,27 +102,6 @@ func levelHash(pid predindex.PID, post []predicate.SideAttrs, i int) uint64 {
 	h := fnvUint32(fnvOffset64, uint32(pid))
 	if post != nil {
 		h = fnvSideAttrs(h, post[i])
-	}
-	return h
-}
-
-// pubHash is the per-document dedup identity of a publication: the tag
-// sequence, plus attribute names and values when any registered predicate
-// inspects attributes.
-func pubHash(pub *xmldoc.Publication, withAttrs bool) uint64 {
-	h := fnvOffset64
-	for i := range pub.Tuples {
-		t := &pub.Tuples[i]
-		h = fnvString(h, t.Tag)
-		if withAttrs {
-			for _, a := range t.Attrs {
-				h = fnvByte(h, 1)
-				h = fnvString(h, a.Name)
-				h = fnvByte(h, 2)
-				h = fnvString(h, a.Value)
-			}
-		}
-		h = fnvByte(h, 0)
 	}
 	return h
 }

@@ -719,7 +719,8 @@ type scratch struct {
 	sidBits []uint64 // collect's SID bitset, all-zero between uses
 	pub     *xmldoc.Publication
 	ncands  map[*nestedNode][]nestedCand
-	seen    map[uint64]struct{} // per-document distinct publication hashes
+	seen    map[uint64]struct{} // per-document distinct path keys (key)
+	paths   int                 // the document's paths that survived dedup
 
 	// Path-cache working state (see cache.go). matched2 is kept all-false
 	// between uses: cache misses evaluate structural units against it with
@@ -797,14 +798,24 @@ func (sc *scratch) reset() {
 	clear(sc.seen)
 	clear(sc.ncands)
 	sc.res.Vals.Reset()
-	sc.out = sc.out[:0]
+	sc.out, sc.paths = sc.out[:0], 0
 	sc.bd = Breakdown{}
 }
 
-// Path matches one root-to-leaf path of the document. Once the budget
-// trips the remaining paths are skipped: the budget's error is the
-// document's verdict, unless a scan's own verdict beats it.
+// Path matches one root-to-leaf path of the document, unless the document
+// had it already: a repeated path costs one probe and reads no clock, not
+// even the budget's, so its time is parse time. Once the budget trips the
+// remaining paths are skipped: the budget's error is the document's
+// verdict, unless a scan's own verdict beats it.
 func (sc *scratch) Path(pub *xmldoc.Publication) {
+	if sc.dedup {
+		key := sc.key(pub)
+		if _, ok := sc.seen[key]; ok {
+			return
+		}
+		sc.seen[key] = struct{}{}
+	}
+	sc.paths++
 	if sc.bud.CheckPoint() {
 		sc.m.matchPath(sc, pub)
 	}
@@ -862,14 +873,6 @@ func (m *Matcher) matchPath(sc *scratch, pub *xmldoc.Publication) {
 	cs, bd, bud := sc.cs, &sc.bd, sc.bud
 
 	t0 := time.Now()
-	if sc.dedup {
-		key := pubHash(pub, m.attrSensitive)
-		if _, ok := sc.seen[key]; ok {
-			bd.PredMatch += time.Since(t0)
-			return
-		}
-		sc.seen[key] = struct{}{}
-	}
 	if m.cache != nil {
 		m.matchPathCached(sc, cs, pub, bd, t0, bud)
 		return
@@ -939,6 +942,15 @@ func (m *Matcher) runUnits(sc *scratch, bud *guard.Budget) {
 	}
 }
 
+// key is pub's dedup identity: its Key once a registered predicate
+// inspects attributes, else its Shape.
+func (sc *scratch) key(pub *xmldoc.Publication) uint64 {
+	if sc.m.attrSensitive {
+		return pub.Key
+	}
+	return pub.Shape
+}
+
 // pathDedup reports whether per-document path deduplication is active.
 // Structurally identical publications produce identical matching results
 // (the predicate rules see only tags, positions and, for attribute-
@@ -990,7 +1002,7 @@ func (m *Matcher) matchDoc(cs *colScratch, doc *xmldoc.Document, bud *guard.Budg
 	bd := sc.bd
 	if err == nil {
 		bd.Total = time.Since(t0)
-		m.observe(&bd, len(doc.Paths), len(out))
+		m.observe(&bd, len(doc.Paths), sc.paths, len(out))
 	}
 	return out, bd, err
 }
@@ -1008,10 +1020,10 @@ func (m *Matcher) end(sc *scratch, em *Emit) ([]SID, error) {
 	return out, nil
 }
 
-// observe folds one document's stage breakdown and whole-match duration
-// into the metric set. The recording contract is zero allocations, so this
-// is safe on every match path.
-func (m *Matcher) observe(bd *Breakdown, paths, matches int) {
+// observe folds one document's stage breakdown, whole-match duration and
+// path counts into the metric set. The recording contract is zero
+// allocations, so this is safe on every match path.
+func (m *Matcher) observe(bd *Breakdown, paths, distinct, matches int) {
 	if m.mx == nil {
 		return
 	}
@@ -1026,6 +1038,7 @@ func (m *Matcher) observe(bd *Breakdown, paths, matches int) {
 	m.mx.Match.Observe(bd.Total)
 	m.mx.DocsTotal.Inc()
 	m.mx.PathsTotal.Add(int64(paths))
+	m.mx.PathsDistinct.Add(int64(distinct))
 	m.mx.MatchesTotal.Add(int64(matches))
 }
 

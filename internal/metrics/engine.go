@@ -13,6 +13,7 @@ var EngineRows = []Row[Scrape]{
 	{Name: "predfilter_doc_errors_total", Kind: "counter", Help: "Documents rejected by the XML parser.", JSON: "doc_errors", On: OnStats, Read: func(s *Scrape, e Emit) { e(s.DocErrors) }},
 	{Name: "predfilter_doc_bytes_total", Kind: "counter", Help: "XML bytes parsed.", JSON: "doc_bytes", On: OnStats, Read: func(s *Scrape, e Emit) { e(s.DocBytes) }},
 	{Name: "predfilter_paths_total", Kind: "counter", Help: "Root-to-leaf paths matched.", JSON: "paths", On: OnStats, Read: func(s *Scrape, e Emit) { e(s.PathsTotal) }},
+	{Name: "predfilter_paths_distinct_total", Kind: "counter", Help: "Paths matched after per-document dedup of repeated paths.", Read: func(s *Scrape, e Emit) { e(s.PathsDistinct) }},
 	{Name: "predfilter_matches_total", Kind: "counter", Help: "Matching expression identifiers reported.", JSON: "matches", On: OnStats, Read: func(s *Scrape, e Emit) { e(s.MatchesTotal) }},
 	{Name: "predfilter_slow_docs_total", Kind: "counter", Help: "Documents over the slow-document threshold.", JSON: "slow_docs", On: OnStats, Read: func(s *Scrape, e Emit) { e(s.SlowDocs) }},
 	{Name: "predfilter_parse_docs_total", Kind: "counter", Help: "Documents by parse path: the zero-copy scanner fast path vs the encoding/xml fallback.", Labels: []string{"path"},

@@ -22,12 +22,13 @@ const NumLimitKinds = int(guard.NumKinds)
 // instrumentation without branching at each site.
 type Set struct {
 	// Document-level counters.
-	DocsTotal    Counter // documents matched (all entry points)
-	DocErrors    Counter // documents rejected by the parser
-	DocBytes     Counter // XML bytes parsed
-	PathsTotal   Counter // root-to-leaf paths matched
-	MatchesTotal Counter // matching SIDs reported
-	SlowDocs     Counter // documents over the slow-document threshold
+	DocsTotal     Counter // documents matched (all entry points)
+	DocErrors     Counter // documents rejected by the parser
+	DocBytes      Counter // XML bytes parsed
+	PathsTotal    Counter // root-to-leaf paths matched
+	PathsDistinct Counter // paths that survived per-document dedup
+	MatchesTotal  Counter // matching SIDs reported
+	SlowDocs      Counter // documents over the slow-document threshold
 
 	// Parse-path counters: documents served end-to-end by the zero-copy
 	// scanner fast path, and documents the fast path handed to the
@@ -90,7 +91,7 @@ type Set struct {
 // equal.
 type Scrape struct {
 	DocsTotal, DocErrors, DocBytes, PathsTotal, MatchesTotal, SlowDocs int64
-	ParseScanDocs, ParseFallbackDocs                                   int64
+	PathsDistinct, ParseScanDocs, ParseFallbackDocs                    int64
 	Parse, Cache, PredMatch, Occur, Match, WALAppend, Snapshot         HistSnapshot
 	StreamQueueDepth, StreamJobs, StreamBatches                        int64
 	StreamBusy                                                         []int64 // per worker, nanoseconds
@@ -159,7 +160,7 @@ func (s *Set) Scrape() Scrape {
 	sc := Scrape{
 		DocsTotal: s.DocsTotal.Load(), DocErrors: s.DocErrors.Load(), DocBytes: s.DocBytes.Load(),
 		PathsTotal: s.PathsTotal.Load(), MatchesTotal: s.MatchesTotal.Load(), SlowDocs: s.SlowDocs.Load(),
-		ParseScanDocs: s.ParseScanDocs.Load(), ParseFallbackDocs: s.ParseFallbackDocs.Load(),
+		PathsDistinct: s.PathsDistinct.Load(), ParseScanDocs: s.ParseScanDocs.Load(), ParseFallbackDocs: s.ParseFallbackDocs.Load(),
 		Parse: s.Parse.Snapshot(), Cache: s.Cache.Snapshot(), PredMatch: s.PredMatch.Snapshot(), Occur: s.Occur.Snapshot(),
 		Match: s.Match.Snapshot(), WALAppend: s.WALAppend.Snapshot(), Snapshot: s.Snapshot.Snapshot(),
 		StreamQueueDepth: s.StreamQueueDepth.Load(), StreamJobs: s.StreamJobs.Load(),

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 	"unsafe"
@@ -113,16 +114,52 @@ type builder struct {
 	// the next document, so no value string may outlive the scan.
 	attrs  []Attr
 	vbuf   []byte
-	attrLo int // where the element being opened starts in attrs
+	attrLo int    // where the element being opened starts in attrs
+	attrH  uint64 // the fold of its attributes so far (attrStep)
+
+	// The name table in front of xmlscan.Names: each name this builder
+	// has interned, with its hash, so neither is computed twice.
+	names     map[string]name
+	nameBytes int
 
 	nextID, paths, tuples int
 	col                   collector
 }
 
-type frame struct{ children, attrLo int }
+// frame is an open element's state beyond its tuple.
+type frame struct {
+	children, attrLo int
+	shape, key       uint64
+}
+
+// name is a name-table entry: the canonical string and its hash.
+type name struct {
+	s string
+	h uint64
+}
+
+// A builder's name table holds one vocabulary; a run of fresh names that
+// overflows it starts it afresh.
+const maxNames, maxNameBytes = 1 << 10, 1 << 15
+
+// intern returns the canonical name equal to raw, with its hash.
+func (b *builder) intern(raw []byte) name {
+	if n, ok := b.names[string(raw)]; ok {
+		return n
+	}
+	if len(b.names) >= maxNames || b.nameBytes >= maxNameBytes {
+		clear(b.names)
+		b.nameBytes = 0
+	}
+	s := xmlscan.Names.Intern(raw)
+	n := name{s, hashString(s)}
+	b.names[n.s] = n
+	b.nameBytes += len(n.s)
+	return n
+}
 
 var builders = sync.Pool{New: func() any {
-	b := new(builder)
+	b := &builder{names: make(map[string]name, 256)} // sized for a DTD's vocabulary
 	b.col.b = b
 	return b
 }}
@@ -181,27 +218,33 @@ func (b *builder) open(lim guard.Limits) error {
 	if d := len(b.frames); lim.MaxDepth > 0 && d >= lim.MaxDepth {
 		return guard.ParseError(guard.Depth, int64(lim.MaxDepth), int64(d+1))
 	}
-	b.attrLo = len(b.attrs)
+	b.attrLo, b.attrH = len(b.attrs), 0
 	return nil
 }
 
 // attr adds an attribute of the element being opened, whose value was just
 // appended to vbuf from lo.
-func (b *builder) attr(name string, lo int) {
+func (b *builder) attr(n name, lo int) {
 	v := b.vbuf[lo:]
-	b.attrs = append(b.attrs, Attr{Name: name, Value: unsafe.String(unsafe.SliceData(v), len(v))})
+	value := unsafe.String(unsafe.SliceData(v), len(v))
+	b.attrs = append(b.attrs, Attr{Name: n.s, Value: value})
+	b.attrH = attrStep(b.attrH, n.h, value)
 }
 
 // push opens the element: its tuple's position, occurrence number (by
 // counting the open ancestors with the same tag — interned tags compare
-// pointer-fast), node id and child index serve every path through it.
-func (b *builder) push(tag string) {
+// pointer-fast), node id and child index, and its path's Shape and Key,
+// serve every path through it.
+func (b *builder) push(t name) {
 	n := len(b.frames)
-	childIdx := 1
+	tag, childIdx := t.s, 1
+	var shape, key uint64
 	if n > 0 {
-		b.frames[n-1].children++
-		childIdx = b.frames[n-1].children
+		p := &b.frames[n-1]
+		p.children++
+		childIdx, shape, key = p.children, p.shape, p.key
 	}
+	shape, key = elemStep(shape, key, t.h, b.attrH)
 	occ := 1
 	for i := range b.pub.Tuples {
 		if b.pub.Tuples[i].Tag == tag {
@@ -213,7 +256,7 @@ func (b *builder) push(tag string) {
 		attrs = b.attrs[b.attrLo:hi:hi]
 	}
 	b.pub.Tuples = append(b.pub.Tuples, Tuple{Tag: tag, Pos: n + 1, Occ: occ, NodeID: b.nextID, ChildIdx: childIdx, Attrs: attrs})
-	b.frames = append(b.frames, frame{attrLo: b.attrLo})
+	b.frames = append(b.frames, frame{attrLo: b.attrLo, shape: shape, key: key})
 	b.nextID++
 }
 
@@ -230,7 +273,7 @@ func (b *builder) close(lim guard.Limits) error {
 			return guard.ParseError(guard.Tuples, int64(lim.MaxTuples), int64(b.tuples))
 		}
 		b.paths++
-		b.pub.Length = n
+		b.pub.Length, b.pub.Shape, b.pub.Key = n, b.frames[n-1].shape, b.frames[n-1].key
 		b.v.Path(&b.pub)
 	}
 	b.frames, b.pub.Tuples = b.frames[:n-1], b.pub.Tuples[:n-1]
@@ -258,9 +301,9 @@ func (b *builder) scan(lim guard.Limits) error {
 				if b.vbuf, err = xmlscan.AppendUnescaped(b.vbuf, a.Value); err != nil {
 					return err
 				}
-				b.attr(xmlscan.Names.Intern(a.Name), lo)
+				b.attr(b.intern(a.Name), lo)
 			}
-			b.push(xmlscan.Names.Intern(b.sc.Name))
+			b.push(b.intern(b.sc.Name))
 		case xmlscan.End:
 			switch n := len(b.frames); {
 			case n == 0 && b.nextID > 0:
@@ -312,9 +355,9 @@ func (b *builder) std(data []byte, lim guard.Limits) error {
 			for _, a := range t.Attr {
 				lo := len(b.vbuf)
 				b.vbuf = append(b.vbuf, a.Value...)
-				b.attr(a.Name.Local, lo)
+				b.attr(name{a.Name.Local, hashString(a.Name.Local)}, lo)
 			}
-			b.push(t.Name.Local)
+			b.push(name{t.Name.Local, hashString(t.Name.Local)})
 		case xml.EndElement:
 			if len(b.frames) == 0 {
 				if b.rootClosed() {
@@ -335,7 +378,7 @@ type collector struct {
 	b      *builder
 	tuples []Tuple
 	attrAt []int
-	ends   []int // cumulative tuple count at the end of each path
+	paths  []Publication // each path's length and hashes, without its tuples
 }
 
 func (c *collector) Path(pub *Publication) {
@@ -343,11 +386,11 @@ func (c *collector) Path(pub *Publication) {
 	for i := range pub.Tuples {
 		c.attrAt = append(c.attrAt, c.b.frames[i].attrLo)
 	}
-	c.ends = append(c.ends, len(c.tuples))
+	c.paths = append(c.paths, Publication{Length: pub.Length, Shape: pub.Shape, Key: pub.Key})
 }
 
 func (c *collector) Restart() {
-	c.tuples, c.attrAt, c.ends = c.tuples[:0], c.attrAt[:0], c.ends[:0]
+	c.tuples, c.attrAt, c.paths = c.tuples[:0], c.attrAt[:0], c.paths[:0]
 }
 
 // finalize copies the collected paths out of the pool into a Document in a
@@ -373,10 +416,11 @@ func (c *collector) finalize(elements int) *Document {
 		}
 		tuples[i] = t
 	}
-	paths := make([]Publication, len(c.ends))
+	paths := slices.Clone(c.paths)
 	lo := 0
-	for p, hi := range c.ends {
-		paths[p] = Publication{Length: hi - lo, Tuples: tuples[lo:hi:hi]}
+	for p := range paths {
+		hi := lo + paths[p].Length
+		paths[p].Tuples = tuples[lo:hi:hi]
 		lo = hi
 	}
 	return &Document{Paths: paths, Elements: elements}

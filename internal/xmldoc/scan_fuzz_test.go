@@ -31,6 +31,9 @@ func FuzzScanEquivalence(f *testing.F) {
 		if errS == nil && !reflect.DeepEqual(ds, dx) {
 			t.Fatalf("document divergence:\n  scan: %+v\n  std:  %+v", ds, dx)
 		}
+		if errS == nil {
+			checkHashes(t, ds, dx)
+		}
 
 		// Under tight structural limits both paths must trip identically.
 		lim := guard.Limits{MaxDepth: 4, MaxPaths: 4, MaxTuples: 12, MaxDocBytes: 96}
@@ -46,4 +49,18 @@ func FuzzScanEquivalence(f *testing.F) {
 			t.Fatalf("limited accept/reject divergence:\n  scan: %v\n  std:  %v", errS, errX)
 		}
 	})
+}
+
+// checkHashes: every path's Shape and Key from the scanner equal the
+// ModeStd loop's and Rehash's.
+func checkHashes(t *testing.T, ds, dx *Document) {
+	t.Helper()
+	for i := range ds.Paths {
+		p, x := &ds.Paths[i], &dx.Paths[i]
+		r := *p
+		r.Rehash()
+		if p.Shape != x.Shape || p.Key != x.Key || p.Shape != r.Shape || p.Key != r.Key {
+			t.Fatalf("path %d %s: scan %x/%x, std %x/%x, Rehash %x/%x", i, p, p.Shape, p.Key, x.Shape, x.Key, r.Shape, r.Key)
+		}
+	}
 }

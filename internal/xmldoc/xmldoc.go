@@ -17,6 +17,7 @@
 package xmldoc
 
 import (
+	"hash/maphash"
 	"strings"
 	"time"
 
@@ -56,10 +57,49 @@ func (t *Tuple) Attr(name string) (string, bool) {
 }
 
 // Publication is the encoding of a single document path
-// {(length, n), (t1, 1), ..., (tn, n)}.
+// {(length, n), (t1, 1), ..., (tn, n)}. Its identity in the process is
+// Shape, a hash of the tag sequence, and Key, of the tags with every
+// attribute name and value; a scan builds both once per element from the
+// parent's, every constructor fills them, and Rehash follows tuple edits.
 type Publication struct {
-	Length int
-	Tuples []Tuple
+	Length     int
+	Tuples     []Tuple
+	Shape, Key uint64
+}
+
+// Rehash recomputes Shape and Key from the tuples.
+func (p *Publication) Rehash() {
+	p.Shape, p.Key = 0, 0
+	for _, t := range p.Tuples {
+		var attrs uint64
+		for _, a := range t.Attrs {
+			attrs = attrStep(attrs, hashString(a.Name), a.Value)
+		}
+		p.Shape, p.Key = elemStep(p.Shape, p.Key, hashString(t.Tag), attrs)
+	}
+}
+
+var seed = maphash.MakeSeed()
+
+// hashString hashes a name or an attribute value.
+func hashString(s string) uint64 { return maphash.String(seed, s) }
+
+// mix is the splitmix64 finalizer: every input bit flips each output bit
+// with probability about ½, so distinct paths collide with odds ≈ 2⁻⁶⁴.
+func mix(h uint64) uint64 {
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
+// elemStep extends a parent's Shape and Key by one element's tag and attributes.
+func elemStep(shape, key, tag, attrs uint64) (uint64, uint64) {
+	return mix(shape + tag), mix(mix(key+tag) + attrs)
+}
+
+// attrStep folds one attribute, in document order, into its element's hash.
+func attrStep(h, name uint64, value string) uint64 {
+	return mix(mix(h+name) + hashString(value))
 }
 
 // String renders the path as /t1/t2/.../tn.
@@ -115,6 +155,7 @@ func FromPaths(paths ...[]string) *Document {
 			pub.Tuples[i] = Tuple{Tag: tag, Pos: i + 1, Occ: occ[tag], NodeID: nextID, ChildIdx: 1}
 			nextID++
 		}
+		pub.Rehash()
 		doc.Paths = append(doc.Paths, pub)
 		doc.Elements += len(tags)
 	}

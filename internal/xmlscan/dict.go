@@ -1,9 +1,6 @@
 package xmlscan
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Dict is an interned-name dictionary shared across documents: Intern maps
 // equal byte sequences to one canonical string, so a tag or attribute name
@@ -12,41 +9,30 @@ import (
 // tag-equality comparisons of path extraction and occurrence counting
 // pointer-equal in the common case.
 //
-// The dictionary is striped to keep concurrent parsers off one lock, and
-// capped: DTD-driven workloads have small closed vocabularies, so an input
-// that keeps minting fresh names (an adversary, or name-like garbage) is
-// served plain copies once the cap is reached instead of growing the
+// The dictionary is one map under one mutex: each pooled xmldoc builder
+// keeps its own name table in front of it, so a name reaches the shared
+// dictionary once per builder, not once per element. It is capped:
+// DTD-driven workloads have small closed vocabularies, so an input that
+// keeps minting fresh names (an adversary, or name-like garbage) is served
+// plain copies once the cap is reached instead of growing the
 // process-lifetime table without bound.
 type Dict struct {
-	shards  [dictShards]dictShard
-	entries atomic.Int64
-	bytes   atomic.Int64
+	mu    sync.Mutex
+	m     map[string]string
+	bytes int
 }
 
+// maxDictEntries / maxDictBytes bound the process-lifetime table. The
+// built-in DTD vocabularies are a few hundred names; real-world
+// vocabularies are thousands. Past the cap Intern degrades to a plain
+// per-call copy (correct, just unshared).
 const (
-	dictShards = 16 // power of two; shard picked by name hash
-
-	// maxDictEntries / maxDictBytes bound the process-lifetime table. The
-	// built-in DTD vocabularies are a few hundred names; real-world
-	// vocabularies are thousands. Past the cap Intern degrades to a plain
-	// per-call copy (correct, just unshared).
 	maxDictEntries = 1 << 15
 	maxDictBytes   = 1 << 21
 )
 
-type dictShard struct {
-	mu sync.RWMutex
-	m  map[string]string
-}
-
 // NewDict returns an empty dictionary.
-func NewDict() *Dict {
-	d := &Dict{}
-	for i := range d.shards {
-		d.shards[i].m = make(map[string]string)
-	}
-	return d
-}
+func NewDict() *Dict { return &Dict{m: make(map[string]string)} }
 
 // Names is the package-wide dictionary used by default: tag vocabulary is
 // a property of the schema, not of one parser instance, so sharing across
@@ -61,38 +47,15 @@ func (d *Dict) Intern(b []byte) string {
 	if len(b) == 0 {
 		return ""
 	}
-	// FNV-1a over the name picks the shard.
-	h := uint32(2166136261)
-	for _, c := range b {
-		h = (h ^ uint32(c)) * 16777619
-	}
-	s := &d.shards[h&(dictShards-1)]
-
-	s.mu.RLock()
-	v, ok := s.m[string(b)]
-	s.mu.RUnlock()
-	if ok {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if v, ok := d.m[string(b)]; ok {
 		return v
 	}
-
-	if d.entries.Load() >= maxDictEntries || d.bytes.Load() >= maxDictBytes {
-		return string(b)
+	v := string(b)
+	if len(d.m) < maxDictEntries && d.bytes < maxDictBytes {
+		d.m[v] = v
+		d.bytes += len(v)
 	}
-	v = string(b)
-	s.mu.Lock()
-	if w, ok := s.m[v]; ok {
-		v = w
-	} else {
-		s.m[v] = v
-		d.entries.Add(1)
-		d.bytes.Add(int64(len(v)))
-	}
-	s.mu.Unlock()
 	return v
 }
-
-// Len returns the number of interned names.
-func (d *Dict) Len() int { return int(d.entries.Load()) }
-
-// Bytes returns the total size of the interned names.
-func (d *Dict) Bytes() int64 { return d.bytes.Load() }

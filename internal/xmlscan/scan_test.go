@@ -164,11 +164,11 @@ func TestDictInterns(t *testing.T) {
 	if a != "headline" || b != "headline" {
 		t.Fatalf("Intern: %q %q", a, b)
 	}
-	if d.Len() != 1 {
-		t.Fatalf("Len = %d", d.Len())
+	if len(d.m) != 1 {
+		t.Fatalf("entries = %d", len(d.m))
 	}
-	if d.Bytes() != int64(len("headline")) {
-		t.Fatalf("Bytes = %d", d.Bytes())
+	if d.bytes != len("headline") {
+		t.Fatalf("bytes = %d", d.bytes)
 	}
 	if got := d.Intern(nil); got != "" {
 		t.Fatalf("Intern(nil) = %q", got)

@@ -3,15 +3,20 @@ package predfilter_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"log/slog"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"predfilter"
+	"predfilter/internal/dtd"
 	"predfilter/internal/metrics"
+	"predfilter/internal/xmldoc"
+	"predfilter/internal/xmlgen"
 )
 
 // TestHitRateEdgeCases pins the PathCacheStats.HitRate contract: 0 before
@@ -312,4 +317,66 @@ func TestStageStatsEmptyHistograms(t *testing.T) {
 	check("match", st.Match)
 	check("wal_append", st.WALAppend)
 	check("snapshot", st.Snapshot)
+}
+
+// TestPathsDistinctCounted: predfilter_paths_distinct_total counts the
+// paths each document keeps after dedup of repeated paths — its distinct
+// tag sequences, or its distinct tag-and-attribute sequences once a
+// registered expression filters on an attribute — and two runs over the
+// same documents read the same value.
+func TestPathsDistinctCounted(t *testing.T) {
+	docs := xmlgen.New(dtd.NITF(), xmlgen.Config{Seed: 3}).GenerateN(20)
+	var wants []int
+	for _, xpes := range [][]string{{"/nitf/body"}, {"/nitf/body", "//meta[@name=urgency]"}} {
+		attrs := len(xpes) > 1
+		want := 0
+		for _, data := range docs {
+			doc, err := xmldoc.Parse(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := map[string]bool{}
+			for i := range doc.Paths {
+				var b strings.Builder
+				for _, tu := range doc.Paths[i].Tuples {
+					fmt.Fprintf(&b, "/%q", tu.Tag)
+					for _, a := range tu.Attrs {
+						if attrs {
+							fmt.Fprintf(&b, "[%q=%q]", a.Name, a.Value)
+						}
+					}
+				}
+				keys[b.String()] = true
+			}
+			want += len(keys)
+		}
+		wants = append(wants, want)
+		for run := 0; run < 2; run++ {
+			eng := predfilter.New(predfilter.Config{})
+			if _, err := eng.AddAll(xpes); err != nil {
+				t.Fatal(err)
+			}
+			for _, data := range docs {
+				if _, err := eng.Match(data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var b bytes.Buffer
+			if err := eng.WriteMetrics(&b); err != nil {
+				t.Fatal(err)
+			}
+			const family = "predfilter_paths_distinct_total "
+			i := strings.Index(b.String(), "\n"+family)
+			if i < 0 {
+				t.Fatalf("no %s sample", family)
+			}
+			got := strings.SplitN(b.String()[i+1+len(family):], "\n", 2)[0]
+			if got != strconv.Itoa(want) {
+				t.Fatalf("%v, run %d: %s%s, want %d distinct paths", xpes, run, family, got, want)
+			}
+		}
+	}
+	if wants[1] <= wants[0] {
+		t.Fatalf("attribute values split no path: %d distinct paths by tags, %d with attributes", wants[0], wants[1])
+	}
 }
