@@ -276,6 +276,13 @@ func FuzzMatchScanned(f *testing.F) {
 	} {
 		f.Add([]byte("<r>" + chain + late))
 	}
+	for _, s := range []string{ // one shape repeated, attributes varying at every depth
+		`<r><a x="2"><b/></a><a><b x="00"/></a><a x="1"><b x="1"/></a><a x="2"><b y="1"/></a></r>`,
+		`<a x="3"><a v="00"><b/><b x="1"/></a><a v="2" x="1"><b x="3"/><b/></a></a>`,
+		`<a x="2"><b x="1"><b v="1"><p k="1"/><p/></b><b v="0"><p k=""/></b></b><b><b x="1"><p/></b></b></a>`,
+	} {
+		f.Add([]byte(s))
+	}
 	nitf, err := workload.Expressions(workload.NITF(), 24, workload.ExpressionConfig{MaxLength: 6, Wildcard: 0.2, Descendant: 0.2, Filters: 1, Seed: 3})
 	if err != nil {
 		f.Fatal(err)

@@ -2,8 +2,10 @@ package matcher
 
 import (
 	"math/bits"
+	"slices"
 	"strings"
 	"time"
+	"unsafe"
 
 	"predfilter/internal/bitset"
 	"predfilter/internal/guard"
@@ -79,7 +81,9 @@ import (
 // and then takes the hit's tail, so there is one cached path. Structural
 // candidates evaluate against a clean matched buffer (sc.matched2) with
 // mark logging on, so the cached outcome never absorbs marks from earlier
-// paths of the same document.
+// paths of the same document. A later path of a shape the document ran
+// already reuses the shape's record (shapeRec) instead of probing, and
+// re-decides only the tests of tuples whose node changed.
 //
 // Registration changes (cacheEffect). An entry is a function of its
 // signature and the set of distinct expressions, so a change of SIDs —
@@ -201,11 +205,15 @@ func (m *Matcher) canMatch(e *expr, tags []string) bool {
 
 // matchPathCached is the cache-enabled body of matchPath, entered after
 // the dedup check: the one cached path, on the columnar organization.
-// Callers hold the read lock with the columnar index caught up. The
-// path's Shape picks the cache shard; the signature decides the entry. A
-// miss runs stage 1 and builds the entry; hit and miss then both run the
-// entry.
+// Callers hold the read lock with the columnar index caught up. A shape
+// the document ran already takes its record's entry, with no cache stage;
+// else the Shape picks the cache shard and the signature the entry, and a
+// miss runs stage 1 and builds it. Every path then runs its entry.
 func (m *Matcher) matchPathCached(sc *scratch, cs *colScratch, pub *xmldoc.Publication, bd *Breakdown, t0 time.Time, bud *guard.Budget) {
+	if r := sc.record(pub); r != nil {
+		m.runEntry(sc, cs.ci, r, false, pub, bd, t0, bud)
+		return
+	}
 	sc.sig = appendPubSig(sc.sig[:0], pub)
 	ent, ok := m.cache.Get(pub.Shape, sc.sig)
 	// Signature build + lookup is the cache stage; predicate work
@@ -232,21 +240,57 @@ func (m *Matcher) matchPathCached(sc *scratch, cs *colScratch, pub *xmldoc.Publi
 		tc = time.Now()
 		bd.ExprMatch += tc.Sub(t1)
 	}
-	m.runEntry(sc, cs.ci, ent, pub, bd, tc, bud)
+	m.runEntry(sc, cs.ci, sc.newRecord(pub, ent), true, pub, bd, tc, bud)
+}
+
+// shapeRec is the document's record of one path shape whose entry ran. Its
+// tuples' tags and occurrences confirm a later path's signature exactly;
+// their attributes are the storage the tests were last decided on.
+type shapeRec struct {
+	ent    *pathcache.Entry
+	length int
+	tuples []xmldoc.Tuple
+	pass   []uint64
+}
+
+// record returns the document's record of pub's shape, or nil when there
+// is none or it differs from pub's signature.
+func (sc *scratch) record(pub *xmldoc.Publication) *shapeRec {
+	i, ok := sc.shapes[pub.Shape]
+	if !ok || sc.recs[i].length != pub.Length || len(sc.recs[i].tuples) != len(pub.Tuples) {
+		return nil
+	}
+	for k, rt := range sc.recs[i].tuples {
+		if t := &pub.Tuples[k]; t.Tag != rt.Tag || t.Occ != rt.Occ {
+			return nil
+		}
+	}
+	return &sc.recs[i]
+}
+
+// newRecord records pub's shape as running ent, in the scratch's slabs.
+func (sc *scratch) newRecord(pub *xmldoc.Publication, ent *pathcache.Entry) *shapeRec {
+	lo, plo := len(sc.recTuples), len(sc.recPass)
+	sc.recTuples = append(sc.recTuples, pub.Tuples...)
+	if ent.Prog != nil {
+		sc.recPass = append(sc.recPass, make([]uint64, bitset.Words(len(ent.Prog.Tests)))...)
+	}
+	sc.shapes[pub.Shape] = int32(len(sc.recs))
+	sc.recs = append(sc.recs, shapeRec{ent: ent, length: pub.Length, tuples: sc.recTuples[lo:], pass: sc.recPass[plo:]})
+	return &sc.recs[len(sc.recs)-1]
 }
 
 // runEntry is the cache hit: it folds the entry's contribution for the
-// current path into sc — the structural outcome as it stands, the
-// value-dependent units through the program or, where the entry has none,
-// through the replayed transcript and evalExpr. A miss ends here too, on
-// the entry it just built. t is when the caller last read the clock.
-func (m *Matcher) runEntry(sc *scratch, ci *colIndex, ent *pathcache.Entry, pub *xmldoc.Publication, bd *Breakdown, t time.Time, bud *guard.Budget) {
+// current path into sc — the structural outcome on the shape's first
+// path, the value-dependent units through the program or, where the entry
+// has none, through the replayed transcript and evalExpr. A miss ends here
+// too, on the entry it just built. t is when the caller last read the clock.
+func (m *Matcher) runEntry(sc *scratch, ci *colIndex, r *shapeRec, first bool, pub *xmldoc.Publication, bd *Breakdown, t time.Time, bud *guard.Budget) {
 	// Predicate stage: the document's attribute values against the
 	// program's tests, or against the transcript's residual hits.
-	p := ent.Prog
-	var pass []uint64
+	ent, p := r.ent, r.ent.Prog
 	if p != nil {
-		pass = m.progTests(sc, p, pub)
+		m.progTests(sc, r, first, pub)
 	} else if len(ent.Plan) > 0 || len(m.nested) > 0 {
 		sc.res.Reset(m.ix.Len())
 		m.ix.Replay(&ent.Rec, pub, sc.res)
@@ -255,14 +299,16 @@ func (m *Matcher) runEntry(sc *scratch, ci *colIndex, ent *pathcache.Entry, pub 
 	bd.PredMatch += t1.Sub(t)
 
 	// Expression stage.
-	for _, id := range ent.Outcome {
-		sc.matched[id] = true
+	if first {
+		for _, id := range ent.Outcome {
+			sc.matched[id] = true
+		}
 	}
 	if p != nil {
 		// Charged like the sweep, a step per 64 operations: an entry's
 		// tests and marks are bounded by the units a scalar loop would
 		// have evaluated at one step or more apiece.
-		if n := int64((len(p.Tests) + progUnits(sc, p, pass)) >> 6); n > 0 {
+		if n := int64((len(p.Tests) + progUnits(sc, p, r.pass)) >> 6); n > 0 {
 			bud.StepN(n)
 		}
 	}
@@ -284,17 +330,29 @@ func (m *Matcher) runEntry(sc *scratch, ci *colIndex, ent *pathcache.Entry, pub 
 	bd.ExprMatch += time.Since(t1)
 }
 
-// progTests evaluates every distinct test of the program once, into a
-// bitset of a few words.
-func (m *Matcher) progTests(sc *scratch, p *pathcache.Program, pub *xmldoc.Publication) []uint64 {
-	sc.pass = sized(sc.pass, bitset.Words(len(p.Tests)))
-	clear(sc.pass)
-	for i := range p.Tests {
-		if f := &p.Tests[i]; m.ix.Vals.Holds(f.Test, &pub.Tuples[f.Tuple], &sc.res.Vals) {
-			bitset.Set(sc.pass, i)
+// progTests decides the program's tests into the record's pass bits, a
+// tuple's block at a time, only on the shape's first path or another node:
+// Holds reads nothing of a tuple but its attribute storage.
+func (m *Matcher) progTests(sc *scratch, r *shapeRec, first bool, pub *xmldoc.Publication) {
+	tests := r.ent.Prog.Tests
+	for i := 0; i < len(tests); {
+		k := tests[i].Tuple
+		t, seen := &pub.Tuples[k], &r.tuples[k]
+		fresh := first || unsafe.SliceData(seen.Attrs) != unsafe.SliceData(t.Attrs) || len(seen.Attrs) != len(t.Attrs)
+		seen.Attrs = t.Attrs
+		for ; i < len(tests) && tests[i].Tuple == k; i++ {
+			if !fresh {
+				continue
+			}
+			bitset.Clear(r.pass, i)
+			if len(t.Attrs) > 0 { // else the test fails unevaluated
+				sc.tests++
+				if m.ix.Vals.Holds(tests[i].Test, t, &sc.res.Vals) {
+					bitset.Set(r.pass, i)
+				}
+			}
 		}
 	}
-	return sc.pass
 }
 
 // progUnits walks the units under the tests that passed, marks those whose
@@ -426,6 +484,20 @@ func (m *Matcher) compileProgram(sc *scratch, cs *colScratch) *pathcache.Program
 			p.More = append(append(p.More, need[1:]...), -1)
 		}
 	}
+	// Renumber the tests in tuple order, a tuple's tests one block (progTests).
+	tests := slices.Clone(p.Tests) // exact: retained
+	slices.SortStableFunc(tests, func(a, b pathcache.ProgTest) int { return int(a.Tuple - b.Tuple) })
+	for i, pt := range tests {
+		testIx[pt] = int32(i)
+	}
+	for k := range first {
+		first[k] = testIx[p.Tests[first[k]]]
+	}
+	for i, j := range p.More {
+		if j >= 0 {
+			p.More[i] = testIx[p.Tests[j]]
+		}
+	}
 	// Counting sort of the units by first test.
 	p.Start = make([]int32, len(p.Tests)+1)
 	for _, i := range first {
@@ -440,6 +512,6 @@ func (m *Matcher) compileProgram(sc *scratch, cs *colScratch) *pathcache.Program
 		p.Units[next[first[k]]] = u
 		next[first[k]]++
 	}
-	p.Tests, p.More = append([]pathcache.ProgTest(nil), p.Tests...), append([]int32(nil), p.More...) // exact: retained
+	p.Tests, p.More = tests, append([]int32(nil), p.More...) // exact: retained
 	return p
 }

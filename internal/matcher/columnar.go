@@ -383,7 +383,7 @@ func (m *Matcher) MatchScanned(docs []ScanDoc, lim guard.Limits) {
 			d.SIDs, d.Err = m.end(sc, d.Emit)
 		}
 		d.Bd = sc.bd
-		distinct := sc.paths
+		distinct, tests := sc.paths, sc.tests
 		m.pool.Put(sc)
 		now := time.Now()
 		d.Bd.Total = wait + d.Bd.Cache + d.Bd.PredMatch + d.Bd.ExprMatch + d.Bd.Other
@@ -400,7 +400,7 @@ func (m *Matcher) MatchScanned(docs []ScanDoc, lim guard.Limits) {
 			d.SIDs = nil
 			continue
 		}
-		m.observe(&d.Bd, d.Scan.Paths, distinct, d.Matches())
+		m.observe(&d.Bd, d.Scan.Paths, distinct, tests, d.Matches())
 	}
 }
 

@@ -724,14 +724,19 @@ type scratch struct {
 
 	// Path-cache working state (see cache.go). matched2 is kept all-false
 	// between uses: cache misses evaluate structural units against it with
-	// logging on, then undo exactly the logged marks. pass holds a hit
-	// program's test results.
-	sig      []byte
-	rec      predindex.Recording
-	matched2 []bool
-	log      []int32
-	logging  bool
-	pass     []uint64
+	// logging on, then undo exactly the logged marks. shapes indexes the
+	// document's shape records by Shape; tests counts the attribute tests
+	// hit programs evaluated.
+	sig       []byte
+	rec       predindex.Recording
+	matched2  []bool
+	log       []int32
+	logging   bool
+	shapes    map[uint64]int32
+	recs      []shapeRec
+	recTuples []xmldoc.Tuple
+	recPass   []uint64
+	tests     int
 }
 
 // mark sets an expression (or group-representative) matched flag, logging
@@ -785,20 +790,28 @@ func (m *Matcher) getScratch(cs *colScratch, bud *guard.Budget) *scratch {
 		sc.ncands = make(map[*nestedNode][]nestedCand)
 	}
 	if sc.seen == nil {
-		sc.seen = make(map[uint64]struct{})
+		// The shape slabs start at a large document's size: a fresh scratch
+		// (the pool drops them at GC) does not grow them step by step.
+		sc.seen, sc.shapes = make(map[uint64]struct{}), make(map[uint64]int32, 32)
+		sc.recs, sc.recTuples, sc.recPass = make([]shapeRec, 0, 32), make([]xmldoc.Tuple, 0, 256), make([]uint64, 0, 128)
 	}
 	sc.reset()
 	return sc
 }
 
-// reset starts the document afresh: no marks, paths seen, nested-path
-// candidates or resolved values (the ranks may be new), no stage time.
+// reset starts the document afresh: no marks, paths seen, shape records
+// (pointers cleared), nested-path candidates or resolved values (the ranks
+// may be new), no stage time.
 func (sc *scratch) reset() {
 	clear(sc.matched)
 	clear(sc.seen)
 	clear(sc.ncands)
+	clear(sc.shapes)
+	clear(sc.recs)
+	clear(sc.recTuples)
+	sc.recs, sc.recTuples, sc.recPass = sc.recs[:0], sc.recTuples[:0], sc.recPass[:0]
 	sc.res.Vals.Reset()
-	sc.out, sc.paths = sc.out[:0], 0
+	sc.out, sc.paths, sc.tests = sc.out[:0], 0, 0
 	sc.bd = Breakdown{}
 }
 
@@ -1002,7 +1015,7 @@ func (m *Matcher) matchDoc(cs *colScratch, doc *xmldoc.Document, bud *guard.Budg
 	bd := sc.bd
 	if err == nil {
 		bd.Total = time.Since(t0)
-		m.observe(&bd, len(doc.Paths), sc.paths, len(out))
+		m.observe(&bd, len(doc.Paths), sc.paths, sc.tests, len(out))
 	}
 	return out, bd, err
 }
@@ -1021,9 +1034,9 @@ func (m *Matcher) end(sc *scratch, em *Emit) ([]SID, error) {
 }
 
 // observe folds one document's stage breakdown, whole-match duration and
-// path counts into the metric set. The recording contract is zero
-// allocations, so this is safe on every match path.
-func (m *Matcher) observe(bd *Breakdown, paths, distinct, matches int) {
+// path and attribute-test counts into the metric set. The recording
+// contract is zero allocations, so this is safe on every match path.
+func (m *Matcher) observe(bd *Breakdown, paths, distinct, tests, matches int) {
 	if m.mx == nil {
 		return
 	}
@@ -1039,6 +1052,7 @@ func (m *Matcher) observe(bd *Breakdown, paths, distinct, matches int) {
 	m.mx.DocsTotal.Inc()
 	m.mx.PathsTotal.Add(int64(paths))
 	m.mx.PathsDistinct.Add(int64(distinct))
+	m.mx.AttrTests.Add(int64(tests))
 	m.mx.MatchesTotal.Add(int64(matches))
 }
 

@@ -14,6 +14,7 @@ var EngineRows = []Row[Scrape]{
 	{Name: "predfilter_doc_bytes_total", Kind: "counter", Help: "XML bytes parsed.", JSON: "doc_bytes", On: OnStats, Read: func(s *Scrape, e Emit) { e(s.DocBytes) }},
 	{Name: "predfilter_paths_total", Kind: "counter", Help: "Root-to-leaf paths matched.", JSON: "paths", On: OnStats, Read: func(s *Scrape, e Emit) { e(s.PathsTotal) }},
 	{Name: "predfilter_paths_distinct_total", Kind: "counter", Help: "Paths matched after per-document dedup of repeated paths.", Read: func(s *Scrape, e Emit) { e(s.PathsDistinct) }},
+	{Name: "predfilter_attr_tests_total", Kind: "counter", Help: "Attribute tests evaluated by path-cache hit programs; outcomes reused for an unchanged node are not counted.", Read: func(s *Scrape, e Emit) { e(s.AttrTests) }},
 	{Name: "predfilter_matches_total", Kind: "counter", Help: "Matching expression identifiers reported.", JSON: "matches", On: OnStats, Read: func(s *Scrape, e Emit) { e(s.MatchesTotal) }},
 	{Name: "predfilter_slow_docs_total", Kind: "counter", Help: "Documents over the slow-document threshold.", JSON: "slow_docs", On: OnStats, Read: func(s *Scrape, e Emit) { e(s.SlowDocs) }},
 	{Name: "predfilter_parse_docs_total", Kind: "counter", Help: "Documents by parse path: the zero-copy scanner fast path vs the encoding/xml fallback.", Labels: []string{"path"},
@@ -32,7 +33,7 @@ var EngineRows = []Row[Scrape]{
 	{Name: "predfilter_distinct_expressions", Kind: "gauge", Help: "Distinct expressions with a live subscription, after dedup.", JSON: "distinct_expressions", On: OnStats, Read: func(s *Scrape, e Emit) { e(s.DistinctExpressions) }},
 	{Name: "predfilter_distinct_predicates", Kind: "gauge", Help: "Size of the shared predicate index.", JSON: "distinct_predicates", On: OnStats, Read: func(s *Scrape, e Emit) { e(s.DistinctPredicates) }},
 	{Name: "predfilter_nested_expressions", Kind: "gauge", Help: "Distinct expressions with nested path filters.", JSON: "nested_expressions", On: OnStats, Read: func(s *Scrape, e Emit) { e(s.NestedExpressions) }},
-	cacheRow("predfilter_path_cache_hits_total", "counter", "Path-signature cache hits.", "hits", func(c *PathCache) any { return c.Hits }),
+	cacheRow("predfilter_path_cache_hits_total", "counter", "Path-signature cache probes that found an entry; a shape repeated within a document reuses its entry without a probe.", "hits", func(c *PathCache) any { return c.Hits }),
 	cacheRow("predfilter_path_cache_misses_total", "counter", "Path-signature cache misses.", "misses", func(c *PathCache) any { return c.Misses }),
 	cacheRow("predfilter_path_cache_evictions_total", "counter", "Path-signature cache evictions.", "evictions", func(c *PathCache) any { return c.Evictions }),
 	cacheRow("predfilter_path_cache_invalidations_total", "counter", "Path-signature cache generation bumps.", "invalidations", func(c *PathCache) any { return c.Invalidations }),

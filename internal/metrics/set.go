@@ -27,6 +27,7 @@ type Set struct {
 	DocBytes      Counter // XML bytes parsed
 	PathsTotal    Counter // root-to-leaf paths matched
 	PathsDistinct Counter // paths that survived per-document dedup
+	AttrTests     Counter // attribute tests hit programs decided
 	MatchesTotal  Counter // matching SIDs reported
 	SlowDocs      Counter // documents over the slow-document threshold
 
@@ -91,7 +92,7 @@ type Set struct {
 // equal.
 type Scrape struct {
 	DocsTotal, DocErrors, DocBytes, PathsTotal, MatchesTotal, SlowDocs int64
-	PathsDistinct, ParseScanDocs, ParseFallbackDocs                    int64
+	PathsDistinct, AttrTests, ParseScanDocs, ParseFallbackDocs         int64
 	Parse, Cache, PredMatch, Occur, Match, WALAppend, Snapshot         HistSnapshot
 	StreamQueueDepth, StreamJobs, StreamBatches                        int64
 	StreamBusy                                                         []int64 // per worker, nanoseconds
@@ -160,7 +161,7 @@ func (s *Set) Scrape() Scrape {
 	sc := Scrape{
 		DocsTotal: s.DocsTotal.Load(), DocErrors: s.DocErrors.Load(), DocBytes: s.DocBytes.Load(),
 		PathsTotal: s.PathsTotal.Load(), MatchesTotal: s.MatchesTotal.Load(), SlowDocs: s.SlowDocs.Load(),
-		PathsDistinct: s.PathsDistinct.Load(), ParseScanDocs: s.ParseScanDocs.Load(), ParseFallbackDocs: s.ParseFallbackDocs.Load(),
+		PathsDistinct: s.PathsDistinct.Load(), AttrTests: s.AttrTests.Load(), ParseScanDocs: s.ParseScanDocs.Load(), ParseFallbackDocs: s.ParseFallbackDocs.Load(),
 		Parse: s.Parse.Snapshot(), Cache: s.Cache.Snapshot(), PredMatch: s.PredMatch.Snapshot(), Occur: s.Occur.Snapshot(),
 		Match: s.Match.Snapshot(), WALAppend: s.WALAppend.Snapshot(), Snapshot: s.Snapshot.Snapshot(),
 		StreamQueueDepth: s.StreamQueueDepth.Load(), StreamJobs: s.StreamJobs.Load(),

@@ -87,9 +87,9 @@ type Entry struct {
 // occurrence, so a plan unit matches exactly when the filters of its
 // predicates hold on the tuples of those occurrences: a conjunction of
 // tests, each a (tuple, filter) pair many units share. Tests holds the
-// distinct ones, in entry-local numbering; the units are grouped under the
-// first test each needs, so a hit evaluates every test once and then walks
-// only the units under the tests that passed.
+// distinct ones, a tuple's tests one block in tuple order; the units are
+// grouped under the first test each needs, so a hit decides every test
+// once and then walks only the units under the tests that passed.
 type Program struct {
 	Tests []ProgTest
 	Start []int32 // Units[Start[i]:Start[i+1]] need Tests[i] first; len(Tests)+1 long

@@ -103,3 +103,23 @@ func TestPublishBatchAllocs(t *testing.T) {
 		t.Fatalf("batch request allocs = %v, want < 176", got)
 	}
 }
+
+// TestPublishAllocs pins a single /publish through ServeHTTP: three
+// subscriptions and a 3-element document, request and recorder included.
+// The batch runner matches a one-document batch with its result on the
+// stack; while that result escaped, the count was one higher.
+func TestPublishAllocs(t *testing.T) {
+	srv := New(Config{})
+	if _, err := srv.Preload([]string{"/a/b", "//c", "/a[@x=1]/c"}); err != nil {
+		t.Fatal(err)
+	}
+	post := func() {
+		if rr := serve(srv, "POST", "/publish", `<a x="1"><b/><c/></a>`); rr.Code != http.StatusOK {
+			t.Fatalf("publish: status %d", rr.Code)
+		}
+	}
+	post()
+	if got := testing.AllocsPerRun(200, post); got > 28 {
+		t.Fatalf("publish allocs = %v, want <= 28", got)
+	}
+}

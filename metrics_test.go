@@ -17,6 +17,7 @@ import (
 	"predfilter/internal/metrics"
 	"predfilter/internal/xmldoc"
 	"predfilter/internal/xmlgen"
+	"predfilter/workload"
 )
 
 // TestHitRateEdgeCases pins the PathCacheStats.HitRate contract: 0 before
@@ -361,22 +362,72 @@ func TestPathsDistinctCounted(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			var b bytes.Buffer
-			if err := eng.WriteMetrics(&b); err != nil {
-				t.Fatal(err)
-			}
-			const family = "predfilter_paths_distinct_total "
-			i := strings.Index(b.String(), "\n"+family)
-			if i < 0 {
-				t.Fatalf("no %s sample", family)
-			}
-			got := strings.SplitN(b.String()[i+1+len(family):], "\n", 2)[0]
-			if got != strconv.Itoa(want) {
-				t.Fatalf("%v, run %d: %s%s, want %d distinct paths", xpes, run, family, got, want)
+			if got := sample(t, eng, "predfilter_paths_distinct_total"); got != want {
+				t.Fatalf("%v, run %d: predfilter_paths_distinct_total %d, want %d distinct paths", xpes, run, got, want)
 			}
 		}
 	}
 	if wants[1] <= wants[0] {
 		t.Fatalf("attribute values split no path: %d distinct paths by tags, %d with attributes", wants[0], wants[1])
+	}
+}
+
+// sample reads the value of an unlabelled family from eng's exposition.
+func sample(t *testing.T, eng *predfilter.Engine, family string) int {
+	t.Helper()
+	var b bytes.Buffer
+	if err := eng.WriteMetrics(&b); err != nil {
+		t.Fatal(err)
+	}
+	i := strings.Index(b.String(), "\n"+family+" ")
+	if i < 0 {
+		t.Fatalf("no %s sample", family)
+	}
+	v, err := strconv.Atoi(strings.SplitN(b.String()[i+2+len(family):], "\n", 2)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// TestAttrTestsCounted: predfilter_attr_tests_total counts the attribute
+// tests cached hit programs evaluated, once per node a shape's tuple
+// passes through. By hand: the parent's two tests count once, each of the
+// three leaves' two tests once — 2 + 3×2, though the three paths hold
+// twelve (tuple, test) decisions. Over fixed NITF documents with filters,
+// two engines read the same value.
+func TestAttrTestsCounted(t *testing.T) {
+	eng := predfilter.New(predfilter.Config{})
+	if _, err := eng.AddAll([]string{"/a[@x=1]/b", "/a[@x=2]/b", "/a/b[@y=2]", "/a/b[@y>=2]"}); err != nil {
+		t.Fatal(err)
+	}
+	sids, err := eng.Match([]byte(`<a x="1"><b y="1"/><b y="2"/><b y="3"/></a>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sample(t, eng, "predfilter_attr_tests_total"); len(sids) != 3 || got != 2+3*2 {
+		t.Fatalf("matched %v, predfilter_attr_tests_total %d, want 3 matches and %d tests", sids, got, 2+3*2)
+	}
+
+	xpes, err := workload.Expressions(workload.NITF(), 2000, workload.ExpressionConfig{MaxLength: 6, Wildcard: 0.2, Descendant: 0.2, Distinct: true, Filters: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := workload.Documents(workload.NITF(), 40, workload.DocumentConfig{Seed: 2})
+	var got []int
+	for run := 0; run < 2; run++ {
+		eng := predfilter.New(predfilter.Config{})
+		if _, err := eng.AddAll(xpes); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range docs {
+			if _, err := eng.Match(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got = append(got, sample(t, eng, "predfilter_attr_tests_total"))
+	}
+	if got[0] == 0 || got[0] != got[1] {
+		t.Fatalf("predfilter_attr_tests_total %v over two engines, want equal and above 0", got)
 	}
 }

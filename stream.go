@@ -202,9 +202,9 @@ func (e *Engine) MatchStream(ctx context.Context, docs <-chan []byte, workers in
 					break drain
 				}
 			}
-			e.run(ctx, wave, base, workers, false, func(r *Result) {
+			e.run(ctx, wave, base, workers, false, func(r Result) {
 				select {
-				case out <- *r:
+				case out <- r:
 				case <-ctx.Done():
 				}
 			})
@@ -214,27 +214,28 @@ func (e *Engine) MatchStream(ctx context.Context, docs <-chan []byte, workers in
 	return out
 }
 
-// run matches docs, input ordinals base onward, hands f each result in
-// input order, and returns them all. It cuts docs into groupsPerWorker
-// groups per worker, none above streamBatch documents; the workers claim
-// them in input order, and a group's results go to f as soon as it and
-// every group before it are matched. A batch of one is matched in the
-// caller's goroutine. Once ctx is done, a group claimed is not matched:
-// each of its documents gets the *LimitError a budget over ctx reports,
-// counted as a trip mid-match would be. run returns only after every
-// group has finished.
-func (e *Engine) run(ctx context.Context, docs [][]byte, base, workers int, emit bool, f func(r *Result)) []Result {
+// run matches docs, input ordinals base onward, and hands f each result
+// in input order. It cuts docs into groupsPerWorker groups per worker,
+// none above streamBatch documents; the workers claim them in input order,
+// and a group's results go to f as soon as it and every group before it
+// are matched. A batch of one is matched in the caller's goroutine, its
+// result on the stack: f takes results by value. Once ctx is done, a
+// group claimed is not matched: each of its documents gets the *LimitError
+// a budget over ctx reports, counted as a trip mid-match would be. run
+// returns only after every group has finished.
+func (e *Engine) run(ctx context.Context, docs [][]byte, base, workers int, emit bool, f func(r Result)) {
+	switch len(docs) {
+	case 0:
+		return
+	case 1:
+		rs := [1]Result{{Index: base, Doc: docs[0]}}
+		e.matchStreamGroup(ctx, rs[:], emit)
+		f(rs[0])
+		return
+	}
 	rs := make([]Result, len(docs))
 	for i, d := range docs {
 		rs[i] = Result{Index: base + i, Doc: d}
-	}
-	switch len(rs) {
-	case 0:
-		return rs
-	case 1:
-		e.matchStreamGroup(ctx, rs, emit)
-		f(&rs[0])
-		return rs
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -273,12 +274,11 @@ func (e *Engine) run(ctx context.Context, docs [][]byte, base, workers int, emit
 		ready[<-done] = true
 		for ; g < groups && ready[g]; g++ {
 			group := groupOf(g)
-			for k := range group {
-				f(&group[k])
+			for _, r := range group {
+				f(r)
 			}
 		}
 	}
-	return rs
 }
 
 // MatchBatchContext filters a slice of documents under the caller's
@@ -293,7 +293,9 @@ func (e *Engine) run(ctx context.Context, docs [][]byte, base, workers int, emit
 // its context, so a shed batch is distinguishable from an empty match —
 // partial work is never silently reported as "no match".
 func (e *Engine) MatchBatchContext(ctx context.Context, docs [][]byte, workers int) []Result {
-	return e.run(ctx, docs, 0, workers, false, func(*Result) {})
+	rs := make([]Result, len(docs))
+	e.run(ctx, docs, 0, workers, false, func(r Result) { rs[r.Index] = r })
+	return rs
 }
 
 // MatchEmit matches docs as MatchBatchContext does, but hands each
@@ -305,7 +307,7 @@ func (e *Engine) MatchBatchContext(ctx context.Context, docs [][]byte, workers i
 // included. f runs in the caller's goroutine while the workers match the
 // groups behind the document.
 func (e *Engine) MatchEmit(ctx context.Context, docs [][]byte, workers int, f func(i int, em *Emitted, err error)) {
-	e.run(ctx, docs, 0, workers, true, func(r *Result) {
+	e.run(ctx, docs, 0, workers, true, func(r Result) {
 		f(r.Index, r.emit, r.Err)
 		if r.emit != nil {
 			emits.Put(r.emit)
