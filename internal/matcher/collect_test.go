@@ -120,3 +120,95 @@ func TestCollectSIDOrder(t *testing.T) {
 		})
 	}
 }
+
+// TestCollectRuns holds collect's word-at-a-time reading of the matched
+// flags to a model, in both of its outputs: the emitted Text, Words,
+// Masks and N, and the []SID result. Expression k is /r/tk, registered as
+// id k; a document holds the <tk/> of each id the case matches, and the
+// model lists each matched id's live SIDs in bind order.
+func TestCollectRuns(t *testing.T) {
+	span := func(lo, hi int) []int { // ids lo … hi-1
+		var out []int
+		for id := lo; id < hi; id++ {
+			out = append(out, id)
+		}
+		return out
+	}
+	var alternate []int
+	for id := 0; id < 128; id += 2 {
+		alternate = append(alternate, id)
+	}
+	cases := []struct {
+		name    string
+		n       int           // expressions
+		matched []int         // ids the document matches
+		extra   map[int][]SID // SIDs bound after an id's own SID k
+		removed []SID         // SIDs unsubscribed before the match
+	}{
+		{name: "a fully matched block", n: 64, matched: span(0, 64)},
+		{name: "alternating ids", n: 128, matched: alternate},
+		{name: "runs ending at 63 and starting at 0", n: 192, matched: append(append(span(0, 3), span(40, 80)...), span(127, 131)...)},
+		{name: "a short last block", n: 70, matched: append(span(5, 9), span(60, 70)...)},
+		{name: "ids with no live SID inside a run", n: 64, matched: span(10, 30), removed: []SID{12, 15, 16, 29}},
+		{name: "ids holding several SIDs", n: 100, matched: append(span(0, 12), span(60, 70)...),
+			extra: map[int][]SID{0: {900, 130}, 3: {131}, 63: {4000, 101}, 64: {102, 103, 1000}, 11: {7000}}, removed: []SID{103, 3}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := New(Options{})
+			live := make([][]SID, c.n)
+			for id := 0; id < c.n; id++ {
+				for _, sid := range append([]SID{SID(id)}, c.extra[id]...) {
+					if err := m.AddWithSID(fmt.Sprintf("/r/t%d", id), sid); err != nil {
+						t.Fatal(err)
+					}
+					live[id] = append(live[id], sid)
+				}
+				if got := m.sidOwner[id].id; got != id {
+					t.Fatalf("/r/t%d registered as id %d", id, got)
+				}
+			}
+			for _, sid := range c.removed {
+				if err := m.Remove(sid); err != nil {
+					t.Fatal(err)
+				}
+				for id := range live {
+					live[id] = slices.DeleteFunc(live[id], func(s SID) bool { return s == sid })
+				}
+			}
+			doc := "<r>"
+			want, text := []SID{}, ""
+			for _, id := range c.matched {
+				doc += fmt.Sprintf("<t%d/>", id)
+				want = append(want, live[id]...)
+				for _, sid := range live[id] {
+					text += fmt.Sprintf("%d,", sid)
+				}
+			}
+			doc += "</r>"
+			var words []int32 // in the order the result first reaches them
+			var masks []uint64
+			for _, sid := range want {
+				k := slices.Index(words, int32(sid>>6))
+				if k < 0 {
+					k, words, masks = len(words), append(words, int32(sid>>6)), append(masks, 0)
+				}
+				masks[k] |= 1 << (sid & 63)
+			}
+
+			e := &Emit{}
+			docs := []ScanDoc{{Doc: []byte(doc), Emit: e}, {Doc: []byte(doc)}}
+			m.MatchScanned(docs, guard.Limits{})
+			if docs[0].Err != nil || docs[1].Err != nil {
+				t.Fatalf("%v, %v", docs[0].Err, docs[1].Err)
+			}
+			if string(e.Text) != text || e.N != len(want) || !slices.Equal(e.Words, words) || !slices.Equal(e.Masks, masks) {
+				t.Fatalf("emitted text %q N %d words %v masks %x\nwant         %q N %d words %v masks %x",
+					e.Text, e.N, e.Words, e.Masks, text, len(want), words, masks)
+			}
+			if !slices.Equal(docs[1].SIDs, want) {
+				t.Fatalf("SIDs %v, want %v", docs[1].SIDs, want)
+			}
+		})
+	}
+}

@@ -400,7 +400,7 @@ func (m *Matcher) MatchScanned(docs []ScanDoc, lim guard.Limits) {
 			d.SIDs = nil
 			continue
 		}
-		m.observe(&d.Bd, d.Scan.Paths, distinct, tests, d.Matches())
+		m.observe(&d.Bd, d.Scan.Paths, distinct, tests, d.Matches(), d.Emit)
 	}
 }
 

@@ -1,8 +1,11 @@
 package matcher
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"slices"
 	"strconv"
+	"unsafe"
 )
 
 // The output side of a match. A document's result is the live SIDs of its
@@ -100,8 +103,10 @@ func (e *Emit) SetSIDs(sids []SID) {
 
 // collect resolves nested-path candidates and writes out the SIDs of the
 // matched flags from the SID blocks, one copy per run of consecutive
-// matched ids within a block. With em set it fills em and returns nil;
-// otherwise it returns the SIDs in a fresh slice.
+// matched ids within a block: each block's 64 flags are read as one word
+// (flagWord), a block with none is skipped with one test, and each run is
+// found by two trailing-zero counts. With em set it fills em and returns
+// nil; otherwise it returns the SIDs in a fresh slice.
 func (m *Matcher) collect(sc *scratch, em *Emit) []SID {
 	for _, e := range m.nested {
 		if e.root.resolveRoot(sc) {
@@ -110,35 +115,32 @@ func (m *Matcher) collect(sc *scratch, em *Emit) []SID {
 	}
 	clear(sc.ncands)
 	out, set := sc.out[:0], sc.sidBits
+	// The matched flags as bytes: a Go bool is one byte, 0 or 1.
+	flags := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(sc.matched))), len(sc.matched))
 	for k := range m.blocks {
 		base := k << 6
-		if base >= len(sc.matched) {
+		if base >= len(flags) {
 			break
 		}
-		b, ids := &m.blocks[k], sc.matched[base:min(base+64, len(sc.matched))]
-		for i := 0; i < len(ids); i++ {
-			if !ids[i] {
-				continue
-			}
-			j := i + 1
-			for j < len(ids) && ids[j] {
-				j++
-			}
+		x := flagWord(flags[base:min(base+64, len(flags))])
+		for b := &m.blocks[k]; x != 0; {
+			i := bits.TrailingZeros64(x)
+			j := i + bits.TrailingZeros64(^(x >> i))
+			x &= ^uint64(0) << j // j == 64 clears the word
 			run := b.sids[b.off[i]:b.off[j]]
 			if em == nil {
 				out = append(out, run...)
-			} else {
-				em.Text = append(em.Text, b.text[b.at[i]:b.at[j]]...)
-				em.N += len(run)
-				for _, sid := range run {
-					w := sid >> 6
-					if set[w] == 0 {
-						em.Words = append(em.Words, int32(w))
-					}
-					set[w] |= 1 << (sid & 63)
-				}
+				continue
 			}
-			i = j
+			em.Text = append(em.Text, b.text[b.at[i]:b.at[j]]...)
+			em.N += len(run)
+			for _, sid := range run {
+				w := sid >> 6
+				if set[w] == 0 {
+					em.Words = append(em.Words, int32(w))
+				}
+				set[w] |= 1 << (sid & 63)
+			}
 		}
 	}
 	sc.out = out
@@ -150,4 +152,20 @@ func (m *Matcher) collect(sc *scratch, em *Emit) []SID {
 		set[w] = 0
 	}
 	return nil
+}
+
+// flagWord packs up to 64 matched flags, each byte 0 or 1, into a word
+// with bit i set for f[i]: eight flags at a time by one 8-byte load and
+// one multiply that gathers each byte's low bit into the top byte, the
+// rest of a short block one flag at a time.
+func flagWord(f []byte) uint64 {
+	var x uint64
+	i := 0
+	for ; i+8 <= len(f); i += 8 {
+		x |= binary.LittleEndian.Uint64(f[i:]) * 0x0102040810204080 >> 56 << i
+	}
+	for ; i < len(f); i++ {
+		x |= uint64(f[i]) << i
+	}
+	return x
 }

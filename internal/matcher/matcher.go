@@ -1015,7 +1015,7 @@ func (m *Matcher) matchDoc(cs *colScratch, doc *xmldoc.Document, bud *guard.Budg
 	bd := sc.bd
 	if err == nil {
 		bd.Total = time.Since(t0)
-		m.observe(&bd, len(doc.Paths), sc.paths, sc.tests, len(out))
+		m.observe(&bd, len(doc.Paths), sc.paths, sc.tests, len(out), nil)
 	}
 	return out, bd, err
 }
@@ -1033,10 +1033,11 @@ func (m *Matcher) end(sc *scratch, em *Emit) ([]SID, error) {
 	return out, nil
 }
 
-// observe folds one document's stage breakdown, whole-match duration and
-// path and attribute-test counts into the metric set. The recording
-// contract is zero allocations, so this is safe on every match path.
-func (m *Matcher) observe(bd *Breakdown, paths, distinct, tests, matches int) {
+// observe folds one document's stage breakdown, whole-match duration,
+// path, attribute-test and match counts and emitted text bytes (em, when
+// the result was emitted) into the metric set. The recording contract is
+// zero allocations, so this is safe on every match path.
+func (m *Matcher) observe(bd *Breakdown, paths, distinct, tests, matches int, em *Emit) {
 	if m.mx == nil {
 		return
 	}
@@ -1054,6 +1055,9 @@ func (m *Matcher) observe(bd *Breakdown, paths, distinct, tests, matches int) {
 	m.mx.PathsDistinct.Add(int64(distinct))
 	m.mx.AttrTests.Add(int64(tests))
 	m.mx.MatchesTotal.Add(int64(matches))
+	if em != nil {
+		m.mx.EmitBytes.Add(int64(len(em.Text)))
+	}
 }
 
 // evalExpr evaluates one single-path expression against the current

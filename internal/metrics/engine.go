@@ -16,6 +16,7 @@ var EngineRows = []Row[Scrape]{
 	{Name: "predfilter_paths_distinct_total", Kind: "counter", Help: "Paths matched after per-document dedup of repeated paths.", Read: func(s *Scrape, e Emit) { e(s.PathsDistinct) }},
 	{Name: "predfilter_attr_tests_total", Kind: "counter", Help: "Attribute tests evaluated by path-cache hit programs; outcomes reused for an unchanged node are not counted.", Read: func(s *Scrape, e Emit) { e(s.AttrTests) }},
 	{Name: "predfilter_matches_total", Kind: "counter", Help: "Matching expression identifiers reported.", JSON: "matches", On: OnStats, Read: func(s *Scrape, e Emit) { e(s.MatchesTotal) }},
+	{Name: "predfilter_emit_bytes_total", Kind: "counter", Help: "Bytes of identifier text emitted for matching documents, each identifier's digits and a comma.", Read: func(s *Scrape, e Emit) { e(s.EmitBytes) }},
 	{Name: "predfilter_slow_docs_total", Kind: "counter", Help: "Documents over the slow-document threshold.", JSON: "slow_docs", On: OnStats, Read: func(s *Scrape, e Emit) { e(s.SlowDocs) }},
 	{Name: "predfilter_parse_docs_total", Kind: "counter", Help: "Documents by parse path: the zero-copy scanner fast path vs the encoding/xml fallback.", Labels: []string{"path"},
 		Read: func(s *Scrape, e Emit) { e(s.ParseScanDocs, "scan"); e(s.ParseFallbackDocs, "fallback") }},

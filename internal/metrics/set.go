@@ -29,6 +29,7 @@ type Set struct {
 	PathsDistinct Counter // paths that survived per-document dedup
 	AttrTests     Counter // attribute tests hit programs decided
 	MatchesTotal  Counter // matching SIDs reported
+	EmitBytes     Counter // bytes of SID text emitted for them
 	SlowDocs      Counter // documents over the slow-document threshold
 
 	// Parse-path counters: documents served end-to-end by the zero-copy
@@ -91,15 +92,15 @@ type Set struct {
 // request renders from one Scrape, so a value reported twice is reported
 // equal.
 type Scrape struct {
-	DocsTotal, DocErrors, DocBytes, PathsTotal, MatchesTotal, SlowDocs int64
-	PathsDistinct, AttrTests, ParseScanDocs, ParseFallbackDocs         int64
-	Parse, Cache, PredMatch, Occur, Match, WALAppend, Snapshot         HistSnapshot
-	StreamQueueDepth, StreamJobs, StreamBatches                        int64
-	StreamBusy                                                         []int64 // per worker, nanoseconds
-	Columnar                                                           Columnar
-	ColSweep                                                           HistSnapshot
-	LimitTrips                                                         [NumLimitKinds]int64
-	Panics                                                             int64
+	DocsTotal, DocErrors, DocBytes, PathsTotal, MatchesTotal, SlowDocs    int64
+	PathsDistinct, AttrTests, EmitBytes, ParseScanDocs, ParseFallbackDocs int64
+	Parse, Cache, PredMatch, Occur, Match, WALAppend, Snapshot            HistSnapshot
+	StreamQueueDepth, StreamJobs, StreamBatches                           int64
+	StreamBusy                                                            []int64 // per worker, nanoseconds
+	Columnar                                                              Columnar
+	ColSweep                                                              HistSnapshot
+	LimitTrips                                                            [NumLimitKinds]int64
+	Panics                                                                int64
 
 	Expressions, DistinctExpressions, DistinctPredicates, NestedExpressions int
 	PathCache                                                               PathCache
@@ -161,7 +162,7 @@ func (s *Set) Scrape() Scrape {
 	sc := Scrape{
 		DocsTotal: s.DocsTotal.Load(), DocErrors: s.DocErrors.Load(), DocBytes: s.DocBytes.Load(),
 		PathsTotal: s.PathsTotal.Load(), MatchesTotal: s.MatchesTotal.Load(), SlowDocs: s.SlowDocs.Load(),
-		PathsDistinct: s.PathsDistinct.Load(), AttrTests: s.AttrTests.Load(), ParseScanDocs: s.ParseScanDocs.Load(), ParseFallbackDocs: s.ParseFallbackDocs.Load(),
+		PathsDistinct: s.PathsDistinct.Load(), AttrTests: s.AttrTests.Load(), EmitBytes: s.EmitBytes.Load(), ParseScanDocs: s.ParseScanDocs.Load(), ParseFallbackDocs: s.ParseFallbackDocs.Load(),
 		Parse: s.Parse.Snapshot(), Cache: s.Cache.Snapshot(), PredMatch: s.PredMatch.Snapshot(), Occur: s.Occur.Snapshot(),
 		Match: s.Match.Snapshot(), WALAppend: s.WALAppend.Snapshot(), Snapshot: s.Snapshot.Snapshot(),
 		StreamQueueDepth: s.StreamQueueDepth.Load(), StreamJobs: s.StreamJobs.Load(),

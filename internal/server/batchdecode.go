@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math/bits"
 	"net/http"
 	"slices"
 	"sync"
@@ -159,37 +161,63 @@ var plain = func() (t [256]bool) {
 	return t
 }()
 
+// notPlain returns the eight bytes of x, little-endian, with the top bit
+// of the lowest byte that is not plain set, and zero when all are plain:
+// each subtraction sets a byte's top bit where the byte is below the
+// bound, and a borrow only reaches the bytes above one that was.
+func notPlain(x uint64) uint64 {
+	const ones, tops = 0x0101010101010101, 0x8080808080808080
+	quote, slash := x^(ones*'"'), x^(ones*'\\')
+	return (x | (x - ones*' ') | (quote - ones) | (slash - ones)) & tops
+}
+
 // unquote appends to dst the JSON string whose opening quote is at b[p]
 // and returns the position after its closing quote. It fails where there
 // is no string, and where encoding/json would fail or write U+FFFD for
-// what b holds.
+// what b holds. Plain bytes move eight at a time: a word is stored whole
+// and the output keeps as many of its bytes as notPlain finds plain.
 func unquote(dst, b []byte, p int) ([]byte, int, bool) {
 	if p = expect(b, p, '"'); p < 0 {
 		return dst, 0, false
 	}
+	n := len(dst)
+	dst = slices.Grow(dst, len(b)-p) // no string decodes to more bytes than it spans
+	dst = dst[:cap(dst)]
 	for p < len(b) {
-		q := p
-		for q < len(b) && plain[b[q]] {
-			q++
+		if p+8 <= len(b) && n+8 <= len(dst) {
+			x := binary.LittleEndian.Uint64(b[p:])
+			binary.LittleEndian.PutUint64(dst[n:], x)
+			k := 8
+			if m := notPlain(x); m != 0 {
+				k = bits.TrailingZeros64(m) >> 3
+			}
+			if n, p = n+k, p+k; k == 8 {
+				continue
+			}
+		} else if plain[b[p]] {
+			dst[n], n, p = b[p], n+1, p+1
+			continue
 		}
-		dst = append(dst, b[p:q]...)
-		if q == len(b) {
-			break
-		}
-		switch c := b[q]; {
+		switch c := b[p]; {
 		case c == '"':
-			return dst, q + 1, true
+			return dst[:n], p + 1, true
 		case c >= utf8.RuneSelf:
-			r, n := utf8.DecodeRune(b[q:])
-			if r == utf8.RuneError && n == 1 {
+			r, size := utf8.DecodeRune(b[p:])
+			if r == utf8.RuneError && size == 1 {
 				return dst, 0, false
 			}
-			dst, p = append(dst, b[q:q+n]...), q+n
-		case c == '\\' && q+1 < len(b):
-			var ok bool
-			if dst, p, ok = unescape(dst, b, q); !ok {
+			n += copy(dst[n:], b[p:p+size])
+			p += size
+		case c == '\\' && p+1 < len(b):
+			if m := markup(b, p); m != 0 {
+				dst[n], n, p = m, n+1, p+6
+				continue
+			}
+			d, q, ok := unescape(dst[:n], b, p)
+			if !ok {
 				return dst, 0, false
 			}
+			dst, n, p = d[:cap(d)], len(d), q
 		default: // a control byte, or a backslash ending the body
 			return dst, 0, false
 		}
@@ -219,6 +247,24 @@ func unescape(dst, b []byte, q int) ([]byte, int, bool) {
 		q += 6
 	}
 	return utf8.AppendRune(dst, r), q + 6, true
+}
+
+// markup returns the byte of the escape at b[q] when it is one of the
+// three json.Marshal writes for markup, \u003c, \u003e and \u0026, and 0
+// for any other; those go through unescape and hex4.
+func markup(b []byte, q int) byte {
+	if q+6 > len(b) || string(b[q:q+4]) != `\u00` {
+		return 0
+	}
+	switch string(b[q+4 : q+6]) {
+	case "3c":
+		return '<'
+	case "3e":
+		return '>'
+	case "26":
+		return '&'
+	}
+	return 0
 }
 
 // hex4 returns the code unit of the \uXXXX escape at b[q], or -1 when

@@ -124,6 +124,16 @@ func FuzzDecodeBatch(f *testing.F) {
 	for _, c := range batchBodies {
 		f.Add([]byte(c.body))
 	}
+	// The markup escapes' edges: upper-case hex, one cut off by the end of
+	// the body, one beside a surrogate pair, and the NUL escape.
+	for _, body := range []string{
+		`{"documents":["\u003Ca\u003E\u003c/a\u003e"]}`,
+		`{"documents":["\u003`,
+		`{"documents":["x\u0026\ud83d\ude00\u0026y\u003e"]}`,
+		`{"documents":["\u0000\u003c\u0000"]}`,
+	} {
+		f.Add([]byte(body))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		docs, ok := decodeDocuments(body)
 		if !ok {

@@ -11,9 +11,9 @@ import (
 // and one server-wide log of the last 2 × QueueLimit published documents,
 // each with the bitset of the SIDs it is still pending for. A publish takes
 // the engine's bitset of the matched ids a word at a time and adds it into
-// bit-sliced per-SID window counters; a document is copied into a
-// subscription's ring only when it leaves the log and is still among that
-// subscription's newest QueueLimit pending documents. DESIGN.md §12,
+// bit-sliced per-SID window and delivered counters; a document is copied
+// into a subscription's ring only when it leaves the log and is still among
+// that subscription's newest QueueLimit pending documents. DESIGN.md §12,
 // "Registry and the delivery log", has the invariants and the reasons.
 
 // document is one published document as the log and the rings hold it.
@@ -54,7 +54,7 @@ type registry struct {
 
 	expr      []string // "" when not live
 	live      []uint64 // bitset of live SIDs
-	delivered []int64
+	delivered []uint64 // per SID, its delivered count: 64 bit slices per word of SIDs
 	popped    []int64
 	rings     []ring
 	filled    []uint64 // bitset: the SID's ring holds a document
@@ -96,10 +96,10 @@ func (g *registry) put(sid predfilter.SID, expr string) {
 	id := int(sid)
 	if n := id + 1; n > len(g.expr) {
 		g.expr = growTo(g.expr, n)
-		g.delivered, g.popped = growTo(g.delivered, n), growTo(g.popped, n)
-		g.rings = growTo(g.rings, n)
+		g.popped, g.rings = growTo(g.popped, n), growTo(g.rings, n)
 		w := bitset.Words(n)
 		g.live, g.filled, g.win = growTo(g.live, w), growTo(g.filled, w), growTo(g.win, w*g.k)
+		g.delivered = growTo(g.delivered, w*64)
 	}
 	g.expr[id] = expr
 	bitset.Set(g.live, id)
@@ -120,7 +120,11 @@ func (g *registry) remove(sid predfilter.SID) {
 			g.unmark(e, id)
 		}
 	}
-	g.expr[id], g.delivered[id], g.popped[id] = "", 0, 0
+	s := g.dlv(id >> 6)
+	for j := range s {
+		s[j] &^= 1 << (id & 63)
+	}
+	g.expr[id], g.popped[id] = "", 0
 	bitset.Clear(g.live, id)
 	g.count--
 }
@@ -152,11 +156,7 @@ func (g *registry) commit(buf []byte, d *document, em *predfilter.Emitted) ([]by
 	n := em.N
 	if allLive {
 		for i, wi := range em.Words {
-			m := em.Masks[i]
-			e.bits[wi] = m
-			for x := m; x != 0; x &= x - 1 {
-				g.delivered[int(wi)<<6|bits.TrailingZeros64(x)]++
-			}
+			e.bits[wi] = em.Masks[i]
 		}
 		e.words = append(e.words, em.Words...)
 		buf = append(buf, em.Text...)
@@ -166,7 +166,8 @@ func (g *registry) commit(buf []byte, d *document, em *predfilter.Emitted) ([]by
 	if n > 0 {
 		e.doc, e.n = d, n
 		for _, wi := range e.words {
-			g.winAdd(int(wi), e.bits[wi])
+			ripple(g.ws(int(wi)), e.bits[wi])
+			ripple(g.dlv(int(wi)), e.bits[wi])
 		}
 		g.size++
 	}
@@ -174,8 +175,8 @@ func (g *registry) commit(buf []byte, d *document, em *predfilter.Emitted) ([]by
 }
 
 // commitLive is commit's way when some id is no longer live: it reads the
-// ids back from text and, for each live one, sets its bit in e, bumps its
-// delivered count and appends its text.
+// ids back from text and, for each live one, sets its bit in e and appends
+// its text.
 func (g *registry) commitLive(buf []byte, e *entry, text []byte) ([]byte, int) {
 	n := 0
 	for p := 0; p < len(text); {
@@ -189,7 +190,6 @@ func (g *registry) commitLive(buf []byte, e *entry, text []byte) ([]byte, int) {
 				e.words = append(e.words, int32(wi))
 			}
 			e.bits[wi] |= m
-			g.delivered[id]++
 			buf = append(buf, text[p:q+1]...)
 			n++
 		}
@@ -254,18 +254,32 @@ func (g *registry) unmark(e *entry, id int) {
 	}
 }
 
-// winAdd adds each set bit of x to the window counter of its SID in word
-// wi, a ripple-carry over the bit slices.
-func (g *registry) winAdd(wi int, x uint64) {
-	s := g.win[wi*g.k : wi*g.k+g.k]
+// The window and delivered counts are bit-sliced: per word wi of SIDs, one
+// word per bit of the counters, bit b of slice j being bit j of the count
+// of SID 64·wi+b (ws and dlv return a word's slices).
+func (g *registry) ws(wi int) []uint64  { return g.win[wi*g.k : wi*g.k+g.k] }
+func (g *registry) dlv(wi int) []uint64 { return g.delivered[wi<<6 : wi<<6+64] }
+
+// ripple adds each set bit of x to its SID's count in the bit slices s, a
+// ripple carry over a whole word of SIDs that stops when none carries.
+func ripple(s []uint64, x uint64) {
 	for j := 0; x != 0; j++ {
 		s[j], x = s[j]^x, s[j]&x
 	}
 }
 
+// lane returns the count of bit b in the bit slices s.
+func lane(s []uint64, b int) uint64 {
+	var n uint64
+	for j, x := range s {
+		n |= (x >> b & 1) << j
+	}
+	return n
+}
+
 // winSub subtracts each set bit of x from its SID's window counter.
 func (g *registry) winSub(wi int, x uint64) {
-	s := g.win[wi*g.k : wi*g.k+g.k]
+	s := g.ws(wi)
 	for j := 0; x != 0; j++ {
 		s[j], x = s[j]^x, x&^s[j]
 	}
@@ -274,7 +288,7 @@ func (g *registry) winSub(wi int, x uint64) {
 // below returns the SIDs of word wi whose window counter is under q, by a
 // bit-sliced comparison from the top slice down.
 func (g *registry) below(wi int) uint64 {
-	s := g.win[wi*g.k : wi*g.k+g.k]
+	s := g.ws(wi)
 	lt, eq := uint64(0), ^uint64(0)
 	for j := g.k - 1; j >= 0; j-- {
 		if g.q>>j&1 != 0 {
@@ -288,13 +302,7 @@ func (g *registry) below(wi int) uint64 {
 }
 
 // window returns the number of log entries with id's bit set.
-func (g *registry) window(id int) int {
-	w, b, wi := 0, uint(id&63), id>>6
-	for j, x := range g.win[wi*g.k : wi*g.k+g.k] {
-		w |= int(x>>b&1) << j
-	}
-	return w
-}
+func (g *registry) window(id int) int { return int(lane(g.ws(id>>6), id&63)) }
 
 // push appends d to id's ring, overwriting the oldest document when the
 // ring is full.
@@ -349,9 +357,9 @@ func (g *registry) pending(id int) int {
 }
 
 func (g *registry) info(id int) subscription {
-	p := g.pending(id)
-	return subscription{Expression: g.expr[id], Delivered: g.delivered[id],
-		Dropped: g.delivered[id] - g.popped[id] - int64(p), Pending: p}
+	p, n := g.pending(id), int64(lane(g.dlv(id>>6), id&63))
+	return subscription{Expression: g.expr[id], Delivered: n,
+		Dropped: n - g.popped[id] - int64(p), Pending: p}
 }
 
 // pop dequeues up to max of id's pending documents, oldest first: the ring

@@ -17,9 +17,17 @@
 // fallback decides. Only the five predefined entities (amp, lt, gt, apos,
 // quot) and numeric character references are expanded; there is no DTD
 // entity expansion at all.
+//
+// The loop rule: names, character data and attribute values are scanned
+// over local copies of buf and pos, stepping over the bytes a 256-entry
+// class table clears (a value's closing quote by bytes.IndexByte). Any
+// other byte — ':', 0x80 and up, '<', '&', ']', a control byte — or EOF
+// stores pos and takes the byte-at-a-time checks, so every *SyntaxError
+// and its offset are theirs.
 package xmlscan
 
 import (
+	"bytes"
 	"fmt"
 	"unicode/utf8"
 )
@@ -162,12 +170,16 @@ func (s *Scanner) Next() (Kind, error) {
 // text scans a run of character data up to the next '<' or EOF,
 // validating characters and entities without expanding anything.
 func (s *Scanner) text() (Kind, error) {
-	start := s.pos
+	buf, start, pos := s.buf, s.pos, s.pos
 	for {
-		if s.pos == len(s.buf) {
+		for pos < len(buf) && class[buf[pos]]&textByte != 0 {
+			pos++
+		}
+		if pos == len(buf) {
 			break
 		}
-		c := s.buf[s.pos]
+		s.pos = pos
+		c := buf[pos]
 		switch {
 		case c == '<':
 			goto done
@@ -177,24 +189,22 @@ func (s *Scanner) text() (Kind, error) {
 			}
 		case c == ']':
 			// "]]>" may not appear raw in character data.
-			if s.ensure(3) && s.buf[s.pos+1] == ']' && s.buf[s.pos+2] == '>' {
+			if s.ensure(3) && buf[pos+1] == ']' && buf[pos+2] == '>' {
 				return EOF, s.serr("unescaped ]]> not in CDATA section")
 			}
 			s.pos++
-		case c == '\t' || c == '\n' || c == '\r':
-			s.pos++
 		case c < 0x20:
 			return EOF, s.serr("illegal character code in character data")
-		case c < 0x80:
-			s.pos++
 		default:
 			if err := s.checkRune(); err != nil {
 				return EOF, err
 			}
 		}
+		pos = s.pos
 	}
 done:
-	s.Data = s.buf[start:s.pos]
+	s.pos = pos
+	s.Data = buf[start:pos]
 	return Text, nil
 }
 
@@ -243,61 +253,75 @@ const (
 	namePI          // processing-instruction targets: colons pass through
 )
 
-func isNameStartByte(c byte) bool {
-	return c == '_' || c == ':' ||
-		(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-}
+// Byte classes for the scanning loops (the loop rule, package doc).
+const (
+	nameStart = 1 << iota // an ASCII letter or '_'
+	nameByte              // nameStart, an ASCII digit, '-' or '.'
+	textByte              // character data needing no check: tab, LF, CR, ASCII from ' ' but '<', '&', ']'
+)
 
-func isNameByte(c byte) bool {
-	return isNameStartByte(c) || c == '-' || c == '.' ||
-		(c >= '0' && c <= '9')
-}
+var class = func() (t [256]uint8) {
+	for c := 0; c < 256; c++ {
+		switch {
+		case c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z':
+			t[c] = nameStart | nameByte
+		case c == '-' || c == '.' || '0' <= c && c <= '9':
+			t[c] = nameByte
+		}
+		if ' ' <= c && c < 0x80 && c != '<' && c != '&' && c != ']' || c == '\t' || c == '\n' || c == '\r' {
+			t[c] |= textByte
+		}
+	}
+	return t
+}()
 
 // readName scans an XML name at pos per the kind's rules and returns the
 // local part.
 func (s *Scanner) readName(kind int) ([]byte, error) {
-	if s.pos == len(s.buf) {
+	buf, start := s.buf, s.pos
+	if start == len(buf) {
 		return nil, s.needMore()
 	}
-	start := s.pos
-	c := s.buf[s.pos]
-	if !isNameStartByte(c) || (kind == nameElem && c == ':') {
+	c := buf[start]
+	if class[c]&nameStart == 0 && (c != ':' || kind == nameElem) {
 		return nil, s.serr("invalid XML name")
 	}
 	colon := -1
 	if c == ':' {
 		colon = 0
 	}
-	s.pos++
+	pos := start + 1
 	for {
-		if s.pos == len(s.buf) {
+		for pos < len(buf) && class[buf[pos]]&nameByte != 0 {
+			pos++
+		}
+		if pos == len(buf) {
 			break
 		}
-		c = s.buf[s.pos]
-		if !isNameByte(c) {
-			if c >= 0x80 {
-				// encoding/xml folds non-ASCII bytes into the name and
-				// validates the result as UTF-8; it may accept (Unicode
-				// name) or reject (bad encoding). Either way it is out of
-				// this scanner's ASCII-name subset.
-				return nil, s.serr("non-ASCII byte in name")
-			}
+		s.pos = pos
+		if c = buf[pos]; c >= 0x80 {
+			// encoding/xml folds non-ASCII bytes into the name and
+			// validates the result as UTF-8; it may accept (Unicode
+			// name) or reject (bad encoding). Either way it is out of
+			// this scanner's ASCII-name subset.
+			return nil, s.serr("non-ASCII byte in name")
+		}
+		if c != ':' {
 			break
 		}
-		if c == ':' {
-			switch kind {
-			case nameElem:
-				return nil, s.serr("colon in element name")
-			case nameAttr:
-				if colon >= 0 {
-					return nil, s.serr("multiple colons in attribute name")
-				}
-				colon = s.pos - start
+		switch kind {
+		case nameElem:
+			return nil, s.serr("colon in element name")
+		case nameAttr:
+			if colon >= 0 {
+				return nil, s.serr("multiple colons in attribute name")
 			}
+			colon = pos - start
 		}
-		s.pos++
+		pos++
 	}
-	name := s.buf[start:s.pos]
+	s.pos = pos
+	name := buf[start:pos]
 	if kind == nameAttr && colon > 0 && colon < len(name)-1 {
 		// prefix:local — the pipeline consumes local names only. Edge
 		// colons (":a", "a:") keep the whole name, as encoding/xml does.
@@ -368,19 +392,14 @@ func (s *Scanner) startTag() (Kind, error) {
 		if q != '"' && q != '\'' {
 			return EOF, s.serr("unquoted or missing attribute value in element")
 		}
-		s.pos++
-		vstart := s.pos
-		for {
-			if s.pos == len(s.buf) {
-				return EOF, s.needMore()
-			}
-			if s.buf[s.pos] == q {
-				break
-			}
-			s.pos++
+		vstart := s.pos + 1
+		n := bytes.IndexByte(s.buf[vstart:], q)
+		if n < 0 {
+			s.pos = len(s.buf)
+			return EOF, s.needMore()
 		}
-		val := s.buf[vstart:s.pos]
-		s.pos++
+		val := s.buf[vstart : vstart+n]
+		s.pos = vstart + n + 1
 		s.Attrs = append(s.Attrs, Attr{Name: aname, Value: val})
 	}
 }

@@ -242,3 +242,54 @@ func TestScannerLargeDocNoCorruption(t *testing.T) {
 		t.Fatalf("starts=%d ends=%d", starts, ends)
 	}
 }
+
+// TestScannerErrorOffsets pins, for inputs whose scanning loops run long
+// before a byte they leave to the full checks (or before EOF), how many
+// tokens the scanner returns and the error it stops with, offset included:
+// the values the byte-at-a-time loops gave.
+func TestScannerErrorOffsets(t *testing.T) {
+	for _, c := range []struct {
+		in     string
+		tokens int
+		err    string
+	}{
+		{"<abcdefghijklmnopqrstuvwxyz", 0, "xmlscan: unexpected EOF at byte offset 27"},
+		{"<a>abcdefghijklmnopqrstuvwxyz", 2, ""},
+		{"<a b=\"abcdefghijklmnopqrstuvwxyz", 0, "xmlscan: unexpected EOF at byte offset 32"},
+		{"<abcdefghijklmnopqrstuvwxyz:b/>", 0, "xmlscan: colon in element name at byte offset 27"},
+		{"<a abcdefghijklmnopqrstuvwxyz:b=\"1\"/>", 2, ""},
+		{"<a abcdefghijklmnop:qrstuvwxyz:b=\"1\"/>", 0, "xmlscan: multiple colons in attribute name at byte offset 30"},
+		{"<a>abcdefghijklmnopqrstuvwxyz\x01</a>", 1, "xmlscan: illegal character code in character data at byte offset 29"},
+		{"<a>abcdefghijklmnopqrstuvwxyz\xe9</a>", 1, "xmlscan: invalid UTF-8 at byte offset 29"},
+		{"<a>abcdefghijklmnopqrstuvwxyz\ufffe</a>", 1, "xmlscan: illegal character code at byte offset 29"},
+		{"<a>abcdefghijklmnop]]>qrstuvwxyz</a>", 1, "xmlscan: unescaped ]]> not in CDATA section at byte offset 19"},
+		{"<a>abcdefghijklmnop&bogus;</a>", 1, "xmlscan: invalid character entity at byte offset 19"},
+		{"<a>abcdefghijklmnop&amp", 1, "xmlscan: unexpected EOF at byte offset 19"},
+		{"<abcdefghijklmnop\x80/>", 0, "xmlscan: non-ASCII byte in name at byte offset 17"},
+		{"<a b='abcdefghijklmnop\"qrstuvwxyz></a>", 0, "xmlscan: unexpected EOF at byte offset 38"},
+		{"<:a/>", 0, "xmlscan: invalid XML name at byte offset 1"},
+		{"<a :b='1'/>", 2, ""},
+		{"<a b:='1'/>", 2, ""},
+		{"<1a/>", 0, "xmlscan: invalid XML name at byte offset 1"},
+		{"</abcdefghijklmnop", 0, "xmlscan: unexpected EOF at byte offset 18"},
+		{"<a>x</abcdefghijklmnop:q>", 2, "xmlscan: colon in element name at byte offset 22"},
+		{"<?abc:def?><a/>", 2, ""},
+	} {
+		var s Scanner
+		s.ResetBytes([]byte(c.in))
+		n, msg := 0, ""
+		for {
+			k, err := s.Next()
+			if err != nil {
+				msg = err.Error()
+			}
+			if err != nil || k == EOF {
+				break
+			}
+			n++
+		}
+		if n != c.tokens || msg != c.err {
+			t.Errorf("%q: %d tokens, error %q; want %d, %q", c.in, n, msg, c.tokens, c.err)
+		}
+	}
+}

@@ -431,3 +431,55 @@ func TestAttrTestsCounted(t *testing.T) {
 		t.Fatalf("predfilter_attr_tests_total %v over two engines, want equal and above 0", got)
 	}
 }
+
+// TestEmitBytesCounted: predfilter_emit_bytes_total counts the bytes of
+// identifier text MatchEmit hands out, each SID's digits and a comma. By
+// hand: a document matching SIDs 7 and 12 emits "7,12,", five bytes, and
+// a Match of it adds none. Over fixed PSD documents, two engines read the
+// same value, the length of the text they emitted.
+func TestEmitBytesCounted(t *testing.T) {
+	eng := predfilter.New(predfilter.Config{})
+	for sid, xpe := range map[predfilter.SID]string{7: "/a/b", 12: "/a//c", 9: "/x"} {
+		if err := eng.AddWithSID(xpe, sid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	doc := [][]byte{[]byte(`<a><b/><c/></a>`)}
+	var text string
+	eng.MatchEmit(context.Background(), doc, 1, func(_ int, em *predfilter.Emitted, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		text = string(em.Text)
+	})
+	if _, err := eng.Match(doc[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := sample(t, eng, "predfilter_emit_bytes_total"); text != "7,12," || got != 5 {
+		t.Fatalf("emitted %q, predfilter_emit_bytes_total %d, want \"7,12,\" and 5", text, got)
+	}
+
+	xpes, err := workload.Expressions(workload.PSD(), 2000, workload.ExpressionConfig{MaxLength: 6, Wildcard: 0.2, Descendant: 0.2, Distinct: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := workload.Documents(workload.PSD(), 40, workload.DocumentConfig{Seed: 2})
+	var got, want []int
+	for run := 0; run < 2; run++ {
+		eng := predfilter.New(predfilter.Config{})
+		if _, err := eng.AddAll(xpes); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		eng.MatchEmit(context.Background(), docs, 2, func(_ int, em *predfilter.Emitted, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += len(em.Text)
+		})
+		got, want = append(got, sample(t, eng, "predfilter_emit_bytes_total")), append(want, n)
+	}
+	if got[0] == 0 || got[0] != got[1] || got[0] != want[0] {
+		t.Fatalf("predfilter_emit_bytes_total %v over two engines, emitted %v bytes, want equal and above 0", got, want)
+	}
+}
