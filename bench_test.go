@@ -178,10 +178,11 @@ func BenchmarkFig9aNITFFilters(b *testing.B) { attrWays(b, dtd.NITF()) }
 func BenchmarkFig9bPSDFilters(b *testing.B) { attrWays(b, dtd.PSD()) }
 
 // BenchmarkFig10Breakdown is Figure 10: the predicate- vs
-// expression-matching cost split, reported as custom metrics.
+// expression-matching cost split of the paper's scalar loop (path cache
+// off, as xfbench -exp fig10 runs it), reported as custom metrics.
 func BenchmarkFig10Breakdown(b *testing.B) {
 	w := benchWorkload(b, dtd.NITF(), 100000, func(c *bench.WorkloadConfig) { c.Distinct = false })
-	m := matcher.New(matcher.Options{Variant: matcher.PrefixCoverAP})
+	m := matcher.New(matcher.Options{Variant: matcher.PrefixCoverAP, PathCacheBytes: -1})
 	for _, s := range w.XPEs {
 		if _, err := m.Add(s); err != nil {
 			b.Fatal(err)

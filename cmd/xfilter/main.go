@@ -219,9 +219,8 @@ xfbench -exp fig6a (and fig6b … fig9b).
 // predicates hit at which document paths, and where a missed expression's
 // chain first came up empty.
 func printTrace(tr *predfilter.MatchTrace) {
-	fmt.Printf("  trace: %d paths, parse %v, cache %v, predicates %v, occurrence %v\n",
-		tr.Paths, time.Duration(tr.ParseNanos), time.Duration(tr.CacheNanos),
-		time.Duration(tr.PredMatchNanos), time.Duration(tr.OccurNanos))
+	fmt.Printf("  trace: %d paths, parse %v, match %v, trace %v\n",
+		tr.Paths, time.Duration(tr.ParseNanos), time.Duration(tr.TotalNanos), time.Duration(tr.TraceNanos))
 	for _, e := range tr.Exprs {
 		verdict := "miss"
 		if e.Matched {

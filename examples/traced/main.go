@@ -45,10 +45,8 @@ func main() {
 	// is the slow explanation pass laid over it.
 	fmt.Printf("matched %d of %d subscriptions over %d document paths\n",
 		len(sids), len(subscriptions), tr.Paths)
-	fmt.Printf("stage costs: parse %v, cache %v, predicate match %v, occurrence %v (explanation itself: %v)\n\n",
-		time.Duration(tr.ParseNanos), time.Duration(tr.CacheNanos),
-		time.Duration(tr.PredMatchNanos), time.Duration(tr.OccurNanos),
-		time.Duration(tr.TraceNanos))
+	fmt.Printf("stage costs: parse %v, match %v (explanation itself: %v)\n\n",
+		time.Duration(tr.ParseNanos), time.Duration(tr.TotalNanos), time.Duration(tr.TraceNanos))
 
 	for _, e := range tr.Exprs {
 		verdict := "miss"

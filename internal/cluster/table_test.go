@@ -123,10 +123,16 @@ func TestCoordMetricsDeclared(t *testing.T) {
 // Every "predfilter_…" name it passes — a literal, a constant, or either
 // plus a histogram suffix — must be a declared family, and every label
 // key passed beside it must be declared on that family (le on a
-// histogram; shard on any family the coordinator rolls up).
+// histogram; shard on any family the coordinator rolls up). The one
+// exception is a family in retiredFamilies, which must not be declared.
 func TestHarnessNamesDeclared(t *testing.T) {
 	fams := shardFamilies()
 	declare(fams, coordTable)
+	for name := range retiredFamilies {
+		if fams[name].kind != "" {
+			t.Errorf("%s is declared again; take it out of retiredFamilies", name)
+		}
+	}
 	files, err := filepath.Glob("../../benchmark/*.go")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("benchmark sources: %v %v", files, err)
@@ -177,12 +183,14 @@ func TestHarnessNamesDeclared(t *testing.T) {
 				checked++
 				base, d := name, fams[name]
 				for _, suf := range []string{"_sum", "_count", "_bucket"} {
-					if b, ok := strings.CutSuffix(name, suf); ok && fams[b].kind == "histogram" {
+					if b, ok := strings.CutSuffix(name, suf); ok && (fams[b].kind == "histogram" || retiredFamilies[b]) {
 						base, d = b, fams[b]
 					}
 				}
 				if d.kind == "" {
-					t.Errorf("%s: %s is not a declared family", fset.Position(call.Pos()), name)
+					if !retiredFamilies[base] {
+						t.Errorf("%s: %s is not a declared family", fset.Position(call.Pos()), name)
+					}
 					continue
 				}
 				for _, l := range labels {
@@ -199,6 +207,15 @@ func TestHarnessNamesDeclared(t *testing.T) {
 	if checked < 30 {
 		t.Fatalf("found %d metric names in the harness; the scan is broken", checked)
 	}
+}
+
+// retiredFamilies are families removed on purpose that the frozen
+// harness still scrapes; the metric it derives from each reads n/a until
+// the harness drops it. Histogram names carry no suffix here.
+var retiredFamilies = map[string]bool{
+	// The per-document bitset-sweep clock went with the served kernel's
+	// sub-stage clocks; matcher.columnar_sweep_us_per_doc reads it.
+	"predfilter_columnar_sweep_duration_seconds": true,
 }
 
 // stringValue evaluates a string literal, a known constant, or a

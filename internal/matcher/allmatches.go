@@ -51,12 +51,12 @@ func (k *counter) Path(pub *xmldoc.Publication) {
 			return
 		}
 	}
-	sc.paths++
+	sc.work.paths++
 	if !sc.bud.CheckPoint() {
 		return
 	}
 	t := time.Now()
-	defer func() { sc.bd.ExprMatch += time.Since(t) }()
+	defer func() { sc.match += time.Since(t) }()
 	sc.pub, sc.byTagOK = pub, false
 	sc.res.Reset(m.ix.Len())
 	m.ix.MatchPath(pub, sc.res)

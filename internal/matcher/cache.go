@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
-	"time"
 	"unsafe"
 
 	"predfilter/internal/bitset"
@@ -206,20 +205,16 @@ func (m *Matcher) canMatch(e *expr, tags []string) bool {
 // matchPathCached is the cache-enabled body of matchPath, entered after
 // the dedup check: the one cached path, on the columnar organization.
 // Callers hold the read lock with the columnar index caught up. A shape
-// the document ran already takes its record's entry, with no cache stage;
+// the document ran already takes its record's entry, with no cache probe;
 // else the Shape picks the cache shard and the signature the entry, and a
 // miss runs stage 1 and builds it. Every path then runs its entry.
-func (m *Matcher) matchPathCached(sc *scratch, cs *colScratch, pub *xmldoc.Publication, bd *Breakdown, t0 time.Time, bud *guard.Budget) {
+func (m *Matcher) matchPathCached(sc *scratch, cs *colScratch, pub *xmldoc.Publication, bud *guard.Budget) {
 	if r := sc.record(pub); r != nil {
-		m.runEntry(sc, cs.ci, r, false, pub, bd, t0, bud)
+		m.runEntry(sc, cs.ci, r, false, pub, bud)
 		return
 	}
 	sc.sig = appendPubSig(sc.sig[:0], pub)
 	ent, ok := m.cache.Get(pub.Shape, sc.sig)
-	// Signature build + lookup is the cache stage; predicate work
-	// (attribute tests, replay or a fresh stage 1) is accounted below.
-	tc := time.Now()
-	bd.Cache += tc.Sub(t0)
 	if !ok {
 		// Stage 1 over the layout, recording the transcript when
 		// value-dependent work will need it on later hits.
@@ -231,16 +226,12 @@ func (m *Matcher) matchPathCached(sc *scratch, cs *colScratch, pub *xmldoc.Publi
 			rec = &sc.rec
 		}
 		cs.ci.lay.MatchPathTids(pub, cs.tids, sc.res, rec)
-		t1 := time.Now()
-		bd.PredMatch += t1.Sub(tc)
-		if ent = m.buildEntry(sc, cs, ambiguous, bd, bud); ent == nil {
+		if ent = m.buildEntry(sc, cs, ambiguous, bud); ent == nil {
 			return
 		}
 		m.cache.Put(pub.Shape, sc.sig, ent)
-		tc = time.Now()
-		bd.ExprMatch += tc.Sub(t1)
 	}
-	m.runEntry(sc, cs.ci, sc.newRecord(pub, ent), true, pub, bd, tc, bud)
+	m.runEntry(sc, cs.ci, sc.newRecord(pub, ent), true, pub, bud)
 }
 
 // shapeRec is the document's record of one path shape whose entry ran. Its
@@ -284,19 +275,18 @@ func (sc *scratch) newRecord(pub *xmldoc.Publication, ent *pathcache.Entry) *sha
 // current path into sc — the structural outcome on the shape's first
 // path, the value-dependent units through the program or, where the entry
 // has none, through the replayed transcript and evalExpr. A miss ends here
-// too, on the entry it just built. t is when the caller last read the clock.
-func (m *Matcher) runEntry(sc *scratch, ci *colIndex, r *shapeRec, first bool, pub *xmldoc.Publication, bd *Breakdown, t time.Time, bud *guard.Budget) {
+// too, on the entry it just built.
+func (m *Matcher) runEntry(sc *scratch, ci *colIndex, r *shapeRec, first bool, pub *xmldoc.Publication, bud *guard.Budget) {
 	// Predicate stage: the document's attribute values against the
 	// program's tests, or against the transcript's residual hits.
 	ent, p := r.ent, r.ent.Prog
 	if p != nil {
 		m.progTests(sc, r, first, pub)
 	} else if len(ent.Plan) > 0 || len(m.nested) > 0 {
+		sc.work.replays++
 		sc.res.Reset(m.ix.Len())
 		m.ix.Replay(&ent.Rec, pub, sc.res)
 	}
-	t1 := time.Now()
-	bd.PredMatch += t1.Sub(t)
 
 	// Expression stage.
 	if first {
@@ -327,7 +317,6 @@ func (m *Matcher) runEntry(sc *scratch, ci *colIndex, r *shapeRec, first bool, p
 	for _, e := range m.nested { // none while an entry has a program
 		e.root.collect(m, sc, bud)
 	}
-	bd.ExprMatch += time.Since(t1)
 }
 
 // progTests decides the program's tests into the record's pass bits, a
@@ -346,7 +335,7 @@ func (m *Matcher) progTests(sc *scratch, r *shapeRec, first bool, pub *xmldoc.Pu
 			}
 			bitset.Clear(r.pass, i)
 			if len(t.Attrs) > 0 { // else the test fails unevaluated
-				sc.tests++
+				sc.work.tests++
 				if m.ix.Vals.Holds(tests[i].Test, t, &sc.res.Vals) {
 					bitset.Set(r.pass, i)
 				}
@@ -385,7 +374,7 @@ func progUnits(sc *scratch, p *pathcache.Program, pass []uint64) (marked int) {
 // results in sc.res and the transcript in sc.rec. It returns nil when the
 // budget tripped: an entry must be the complete outcome and plan for its
 // signature, never a budget-truncated one.
-func (m *Matcher) buildEntry(sc *scratch, cs *colScratch, ambiguous bool, bd *Breakdown, bud *guard.Budget) *pathcache.Entry {
+func (m *Matcher) buildEntry(sc *scratch, cs *colScratch, ambiguous bool, bud *guard.Budget) *pathcache.Entry {
 	// One sweep over the structural touched set: what stage 1 matched plus
 	// the attribute-carrying predicates whose cell matched but whose
 	// filters failed on this document. Structural units reference bare
@@ -401,7 +390,7 @@ func (m *Matcher) buildEntry(sc *scratch, cs *colScratch, ambiguous bool, bd *Br
 		}
 		touched = cs.pids
 	}
-	acc := m.colSweep(touched, cs, ambiguous, bd, bud)
+	acc := m.colSweep(touched, cs, ambiguous, bud)
 	if bud.Exceeded() {
 		return nil
 	}

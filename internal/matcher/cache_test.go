@@ -581,24 +581,3 @@ func TestValueRanksAfterFailedAdd(t *testing.T) {
 		}
 	}
 }
-
-// TestProgramHitStageClocks: on a program hit the attribute tests are
-// predicate-stage time and the unit walk expression-stage time, and with
-// the cache probe and the collection they stay within the whole match, so
-// the ladder's stage sum keeps accounting for the match stage.
-func TestProgramHitStageClocks(t *testing.T) {
-	m := New(Options{})
-	for i := 0; i < 200; i++ {
-		mustAdd(t, m, fmt.Sprintf("/r/s[@k%s%d]", []string{"<", ">="}[i%2], i))
-	}
-	doc := mustParse(t, `<r><s k="100"/></r>`)
-	m.MatchDocument(doc)
-	if entryOf(t, m, doc, 0).Prog == nil {
-		t.Fatal("no program to time")
-	}
-	sids, bd := m.MatchDocumentBreakdown(doc)
-	if len(sids) != 99 || bd.Cache <= 0 || bd.PredMatch <= 0 || bd.ExprMatch <= 0 ||
-		bd.Cache+bd.PredMatch+bd.ExprMatch+bd.Other > bd.Total {
-		t.Fatalf("%d matches, breakdown %+v", len(sids), bd)
-	}
-}

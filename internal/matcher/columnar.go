@@ -2,7 +2,6 @@ package matcher
 
 import (
 	"math/bits"
-	"time"
 
 	"predfilter/internal/bitset"
 	"predfilter/internal/guard"
@@ -259,6 +258,7 @@ func (m *Matcher) markCandidates(sc *scratch, cs *colScratch, acc []uint64, spli
 // budget per occurrence pair as the scalar path does.
 func (m *Matcher) markUnit(sc *scratch, u *expr, ambiguous bool, bud *guard.Budget) {
 	if ambiguous || u.members != nil {
+		sc.work.evals++
 		m.evalExpr(sc, u, false, bud)
 		return
 	}
@@ -270,9 +270,8 @@ func (m *Matcher) markUnit(sc *scratch, u *expr, ambiguous bool, bud *guard.Budg
 // budget is charged one step per 64-word-op block — strictly less than the
 // scalar loop's per-unit probes for the same path, so a budget generous
 // enough for the scalar matcher never trips only under the columnar one.
-func (m *Matcher) colSweep(touched []predindex.PID, cs *colScratch, ambiguous bool, bd *Breakdown, bud *guard.Budget) []uint64 {
+func (m *Matcher) colSweep(touched []predindex.PID, cs *colScratch, ambiguous bool, bud *guard.Budget) []uint64 {
 	ci := cs.ci
-	ts := time.Now()
 	acc, refOps := ci.sweep(cs, touched)
 	live, cands := 0, 0
 	for _, w := range acc {
@@ -281,7 +280,6 @@ func (m *Matcher) colSweep(touched []predindex.PID, cs *colScratch, ambiguous bo
 			cands += bits.OnesCount64(w)
 		}
 	}
-	bd.Sweep += time.Since(ts)
 	cs.stats.paths++
 	cs.stats.words += int64(len(acc))
 	cs.stats.wordsLive += int64(live)
@@ -291,117 +289,6 @@ func (m *Matcher) colSweep(touched []predindex.PID, cs *colScratch, ambiguous bo
 	}
 	bud.StepN(int64((ci.sweepCost+refOps)>>6) + 1)
 	return acc
-}
-
-// MatchDocumentColumnar matches a parsed document through the columnar
-// kernel: the materialized counterpart of MatchScanned, whose results it
-// equals. A budget trip returns the budget's *guard.LimitError and no
-// result; registration may run concurrently.
-func (m *Matcher) MatchDocumentColumnar(doc *xmldoc.Document, bud *guard.Budget) ([]SID, Breakdown, error) {
-	t0 := time.Now()
-	cs := m.lockColumnar()
-	defer m.unlockColumnar(cs, 1)
-	return m.matchDoc(cs, doc, bud, t0)
-}
-
-// ScanDoc is one document of MatchScanned: the input, budget and options
-// the caller sets, and the outcome.
-type ScanDoc struct {
-	Doc []byte
-	Bud *guard.Budget
-	// Explain adds a Trace to the SIDs; Count replaces the SIDs with
-	// Counts, each matching expression's distinct occurrence-chain
-	// combinations (the all-matches problem), enumerated on every
-	// distinct path.
-	Explain, Count bool
-	// Emit, when set on a scan with neither option, receives the result
-	// in place of SIDs; it is left empty when Err is set.
-	Emit *Emit
-
-	SIDs   []SID // nil when Err is set, with Count, and with Emit
-	Trace  *Trace
-	Counts map[SID]int
-	Err    error // the parse verdict, else the budget's
-	Scan   xmldoc.Scanned
-	Bd     Breakdown     // Bd.Total is the match stage
-	Parse  time.Duration // the parse stage: the document's wall time less Bd.Total and the explanation
-}
-
-// Matches returns the number of SIDs in d's result.
-func (d *ScanDoc) Matches() int {
-	n := len(d.SIDs) + len(d.Counts)
-	if d.Emit != nil {
-		n += d.Emit.N
-	}
-	return n
-}
-
-// MatchScanned matches documents as they are scanned, the served path: the
-// columnar kernel runs on each root-to-leaf path as its leaf closes, inside
-// xmldoc.Scan under the parse-stage limits lim, and no Document is built.
-// The documents share one columnar scratch and one hold of the read lock,
-// so a registration waits for the batch's scans. Each document fails or
-// succeeds on its own, and its verdict is the one a parse followed by
-// MatchDocumentColumnar would give: a parse error or parse-stage limit
-// anywhere in it beats a budget trip, after which its scan runs on to the
-// parse verdict without matching. A document gets one parse and one match
-// stage observation. The match stage is the kernel time Breakdown clocks
-// per path, plus the lock wait for the first document; the parse stage is
-// the rest of the document's wall time, so no clock is read per path for
-// it. Documents that do not parse, and counted ones, leave no columnar
-// counts.
-func (m *Matcher) MatchScanned(docs []ScanDoc, lim guard.Limits) {
-	start := time.Now()
-	cs := m.lockColumnar()
-	wait := time.Since(start)
-	parsed := 0
-	defer func() { m.unlockColumnar(cs, parsed) }()
-	for i := range docs {
-		d := &docs[i]
-		if d.Emit != nil {
-			d.Emit.reset()
-		}
-		sc := m.getScratch(cs, d.Bud)
-		var v xmldoc.Visitor = sc
-		var x *explainer
-		var k *counter
-		switch {
-		case d.Count:
-			k = newCounter(sc)
-			v = k
-		case d.Explain:
-			x = m.newExplainer(sc)
-			v = x
-		}
-		var perr error
-		if d.Scan, perr = xmldoc.Scan(d.Doc, lim, v); perr != nil {
-			cs.stats, d.Err = sc.stats, perr
-		} else if k != nil {
-			d.Counts, d.Err = k.end()
-		} else {
-			parsed++
-			d.SIDs, d.Err = m.end(sc, d.Emit)
-		}
-		d.Bd = sc.bd
-		distinct, tests := sc.paths, sc.tests
-		m.pool.Put(sc)
-		now := time.Now()
-		d.Bd.Total = wait + d.Bd.Cache + d.Bd.PredMatch + d.Bd.ExprMatch + d.Bd.Other
-		d.Parse = now.Sub(start) - d.Bd.Total
-		if x != nil {
-			d.Parse -= x.took
-			if d.Err == nil {
-				d.Trace, d.Err = x.end(d)
-			}
-		}
-		start, wait = now, 0
-		d.Scan.Observe(m.mx, d.Parse, perr)
-		if d.Err != nil {
-			d.SIDs = nil
-			continue
-		}
-		m.observe(&d.Bd, d.Scan.Paths, distinct, tests, d.Matches(), d.Emit)
-	}
 }
 
 // lockColumnar returns a pooled columnar scratch on a current columnar

@@ -94,10 +94,9 @@ type Options struct {
 	// internal/pathcache): 0 selects the default size
 	// (pathcache.DefaultMaxBytes), a negative value disables the cache.
 	PathCacheBytes int64
-	// Metrics, when non-nil, receives per-document stage observations
-	// (predicate matching, occurrence determination, cache time, total
-	// match time) and the document/path/match counters. Recording follows
-	// the zero-allocation contract of internal/metrics.
+	// Metrics, when non-nil, receives each document's match-stage
+	// observation and its document, path, work and match counters.
+	// Recording follows the zero-allocation contract of internal/metrics.
 	Metrics *metrics.Set
 }
 
@@ -685,27 +684,38 @@ func (m *Matcher) Stats() Stats {
 	return st
 }
 
-// Breakdown is the per-call cost split of Figure 10, extended with the
-// path-signature cache stage.
+// Breakdown is the per-call cost of a materialized document's match.
+// PredMatch, ExprMatch and Other are Figure 10's split, filled only by the
+// uncached scalar loop that the figure measures (MatchDocumentBreakdown
+// with the path cache off); the served kernel fills Total alone, and its
+// work counters say where the match went.
 type Breakdown struct {
 	PredMatch time.Duration // predicate matching stage
 	ExprMatch time.Duration // expression matching (occurrence determination)
 	Other     time.Duration // result collection and bookkeeping
-	Cache     time.Duration // path-signature cache probes (signature build + lookup)
-	Sweep     time.Duration // columnar bitset sweep, a sub-stage of ExprMatch (zero on scalar paths)
 	Total     time.Duration // the whole match as observed in the match-stage histogram
+}
+
+// docWork counts what the kernel did for one document; observe flushes it.
+type docWork struct {
+	paths   int // paths that survived dedup
+	tests   int // attribute tests hit programs evaluated
+	replays int // paths whose cache entry replayed its transcript (no program)
+	evals   int // units the columnar kernel sent through evalExpr
 }
 
 // scratch is the pooled working state of one document, and the state of
 // the per-document protocol: the kernel (cs; nil selects the scalar
-// reference), budget and stage clocks the document runs under. It is the
+// reference), budget and match clock the document runs under. It is the
 // xmldoc.Visitor a scanned document's paths are matched by (Path).
 type scratch struct {
 	m     *Matcher
 	cs    *colScratch
 	bud   *guard.Budget
 	dedup bool
-	bd    Breakdown
+	match time.Duration // one clock pair per distinct path, plus collection
+	bd    Breakdown     // the scalar loop's split
+	work  docWork
 	stats colStats // cs.stats as the document began: what discarding its work restores
 
 	res     *predindex.Results
@@ -720,13 +730,11 @@ type scratch struct {
 	pub     *xmldoc.Publication
 	ncands  map[*nestedNode][]nestedCand
 	seen    map[uint64]struct{} // per-document distinct path keys (key)
-	paths   int                 // the document's paths that survived dedup
 
 	// Path-cache working state (see cache.go). matched2 is kept all-false
 	// between uses: cache misses evaluate structural units against it with
 	// logging on, then undo exactly the logged marks. shapes indexes the
-	// document's shape records by Shape; tests counts the attribute tests
-	// hit programs evaluated.
+	// document's shape records by Shape.
 	sig       []byte
 	rec       predindex.Recording
 	matched2  []bool
@@ -736,7 +744,6 @@ type scratch struct {
 	recs      []shapeRec
 	recTuples []xmldoc.Tuple
 	recPass   []uint64
-	tests     int
 }
 
 // mark sets an expression (or group-representative) matched flag, logging
@@ -801,7 +808,7 @@ func (m *Matcher) getScratch(cs *colScratch, bud *guard.Budget) *scratch {
 
 // reset starts the document afresh: no marks, paths seen, shape records
 // (pointers cleared), nested-path candidates or resolved values (the ranks
-// may be new), no stage time.
+// may be new), no match time or work.
 func (sc *scratch) reset() {
 	clear(sc.matched)
 	clear(sc.seen)
@@ -811,15 +818,16 @@ func (sc *scratch) reset() {
 	clear(sc.recTuples)
 	sc.recs, sc.recTuples, sc.recPass = sc.recs[:0], sc.recTuples[:0], sc.recPass[:0]
 	sc.res.Vals.Reset()
-	sc.out, sc.paths, sc.tests = sc.out[:0], 0, 0
-	sc.bd = Breakdown{}
+	sc.out = sc.out[:0]
+	sc.match, sc.bd, sc.work = 0, Breakdown{}, docWork{}
 }
 
 // Path matches one root-to-leaf path of the document, unless the document
 // had it already: a repeated path costs one probe and reads no clock, not
-// even the budget's, so its time is parse time. Once the budget trips the
-// remaining paths are skipped: the budget's error is the document's
-// verdict, unless a scan's own verdict beats it.
+// even the budget's, so its time is parse time. A distinct path reads the
+// clock twice, around matchPath, into the match time. Once the budget
+// trips the remaining paths are skipped: the budget's error is the
+// document's verdict, unless a scan's own verdict beats it.
 func (sc *scratch) Path(pub *xmldoc.Publication) {
 	if sc.dedup {
 		key := sc.key(pub)
@@ -828,15 +836,17 @@ func (sc *scratch) Path(pub *xmldoc.Publication) {
 		}
 		sc.seen[key] = struct{}{}
 	}
-	sc.paths++
+	sc.work.paths++
 	if sc.bud.CheckPoint() {
+		t := time.Now()
 		sc.m.matchPath(sc, pub)
+		sc.match += time.Since(t)
 	}
 }
 
 // Restart discards the document's work when its scan falls back to
 // encoding/xml, which emits every path again: marks, resolved values,
-// stage clocks, kernel counters and spent budget.
+// match time, work and kernel counters, and spent budget.
 func (sc *scratch) Restart() {
 	sc.reset()
 	sc.bud.Restart()
@@ -873,47 +883,44 @@ func (m *Matcher) ensureFrozen() {
 }
 
 // matchPath runs the two matching stages for one publication, folding
-// results into sc and the Figure-10 stage timings into sc.bd. sc.cs
-// carries the columnar kernel's state; nil selects the scalar reference
-// loop, which exists only uncached. Effort is charged to sc.bud (nil is
-// unlimited); once it trips the path is abandoned and the caller must
-// surface its error instead of a result. Callers must hold the read lock
-// with the derived state of their kernel (ensureColumnar, ensureFrozen)
-// current.
+// results into sc. sc.cs carries the columnar kernel's state; nil selects
+// the scalar reference loop, which exists only uncached and alone splits
+// its time into Figure 10's stages (sc.bd). Effort is charged to sc.bud
+// (nil is unlimited); once it trips the path is abandoned and the caller
+// must surface its error instead of a result. Callers must hold the read
+// lock with the derived state of their kernel (ensureColumnar,
+// ensureFrozen) current.
 func (m *Matcher) matchPath(sc *scratch, pub *xmldoc.Publication) {
 	sc.pub = pub
 	sc.byTagOK = false
-	cs, bd, bud := sc.cs, &sc.bd, sc.bud
-
-	t0 := time.Now()
+	cs, bud := sc.cs, sc.bud
 	if m.cache != nil {
-		m.matchPathCached(sc, cs, pub, bd, t0, bud)
+		m.matchPathCached(sc, cs, pub, bud)
 		return
 	}
 	sc.res.Reset(m.ix.Len())
-	var ambiguous bool
-	if cs != nil {
-		ambiguous = cs.resolveTids(pub)
-		cs.ci.lay.MatchPathTids(pub, cs.tids, sc.res, nil)
-	} else {
+	if cs == nil {
+		t0 := time.Now()
 		m.ix.MatchPath(pub, sc.res)
-	}
-	t1 := time.Now()
-	bd.PredMatch += t1.Sub(t0)
-
-	if cs != nil {
-		acc := m.colSweep(sc.res.Touched(), cs, ambiguous, bd, bud)
-		if bud.Exceeded() {
-			return
-		}
-		m.markCandidates(sc, cs, acc, false, ambiguous, bud)
-	} else {
+		t1 := time.Now()
 		m.runUnits(sc, bud)
+		for _, e := range m.nested {
+			e.root.collect(m, sc, bud)
+		}
+		sc.bd.PredMatch += t1.Sub(t0)
+		sc.bd.ExprMatch += time.Since(t1)
+		return
 	}
+	ambiguous := cs.resolveTids(pub)
+	cs.ci.lay.MatchPathTids(pub, cs.tids, sc.res, nil)
+	acc := m.colSweep(sc.res.Touched(), cs, ambiguous, bud)
+	if bud.Exceeded() {
+		return
+	}
+	m.markCandidates(sc, cs, acc, false, ambiguous, bud)
 	for _, e := range m.nested {
 		e.root.collect(m, sc, bud)
 	}
-	bd.ExprMatch += time.Since(t1)
 }
 
 // runUnits is the scalar reference's expression-matching stage: the
@@ -974,7 +981,8 @@ func (m *Matcher) pathDedup() bool {
 	return len(m.nested) == 0 && !m.opts.DisablePathDedup
 }
 
-// MatchDocumentBreakdown is MatchDocument with the Figure-10 cost split.
+// MatchDocumentBreakdown is MatchDocument with its cost: Figure 10's split
+// with the path cache off (the scalar loop), the total alone with it on.
 func (m *Matcher) MatchDocumentBreakdown(doc *xmldoc.Document) ([]SID, Breakdown) {
 	sids, bd, _ := m.MatchDocumentBudget(doc, nil)
 	return sids, bd
@@ -1015,45 +1023,44 @@ func (m *Matcher) matchDoc(cs *colScratch, doc *xmldoc.Document, bud *guard.Budg
 	bd := sc.bd
 	if err == nil {
 		bd.Total = time.Since(t0)
-		m.observe(&bd, len(doc.Paths), sc.paths, sc.tests, len(out), nil)
+		m.observe(bd.Total, sc.work, len(doc.Paths), len(out), nil)
 	}
 	return out, bd, err
 }
 
 // end closes the document's match: the budget's error, or nested-path
 // recombination and the result — emitted into em when it is set, else
-// returned — with collect's time in sc.bd.Other.
+// returned — with collect's time in the match time (and, for the scalar
+// loop, in sc.bd.Other).
 func (m *Matcher) end(sc *scratch, em *Emit) ([]SID, error) {
 	if err := sc.bud.Err(); err != nil {
 		return nil, err
 	}
 	t := time.Now()
 	out := m.collect(sc, em)
-	sc.bd.Other = time.Since(t)
+	d := time.Since(t)
+	sc.match += d
+	if sc.cs == nil {
+		sc.bd.Other = d
+	}
 	return out, nil
 }
 
-// observe folds one document's stage breakdown, whole-match duration,
-// path, attribute-test and match counts and emitted text bytes (em, when
-// the result was emitted) into the metric set. The recording contract is
-// zero allocations, so this is safe on every match path.
-func (m *Matcher) observe(bd *Breakdown, paths, distinct, tests, matches int, em *Emit) {
+// observe folds one document's match duration, its work counters, its
+// path and match counts and its emitted text bytes (em, when the result
+// was emitted) into the metric set. The recording contract is zero
+// allocations, so this is safe on every match path.
+func (m *Matcher) observe(match time.Duration, w docWork, paths, matches int, em *Emit) {
 	if m.mx == nil {
 		return
 	}
-	m.mx.PredMatch.Observe(bd.PredMatch)
-	m.mx.Occur.Observe(bd.ExprMatch + bd.Other)
-	if m.cache != nil {
-		m.mx.Cache.Observe(bd.Cache)
-	}
-	if bd.Sweep > 0 {
-		m.mx.ColSweep.Observe(bd.Sweep)
-	}
-	m.mx.Match.Observe(bd.Total)
+	m.mx.Match.Observe(match)
 	m.mx.DocsTotal.Inc()
 	m.mx.PathsTotal.Add(int64(paths))
-	m.mx.PathsDistinct.Add(int64(distinct))
-	m.mx.AttrTests.Add(int64(tests))
+	m.mx.PathsDistinct.Add(int64(w.paths))
+	m.mx.AttrTests.Add(int64(w.tests))
+	m.mx.CacheReplays.Add(int64(w.replays))
+	m.mx.OccurEvals.Add(int64(w.evals))
 	m.mx.MatchesTotal.Add(int64(matches))
 	if em != nil {
 		m.mx.EmitBytes.Add(int64(len(em.Text)))

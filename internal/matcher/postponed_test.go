@@ -70,7 +70,7 @@ func TestPostponedGroupSkip(t *testing.T) {
 // to within an order of magnitude of something sensible (they are wall
 // clock, so only coarse sanity is possible).
 func TestBreakdownAccounting(t *testing.T) {
-	m := New(Options{Variant: PrefixCoverAP})
+	m := New(Options{Variant: PrefixCoverAP, PathCacheBytes: -1}) // the scalar loop, which keeps the split
 	for i := 0; i < 200; i++ {
 		if _, err := m.Add(fmt.Sprintf("/r/t%d/u", i%50)); err != nil {
 			t.Fatal(err)

@@ -87,14 +87,11 @@ type Trace struct {
 	Paths   int `json:"paths"`
 	Matches int `json:"matches"`
 	// Stage costs of the authoritative match, in nanoseconds: the parse
-	// and match stages MatchScanned observes, split as ScanDoc's Parse
-	// and Bd are. TraceNanos, the explanation pass, is in neither.
-	ParseNanos     int64 `json:"parse_nanos,omitempty"`
-	CacheNanos     int64 `json:"cache_nanos"`
-	PredMatchNanos int64 `json:"pred_match_nanos"`
-	OccurNanos     int64 `json:"occur_nanos"`
-	TotalNanos     int64 `json:"total_nanos"`
-	TraceNanos     int64 `json:"trace_nanos"`
+	// and match (TotalNanos) stages MatchScanned observes, ScanDoc's Parse
+	// and Match. TraceNanos, the explanation pass, is in neither.
+	ParseNanos int64 `json:"parse_nanos,omitempty"`
+	TotalNanos int64 `json:"total_nanos"`
+	TraceNanos int64 `json:"trace_nanos"`
 	// Exprs explains every registered distinct expression, capped at
 	// MaxTraceExprs (TruncatedExprs reports whether the cap was hit).
 	Exprs          []ExprTrace `json:"exprs"`
@@ -231,8 +228,7 @@ func (x *explainer) end(d *ScanDoc) (*Trace, error) {
 	}
 	tr := x.tr
 	tr.Paths, tr.Matches = d.Scan.Paths, len(d.SIDs)
-	tr.ParseNanos, tr.CacheNanos, tr.PredMatchNanos = d.Parse.Nanoseconds(), d.Bd.Cache.Nanoseconds(), d.Bd.PredMatch.Nanoseconds()
-	tr.OccurNanos, tr.TotalNanos, tr.TraceNanos = (d.Bd.ExprMatch + d.Bd.Other).Nanoseconds(), d.Bd.Total.Nanoseconds(), x.took.Nanoseconds()
+	tr.ParseNanos, tr.TotalNanos, tr.TraceNanos = d.Parse.Nanoseconds(), d.Match.Nanoseconds(), x.took.Nanoseconds()
 	return tr, nil
 }
 

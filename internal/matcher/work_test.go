@@ -1,0 +1,107 @@
+package matcher
+
+import (
+	"errors"
+	"strings"
+	"testing"
+	"time"
+
+	"predfilter/internal/guard"
+	"predfilter/internal/metrics"
+	"predfilter/internal/predicate"
+)
+
+// TestServedWorkCounters runs fixed histories through the served entry, one
+// document per call on a fresh matcher, and reads the work counters that
+// say where the match went: distinct paths, attribute tests hit programs
+// decided, paths whose entry replayed its transcript, and units sent
+// through occurrence determination. Each history reads the same exact
+// values in two runs.
+func TestServedWorkCounters(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+		xpes []string
+		docs []string
+		want [4]int64 // distinct paths, attribute tests, replays, occurrence evals
+	}{{
+		// A repeated tag: the entry keeps plan + transcript and every path
+		// replays it; the structural unit is evaluated on the miss only,
+		// the live one on every path whose value passes.
+		name: "repeated tag",
+		xpes: []string{"/a//a", "/a//a[@x=1]"},
+		docs: []string{`<a><a x="1"><b/></a></a>`, `<a><a x="1"><b/></a></a>`, `<a><a x="2"><b/></a></a>`},
+		want: [4]int64{3, 0, 3, 2 + 1 + 0},
+	}, {
+		// No tag repeats: every entry is a hit program, nothing replays.
+		name: "programs",
+		xpes: []string{"/r/s[@k=1]", "/r/t[@k>=2]", "/r/s"},
+		docs: []string{`<r><s k="1"/><t k="3"/></r>`, `<r><s k="2"/><t k="3"/><s k="1"/></r>`},
+		want: [4]int64{5, 5, 0, 0}, // the second s is another node: its test is decided again
+	}, {
+		// Postponed mode: the two filters share one group representative,
+		// whose entry replays its transcript on every path.
+		name: "postponed",
+		opts: Options{AttrMode: predicate.Postponed},
+		xpes: []string{"/a/b[@x=1]", "/a/b[@x=2]"},
+		docs: []string{`<a><b x="1"/><b x="2"/></a>`, `<a><b x="3"/></a>`},
+		want: [4]int64{3, 0, 3, 3},
+	}} {
+		run := func() [4]int64 {
+			mx := metrics.NewSet()
+			opts := tc.opts
+			opts.Metrics = mx
+			m := New(opts)
+			mustAdd(t, m, tc.xpes...)
+			for _, doc := range tc.docs {
+				docs := []ScanDoc{{Doc: []byte(doc)}}
+				m.MatchScanned(docs, guard.Limits{})
+				if docs[0].Err != nil {
+					t.Fatalf("%s: %v", tc.name, docs[0].Err)
+				}
+			}
+			s := mx.Scrape()
+			return [4]int64{s.PathsDistinct, s.AttrTests, s.CacheReplays, s.OccurEvals}
+		}
+		first, second := run(), run()
+		if first != second {
+			t.Errorf("%s: two runs read %v and %v", tc.name, first, second)
+		}
+		if first != tc.want {
+			t.Errorf("%s: counters %v, want %v", tc.name, first, tc.want)
+		}
+	}
+}
+
+// TestScannedStageTimes pins the served timing contract: whether the
+// document is plain, falls back to encoding/xml mid-scan, is traced or
+// trips its budget, its parse and match stages are not negative and
+// together fit in the call's wall time.
+func TestScannedStageTimes(t *testing.T) {
+	m := New(Options{})
+	mustAdd(t, m, "/a/b", "//c[@z=2]", strings.Repeat("//a", 20))
+	deep := strings.Repeat("<a>", 18) + strings.Repeat("</a>", 18)
+	for _, tc := range []struct {
+		name    string
+		d       ScanDoc
+		tripped bool
+	}{
+		{name: "plain", d: ScanDoc{Doc: []byte(`<a x="1"><b y="2"/><c z="2"/></a>`)}},
+		{name: "fallback", d: ScanDoc{Doc: []byte(`<a x="1"><b y="&amp;"/><p:c xmlns:p="u" z="2"/></a>`)}},
+		{name: "traced", d: ScanDoc{Doc: []byte(`<a x="1"><b y="2"/><c z="2"/></a>`), Explain: true}},
+		{name: "budget", d: ScanDoc{Doc: []byte(deep), Bud: stepBudget(1000)}, tripped: true},
+	} {
+		docs := []ScanDoc{tc.d}
+		t0 := time.Now()
+		m.MatchScanned(docs, guard.Limits{})
+		wall := time.Since(t0)
+		d := &docs[0]
+		var le *guard.LimitError
+		if tripped := errors.As(d.Err, &le); tripped != tc.tripped || !tripped && d.Err != nil {
+			t.Fatalf("%s: err %v", tc.name, d.Err)
+		}
+		if d.Parse < 0 || d.Match < 0 || d.Parse+d.Match > wall {
+			t.Errorf("%s: parse %v + match %v against wall %v", tc.name, d.Parse, d.Match, wall)
+		}
+	}
+}

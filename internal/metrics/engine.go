@@ -15,6 +15,8 @@ var EngineRows = []Row[Scrape]{
 	{Name: "predfilter_paths_total", Kind: "counter", Help: "Root-to-leaf paths matched.", JSON: "paths", On: OnStats, Read: func(s *Scrape, e Emit) { e(s.PathsTotal) }},
 	{Name: "predfilter_paths_distinct_total", Kind: "counter", Help: "Paths matched after per-document dedup of repeated paths.", Read: func(s *Scrape, e Emit) { e(s.PathsDistinct) }},
 	{Name: "predfilter_attr_tests_total", Kind: "counter", Help: "Attribute tests evaluated by path-cache hit programs; outcomes reused for an unchanged node are not counted.", Read: func(s *Scrape, e Emit) { e(s.AttrTests) }},
+	{Name: "predfilter_path_cache_replays_total", Kind: "counter", Help: "Distinct paths whose path-cache entry ran its plan over the replayed transcript, having no hit program.", Read: func(s *Scrape, e Emit) { e(s.CacheReplays) }},
+	{Name: "predfilter_occurrence_evals_total", Kind: "counter", Help: "Units the served kernel sent through occurrence determination: a tag repeated on the path, or a Postponed group.", Read: func(s *Scrape, e Emit) { e(s.OccurEvals) }},
 	{Name: "predfilter_matches_total", Kind: "counter", Help: "Matching expression identifiers reported.", JSON: "matches", On: OnStats, Read: func(s *Scrape, e Emit) { e(s.MatchesTotal) }},
 	{Name: "predfilter_emit_bytes_total", Kind: "counter", Help: "Bytes of identifier text emitted for matching documents, each identifier's digits and a comma.", Read: func(s *Scrape, e Emit) { e(s.EmitBytes) }},
 	{Name: "predfilter_slow_docs_total", Kind: "counter", Help: "Documents over the slow-document threshold.", JSON: "slow_docs", On: OnStats, Read: func(s *Scrape, e Emit) { e(s.SlowDocs) }},
@@ -23,9 +25,6 @@ var EngineRows = []Row[Scrape]{
 	{Name: "predfilter_stage_duration_seconds", Kind: "histogram", Help: "Per-document pipeline stage latency.", Labels: []string{"stage"}, JSON: "stages.{stage}", On: OnStats,
 		Read: func(s *Scrape, e Emit) {
 			e(s.Parse, "parse")
-			e(s.Cache, "cache")
-			e(s.PredMatch, "predicate_match")
-			e(s.Occur, "occurrence")
 			e(s.Match, "match")
 		}},
 	{Name: "predfilter_store_duration_seconds", Kind: "histogram", Help: "Durable store operation latency.", Labels: []string{"op"}, JSON: "stages.{op}", On: OnStats,
@@ -62,7 +61,6 @@ var EngineRows = []Row[Scrape]{
 		JSON: "columnar.words_{state}", On: OnStats | OnVars, Skip: colIdle, Read: func(s *Scrape, e Emit) { e(s.Columnar.WordsSwept, "swept"); e(s.Columnar.WordsLive, "live") }},
 	colRow("", "", "", "avg_batch", func(s *Scrape) any { return s.Columnar.AvgBatch() }),
 	colRow("", "", "", "occupancy", func(s *Scrape) any { return s.Columnar.Occupancy() }),
-	{Name: "predfilter_columnar_sweep_duration_seconds", Kind: "histogram", Help: "Per-document time in pure bitset sweep work (sub-stage of occurrence).", Read: func(s *Scrape, e Emit) { e(s.ColSweep) }},
 	{Name: "predfilter_stream_worker_busy_seconds_total", Kind: "counter", Help: "Cumulative per-worker busy time.", Labels: []string{"worker"},
 		When: func(s *Scrape) bool { return len(s.StreamBusy) > 0 },
 		Read: func(s *Scrape, e Emit) {

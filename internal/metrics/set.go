@@ -28,6 +28,8 @@ type Set struct {
 	PathsTotal    Counter // root-to-leaf paths matched
 	PathsDistinct Counter // paths that survived per-document dedup
 	AttrTests     Counter // attribute tests hit programs decided
+	CacheReplays  Counter // paths whose cache entry replayed its transcript
+	OccurEvals    Counter // units the served kernel sent through occurrence determination
 	MatchesTotal  Counter // matching SIDs reported
 	EmitBytes     Counter // bytes of SID text emitted for them
 	SlowDocs      Counter // documents over the slow-document threshold
@@ -40,15 +42,10 @@ type Set struct {
 	ParseFallbackDocs Counter
 
 	// Per-document stage latency histograms. Parse covers XML parsing plus
-	// path extraction; Cache the path-signature cache probes and replays;
-	// PredMatch the predicate matching stage; Occur occurrence
-	// determination plus result collection; Match the whole post-parse
-	// matching call.
-	Parse     Histogram
-	Cache     Histogram
-	PredMatch Histogram
-	Occur     Histogram
-	Match     Histogram
+	// path extraction; Match the matching, which the work counters above
+	// break down.
+	Parse Histogram
+	Match Histogram
 
 	// Durable-store stage histograms.
 	WALAppend Histogram
@@ -65,8 +62,7 @@ type Set struct {
 	// candidate bits surviving the per-path fold, paths that needed scalar
 	// occurrence verification (a tag repeated on the path), and the
 	// occupancy pair — candidate-bitset words scanned vs words holding at
-	// least one candidate. ColSweep is the per-document time spent in pure
-	// bitset work, a sub-stage of Occur.
+	// least one candidate.
 	ColBatches    Counter
 	ColDocs       Counter
 	ColPaths      Counter
@@ -74,7 +70,6 @@ type Set struct {
 	ColAmbiguous  Counter
 	ColWords      Counter
 	ColWordsLive  Counter
-	ColSweep      Histogram
 
 	// Resource-governance counters: documents stopped by each limit kind
 	// (indexed by guard.Kind) and panics recovered by the isolation layer
@@ -92,15 +87,15 @@ type Set struct {
 // request renders from one Scrape, so a value reported twice is reported
 // equal.
 type Scrape struct {
-	DocsTotal, DocErrors, DocBytes, PathsTotal, MatchesTotal, SlowDocs    int64
-	PathsDistinct, AttrTests, EmitBytes, ParseScanDocs, ParseFallbackDocs int64
-	Parse, Cache, PredMatch, Occur, Match, WALAppend, Snapshot            HistSnapshot
-	StreamQueueDepth, StreamJobs, StreamBatches                           int64
-	StreamBusy                                                            []int64 // per worker, nanoseconds
-	Columnar                                                              Columnar
-	ColSweep                                                              HistSnapshot
-	LimitTrips                                                            [NumLimitKinds]int64
-	Panics                                                                int64
+	DocsTotal, DocErrors, DocBytes, PathsTotal, MatchesTotal, SlowDocs int64
+	PathsDistinct, AttrTests, CacheReplays, OccurEvals, EmitBytes      int64
+	ParseScanDocs, ParseFallbackDocs                                   int64
+	Parse, Match, WALAppend, Snapshot                                  HistSnapshot
+	StreamQueueDepth, StreamJobs, StreamBatches                        int64
+	StreamBusy                                                         []int64 // per worker, nanoseconds
+	Columnar                                                           Columnar
+	LimitTrips                                                         [NumLimitKinds]int64
+	Panics                                                             int64
 
 	Expressions, DistinctExpressions, DistinctPredicates, NestedExpressions int
 	PathCache                                                               PathCache
@@ -162,14 +157,14 @@ func (s *Set) Scrape() Scrape {
 	sc := Scrape{
 		DocsTotal: s.DocsTotal.Load(), DocErrors: s.DocErrors.Load(), DocBytes: s.DocBytes.Load(),
 		PathsTotal: s.PathsTotal.Load(), MatchesTotal: s.MatchesTotal.Load(), SlowDocs: s.SlowDocs.Load(),
-		PathsDistinct: s.PathsDistinct.Load(), AttrTests: s.AttrTests.Load(), EmitBytes: s.EmitBytes.Load(), ParseScanDocs: s.ParseScanDocs.Load(), ParseFallbackDocs: s.ParseFallbackDocs.Load(),
-		Parse: s.Parse.Snapshot(), Cache: s.Cache.Snapshot(), PredMatch: s.PredMatch.Snapshot(), Occur: s.Occur.Snapshot(),
-		Match: s.Match.Snapshot(), WALAppend: s.WALAppend.Snapshot(), Snapshot: s.Snapshot.Snapshot(),
+		PathsDistinct: s.PathsDistinct.Load(), AttrTests: s.AttrTests.Load(), CacheReplays: s.CacheReplays.Load(), OccurEvals: s.OccurEvals.Load(),
+		EmitBytes: s.EmitBytes.Load(), ParseScanDocs: s.ParseScanDocs.Load(), ParseFallbackDocs: s.ParseFallbackDocs.Load(),
+		Parse: s.Parse.Snapshot(), Match: s.Match.Snapshot(), WALAppend: s.WALAppend.Snapshot(), Snapshot: s.Snapshot.Snapshot(),
 		StreamQueueDepth: s.StreamQueueDepth.Load(), StreamJobs: s.StreamJobs.Load(),
 		StreamBatches: s.StreamBatches.Load(),
 		Columnar: Columnar{s.ColBatches.Load(), s.ColDocs.Load(), s.ColPaths.Load(), s.ColCandidates.Load(),
 			s.ColAmbiguous.Load(), s.ColWords.Load(), s.ColWordsLive.Load()},
-		ColSweep: s.ColSweep.Snapshot(), Panics: s.Panics.Load(),
+		Panics: s.Panics.Load(),
 	}
 	for i := range sc.LimitTrips {
 		sc.LimitTrips[i] = s.limitTrips[i].Load()

@@ -43,9 +43,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	for _, want := range []string{
 		`predfilter_stage_duration_seconds_count{stage="parse"} 2`,
-		`predfilter_stage_duration_seconds_count{stage="predicate_match"} 2`,
-		`predfilter_stage_duration_seconds_count{stage="occurrence"} 2`,
-		`predfilter_stage_duration_seconds_count{stage="cache"} 2`,
 		`predfilter_stage_duration_seconds_count{stage="match"} 2`,
 		"predfilter_docs_total 2",
 		"predfilter_matches_total 1",

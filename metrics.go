@@ -33,18 +33,13 @@ func summarize(s metrics.HistSnapshot) HistogramStats {
 }
 
 // StageStats holds the per-stage latency summaries of the pipeline:
-// parsing (XML parse + path extraction), the path-signature cache stage,
-// the two matching stages of the paper (predicate matching, occurrence
-// determination), the whole post-parse match, and the durable-store
+// parsing (XML parse + path extraction), matching, and the durable-store
 // operations.
 type StageStats struct {
-	Parse          HistogramStats
-	Cache          HistogramStats
-	PredicateMatch HistogramStats
-	Occurrence     HistogramStats
-	Match          HistogramStats
-	WALAppend      HistogramStats
-	Snapshot       HistogramStats
+	Parse     HistogramStats
+	Match     HistogramStats
+	WALAppend HistogramStats
+	Snapshot  HistogramStats
 }
 
 // Match tracing (per-document explanation mode). The types are produced
@@ -80,25 +75,22 @@ func (e *Engine) MatchTracedContext(ctx context.Context, doc []byte) ([]SID, *Ma
 }
 
 // maybeLogSlow counts and logs documents whose parse+match time reached
-// the configured threshold, with the match's stage breakdown. When ctx
+// the configured threshold, with its parse and match stages. When ctx
 // carries a distributed trace (the server attaches one for traced
 // publishes), its trace ID is attached so the slow-document record can be
 // correlated with the cluster-wide span tree in the flight recorder.
-func (e *Engine) maybeLogSlow(ctx context.Context, parse time.Duration, bd *matcher.Breakdown, bytes, paths, matches int) {
-	if e.slow <= 0 || parse+bd.Total < e.slow {
+func (e *Engine) maybeLogSlow(ctx context.Context, parse, match time.Duration, bytes, paths, matches int) {
+	if e.slow <= 0 || parse+match < e.slow {
 		return
 	}
 	e.mx.SlowDocs.Inc()
 	attrs := []slog.Attr{
-		slog.Int64("total_ns", int64(parse+bd.Total)),
+		slog.Int64("total_ns", int64(parse+match)),
 		slog.Int64("parse_ns", int64(parse)),
-		slog.Int64("match_ns", int64(bd.Total)),
+		slog.Int64("match_ns", int64(match)),
 		slog.Int("bytes", bytes),
 		slog.Int("paths", paths),
 		slog.Int("matches", matches),
-		slog.Int64("cache_ns", int64(bd.Cache)),
-		slog.Int64("pred_match_ns", int64(bd.PredMatch)),
-		slog.Int64("occur_ns", int64(bd.ExprMatch+bd.Other)),
 	}
 	if tr := trace.FromContext(ctx); tr.Enabled() {
 		attrs = append(attrs, slog.String("trace_id", tr.ID().String()))

@@ -125,7 +125,7 @@ func TestSlowDocLogging(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"slow document", "total_ns", "parse_ns", "match_ns", "pred_match_ns", `"paths":`} {
+	for _, want := range []string{"slow document", "total_ns", "parse_ns", "match_ns", `"paths":`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("slow-doc record missing %q:\n%s", want, out)
 		}
@@ -141,7 +141,7 @@ func TestSlowDocLogging(t *testing.T) {
 			t.Fatal(r.Err)
 		}
 	}
-	if out := buf.String(); !strings.Contains(out, "slow document") || !strings.Contains(out, "pred_match_ns") {
+	if out := buf.String(); !strings.Contains(out, "slow document") || !strings.Contains(out, "match_ns") {
 		t.Fatalf("streaming slow document not logged with its breakdown:\n%s", out)
 	}
 	if got := eng.Stats().SlowDocs; got != 2 {
@@ -280,7 +280,7 @@ func TestWriteMetricsValid(t *testing.T) {
 		"predfilter_docs_total 1",
 		"predfilter_doc_errors_total 1",
 		`predfilter_stage_duration_seconds_count{stage="parse"} 1`,
-		`predfilter_stage_duration_seconds_count{stage="occurrence"} 1`,
+		`predfilter_stage_duration_seconds_count{stage="match"} 1`,
 		"predfilter_expressions 1",
 	} {
 		if !strings.Contains(text, want) {
@@ -312,9 +312,6 @@ func TestStageStatsEmptyHistograms(t *testing.T) {
 		}
 	}
 	check("parse", st.Parse)
-	check("cache", st.Cache)
-	check("predicate_match", st.PredicateMatch)
-	check("occurrence", st.Occurrence)
 	check("match", st.Match)
 	check("wal_append", st.WALAppend)
 	check("snapshot", st.Snapshot)
@@ -439,8 +436,12 @@ func TestAttrTestsCounted(t *testing.T) {
 // same value, the length of the text they emitted.
 func TestEmitBytesCounted(t *testing.T) {
 	eng := predfilter.New(predfilter.Config{})
-	for sid, xpe := range map[predfilter.SID]string{7: "/a/b", 12: "/a//c", 9: "/x"} {
-		if err := eng.AddWithSID(xpe, sid); err != nil {
+	// Registered in a fixed order: ids are emitted in registration order.
+	for _, r := range []struct {
+		sid predfilter.SID
+		xpe string
+	}{{7, "/a/b"}, {12, "/a//c"}, {9, "/x"}} {
+		if err := eng.AddWithSID(r.xpe, r.sid); err != nil {
 			t.Fatal(err)
 		}
 	}

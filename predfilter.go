@@ -315,7 +315,7 @@ func (e *Engine) scanned(ctx context.Context, d *matcher.ScanDoc) error {
 	if d.Err != nil {
 		return e.recordGovernance(d.Err)
 	}
-	e.maybeLogSlow(ctx, d.Parse, &d.Bd, int(d.Scan.Bytes), d.Scan.Paths, d.Matches())
+	e.maybeLogSlow(ctx, d.Parse, d.Match, int(d.Scan.Bytes), d.Scan.Paths, d.Matches())
 	return nil
 }
 
@@ -332,7 +332,7 @@ func (e *Engine) matchDoc(ctx context.Context, d *xmldoc.Document, bud *guard.Bu
 	if err != nil {
 		return nil, e.recordGovernance(err)
 	}
-	e.maybeLogSlow(ctx, parse, &bd, nbytes, len(d.Paths), len(sids))
+	e.maybeLogSlow(ctx, parse, bd.Total, nbytes, len(d.Paths), len(sids))
 	return sids, nil
 }
 
@@ -457,8 +457,7 @@ func (e *Engine) Stats() Stats {
 		Paths: sc.PathsTotal, Matches: sc.MatchesTotal, SlowDocs: sc.SlowDocs,
 		ParseScanDocs: sc.ParseScanDocs, ParseFallbacks: sc.ParseFallbackDocs,
 		Panics: sc.Panics, Columnar: sc.Columnar,
-		Stages: StageStats{summarize(sc.Parse), summarize(sc.Cache), summarize(sc.PredMatch),
-			summarize(sc.Occur), summarize(sc.Match), summarize(sc.WALAppend), summarize(sc.Snapshot)},
+		Stages: StageStats{summarize(sc.Parse), summarize(sc.Match), summarize(sc.WALAppend), summarize(sc.Snapshot)},
 	}
 	for k := guard.Kind(0); k < guard.NumKinds; k++ {
 		if n := sc.LimitTrips[k]; n > 0 {
