@@ -255,13 +255,14 @@ func BenchmarkAblationODFirstVsAll(b *testing.B) {
 		chains[i] = chain
 	}
 	b.Run("first-match", func(b *testing.B) {
+		var buf []uint64
 		for i := 0; i < b.N; i++ {
-			occur.Determine(chains[i%len(chains)])
+			occur.Determine(chains[i%len(chains)], nil, &buf)
 		}
 	})
 	b.Run("all-matches", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			occur.Enumerate(chains[i%len(chains)], func([]occur.Pair) bool { return true })
+			occur.Enumerate(chains[i%len(chains)], nil, func([]occur.Pair) bool { return true })
 		}
 	})
 }

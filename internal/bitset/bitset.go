@@ -25,16 +25,6 @@ func Clear(b []uint64, i int) { b[i>>6] &^= 1 << (uint(i) & 63) }
 // Get reports bit i. The caller guarantees i < len(b)*WordBits.
 func Get(b []uint64, i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-// TailMask returns the valid-bit mask of the last word covering n bits:
-// all ones when n is a multiple of WordBits (and for n == 0), otherwise
-// the low n%WordBits bits.
-func TailMask(n int) uint64 {
-	if r := n & 63; r != 0 {
-		return (1 << uint(r)) - 1
-	}
-	return ^uint64(0)
-}
-
 // Zero clears every word.
 func Zero(b []uint64) {
 	for i := range b {
@@ -63,18 +53,6 @@ func Count(b []uint64) int {
 	n := 0
 	for _, w := range b {
 		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// NonZeroWords returns the number of words with at least one set bit —
-// the numerator of the sweep-occupancy ratio the matcher reports.
-func NonZeroWords(b []uint64) int {
-	n := 0
-	for _, w := range b {
-		if w != 0 {
-			n++
-		}
 	}
 	return n
 }

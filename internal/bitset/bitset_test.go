@@ -5,26 +5,22 @@ import (
 	"testing"
 )
 
-func TestWordsAndTailMask(t *testing.T) {
+func TestWords(t *testing.T) {
 	cases := []struct {
 		n     int
 		words int
-		mask  uint64
 	}{
-		{0, 0, ^uint64(0)},
-		{1, 1, 1},
-		{63, 1, 1<<63 - 1},
-		{64, 1, ^uint64(0)},
-		{65, 2, 1},
-		{128, 2, ^uint64(0)},
-		{130, 3, 3},
+		{0, 0},
+		{1, 1},
+		{63, 1},
+		{64, 1},
+		{65, 2},
+		{128, 2},
+		{130, 3},
 	}
 	for _, c := range cases {
 		if got := Words(c.n); got != c.words {
 			t.Errorf("Words(%d) = %d, want %d", c.n, got, c.words)
-		}
-		if got := TailMask(c.n); got != c.mask {
-			t.Errorf("TailMask(%d) = %#x, want %#x", c.n, got, c.mask)
 		}
 	}
 }
@@ -71,7 +67,7 @@ func TestAndOrZero(t *testing.T) {
 		}
 	}
 	Zero(a)
-	if Count(a) != 0 || NonZeroWords(a) != 0 {
+	if Count(a) != 0 {
 		t.Fatal("Zero left bits set")
 	}
 }
@@ -91,8 +87,5 @@ func TestForEachAscending(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("ForEach visited %v, want %v", got, want)
 		}
-	}
-	if nz := NonZeroWords(b); nz != 3 {
-		t.Fatalf("NonZeroWords = %d, want 3", nz)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -125,6 +127,10 @@ func TestCoordMetricsDeclared(t *testing.T) {
 // key passed beside it must be declared on that family (le on a
 // histogram; shard on any family the coordinator rolls up). The one
 // exception is a family in retiredFamilies, which must not be declared.
+// Every stage label value it reads must be a series that a fresh server
+// (or, for the coordinator's own families, a fresh coordinator) exposes
+// after one publish, unless retiredSeries lists it; a listed series must
+// not be exposed.
 func TestHarnessNamesDeclared(t *testing.T) {
 	fams := shardFamilies()
 	declare(fams, coordTable)
@@ -161,14 +167,15 @@ func TestHarnessNamesDeclared(t *testing.T) {
 	}
 	labelKeys := []string{"stage", "path", "state", "op", "shard", "le"}
 	checked := 0
+	stages := map[string]token.Pos{} // family{stage="value"} → where the harness reads it
 	for _, f := range parsed {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			var names, labels []string
-			for _, arg := range call.Args {
+			var names, labels, stageValues []string
+			for i, arg := range call.Args {
 				s, ok := stringValue(arg, consts)
 				switch {
 				case ok && strings.HasPrefix(s, "predfilter_"):
@@ -176,6 +183,11 @@ func TestHarnessNamesDeclared(t *testing.T) {
 				case ok && slices.Contains(labelKeys, s):
 					if _, lit := arg.(*ast.BasicLit); lit {
 						labels = append(labels, s)
+					}
+					if s == "stage" && i+1 < len(call.Args) {
+						if v, ok := stringValue(call.Args[i+1], nil); ok {
+							stageValues = append(stageValues, v)
+						}
 					}
 				}
 			}
@@ -193,6 +205,9 @@ func TestHarnessNamesDeclared(t *testing.T) {
 					}
 					continue
 				}
+				for _, v := range stageValues {
+					stages[base+`{stage="`+v+`"}`] = call.Pos()
+				}
 				for _, l := range labels {
 					ok := slices.Contains(d.labels, l) || l == "le" && d.kind == "histogram" ||
 						l == "shard" && !strings.HasPrefix(base, "predfilter_cluster_")
@@ -207,6 +222,53 @@ func TestHarnessNamesDeclared(t *testing.T) {
 	if checked < 30 {
 		t.Fatalf("found %d metric names in the harness; the scan is broken", checked)
 	}
+	exposed := exposedStages(t)
+	for series, pos := range stages {
+		if !exposed[series] && retiredSeries[series] == "" {
+			t.Errorf("%s: %s is not exposed after a publish", fset.Position(pos), series)
+		}
+	}
+	for series := range retiredSeries {
+		if exposed[series] {
+			t.Errorf("%s is exposed again; take it out of retiredSeries", series)
+		}
+	}
+	if len(stages) < 5 {
+		t.Fatalf("found %d stage series in the harness; the scan is broken", len(stages))
+	}
+}
+
+// exposedStages publishes one document to a fresh server and to a fresh
+// coordinator over two shards, and returns every family{stage="value"}
+// series either then exposes on /metrics.
+func exposedStages(t *testing.T) map[string]bool {
+	t.Helper()
+	srv := httptest.NewServer(server.New(server.Config{Workers: 1}))
+	t.Cleanup(srv.Close)
+	_, coord := startScriptCluster(t)
+	out := map[string]bool{}
+	for _, url := range []string{srv.URL, coord} {
+		resp, err := http.Post(url+"/publish", "application/xml", strings.NewReader(`<feed><alert/></feed>`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("publish to %s: status %d", url, resp.StatusCode)
+		}
+		fams, err := metrics.ParseExposition(getText(t, url+"/metrics"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range fams {
+			for _, smp := range f.Samples {
+				if v, ok := smp.Label("stage"); ok {
+					out[f.Name+`{stage="`+v+`"}`] = true
+				}
+			}
+		}
+	}
+	return out
 }
 
 // retiredFamilies are families removed on purpose that the frozen
@@ -216,6 +278,16 @@ var retiredFamilies = map[string]bool{
 	// The per-document bitset-sweep clock went with the served kernel's
 	// sub-stage clocks; matcher.columnar_sweep_us_per_doc reads it.
 	"predfilter_columnar_sweep_duration_seconds": true,
+}
+
+// retiredSeries are stage series removed on purpose from a family that is
+// still declared, which the frozen harness still reads; each reason says
+// what went and what the harness derives from the series, which reads n/a
+// until the harness drops it.
+var retiredSeries = map[string]string{
+	`predfilter_stage_duration_seconds{stage="cache"}`:           "the path-cache sub-stage clock went with the served kernel's sub-stage clocks; pathcache.stage_us_per_doc reads it",
+	`predfilter_stage_duration_seconds{stage="predicate_match"}`: "the predicate-stage sub-stage clock went with the served kernel's sub-stage clocks; predindex.stage_us_per_doc reads it",
+	`predfilter_stage_duration_seconds{stage="occurrence"}`:      "the occurrence-determination sub-stage clock went with the served kernel's sub-stage clocks; occur.stage_us_per_doc reads it",
 }
 
 // stringValue evaluates a string literal, a known constant, or a

@@ -84,15 +84,6 @@ func (d *DTD) Validate() error {
 	return nil
 }
 
-// ElementNames returns all declared element names (unsorted).
-func (d *DTD) ElementNames() []string {
-	out := make([]string, 0, len(d.Elements))
-	for name := range d.Elements {
-		out = append(out, name)
-	}
-	return out
-}
-
 // builder accumulates declarations with a compact notation.
 type builder struct {
 	d *DTD

@@ -112,7 +112,4 @@ func TestBuilderNotation(t *testing.T) {
 	if err := b.d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(b.d.ElementNames()); got != 5 {
-		t.Errorf("ElementNames = %d, want 5", got)
-	}
 }

@@ -3,14 +3,16 @@
 // budget (occurrence-determination steps, wall-clock deadline,
 // cancellation) enforced while matching.
 //
-// The paper's occurrence determination (Algorithm 1, §4.2.1) is a
-// backtracking search whose worst case is exponential in the number of
-// occurrence pairs, and path extraction (§3.3) materializes every
-// root-to-leaf path — so one adversarial document (deeply nested,
-// massively wide, or occurrence-heavy) can stall an engine that otherwise
-// serves millions of subscriptions. Production filtering engines in the
-// same lineage (YFilter, ONYX) treat per-document bounds and load
-// shedding as first class; this package is that layer.
+// Occurrence determination (§4.2.1) is one pass over the occurrence
+// pairs, but nested-path recombination and combination counting enumerate
+// every chained combination, a search whose dead ends can grow
+// exponentially in a path's depth; and path extraction (§3.3)
+// materializes every root-to-leaf path — so one adversarial document
+// (deeply nested, massively wide, or occurrence-heavy) can stall an
+// engine that otherwise serves millions of subscriptions. Production
+// filtering engines in the same lineage (YFilter, ONYX) treat
+// per-document bounds and load shedding as first class; this package is
+// that layer.
 //
 // Every governance stop is a typed *LimitError saying which limit
 // tripped, the configured bound, and how far the document got. Partial
@@ -126,9 +128,9 @@ type Limits struct {
 	// MaxDocBytes bounds the raw XML size, checked before (byte-slice
 	// input) or while (stream input) parsing.
 	MaxDocBytes int64
-	// MaxSteps bounds the occurrence-determination search effort per
-	// document: every occurrence pair visited by the backtracking search,
-	// summed over all paths and expressions, counts one step.
+	// MaxSteps bounds the occurrence effort per document: every
+	// occurrence pair that determination or enumeration visits, summed
+	// over all paths and expressions, counts one step.
 	MaxSteps int64
 	// MatchDeadline bounds the wall-clock match time per document,
 	// measured from budget creation (document entry to the match stage;

@@ -134,7 +134,7 @@ func (k *counter) countUnit(e *expr) {
 
 	count := func(id int, ch [][]occur.Pair) {
 		n := 0
-		occur.EnumerateBudget(ch, sc.bud, func([]occur.Pair) bool {
+		sc.work.pairs += occur.Enumerate(ch, sc.bud, func([]occur.Pair) bool {
 			n++
 			return true
 		})

@@ -702,6 +702,7 @@ type docWork struct {
 	tests   int // attribute tests hit programs evaluated
 	replays int // paths whose cache entry replayed its transcript (no program)
 	evals   int // units the columnar kernel sent through evalExpr
+	pairs   int // occurrence pairs Determine and Enumerate visited
 }
 
 // scratch is the pooled working state of one document, and the state of
@@ -723,6 +724,7 @@ type scratch struct {
 	chain   [][]occur.Pair
 	filt    [][]occur.Pair
 	pairBuf []occur.Pair
+	occBuf  []uint64 // occur.Determine's bitsets
 	byTag   map[string][]*xmldoc.Tuple
 	byTagOK bool
 	out     []SID
@@ -1061,6 +1063,7 @@ func (m *Matcher) observe(match time.Duration, w docWork, paths, matches int, em
 	m.mx.AttrTests.Add(int64(w.tests))
 	m.mx.CacheReplays.Add(int64(w.replays))
 	m.mx.OccurEvals.Add(int64(w.evals))
+	m.mx.OccurPairs.Add(int64(w.pairs))
 	m.mx.MatchesTotal.Add(int64(matches))
 	if em != nil {
 		m.mx.EmitBytes.Add(int64(len(em.Text)))
@@ -1088,7 +1091,8 @@ func (m *Matcher) evalExpr(sc *scratch, e *expr, cover bool, bud *guard.Budget) 
 		return
 	}
 
-	ok, depth := occur.DetermineBudget(chain, bud)
+	ok, depth, visited := occur.Determine(chain, bud, &sc.occBuf)
+	sc.work.pairs += visited
 	if bud.Exceeded() {
 		return
 	}
@@ -1106,7 +1110,8 @@ func (m *Matcher) evalExpr(sc *scratch, e *expr, cover bool, bud *guard.Budget) 
 // repeated determination §5 describes). The representative's matched flag
 // is set once every member matched, so later paths skip the group.
 func (m *Matcher) evalGroup(sc *scratch, rep *expr, chain [][]occur.Pair, cover bool, bud *guard.Budget) {
-	ok, depth := occur.DetermineBudget(chain, bud)
+	ok, depth, visited := occur.Determine(chain, bud, &sc.occBuf)
+	sc.work.pairs += visited
 	if bud.Exceeded() {
 		return
 	}
@@ -1137,7 +1142,8 @@ func (m *Matcher) evalGroup(sc *scratch, rep *expr, chain [][]occur.Pair, cover 
 			done = false
 			continue
 		}
-		fok, fdepth := occur.DetermineBudget(filtered, bud)
+		fok, fdepth, visited := occur.Determine(filtered, bud, &sc.occBuf)
+		sc.work.pairs += visited
 		if bud.Exceeded() {
 			return
 		}

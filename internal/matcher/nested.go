@@ -147,9 +147,9 @@ type nestedCand struct {
 
 // collect enumerates this node's (and recursively its children's)
 // structural matches on the current publication and appends candidates to
-// the per-call scratch. Each combination enumerated charges one budget
-// step; once the budget trips the enumeration stops and the caller
-// surfaces bud.Err instead of a result.
+// the per-call scratch. Each occurrence pair the enumeration visits
+// charges one budget step; once the budget trips the enumeration stops and
+// the caller surfaces bud.Err instead of a result.
 func (n *nestedNode) collect(m *Matcher, sc *scratch, bud *guard.Budget) {
 	if bud.Exceeded() {
 		return
@@ -178,7 +178,7 @@ func (n *nestedNode) collect(m *Matcher, sc *scratch, bud *guard.Budget) {
 		chain = filtered
 	}
 	sc.buildByTag()
-	occur.EnumerateBudget(chain, bud, func(assign []occur.Pair) bool {
+	sc.work.pairs += occur.Enumerate(chain, bud, func(assign []occur.Pair) bool {
 		cand := nestedCand{own: -1}
 		if n.branchStep >= 0 {
 			cand.own = n.nodeIDAt(m, sc, assign, n.branchStep)

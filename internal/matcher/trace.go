@@ -266,7 +266,7 @@ func (m *Matcher) tracePath(sc *scratch, e *expr, pub *xmldoc.Publication, bud *
 	}
 	ev := &PathEvidence{Path: pub.String(), Predicates: evals}
 	if allHit {
-		ok, depth, steps := occur.DetermineStepsBudget(chain, bud)
+		ok, depth, steps := occur.Determine(chain, bud, &sc.occBuf)
 		ev.Matched, ev.MaxDepth, ev.Steps = ok, depth, steps
 		if ok && e.post != nil {
 			filtered, nonempty := m.filterChain(sc, e.pids, e.postTests, chain)
@@ -274,7 +274,7 @@ func (m *Matcher) tracePath(sc *scratch, e *expr, pub *xmldoc.Publication, bud *
 				ev.Matched = false
 				ev.FilteredOut = true
 			} else {
-				fok, fdepth, fsteps := occur.DetermineStepsBudget(filtered, bud)
+				fok, fdepth, fsteps := occur.Determine(filtered, bud, &sc.occBuf)
 				ev.Steps += fsteps
 				if !fok {
 					ev.Matched = false

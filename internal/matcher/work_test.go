@@ -14,16 +14,16 @@ import (
 // TestServedWorkCounters runs fixed histories through the served entry, one
 // document per call on a fresh matcher, and reads the work counters that
 // say where the match went: distinct paths, attribute tests hit programs
-// decided, paths whose entry replayed its transcript, and units sent
-// through occurrence determination. Each history reads the same exact
-// values in two runs.
+// decided, paths whose entry replayed its transcript, units sent through
+// occurrence determination and the occurrence pairs those visited. Each
+// history reads the same exact values in two runs.
 func TestServedWorkCounters(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts Options
 		xpes []string
 		docs []string
-		want [4]int64 // distinct paths, attribute tests, replays, occurrence evals
+		want [5]int64 // distinct paths, attribute tests, replays, occurrence evals, pairs
 	}{{
 		// A repeated tag: the entry keeps plan + transcript and every path
 		// replays it; the structural unit is evaluated on the miss only,
@@ -31,13 +31,25 @@ func TestServedWorkCounters(t *testing.T) {
 		name: "repeated tag",
 		xpes: []string{"/a//a", "/a//a[@x=1]"},
 		docs: []string{`<a><a x="1"><b/></a></a>`, `<a><a x="1"><b/></a></a>`, `<a><a x="2"><b/></a></a>`},
-		want: [4]int64{3, 0, 3, 2 + 1 + 0},
+		want: [5]int64{3, 0, 3, 2 + 1 + 0, 2 * (2 + 1 + 0)}, // two pairs per evaluation
+	}, {
+		// A tag repeated three deep, under a plain chain and a nested
+		// path. On /a/a/a, determination of //a/a/a reads both pairs of
+		// its first level, (1,2) and (2,3), and the last level up to its
+		// first kept pair, (2,3): 4 pairs; on /a/a, a miss of another
+		// shape, it reads (1,2) twice. Recombination enumerates the
+		// nested path's two chains on each path, dead ends included:
+		// 4 + 3 pairs on /a/a/a, 2 + 2 on /a/a.
+		name: "repeated tag, several pairs",
+		xpes: []string{"//a/a/a", "/a[a]//a"},
+		docs: []string{`<a><a><a/></a><a/></a>`},
+		want: [5]int64{2, 0, 2, 2, 4 + 2 + 7 + 4},
 	}, {
 		// No tag repeats: every entry is a hit program, nothing replays.
 		name: "programs",
 		xpes: []string{"/r/s[@k=1]", "/r/t[@k>=2]", "/r/s"},
 		docs: []string{`<r><s k="1"/><t k="3"/></r>`, `<r><s k="2"/><t k="3"/><s k="1"/></r>`},
-		want: [4]int64{5, 5, 0, 0}, // the second s is another node: its test is decided again
+		want: [5]int64{5, 5, 0, 0, 0}, // the second s is another node: its test is decided again
 	}, {
 		// Postponed mode: the two filters share one group representative,
 		// whose entry replays its transcript on every path.
@@ -45,9 +57,9 @@ func TestServedWorkCounters(t *testing.T) {
 		opts: Options{AttrMode: predicate.Postponed},
 		xpes: []string{"/a/b[@x=1]", "/a/b[@x=2]"},
 		docs: []string{`<a><b x="1"/><b x="2"/></a>`, `<a><b x="3"/></a>`},
-		want: [4]int64{3, 0, 3, 3},
+		want: [5]int64{3, 0, 3, 3, 2 + 2 + 2 + 2 + 2}, // the group's chain, then each member's filtered one where its filter passes
 	}} {
-		run := func() [4]int64 {
+		run := func() [5]int64 {
 			mx := metrics.NewSet()
 			opts := tc.opts
 			opts.Metrics = mx
@@ -61,7 +73,7 @@ func TestServedWorkCounters(t *testing.T) {
 				}
 			}
 			s := mx.Scrape()
-			return [4]int64{s.PathsDistinct, s.AttrTests, s.CacheReplays, s.OccurEvals}
+			return [5]int64{s.PathsDistinct, s.AttrTests, s.CacheReplays, s.OccurEvals, s.OccurPairs}
 		}
 		first, second := run(), run()
 		if first != second {

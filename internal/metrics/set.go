@@ -30,6 +30,7 @@ type Set struct {
 	AttrTests     Counter // attribute tests hit programs decided
 	CacheReplays  Counter // paths whose cache entry replayed its transcript
 	OccurEvals    Counter // units the served kernel sent through occurrence determination
+	OccurPairs    Counter // occurrence pairs its determinations and enumerations visited
 	MatchesTotal  Counter // matching SIDs reported
 	EmitBytes     Counter // bytes of SID text emitted for them
 	SlowDocs      Counter // documents over the slow-document threshold
@@ -88,7 +89,8 @@ type Set struct {
 // equal.
 type Scrape struct {
 	DocsTotal, DocErrors, DocBytes, PathsTotal, MatchesTotal, SlowDocs int64
-	PathsDistinct, AttrTests, CacheReplays, OccurEvals, EmitBytes      int64
+	PathsDistinct, AttrTests, CacheReplays, OccurEvals, OccurPairs     int64
+	EmitBytes                                                          int64
 	ParseScanDocs, ParseFallbackDocs                                   int64
 	Parse, Match, WALAppend, Snapshot                                  HistSnapshot
 	StreamQueueDepth, StreamJobs, StreamBatches                        int64
@@ -158,7 +160,7 @@ func (s *Set) Scrape() Scrape {
 		DocsTotal: s.DocsTotal.Load(), DocErrors: s.DocErrors.Load(), DocBytes: s.DocBytes.Load(),
 		PathsTotal: s.PathsTotal.Load(), MatchesTotal: s.MatchesTotal.Load(), SlowDocs: s.SlowDocs.Load(),
 		PathsDistinct: s.PathsDistinct.Load(), AttrTests: s.AttrTests.Load(), CacheReplays: s.CacheReplays.Load(), OccurEvals: s.OccurEvals.Load(),
-		EmitBytes: s.EmitBytes.Load(), ParseScanDocs: s.ParseScanDocs.Load(), ParseFallbackDocs: s.ParseFallbackDocs.Load(),
+		OccurPairs: s.OccurPairs.Load(), EmitBytes: s.EmitBytes.Load(), ParseScanDocs: s.ParseScanDocs.Load(), ParseFallbackDocs: s.ParseFallbackDocs.Load(),
 		Parse: s.Parse.Snapshot(), Match: s.Match.Snapshot(), WALAppend: s.WALAppend.Snapshot(), Snapshot: s.Snapshot.Snapshot(),
 		StreamQueueDepth: s.StreamQueueDepth.Load(), StreamJobs: s.StreamJobs.Load(),
 		StreamBatches: s.StreamBatches.Load(),

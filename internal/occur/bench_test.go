@@ -20,13 +20,15 @@ func benchChains(n, levels, pairs int) [][][]Pair {
 	return out
 }
 
-// BenchmarkDetermine measures the backtracking search at the chain shapes
+// BenchmarkDetermine measures the level-to-level pass at the chain shapes
 // the engine sees (short chains, a handful of pairs per level).
 func BenchmarkDetermine(b *testing.B) {
 	chains := benchChains(64, 4, 4)
+	var buf []uint64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Determine(chains[i%len(chains)])
+		Determine(chains[i%len(chains)], nil, &buf)
 	}
 }
 
@@ -45,6 +47,6 @@ func BenchmarkEnumerate(b *testing.B) {
 	chains := benchChains(64, 4, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Enumerate(chains[i%len(chains)], func([]Pair) bool { return true })
+		Enumerate(chains[i%len(chains)], nil, func([]Pair) bool { return true })
 	}
 }

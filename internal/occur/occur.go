@@ -4,15 +4,18 @@
 // number pairs — decide whether a chained combination exists, i.e. pairs
 // (o1_i, o2_i) with o2_{i-1} = o1_i for every i.
 //
-// Determine is the production implementation (depth-first backtracking
-// with prefix-depth reporting, used by prefix covering); DetermineAlg1 is
-// a literal transcription of the paper's Algorithm 1, kept as an
-// executable specification and cross-checked against Determine in tests.
+// Whether a combination exists is reachability from level to level, so
+// Determine answers it in one pass that carries the occurrence numbers a
+// consistent prefix can end at, visiting each pair at most once.
+// DetermineAlg1 is a literal transcription of the paper's backtracking
+// Algorithm 1, kept as an executable specification and cross-checked
+// against Determine in tests.
 //
-// The search's worst case is exponential in the occurrence pairs, so the
-// budgeted variants (DetermineBudget, DetermineLimited) bound the effort:
-// they visit at most a configured number of pairs and report exhaustion
-// instead of an answer, which the matcher surfaces as a typed
+// Enumerate lists every combination, as nested-path recombination and
+// combination counting need; their number, and the dead ends walked to
+// find them, can grow exponentially in the chain length. Both functions
+// charge one step of a guard.Budget per pair visited, so a budget bounds
+// the enumeration and a tripped budget surfaces as a typed
 // *guard.LimitError rather than a silent "no match".
 package occur
 
@@ -21,183 +24,104 @@ import "predfilter/internal/guard"
 // Pair is one occurrence-number pair from a predicate matching result.
 // Single-tag predicates duplicate their occurrence number (A == B);
 // relative predicates carry the occurrence numbers of both tags.
+// Occurrence numbers are positive.
 type Pair struct {
 	A, B int32
 }
 
-// Determine reports whether the chains admit a full match, and the length
-// of the longest consistent prefix found while searching (a consistent
-// partial assignment of length k is exactly a match of the length-k prefix
-// expression, which is what prefix covering consumes).
+// Determine reports whether the chains admit a full match. Level i keeps
+// the pairs whose A is an occurrence number level i-1 reached (every pair
+// of the first level), and their Bs are what level i reaches; the last
+// level stops at its first kept pair. depth is the length of the longest
+// consistent prefix — a consistent partial assignment of length k is
+// exactly a match of the length-k prefix expression, which is what prefix
+// covering consumes — and visited counts the pairs read.
 //
-// An empty result set at position i caps the reachable depth at i; a nil
-// or empty results slice matches vacuously with depth 0.
-func Determine(results [][]Pair) (matched bool, maxDepth int) {
-	n := len(results)
-	if n == 0 {
-		return true, 0
-	}
-	maxDepth = 0
-	var dfs func(level int, need int32) bool
-	dfs = func(level int, need int32) bool {
-		if level == n {
-			return true
-		}
-		for _, pr := range results[level] {
-			if level > 0 && pr.A != need {
-				continue
-			}
-			if level+1 > maxDepth {
-				maxDepth = level + 1
-			}
-			if dfs(level+1, pr.B) {
-				return true
-			}
-		}
-		return false
-	}
-	return dfs(0, 0), maxDepth
-}
-
-// DetermineSteps is Determine with search-effort accounting: steps counts
-// every occurrence pair the backtracking search visited. It exists for
-// the match-trace mode, where the per-expression search effort is part of
-// the explanation; the plain Determine stays free of the counter on the
-// hot path.
-func DetermineSteps(results [][]Pair) (matched bool, maxDepth, steps int) {
+// bud is charged one step per pair visited (nil is unlimited); once it
+// trips, matched is false and the caller must surface bud.Err instead of
+// the result. buf holds the two occurrence bitsets between calls, so a
+// warm buffer makes the call allocation-free. An empty result set at
+// position i caps the depth at i; a nil or empty results slice matches
+// vacuously with depth 0.
+func Determine(results [][]Pair, bud *guard.Budget, buf *[]uint64) (matched bool, depth, visited int) {
 	n := len(results)
 	if n == 0 {
 		return true, 0, 0
 	}
-	var dfs func(level int, need int32) bool
-	dfs = func(level int, need int32) bool {
-		if level == n {
-			return true
-		}
-		for _, pr := range results[level] {
-			steps++
-			if level > 0 && pr.A != need {
+	if cap(*buf) < 2 {
+		*buf = make([]uint64, 2, 8)
+	}
+	sets := (*buf)[:2]
+	clear(sets)
+	// The two halves of sets take turns: cur holds the occurrence numbers
+	// the previous level reached, next those this level reaches.
+	half := 0
+	for level, r := range results {
+		w := len(sets) / 2
+		cur, next := sets[half*w:][:w], sets[(1-half)*w:][:w]
+		reached := false
+		for _, pr := range r {
+			if bud != nil && !bud.Step() {
+				return false, depth, visited
+			}
+			visited++
+			if level > 0 && !has(cur, pr.A) {
 				continue
 			}
-			if level+1 > maxDepth {
-				maxDepth = level + 1
+			if i := int(pr.B >> 6); i >= w {
+				sets = widen(sets, i+1)
+				*buf = sets
+				w = len(sets) / 2
+				cur, next = sets[half*w:][:w], sets[(1-half)*w:][:w]
 			}
-			if dfs(level+1, pr.B) {
-				return true
-			}
-		}
-		return false
-	}
-	return dfs(0, 0), maxDepth, steps
-}
-
-// stepper consumes one unit of search effort per occurrence pair visited
-// and reports whether the search may continue. guard.Budget implements it;
-// stepLimit is the self-contained counter used by DetermineLimited.
-type stepper interface {
-	Step() bool
-}
-
-// stepLimit is a plain countdown stepper.
-type stepLimit struct {
-	left int64
-}
-
-func (s *stepLimit) Step() bool {
-	if s.left <= 0 {
-		return false
-	}
-	s.left--
-	return true
-}
-
-// determineBounded is the budgeted search core: Determine with one Step
-// consulted per pair visited. aborted reports that the budget ran out
-// before the search completed, in which case matched and maxDepth are the
-// partial state and must not be reported as an answer.
-func determineBounded(results [][]Pair, s stepper) (matched bool, maxDepth int, aborted bool) {
-	n := len(results)
-	if n == 0 {
-		return true, 0, false
-	}
-	var dfs func(level int, need int32) bool
-	dfs = func(level int, need int32) bool {
-		if level == n {
-			return true
-		}
-		for _, pr := range results[level] {
-			if !s.Step() {
-				aborted = true
-				return false
-			}
-			if level > 0 && pr.A != need {
-				continue
-			}
-			if level+1 > maxDepth {
-				maxDepth = level + 1
-			}
-			if dfs(level+1, pr.B) {
-				return true
-			}
-			if aborted {
-				return false
+			next[pr.B>>6] |= 1 << (pr.B & 63)
+			reached = true
+			if level == n-1 {
+				break
 			}
 		}
-		return false
+		if !reached {
+			break
+		}
+		depth = level + 1
+		clear(cur)
+		half = 1 - half
 	}
-	matched = dfs(0, 0)
-	if aborted {
-		matched = false
-	}
-	return matched, maxDepth, aborted
+	return depth == n, depth, visited
 }
 
-// DetermineBudget is Determine charging one budget step per occurrence
-// pair visited. When the budget trips mid-search it returns immediately
-// with the budget's sticky error set (guard.Budget.Err); the partial
-// matched/maxDepth pair is then meaningless and callers must surface the
-// error instead of the result. A nil budget falls back to the unbudgeted
-// Determine.
-func DetermineBudget(results [][]Pair, b *guard.Budget) (matched bool, maxDepth int) {
-	if b == nil {
-		return Determine(results)
-	}
-	matched, maxDepth, _ = determineBounded(results, b)
-	return matched, maxDepth
+// has reports whether occurrence number o is in the bitset.
+func has(set []uint64, o int32) bool {
+	i := int(o >> 6)
+	return i < len(set) && set[i]&(1<<(o&63)) != 0
 }
 
-// DetermineStepsBudget is DetermineSteps charging one budget step per
-// occurrence pair visited. steps reports the pairs charged to the budget
-// by this call. When the budget trips mid-search the budget's sticky
-// error is set (guard.Budget.Err) and the partial matched/maxDepth pair
-// is meaningless; the caller must surface the error instead of the
-// result. A nil budget falls back to the unbudgeted DetermineSteps.
-func DetermineStepsBudget(results [][]Pair, b *guard.Budget) (matched bool, maxDepth, steps int) {
-	if b == nil {
-		return DetermineSteps(results)
+// widen grows Determine's two w-word bitsets, laid end to end in sets, to
+// w2 words each, keeping their contents and order.
+func widen(sets []uint64, w2 int) []uint64 {
+	w := len(sets) / 2
+	if cap(sets) < 2*w2 {
+		grown := make([]uint64, 2*w2, 4*w2)
+		copy(grown, sets[:w])
+		copy(grown[w2:], sets[w:])
+		return grown
 	}
-	before := b.Steps()
-	matched, maxDepth, _ = determineBounded(results, b)
-	return matched, maxDepth, int(b.Steps() - before)
-}
-
-// DetermineLimited is DetermineSteps with a hard step budget: the search
-// visits at most budget occurrence pairs. steps reports the pairs actually
-// visited (== budget when exhausted is true — the cutoff is exact), and
-// exhausted reports that the budget ran out before the search completed,
-// in which case matched is false without being an answer.
-func DetermineLimited(results [][]Pair, budget int64) (matched bool, maxDepth int, steps int64, exhausted bool) {
-	s := stepLimit{left: budget}
-	matched, maxDepth, exhausted = determineBounded(results, &s)
-	return matched, maxDepth, budget - s.left, exhausted
+	sets = sets[:2*w2]
+	copy(sets[w2:], sets[w:2*w])
+	clear(sets[w:w2])
+	clear(sets[w2+w:])
+	return sets
 }
 
 // Enumerate calls visit for every full chained combination, in
-// depth-first order. The assign slice is reused between calls; visit must
-// copy it if it retains it. Enumeration stops early when visit returns
-// false. It reports whether enumeration ran to completion (true) or was
-// stopped by visit (false).
-func Enumerate(results [][]Pair, visit func(assign []Pair) bool) bool {
+// depth-first order, and returns the pairs visited. The assign slice is
+// reused between calls; visit must copy it if it retains it. Enumeration
+// stops early when visit returns false. bud is charged one step per pair
+// visited, not just per combination reported, so an enumeration that dead-
+// ends exponentially without completing a combination is still bounded;
+// once it trips, enumeration stops and the caller must surface bud.Err
+// instead of the partial candidate set. A nil budget is unlimited.
+func Enumerate(results [][]Pair, bud *guard.Budget, visit func(assign []Pair) bool) (visited int) {
 	n := len(results)
 	assign := make([]Pair, n)
 	var dfs func(level int, need int32) bool
@@ -205,40 +129,9 @@ func Enumerate(results [][]Pair, visit func(assign []Pair) bool) bool {
 		if level == n {
 			return visit(assign)
 		}
-		for _, pr := range results[level] {
-			if level > 0 && pr.A != need {
-				continue
-			}
-			assign[level] = pr
-			if !dfs(level+1, pr.B) {
-				return false
-			}
-		}
-		return true
-	}
-	return dfs(0, 0)
-}
-
-// EnumerateBudget is Enumerate charging one budget step per occurrence
-// pair visited (not just per full combination reported), so an
-// enumeration that dead-ends exponentially without completing any
-// combination is still bounded. When the budget trips, enumeration stops
-// with the budget's sticky error set and the caller must surface it
-// instead of the partial candidate set. A nil budget falls back to
-// Enumerate.
-func EnumerateBudget(results [][]Pair, b *guard.Budget, visit func(assign []Pair) bool) bool {
-	if b == nil {
-		return Enumerate(results, visit)
-	}
-	n := len(results)
-	assign := make([]Pair, n)
-	var dfs func(level int, need int32) bool
-	dfs = func(level int, need int32) bool {
-		if level == n {
-			return visit(assign)
-		}
-		for _, pr := range results[level] {
-			if !b.Step() {
+		for i, pr := range results[level] {
+			if bud != nil && !bud.Step() {
+				visited += i
 				return false
 			}
 			if level > 0 && pr.A != need {
@@ -246,12 +139,15 @@ func EnumerateBudget(results [][]Pair, b *guard.Budget, visit func(assign []Pair
 			}
 			assign[level] = pr
 			if !dfs(level+1, pr.B) {
+				visited += i + 1
 				return false
 			}
 		}
+		visited += len(results[level])
 		return true
 	}
-	return dfs(0, 0)
+	dfs(0, 0)
+	return visited
 }
 
 // DetermineAlg1 is a literal transcription of the paper's Algorithm 1,

@@ -92,13 +92,41 @@ func TestDetermineExamples(t *testing.T) {
 			want: false, wantDepth: 2,
 		},
 	}
+	var buf []uint64
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, depth := Determine(tc.results)
+			got, depth, _ := Determine(tc.results, nil, &buf)
 			if got != tc.want || depth != tc.wantDepth {
 				t.Errorf("Determine = (%v, %d), want (%v, %d)", got, depth, tc.want, tc.wantDepth)
 			}
 		})
+	}
+}
+
+// TestDetermineVisits pins the pairs the pass reads (the trace's steps):
+// every pair of each level but the last, where it stops at the first kept
+// pair, and nothing after a level that reaches no occurrence number.
+func TestDetermineVisits(t *testing.T) {
+	var buf []uint64
+	for _, tc := range []struct {
+		name    string
+		results [][]Pair
+		want    int
+	}{
+		{"single", [][]Pair{pairs([2]int32{1, 1}, [2]int32{2, 2})}, 1},
+		{"last-level-first-kept", [][]Pair{
+			pairs([2]int32{1, 1}, [2]int32{1, 2}, [2]int32{2, 2}),
+			pairs([2]int32{3, 3}, [2]int32{2, 2}, [2]int32{1, 1}),
+		}, 3 + 2},
+		{"stops-at-dead-level", [][]Pair{
+			pairs([2]int32{1, 1}, [2]int32{2, 2}),
+			pairs([2]int32{5, 5}),
+			pairs([2]int32{1, 1}, [2]int32{2, 2}),
+		}, 2 + 1},
+	} {
+		if _, _, visited := Determine(tc.results, nil, &buf); visited != tc.want {
+			t.Errorf("%s: visited %d pairs, want %d", tc.name, visited, tc.want)
+		}
 	}
 }
 
@@ -139,10 +167,11 @@ func randomResults(rng *rand.Rand) [][]Pair {
 // against exhaustive enumeration on random instances.
 func TestDetermineAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	var buf []uint64
 	for i := 0; i < 5000; i++ {
 		results := randomResults(rng)
 		want := bruteForce(results)
-		got, _ := Determine(results)
+		got, _, _ := Determine(results, nil, &buf)
 		if got != want {
 			t.Fatalf("case %d: Determine = %v, brute force = %v, input %v", i, got, want, results)
 		}
@@ -153,10 +182,11 @@ func TestDetermineAgainstBruteForce(t *testing.T) {
 // literal transcription of the paper's Algorithm 1.
 func TestDetermineAgainstAlg1(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
+	var buf []uint64
 	for i := 0; i < 5000; i++ {
 		results := randomResults(rng)
 		want := DetermineAlg1(results)
-		got, _ := Determine(results)
+		got, _, _ := Determine(results, nil, &buf)
 		if got != want {
 			t.Fatalf("case %d: Determine = %v, Alg1 = %v, input %v", i, got, want, results)
 		}
@@ -168,30 +198,11 @@ func TestDetermineAgainstAlg1(t *testing.T) {
 // and (when the search failed) no longer one.
 func TestDetermineDepthSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	deepest := func(results [][]Pair) int {
-		best := 0
-		var rec func(level int, need int32)
-		rec = func(level int, need int32) {
-			if level > best {
-				best = level
-			}
-			if level == len(results) {
-				return
-			}
-			for _, pr := range results[level] {
-				if level > 0 && pr.A != need {
-					continue
-				}
-				rec(level+1, pr.B)
-			}
-		}
-		rec(0, 0)
-		return best
-	}
+	var buf []uint64
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed ^ rng.Int63()))
 		results := randomResults(r)
-		ok, depth := Determine(results)
+		ok, depth, _ := Determine(results, nil, &buf)
 		want := deepest(results)
 		if ok {
 			// Early exit: depth is at least the full length.
@@ -204,6 +215,33 @@ func TestDetermineDepthSound(t *testing.T) {
 	}
 }
 
+// deepest is the length of the longest consistent prefix, by exhaustive
+// search over the assignments, memoized on (level, occurrence number) so
+// that fuzzed chains stay cheap.
+func deepest(results [][]Pair) int {
+	memo := map[[2]int32]int{}
+	var rec func(level int, need int32) int
+	rec = func(level int, need int32) int {
+		if level == len(results) {
+			return level
+		}
+		key := [2]int32{int32(level), need}
+		if d, ok := memo[key]; ok {
+			return d
+		}
+		best := level
+		for _, pr := range results[level] {
+			if level > 0 && pr.A != need {
+				continue
+			}
+			best = max(best, rec(level+1, pr.B))
+		}
+		memo[key] = best
+		return best
+	}
+	return rec(0, 0)
+}
+
 // TestEnumerate verifies all full combinations are produced exactly once
 // and that early stop works.
 func TestEnumerate(t *testing.T) {
@@ -212,12 +250,11 @@ func TestEnumerate(t *testing.T) {
 		pairs([2]int32{1, 1}, [2]int32{2, 2}, [2]int32{2, 1}),
 	}
 	var got [][]Pair
-	done := Enumerate(results, func(assign []Pair) bool {
+	if visited := Enumerate(results, nil, func(assign []Pair) bool {
 		got = append(got, append([]Pair(nil), assign...))
 		return true
-	})
-	if !done {
-		t.Error("Enumerate reported early stop without one")
+	}); visited != 2+2*3 {
+		t.Errorf("Enumerate visited %d pairs, want every level-2 pair once per level-1 pair: 8", visited)
 	}
 	want := [][]Pair{
 		{{A: 1, B: 1}, {A: 1, B: 1}},
@@ -234,12 +271,12 @@ func TestEnumerate(t *testing.T) {
 	}
 
 	count := 0
-	done = Enumerate(results, func([]Pair) bool {
+	Enumerate(results, nil, func([]Pair) bool {
 		count++
 		return false
 	})
-	if done || count != 1 {
-		t.Errorf("early stop: done=%v count=%d, want false/1", done, count)
+	if count != 1 {
+		t.Errorf("early stop: count=%d, want 1", count)
 	}
 }
 
@@ -247,11 +284,12 @@ func TestEnumerate(t *testing.T) {
 // Enumerate produces at least one combination.
 func TestEnumerateCountMatchesDetermine(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
+	var buf []uint64
 	for i := 0; i < 3000; i++ {
 		results := randomResults(rng)
 		n := 0
-		Enumerate(results, func([]Pair) bool { n++; return true })
-		ok, _ := Determine(results)
+		Enumerate(results, nil, func([]Pair) bool { n++; return true })
+		ok, _, _ := Determine(results, nil, &buf)
 		if ok != (n > 0) {
 			t.Fatalf("case %d: Determine=%v but Enumerate found %d, input %v", i, ok, n, results)
 		}

@@ -83,9 +83,6 @@ func (l *Layout) Tid(tag string) int32 {
 // Len returns the predicate count the layout accounts for.
 func (l *Layout) Len() int { return l.n }
 
-// Tags returns the number of distinct tags the layout indexes.
-func (l *Layout) Tags() int { return len(l.tids) }
-
 // MatchPathTids is Index.MatchPath/MatchPathRecord over the frozen
 // layout, with the publication's tags pre-resolved to layout ids (tids[i]
 // is the id of pub.Tuples[i].Tag, -1 for unknown tags; the caller

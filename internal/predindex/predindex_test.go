@@ -76,10 +76,11 @@ func TestTable1(t *testing.T) {
 		}
 		return out
 	}
-	if ok, _ := occur.Determine(chain(e1)); !ok {
+	var buf []uint64
+	if ok, _, _ := occur.Determine(chain(e1), nil, &buf); !ok {
 		t.Error("a//b/c should match (a,b,c,a,b,c)")
 	}
-	if ok, _ := occur.Determine(chain(e2)); ok {
+	if ok, _, _ := occur.Determine(chain(e2), nil, &buf); ok {
 		t.Error("c//b//a should not match (a,b,c,a,b,c)")
 	}
 }

@@ -123,7 +123,6 @@ type SpanRecord struct {
 	DurationNanos int64  `json:"duration_ns"`
 	Retries       int    `json:"retries,omitempty"`
 	Error         string `json:"error,omitempty"`
-	Note          string `json:"note,omitempty"`
 }
 
 // Trace is one operation-scoped trace: an identifier plus an
@@ -252,16 +251,6 @@ func (s Span) SetRetries(n int) {
 	}
 	s.t.mu.Lock()
 	s.t.spans[s.idx].Retries = n
-	s.t.mu.Unlock()
-}
-
-// SetNote attaches a freeform annotation.
-func (s Span) SetNote(note string) {
-	if s.t == nil {
-		return
-	}
-	s.t.mu.Lock()
-	s.t.spans[s.idx].Note = note
 	s.t.mu.Unlock()
 }
 

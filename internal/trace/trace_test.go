@@ -141,7 +141,6 @@ func TestNilTraceIsInert(t *testing.T) {
 	sp.SetShard("s")
 	sp.SetError(errors.New("e"))
 	sp.SetRetries(1)
-	sp.SetNote("n")
 	if sp.Header() != "" {
 		t.Errorf("inert span header = %q", sp.Header())
 	}

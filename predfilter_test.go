@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"predfilter"
 	"predfilter/workload"
@@ -337,5 +338,30 @@ func TestMatchCountsPublic(t *testing.T) {
 	}
 	if _, err := eng.MatchCountsContext(context.Background(), []byte("<bad>")); err == nil {
 		t.Error("MatchCountsContext accepted malformed XML")
+	}
+}
+
+// TestWorstCaseChainLinear: the plain descendant chain that makes a
+// backtracking occurrence search exponential — 44 steps of //a over a
+// 40-deep chain of a, ~34 000 occurrence pairs and no combination — is
+// answered in one pass over its pairs: well inside a modest step budget,
+// and quickly with none.
+func TestWorstCaseChainLinear(t *testing.T) {
+	doc, _ := workload.OccurrenceBomb(40, 44)
+	expr := strings.Repeat("//a", 44)
+	for _, lim := range []predfilter.Limits{{MaxSteps: 1 << 20}, {}} {
+		eng := predfilter.New(predfilter.Config{Limits: lim})
+		if _, err := eng.Add(expr); err != nil {
+			t.Fatal(err)
+		}
+		t0 := time.Now()
+		sids, err := eng.MatchContext(context.Background(), doc)
+		took := time.Since(t0)
+		if err != nil || len(sids) != 0 {
+			t.Fatalf("limits %+v: sids=%v err=%v, want no match and no trip", lim, sids, err)
+		}
+		if took > 50*time.Millisecond {
+			t.Fatalf("limits %+v: the chain took %v", lim, took)
+		}
 	}
 }

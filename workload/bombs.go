@@ -5,13 +5,13 @@ import (
 	"strings"
 )
 
-// Pathological document generators for the chaos/fault-injection suite
-// and the xfbench guard experiment. Each targets one resource axis of the
-// pipeline: nesting depth (the parser's element stack), root-to-leaf path
-// count (the decomposition's memory), and occurrence-pair blowup (the
-// exponential worst case of the paper's Algorithm 1). All three are tiny
-// on the wire — the point is that their cost is wildly disproportionate
-// to their size, which is exactly what resource governance must catch.
+// Pathological document generators for the chaos/fault-injection suite.
+// Each targets one resource axis of the pipeline: nesting depth (the
+// parser's element stack), root-to-leaf path count (the decomposition's
+// memory), and occurrence-pair blowup (the exponential enumeration of
+// nested-path recombination). All three are tiny on the wire — the point
+// is that their cost is wildly disproportionate to their size, which is
+// exactly what resource governance must catch.
 
 // DepthBomb returns a well-formed document nesting a single element chain
 // depth levels deep: <d><d>...</d></d>. It decomposes into one path of
@@ -44,16 +44,19 @@ func PathBomb(paths int) []byte {
 }
 
 // OccurrenceBomb returns a document and an expression whose occurrence
-// determination backtracks exponentially. The document is a single chain
-// of depth repetitions of one tag, so the descendant self-pair predicate
-// d(p_a, p_a) yields every (i, j), i < j ≤ depth, as an occurrence pair
-// (~depth²/2 of them). The expression chains steps descendant steps of
-// that tag; a full chained combination is a strictly increasing sequence
-// of steps occurrence numbers drawn from 1..depth, so with steps > depth
-// no combination exists and the paper's Algorithm 1 visits every
-// increasing sequence — Θ(2^depth) pairs — before concluding noMatch.
-// Pass steps > depth to force the blowup (a matching expression returns
-// quickly).
+// pairs send nested-path recombination's enumeration exponential. The
+// document is a single chain of depth repetitions of one tag, so the
+// descendant self-pair predicate d(p_a, p_a) yields every (i, j),
+// i < j ≤ depth, as an occurrence pair (~depth²/2 of them). The expression
+// chains steps descendant steps of that tag under a trailing [a] filter,
+// which makes it a nested path: its trunk's combinations are enumerated,
+// dead ends included, to recombine them with the filter's. A combination
+// is a strictly increasing sequence of steps occurrence numbers drawn from
+// 1..depth, so with steps > depth none exists and the enumeration — like
+// the paper's backtracking Algorithm 1 — visits every increasing sequence,
+// Θ(2^depth) pairs, before concluding there is none. Plain determination
+// (the expression without [a]) answers the same chain in one pass over its
+// ~steps·depth²/2 pairs. Pass steps > depth to force the blowup.
 func OccurrenceBomb(depth, steps int) (doc []byte, expr string) {
 	var b bytes.Buffer
 	b.Grow(7 * depth)
@@ -63,5 +66,5 @@ func OccurrenceBomb(depth, steps int) (doc []byte, expr string) {
 	for i := 0; i < depth; i++ {
 		b.WriteString("</a>")
 	}
-	return b.Bytes(), strings.Repeat("//a", steps)
+	return b.Bytes(), strings.Repeat("//a", steps) + "[a]"
 }
