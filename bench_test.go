@@ -261,8 +261,9 @@ func BenchmarkAblationODFirstVsAll(b *testing.B) {
 		}
 	})
 	b.Run("all-matches", func(b *testing.B) {
+		var buf []occur.Pair
 		for i := 0; i < b.N; i++ {
-			occur.Enumerate(chains[i%len(chains)], nil, func([]occur.Pair) bool { return true })
+			occur.Enumerate(chains[i%len(chains)], nil, &buf, func([]occur.Pair) bool { return true })
 		}
 	})
 }

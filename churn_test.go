@@ -283,6 +283,24 @@ func BenchmarkFilterHit(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/doc")
 }
 
+// BenchmarkNestedHit is BenchmarkFilterHit's fixture with three nested-path
+// expressions registered beside it, so every path also runs the live
+// predicate stage and the documents recombine: what a nested expression
+// costs a warm engine that is otherwise all cache hits.
+func BenchmarkNestedHit(b *testing.B) {
+	f := newFixture(b, 10000, 0, 1, 1000)
+	if _, err := f.eng.AddAll([]string{"/nitf[head/title]/body", "//body[body.head]//p", "/nitf/head[meta]/title"}); err != nil {
+		b.Fatal(err)
+	}
+	f.warm()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		matchParsed(f.eng, f.docs[i%len(f.docs)])
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/doc")
+}
+
 // BenchmarkFirstMatchAfterAdd is one new distinct Add, the first match
 // after it, and the Remove; first-match-ms is the median of those matches
 // alone (the document with the most paths), steady-ms the median match of

@@ -35,6 +35,7 @@ func FuzzMatch(f *testing.F) {
 		{"/a[@k=v]", `<a k="v"/>`},
 		{"/a[@k=1v]/b", `<a k="v"><b/></a>`},                        // fails as recorded, passes in the variant
 		{"//b[@n>=12]//b", `<b n="3"><b><b/></b></b>`},              // the same on an ambiguous path
+		{"//b//b[@n>=12]", `<b><b n="3"><b n="20"/></b></b>`},       // the filtered level has two pairs: a chain unit
 		{"/a[@k<-2][@j]/b[@k!=-3]", `<a k="3" j=""><b k="3"/></a>`}, // two filters on a step, both tags of a predicate; passes when signed
 		{"//b[@k]", `<a><b k="1"/></a>`},
 		{"/a[b]/c", "<a><b/><c/></a>"},
@@ -120,11 +121,13 @@ func FuzzMatch(f *testing.F) {
 // takes the pure bitset route; the batch repeats the document so the
 // second copy exercises the pooled scratch reuse within one batch). And
 // cached, through single Match calls: the document (a miss builds each
-// entry and its live plan), then a variant with the same path signatures
+// entry and its program), then a variant with the same path signatures
 // but every attribute value changed (to values most constants no longer
 // equal, then to values below them), and the document again between — hits
-// that run programs and plans recorded from a document with other values,
-// in both orders, each result also checked against refmatch.
+// that run programs compiled on a document with other values,
+// in both orders, each result also checked against refmatch. A cached
+// Postponed engine rides the same variants against the Postponed scalar
+// reference.
 func FuzzMatchColumnar(f *testing.F) {
 	seeds := [][2]string{
 		{"//a", "<a/>"},
@@ -134,6 +137,7 @@ func FuzzMatchColumnar(f *testing.F) {
 		{"/a[@k=v]", `<a k="v"/>`},
 		{"/a[@k=1v]/b", `<a k="v"><b/></a>`},                        // fails as recorded, passes in the variant
 		{"//b[@n>=12]//b", `<b n="3"><b><b/></b></b>`},              // the same on an ambiguous path
+		{"//b//b[@n>=12]", `<b><b n="3"><b n="20"/></b></b>`},       // the filtered level has two pairs: a chain unit
 		{"/a[@k<-2][@j]/b[@k!=-3]", `<a k="3" j=""><b k="3"/></a>`}, // two filters on a step, both tags of a predicate; passes when signed
 		{"/a[b]/c", "<a><b/><c/></a>"},                              // nested filter
 		{"/*/*", "<a><b/></a>"},                                     // wildcard-only (length) chain
@@ -173,8 +177,12 @@ func FuzzMatchColumnar(f *testing.F) {
 			}
 		}
 		served := predfilter.New(predfilter.Config{})
-		if _, err := served.Add(expr); err != nil {
-			t.Fatalf("cached engine rejected %q that the scalar one accepted: %v", expr, err)
+		postScalar := predfilter.New(predfilter.Config{AttributeMode: predfilter.PostponedAttributes, PathCacheBytes: -1, Columnar: predfilter.ColumnarOff})
+		postServed := predfilter.New(predfilter.Config{AttributeMode: predfilter.PostponedAttributes})
+		for _, eng := range []*predfilter.Engine{served, postScalar, postServed} {
+			if _, err := eng.Add(expr); err != nil {
+				t.Fatalf("cached or Postponed engine rejected %q that the scalar one accepted: %v", expr, err)
+			}
 		}
 		p, perr := xpath.Parse(expr)
 		if perr != nil {
@@ -191,6 +199,14 @@ func FuzzMatchColumnar(f *testing.F) {
 			}
 			if !slices.Equal(got, want) {
 				t.Fatalf("%q over %q copy %d: cached=%v scalar=%v", expr, d, i, got, want)
+			}
+			pwant, pwerr := postScalar.Match([]byte(d))
+			pgot, pgerr := postServed.Match([]byte(d))
+			if (pwerr == nil) != (pgerr == nil) || (pwerr == nil) != (werr == nil) {
+				t.Fatalf("%q copy %d: Postponed scalar err %v, Postponed cached err %v, scalar err %v", d, i, pwerr, pgerr, werr)
+			}
+			if !slices.Equal(pgot, pwant) || !slices.Equal(pgot, want) {
+				t.Fatalf("%q over %q copy %d: Postponed cached=%v Postponed scalar=%v scalar=%v", expr, d, i, pgot, pwant, want)
 			}
 			if werr != nil {
 				continue

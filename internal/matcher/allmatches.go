@@ -57,7 +57,7 @@ func (k *counter) Path(pub *xmldoc.Publication) {
 	}
 	t := time.Now()
 	defer func() { sc.match += time.Since(t) }()
-	sc.pub, sc.byTagOK = pub, false
+	sc.pub = pub
 	sc.res.Reset(m.ix.Len())
 	m.ix.MatchPath(pub, sc.res)
 	k.path = k.path[:0]
@@ -105,7 +105,6 @@ func (k *counter) end() (map[SID]int, error) {
 			k.counts[e.id] = 1
 		}
 	}
-	clear(sc.ncands)
 	out := make(map[SID]int, len(k.counts))
 	for id, n := range k.counts {
 		for _, sid := range m.sids(id) {
@@ -134,7 +133,7 @@ func (k *counter) countUnit(e *expr) {
 
 	count := func(id int, ch [][]occur.Pair) {
 		n := 0
-		sc.work.pairs += occur.Enumerate(ch, sc.bud, func([]occur.Pair) bool {
+		sc.work.pairs += occur.Enumerate(ch, sc.bud, &sc.assign, func([]occur.Pair) bool {
 			n++
 			return true
 		})

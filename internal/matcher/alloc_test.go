@@ -12,6 +12,7 @@ import (
 
 	"predfilter/internal/guard"
 	"predfilter/internal/metrics"
+	"predfilter/internal/predicate"
 	"predfilter/internal/xmldoc"
 )
 
@@ -77,7 +78,7 @@ func TestMatchDocumentCacheHitAllocs(t *testing.T) {
 // its attribute values (numeric and non-numeric, against numeric and
 // non-numeric constants alike), runs each entry's program, and still
 // allocates only the result slice — nothing per value, per test or per
-// unit.
+// unit, in either attribute mode.
 func TestMatchDocumentPlanHitAllocs(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("<a>")
@@ -96,23 +97,23 @@ func TestMatchDocumentPlanHitAllocs(t *testing.T) {
 			fmt.Sprintf("/a/b[@s=v%d]", i), fmt.Sprintf("//d[@s!=v%d]", i))
 	}
 	xpes = append(xpes, "//d[@s>=3]", "//c[@n<k]") // each attribute compared both ways
-	// Inline mode, the default: Postponed verification re-indexes the
-	// path's tuples by tag (buildByTag), which allocates per path.
-	m := New(Options{Metrics: metrics.NewSet()})
-	mustAdd(t, m, xpes...)
-	if out, _, _ := m.MatchDocumentColumnar(doc, nil); len(out) < 8 { // warm-up
-		t.Fatalf("only %d of %d filter expressions match", len(out), len(xpes))
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, _, err := m.MatchDocumentColumnar(doc, nil); err != nil {
-			t.Fatal(err)
+	for _, mode := range []predicate.AttrMode{predicate.Inline, predicate.Postponed} {
+		m := New(Options{AttrMode: mode, Metrics: metrics.NewSet()})
+		mustAdd(t, m, xpes...)
+		if out, _, _ := m.MatchDocumentColumnar(doc, nil); len(out) < 8 { // warm-up
+			t.Fatalf("mode %v: only %d of %d filter expressions match", mode, len(out), len(xpes))
 		}
-	})
-	if allocs > 1 {
-		t.Fatalf("cache-hit document with live plan allocates %.1f per call, want <= 1", allocs)
-	}
-	if st, _ := m.cacheStats(); st.Hits == 0 {
-		t.Fatalf("no cache hits recorded: %+v", st)
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, _, err := m.MatchDocumentColumnar(doc, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Fatalf("mode %v: cache-hit document with live units allocates %.1f per call, want <= 1", mode, allocs)
+		}
+		if st, _ := m.cacheStats(); st.Hits == 0 {
+			t.Fatalf("mode %v: no cache hits recorded: %+v", mode, st)
+		}
 	}
 }
 

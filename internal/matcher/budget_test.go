@@ -80,22 +80,23 @@ func TestMatchDocumentBudgetTripsOnBlowup(t *testing.T) {
 }
 
 // TestMatchDocumentBudgetDoesNotPoisonCache: a budget trip during a miss
-// must not Put a truncated outcome or a partial live plan. The step bound
+// must not Put a truncated outcome or a partial program. The step bound
 // is raised one step at a time, so the trip lands at every point of the
-// miss — the sweep, the structural candidates, the plan walk or the hit
-// program — and after each abort an unbudgeted re-match (served from
+// miss — the sweep, the structural candidates, the compilation's chain
+// checks or the hit program — and after each abort an unbudgeted re-match (served from
 // whatever the aborted attempt cached), and a second one on pure hits,
 // must agree with an uncached matcher. The first fixture's path repeats a
-// tag (plan and transcript); the second's does not, and its entry carries a
+// tag (chain units, and a nested expression's live stage); the second's
+// does not, and its entry carries a
 // program large enough to be charged: the budget that trips there trips
 // after the complete entry was stored, and a hit is charged what the miss's
 // tail was.
 func TestMatchDocumentBudgetDoesNotPoisonCache(t *testing.T) {
 	repeated := []string{
 		strings.Repeat("//a", 6),                // structural: cached outcome
-		strings.Repeat("//a", 5) + "//a[@k=v]",  // live: plan unit that matches
-		strings.Repeat("//a", 5) + "//a[@k=w]",  // live: plan unit that fails its filter
-		"/a/a[@k=v]", "//a[@k=v]//a", "/a[a/a]", // more plan units; a nested reader of the transcript
+		strings.Repeat("//a", 5) + "//a[@k=v]",  // live: chain unit that matches
+		strings.Repeat("//a", 5) + "//a[@k=w]",  // live: chain unit that fails its filter
+		"/a/a[@k=v]", "//a[@k=v]//a", "/a[a/a]", // more live units; a nested expression
 	}
 	var b strings.Builder
 	for i := 0; i < 8; i++ {

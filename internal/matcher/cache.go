@@ -8,6 +8,7 @@ import (
 
 	"predfilter/internal/bitset"
 	"predfilter/internal/guard"
+	"predfilter/internal/occur"
 	"predfilter/internal/pathcache"
 	"predfilter/internal/predicate"
 	"predfilter/internal/predindex"
@@ -17,102 +18,86 @@ import (
 // Path-signature caching (the document-side dual of expression sharing;
 // see internal/pathcache). The four structural predicate types depend
 // only on tag names and positions, so for a given path *signature* — its
-// tag sequence plus per-path occurrence vector — the predicate stage and
-// the occurrence determination of every value-independent iteration unit
-// produce the same result on every document. The iteration units
-// therefore split in two:
+// tag sequence plus per-path occurrence vector — the predicate stage run
+// without deciding attribute filters (structural results: an
+// attribute-carrying predicate gets every pair its cell matched on tags
+// and positions) is the same on every document, and so is the occurrence
+// determination of every value-independent iteration unit. The iteration
+// units therefore split in two:
 //
 //   - structural units: every chain predicate is bare (no attribute
 //     filters), the expression carries no postponed annotations, and —
 //     for Postponed group representatives — neither does any member.
 //     Their per-path mark set is a pure function of the signature and is
-//     cached as the entry's Outcome. This is sound because every
-//     expression a structural unit can mark (its group members) is itself
-//     bare and annotation-free, and mark contributions are monotone, so
-//     OR-ing a cached outcome into the document state is exactly the
-//     sequential evaluation: marks only ever set bits, so the order in
-//     which units contribute them cannot change the result.
+//     cached as the entry's Outcome, together with the Postponed members
+//     without filters of the other groups whose structural chain matched.
+//     This is sound because mark contributions are monotone, so OR-ing a
+//     cached outcome into the document state is exactly the sequential
+//     evaluation: marks only ever set bits, so the order in which units
+//     contribute them cannot change the result.
 //
 //   - live units (expr.live): anything touching attribute values. Whether
 //     one matches depends on the document, but whether it *can* match
 //     does not: a unit matches only if every chain predicate produced
-//     pairs, and an attribute-carrying predicate produces pairs only
-//     where its cell matched on tags and positions. The live units whose
-//     every predicate matched structurally are the entry's live plan —
-//     the same argument the Outcome makes, applied one step earlier. A
-//     hit decides the plan's units and no others; every other live unit
-//     has a predicate that no document with this signature can satisfy.
+//     pairs, and an attribute-carrying predicate produces only pairs its
+//     cell matched structurally. The live units that are candidates on the
+//     structural results are the only ones a hit has to decide — the same
+//     argument the Outcome makes, applied one step earlier — and the
+//     entry's program (pathcache.Program) decides them.
 //
-// How a hit decides the plan depends on whether occurrence pairs can
-// matter:
+// A live unit's structural pair names the tuples of its predicate's tags
+// at its occurrence numbers (sc.tupleAt), and each filter on a tag becomes
+// a test on that tuple, each distinct (tuple, filter) once, decided
+// through predicate.Dict.Holds like every other filter. A pair survives
+// on a document iff its tests pass, exactly as in the live predicate
+// stage, so a unit's live results are its structural pairs whose tests
+// passed, in order. A unit with one structural pair per level, which
+// chain, matches iff all of its tests pass: a conjunction unit. Else it
+// is a chain unit, and a hit runs occurrence determination over the pairs
+// whose tests passed; a unit whose structural pairs do not chain is left
+// out. A Postponed group is decided on the miss by its structural chain,
+// its members by their own filters. What a program names is append-only:
+// expression ids, and the dictionary's constant ids, whose ranks may
+// change under it (Dict.Rerank) but not their meaning.
 //
-//   - The program (pathcache.Program), for an unambiguous path in Inline
-//     mode with no nested-path expression registered. No tag repeats, so
-//     each tag, and each ordered pair of tags, names one tuple or tuple
-//     pair of the path, and every predicate has at most one structural
-//     occurrence on it — for an attribute-carrying predicate of a plan
-//     unit exactly one, the residual hit the miss transcribed. Replay
-//     would add that predicate's one pair iff the filters on its first tag
-//     hold on tuple T1 and those on its second on T2; MatchedAll(u.pids)
-//     would then hold iff that is so for every filtered predicate of u
-//     (the bare ones matched, or u were no candidate), and the unit would
-//     be marked directly, every level holding the pair (1,1) (columnar.go).
-//     So u is marked iff the conjunction of its (tuple, filter) tests
-//     holds, which is what the program stores and evaluates — each
-//     distinct test once, through predicate.Dict.Holds like every other
-//     filter decision — without results, replay or unit lookups. What it
-//     names is append-only: expression ids, and the dictionary's constant
-//     ids, whose ranks may change under it (Dict.Rerank) but not their
-//     meaning.
-//
-//   - Plan and transcript, otherwise: a repeated tag needs occurrence
-//     determination over the pairs, a Postponed group representative
-//     verifies its members' filters pair by pair, and nested-path
-//     expressions enumerate assignments. The hit replays the transcript
-//     (deciding the residual hits' filters against the live tuples) and
-//     runs evalExpr on the plan's units. The transcript is pruned to the
-//     predicates the plan references, since nothing else reads the
-//     replayed results — except nested-path expressions, which are live
-//     too (their recombination needs node identities) and read arbitrary
-//     predicates, so their presence keeps the transcript whole.
-//
-// A miss builds the entry from one sweep over the structural touched set
-// and then takes the hit's tail, so there is one cached path. Structural
+// A miss builds the entry from one sweep over the structural results and
+// then takes the hit's tail, so there is one cached path. Structural
 // candidates evaluate against a clean matched buffer (sc.matched2) with
 // mark logging on, so the cached outcome never absorbs marks from earlier
 // paths of the same document. A later path of a shape the document ran
 // already reuses the shape's record (shapeRec) instead of probing, and
-// re-decides only the tests of tuples whose node changed.
+// re-decides only the tests of tuples whose node changed; when none did,
+// its units decide as they did and are skipped.
+//
+// Nested-path expressions are no part of an entry: their recombination
+// needs node identities, so while one is registered every path also runs
+// the live predicate stage and collects their candidates from it.
 //
 // Registration changes (cacheEffect). An entry is a function of its
-// signature and the set of distinct expressions, so a change of SIDs —
-// Remove, Add of a registered expression — leaves the cache alone. When
-// distinct expressions X were added, the entries of the signatures no
-// x ∈ X can match structurally (canMatch: some predicate of x's chain
-// fails on the signature's tags and positions) are kept, and are still
-// the entries a miss would build now:
+// signature and the set of distinct single-path expressions, so a change
+// of SIDs — Remove, Add of a registered expression — and the Add of a
+// nested-path expression leave the cache alone. When distinct single-path
+// expressions X were added, the entries of the signatures no x ∈ X can
+// match structurally (canMatch: some predicate of x's chain fails on the
+// signature's tags and positions) are kept, and are still the entries a
+// miss would build now:
 //
-//	(a) x is on no such signature's Outcome or Plan: its unit is a sweep
-//	    candidate only where every predicate of its chain matched
+//	(a) x is on no such signature's Outcome or Program: its unit is a
+//	    sweep candidate only where every predicate of its chain matched
 //	    structurally, which is what canMatch evaluates.
 //	(b) No other unit's marks changed. The kernel evaluates each unit on
 //	    its own (no cover relation is read), so the only unit an x
 //	    changes is the Postponed group it joins, possibly turning it
 //	    from structural to live — and the group has x's chain, so it is
 //	    a candidate on no kept signature either.
-//	(c) The program, or the pruned transcript, has to serve the plan's
-//	    units, which did not change. Predicates new with X are referenced
-//	    by X alone.
-//	(d) Expression ids, predicate ids, unit columns and the value
-//	    dictionary's constant ids are append-only, so what the entry names
-//	    still means the same; a constant new with X re-ranks its
-//	    attribute's others, and tests read ranks when they run.
+//	(c) Expression ids and the value dictionary's constant ids are
+//	    append-only, so what the entry names still means the same; a
+//	    constant new with X re-ranks its attribute's others, and tests
+//	    read ranks when they run.
 //
-// Two cases flush instead, as rules rather than arguments: a nested-path
-// expression is registered (old or new — transcripts are kept whole for
-// those, and recombination reads predicates no chain test covers), or
-// more than maxEvictAdds expressions are pending (a bulk load: one walk
-// per catch-up tests every entry against every pending expression).
+// One case flushes instead, as a rule rather than an argument: more than
+// maxEvictAdds single-path expressions pending (a bulk load: one walk per
+// catch-up tests every entry against every pending expression).
 
 // appendPubSig appends the path's structural signature: the tuple count
 // (little-endian, two bytes — paths deeper than 64k tags do not occur)
@@ -138,20 +123,27 @@ const maxEvictAdds = 16
 // cacheEffect is the one place a registration change acts on the path
 // cache: added are the distinct expressions registered since the last
 // catch-up (none after a change of SIDs only, which therefore does
-// nothing). See the header for why the kept entries stay exact. Callers
+// nothing). Nested-path expressions are no part of an entry and are
+// skipped. See the header for why the kept entries stay exact. Callers
 // hold the write lock, so the walk cannot interleave with a matcher's
 // Get/Put (matching holds the read lock).
 func (m *Matcher) cacheEffect(added []*expr) {
+	singles := 0
+	for _, e := range added {
+		if e.root == nil {
+			singles++
+		}
+	}
 	switch {
-	case m.cache == nil || len(added) == 0:
-	case len(m.nested) > 0 || len(added) > maxEvictAdds:
+	case m.cache == nil || singles == 0:
+	case singles > maxEvictAdds:
 		m.cache.Invalidate()
 	default:
 		var tags []string
 		m.cache.Evict(func(sig string) bool {
 			tags = sigTags(tags[:0], sig)
 			for _, e := range added {
-				if m.canMatch(e, tags) {
+				if e.root == nil && m.canMatch(e, tags) {
 					return true
 				}
 			}
@@ -207,31 +199,33 @@ func (m *Matcher) canMatch(e *expr, tags []string) bool {
 // Callers hold the read lock with the columnar index caught up. A shape
 // the document ran already takes its record's entry, with no cache probe;
 // else the Shape picks the cache shard and the signature the entry, and a
-// miss runs stage 1 and builds it. Every path then runs its entry.
+// miss runs the structural predicate stage and builds it. Every path then
+// runs its entry, and, while a nested-path expression is registered, the
+// live predicate stage its recombination reads.
 func (m *Matcher) matchPathCached(sc *scratch, cs *colScratch, pub *xmldoc.Publication, bud *guard.Budget) {
-	if r := sc.record(pub); r != nil {
-		m.runEntry(sc, cs.ci, r, false, pub, bud)
-		return
+	r := sc.record(pub)
+	first := r == nil
+	if first {
+		sc.sig = appendPubSig(sc.sig[:0], pub)
+		ent, ok := m.cache.Get(pub.Shape, sc.sig)
+		if !ok {
+			ambiguous := cs.resolveTids(pub)
+			sc.res.Reset(m.ix.Len())
+			cs.ci.lay.MatchPathTids(pub, cs.tids, sc.res, false)
+			if ent = m.buildEntry(sc, cs, ambiguous, bud); ent == nil {
+				return
+			}
+			m.cache.Put(pub.Shape, sc.sig, ent)
+		}
+		r = sc.newRecord(pub, ent)
 	}
-	sc.sig = appendPubSig(sc.sig[:0], pub)
-	ent, ok := m.cache.Get(pub.Shape, sc.sig)
-	if !ok {
-		// Stage 1 over the layout, recording the transcript when
-		// value-dependent work will need it on later hits.
-		ambiguous := cs.resolveTids(pub)
+	m.runEntry(sc, r, first, pub, bud)
+	if len(m.nested) > 0 && !bud.Exceeded() {
+		cs.resolveTids(pub)
 		sc.res.Reset(m.ix.Len())
-		var rec *predindex.Recording
-		if m.needRes {
-			sc.rec.Reset()
-			rec = &sc.rec
-		}
-		cs.ci.lay.MatchPathTids(pub, cs.tids, sc.res, rec)
-		if ent = m.buildEntry(sc, cs, ambiguous, bud); ent == nil {
-			return
-		}
-		m.cache.Put(pub.Shape, sc.sig, ent)
+		cs.ci.lay.MatchPathTids(pub, cs.tids, sc.res, true)
+		m.collectNested(sc, bud)
 	}
-	m.runEntry(sc, cs.ci, sc.newRecord(pub, ent), true, pub, bud)
 }
 
 // shapeRec is the document's record of one path shape whose entry ran. Its
@@ -273,135 +267,160 @@ func (sc *scratch) newRecord(pub *xmldoc.Publication, ent *pathcache.Entry) *sha
 
 // runEntry is the cache hit: it folds the entry's contribution for the
 // current path into sc — the structural outcome on the shape's first
-// path, the value-dependent units through the program or, where the entry
-// has none, through the replayed transcript and evalExpr. A miss ends here
-// too, on the entry it just built.
-func (m *Matcher) runEntry(sc *scratch, ci *colIndex, r *shapeRec, first bool, pub *xmldoc.Publication, bud *guard.Budget) {
-	// Predicate stage: the document's attribute values against the
-	// program's tests, or against the transcript's residual hits.
+// path, then the program's units over the document's attribute values. A
+// miss ends here too, on the entry it just built.
+func (m *Matcher) runEntry(sc *scratch, r *shapeRec, first bool, pub *xmldoc.Publication, bud *guard.Budget) {
 	ent, p := r.ent, r.ent.Prog
-	if p != nil {
-		m.progTests(sc, r, first, pub)
-	} else if len(ent.Plan) > 0 || len(m.nested) > 0 {
-		sc.work.replays++
-		sc.res.Reset(m.ix.Len())
-		m.ix.Replay(&ent.Rec, pub, sc.res)
-	}
-
-	// Expression stage.
 	if first {
 		for _, id := range ent.Outcome {
 			sc.matched[id] = true
 		}
 	}
-	if p != nil {
-		// Charged like the sweep, a step per 64 operations: an entry's
-		// tests and marks are bounded by the units a scalar loop would
-		// have evaluated at one step or more apiece.
-		if n := int64((len(p.Tests) + progUnits(sc, p, r.pass)) >> 6); n > 0 {
-			bud.StepN(n)
-		}
+	if p == nil || !m.progTests(sc, r, first, pub) {
+		return
 	}
-	for _, c := range ent.Plan {
-		// The plan proves the chain structurally possible; the replayed
-		// results say whether this document's attribute values agree.
-		u := ci.units[c]
-		if sc.matched[u.id] || !sc.res.MatchedAll(u.pids) {
+	// Charged like the sweep, a step per 64 operations: an entry's tests,
+	// pairs and marks are bounded by the units a scalar loop would have
+	// evaluated at one step or more apiece. Determination charges its own.
+	if n := int64((len(p.Tests) + len(p.Pairs) + progUnits(sc, p, r.pass)) >> 6); n > 0 {
+		bud.StepN(n)
+	}
+	m.progChains(sc, p, r.pass, bud)
+}
+
+// progTests decides the program's tests into the record's pass bits — on
+// the shape's first path all of them, on a later one those on tuples
+// whose node changed: Holds reads nothing of a tuple but its attribute
+// storage. It reports whether it decided any; if not, the units decide as
+// they last did.
+func (m *Matcher) progTests(sc *scratch, r *shapeRec, first bool, pub *xmldoc.Publication) (decided bool) {
+	fresh := sc.fresh[:0]
+	for k := range r.tuples {
+		t, seen := &pub.Tuples[k], &r.tuples[k]
+		fresh = append(fresh, first || unsafe.SliceData(seen.Attrs) != unsafe.SliceData(t.Attrs) || len(seen.Attrs) != len(t.Attrs))
+		seen.Attrs = t.Attrs
+	}
+	sc.fresh = fresh
+	for i, pt := range r.ent.Prog.Tests {
+		if !fresh[pt.Tuple] {
 			continue
 		}
-		if bud.Exceeded() {
-			return
-		}
-		m.markUnit(sc, u, ent.Ambiguous, bud)
-	}
-	for _, e := range m.nested { // none while an entry has a program
-		e.root.collect(m, sc, bud)
-	}
-}
-
-// progTests decides the program's tests into the record's pass bits, a
-// tuple's block at a time, only on the shape's first path or another node:
-// Holds reads nothing of a tuple but its attribute storage.
-func (m *Matcher) progTests(sc *scratch, r *shapeRec, first bool, pub *xmldoc.Publication) {
-	tests := r.ent.Prog.Tests
-	for i := 0; i < len(tests); {
-		k := tests[i].Tuple
-		t, seen := &pub.Tuples[k], &r.tuples[k]
-		fresh := first || unsafe.SliceData(seen.Attrs) != unsafe.SliceData(t.Attrs) || len(seen.Attrs) != len(t.Attrs)
-		seen.Attrs = t.Attrs
-		for ; i < len(tests) && tests[i].Tuple == k; i++ {
-			if !fresh {
-				continue
-			}
-			bitset.Clear(r.pass, i)
-			if len(t.Attrs) > 0 { // else the test fails unevaluated
-				sc.work.tests++
-				if m.ix.Vals.Holds(tests[i].Test, t, &sc.res.Vals) {
-					bitset.Set(r.pass, i)
-				}
+		decided = true
+		bitset.Clear(r.pass, i)
+		if t := &pub.Tuples[pt.Tuple]; len(t.Attrs) > 0 { // else the test fails unevaluated
+			sc.work.tests++
+			if m.ix.Vals.Holds(pt.Test, t, &sc.res.Vals) {
+				bitset.Set(r.pass, i)
 			}
 		}
 	}
+	return decided
 }
 
-// progUnits walks the units under the tests that passed, marks those whose
-// further tests passed too, and returns how many it marked.
+// allPass reports whether every test of a run of program.More (closed by
+// -1) passed.
+func allPass(run []int32, pass []uint64) bool {
+	for _, j := range run {
+		if j < 0 {
+			break
+		}
+		if !bitset.Get(pass, int(j)) {
+			return false
+		}
+	}
+	return true
+}
+
+// progUnits walks the conjunction units under the tests that passed,
+// marks those whose further tests passed too, and returns how many it
+// marked.
 func progUnits(sc *scratch, p *pathcache.Program, pass []uint64) (marked int) {
 	for w, word := range pass {
 		for ; word != 0; word &= word - 1 {
 			i := w<<6 + bits.TrailingZeros64(word)
-		units:
 			for _, u := range p.Units[p.Start[i]:p.Start[i+1]] {
-				if u.More >= 0 {
-					for _, j := range p.More[u.More:] {
-						if j < 0 {
-							break
-						}
-						if !bitset.Get(pass, int(j)) {
-							continue units
-						}
-					}
+				if u.More < 0 || allPass(p.More[u.More:], pass) {
+					sc.matched[u.ID] = true
+					marked++
 				}
-				sc.matched[u.ID] = true
-				marked++
 			}
 		}
 	}
 	return marked
 }
 
-// buildEntry computes the cache entry of the current path from the stage-1
-// results in sc.res and the transcript in sc.rec. It returns nil when the
-// budget tripped: an entry must be the complete outcome and plan for its
-// signature, never a budget-truncated one.
-func (m *Matcher) buildEntry(sc *scratch, cs *colScratch, ambiguous bool, bud *guard.Budget) *pathcache.Entry {
-	// One sweep over the structural touched set: what stage 1 matched plus
-	// the attribute-carrying predicates whose cell matched but whose
-	// filters failed on this document. Structural units reference bare
-	// predicates only, so their candidate bits are unaffected by the
-	// extras; the live candidates become the plan.
-	touched := sc.res.Touched()
-	if m.needRes && len(sc.rec.Residual) > 0 {
-		cs.pids = append(cs.pids[:0], touched...)
-		for _, r := range sc.rec.Residual {
-			if !sc.res.Matched(r.PID) {
-				cs.pids = append(cs.pids, r.PID) // repeats only re-set bits
+// progChains decides the chain units not matched yet: each pair list
+// keeps the pairs whose guards passed, and occurrence determination runs
+// over a unit's levels, charging the budget a step per pair it visits.
+func (m *Matcher) progChains(sc *scratch, p *pathcache.Program, pass []uint64, bud *guard.Budget) {
+	if len(p.Chains) == 0 {
+		return
+	}
+	if cap(sc.pairBuf) < len(p.Pairs) {
+		sc.pairBuf = make([]occur.Pair, 0, len(p.Pairs))
+	}
+	buf, lists := sc.pairBuf[:0], sc.filt[:0]
+	for k := 1; k < len(p.Lists); k++ {
+		lo := len(buf)
+		for _, pp := range p.Pairs[p.Lists[k-1]:p.Lists[k]] {
+			if pp.Guard < 0 || allPass(p.More[pp.Guard:], pass) {
+				buf = append(buf, pp.Pair)
 			}
 		}
-		touched = cs.pids
+		lists = append(lists, buf[lo:len(buf):len(buf)])
 	}
-	acc := m.colSweep(touched, cs, ambiguous, bud)
+	sc.pairBuf, sc.filt = buf, lists
+chains:
+	for _, c := range p.Chains {
+		if sc.matched[c.ID] {
+			continue
+		}
+		chain := sc.chain[:0]
+		for _, k := range p.Levels[c.Levels:] {
+			if k < 0 {
+				break
+			}
+			if len(lists[k]) == 0 {
+				sc.chain = chain
+				continue chains
+			}
+			chain = append(chain, lists[k])
+		}
+		sc.chain = chain
+		sc.work.evals++
+		ok, _, visited := occur.Determine(chain, bud, &sc.occBuf)
+		sc.work.pairs += visited
+		if bud.Exceeded() {
+			return
+		}
+		if ok {
+			sc.matched[c.ID] = true
+		}
+	}
+}
+
+// buildEntry computes the cache entry of the current path from the
+// structural results in sc.res. It returns nil when the budget tripped: an
+// entry must be the complete outcome and program for its signature, never
+// a budget-truncated one.
+func (m *Matcher) buildEntry(sc *scratch, cs *colScratch, ambiguous bool, bud *guard.Budget) *pathcache.Entry {
+	acc := m.colSweep(sc.res.Touched(), cs, ambiguous, bud)
 	if bud.Exceeded() {
 		return nil
 	}
 
-	// Structural candidates against the clean buffer with logging on; the
-	// live ones are set aside as the plan.
+	// Candidates against the clean buffer with logging on: the structural
+	// ones are evaluated, the live ones set aside and compiled; what either
+	// marks is the outcome.
 	sc.matched, sc.matched2 = sc.matched2, sc.matched
 	sc.log = sc.log[:0]
 	sc.logging = true
 	cs.plan = cs.plan[:0]
 	m.markCandidates(sc, cs, acc, true, ambiguous, bud)
+	var prog *pathcache.Program
+	if len(cs.plan) > 0 && !bud.Exceeded() {
+		prog = m.compileProgram(sc, cs, ambiguous, bud)
+	}
 	sc.logging = false
 	sc.matched, sc.matched2 = sc.matched2, sc.matched
 	for _, id := range sc.log {
@@ -410,97 +429,185 @@ func (m *Matcher) buildEntry(sc *scratch, cs *colScratch, ambiguous bool, bud *g
 	if bud.Exceeded() {
 		return nil
 	}
-
-	ne := &pathcache.Entry{Outcome: append([]int32(nil), sc.log...), Ambiguous: ambiguous}
-	nested := len(m.nested) > 0
-	switch {
-	case !m.needRes || !nested && len(cs.plan) == 0:
-	case !nested && !ambiguous && m.opts.AttrMode == predicate.Inline:
-		ne.Prog = m.compileProgram(sc, cs)
-	default:
-		ne.Plan = append([]int32(nil), cs.plan...)
-		if !nested {
-			bitset.Zero(cs.planPids)
-			for _, c := range ne.Plan {
-				for _, pid := range cs.ci.units[c].pids {
-					bitset.Set(cs.planPids, int(pid))
-				}
-			}
-			sc.rec.Keep(func(pid predindex.PID) bool { return bitset.Get(cs.planPids, int(pid)) })
-		}
-		ne.Rec = sc.rec.Clone()
-	}
-	return ne
+	return &pathcache.Entry{Outcome: append([]int32(nil), sc.log...), Prog: prog}
 }
 
-// compileProgram turns the plan of an unambiguous path (cs.plan, plain
-// units only) into the entry's hit program: each unit's filters become
-// tests on the tuples its predicates' one structural occurrence names
-// (the transcript's residual hits), numbered per entry and shared between
-// units, and the units are laid out under the first test each needs.
-func (m *Matcher) compileProgram(sc *scratch, cs *colScratch) *pathcache.Program {
-	at := make(map[predindex.PID]predindex.ResidualHit, len(sc.rec.Residual))
-	for _, h := range sc.rec.Residual {
-		at[h.PID] = h
-	}
-	p := &pathcache.Program{}
-	testIx := make(map[pathcache.ProgTest]int32)
-	first := make([]int32, len(cs.plan)) // per plan unit, the test it is laid out under
-	units := make([]pathcache.ProgUnit, len(cs.plan))
-	var need []int32
-	for k, c := range cs.plan {
-		u := cs.ci.units[c]
-		need = need[:0]
-		for _, pid := range u.pids {
-			h := at[pid] // present for every filtered predicate of a plan unit
-			tuple := [2]int32{h.T1, h.T2}
-			for side, tests := range m.ix.Tests(pid) {
-				for _, f := range tests {
-					pt := pathcache.ProgTest{Tuple: tuple[side], Test: f}
-					i, ok := testIx[pt]
-					if !ok {
-						i = int32(len(p.Tests))
-						testIx[pt] = i
-						p.Tests = append(p.Tests, pt)
-					}
-					need = append(need, i)
+// progBuilder is a program while a miss compiles it: its tests and pair
+// lists by identity, and per conjunction unit the test it is laid out
+// under.
+type progBuilder struct {
+	p     pathcache.Program
+	tests map[pathcache.ProgTest]int32
+	lists map[listKey]int32
+	first []int32
+	need  []int32
+}
+
+// listKey names a pair list: a predicate under its own filters (post nil)
+// or under a Postponed member's at one chain level.
+type listKey struct {
+	pid  predindex.PID
+	post *[2][]predicate.Test
+}
+
+// compileProgram compiles the live candidates of the current path
+// (cs.plan) over the structural results into the entry's program, nil when
+// none of them is left to decide. A Postponed member without filters is
+// marked instead, into the outcome being logged.
+func (m *Matcher) compileProgram(sc *scratch, cs *colScratch, ambiguous bool, bud *guard.Budget) *pathcache.Program {
+	b := &progBuilder{tests: make(map[pathcache.ProgTest]int32), lists: make(map[listKey]int32)}
+	for _, c := range cs.plan {
+		switch u := cs.ci.units[c]; {
+		case u.members == nil:
+			m.compileUnit(sc, b, u, ambiguous, bud)
+		case !ambiguous || m.chains(sc, u.pids, bud): // else no member can match
+			for _, mem := range u.members {
+				if mem.post == nil {
+					sc.mark(mem.id)
+				} else {
+					m.compileUnit(sc, b, mem, false, bud)
 				}
 			}
 		}
-		first[k], units[k] = need[0], pathcache.ProgUnit{ID: int32(u.id), More: -1}
-		if len(need) > 1 {
-			units[k].More = int32(len(p.More))
-			p.More = append(append(p.More, need[1:]...), -1)
+	}
+	if bud.Exceeded() || len(b.p.Units)+len(b.p.Chains) == 0 {
+		return nil
+	}
+	return b.finish()
+}
+
+// chains runs occurrence determination over the structural results of
+// pids, every level of which holds pairs, and reports whether they chain.
+func (m *Matcher) chains(sc *scratch, pids []predindex.PID, bud *guard.Budget) bool {
+	chain := sc.chain[:0]
+	for _, pid := range pids {
+		chain = append(chain, sc.res.Get(pid))
+	}
+	sc.chain = chain
+	sc.work.evals++
+	ok, _, visited := occur.Determine(chain, bud, &sc.occBuf)
+	sc.work.pairs += visited
+	return ok && !bud.Exceeded()
+}
+
+// compileUnit adds e to the program: a conjunction unit where every level
+// has one structural pair, else a chain unit. With check set, a unit whose
+// structural pairs do not chain is left out.
+func (m *Matcher) compileUnit(sc *scratch, b *progBuilder, e *expr, check bool, bud *guard.Budget) {
+	if check && !m.chains(sc, e.pids, bud) {
+		return
+	}
+	single := true
+	for _, pid := range e.pids {
+		single = single && len(sc.res.Get(pid)) == 1
+	}
+	if !single {
+		lv := int32(len(b.p.Levels))
+		for l := range e.pids {
+			b.p.Levels = append(b.p.Levels, b.list(m, sc, levelKey(e, l)))
+		}
+		b.p.Levels = append(b.p.Levels, -1)
+		b.p.Chains = append(b.p.Chains, pathcache.ProgChain{ID: int32(e.id), Levels: lv})
+		return
+	}
+	need := b.need[:0]
+	for l, pid := range e.pids {
+		need = b.guard(m, sc, need, levelKey(e, l), sc.res.Get(pid)[0])
+	}
+	if b.need = need; len(need) == 0 {
+		sc.mark(e.id) // no filter left to decide: a function of the signature
+		return
+	}
+	u := pathcache.ProgUnit{ID: int32(e.id), More: -1}
+	if len(need) > 1 {
+		u.More = int32(len(b.p.More))
+		b.p.More = append(append(b.p.More, need[1:]...), -1)
+	}
+	b.first = append(b.first, need[0])
+	b.p.Units = append(b.p.Units, u)
+}
+
+// levelKey names the pair list of e's chain level l.
+func levelKey(e *expr, l int) listKey {
+	if e.postTests != nil {
+		return listKey{e.pids[l], &e.postTests[l]}
+	}
+	return listKey{pid: e.pids[l]}
+}
+
+// guard appends to need the indices of the tests the filters of list k put
+// on the tuples its pair pr names.
+func (b *progBuilder) guard(m *Matcher, sc *scratch, need []int32, k listKey, pr occur.Pair) []int32 {
+	filters := m.ix.Tests(k.pid)
+	if k.post != nil {
+		filters = *k.post
+	}
+	if len(filters[0])+len(filters[1]) == 0 {
+		return need
+	}
+	p := m.ix.Pred(k.pid)
+	for side, fs := range filters {
+		tag, o := p.Tag1, pr.A
+		if side == 1 {
+			tag, o = p.Tag2, pr.B
+		}
+		for _, f := range fs {
+			pt := pathcache.ProgTest{Tuple: int32(sc.tupleAt(tag, o).Pos - 1), Test: f}
+			i, ok := b.tests[pt]
+			if !ok {
+				i = int32(len(b.p.Tests))
+				b.tests[pt] = i
+				b.p.Tests = append(b.p.Tests, pt)
+			}
+			need = append(need, i)
 		}
 	}
-	// Renumber the tests in tuple order, a tuple's tests one block (progTests).
-	tests := slices.Clone(p.Tests) // exact: retained
-	slices.SortStableFunc(tests, func(a, b pathcache.ProgTest) int { return int(a.Tuple - b.Tuple) })
-	for i, pt := range tests {
-		testIx[pt] = int32(i)
+	return need
+}
+
+// list returns the index of pair list k, adding it on first use: the
+// predicate's structural pairs, each with the run of tests that guards it.
+func (b *progBuilder) list(m *Matcher, sc *scratch, k listKey) int32 {
+	if i, ok := b.lists[k]; ok {
+		return i
 	}
-	for k := range first {
-		first[k] = testIx[p.Tests[first[k]]]
-	}
-	for i, j := range p.More {
-		if j >= 0 {
-			p.More[i] = testIx[p.Tests[j]]
+	i := int32(len(b.p.Lists))
+	b.lists[k] = i
+	b.p.Lists = append(b.p.Lists, int32(len(b.p.Pairs)))
+	for _, pr := range sc.res.Get(k.pid) {
+		pp := pathcache.ProgPair{Pair: pr, Guard: -1}
+		if b.need = b.guard(m, sc, b.need[:0], k, pr); len(b.need) > 0 {
+			pp.Guard = int32(len(b.p.More))
+			b.p.More = append(append(b.p.More, b.need...), -1)
 		}
+		b.p.Pairs = append(b.p.Pairs, pp)
 	}
-	// Counting sort of the units by first test.
-	p.Start = make([]int32, len(p.Tests)+1)
-	for _, i := range first {
-		p.Start[i+1]++
+	return i
+}
+
+// finish lays the program out for the hit: the conjunction units sorted
+// by first test (a counting sort), the pair lists closed, every slice
+// exact.
+func (b *progBuilder) finish() *pathcache.Program {
+	p := &b.p
+	start := make([]int32, len(p.Tests)+1)
+	for _, i := range b.first {
+		start[i+1]++
 	}
 	for i := range p.Tests {
-		p.Start[i+1] += p.Start[i]
+		start[i+1] += start[i]
 	}
-	next := append([]int32(nil), p.Start...)
-	p.Units = make([]pathcache.ProgUnit, len(units))
-	for k, u := range units {
-		p.Units[next[first[k]]] = u
-		next[first[k]]++
+	next := slices.Clone(start)
+	units := make([]pathcache.ProgUnit, len(p.Units))
+	for k, u := range p.Units {
+		units[next[b.first[k]]] = u
+		next[b.first[k]]++
 	}
-	p.Tests, p.More = tests, append([]int32(nil), p.More...) // exact: retained
-	return p
+	if len(p.Chains) > 0 {
+		p.Lists = append(p.Lists, int32(len(p.Pairs)))
+	}
+	return &pathcache.Program{
+		Tests: slices.Clone(p.Tests), Start: start, Units: units, More: slices.Clone(p.More),
+		Chains: slices.Clone(p.Chains), Levels: slices.Clone(p.Levels), Lists: slices.Clone(p.Lists), Pairs: slices.Clone(p.Pairs),
+	}
 }

@@ -210,8 +210,9 @@ func TestEvictOnDistinctAdd(t *testing.T) {
 	}
 }
 
-// TestEvictFlushRules: a bulk load and a registered nested-path
-// expression flush the cache instead of walking it.
+// TestEvictFlushRules: a bulk load flushes the cache instead of walking
+// it; a nested-path expression, added or present, neither flushes it nor
+// costs it an entry.
 func TestEvictFlushRules(t *testing.T) {
 	m, docs := nitfSample(t)
 	before := m.Stats().PathCache
@@ -225,16 +226,19 @@ func TestEvictFlushRules(t *testing.T) {
 	}
 	mustAdd(t, m, "/nitf[head]/body")
 	m.MatchDocument(docs[0])
+	if nested := m.Stats().PathCache; nested.Evictions != after.Evictions || nested.Misses != after.Misses {
+		t.Fatalf("a nested expression cost the cache entries: before %+v after %+v", after, nested)
+	}
 	mustAdd(t, m, "/nowhere/else") // a nested expression is present
 	m.MatchDocument(docs[0])
-	if last := m.Stats().PathCache; last.Invalidations != after.Invalidations+2 {
-		t.Fatalf("nested expression added, then present: %d flushes, want 2", last.Invalidations-after.Invalidations)
+	if last := m.Stats().PathCache; last.Invalidations != after.Invalidations {
+		t.Fatalf("nested expression added, then present: %d flushes, want 0", last.Invalidations-after.Invalidations)
 	}
 }
 
 // TestPathCacheAttrReplay hits the cache with a structurally identical
-// path whose attribute values differ; the recorded transcript must be
-// re-verified against the live tuples, in both attribute modes.
+// path whose attribute values differ; the entry's program must decide the
+// filter on the live tuples, in both attribute modes.
 func TestPathCacheAttrReplay(t *testing.T) {
 	match, err := xmldoc.Parse([]byte(`<a><b x="1"><c/></b></a>`))
 	if err != nil {
@@ -421,11 +425,13 @@ func mustParse(t *testing.T, xml string) *xmldoc.Document {
 }
 
 // TestProgramEntryLayout: what an entry holds for its value-dependent
-// units. An unambiguous path gets a program — one test per distinct
-// (tuple, filter) however many units and predicates name it, units under
-// their first test, further tests listed per unit — and neither plan nor
-// transcript; a repeated tag, Postponed mode and a registered nested-path
-// expression keep plan and transcript, the last one whole.
+// units. An unambiguous path gets conjunction units — one test per
+// distinct (tuple, filter) however many units and predicates name it,
+// units under their first test, further tests listed per unit. A repeated
+// tag gets chain units over guarded pair lists that units share, and none
+// for a unit whose structural pairs do not chain; Postponed mode gets its
+// filtered members as units and its bare ones in the outcome; and a
+// registered nested-path expression changes no entry.
 func TestProgramEntryLayout(t *testing.T) {
 	xpes := []string{
 		"/a/b[@x=1]/c", "//b[@x=1]", "/a[@y>=2]/b[@x=1]", // three units on the test (b, x=1); the third needs (a, y>=2) too
@@ -441,8 +447,8 @@ func TestProgramEntryLayout(t *testing.T) {
 	}
 	ent := entryOf(t, m, plain, 0)
 	p := ent.Prog
-	if p == nil || ent.Plan != nil || ent.Rec.Bare != nil || ent.Rec.Residual != nil {
-		t.Fatalf("unambiguous path: want a program and nothing else, got %+v", ent)
+	if p == nil || len(p.Chains) != 0 || len(p.Pairs) != 0 {
+		t.Fatalf("unambiguous path: want conjunction units only, got %+v", p)
 	}
 	if len(ent.Outcome) != 1 || len(p.Tests) != 3 || len(p.Units) != 4 || len(p.Start) != 4 {
 		t.Fatalf("outcome %v, program %+v: want 1 structural id, 3 tests, 4 units", ent.Outcome, p)
@@ -481,28 +487,74 @@ func TestProgramEntryLayout(t *testing.T) {
 		t.Fatalf("same-signature documents missed: %+v", st)
 	}
 
-	repeated := mustParse(t, `<a y="3"><b x="1"><b><c/></b></b></a>`)
-	matchSet(m, repeated)
-	if ent := entryOf(t, m, repeated, 0); ent.Prog != nil || !ent.Ambiguous || len(ent.Plan) == 0 || len(ent.Rec.Residual) == 0 {
-		t.Fatalf("repeated tag: want plan and transcript, got %+v", ent)
+	// A repeated tag: //b[@x=1] reads both b's pairs, a chain unit;
+	// /a/b[@x=1]/c cannot chain its b to the c; the others have one pair
+	// per level. The variants keep the signature and move the values.
+	repeated := []*xmldoc.Document{
+		mustParse(t, `<a y="3"><b x="1"><b><c/></b></b></a>`),
+		mustParse(t, `<a y="3"><b><b x="1"><c/></b></b></a>`),
+		mustParse(t, `<a y="1"><b x="2"><b x="1"><c/></b></b></a>`),
+		mustParse(t, `<a><b><b><c/></b></b></a>`),
+	}
+	agree := func(m *Matcher, sids []SID, docs ...*xmldoc.Document) {
+		t.Helper()
+		for _, doc := range docs {
+			got := matchSet(m, doc)
+			for i, sid := range sids {
+				if want := refmatch.Match(xpath.MustParse(xpes[i]), doc); got[sid] != want {
+					t.Fatalf("%s: %s matched=%v, refmatch %v", &doc.Paths[0], xpes[i], got[sid], want)
+				}
+			}
+		}
+	}
+	agree(m, sids, repeated...)
+	rp := entryOf(t, m, repeated[0], 0).Prog
+	if rp == nil || len(rp.Chains) != 1 || len(rp.Lists) != 2 || len(rp.Pairs) != 2 {
+		t.Fatalf("repeated tag: want one chain unit over one list of two pairs, got %+v", rp)
+	}
+	for _, pp := range rp.Pairs {
+		if pp.Guard < 0 || rp.Tests[rp.More[pp.Guard]].Tuple != pp.A || rp.More[pp.Guard+1] != -1 {
+			t.Fatalf("pair %+v: want a guard of one test on the b it names, program %+v", pp, rp)
+		}
+	}
+	twice := []string{"/a//b[@x=1]", "//a//b[@x=1]"} // share (a//b)[@x=1]'s list
+	both := mustAdd(t, m, twice...)
+	agree(m, sids, repeated...)
+	rp = entryOf(t, m, repeated[0], 0).Prog
+	levels := 0
+	for _, k := range rp.Levels {
+		if k >= 0 {
+			levels++
+		}
+	}
+	if len(rp.Chains) != 3 || len(rp.Lists)-1 >= levels {
+		t.Fatalf("three chain units, and a pair list two of them share: %+v", rp)
+	}
+	for _, doc := range repeated {
+		if got := matchSet(m, doc); got[both[0]] != got[both[1]] {
+			t.Fatalf("%s: %v disagree", &doc.Paths[0], twice)
+		}
 	}
 
 	post := New(Options{AttrMode: predicate.Postponed})
-	mustAdd(t, post, xpes...)
-	matchSet(post, plain)
-	if ent := entryOf(t, post, plain, 0); ent.Prog != nil || len(ent.Plan) == 0 || len(ent.Rec.Bare) == 0 {
-		t.Fatalf("Postponed groups: want plan and transcript, got %+v", ent)
+	psids := mustAdd(t, post, xpes...)
+	agree(post, psids, plain)
+	if ent := entryOf(t, post, plain, 0); ent.Prog == nil || len(ent.Prog.Units) != 4 || len(ent.Outcome) == 0 {
+		t.Fatalf("Postponed groups: want the four filtered members as units, the bare one in the outcome, got %+v / %+v", ent, ent.Prog)
+	}
+	agree(post, psids, repeated...)
+	if ent := entryOf(t, post, repeated[0], 0); ent.Prog == nil || len(ent.Prog.Chains) == 0 {
+		t.Fatalf("Postponed, repeated tag: want chain units, got %+v", ent.Prog)
 	}
 
-	pruned := len(entryOf(t, m, repeated, 0).Rec.Bare)
+	agree(m, sids, plain)
+	kept := entryOf(t, m, plain, 0)
+	st, _ := m.cacheStats()
 	mustAdd(t, m, "/a[b]/q")
-	matchSet(m, plain)
-	matchSet(m, repeated)
-	if ent := entryOf(t, m, plain, 0); ent.Prog != nil || len(ent.Plan) == 0 {
-		t.Fatalf("nested expression registered: want plan and transcript, got %+v", ent)
-	}
-	if whole := len(entryOf(t, m, repeated, 0).Rec.Bare); whole <= pruned {
-		t.Fatalf("nested expression registered: transcript has %d bare hits, pruned one had %d", whole, pruned)
+	agree(m, sids, plain)
+	agree(m, sids, repeated...)
+	if now, _ := m.cacheStats(); entryOf(t, m, plain, 0) != kept || now.Misses != st.Misses || now.Invalidations != st.Invalidations {
+		t.Fatalf("nested expression registered: the entry was rebuilt: before %+v after %+v", st, now)
 	}
 }
 

@@ -3,7 +3,6 @@ package matcher
 import (
 	"math/bits"
 
-	"predfilter/internal/bitset"
 	"predfilter/internal/guard"
 	"predfilter/internal/predindex"
 	"predfilter/internal/xmldoc"
@@ -88,11 +87,9 @@ type colScratch struct {
 	tids  []int32
 	stats colStats
 
-	// Entry building on a cache miss (see buildEntry): the structural
-	// touched set, the plan, and the predicates its units reference.
-	pids     []predindex.PID
-	plan     []int32
-	planPids []uint64
+	// Entry building on a cache miss (see buildEntry): the live
+	// candidates, as unit columns.
+	plan []int32
 }
 
 // colStats accumulates one batch's kernel counters, flushed to the
@@ -177,7 +174,6 @@ func (m *Matcher) getColScratch(ci *colIndex) *colScratch {
 	words, slots := ci.size()
 	cs.slots = sized(cs.slots, slots)
 	cs.acc = sized(cs.acc, words)
-	cs.planPids = sized(cs.planPids, bitset.Words(ci.lay.Len()))
 	cs.stats = colStats{}
 	return cs
 }

@@ -67,8 +67,8 @@ var nestedXPEs = []string{"/a[b]/c", "a[b/c]", "//b[c]/d", "/a[b][c]/d"}
 // sets of refmatch and of the scalar cache-off reference — crossing both
 // attribute modes, all three organizations and containment covering, with
 // the path cache off, tiny (evicting) and on. Every document is matched
-// cold (a miss builds the entry and its live plan) and again (a hit walks
-// the plan), as the scanned batch and parsed, one document at a time, with
+// cold (a miss builds the entry and its program) and again (a hit runs
+// the program), as the scanned batch and parsed, one document at a time, with
 // an Add, a Remove and a re-rank of the value dictionary between hits.
 func TestColumnarEquivalenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))

@@ -113,7 +113,6 @@ func (m *Matcher) collect(sc *scratch, em *Emit) []SID {
 			sc.matched[e.id] = true
 		}
 	}
-	clear(sc.ncands)
 	out, set := sc.out[:0], sc.sidBits
 	// The matched flags as bytes: a Go bool is one byte, 0 or 1.
 	flags := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(sc.matched))), len(sc.matched))

@@ -138,11 +138,10 @@ type Matcher struct {
 
 	// Derived from the distinct expressions, lazily (see catchUp):
 	// exprs[:caught] are accounted for in units, nested and col.
-	caught  int
-	units   []*expr            // iteration units, in creation order
-	reps    map[uint64][]*expr // Postponed: bare chainHash → group representatives
-	nested  []*expr            // expressions with nested path filters
-	needRes bool               // a unit is value-dependent or nested exists: cache entries carry a program, or a plan and a transcript
+	caught int
+	units  []*expr            // iteration units, in creation order
+	reps   map[uint64][]*expr // Postponed: bare chainHash → group representatives
+	nested []*expr            // expressions with nested path filters
 
 	// The scalar reference's organizations, built by freeze for
 	// exprs[:frozen] when the uncached scalar loop next runs.
@@ -491,7 +490,6 @@ func (m *Matcher) catchUp() {
 	for _, e := range added {
 		if e.root != nil {
 			m.nested = append(m.nested, e)
-			m.needRes = true
 			continue
 		}
 		u := e
@@ -502,7 +500,6 @@ func (m *Matcher) catchUp() {
 		} else {
 			m.addUnit(e)
 		}
-		m.needRes = m.needRes || u.live
 	}
 	m.caught = len(m.exprs)
 	m.ix.Vals.Rerank()
@@ -698,11 +695,10 @@ type Breakdown struct {
 
 // docWork counts what the kernel did for one document; observe flushes it.
 type docWork struct {
-	paths   int // paths that survived dedup
-	tests   int // attribute tests hit programs evaluated
-	replays int // paths whose cache entry replayed its transcript (no program)
-	evals   int // units the columnar kernel sent through evalExpr
-	pairs   int // occurrence pairs Determine and Enumerate visited
+	paths int // paths that survived dedup
+	tests int // attribute tests hit programs evaluated
+	evals int // units the columnar kernel sent through occurrence determination
+	pairs int // occurrence pairs Determine and Enumerate visited
 }
 
 // scratch is the pooled working state of one document, and the state of
@@ -724,13 +720,13 @@ type scratch struct {
 	chain   [][]occur.Pair
 	filt    [][]occur.Pair
 	pairBuf []occur.Pair
-	occBuf  []uint64 // occur.Determine's bitsets
-	byTag   map[string][]*xmldoc.Tuple
-	byTagOK bool
+	occBuf  []uint64     // occur.Determine's bitsets
+	assign  []occur.Pair // occur.Enumerate's combination
 	out     []SID
 	sidBits []uint64 // collect's SID bitset, all-zero between uses
 	pub     *xmldoc.Publication
 	ncands  map[*nestedNode][]nestedCand
+	kids    []int32             // the node ids of the document's nested candidates' children
 	seen    map[uint64]struct{} // per-document distinct path keys (key)
 
 	// Path-cache working state (see cache.go). matched2 is kept all-false
@@ -738,7 +734,6 @@ type scratch struct {
 	// logging on, then undo exactly the logged marks. shapes indexes the
 	// document's shape records by Shape.
 	sig       []byte
-	rec       predindex.Recording
 	matched2  []bool
 	log       []int32
 	logging   bool
@@ -746,6 +741,7 @@ type scratch struct {
 	recs      []shapeRec
 	recTuples []xmldoc.Tuple
 	recPass   []uint64
+	fresh     []bool // progTests: per tuple of the path, whether its tests are decided again
 }
 
 // mark sets an expression (or group-representative) matched flag, logging
@@ -792,9 +788,6 @@ func (m *Matcher) getScratch(cs *colScratch, bud *guard.Budget) *scratch {
 	if w := bitset.Words(len(m.sidOwner)); len(sc.sidBits) < w {
 		sc.sidBits = make([]uint64, w+w/8)
 	}
-	if sc.byTag == nil {
-		sc.byTag = make(map[string][]*xmldoc.Tuple)
-	}
 	if sc.ncands == nil {
 		sc.ncands = make(map[*nestedNode][]nestedCand)
 	}
@@ -814,7 +807,10 @@ func (m *Matcher) getScratch(cs *colScratch, bud *guard.Budget) *scratch {
 func (sc *scratch) reset() {
 	clear(sc.matched)
 	clear(sc.seen)
-	clear(sc.ncands)
+	for n, cands := range sc.ncands {
+		sc.ncands[n] = cands[:0]
+	}
+	sc.kids = sc.kids[:0]
 	clear(sc.shapes)
 	clear(sc.recs)
 	clear(sc.recTuples)
@@ -894,7 +890,6 @@ func (m *Matcher) ensureFrozen() {
 // ensureFrozen) current.
 func (m *Matcher) matchPath(sc *scratch, pub *xmldoc.Publication) {
 	sc.pub = pub
-	sc.byTagOK = false
 	cs, bud := sc.cs, sc.bud
 	if m.cache != nil {
 		m.matchPathCached(sc, cs, pub, bud)
@@ -906,23 +901,19 @@ func (m *Matcher) matchPath(sc *scratch, pub *xmldoc.Publication) {
 		m.ix.MatchPath(pub, sc.res)
 		t1 := time.Now()
 		m.runUnits(sc, bud)
-		for _, e := range m.nested {
-			e.root.collect(m, sc, bud)
-		}
+		m.collectNested(sc, bud)
 		sc.bd.PredMatch += t1.Sub(t0)
 		sc.bd.ExprMatch += time.Since(t1)
 		return
 	}
 	ambiguous := cs.resolveTids(pub)
-	cs.ci.lay.MatchPathTids(pub, cs.tids, sc.res, nil)
+	cs.ci.lay.MatchPathTids(pub, cs.tids, sc.res, true)
 	acc := m.colSweep(sc.res.Touched(), cs, ambiguous, bud)
 	if bud.Exceeded() {
 		return
 	}
 	m.markCandidates(sc, cs, acc, false, ambiguous, bud)
-	for _, e := range m.nested {
-		e.root.collect(m, sc, bud)
-	}
+	m.collectNested(sc, bud)
 }
 
 // runUnits is the scalar reference's expression-matching stage: the
@@ -1061,7 +1052,6 @@ func (m *Matcher) observe(match time.Duration, w docWork, paths, matches int, em
 	m.mx.PathsTotal.Add(int64(paths))
 	m.mx.PathsDistinct.Add(int64(w.paths))
 	m.mx.AttrTests.Add(int64(w.tests))
-	m.mx.CacheReplays.Add(int64(w.replays))
 	m.mx.OccurEvals.Add(int64(w.evals))
 	m.mx.OccurPairs.Add(int64(w.pairs))
 	m.mx.MatchesTotal.Add(int64(matches))

@@ -137,9 +137,18 @@ func (m *Matcher) buildNested(p *xpath.Path) (*nestedNode, error) {
 	return n, nil
 }
 
+// collectNested gathers every nested-path expression's candidates on the
+// current path from the live predicate results in sc.res.
+func (m *Matcher) collectNested(sc *scratch, bud *guard.Budget) {
+	for _, e := range m.nested {
+		e.root.collect(m, sc, bud)
+	}
+}
+
 // nestedCand is one structural match of a sub-expression on one document
 // path: the node id at the node's own branch position (or -1 at the root)
-// plus the node ids at each child's branch position.
+// plus the node ids at each child's branch position, a run of the
+// document's slab (scratch.kids).
 type nestedCand struct {
 	own  int32
 	kids []int32
@@ -177,17 +186,17 @@ func (n *nestedNode) collect(m *Matcher, sc *scratch, bud *guard.Budget) {
 		}
 		chain = filtered
 	}
-	sc.buildByTag()
-	sc.work.pairs += occur.Enumerate(chain, bud, func(assign []occur.Pair) bool {
+	sc.work.pairs += occur.Enumerate(chain, bud, &sc.assign, func(assign []occur.Pair) bool {
 		cand := nestedCand{own: -1}
 		if n.branchStep >= 0 {
 			cand.own = n.nodeIDAt(m, sc, assign, n.branchStep)
 		}
 		if len(n.children) > 0 {
-			cand.kids = make([]int32, len(n.children))
-			for i, c := range n.children {
-				cand.kids[i] = n.nodeIDAt(m, sc, assign, c.branchStep)
+			lo := len(sc.kids)
+			for _, c := range n.children {
+				sc.kids = append(sc.kids, n.nodeIDAt(m, sc, assign, c.branchStep))
 			}
+			cand.kids = sc.kids[lo:len(sc.kids):len(sc.kids)]
 		}
 		sc.ncands[n] = append(sc.ncands[n], cand)
 		return true
@@ -208,7 +217,7 @@ func (n *nestedNode) nodeIDAt(m *Matcher, sc *scratch, assign []occur.Pair, step
 	} else {
 		tag, o = p.Tag2, pr.B
 	}
-	return int32(sc.byTag[tag][o-1].NodeID)
+	return int32(sc.tupleAt(tag, o).NodeID)
 }
 
 // resolveRoot reports whether the whole nested expression matched the

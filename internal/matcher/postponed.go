@@ -4,21 +4,20 @@ import (
 	"predfilter/internal/occur"
 	"predfilter/internal/predicate"
 	"predfilter/internal/predindex"
+	"predfilter/internal/xmldoc"
 )
 
-// buildByTag lazily indexes the current publication's tuples by tag name
-// in path order, so that an occurrence number recovers its tuple in O(1).
-// Used by postponed attribute evaluation and nested-path recombination.
-func (sc *scratch) buildByTag() {
-	if sc.byTagOK {
-		return
-	}
-	clear(sc.byTag)
+// tupleAt returns the tuple of the current path with the tag and the
+// per-path occurrence number o: the tuple a predicate's pair names on that
+// tag. Used by postponed attribute evaluation, program compilation and
+// nested-path recombination; a path is a few tuples long.
+func (sc *scratch) tupleAt(tag string, o int32) *xmldoc.Tuple {
 	for i := range sc.pub.Tuples {
-		t := &sc.pub.Tuples[i]
-		sc.byTag[t.Tag] = append(sc.byTag[t.Tag], t)
+		if t := &sc.pub.Tuples[i]; int32(t.Occ) == o && t.Tag == tag {
+			return t
+		}
 	}
-	sc.byTagOK = true
+	panic("matcher: an occurrence pair names no tuple of the path")
 }
 
 // compilePost compiles an encoding's postponed filters against the
@@ -43,7 +42,6 @@ func (m *Matcher) compilePost(enc *predicate.Encoding) [][2][]predicate.Test {
 // corresponding tag sides. It reports the filtered chain and whether every
 // level stayed non-empty.
 func (m *Matcher) filterChain(sc *scratch, pids []predindex.PID, tests [][2][]predicate.Test, chain [][]occur.Pair) ([][]occur.Pair, bool) {
-	sc.buildByTag()
 	total := 0
 	for _, pairs := range chain {
 		total += len(pairs)
@@ -64,13 +62,13 @@ func (m *Matcher) filterChain(sc *scratch, pids []predindex.PID, tests [][2][]pr
 		start := len(buf)
 		for _, pr := range pairs {
 			if len(left) > 0 {
-				t := sc.byTag[pred.Tag1][pr.A-1]
+				t := sc.tupleAt(pred.Tag1, pr.A)
 				if !m.ix.Vals.HoldsAll(left, t, &sc.res.Vals) {
 					continue
 				}
 			}
 			if len(right) > 0 {
-				t := sc.byTag[pred.Tag2][pr.B-1]
+				t := sc.tupleAt(pred.Tag2, pr.B)
 				if !m.ix.Vals.HoldsAll(right, t, &sc.res.Vals) {
 					continue
 				}

@@ -56,8 +56,9 @@ func builtDocs() []*xmldoc.Document {
 // TestShapeRecordReuse: a shape repeated within a document reuses its
 // entry and re-decides only the tests on tuples whose node changed. Each
 // case's documents run in sequence on one cached matcher per mode (hit
-// programs in Inline mode, plan and transcript in Postponed) and must
-// equal the scalar reference engine and refmatch, document by document.
+// programs in both, from the predicates' filters in Inline mode and from
+// the members' in Postponed) and must equal the scalar reference engine
+// and refmatch, document by document.
 func TestShapeRecordReuse(t *testing.T) {
 	cases := []struct {
 		name  string

@@ -142,7 +142,7 @@ func (m *Matcher) newExplainer(sc *scratch) *explainer {
 	x := &explainer{
 		m:   m,
 		sc:  sc,
-		x:   scratch{res: predindex.NewResults(m.ix.Len()), byTag: make(map[string][]*xmldoc.Tuple)},
+		x:   scratch{res: predindex.NewResults(m.ix.Len())},
 		bud: sc.bud.Fork(),
 		tr:  &Trace{},
 	}
@@ -180,7 +180,7 @@ func (x *explainer) Path(pub *xmldoc.Publication) {
 	t := time.Now()
 	defer func() { x.took += time.Since(t) }()
 	m := x.m
-	x.x.pub, x.x.byTagOK = pub, false
+	x.x.pub = pub
 	x.x.res.Reset(m.ix.Len())
 	m.ix.MatchPath(pub, x.x.res)
 	for i, e := range x.traced {

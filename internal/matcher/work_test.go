@@ -14,24 +14,35 @@ import (
 // TestServedWorkCounters runs fixed histories through the served entry, one
 // document per call on a fresh matcher, and reads the work counters that
 // say where the match went: distinct paths, attribute tests hit programs
-// decided, paths whose entry replayed its transcript, units sent through
-// occurrence determination and the occurrence pairs those visited. Each
-// history reads the same exact values in two runs.
+// decided, units sent through occurrence determination and the occurrence
+// pairs those visited. Each history reads the same exact values in two
+// runs.
 func TestServedWorkCounters(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts Options
 		xpes []string
 		docs []string
-		want [5]int64 // distinct paths, attribute tests, replays, occurrence evals, pairs
+		want [4]int64 // distinct paths, attribute tests, occurrence evals, pairs
 	}{{
-		// A repeated tag: the entry keeps plan + transcript and every path
-		// replays it; the structural unit is evaluated on the miss only,
-		// the live one on every path whose value passes.
+		// A repeated tag whose units read one pair per level: the miss
+		// determines the structural unit and checks the live one's
+		// structural chain, two pairs each; the live one is then a
+		// conjunction unit, one test per document.
 		name: "repeated tag",
 		xpes: []string{"/a//a", "/a//a[@x=1]"},
 		docs: []string{`<a><a x="1"><b/></a></a>`, `<a><a x="1"><b/></a></a>`, `<a><a x="2"><b/></a></a>`},
-		want: [5]int64{3, 0, 3, 2 + 1 + 0, 2 * (2 + 1 + 0)}, // two pairs per evaluation
+		want: [4]int64{3, 3, 2, 4},
+	}, {
+		// A chain unit: //b[@x=1] has the pairs (1,1) and (2,2) on /a/b/b,
+		// each guarded by the test on its b. The miss checks the chain (the
+		// single level stops at its first pair); a hit determines over the
+		// pairs whose b passed, none on the last document. A b without
+		// attributes fails its test unevaluated.
+		name: "chain unit",
+		xpes: []string{"//b[@x=1]"},
+		docs: []string{`<a><b><b x="1"/></b></a>`, `<a><b><b x="1"/></b></a>`, `<a><b x="1"><b/></b></a>`, `<a><b><b/></b></a>`},
+		want: [4]int64{4, 3, 1 + 3, 1 + 3},
 	}, {
 		// A tag repeated three deep, under a plain chain and a nested
 		// path. On /a/a/a, determination of //a/a/a reads both pairs of
@@ -43,23 +54,24 @@ func TestServedWorkCounters(t *testing.T) {
 		name: "repeated tag, several pairs",
 		xpes: []string{"//a/a/a", "/a[a]//a"},
 		docs: []string{`<a><a><a/></a><a/></a>`},
-		want: [5]int64{2, 0, 2, 2, 4 + 2 + 7 + 4},
+		want: [4]int64{2, 0, 2, 4 + 2 + 7 + 4},
 	}, {
-		// No tag repeats: every entry is a hit program, nothing replays.
+		// No tag repeats: every live unit is a conjunction unit.
 		name: "programs",
 		xpes: []string{"/r/s[@k=1]", "/r/t[@k>=2]", "/r/s"},
 		docs: []string{`<r><s k="1"/><t k="3"/></r>`, `<r><s k="2"/><t k="3"/><s k="1"/></r>`},
-		want: [5]int64{5, 5, 0, 0, 0}, // the second s is another node: its test is decided again
+		want: [4]int64{5, 5, 0, 0}, // the second s is another node: its test is decided again
 	}, {
 		// Postponed mode: the two filters share one group representative,
-		// whose entry replays its transcript on every path.
+		// decided on the miss; on an unambiguous path each member is a
+		// conjunction unit, so every fresh b decides both tests.
 		name: "postponed",
 		opts: Options{AttrMode: predicate.Postponed},
 		xpes: []string{"/a/b[@x=1]", "/a/b[@x=2]"},
 		docs: []string{`<a><b x="1"/><b x="2"/></a>`, `<a><b x="3"/></a>`},
-		want: [5]int64{3, 0, 3, 3, 2 + 2 + 2 + 2 + 2}, // the group's chain, then each member's filtered one where its filter passes
+		want: [4]int64{3, 6, 0, 0},
 	}} {
-		run := func() [5]int64 {
+		run := func() [4]int64 {
 			mx := metrics.NewSet()
 			opts := tc.opts
 			opts.Metrics = mx
@@ -73,7 +85,7 @@ func TestServedWorkCounters(t *testing.T) {
 				}
 			}
 			s := mx.Scrape()
-			return [5]int64{s.PathsDistinct, s.AttrTests, s.CacheReplays, s.OccurEvals, s.OccurPairs}
+			return [4]int64{s.PathsDistinct, s.AttrTests, s.OccurEvals, s.OccurPairs}
 		}
 		first, second := run(), run()
 		if first != second {

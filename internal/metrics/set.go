@@ -28,7 +28,6 @@ type Set struct {
 	PathsTotal    Counter // root-to-leaf paths matched
 	PathsDistinct Counter // paths that survived per-document dedup
 	AttrTests     Counter // attribute tests hit programs decided
-	CacheReplays  Counter // paths whose cache entry replayed its transcript
 	OccurEvals    Counter // units the served kernel sent through occurrence determination
 	OccurPairs    Counter // occurrence pairs its determinations and enumerations visited
 	MatchesTotal  Counter // matching SIDs reported
@@ -89,7 +88,7 @@ type Set struct {
 // equal.
 type Scrape struct {
 	DocsTotal, DocErrors, DocBytes, PathsTotal, MatchesTotal, SlowDocs int64
-	PathsDistinct, AttrTests, CacheReplays, OccurEvals, OccurPairs     int64
+	PathsDistinct, AttrTests, OccurEvals, OccurPairs                   int64
 	EmitBytes                                                          int64
 	ParseScanDocs, ParseFallbackDocs                                   int64
 	Parse, Match, WALAppend, Snapshot                                  HistSnapshot
@@ -159,7 +158,7 @@ func (s *Set) Scrape() Scrape {
 	sc := Scrape{
 		DocsTotal: s.DocsTotal.Load(), DocErrors: s.DocErrors.Load(), DocBytes: s.DocBytes.Load(),
 		PathsTotal: s.PathsTotal.Load(), MatchesTotal: s.MatchesTotal.Load(), SlowDocs: s.SlowDocs.Load(),
-		PathsDistinct: s.PathsDistinct.Load(), AttrTests: s.AttrTests.Load(), CacheReplays: s.CacheReplays.Load(), OccurEvals: s.OccurEvals.Load(),
+		PathsDistinct: s.PathsDistinct.Load(), AttrTests: s.AttrTests.Load(), OccurEvals: s.OccurEvals.Load(),
 		OccurPairs: s.OccurPairs.Load(), EmitBytes: s.EmitBytes.Load(), ParseScanDocs: s.ParseScanDocs.Load(), ParseFallbackDocs: s.ParseFallbackDocs.Load(),
 		Parse: s.Parse.Snapshot(), Match: s.Match.Snapshot(), WALAppend: s.WALAppend.Snapshot(), Snapshot: s.Snapshot.Snapshot(),
 		StreamQueueDepth: s.StreamQueueDepth.Load(), StreamJobs: s.StreamJobs.Load(),

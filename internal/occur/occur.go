@@ -114,40 +114,46 @@ func widen(sets []uint64, w2 int) []uint64 {
 }
 
 // Enumerate calls visit for every full chained combination, in
-// depth-first order, and returns the pairs visited. The assign slice is
-// reused between calls; visit must copy it if it retains it. Enumeration
-// stops early when visit returns false. bud is charged one step per pair
-// visited, not just per combination reported, so an enumeration that dead-
-// ends exponentially without completing a combination is still bounded;
-// once it trips, enumeration stops and the caller must surface bud.Err
-// instead of the partial candidate set. A nil budget is unlimited.
-func Enumerate(results [][]Pair, bud *guard.Budget, visit func(assign []Pair) bool) (visited int) {
-	n := len(results)
-	assign := make([]Pair, n)
-	var dfs func(level int, need int32) bool
-	dfs = func(level int, need int32) bool {
-		if level == n {
-			return visit(assign)
-		}
-		for i, pr := range results[level] {
-			if bud != nil && !bud.Step() {
-				visited += i
-				return false
-			}
-			if level > 0 && pr.A != need {
-				continue
-			}
-			assign[level] = pr
-			if !dfs(level+1, pr.B) {
-				visited += i + 1
-				return false
-			}
-		}
-		visited += len(results[level])
-		return true
+// depth-first order, and returns the pairs visited. The combination visit
+// receives lives in *buf, which holds it between calls, so a warm buffer
+// makes the call allocation-free; visit must copy it if it retains it.
+// Enumeration stops early when visit returns false. bud is charged one
+// step per pair visited, not just per combination reported, so an
+// enumeration that dead-ends exponentially without completing a
+// combination is still bounded; once it trips, enumeration stops and the
+// caller must surface bud.Err instead of the partial candidate set. A nil
+// budget is unlimited.
+func Enumerate(results [][]Pair, bud *guard.Budget, buf *[]Pair, visit func(assign []Pair) bool) (visited int) {
+	if cap(*buf) < len(results) {
+		*buf = make([]Pair, len(results))
 	}
-	dfs(0, 0)
+	enumerate(results, 0, 0, bud, (*buf)[:len(results)], visit, &visited)
 	return visited
+}
+
+// enumerate extends the combination in assign from level on, where a pair
+// must start at occurrence need, adding the pairs it reads to *visited,
+// and reports whether enumeration goes on.
+func enumerate(results [][]Pair, level int, need int32, bud *guard.Budget, assign []Pair, visit func([]Pair) bool, visited *int) bool {
+	if level == len(results) {
+		return visit(assign)
+	}
+	for i, pr := range results[level] {
+		if bud != nil && !bud.Step() {
+			*visited += i
+			return false
+		}
+		if level > 0 && pr.A != need {
+			continue
+		}
+		assign[level] = pr
+		if !enumerate(results, level+1, pr.B, bud, assign, visit, visited) {
+			*visited += i + 1
+			return false
+		}
+	}
+	*visited += len(results[level])
+	return true
 }
 
 // DetermineAlg1 is a literal transcription of the paper's Algorithm 1,

@@ -250,7 +250,7 @@ func TestEnumerate(t *testing.T) {
 		pairs([2]int32{1, 1}, [2]int32{2, 2}, [2]int32{2, 1}),
 	}
 	var got [][]Pair
-	if visited := Enumerate(results, nil, func(assign []Pair) bool {
+	if visited := Enumerate(results, nil, new([]Pair), func(assign []Pair) bool {
 		got = append(got, append([]Pair(nil), assign...))
 		return true
 	}); visited != 2+2*3 {
@@ -271,12 +271,20 @@ func TestEnumerate(t *testing.T) {
 	}
 
 	count := 0
-	Enumerate(results, nil, func([]Pair) bool {
+	Enumerate(results, nil, new([]Pair), func([]Pair) bool {
 		count++
 		return false
 	})
 	if count != 1 {
 		t.Errorf("early stop: count=%d, want 1", count)
+	}
+
+	var buf []Pair
+	if n := testing.AllocsPerRun(100, func() {
+		count = 0
+		Enumerate(results, nil, &buf, func([]Pair) bool { count++; return true })
+	}); n != 0 || count != len(want) {
+		t.Errorf("Enumerate over a warm buffer: %v allocations per call, %d combinations", n, count)
 	}
 }
 
@@ -285,10 +293,11 @@ func TestEnumerate(t *testing.T) {
 func TestEnumerateCountMatchesDetermine(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	var buf []uint64
+	var assign []Pair // one buffer across chain lengths
 	for i := 0; i < 3000; i++ {
 		results := randomResults(rng)
 		n := 0
-		Enumerate(results, nil, func([]Pair) bool { n++; return true })
+		Enumerate(results, nil, &assign, func([]Pair) bool { n++; return true })
 		ok, _, _ := Determine(results, nil, &buf)
 		if ok != (n > 0) {
 			t.Fatalf("case %d: Determine=%v but Enumerate found %d, input %v", i, ok, n, results)

@@ -108,7 +108,7 @@ func TestEnumerateBudgetChargesDeadEnds(t *testing.T) {
 	results := worstCase(12, 13)
 	b := guard.NewBudget(context.Background(), guard.Limits{MaxSteps: 500})
 	visits := 0
-	visited := Enumerate(results, b, func([]Pair) bool { visits++; return true })
+	visited := Enumerate(results, b, new([]Pair), func([]Pair) bool { visits++; return true })
 	if visits != 0 {
 		t.Fatalf("worst case produced %d full combinations, want 0", visits)
 	}
@@ -128,12 +128,12 @@ func TestEnumerateBudgetNilMatchesEnumerate(t *testing.T) {
 		pairs([2]int32{1, 1}, [2]int32{2, 2}),
 	}
 	var a, b [][]Pair
-	na := Enumerate(results, nil, func(assign []Pair) bool {
+	na := Enumerate(results, nil, new([]Pair), func(assign []Pair) bool {
 		a = append(a, append([]Pair(nil), assign...))
 		return true
 	})
 	bud := guard.NewBudget(context.Background(), guard.Limits{MaxSteps: 1 << 20})
-	nb := Enumerate(results, bud, func(assign []Pair) bool {
+	nb := Enumerate(results, bud, new([]Pair), func(assign []Pair) bool {
 		b = append(b, append([]Pair(nil), assign...))
 		return true
 	})

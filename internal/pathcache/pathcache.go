@@ -10,11 +10,11 @@
 // the path's signature (tag sequence plus per-path occurrence vector).
 // This cache stores, per distinct signature, the structural matching
 // outcome (the expression ids marked by value-independent iteration
-// units) together with what the value-dependent units that are
-// structurally able to match need on a hit: a compiled program of
-// attribute tests, or — where occurrence pairs matter — the units and the
-// replayable predicate-stage transcript to re-check them against the live
-// document.
+// units) together with a compiled program that decides, on a hit, the
+// value-dependent units that are structurally able to match: attribute
+// tests on the path's tuples, and — where occurrence pairs matter — the
+// structural occurrence pairs those tests guard, over which occurrence
+// determination runs.
 //
 // Structure: a sharded LRU bounded by total byte size. Keys are the full
 // signature bytes, interned once per distinct signature as the map key —
@@ -37,8 +37,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"predfilter/internal/occur"
 	"predfilter/internal/predicate"
-	"predfilter/internal/predindex"
 )
 
 // DefaultMaxBytes is the cache bound used when New is given no positive
@@ -51,50 +51,47 @@ const DefaultMaxBytes = 16 << 20
 const nShards = 16
 
 // Entry is one cached per-signature result. It is a function of the
-// signature and of the set of distinct registered expressions, never of
-// subscription ids: everything it names — expression ids, unit columns,
-// predicate ids — is append-only in the matcher and is resolved to the
-// live SIDs when a document's result is collected. That is what lets
-// entries survive subscribe and unsubscribe.
+// signature and of the set of distinct registered single-path expressions,
+// never of subscription ids: everything it names — expression ids and the
+// value dictionary's constant ids — is append-only in the matcher and is
+// resolved to the live SIDs when a document's result is collected. That is
+// what lets entries survive subscribe and unsubscribe.
 type Entry struct {
 	// Outcome is the structural matching contribution of the path: the
-	// ids (expression and group-representative slots) marked by the
-	// value-independent iteration units, starting from a clean state.
+	// ids (expressions and group-representative slots) whose match is a
+	// function of the signature, starting from a clean state.
 	Outcome []int32
-	// Ambiguous records that a tag repeats on the path (a function of the
-	// signature): value-dependent units then need occurrence determination.
-	Ambiguous bool
-	// Prog decides the value-dependent units on a hit, when attribute
-	// values are all that is left to decide; Plan and Rec are then empty.
+	// Prog decides on a hit the value-dependent units that can match a
+	// document with this signature; nil when there are none.
 	Prog *Program
-	// Plan is the live plan of an entry without a program (a repeated tag,
-	// Postponed group representatives, nested-path expressions present):
-	// the value-dependent iteration units (as unit columns of the
-	// matcher's columnar index, which never move) whose every chain
-	// predicate matched the signature structurally, whatever the attribute
-	// values of the recorded document were. Only these can match a
-	// document with this signature, so a hit evaluates them and nothing
-	// else, against Rec replayed.
-	Plan []int32
-	// Rec is the replayable predicate-stage transcript Plan needs, pruned
-	// to the predicates its units reference unless nested-path expressions
-	// (which read arbitrary predicates) exist.
-	Rec predindex.Recording
 }
 
-// Program is the live plan of an unambiguous signature compiled down to
-// attribute tests. On such a path every predicate has one structural
-// occurrence, so a plan unit matches exactly when the filters of its
-// predicates hold on the tuples of those occurrences: a conjunction of
-// tests, each a (tuple, filter) pair many units share. Tests holds the
-// distinct ones, a tuple's tests one block in tuple order; the units are
-// grouped under the first test each needs, so a hit decides every test
-// once and then walks only the units under the tests that passed.
+// Program is an entry's value-dependent units compiled down to attribute
+// tests on the path's tuples. Tests holds the distinct (tuple, filter)
+// pairs, so a hit decides each once. A unit is then one of two kinds:
+//
+//   - A conjunction unit (Units) matches exactly when all of its tests
+//     pass: every predicate of its chain has one structural occurrence
+//     pair on the path, so the filters on that pair's tuples are all that
+//     is left to decide. The units are grouped under the first test each
+//     needs, so a hit walks only the units under the tests that passed.
+//   - A chain unit (Chains) has a level with several structural pairs (a
+//     tag repeats), so which pairs survive their tests decides whether a
+//     chained combination exists. Each level is a list of the predicate's
+//     structural occurrence pairs, each guarded by the tests on the tuples
+//     it names; units with the same predicate and filters share the list,
+//     and a hit runs occurrence determination over the pairs whose guards
+//     passed.
 type Program struct {
 	Tests []ProgTest
 	Start []int32 // Units[Start[i]:Start[i+1]] need Tests[i] first; len(Tests)+1 long
 	Units []ProgUnit
-	More  []int32 // runs of further test indices, each closed by -1
+	More  []int32 // runs of test indices, each closed by -1: a unit's further tests, a pair's guard
+
+	Chains []ProgChain
+	Levels []int32 // runs of pair-list indices, each closed by -1: a chain unit's levels
+	Lists  []int32 // pair list k is Pairs[Lists[k]:Lists[k+1]]; one entry past the last
+	Pairs  []ProgPair
 }
 
 // ProgTest is one attribute filter applied to the tuple at index Tuple of
@@ -104,24 +101,35 @@ type ProgTest struct {
 	predicate.Test
 }
 
-// ProgUnit is one value-dependent unit: the expression id a hit marks and
+// ProgUnit is one conjunction unit: the expression id a hit marks and
 // where in Program.More its tests beyond the first begin (-1: none).
 type ProgUnit struct {
 	ID   int32
 	More int32
 }
 
+// ProgChain is one chain unit: the expression id a hit marks and where in
+// Program.Levels its levels begin.
+type ProgChain struct {
+	ID     int32
+	Levels int32
+}
+
+// ProgPair is one structural occurrence pair of a pair list and where in
+// Program.More its guard begins (-1: unguarded).
+type ProgPair struct {
+	occur.Pair
+	Guard int32
+}
+
 // sizeBytes estimates the heap footprint of an entry under its interned
 // key; the constants are the struct sizes plus map/list bookkeeping.
 func sizeBytes(key string, e *Entry) int64 {
 	const overhead = 160 // entry struct, map bucket share, LRU links
-	n := overhead + int64(len(key)) +
-		4*int64(len(e.Outcome)) +
-		4*int64(len(e.Plan)) +
-		12*int64(len(e.Rec.Bare)) +
-		20*int64(len(e.Rec.Residual))
+	n := overhead + int64(len(key)) + 4*int64(len(e.Outcome))
 	if p := e.Prog; p != nil {
-		n += 96 + 24*int64(len(p.Tests)) + 4*int64(len(p.Start)) + 8*int64(len(p.Units)) + 4*int64(len(p.More))
+		n += 192 + 24*int64(len(p.Tests)) + 4*int64(len(p.Start)) + 8*int64(len(p.Units)) + 4*int64(len(p.More)) +
+			8*int64(len(p.Chains)) + 4*int64(len(p.Levels)) + 4*int64(len(p.Lists)) + 12*int64(len(p.Pairs))
 	}
 	return n
 }

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"unsafe"
-
-	"predfilter/internal/predindex"
 )
 
 // hash mimics the matcher's FNV-1a signature hash; any deterministic
@@ -202,27 +200,22 @@ func TestDefaultSize(t *testing.T) {
 	}
 }
 
-// TestPlanAndRecordingEntrySized: the byte bound must see everything an
-// entry retains — outcome, live plan and transcript, or the program.
-func TestPlanAndRecordingEntrySized(t *testing.T) {
-	e := &Entry{
-		Outcome: make([]int32, 2),
-		Plan:    make([]int32, 5),
-		Rec: predindex.Recording{
-			Bare:     make([]predindex.BareHit, 3),
-			Residual: make([]predindex.ResidualHit, 1),
-		},
-	}
-	got := sizeBytes("k", e)
-	want := int64(160 + 1 + 4*2 + 4*5 + 12*3 + 20*1)
-	if got != want {
+// TestProgramEntrySized: the byte bound must see everything an entry
+// retains — the outcome, and the program's tests, conjunction units and
+// chain units with their levels, pair lists and guarded pairs.
+func TestProgramEntrySized(t *testing.T) {
+	if got, want := sizeBytes("k", &Entry{Outcome: make([]int32, 2)}), int64(160+1+4*2); got != want {
 		t.Fatalf("sizeBytes = %d, want %d", got, want)
 	}
-	if unsafe.Sizeof(ProgTest{}) != 24 || unsafe.Sizeof(ProgUnit{}) != 8 {
-		t.Fatalf("sizeBytes' constants are stale: ProgTest %d, ProgUnit %d bytes", unsafe.Sizeof(ProgTest{}), unsafe.Sizeof(ProgUnit{}))
+	if unsafe.Sizeof(ProgTest{}) != 24 || unsafe.Sizeof(ProgUnit{}) != 8 || unsafe.Sizeof(ProgChain{}) != 8 || unsafe.Sizeof(ProgPair{}) != 12 || unsafe.Sizeof(Program{}) != 192 {
+		t.Fatalf("sizeBytes' constants are stale: ProgTest %d, ProgUnit %d, ProgChain %d, ProgPair %d, Program %d bytes",
+			unsafe.Sizeof(ProgTest{}), unsafe.Sizeof(ProgUnit{}), unsafe.Sizeof(ProgChain{}), unsafe.Sizeof(ProgPair{}), unsafe.Sizeof(Program{}))
 	}
-	p := &Entry{Prog: &Program{Tests: make([]ProgTest, 3), Start: make([]int32, 4), Units: make([]ProgUnit, 7), More: make([]int32, 2)}}
-	if got, want := sizeBytes("k", p), int64(160+1+96+24*3+4*4+8*7+4*2); got != want {
+	p := &Entry{Prog: &Program{
+		Tests: make([]ProgTest, 3), Start: make([]int32, 4), Units: make([]ProgUnit, 7), More: make([]int32, 2),
+		Chains: make([]ProgChain, 2), Levels: make([]int32, 5), Lists: make([]int32, 3), Pairs: make([]ProgPair, 6),
+	}}
+	if got, want := sizeBytes("k", p), int64(160+1+192+24*3+4*4+8*7+4*2+8*2+4*5+4*3+12*6); got != want {
 		t.Fatalf("sizeBytes with a program = %d, want %d", got, want)
 	}
 }

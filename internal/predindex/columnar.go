@@ -83,21 +83,23 @@ func (l *Layout) Tid(tag string) int32 {
 // Len returns the predicate count the layout accounts for.
 func (l *Layout) Len() int { return l.n }
 
-// MatchPathTids is Index.MatchPath/MatchPathRecord over the frozen
-// layout, with the publication's tags pre-resolved to layout ids (tids[i]
-// is the id of pub.Tuples[i].Tag, -1 for unknown tags; the caller
-// resolves once per path and reuses the buffer). The cell visit order is
-// identical to Index.matchPath, so the Results contents — per-predicate
-// pair sequences and the touched order — and the Recording transcript
-// are exactly those of a fresh MatchPath run; rec may be nil.
-func (l *Layout) MatchPathTids(pub *xmldoc.Publication, tids []int32, res *Results, rec *Recording) {
+// MatchPathTids is Index.MatchPath over the frozen layout, with the
+// publication's tags pre-resolved to layout ids (tids[i] is the id of
+// pub.Tuples[i].Tag, -1 for unknown tags; the caller resolves once per path
+// and reuses the buffer). The cell visit order is identical to
+// Index.MatchPath, so with attrs set the Results contents — per-predicate
+// pair sequences and the touched order — are exactly those of a fresh
+// MatchPath run. Without attrs the attribute filters are not decided: an
+// attribute-carrying predicate gets every pair its cell matched on tags
+// and positions, in the same order, and the run reads no attribute value.
+func (l *Layout) MatchPathTids(pub *xmldoc.Publication, tids []int32, res *Results, attrs bool) {
 	ix := l.ix
 	ln := pub.Length
 
 	// Length-of-expression predicates: (length, >=, v) matches iff v <= l.
 	for v := 1; v < len(ix.length) && v <= ln; v++ {
 		if c := &ix.length[v]; !c.empty() {
-			ix.emit(c, nil, nil, 0, 0, res, rec)
+			ix.emit(c, nil, nil, 0, 0, res, attrs)
 		}
 	}
 
@@ -113,12 +115,12 @@ func (l *Layout) MatchPathTids(pub *xmldoc.Publication, tids []int32, res *Resul
 		if a := l.abs[ti]; a != nil {
 			if v := t.Pos; v < len(a.eq) {
 				if c := &a.eq[v]; !c.empty() {
-					ix.emit(c, t, nil, occ, occ, res, rec)
+					ix.emit(c, t, nil, occ, occ, res, attrs)
 				}
 			}
 			for v := 1; v < len(a.ge) && v <= t.Pos; v++ {
 				if c := &a.ge[v]; !c.empty() {
-					ix.emit(c, t, nil, occ, occ, res, rec)
+					ix.emit(c, t, nil, occ, occ, res, attrs)
 				}
 			}
 		}
@@ -127,7 +129,7 @@ func (l *Layout) MatchPathTids(pub *xmldoc.Publication, tids []int32, res *Resul
 		if cs := l.eop[ti]; cs != nil {
 			for v := 1; v < len(*cs) && v <= ln-t.Pos; v++ {
 				if c := &(*cs)[v]; !c.empty() {
-					ix.emit(c, t, nil, occ, occ, res, rec)
+					ix.emit(c, t, nil, occ, occ, res, attrs)
 				}
 			}
 		}
@@ -150,12 +152,12 @@ func (l *Layout) MatchPathTids(pub *xmldoc.Publication, tids []int32, res *Resul
 			d := u.Pos - t.Pos
 			if d < len(a.eq) {
 				if c := &a.eq[d]; !c.empty() {
-					ix.emit(c, t, u, occ, int32(u.Occ), res, rec)
+					ix.emit(c, t, u, occ, int32(u.Occ), res, attrs)
 				}
 			}
 			for v := 1; v < len(a.ge) && v <= d; v++ {
 				if c := &a.ge[v]; !c.empty() {
-					ix.emit(c, t, u, occ, int32(u.Occ), res, rec)
+					ix.emit(c, t, u, occ, int32(u.Occ), res, attrs)
 				}
 			}
 		}

@@ -32,21 +32,11 @@ func touchedEqual(a, b []PID) error {
 	return nil
 }
 
-func recordingEqual(a, b *Recording) error {
-	if fmt.Sprint(a.Bare) != fmt.Sprint(b.Bare) {
-		return fmt.Errorf("bare transcripts differ:\n%v\n%v", a.Bare, b.Bare)
-	}
-	if fmt.Sprint(a.Residual) != fmt.Sprint(b.Residual) {
-		return fmt.Errorf("residual transcripts differ:\n%v\n%v", a.Residual, b.Residual)
-	}
-	return nil
-}
-
 // The layout's tid-resolved predicate stage must be bit-for-bit the
-// index's: identical pair sequences per predicate, identical touched
-// order, identical recording transcript — over randomized predicate sets
-// and publications, including repeated tags, attribute-carrying
-// predicates and tags the index has never seen. Every other trial builds
+// index's: identical pair sequences per predicate and identical touched
+// order — over randomized predicate sets and publications, including
+// repeated tags, attribute-carrying predicates and tags the index has
+// never seen. Every other trial builds
 // the layout halfway through the insertions and Syncs it after the rest.
 func TestLayoutMatchesMatchPathRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -81,21 +71,16 @@ func TestLayoutMatchesMatchPathRandomized(t *testing.T) {
 			pub := randPub(rng, append(tags, "zz")) // zz is never indexed
 			want := NewResults(ix.Len())
 			want.Reset(ix.Len())
-			var wantRec Recording
-			ix.MatchPathRecord(pub, want, &wantRec)
+			ix.MatchPath(pub, want)
 
 			got := NewResults(ix.Len())
 			got.Reset(ix.Len())
-			var gotRec Recording
-			lay.MatchPathTids(pub, resolveTids(lay, pub), got, &gotRec)
+			lay.MatchPathTids(pub, resolveTids(lay, pub), got, true)
 
 			if err := resultsEqual(ix, want, got); err != nil {
 				t.Fatalf("trial %d doc %d: %v", trial, d, err)
 			}
 			if err := touchedEqual(want.Touched(), got.Touched()); err != nil {
-				t.Fatalf("trial %d doc %d: %v", trial, d, err)
-			}
-			if err := recordingEqual(&wantRec, &gotRec); err != nil {
 				t.Fatalf("trial %d doc %d: %v", trial, d, err)
 			}
 		}

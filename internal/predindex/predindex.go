@@ -231,127 +231,6 @@ func (r *Results) Matched(pid PID) bool {
 	return int(pid) < len(r.stamp) && r.stamp[pid] == r.cur && len(r.pairs[pid]) > 0
 }
 
-// MatchedAll reports whether every one of pids matched the current
-// publication.
-func (r *Results) MatchedAll(pids []PID) bool {
-	for _, pid := range pids {
-		if !r.Matched(pid) {
-			return false
-		}
-	}
-	return true
-}
-
-// BareHit is one occurrence-pair result of a bare (filter-free)
-// predicate: a pure function of the publication's tag/position structure.
-type BareHit struct {
-	PID  PID
-	A, B int32
-}
-
-// ResidualHit is one structural occurrence of an attribute-carrying
-// predicate: the cell matched on tags and positions alone, but whether
-// the predicate matches a given publication still depends on the
-// attribute values of the tuples at T1/T2 (tuple indices into the
-// publication; -1 when the side has no tuple, as for length predicates).
-type ResidualHit struct {
-	PID    PID
-	T1, T2 int32
-	A, B   int32
-}
-
-// Recording is a replayable transcript of one MatchPath run: Bare holds
-// every bare-predicate occurrence pair, Residual every structural
-// occurrence of an attribute-carrying predicate (recorded whether or not
-// the attribute filters passed on the recorded publication). Replaying it
-// against a structurally identical publication reproduces a fresh
-// MatchPath run without touching the index's hash tables or scanning
-// tuple pairs.
-type Recording struct {
-	Bare     []BareHit
-	Residual []ResidualHit
-}
-
-// Reset empties the recording for reuse, keeping capacity.
-func (r *Recording) Reset() {
-	r.Bare = r.Bare[:0]
-	r.Residual = r.Residual[:0]
-}
-
-// Keep drops, in place, every hit whose predicate keep rejects. Replaying
-// the result reproduces a fresh MatchPath run restricted to the kept
-// predicates: per-predicate pair sequences are unchanged, the others read
-// as unmatched.
-func (r *Recording) Keep(keep func(PID) bool) {
-	bare := r.Bare[:0]
-	for _, h := range r.Bare {
-		if keep(h.PID) {
-			bare = append(bare, h)
-		}
-	}
-	r.Bare = bare
-	res := r.Residual[:0]
-	for _, h := range r.Residual {
-		if keep(h.PID) {
-			res = append(res, h)
-		}
-	}
-	r.Residual = res
-}
-
-// Clone returns a deep copy with exact-length slices (for retention in a
-// cache while the receiver is reused as scratch).
-func (r *Recording) Clone() Recording {
-	var c Recording
-	if len(r.Bare) > 0 {
-		c.Bare = append(make([]BareHit, 0, len(r.Bare)), r.Bare...)
-	}
-	if len(r.Residual) > 0 {
-		c.Residual = append(make([]ResidualHit, 0, len(r.Residual)), r.Residual...)
-	}
-	return c
-}
-
-// MatchPath evaluates every stored predicate against the publication,
-// recording occurrence pairs into res (which must have been Reset for this
-// publication). This is the predicate matching stage of §4.1: absolute,
-// end-of-path and length predicates are evaluated per tuple; relative
-// predicates per ordered pair of tuples.
-func (ix *Index) MatchPath(pub *xmldoc.Publication, res *Results) {
-	ix.matchPath(pub, res, nil)
-}
-
-// MatchPathRecord is MatchPath that additionally appends a replayable
-// transcript of the run to rec (which the caller Resets).
-func (ix *Index) MatchPathRecord(pub *xmldoc.Publication, res *Results, rec *Recording) {
-	ix.matchPath(pub, res, rec)
-}
-
-// Replay reproduces a recorded MatchPath run into res (which must have
-// been Reset for this publication), re-evaluating the attribute-dependent
-// hits against pub's live tuples. pub must be structurally identical (tag
-// sequence, positions and occurrence numbers) to the publication the
-// recording was made from; the per-predicate occurrence-pair sequences of
-// the recorded predicates then equal a fresh MatchPath run exactly. Replay
-// performs no allocations beyond res's amortized growth.
-func (ix *Index) Replay(rec *Recording, pub *xmldoc.Publication, res *Results) {
-	for _, h := range rec.Bare {
-		res.Add(h.PID, h.A, h.B)
-	}
-	for _, h := range rec.Residual {
-		var t1, t2 *xmldoc.Tuple
-		if h.T1 >= 0 {
-			t1 = &pub.Tuples[h.T1]
-		}
-		if h.T2 >= 0 {
-			t2 = &pub.Tuples[h.T2]
-		}
-		if ix.holds(h.PID, t1, t2, res) {
-			res.Add(h.PID, h.A, h.B)
-		}
-	}
-}
-
 // Tests returns the compiled attribute filters of pid on its first and
 // second tag (both nil for a bare predicate).
 func (ix *Index) Tests(pid PID) [2][]predicate.Test { return ix.tests[pid] }
@@ -364,7 +243,12 @@ func (ix *Index) holds(pid PID, t1, t2 *xmldoc.Tuple, res *Results) bool {
 	return ix.Vals.HoldsAll(ts[0], t1, &res.Vals) && ix.Vals.HoldsAll(ts[1], t2, &res.Vals)
 }
 
-func (ix *Index) matchPath(pub *xmldoc.Publication, res *Results, rec *Recording) {
+// MatchPath evaluates every stored predicate against the publication,
+// recording occurrence pairs into res (which must have been Reset for this
+// publication). This is the predicate matching stage of §4.1: absolute,
+// end-of-path and length predicates are evaluated per tuple; relative
+// predicates per ordered pair of tuples.
+func (ix *Index) MatchPath(pub *xmldoc.Publication, res *Results) {
 	l := pub.Length
 
 	// The value-indexed arrays are dense, so most cells visited below are
@@ -373,7 +257,7 @@ func (ix *Index) matchPath(pub *xmldoc.Publication, res *Results, rec *Recording
 	// Length-of-expression predicates: (length, >=, v) matches iff v <= l.
 	for v := 1; v < len(ix.length) && v <= l; v++ {
 		if c := &ix.length[v]; !c.empty() {
-			ix.emit(c, nil, nil, 0, 0, res, rec)
+			ix.emit(c, nil, nil, 0, 0, res, true)
 		}
 	}
 
@@ -385,12 +269,12 @@ func (ix *Index) matchPath(pub *xmldoc.Publication, res *Results, rec *Recording
 		if a := ix.abs[t.Tag]; a != nil {
 			if v := t.Pos; v < len(a.eq) {
 				if c := &a.eq[v]; !c.empty() {
-					ix.emit(c, t, nil, occ, occ, res, rec)
+					ix.emit(c, t, nil, occ, occ, res, true)
 				}
 			}
 			for v := 1; v < len(a.ge) && v <= t.Pos; v++ {
 				if c := &a.ge[v]; !c.empty() {
-					ix.emit(c, t, nil, occ, occ, res, rec)
+					ix.emit(c, t, nil, occ, occ, res, true)
 				}
 			}
 		}
@@ -399,7 +283,7 @@ func (ix *Index) matchPath(pub *xmldoc.Publication, res *Results, rec *Recording
 		if cs := ix.eop[t.Tag]; cs != nil {
 			for v := 1; v < len(*cs) && v <= l-t.Pos; v++ {
 				if c := &(*cs)[v]; !c.empty() {
-					ix.emit(c, t, nil, occ, occ, res, rec)
+					ix.emit(c, t, nil, occ, occ, res, true)
 				}
 			}
 		}
@@ -418,43 +302,29 @@ func (ix *Index) matchPath(pub *xmldoc.Publication, res *Results, rec *Recording
 			d := u.Pos - t.Pos
 			if d < len(a.eq) {
 				if c := &a.eq[d]; !c.empty() {
-					ix.emit(c, t, u, occ, int32(u.Occ), res, rec)
+					ix.emit(c, t, u, occ, int32(u.Occ), res, true)
 				}
 			}
 			for v := 1; v < len(a.ge) && v <= d; v++ {
 				if c := &a.ge[v]; !c.empty() {
-					ix.emit(c, t, u, occ, int32(u.Occ), res, rec)
+					ix.emit(c, t, u, occ, int32(u.Occ), res, true)
 				}
 			}
 		}
 	}
 }
 
-// emit records cell matches, verifying inline attribute filters on the
-// attribute-carrying structural twins. t1/t2 may be nil for length
-// predicates. With rec non-nil, bare hits and the structural occurrences
-// of attribute-carrying predicates (before filter verification — the
-// residual, value-dependent part) are transcribed for later replay; a
-// tuple's index in the publication is its 1-based position minus one.
-func (ix *Index) emit(c *cell, t1, t2 *xmldoc.Tuple, a, b int32, res *Results, rec *Recording) {
+// emit records cell matches. t1/t2 may be nil for length predicates. With
+// attrs set, the attribute-carrying structural twins are added only where
+// their filters hold on t1/t2; without it wherever the cell matched on tags
+// and positions — the structural results, a function of the path's
+// signature, from which the pairs a filter can keep are read.
+func (ix *Index) emit(c *cell, t1, t2 *xmldoc.Tuple, a, b int32, res *Results, attrs bool) {
 	if c.bare != NoPID {
 		res.Add(c.bare, a, b)
-		if rec != nil {
-			rec.Bare = append(rec.Bare, BareHit{PID: c.bare, A: a, B: b})
-		}
 	}
 	for _, pid := range c.vars {
-		if rec != nil {
-			i1, i2 := int32(-1), int32(-1)
-			if t1 != nil {
-				i1 = int32(t1.Pos - 1)
-			}
-			if t2 != nil {
-				i2 = int32(t2.Pos - 1)
-			}
-			rec.Residual = append(rec.Residual, ResidualHit{PID: pid, T1: i1, T2: i2, A: a, B: b})
-		}
-		if ix.holds(pid, t1, t2, res) {
+		if !attrs || ix.holds(pid, t1, t2, res) {
 			res.Add(pid, a, b)
 		}
 	}
