@@ -19,6 +19,7 @@ import (
 	"predfilter/internal/matcher"
 	"predfilter/internal/occur"
 	"predfilter/internal/predicate"
+	"predfilter/internal/predindex"
 	"predfilter/internal/xmldoc"
 	"predfilter/internal/xtrie"
 	"predfilter/internal/yfilter"
@@ -229,11 +230,11 @@ func BenchmarkParseOnly(b *testing.B) {
 func BenchmarkTable1(b *testing.B) {
 	ix := bench.Table1Index()
 	doc := xmldoc.FromPaths([]string{"a", "b", "c", "a", "b", "c"})
-	res := ix.NewResults()
+	res := predindex.NewResults(ix.Len())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res.Reset(ix.Len())
-		ix.MatchPath(&doc.Paths[0], res)
+		ix.MatchPath(&doc.Paths[0], res, true)
 	}
 }
 

@@ -44,7 +44,7 @@ func Table1Text() string {
 	doc := xmldoc.FromPaths([]string{"a", "b", "c", "a", "b", "c"})
 	res := predindex.NewResults(ix.Len())
 	res.Reset(ix.Len())
-	ix.MatchPath(&doc.Paths[0], res)
+	ix.MatchPath(&doc.Paths[0], res, true)
 
 	fmt.Fprintf(&b, "document path: (a^1, b^1, c^1, a^2, b^2, c^2)\n")
 	fmt.Fprintf(&b, "%-10s %-24s %s\n", "XPE", "Predicate", "Matching results (occurrence pairs)")

@@ -59,7 +59,7 @@ func (k *counter) Path(pub *xmldoc.Publication) {
 	defer func() { sc.match += time.Since(t) }()
 	sc.pub = pub
 	sc.res.Reset(m.ix.Len())
-	m.ix.MatchPath(pub, sc.res)
+	m.ix.MatchPath(pub, sc.res, true)
 	k.path = k.path[:0]
 	for _, u := range m.units {
 		if !sc.res.Matched(u.pids[0]) {

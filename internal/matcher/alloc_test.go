@@ -163,3 +163,28 @@ func TestMatchScannedCacheHitAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestNestedResolveAllocs: recombining nested-path candidates keeps its
+// witness sets in the document's scratch, so a warm document whose nested
+// expressions match through several levels of decomposition allocates only
+// its result slice.
+func TestNestedResolveAllocs(t *testing.T) {
+	m := New(Options{Metrics: metrics.NewSet()})
+	xpes := []string{"/a[b/c]/d", "//b[c]//e", "/a/b[c][e]", "/a[b[c]/e]/d", "/a[b[x]]/d"}
+	for _, x := range xpes {
+		if _, err := m.Add(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	doc, err := xmldoc.Parse([]byte(`<a><b><c/><e/></b><b><c/></b><b><e/></b><d/></a>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.MatchDocument(doc); len(got) != 4 {
+		t.Fatalf("matched %v, want the four expressions without x", got)
+	}
+	allocs := testing.AllocsPerRun(50, func() { m.MatchDocument(doc) })
+	if allocs > 1 {
+		t.Fatalf("MatchDocument allocates %.1f per call with nested expressions registered, want <= 1", allocs)
+	}
+}

@@ -209,10 +209,9 @@ func (m *Matcher) matchPathCached(sc *scratch, cs *colScratch, pub *xmldoc.Publi
 		sc.sig = appendPubSig(sc.sig[:0], pub)
 		ent, ok := m.cache.Get(pub.Shape, sc.sig)
 		if !ok {
-			ambiguous := cs.resolveTids(pub)
 			sc.res.Reset(m.ix.Len())
-			cs.ci.lay.MatchPathTids(pub, cs.tids, sc.res, false)
-			if ent = m.buildEntry(sc, cs, ambiguous, bud); ent == nil {
+			m.ix.MatchPath(pub, sc.res, false)
+			if ent = m.buildEntry(sc, cs, repeatsTag(pub), bud); ent == nil {
 				return
 			}
 			m.cache.Put(pub.Shape, sc.sig, ent)
@@ -221,9 +220,8 @@ func (m *Matcher) matchPathCached(sc *scratch, cs *colScratch, pub *xmldoc.Publi
 	}
 	m.runEntry(sc, r, first, pub, bud)
 	if len(m.nested) > 0 && !bud.Exceeded() {
-		cs.resolveTids(pub)
 		sc.res.Reset(m.ix.Len())
-		cs.ci.lay.MatchPathTids(pub, cs.tids, sc.res, true)
+		m.ix.MatchPath(pub, sc.res, true)
 		m.collectNested(sc, bud)
 	}
 }

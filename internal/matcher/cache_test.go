@@ -596,12 +596,11 @@ func TestProgramSurvivesRerank(t *testing.T) {
 	}
 }
 
-// TestValueRanksAfterFailedAdd: a registration that fails after interning
-// its constants (the nested child's filter is inserted before the wildcard
-// host is refused) leaves no expression behind, but the constants must
-// still be ranked under the write lock before anything matches — not by the
-// first cache miss, under the read lock, while other publishers resolve
-// values (run with -race). The new constant 3 also moves 5's rank.
+// TestValueRanksAfterFailedAdd: a registration refused after its nested
+// child's filter was decomposed (the wildcard host is refused) leaves no
+// expression behind and no constant unranked: nothing may be left for the
+// first cache miss to rank under the read lock while other publishers
+// resolve values (run with -race).
 func TestValueRanksAfterFailedAdd(t *testing.T) {
 	for _, opts := range []Options{{}, {PathCacheBytes: -1}, {AttrMode: predicate.Postponed}} {
 		m := New(opts)

@@ -62,7 +62,6 @@ type colRef struct {
 // colIndex is the columnar organization. It only grows (extend), under
 // the matcher's write lock.
 type colIndex struct {
-	lay   *predindex.Layout
 	n     int     // m.units[:n] hold columns
 	units []*expr // column → unit, 64 per word; nil where a word has room left
 
@@ -84,7 +83,6 @@ type colScratch struct {
 	ci    *colIndex
 	slots []uint64 // sweep slots, word-major
 	acc   []uint64 // one candidate word per column word
-	tids  []int32
 	stats colStats
 
 	// Entry building on a cache miss (see buildEntry): the live
@@ -108,11 +106,10 @@ func (ci *colIndex) size() (words, slots int) {
 }
 
 // extend places the units (all of the matcher's, in creation order) and
-// hangs the predicates added since the last call, in time proportional to
-// their number.
-func (ci *colIndex) extend(units []*expr) {
-	ci.lay.Sync()
-	if n := ci.lay.Len() - len(ci.refs); n > 0 {
+// gives the predicates added since the last call (npreds in all) their
+// membership lists, in time proportional to their number.
+func (ci *colIndex) extend(units []*expr, npreds int) {
+	if n := npreds - len(ci.refs); n > 0 {
 		ci.refs = append(ci.refs, make([][]colRef, n)...)
 	}
 	for _, u := range units[ci.n:] {
@@ -147,7 +144,7 @@ func (m *Matcher) ensureColumnar() *colIndex {
 		m.mu.RUnlock()
 		m.mu.Lock()
 		if m.col == nil {
-			m.col = &colIndex{lay: m.ix.BuildLayout(), wordOff: []int32{0}}
+			m.col = &colIndex{wordOff: []int32{0}}
 		}
 		m.catchUp()
 		m.mu.Unlock()
@@ -178,25 +175,16 @@ func (m *Matcher) getColScratch(ci *colIndex) *colScratch {
 	return cs
 }
 
-// resolveTids maps the publication's tags through the layout and
-// reports whether the path is ambiguous (some tag occurs more than once,
-// so occurrence pairs are not all (1,1) and candidates need scalar
-// occurrence determination).
-func (cs *colScratch) resolveTids(pub *xmldoc.Publication) bool {
-	n := len(pub.Tuples)
-	if cap(cs.tids) < n {
-		cs.tids = make([]int32, n)
-	}
-	cs.tids = cs.tids[:n]
-	ambiguous := false
+// repeatsTag reports whether some tag occurs more than once on the path:
+// the path is ambiguous, its occurrence pairs are not all (1,1), and
+// candidates need scalar occurrence determination.
+func repeatsTag(pub *xmldoc.Publication) bool {
 	for i := range pub.Tuples {
-		t := &pub.Tuples[i]
-		cs.tids[i] = cs.ci.lay.Tid(t.Tag)
-		if t.Occ > 1 {
-			ambiguous = true
+		if pub.Tuples[i].Occ > 1 {
+			return true
 		}
 	}
-	return ambiguous
+	return false
 }
 
 // sweep computes the candidate bitset for the current path: bit c

@@ -505,15 +505,15 @@ func (m *Matcher) catchUp() {
 	m.ix.Vals.Rerank()
 	m.cacheEffect(added)
 	if m.col != nil {
-		m.col.extend(m.units)
+		m.col.extend(m.units, m.ix.Len())
 	}
 }
 
 // stale reports whether something was registered that catchUp has not
-// accounted for: a distinct expression, a dirty SID block, or a dictionary
-// constant with no expression to show for it (a registration that failed
-// after interning). Constants are ranked under the write lock only;
-// matching reads the ranks.
+// accounted for: a distinct expression, a dirty SID block, or an unranked
+// dictionary constant. A rejected registration inserts and interns
+// nothing (registerNested), so the last is a guard. Constants are ranked
+// under the write lock only; matching reads the ranks.
 func (m *Matcher) stale() bool {
 	return m.caught != len(m.exprs) || len(m.redo) > 0 || m.ix.Vals.Dirty()
 }
@@ -727,6 +727,8 @@ type scratch struct {
 	pub     *xmldoc.Publication
 	ncands  map[*nestedNode][]nestedCand
 	kids    []int32             // the node ids of the document's nested candidates' children
+	wits    []int32             // resolve's witness sets, one sorted run per node
+	spans   [][2]int32          // resolve's stack of the children's runs in wits
 	seen    map[uint64]struct{} // per-document distinct path keys (key)
 
 	// Path-cache working state (see cache.go). matched2 is kept all-false
@@ -898,7 +900,7 @@ func (m *Matcher) matchPath(sc *scratch, pub *xmldoc.Publication) {
 	sc.res.Reset(m.ix.Len())
 	if cs == nil {
 		t0 := time.Now()
-		m.ix.MatchPath(pub, sc.res)
+		m.ix.MatchPath(pub, sc.res, true)
 		t1 := time.Now()
 		m.runUnits(sc, bud)
 		m.collectNested(sc, bud)
@@ -906,8 +908,8 @@ func (m *Matcher) matchPath(sc *scratch, pub *xmldoc.Publication) {
 		sc.bd.ExprMatch += time.Since(t1)
 		return
 	}
-	ambiguous := cs.resolveTids(pub)
-	cs.ci.lay.MatchPathTids(pub, cs.tids, sc.res, true)
+	m.ix.MatchPath(pub, sc.res, true)
+	ambiguous := repeatsTag(pub)
 	acc := m.colSweep(sc.res.Touched(), cs, ambiguous, bud)
 	if bud.Exceeded() {
 		return

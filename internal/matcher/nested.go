@@ -2,6 +2,7 @@ package matcher
 
 import (
 	"fmt"
+	"slices"
 
 	"predfilter/internal/guard"
 	"predfilter/internal/occur"
@@ -43,8 +44,7 @@ type nestedNode struct {
 // each sub-expression with its branch position and predicate encoding, in
 // the paper's notation (§5, Figure 3).
 func ExplainNested(p *xpath.Path) (string, error) {
-	m := New(Options{})
-	root, err := m.buildNested(p)
+	root, err := buildNested(p, predicate.Inline)
 	if err != nil {
 		return "", err
 	}
@@ -82,21 +82,23 @@ func (m *Matcher) registerNested(p *xpath.Path) (*expr, error) {
 			return e, nil
 		}
 	}
-	root, err := m.buildNested(p)
+	root, err := buildNested(p, m.opts.AttrMode)
 	if err != nil {
 		return nil, err
 	}
+	m.insertNested(root)
 	e := &expr{id: len(m.exprs), root: root, nsrc: src}
 	m.exprs = append(m.exprs, e)
 	m.byKey[key] = append(m.byKey[key], e)
 	return e, nil
 }
 
-// buildNested recursively decomposes p. The node's own path is p with all
-// top-level nested filters stripped; each nested filter [q] hosted at step
-// k becomes a child built from prefix(p, k+1) ++ q (which may itself
-// contain nested filters, handled by recursion).
-func (m *Matcher) buildNested(p *xpath.Path) (*nestedNode, error) {
+// buildNested recursively decomposes and encodes p, touching no index, so
+// a rejection anywhere in the tree leaves the matcher as it was. The node's
+// own path is p with all top-level nested filters stripped; each nested
+// filter [q] hosted at step k becomes a child built from prefix(p, k+1) ++
+// q (which may itself contain nested filters, handled by recursion).
+func buildNested(p *xpath.Path, mode predicate.AttrMode) (*nestedNode, error) {
 	n := &nestedNode{branchStep: -1}
 	main := &xpath.Path{Absolute: p.Absolute, Steps: make([]xpath.Step, len(p.Steps))}
 	for i, s := range p.Steps {
@@ -116,7 +118,7 @@ func (m *Matcher) buildNested(p *xpath.Path) (*nestedNode, error) {
 			childPath := &xpath.Path{Absolute: p.Absolute}
 			childPath.Steps = append(childPath.Steps, main.Steps[:k+1]...)
 			childPath.Steps = append(childPath.Steps, q.Clone().Steps...)
-			child, err := m.buildNested(childPath)
+			child, err := buildNested(childPath, mode)
 			if err != nil {
 				return nil, err
 			}
@@ -124,17 +126,25 @@ func (m *Matcher) buildNested(p *xpath.Path) (*nestedNode, error) {
 			n.children = append(n.children, child)
 		}
 	}
-	enc, err := predicate.Encode(n.path, m.opts.AttrMode)
+	enc, err := predicate.Encode(n.path, mode)
 	if err != nil {
 		return nil, err
 	}
 	n.enc = enc
-	n.pids = make([]predindex.PID, len(enc.Preds))
-	for i, pr := range enc.Preds {
+	return n, nil
+}
+
+// insertNested stores the predicates and compiles the postponed filters of
+// an accepted decomposition tree, children before their parent.
+func (m *Matcher) insertNested(n *nestedNode) {
+	for _, c := range n.children {
+		m.insertNested(c)
+	}
+	n.pids = make([]predindex.PID, len(n.enc.Preds))
+	for i, pr := range n.enc.Preds {
 		n.pids[i] = m.ix.Insert(pr)
 	}
-	n.post = m.compilePost(enc)
-	return n, nil
+	n.post = m.compilePost(n.enc)
 }
 
 // collectNested gathers every nested-path expression's candidates on the
@@ -223,24 +233,27 @@ func (n *nestedNode) nodeIDAt(m *Matcher, sc *scratch, assign []occur.Pair, step
 // resolveRoot reports whether the whole nested expression matched the
 // document, recombining candidates bottom-up.
 func (n *nestedNode) resolveRoot(sc *scratch) bool {
-	_, any := n.resolve(sc)
+	sc.wits, sc.spans = sc.wits[:0], sc.spans[:0]
+	_, _, any := n.resolve(sc)
 	return any
 }
 
-// resolve returns the witness set (branch-position node ids of supported
-// matches) and whether any candidate was supported by all children.
-func (n *nestedNode) resolve(sc *scratch) (map[int32]bool, bool) {
-	kidW := make([]map[int32]bool, len(n.children))
-	for i, c := range n.children {
-		kidW[i], _ = c.resolve(sc)
+// resolve returns the witness set (the branch-position node ids of
+// supported matches, sorted and distinct) as the run sc.wits[lo:hi], and
+// whether any candidate was supported by all children. The children's runs
+// sit on sc.spans while the node's candidates are checked against them.
+func (n *nestedNode) resolve(sc *scratch) (lo, hi int32, any bool) {
+	base := len(sc.spans)
+	for _, c := range n.children {
+		clo, chi, _ := c.resolve(sc)
+		sc.spans = append(sc.spans, [2]int32{clo, chi})
 	}
-	w := make(map[int32]bool)
-	any := false
+	lo = int32(len(sc.wits))
 	for _, cand := range sc.ncands[n] {
 		ok := true
 		for i, k := range cand.kids {
-			if !kidW[i][k] {
-				ok = false
+			run := sc.spans[base+i]
+			if _, ok = slices.BinarySearch(sc.wits[run[0]:run[1]], k); !ok {
 				break
 			}
 		}
@@ -249,8 +262,13 @@ func (n *nestedNode) resolve(sc *scratch) (map[int32]bool, bool) {
 		}
 		any = true
 		if cand.own >= 0 {
-			w[cand.own] = true
+			sc.wits = append(sc.wits, cand.own)
 		}
 	}
-	return w, any
+	sc.spans = sc.spans[:base]
+	w := sc.wits[lo:]
+	slices.Sort(w)
+	w = slices.Compact(w)
+	sc.wits = sc.wits[:int(lo)+len(w)]
+	return lo, int32(len(sc.wits)), any
 }

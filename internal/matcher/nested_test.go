@@ -251,3 +251,46 @@ func TestNestedDuplicates(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 distinct / 1 nested", st)
 	}
 }
+
+// A rejected registration leaves the predicate index as it was. A nested
+// filter on a wildcard step is refused only after the filters hosted
+// before it were decomposed; their predicates, whether they would land in a
+// row a registered expression uses (a→b) or in rows of their own (a→x,
+// x→y), must not reach the next match, which runs before any catch-up and
+// so has no membership lists for them.
+func TestRejectedAddLeavesIndex(t *testing.T) {
+	for _, c := range []struct{ bad, doc string }{
+		{"/a[b]/*[c]", "<a><b/></a>"},
+		{"/a[x/y]/*[c]", "<a><x><y/></x><b/></a>"},
+	} {
+		for _, cached := range []bool{true, false} {
+			opts := Options{}
+			if !cached {
+				opts.PathCacheBytes = -1
+			}
+			m := New(opts)
+			want := mustAdd(t, m, "/a//b")
+			if _, _, err := m.MatchDocumentColumnar(mustParse(t, "<z/>"), nil); err != nil {
+				t.Fatal(err) // the columnar index now exists
+			}
+			n := m.ix.Len()
+			if _, err := m.Add(c.bad); err == nil {
+				t.Fatalf("Add(%q) was accepted", c.bad)
+			}
+			if got := m.ix.Len(); got != n {
+				t.Errorf("rejected %q left %d predicates in the index", c.bad, got-n)
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("after rejecting %q (cached %v): match of %s panicked: %v", c.bad, cached, c.doc, r)
+					}
+				}()
+				got, _, err := m.MatchDocumentColumnar(mustParse(t, c.doc), nil)
+				if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("after rejecting %q (cached %v): %s matched %v, %v; want %v", c.bad, cached, c.doc, got, err, want)
+				}
+			}()
+		}
+	}
+}

@@ -182,7 +182,7 @@ func (x *explainer) Path(pub *xmldoc.Publication) {
 	m := x.m
 	x.x.pub = pub
 	x.x.res.Reset(m.ix.Len())
-	m.ix.MatchPath(pub, x.x.res)
+	m.ix.MatchPath(pub, x.x.res, true)
 	for i, e := range x.traced {
 		if e.root != nil {
 			continue

@@ -50,11 +50,11 @@ func BenchmarkMatchPath(b *testing.B) {
 			for _, p := range randomPreds(n) {
 				ix.Insert(p)
 			}
-			res := ix.NewResults()
+			res := NewResults(ix.Len())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res.Reset(ix.Len())
-				ix.MatchPath(&doc.Paths[0], res)
+				ix.MatchPath(&doc.Paths[0], res, true)
 			}
 		})
 	}

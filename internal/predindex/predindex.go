@@ -1,8 +1,11 @@
 // Package predindex implements the predicate index of the paper
 // (§4.1.2, Figure 1): distinct predicates are stored exactly once and
-// managed through multi-stage hash tables — first by predicate type, then
-// by tag name(s) — that lead to per-operator arrays indexed by predicate
-// value. The index also implements the predicate matching stage (§4.1):
+// managed through multi-stage tables — first by predicate type, then by
+// tag(s) — that lead to per-operator arrays indexed by predicate value.
+// Each tag gets a dense id the first time a predicate names it, and the
+// per-tag rows hang off slices indexed by that id, so the matching stage
+// hashes each tuple's tag once and then works on integer-indexed arrays.
+// The index also implements the predicate matching stage (§4.1), once:
 // evaluating one publication (encoded document path) against all stored
 // predicates and recording occurrence-pair results per predicate.
 package predindex
@@ -64,20 +67,16 @@ type Index struct {
 	tests [][2][]predicate.Test
 	Vals  *predicate.Dict
 
-	abs    map[string]*opArrays            // absolute: tag → arrays
-	rel    map[string]map[string]*opArrays // relative: tag1 → tag2 → arrays
-	eop    map[string]*cells               // end-of-path: tag → GE array
-	length cells                           // length-of-expression: GE array
+	tids   map[string]int32      // tag → dense id, assigned by Insert
+	abs    []opArrays            // absolute: tag id → arrays
+	rel    []map[int32]*opArrays // relative: tag1 id → tag2 id → arrays
+	eop    []cells               // end-of-path: tag id → GE array
+	length cells                 // length-of-expression: GE array
 }
 
 // New returns an empty predicate index.
 func New() *Index {
-	return &Index{
-		Vals: predicate.NewDict(),
-		abs:  make(map[string]*opArrays),
-		rel:  make(map[string]map[string]*opArrays),
-		eop:  make(map[string]*cells),
-	}
+	return &Index{Vals: predicate.NewDict(), tids: make(map[string]int32)}
 }
 
 // Len returns the number of distinct predicates stored.
@@ -111,21 +110,6 @@ func (ix *Index) Insert(p predicate.Predicate) PID {
 	return pid
 }
 
-// Lookup returns the pid of a predicate identical to p, or NoPID.
-func (ix *Index) Lookup(p predicate.Predicate) PID {
-	c := ix.cellFor(p)
-	if !p.HasAttrs() {
-		return c.bare
-	}
-	key := p.AttrKey()
-	for _, pid := range c.vars {
-		if ix.preds[pid].AttrKey() == key {
-			return pid
-		}
-	}
-	return NoPID
-}
-
 func (ix *Index) add(p predicate.Predicate) PID {
 	pid := PID(len(ix.preds))
 	ix.preds = append(ix.preds, p)
@@ -134,36 +118,42 @@ func (ix *Index) add(p predicate.Predicate) PID {
 }
 
 func (ix *Index) cellFor(p predicate.Predicate) *cell {
-	switch p.Kind {
-	case predicate.Absolute:
-		a := ix.abs[p.Tag1]
-		if a == nil {
-			a = &opArrays{}
-			ix.abs[p.Tag1] = a
-		}
-		return a.sel(p.Op).at(p.Value)
-	case predicate.Relative:
-		m := ix.rel[p.Tag1]
-		if m == nil {
-			m = make(map[string]*opArrays)
-			ix.rel[p.Tag1] = m
-		}
-		a := m[p.Tag2]
-		if a == nil {
-			a = &opArrays{}
-			m[p.Tag2] = a
-		}
-		return a.sel(p.Op).at(p.Value)
-	case predicate.EndOfPath:
-		cs := ix.eop[p.Tag1]
-		if cs == nil {
-			cs = &cells{}
-			ix.eop[p.Tag1] = cs
-		}
-		return cs.at(p.Value)
-	default: // predicate.Length
+	if p.Kind == predicate.Length {
 		return ix.length.at(p.Value)
 	}
+	// tid grows the per-tag slices, so it runs before they are indexed.
+	id := ix.tid(p.Tag1)
+	switch p.Kind {
+	case predicate.Absolute:
+		return ix.abs[id].sel(p.Op).at(p.Value)
+	case predicate.Relative:
+		id2 := ix.tid(p.Tag2)
+		if ix.rel[id] == nil {
+			ix.rel[id] = make(map[int32]*opArrays)
+		}
+		a := ix.rel[id][id2]
+		if a == nil {
+			a = &opArrays{}
+			ix.rel[id][id2] = a
+		}
+		return a.sel(p.Op).at(p.Value)
+	default: // predicate.EndOfPath
+		return ix.eop[id].at(p.Value)
+	}
+}
+
+// tid returns the dense id for tag, assigning one (and growing the
+// per-tag slices) on first sight.
+func (ix *Index) tid(tag string) int32 {
+	id, ok := ix.tids[tag]
+	if !ok {
+		id = int32(len(ix.tids))
+		ix.tids[tag] = id
+		ix.abs = append(ix.abs, opArrays{})
+		ix.rel = append(ix.rel, nil)
+		ix.eop = append(ix.eop, nil)
+	}
+	return id
 }
 
 // Results accumulates per-predicate occurrence-pair matching results for
@@ -176,12 +166,9 @@ type Results struct {
 	stamp   []uint64
 	cur     uint64
 	touched []PID
+	tids    []int32 // MatchPath's buffer: the tag ids of the path's tuples
 	Vals    predicate.DocValues
 }
-
-// NewResults returns a result accumulator sized for the index's current
-// predicate count.
-func (ix *Index) NewResults() *Results { return NewResults(ix.Len()) }
 
 // NewResults returns a result accumulator sized for n predicates.
 func NewResults(n int) *Results {
@@ -247,8 +234,25 @@ func (ix *Index) holds(pid PID, t1, t2 *xmldoc.Tuple, res *Results) bool {
 // recording occurrence pairs into res (which must have been Reset for this
 // publication). This is the predicate matching stage of §4.1: absolute,
 // end-of-path and length predicates are evaluated per tuple; relative
-// predicates per ordered pair of tuples.
-func (ix *Index) MatchPath(pub *xmldoc.Publication, res *Results) {
+// predicates per ordered pair of tuples. The path's tags are resolved to
+// ids once, into res's buffer; a tag no predicate names matches nothing.
+//
+// With attrs set, attribute-carrying predicates get the pairs on which
+// their filters hold. Without it the filters are not decided: such a
+// predicate gets every pair its cell matched on tags and positions, in the
+// same order — the structural results, a function of the path's signature
+// — and the run reads no attribute value. Either way the cell visit order,
+// so each predicate's pair sequence and the touched order, is fixed.
+func (ix *Index) MatchPath(pub *xmldoc.Publication, res *Results, attrs bool) {
+	tids := res.tids[:0]
+	for i := range pub.Tuples {
+		id, ok := ix.tids[pub.Tuples[i].Tag]
+		if !ok {
+			id = -1
+		}
+		tids = append(tids, id)
+	}
+	res.tids = tids
 	l := pub.Length
 
 	// The value-indexed arrays are dense, so most cells visited below are
@@ -257,57 +261,58 @@ func (ix *Index) MatchPath(pub *xmldoc.Publication, res *Results) {
 	// Length-of-expression predicates: (length, >=, v) matches iff v <= l.
 	for v := 1; v < len(ix.length) && v <= l; v++ {
 		if c := &ix.length[v]; !c.empty() {
-			ix.emit(c, nil, nil, 0, 0, res, true)
+			ix.emit(c, nil, nil, 0, 0, res, attrs)
 		}
 	}
 
-	for i := range pub.Tuples {
+	for i, ti := range tids {
+		if ti < 0 {
+			continue
+		}
 		t := &pub.Tuples[i]
 		occ := int32(t.Occ)
 
 		// Absolute predicates on t.Tag.
-		if a := ix.abs[t.Tag]; a != nil {
-			if v := t.Pos; v < len(a.eq) {
-				if c := &a.eq[v]; !c.empty() {
-					ix.emit(c, t, nil, occ, occ, res, true)
-				}
+		a := &ix.abs[ti]
+		if v := t.Pos; v < len(a.eq) {
+			if c := &a.eq[v]; !c.empty() {
+				ix.emit(c, t, nil, occ, occ, res, attrs)
 			}
-			for v := 1; v < len(a.ge) && v <= t.Pos; v++ {
-				if c := &a.ge[v]; !c.empty() {
-					ix.emit(c, t, nil, occ, occ, res, true)
-				}
+		}
+		for v := 1; v < len(a.ge) && v <= t.Pos; v++ {
+			if c := &a.ge[v]; !c.empty() {
+				ix.emit(c, t, nil, occ, occ, res, attrs)
 			}
 		}
 
 		// End-of-path predicates: (p_t⊣, >=, v) matches iff l - pos >= v.
-		if cs := ix.eop[t.Tag]; cs != nil {
-			for v := 1; v < len(*cs) && v <= l-t.Pos; v++ {
-				if c := &(*cs)[v]; !c.empty() {
-					ix.emit(c, t, nil, occ, occ, res, true)
-				}
+		cs := ix.eop[ti]
+		for v := 1; v < len(cs) && v <= l-t.Pos; v++ {
+			if c := &cs[v]; !c.empty() {
+				ix.emit(c, t, nil, occ, occ, res, attrs)
 			}
 		}
 
 		// Relative predicates with t as the first tag.
-		m := ix.rel[t.Tag]
-		if m == nil {
+		row := ix.rel[ti]
+		if row == nil {
 			continue
 		}
-		for j := i + 1; j < len(pub.Tuples); j++ {
-			u := &pub.Tuples[j]
-			a := m[u.Tag]
+		for j := i + 1; j < len(tids); j++ {
+			a := row[tids[j]]
 			if a == nil {
 				continue
 			}
+			u := &pub.Tuples[j]
 			d := u.Pos - t.Pos
 			if d < len(a.eq) {
 				if c := &a.eq[d]; !c.empty() {
-					ix.emit(c, t, u, occ, int32(u.Occ), res, true)
+					ix.emit(c, t, u, occ, int32(u.Occ), res, attrs)
 				}
 			}
 			for v := 1; v < len(a.ge) && v <= d; v++ {
 				if c := &a.ge[v]; !c.empty() {
-					ix.emit(c, t, u, occ, int32(u.Occ), res, true)
+					ix.emit(c, t, u, occ, int32(u.Occ), res, attrs)
 				}
 			}
 		}
@@ -316,9 +321,7 @@ func (ix *Index) MatchPath(pub *xmldoc.Publication, res *Results) {
 
 // emit records cell matches. t1/t2 may be nil for length predicates. With
 // attrs set, the attribute-carrying structural twins are added only where
-// their filters hold on t1/t2; without it wherever the cell matched on tags
-// and positions — the structural results, a function of the path's
-// signature, from which the pairs a filter can keep are read.
+// their filters hold on t1/t2; without it wherever the cell matched.
 func (ix *Index) emit(c *cell, t1, t2 *xmldoc.Tuple, a, b int32, res *Results, attrs bool) {
 	if c.bare != NoPID {
 		res.Add(c.bare, a, b)

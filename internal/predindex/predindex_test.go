@@ -31,7 +31,7 @@ func TestTable1(t *testing.T) {
 	doc := xmldoc.FromPaths([]string{"a", "b", "c", "a", "b", "c"})
 	res := NewResults(ix.Len())
 	res.Reset(ix.Len())
-	ix.MatchPath(&doc.Paths[0], res)
+	ix.MatchPath(&doc.Paths[0], res, true)
 
 	want := map[string][][2]int32{
 		// Table 1, row by row (occurrence-number pairs).
@@ -123,25 +123,10 @@ func TestInsertDedup(t *testing.T) {
 	}
 }
 
-// TestLookup checks Lookup mirrors Insert without mutation.
-func TestLookup(t *testing.T) {
-	ix := New()
-	p := predicate.Predicate{Kind: predicate.Absolute, Op: predicate.EQ, Tag1: "a", Value: 1}
-	if got := ix.Lookup(p); got != NoPID {
-		t.Errorf("Lookup on empty index = %d, want NoPID", got)
-	}
-	pid := ix.Insert(p)
-	if got := ix.Lookup(p); got != pid {
-		t.Errorf("Lookup = %d, want %d", got, pid)
-	}
-	if ix.Len() != 1 {
-		t.Errorf("Lookup mutated the index: len %d", ix.Len())
-	}
-}
-
 // naiveMatch evaluates one predicate against a publication directly from
-// the §4.1.1 rules — the oracle for the index's matching stage.
-func naiveMatch(p predicate.Predicate, pub *xmldoc.Publication) [][2]int32 {
+// the §4.1.1 rules — the oracle for the index's matching stage. Without
+// attrs it ignores the attribute filters, as the structural stage does.
+func naiveMatch(p predicate.Predicate, pub *xmldoc.Publication, attrs bool) [][2]int32 {
 	var out [][2]int32
 	cmp := func(op predicate.Op, got, want int) bool {
 		if op == predicate.EQ {
@@ -149,11 +134,14 @@ func naiveMatch(p predicate.Predicate, pub *xmldoc.Publication) [][2]int32 {
 		}
 		return got >= want
 	}
+	holds := func(fs []xpath.AttrFilter, t *xmldoc.Tuple) bool {
+		return !attrs || predicate.EvalAttrs(fs, t)
+	}
 	switch p.Kind {
 	case predicate.Absolute:
 		for i := range pub.Tuples {
 			t := &pub.Tuples[i]
-			if t.Tag == p.Tag1 && cmp(p.Op, t.Pos, p.Value) && predicate.EvalAttrs(p.Attrs1, t) {
+			if t.Tag == p.Tag1 && cmp(p.Op, t.Pos, p.Value) && holds(p.Attrs1, t) {
 				out = append(out, [2]int32{int32(t.Occ), int32(t.Occ)})
 			}
 		}
@@ -162,7 +150,7 @@ func naiveMatch(p predicate.Predicate, pub *xmldoc.Publication) [][2]int32 {
 			for j := i + 1; j < len(pub.Tuples); j++ {
 				t1, t2 := &pub.Tuples[i], &pub.Tuples[j]
 				if t1.Tag == p.Tag1 && t2.Tag == p.Tag2 && cmp(p.Op, t2.Pos-t1.Pos, p.Value) &&
-					predicate.EvalAttrs(p.Attrs1, t1) && predicate.EvalAttrs(p.Attrs2, t2) {
+					holds(p.Attrs1, t1) && holds(p.Attrs2, t2) {
 					out = append(out, [2]int32{int32(t1.Occ), int32(t2.Occ)})
 				}
 			}
@@ -170,7 +158,7 @@ func naiveMatch(p predicate.Predicate, pub *xmldoc.Publication) [][2]int32 {
 	case predicate.EndOfPath:
 		for i := range pub.Tuples {
 			t := &pub.Tuples[i]
-			if t.Tag == p.Tag1 && pub.Length-t.Pos >= p.Value && predicate.EvalAttrs(p.Attrs1, t) {
+			if t.Tag == p.Tag1 && pub.Length-t.Pos >= p.Value && holds(p.Attrs1, t) {
 				out = append(out, [2]int32{int32(t.Occ), int32(t.Occ)})
 			}
 		}
@@ -182,64 +170,86 @@ func naiveMatch(p predicate.Predicate, pub *xmldoc.Publication) [][2]int32 {
 	return out
 }
 
+// randPred draws one predicate over tags; about a third of the first and
+// second tags carry a filter on attribute x.
+func randPred(rng *rand.Rand, tags []string) predicate.Predicate {
+	op := predicate.Op(rng.Intn(2))
+	tag := func() string { return tags[rng.Intn(len(tags))] }
+	filter := func() []xpath.AttrFilter {
+		if rng.Intn(3) != 0 {
+			return nil
+		}
+		f := xpath.AttrFilter{Name: "x", Op: xpath.AttrOp(rng.Intn(7))}
+		if f.Op != xpath.AttrExists {
+			f.Value = fmt.Sprint(rng.Intn(3))
+		}
+		return []xpath.AttrFilter{f}
+	}
+	switch rng.Intn(4) {
+	case 0:
+		return predicate.Predicate{Kind: predicate.Absolute, Op: op, Tag1: tag(), Value: 1 + rng.Intn(6), Attrs1: filter()}
+	case 1:
+		return predicate.Predicate{Kind: predicate.Relative, Op: op, Tag1: tag(), Tag2: tag(), Value: 1 + rng.Intn(4), Attrs1: filter(), Attrs2: filter()}
+	case 2:
+		return predicate.Predicate{Kind: predicate.EndOfPath, Op: predicate.GE, Tag1: tag(), Value: 1 + rng.Intn(4), Attrs1: filter()}
+	default:
+		return predicate.Predicate{Kind: predicate.Length, Op: predicate.GE, Value: 1 + rng.Intn(8)}
+	}
+}
+
 // TestMatchPathAgainstNaive fuzzes the index matching stage against the
-// direct evaluation rules.
+// direct evaluation rules, under both attrs settings: attribute-carrying
+// predicates, paths with repeated tags and with a tag no predicate names,
+// and an index that grows between two matches through one accumulator
+// (half the predicates, match, the rest, match again).
 func TestMatchPathAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tags := []string{"a", "b", "c", "d"}
 	for round := 0; round < 300; round++ {
 		ix := New()
 		var preds []predicate.Predicate
-		for i := 0; i < 30; i++ {
-			var p predicate.Predicate
-			op := predicate.Op(rng.Intn(2))
-			switch rng.Intn(4) {
-			case 0:
-				p = predicate.Predicate{Kind: predicate.Absolute, Op: op, Tag1: tags[rng.Intn(len(tags))], Value: 1 + rng.Intn(6)}
-			case 1:
-				p = predicate.Predicate{Kind: predicate.Relative, Op: op, Tag1: tags[rng.Intn(len(tags))], Tag2: tags[rng.Intn(len(tags))], Value: 1 + rng.Intn(4)}
-			case 2:
-				p = predicate.Predicate{Kind: predicate.EndOfPath, Op: predicate.GE, Tag1: tags[rng.Intn(len(tags))], Value: 1 + rng.Intn(4)}
-			default:
-				p = predicate.Predicate{Kind: predicate.Length, Op: predicate.GE, Value: 1 + rng.Intn(8)}
+		var pids []PID
+		insert := func(n int) {
+			for i := 0; i < n; i++ {
+				p := randPred(rng, tags)
+				preds = append(preds, p)
+				pids = append(pids, ix.Insert(p))
 			}
-			ix.Insert(p)
-			preds = append(preds, p)
+			ix.Vals.Rerank()
 		}
-		n := 1 + rng.Intn(8)
-		path := make([]string, n)
-		for i := range path {
-			path[i] = tags[rng.Intn(len(tags))]
-		}
-		doc := xmldoc.FromPaths(path)
-		res := NewResults(ix.Len())
-		res.Reset(ix.Len())
-		ix.MatchPath(&doc.Paths[0], res)
-		for _, p := range preds {
-			pid := ix.Lookup(p)
-			if pid == NoPID {
-				t.Fatalf("predicate %s not found after insert", p)
-			}
-			want := naiveMatch(p, &doc.Paths[0])
-			got := res.Get(pid)
-			if len(got) != len(want) {
-				t.Fatalf("round %d path %v: %s matched %v, want %v", round, path, p, got, want)
-			}
-			sort.Slice(got, func(i, j int) bool {
-				if got[i].A != got[j].A {
-					return got[i].A < got[j].A
-				}
-				return got[i].B < got[j].B
-			})
-			sort.Slice(want, func(i, j int) bool {
-				if want[i][0] != want[j][0] {
-					return want[i][0] < want[j][0]
-				}
-				return want[i][1] < want[j][1]
-			})
-			for i := range want {
-				if got[i].A != want[i][0] || got[i].B != want[i][1] {
-					t.Fatalf("round %d path %v: %s matched %v, want %v", round, path, p, got, want)
+		pubs := []*xmldoc.Publication{randPub(rng, tags), randPub(rng, append(tags, "zz"))} // zz is never indexed
+		res := NewResults(0)
+		for grown := 0; grown < 2; grown++ {
+			insert(15)
+			for _, pub := range pubs {
+				for _, attrs := range []bool{false, true} {
+					res.Vals.Reset()
+					res.Reset(ix.Len())
+					ix.MatchPath(pub, res, attrs)
+					for k, p := range preds {
+						want := naiveMatch(p, pub, attrs)
+						got := res.Get(pids[k])
+						if len(got) != len(want) {
+							t.Fatalf("round %d grown %d attrs %v path %s: %s matched %v, want %v", round, grown, attrs, pub, p, got, want)
+						}
+						sort.Slice(got, func(i, j int) bool {
+							if got[i].A != got[j].A {
+								return got[i].A < got[j].A
+							}
+							return got[i].B < got[j].B
+						})
+						sort.Slice(want, func(i, j int) bool {
+							if want[i][0] != want[j][0] {
+								return want[i][0] < want[j][0]
+							}
+							return want[i][1] < want[j][1]
+						})
+						for i := range want {
+							if got[i].A != want[i][0] || got[i].B != want[i][1] {
+								t.Fatalf("round %d grown %d attrs %v path %s: %s matched %v, want %v", round, grown, attrs, pub, p, got, want)
+							}
+						}
+					}
 				}
 			}
 		}
@@ -254,12 +264,12 @@ func TestResultsEpoch(t *testing.T) {
 
 	doc := xmldoc.FromPaths([]string{"a", "b"}, []string{"b", "a"})
 	res.Reset(ix.Len())
-	ix.MatchPath(&doc.Paths[0], res)
+	ix.MatchPath(&doc.Paths[0], res, true)
 	if !res.Matched(pid) {
 		t.Fatal("(p_a,=,1) should match path a/b")
 	}
 	res.Reset(ix.Len())
-	ix.MatchPath(&doc.Paths[1], res)
+	ix.MatchPath(&doc.Paths[1], res, true)
 	if res.Matched(pid) {
 		t.Fatal("(p_a,=,1) result leaked into path b/a")
 	}
@@ -277,7 +287,7 @@ func TestResultsGrowth(t *testing.T) {
 	pid2 := ix.Insert(predicate.Predicate{Kind: predicate.Absolute, Op: predicate.GE, Tag1: "b", Value: 1})
 	doc := xmldoc.FromPaths([]string{"a", "b"})
 	res.Reset(ix.Len())
-	ix.MatchPath(&doc.Paths[0], res)
+	ix.MatchPath(&doc.Paths[0], res, true)
 	if !res.Matched(pid2) {
 		t.Error("grown accumulator lost results for new pid")
 	}
@@ -301,12 +311,12 @@ func TestValueRanksFollowInsert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := ix.NewResults()
+	res := NewResults(ix.Len())
 	check := func(want map[string]bool) {
 		t.Helper()
 		res.Vals.Reset()
 		res.Reset(ix.Len())
-		ix.MatchPath(&doc.Paths[0], res)
+		ix.MatchPath(&doc.Paths[0], res, true)
 		for s, w := range want {
 			if got := res.Matched(pids[s]); got != w {
 				t.Errorf("%s: matched %v, want %v", s, got, w)
@@ -321,4 +331,55 @@ func TestValueRanksFollowInsert(t *testing.T) {
 		want[s] = w
 	}
 	check(want)
+}
+
+// randXPE builds a random expression in the supported fragment:
+// absolute/relative, child/descendant axes, wildcards, occasional
+// attribute filters.
+func randXPE(rng *rand.Rand, tags []string) string {
+	n := 1 + rng.Intn(4)
+	s := ""
+	if rng.Intn(2) == 0 {
+		s = "/"
+	}
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			if rng.Intn(3) == 0 {
+				s += "//"
+			} else {
+				s += "/"
+			}
+		}
+		if rng.Intn(6) == 0 {
+			s += "*"
+			continue
+		}
+		tag := tags[rng.Intn(len(tags))]
+		s += tag
+		if rng.Intn(4) == 0 {
+			s += fmt.Sprintf("[@x=%d]", rng.Intn(3))
+		}
+	}
+	if s == "" || s == "/" {
+		s = "/" + tags[0]
+	}
+	return s
+}
+
+// randPub builds one random root-to-leaf publication, with repeated tags
+// (occurrence numbers > 1) and random attributes.
+func randPub(rng *rand.Rand, tags []string) *xmldoc.Publication {
+	depth := 1 + rng.Intn(7)
+	path := make([]string, depth)
+	for i := range path {
+		path[i] = tags[rng.Intn(len(tags))]
+	}
+	doc := xmldoc.FromPaths(path)
+	pub := &doc.Paths[0]
+	for i := range pub.Tuples {
+		if rng.Intn(3) == 0 {
+			pub.Tuples[i].Attrs = []xmldoc.Attr{{Name: "x", Value: fmt.Sprint(rng.Intn(3))}}
+		}
+	}
+	return pub
 }

@@ -34,14 +34,13 @@ func tupleOf(pub *xmldoc.Publication, tag string, o int32) *xmldoc.Tuple {
 	return nil
 }
 
-// stages runs the structural and the live predicate stage over the layout.
-func stages(ix *Index, lay *Layout, pub *xmldoc.Publication) (structural, live *Results) {
+// stages runs the structural and the live predicate stage.
+func stages(ix *Index, pub *xmldoc.Publication) (structural, live *Results) {
 	structural, live = NewResults(ix.Len()), NewResults(ix.Len())
 	structural.Reset(ix.Len())
 	live.Reset(ix.Len())
-	tids := resolveTids(lay, pub)
-	lay.MatchPathTids(pub, tids, structural, false)
-	lay.MatchPathTids(pub, tids, live, true)
+	ix.MatchPath(pub, structural, false)
+	ix.MatchPath(pub, live, true)
 	return structural, live
 }
 
@@ -89,10 +88,9 @@ func TestStructuralStageRandomized(t *testing.T) {
 			}
 		}
 		ix.Vals.Rerank()
-		lay := ix.BuildLayout()
 		for d := 0; d < 4; d++ {
 			pub := randPub(rng, tags)
-			structural, live := stages(ix, lay, pub)
+			structural, live := stages(ix, pub)
 			for _, pid := range structural.Touched() {
 				if ts := ix.Tests(pid); ts[0] == nil && ts[1] == nil && fmt.Sprint(structural.Get(pid)) != fmt.Sprint(live.Get(pid)) {
 					t.Fatalf("trial %d: bare %s: structural %v, live %v", trial, ix.Pred(pid), structural.Get(pid), live.Get(pid))
@@ -114,11 +112,10 @@ func TestStructuralStageIgnoresValues(t *testing.T) {
 		ix.Insert(p)
 	}
 	ix.Vals.Rerank()
-	lay := ix.BuildLayout()
 	matching, _ := xmldoc.Parse([]byte(`<a><b x="1"/></a>`))
 	other, _ := xmldoc.Parse([]byte(`<a><b x="2"/></a>`))
-	s1, l1 := stages(ix, lay, &matching.Paths[0])
-	s2, l2 := stages(ix, lay, &other.Paths[0])
+	s1, l1 := stages(ix, &matching.Paths[0])
+	s2, l2 := stages(ix, &other.Paths[0])
 	if err := resultsEqual(ix, s1, s2); err != nil {
 		t.Fatal(err)
 	}

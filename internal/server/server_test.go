@@ -563,3 +563,40 @@ func TestSlowMatchCounted(t *testing.T) {
 		}
 	}
 }
+
+// A subscription the engine rejects leaves publishing as it was: 422 on
+// the subscribe, then /publish and /publish/batch of a document that
+// reaches the rejected expression's decomposition answer with the
+// registered expression's id, not a recovered panic.
+func TestRejectedSubscribeKeepsPublishing(t *testing.T) {
+	s := New(Config{})
+	do := func(path, body string) *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		s.ServeHTTP(rr, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		return rr
+	}
+	rr := do("/subscriptions", `{"expression":"/a//b"}`)
+	if rr.Code != http.StatusCreated {
+		t.Fatalf("subscribe /a//b: %d %s", rr.Code, rr.Body)
+	}
+	var sub struct {
+		ID predfilter.SID `json:"id"`
+	}
+	if err := json.Unmarshal(rr.Body.Bytes(), &sub); err != nil {
+		t.Fatal(err)
+	}
+	if rr := do("/publish", "<z/>"); rr.Code != http.StatusOK {
+		t.Fatalf("first publish: %d %s", rr.Code, rr.Body)
+	}
+	if rr := do("/subscriptions", `{"expression":"/a[b]/*[c]"}`); rr.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("subscribe /a[b]/*[c]: %d %s, want 422", rr.Code, rr.Body)
+	}
+	ids := fmt.Sprintf(`"ids":[%d]`, sub.ID)
+	if rr := do("/publish", "<a><b/></a>"); rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), ids) {
+		t.Fatalf("publish after the rejected subscribe = %d %s, want 200 with %s", rr.Code, rr.Body, ids)
+	}
+	rr = do("/publish/batch", `{"documents":["<a><b/><c/></a>"]}`)
+	if rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), ids) {
+		t.Fatalf("batch after the rejected subscribe = %d %s, want 200 with %s", rr.Code, rr.Body, ids)
+	}
+}
