@@ -74,7 +74,7 @@ func TestChaosDocBytesBomb(t *testing.T) {
 }
 
 func TestChaosOccurrenceBombSteps(t *testing.T) {
-	doc, expr := workload.OccurrenceBomb(40, 44)
+	doc, expr := workload.OccurrenceBomb(200, 204)
 	eng := predfilter.New(predfilter.Config{Limits: predfilter.Limits{MaxSteps: 1 << 20}})
 	if _, err := eng.Add(expr); err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestChaosOccurrenceBombDeadline(t *testing.T) {
 	// deadline returns within (a small multiple of) the deadline. The
 	// occurrence search only consults the clock every 4096 steps, so allow
 	// generous scheduler slack but nothing near the unbounded blowup.
-	doc, expr := workload.OccurrenceBomb(42, 48)
+	doc, expr := workload.OccurrenceBomb(800, 806)
 	eng := predfilter.New(predfilter.Config{Limits: predfilter.Limits{MatchDeadline: 100 * time.Millisecond}})
 	if _, err := eng.Add(expr); err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestChaosOccurrenceBombDeadline(t *testing.T) {
 
 func TestChaosContextDeadline(t *testing.T) {
 	// A context deadline works without any configured limits.
-	doc, expr := workload.OccurrenceBomb(42, 48)
+	doc, expr := workload.OccurrenceBomb(800, 806)
 	eng := predfilter.New(predfilter.Config{})
 	if _, err := eng.Add(expr); err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestChaosHealthyDocsUnaffected(t *testing.T) {
 
 func TestChaosStreamBombsIsolated(t *testing.T) {
 	// One bomb in a stream fails alone; surrounding documents still match.
-	doc, expr := workload.OccurrenceBomb(40, 44)
+	doc, expr := workload.OccurrenceBomb(200, 204)
 	eng := predfilter.New(predfilter.Config{Limits: predfilter.Limits{
 		MaxSteps: 1 << 18, MaxDepth: 1 << 10,
 	}})
@@ -213,7 +213,7 @@ func TestChaosTracedGoverned(t *testing.T) {
 	// The explaining match (the server's ?trace=1 path) must be bounded
 	// like the fast path: structural limits at parse, the budget on both
 	// the authoritative and the explanation pass.
-	doc, expr := workload.OccurrenceBomb(40, 44)
+	doc, expr := workload.OccurrenceBomb(200, 204)
 	eng := predfilter.New(predfilter.Config{Limits: predfilter.Limits{MaxSteps: 1 << 20}})
 	if _, err := eng.Add(expr); err != nil {
 		t.Fatal(err)
@@ -261,7 +261,7 @@ func TestChaosMatchCountsGoverned(t *testing.T) {
 	// Exhaustive combination counting keeps enumerating where filtering
 	// stops at the first match; it must honor the engine's limits through
 	// both the context and the plain entry point.
-	doc, expr := workload.OccurrenceBomb(40, 44)
+	doc, expr := workload.OccurrenceBomb(200, 204)
 	eng := predfilter.New(predfilter.Config{Limits: predfilter.Limits{MaxSteps: 1 << 20}})
 	if _, err := eng.Add(expr); err != nil {
 		t.Fatal(err)

@@ -284,9 +284,9 @@ func BenchmarkFilterHit(b *testing.B) {
 }
 
 // BenchmarkNestedHit is BenchmarkFilterHit's fixture with three nested-path
-// expressions registered beside it, so every path also runs the live
-// predicate stage and the documents recombine: what a nested expression
-// costs a warm engine that is otherwise all cache hits.
+// expressions registered beside it, so every path also records its
+// entry's sub-expressions and the documents recombine: what a nested
+// expression costs a warm engine that is otherwise all cache hits.
 func BenchmarkNestedHit(b *testing.B) {
 	f := newFixture(b, 10000, 0, 1, 1000)
 	if _, err := f.eng.AddAll([]string{"/nitf[head/title]/body", "//body[body.head]//p", "/nitf/head[meta]/title"}); err != nil {

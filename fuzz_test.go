@@ -143,6 +143,10 @@ func FuzzMatchColumnar(f *testing.F) {
 		{"/*/*", "<a><b/></a>"},                                     // wildcard-only (length) chain
 		{"a[", "<a/>"},                                              // malformed expression
 		{"//a", "<a><a><b></a></a>"},                                // malformed document
+		// Nested paths over repeated tags.
+		{"//a[a]//a", "<a><a><a/></a><a/></a>"},
+		{"/r/b[c]/d", "<r><b><b><c/></b><d/></b><b><d/></b></r>"},
+		{"//b[b//c]", "<r><b><b><c/></b><d/></b><b><d/></b></r>"},
 	}
 	for _, s := range seeds {
 		f.Add(s[0], s[1])
@@ -292,6 +296,10 @@ func FuzzMatchScanned(f *testing.F) {
 	} {
 		f.Add([]byte("<r>" + chain + late))
 	}
+	// Nested paths over repeated tags, registered on odd-length documents:
+	// the same document at both parities.
+	f.Add([]byte("<r><b><b><c/></b><d/></b><b><d/></b></r>"))
+	f.Add([]byte("<r><b><b><c/></b><d/></b><b><d/></b></r>\n"))
 	for _, s := range []string{ // one shape repeated, attributes varying at every depth
 		`<r><a x="2"><b/></a><a><b x="00"/></a><a x="1"><b x="1"/></a><a x="2"><b y="1"/></a></r>`,
 		`<a x="3"><a v="00"><b/><b x="1"/></a><a v="2" x="1"><b x="3"/><b/></a></a>`,
@@ -307,7 +315,7 @@ func FuzzMatchScanned(f *testing.F) {
 		"//a", "/a/b", "/a//c", "//a//a", "/*/*", "/r/a/a", strings.Repeat("//a", 8),
 		"//p", "/r/p", "//b[@x]", `//a[@x="1"]`, "//a[@v>=1]", "//p[@k]", "/a[@x<=2]/b", "//d//d",
 	}, nitf...)
-	nested := []string{"/a[b]/c", "//r[p]//a", "/nitf[head/title]/body"}
+	nested := []string{"/a[b]/c", "//r[p]//a", "/nitf[head/title]/body", "//a[a]//a", "/r/b[c]/d", "//b[b//c]"}
 	tight := predfilter.Limits{MaxDepth: 8, MaxPaths: 8, MaxTuples: 40, MaxDocBytes: 512, MaxSteps: 24}
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		engine := func(cfg predfilter.Config) *predfilter.Engine {

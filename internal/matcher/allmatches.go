@@ -1,30 +1,32 @@
 package matcher
 
 import (
+	"math"
 	"slices"
-	"time"
 
 	"predfilter/internal/occur"
 	"predfilter/internal/xmldoc"
 )
 
-// counter is the visitor of a counted document (ScanDoc.Count): in place
-// of the served kernel it counts, for every expression, the distinct
-// occurrence-chain combinations across all document paths.
+// counter is the state of a counted document (ScanDoc.Count): in place of
+// the served kernel, the scratch's paths count, for every expression, the
+// distinct occurrence-chain combinations across all document paths.
 //
 // The paper's filtering semantics needs only the first match per
 // expression (Algorithm 1 stops there; §2 notes the Index-Filter baseline
 // was modified accordingly). Counting is the contrasting all-matches
-// capability: it keeps enumerating, which is what applications that need
-// every match site (the original Index-Filter problem statement) pay for.
-// Covering and access-predicate shortcuts prove existence, not counts, so
-// every unit whose first predicate matched is enumerated. Nested-path
-// expressions report 1 when matched (their recombination is defined on
-// match existence, §5).
+// capability, which applications that need every match site (the original
+// Index-Filter problem statement) ask for: a forward pass over saturating
+// counts (occur.Support) gives the number of combinations without listing
+// them. Covering and access-predicate shortcuts prove existence, not
+// counts, so every unit whose first predicate matched is counted.
+// Nested-path expressions report 1 when matched (their recombination is
+// defined on match existence, §5).
 //
 // Path deduplication remains sound here: structurally identical paths
 // contribute identical combination counts, so a repeated path replays the
-// counts its first occurrence memoised.
+// counts its first occurrence memoised, and records its node ids for the
+// nested expressions.
 type counter struct {
 	sc     *scratch
 	counts map[int]int          // expr id → combinations
@@ -38,70 +40,47 @@ func newCounter(sc *scratch) *counter {
 	return &counter{sc: sc, counts: make(map[int]int), memo: make(map[uint64][]idCount)}
 }
 
-// Path counts one path, charging every occurrence pair the enumeration
-// visits to the budget; once it trips the remaining paths are skipped.
-func (k *counter) Path(pub *xmldoc.Publication) {
-	sc := k.sc
-	m := sc.m
-	var key uint64
-	if sc.dedup {
-		key = sc.key(pub)
-		if c, ok := k.memo[key]; ok {
-			k.add(c)
-			return
-		}
-	}
-	sc.work.paths++
-	if !sc.bud.CheckPoint() {
-		return
-	}
-	t := time.Now()
-	defer func() { sc.match += time.Since(t) }()
-	sc.pub = pub
+// match counts the current path, charging every occurrence pair the
+// counting visits to the budget; once it trips the remaining units are
+// skipped, and end discards the counts.
+func (k *counter) match(pub *xmldoc.Publication) {
+	sc, m := k.sc, k.sc.m
 	sc.res.Reset(m.ix.Len())
 	m.ix.MatchPath(pub, sc.res, true)
 	k.path = k.path[:0]
 	for _, u := range m.units {
-		if !sc.res.Matched(u.pids[0]) {
-			continue
-		}
-		k.countUnit(u)
-		if sc.bud.Exceeded() {
-			return
+		if sc.res.Matched(u.pids[0]) && !sc.bud.Exceeded() {
+			k.countUnit(u)
 		}
 	}
-	for _, e := range m.nested {
-		e.root.collect(m, sc, sc.bud)
-	}
+	m.recordLive(sc, pub)
 	k.add(k.path)
-	if sc.dedup {
-		k.memo[key] = slices.Clone(k.path)
-	}
 }
 
 func (k *counter) add(c []idCount) {
 	for _, ic := range c {
-		k.counts[ic.id] += ic.n
+		k.counts[ic.id] = satAdd(k.counts[ic.id], ic.n)
 	}
 }
 
-// Restart discards the counts with the marks: the fallback counts every
-// path again.
-func (k *counter) Restart() {
-	k.sc.Restart()
-	clear(k.counts)
-	clear(k.memo)
+// satAdd adds two counts, saturating at the largest int.
+func satAdd(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
 }
 
 // end recombines the nested expressions and resolves the counts to SIDs,
 // or returns the budget's error and no counts.
 func (k *counter) end() (map[SID]int, error) {
 	sc, m := k.sc, k.sc.m
+	m.resolveNested(sc)
 	if err := sc.bud.Err(); err != nil {
 		return nil, err
 	}
 	for _, e := range m.nested {
-		if e.root.resolveRoot(sc) {
+		if sc.matched[e.id] {
 			k.counts[e.id] = 1
 		}
 	}
@@ -132,11 +111,12 @@ func (k *counter) countUnit(e *expr) {
 	sc.chain = chain
 
 	count := func(id int, ch [][]occur.Pair) {
+		sc.on = slices.Grow(sc.on[:0], len(ch[len(ch)-1]))[:len(ch[len(ch)-1])]
+		sc.work.pairs += occur.Support(ch, len(ch)-1, sc.on, sc.bud, &sc.occBuf)
 		n := 0
-		sc.work.pairs += occur.Enumerate(ch, sc.bud, &sc.assign, func([]occur.Pair) bool {
-			n++
-			return true
-		})
+		for _, c := range sc.on {
+			n = satAdd(n, int(min(c, math.MaxInt)))
+		}
 		if n > 0 {
 			k.path = append(k.path, idCount{id, n})
 		}

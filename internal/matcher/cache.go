@@ -69,22 +69,24 @@ import (
 // re-decides only the tests of tuples whose node changed; when none did,
 // its units decide as they did and are skipped.
 //
-// Nested-path expressions are no part of an entry: their recombination
-// needs node identities, so while one is registered every path also runs
-// the live predicate stage and collects their candidates from it.
+// A nested-path expression's sub-expressions are part of the entry too,
+// as chains over the same guarded pair lists, after the chain units: a hit
+// records its tests' pass bits and the path's node ids, and the document's
+// end recombines the sub-expressions' pairs from them (nested.go).
 //
 // Registration changes (cacheEffect). An entry is a function of its
-// signature and the set of distinct single-path expressions, so a change
-// of SIDs — Remove, Add of a registered expression — and the Add of a
-// nested-path expression leave the cache alone. When distinct single-path
-// expressions X were added, the entries of the signatures no x ∈ X can
-// match structurally (canMatch: some predicate of x's chain fails on the
-// signature's tags and positions) are kept, and are still the entries a
+// signature and the set of distinct expressions, so a change of SIDs —
+// Remove, Add of a registered expression — leaves the cache alone. When
+// distinct expressions X were added, the entries of the signatures no
+// chain x of X can match structurally (canMatch: some predicate of x
+// fails on the signature's tags and positions; a nested-path expression's
+// chains are its sub-expressions') are kept, and are still the entries a
 // miss would build now:
 //
 //	(a) x is on no such signature's Outcome or Program: its unit is a
-//	    sweep candidate only where every predicate of its chain matched
-//	    structurally, which is what canMatch evaluates.
+//	    sweep candidate, and a sub-expression compiled, only where every
+//	    predicate of its chain matched structurally, which is what
+//	    canMatch evaluates.
 //	(b) No other unit's marks changed. The kernel evaluates each unit on
 //	    its own (no cover relation is read), so the only unit an x
 //	    changes is the Postponed group it joins, possibly turning it
@@ -96,8 +98,8 @@ import (
 //	    read ranks when they run.
 //
 // One case flushes instead, as a rule rather than an argument: more than
-// maxEvictAdds single-path expressions pending (a bulk load: one walk per
-// catch-up tests every entry against every pending expression).
+// maxEvictAdds chains pending (a bulk load: one walk per catch-up tests
+// every entry against every pending chain).
 
 // appendPubSig appends the path's structural signature: the tuple count
 // (little-endian, two bytes — paths deeper than 64k tags do not occur)
@@ -116,34 +118,32 @@ func appendPubSig(b []byte, pub *xmldoc.Publication) []byte {
 	return b
 }
 
-// maxEvictAdds is the most pending distinct expressions a catch-up tests
-// cache entries against; past it the cache is flushed.
+// maxEvictAdds is the most pending chains — single-path expressions and
+// sub-expressions — a catch-up tests cache entries against; past it the
+// cache is flushed.
 const maxEvictAdds = 16
 
 // cacheEffect is the one place a registration change acts on the path
 // cache: added are the distinct expressions registered since the last
 // catch-up (none after a change of SIDs only, which therefore does
-// nothing). Nested-path expressions are no part of an entry and are
-// skipped. See the header for why the kept entries stay exact. Callers
+// nothing). See the header for why the kept entries stay exact. Callers
 // hold the write lock, so the walk cannot interleave with a matcher's
 // Get/Put (matching holds the read lock).
 func (m *Matcher) cacheEffect(added []*expr) {
-	singles := 0
+	chains := 0
 	for _, e := range added {
-		if e.root == nil {
-			singles++
-		}
+		chains += max(1, len(e.subs))
 	}
 	switch {
-	case m.cache == nil || singles == 0:
-	case singles > maxEvictAdds:
+	case m.cache == nil || chains == 0:
+	case chains > maxEvictAdds:
 		m.cache.Invalidate()
 	default:
 		var tags []string
 		m.cache.Evict(func(sig string) bool {
 			tags = sigTags(tags[:0], sig)
 			for _, e := range added {
-				if e.root == nil && m.canMatch(e, tags) {
+				if m.canMatch(e, tags) {
 					return true
 				}
 			}
@@ -162,12 +162,17 @@ func sigTags(tags []string, sig string) []string {
 	return tags
 }
 
-// canMatch reports whether every predicate of e's chain matches a path
+// canMatch reports whether every predicate of e's chain — for a
+// nested-path expression, of one of its sub-expressions' — matches a path
 // with this tag sequence, attribute filters aside: the predicate stage's
 // rules (predindex.matchPath) read off the signature, where a tag's
 // position is its index plus one. It is the condition under which the
-// sweep makes e's unit a candidate, and it holds on every path e matches.
+// sweep makes e's unit a candidate, and a miss compiles a sub-expression,
+// and it holds on every path e matches.
 func (m *Matcher) canMatch(e *expr, tags []string) bool {
+	if e.root != nil {
+		return slices.ContainsFunc(e.subs, func(n *nestedNode) bool { return m.canMatch(&n.expr, tags) })
+	}
 	for _, pid := range e.pids {
 		p := m.ix.Pred(pid)
 		holds := func(d int) bool { return d == p.Value || p.Op == predicate.GE && d > p.Value }
@@ -200,8 +205,7 @@ func (m *Matcher) canMatch(e *expr, tags []string) bool {
 // the document ran already takes its record's entry, with no cache probe;
 // else the Shape picks the cache shard and the signature the entry, and a
 // miss runs the structural predicate stage and builds it. Every path then
-// runs its entry, and, while a nested-path expression is registered, the
-// live predicate stage its recombination reads.
+// runs its entry.
 func (m *Matcher) matchPathCached(sc *scratch, cs *colScratch, pub *xmldoc.Publication, bud *guard.Budget) {
 	r := sc.record(pub)
 	first := r == nil
@@ -219,11 +223,6 @@ func (m *Matcher) matchPathCached(sc *scratch, cs *colScratch, pub *xmldoc.Publi
 		r = sc.newRecord(pub, ent)
 	}
 	m.runEntry(sc, r, first, pub, bud)
-	if len(m.nested) > 0 && !bud.Exceeded() {
-		sc.res.Reset(m.ix.Len())
-		m.ix.MatchPath(pub, sc.res, true)
-		m.collectNested(sc, bud)
-	}
 }
 
 // shapeRec is the document's record of one path shape whose entry ran. Its
@@ -265,8 +264,9 @@ func (sc *scratch) newRecord(pub *xmldoc.Publication, ent *pathcache.Entry) *sha
 
 // runEntry is the cache hit: it folds the entry's contribution for the
 // current path into sc — the structural outcome on the shape's first
-// path, then the program's units over the document's attribute values. A
-// miss ends here too, on the entry it just built.
+// path, then the program's units over the document's attribute values —
+// and records the path for the sub-expressions the entry holds. A miss
+// ends here too, on the entry it just built.
 func (m *Matcher) runEntry(sc *scratch, r *shapeRec, first bool, pub *xmldoc.Publication, bud *guard.Budget) {
 	ent, p := r.ent, r.ent.Prog
 	if first {
@@ -274,16 +274,21 @@ func (m *Matcher) runEntry(sc *scratch, r *shapeRec, first bool, pub *xmldoc.Pub
 			sc.matched[id] = true
 		}
 	}
-	if p == nil || !m.progTests(sc, r, first, pub) {
+	if p == nil {
 		return
 	}
-	// Charged like the sweep, a step per 64 operations: an entry's tests,
-	// pairs and marks are bounded by the units a scalar loop would have
-	// evaluated at one step or more apiece. Determination charges its own.
-	if n := int64((len(p.Tests) + len(p.Pairs) + progUnits(sc, p, r.pass)) >> 6); n > 0 {
-		bud.StepN(n)
+	decided := m.progTests(sc, r, first, pub)
+	if decided {
+		// Charged like the sweep, a step per 64 operations: an entry's
+		// tests, pairs and marks are bounded by the units a scalar loop
+		// would have evaluated at one step or more apiece. Determination
+		// charges its own.
+		if n := int64((len(p.Tests) + len(p.Pairs) + progUnits(sc, p, r.pass)) >> 6); n > 0 {
+			bud.StepN(n)
+		}
+		m.progChains(sc, p, r.pass, bud)
 	}
-	m.progChains(sc, p, r.pass, bud)
+	m.recordNested(sc, p, r.pass, pub)
 }
 
 // progTests decides the program's tests into the record's pass bits — on
@@ -351,7 +356,7 @@ func progUnits(sc *scratch, p *pathcache.Program, pass []uint64) (marked int) {
 // keeps the pairs whose guards passed, and occurrence determination runs
 // over a unit's levels, charging the budget a step per pair it visits.
 func (m *Matcher) progChains(sc *scratch, p *pathcache.Program, pass []uint64, bud *guard.Budget) {
-	if len(p.Chains) == 0 {
+	if len(p.Chains) == 0 || p.Chains[0].ID < 0 {
 		return
 	}
 	if cap(sc.pairBuf) < len(p.Pairs) {
@@ -370,6 +375,9 @@ func (m *Matcher) progChains(sc *scratch, p *pathcache.Program, pass []uint64, b
 	sc.pairBuf, sc.filt = buf, lists
 chains:
 	for _, c := range p.Chains {
+		if c.ID < 0 {
+			return // the nested-path sub-expressions, which recordNested reads
+		}
 		if sc.matched[c.ID] {
 			continue
 		}
@@ -416,7 +424,7 @@ func (m *Matcher) buildEntry(sc *scratch, cs *colScratch, ambiguous bool, bud *g
 	cs.plan = cs.plan[:0]
 	m.markCandidates(sc, cs, acc, true, ambiguous, bud)
 	var prog *pathcache.Program
-	if len(cs.plan) > 0 && !bud.Exceeded() {
+	if (len(cs.plan) > 0 || len(m.nodes) > 0) && !bud.Exceeded() {
 		prog = m.compileProgram(sc, cs, ambiguous, bud)
 	}
 	sc.logging = false
@@ -449,9 +457,10 @@ type listKey struct {
 }
 
 // compileProgram compiles the live candidates of the current path
-// (cs.plan) over the structural results into the entry's program, nil when
-// none of them is left to decide. A Postponed member without filters is
-// marked instead, into the outcome being logged.
+// (cs.plan) and the sub-expressions that can match it over the structural
+// results into the entry's program, nil when none of them is left. A
+// Postponed member without filters is marked instead, into the outcome
+// being logged.
 func (m *Matcher) compileProgram(sc *scratch, cs *colScratch, ambiguous bool, bud *guard.Budget) *pathcache.Program {
 	b := &progBuilder{tests: make(map[pathcache.ProgTest]int32), lists: make(map[listKey]int32)}
 	for _, c := range cs.plan {
@@ -468,6 +477,7 @@ func (m *Matcher) compileProgram(sc *scratch, cs *colScratch, ambiguous bool, bu
 			}
 		}
 	}
+	m.compileNested(sc, b)
 	if bud.Exceeded() || len(b.p.Units)+len(b.p.Chains) == 0 {
 		return nil
 	}

@@ -211,8 +211,8 @@ func TestEvictOnDistinctAdd(t *testing.T) {
 }
 
 // TestEvictFlushRules: a bulk load flushes the cache instead of walking
-// it; a nested-path expression, added or present, neither flushes it nor
-// costs it an entry.
+// it; a nested-path expression, added or present, does not flush it: it
+// costs the entries its sub-expressions can match, and no others.
 func TestEvictFlushRules(t *testing.T) {
 	m, docs := nitfSample(t)
 	before := m.Stats().PathCache
@@ -226,8 +226,14 @@ func TestEvictFlushRules(t *testing.T) {
 	}
 	mustAdd(t, m, "/nitf[head]/body")
 	m.MatchDocument(docs[0])
-	if nested := m.Stats().PathCache; nested.Evictions != after.Evictions || nested.Misses != after.Misses {
-		t.Fatalf("a nested expression cost the cache entries: before %+v after %+v", after, nested)
+	nested := m.Stats().PathCache
+	if nested.Invalidations != after.Invalidations || nested.Evictions == after.Evictions || nested.Misses == after.Misses {
+		t.Fatalf("a nested expression flushed the cache, or kept entries its sub-expressions match: before %+v after %+v", after, nested)
+	}
+	mustAdd(t, m, "/nowhere[n]/else")
+	m.MatchDocument(docs[0])
+	if last := m.Stats().PathCache; last.Evictions != nested.Evictions || last.Misses != nested.Misses {
+		t.Fatalf("a nested expression that matches no signature cost the cache entries: before %+v after %+v", nested, last)
 	}
 	mustAdd(t, m, "/nowhere/else") // a nested expression is present
 	m.MatchDocument(docs[0])
@@ -550,11 +556,18 @@ func TestProgramEntryLayout(t *testing.T) {
 	agree(m, sids, plain)
 	kept := entryOf(t, m, plain, 0)
 	st, _ := m.cacheStats()
-	mustAdd(t, m, "/a[b]/q")
+	mustAdd(t, m, "/a[b]/q") // its sub-expression /a/b can match a/b/c
 	agree(m, sids, plain)
 	agree(m, sids, repeated...)
-	if now, _ := m.cacheStats(); entryOf(t, m, plain, 0) != kept || now.Misses != st.Misses || now.Invalidations != st.Invalidations {
-		t.Fatalf("nested expression registered: the entry was rebuilt: before %+v after %+v", st, now)
+	rebuilt := entryOf(t, m, plain, 0)
+	if now, _ := m.cacheStats(); rebuilt == kept || now.Invalidations != st.Invalidations {
+		t.Fatalf("nested expression registered: want the entry rebuilt and no flush: before %+v after %+v", st, now)
+	}
+	st, _ = m.cacheStats()
+	mustAdd(t, m, "/q[b]/a") // neither /q/a nor /q/b can
+	agree(m, sids, plain)
+	if now, _ := m.cacheStats(); entryOf(t, m, plain, 0) != rebuilt || now.Misses != st.Misses || now.Invalidations != st.Invalidations {
+		t.Fatalf("a nested expression no sub-expression of which can match the signature: the entry was rebuilt: before %+v after %+v", st, now)
 	}
 }
 

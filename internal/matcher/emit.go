@@ -101,18 +101,13 @@ func (e *Emit) SetSIDs(sids []SID) {
 	e.N = len(sids)
 }
 
-// collect resolves nested-path candidates and writes out the SIDs of the
-// matched flags from the SID blocks, one copy per run of consecutive
-// matched ids within a block: each block's 64 flags are read as one word
-// (flagWord), a block with none is skipped with one test, and each run is
-// found by two trailing-zero counts. With em set it fills em and returns
+// collect writes out the SIDs of the matched flags from the SID blocks,
+// one copy per run of consecutive matched ids within a block: each
+// block's 64 flags are read as one word (flagWord), a block with none is
+// skipped with one test, and each run is found by two trailing-zero
+// counts. With em set it fills em and returns
 // nil; otherwise it returns the SIDs in a fresh slice.
 func (m *Matcher) collect(sc *scratch, em *Emit) []SID {
-	for _, e := range m.nested {
-		if e.root.resolveRoot(sc) {
-			sc.matched[e.id] = true
-		}
-	}
 	out, set := sc.out[:0], sc.sidBits
 	// The matched flags as bytes: a Go bool is one byte, 0 or 1.
 	flags := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(sc.matched))), len(sc.matched))

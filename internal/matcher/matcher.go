@@ -142,6 +142,7 @@ type Matcher struct {
 	units  []*expr            // iteration units, in creation order
 	reps   map[uint64][]*expr // Postponed: bare chainHash → group representatives
 	nested []*expr            // expressions with nested path filters
+	nodes  []*nestedNode      // their sub-expressions, by nestedNode.id
 
 	// The scalar reference's organizations, built by freeze for
 	// exprs[:frozen] when the uncached scalar loop next runs.
@@ -211,8 +212,9 @@ type expr struct {
 	live bool
 
 	// Nested-path expressions:
-	root *nestedNode // non-nil iff the expression has nested path filters
-	nsrc string      // canonical source text, the dedup identity of a nested expression
+	root *nestedNode   // non-nil iff the expression has nested path filters
+	subs []*nestedNode // the nodes of root's tree
+	nsrc string        // canonical source text, the dedup identity of a nested expression
 }
 
 // New returns an empty matcher with the given options.
@@ -490,6 +492,10 @@ func (m *Matcher) catchUp() {
 	for _, e := range added {
 		if e.root != nil {
 			m.nested = append(m.nested, e)
+			for _, n := range e.subs {
+				n.id = len(m.nodes)
+				m.nodes = append(m.nodes, n)
+			}
 			continue
 		}
 		u := e
@@ -698,7 +704,7 @@ type docWork struct {
 	paths int // paths that survived dedup
 	tests int // attribute tests hit programs evaluated
 	evals int // units the columnar kernel sent through occurrence determination
-	pairs int // occurrence pairs Determine and Enumerate visited
+	pairs int // occurrence pairs Determine and Support visited
 }
 
 // scratch is the pooled working state of one document, and the state of
@@ -710,6 +716,7 @@ type scratch struct {
 	cs    *colScratch
 	bud   *guard.Budget
 	dedup bool
+	count *counter      // set on a counted document: its paths count instead
 	match time.Duration // one clock pair per distinct path, plus collection
 	bd    Breakdown     // the scalar loop's split
 	work  docWork
@@ -720,16 +727,25 @@ type scratch struct {
 	chain   [][]occur.Pair
 	filt    [][]occur.Pair
 	pairBuf []occur.Pair
-	occBuf  []uint64     // occur.Determine's bitsets
-	assign  []occur.Pair // occur.Enumerate's combination
+	occBuf  []uint64 // occur.Determine's bitsets, occur.Support's counts
+	on      []uint64 // occur.Support's per-pair counts
 	out     []SID
 	sidBits []uint64 // collect's SID bitset, all-zero between uses
 	pub     *xmldoc.Publication
-	ncands  map[*nestedNode][]nestedCand
-	kids    []int32             // the node ids of the document's nested candidates' children
-	wits    []int32             // resolve's witness sets, one sorted run per node
-	spans   [][2]int32          // resolve's stack of the children's runs in wits
-	seen    map[uint64]struct{} // per-document distinct path keys (key)
+	// seen maps the document's distinct path keys (key) to the nested
+	// record their first path made (rec: an index of npaths, -1 for none).
+	seen map[uint64]int32
+	rec  int32
+
+	// The document's nested-path records (nested.go) over the slabs npass
+	// and nids; resolve's branch tables (tabs), and its witness sets as runs
+	// of wits, the children's on spans.
+	npaths []nestPath
+	npass  []uint64
+	nids   []int32
+	tabs   [][]int32
+	wits   []int32
+	spans  [][2]int32
 
 	// Path-cache working state (see cache.go). matched2 is kept all-false
 	// between uses: cache misses evaluate structural units against it with
@@ -763,7 +779,7 @@ func (sc *scratch) mark(id int) {
 // getScratch takes a scratch for one document matched on cs under bud.
 func (m *Matcher) getScratch(cs *colScratch, bud *guard.Budget) *scratch {
 	sc := m.pool.Get().(*scratch)
-	sc.m, sc.cs, sc.bud, sc.dedup = m, cs, bud, m.pathDedup()
+	sc.m, sc.cs, sc.bud, sc.dedup, sc.count = m, cs, bud, m.pathDedup(), nil
 	if cs != nil {
 		sc.stats = cs.stats
 	}
@@ -790,13 +806,10 @@ func (m *Matcher) getScratch(cs *colScratch, bud *guard.Budget) *scratch {
 	if w := bitset.Words(len(m.sidOwner)); len(sc.sidBits) < w {
 		sc.sidBits = make([]uint64, w+w/8)
 	}
-	if sc.ncands == nil {
-		sc.ncands = make(map[*nestedNode][]nestedCand)
-	}
 	if sc.seen == nil {
 		// The shape slabs start at a large document's size: a fresh scratch
 		// (the pool drops them at GC) does not grow them step by step.
-		sc.seen, sc.shapes = make(map[uint64]struct{}), make(map[uint64]int32, 32)
+		sc.seen, sc.shapes = make(map[uint64]int32), make(map[uint64]int32, 32)
 		sc.recs, sc.recTuples, sc.recPass = make([]shapeRec, 0, 32), make([]xmldoc.Tuple, 0, 256), make([]uint64, 0, 128)
 	}
 	sc.reset()
@@ -804,15 +817,13 @@ func (m *Matcher) getScratch(cs *colScratch, bud *guard.Budget) *scratch {
 }
 
 // reset starts the document afresh: no marks, paths seen, shape records
-// (pointers cleared), nested-path candidates or resolved values (the ranks
-// may be new), no match time or work.
+// or nested records (pointers cleared), or resolved values (the ranks may
+// be new), no match time or work.
 func (sc *scratch) reset() {
 	clear(sc.matched)
 	clear(sc.seen)
-	for n, cands := range sc.ncands {
-		sc.ncands[n] = cands[:0]
-	}
-	sc.kids = sc.kids[:0]
+	clear(sc.npaths)
+	sc.npaths, sc.npass, sc.nids = sc.npaths[:0], sc.npass[:0], sc.nids[:0]
 	clear(sc.shapes)
 	clear(sc.recs)
 	clear(sc.recTuples)
@@ -823,35 +834,53 @@ func (sc *scratch) reset() {
 }
 
 // Path matches one root-to-leaf path of the document, unless the document
-// had it already: a repeated path costs one probe and reads no clock, not
-// even the budget's, so its time is parse time. A distinct path reads the
-// clock twice, around matchPath, into the match time. Once the budget
-// trips the remaining paths are skipped: the budget's error is the
-// document's verdict, unless a scan's own verdict beats it.
+// had it already: a repeated path costs one probe, records its node ids
+// against the first one's nested record and replays its counts, and reads
+// no clock, not even the budget's, so its time is parse time. A distinct
+// path reads the clock twice, around matchPath, into the match time. Once
+// the budget trips the remaining paths are skipped: the budget's error is
+// the document's verdict, unless a scan's own verdict beats it.
 func (sc *scratch) Path(pub *xmldoc.Publication) {
+	var key uint64
 	if sc.dedup {
-		key := sc.key(pub)
-		if _, ok := sc.seen[key]; ok {
+		key = sc.key(pub)
+		if rec, ok := sc.seen[key]; ok {
+			if rec >= 0 {
+				sc.addPath(sc.npaths[rec], pub)
+			}
+			if k := sc.count; k != nil {
+				k.add(k.memo[key])
+			}
 			return
 		}
-		sc.seen[key] = struct{}{}
 	}
 	sc.work.paths++
+	sc.rec = -1
 	if sc.bud.CheckPoint() {
 		t := time.Now()
 		sc.m.matchPath(sc, pub)
 		sc.match += time.Since(t)
 	}
+	if sc.dedup {
+		sc.seen[key] = sc.rec
+		if k := sc.count; k != nil {
+			k.memo[key] = slices.Clone(k.path)
+		}
+	}
 }
 
 // Restart discards the document's work when its scan falls back to
 // encoding/xml, which emits every path again: marks, resolved values,
-// match time, work and kernel counters, and spent budget.
+// match time, work and kernel counters, counts, and spent budget.
 func (sc *scratch) Restart() {
 	sc.reset()
 	sc.bud.Restart()
 	if sc.cs != nil {
 		sc.cs.stats = sc.stats
+	}
+	if k := sc.count; k != nil {
+		clear(k.counts)
+		clear(k.memo)
 	}
 }
 
@@ -885,14 +914,19 @@ func (m *Matcher) ensureFrozen() {
 // matchPath runs the two matching stages for one publication, folding
 // results into sc. sc.cs carries the columnar kernel's state; nil selects
 // the scalar reference loop, which exists only uncached and alone splits
-// its time into Figure 10's stages (sc.bd). Effort is charged to sc.bud
-// (nil is unlimited); once it trips the path is abandoned and the caller
-// must surface its error instead of a result. Callers must hold the read
-// lock with the derived state of their kernel (ensureColumnar,
+// its time into Figure 10's stages (sc.bd); on a counted document
+// (sc.count) the counter takes the path instead. Effort is charged to
+// sc.bud (nil is unlimited); once it trips the path is abandoned and the
+// caller must surface its error instead of a result. Callers must hold
+// the read lock with the derived state of their kernel (ensureColumnar,
 // ensureFrozen) current.
 func (m *Matcher) matchPath(sc *scratch, pub *xmldoc.Publication) {
 	sc.pub = pub
 	cs, bud := sc.cs, sc.bud
+	if sc.count != nil {
+		sc.count.match(pub)
+		return
+	}
 	if m.cache != nil {
 		m.matchPathCached(sc, cs, pub, bud)
 		return
@@ -903,7 +937,7 @@ func (m *Matcher) matchPath(sc *scratch, pub *xmldoc.Publication) {
 		m.ix.MatchPath(pub, sc.res, true)
 		t1 := time.Now()
 		m.runUnits(sc, bud)
-		m.collectNested(sc, bud)
+		m.recordLive(sc, pub)
 		sc.bd.PredMatch += t1.Sub(t0)
 		sc.bd.ExprMatch += time.Since(t1)
 		return
@@ -915,7 +949,7 @@ func (m *Matcher) matchPath(sc *scratch, pub *xmldoc.Publication) {
 		return
 	}
 	m.markCandidates(sc, cs, acc, false, ambiguous, bud)
-	m.collectNested(sc, bud)
+	m.recordLive(sc, pub)
 }
 
 // runUnits is the scalar reference's expression-matching stage: the
@@ -969,11 +1003,10 @@ func (sc *scratch) key(pub *xmldoc.Publication) uint64 {
 // pathDedup reports whether per-document path deduplication is active.
 // Structurally identical publications produce identical matching results
 // (the predicate rules see only tags, positions and, for attribute-
-// carrying predicates, attribute values), but node identity matters to
-// nested-path recombination, so dedup is disabled when nested expressions
-// are registered.
+// carrying predicates, attribute values); the node identity nested-path
+// recombination needs is what a repeated path still records (Path).
 func (m *Matcher) pathDedup() bool {
-	return len(m.nested) == 0 && !m.opts.DisablePathDedup
+	return !m.opts.DisablePathDedup
 }
 
 // MatchDocumentBreakdown is MatchDocument with its cost: Figure 10's split
@@ -1023,15 +1056,16 @@ func (m *Matcher) matchDoc(cs *colScratch, doc *xmldoc.Document, bud *guard.Budg
 	return out, bd, err
 }
 
-// end closes the document's match: the budget's error, or nested-path
-// recombination and the result — emitted into em when it is set, else
-// returned — with collect's time in the match time (and, for the scalar
-// loop, in sc.bd.Other).
+// end closes the document's match: nested-path recombination, then the
+// budget's error or the result — emitted into em when it is set, else
+// returned — with their time in the match time (and, for the scalar loop,
+// in sc.bd.Other).
 func (m *Matcher) end(sc *scratch, em *Emit) ([]SID, error) {
+	t := time.Now()
+	m.resolveNested(sc)
 	if err := sc.bud.Err(); err != nil {
 		return nil, err
 	}
-	t := time.Now()
 	out := m.collect(sc, em)
 	d := time.Since(t)
 	sc.match += d

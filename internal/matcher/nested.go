@@ -3,11 +3,13 @@ package matcher
 import (
 	"fmt"
 	"slices"
+	"sort"
 
-	"predfilter/internal/guard"
 	"predfilter/internal/occur"
+	"predfilter/internal/pathcache"
 	"predfilter/internal/predicate"
 	"predfilter/internal/predindex"
+	"predfilter/internal/xmldoc"
 	"predfilter/internal/xpath"
 )
 
@@ -26,18 +28,35 @@ import (
 // The paper detects "same node" by comparing child-index vectors
 // <m1,...,mn> up to the branch position; two paths agreeing on the vector
 // prefix share exactly the position-v ancestor, so this implementation
-// uses document node identity directly (see DESIGN.md §6): every
-// sub-expression match contributes the node id at its branch position, and
-// witness sets are intersected bottom-up over the decomposition tree.
+// uses document node identity directly (see DESIGN.md §6).
+//
+// A sub-expression's chain on a path depends only on the path's signature,
+// so it is part of the path-cache entry (compileNested): its levels are
+// the guarded pair lists chain units use, and each branch step its chain
+// names comes with the tuple index of each occurrence of the step's tag.
+// Per document, a path's hit records the pass bits of its tests and the
+// node ids of its tuples (a nestPath); a repeated path skips the kernel
+// and records its node ids against the first one's bits. At document end
+// the records resolve bottom-up (resolve): a pair naming a child's branch
+// step is kept only if its node there is in the child's witness set, and
+// a backward and a forward pass (occur.Support) find the kept pairs on a
+// full chain, whose nodes at the sub-expression's own branch step are its
+// witness set. Each pair is read once by the filter and at most once by
+// the passes.
 
-// nestedNode is one sub-expression in the decomposition tree.
+// nestedNode is one sub-expression in the decomposition tree. Its chain
+// is an expr's (pids, postTests), whose id is the node's index in
+// Matcher.nodes; a program's chain of it has the ID ^id.
 type nestedNode struct {
+	expr
 	path       *xpath.Path // linear (nested filters stripped)
 	enc        *predicate.Encoding
-	pids       []predindex.PID
-	post       [][2][]predicate.Test
 	branchStep int // 0-based hosting step index in the parent path; -1 at the root
 	children   []*nestedNode
+	// The levels and sides of the chain that name branch steps: the node's
+	// own (none at the root), then each child's.
+	refs  []predicate.StepRef
+	owner int // the nested-path expression's id
 }
 
 // ExplainNested renders the decomposition of a nested-path expression:
@@ -86,8 +105,8 @@ func (m *Matcher) registerNested(p *xpath.Path) (*expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.insertNested(root)
 	e := &expr{id: len(m.exprs), root: root, nsrc: src}
+	m.insertNested(e, root)
 	m.exprs = append(m.exprs, e)
 	m.byKey[key] = append(m.byKey[key], e)
 	return e, nil
@@ -135,140 +154,212 @@ func buildNested(p *xpath.Path, mode predicate.AttrMode) (*nestedNode, error) {
 }
 
 // insertNested stores the predicates and compiles the postponed filters of
-// an accepted decomposition tree, children before their parent.
-func (m *Matcher) insertNested(n *nestedNode) {
+// an accepted decomposition tree, children before their parent, and lists
+// its nodes in e.subs.
+func (m *Matcher) insertNested(e *expr, n *nestedNode) {
 	for _, c := range n.children {
-		m.insertNested(c)
+		m.insertNested(e, c)
 	}
 	n.pids = make([]predindex.PID, len(n.enc.Preds))
 	for i, pr := range n.enc.Preds {
 		n.pids[i] = m.ix.Insert(pr)
+		m.attrSensitive = m.attrSensitive || pr.HasAttrs()
 	}
-	n.post = m.compilePost(n.enc)
-}
-
-// collectNested gathers every nested-path expression's candidates on the
-// current path from the live predicate results in sc.res.
-func (m *Matcher) collectNested(sc *scratch, bud *guard.Budget) {
-	for _, e := range m.nested {
-		e.root.collect(m, sc, bud)
-	}
-}
-
-// nestedCand is one structural match of a sub-expression on one document
-// path: the node id at the node's own branch position (or -1 at the root)
-// plus the node ids at each child's branch position, a run of the
-// document's slab (scratch.kids).
-type nestedCand struct {
-	own  int32
-	kids []int32
-}
-
-// collect enumerates this node's (and recursively its children's)
-// structural matches on the current publication and appends candidates to
-// the per-call scratch. Each occurrence pair the enumeration visits
-// charges one budget step; once the budget trips the enumeration stops and
-// the caller surfaces bud.Err instead of a result.
-func (n *nestedNode) collect(m *Matcher, sc *scratch, bud *guard.Budget) {
-	if bud.Exceeded() {
-		return
+	n.postTests = m.compilePost(n.enc)
+	m.attrSensitive = m.attrSensitive || n.postTests != nil
+	if n.branchStep >= 0 {
+		n.refs = append(n.refs, n.enc.Refs[n.branchStep])
 	}
 	for _, c := range n.children {
-		c.collect(m, sc, bud)
+		n.refs = append(n.refs, n.enc.Refs[c.branchStep])
 	}
-	if bud.Exceeded() {
+	n.owner = e.id
+	e.subs = append(e.subs, n)
+}
+
+// compileNested adds to the program being built each sub-expression of
+// the registered nested-path expressions, removed ones included, every
+// predicate of whose chain has pairs in sc.res (canMatch's condition), in
+// the order of m.nodes: a chain after the chain units, with the ID ^n.id
+// and a run of Levels holding its levels' pair lists, -1, then per branch
+// reference the tuple index of each occurrence of its tag, closed by -1.
+func (m *Matcher) compileNested(sc *scratch, b *progBuilder) {
+nodes:
+	for _, n := range m.nodes {
+		for _, pid := range n.pids {
+			if len(sc.res.Get(pid)) == 0 {
+				continue nodes
+			}
+		}
+		b.p.Chains = append(b.p.Chains, pathcache.ProgChain{ID: ^int32(n.id), Levels: int32(len(b.p.Levels))})
+		for l := range n.pids {
+			b.p.Levels = append(b.p.Levels, b.list(m, sc, levelKey(&n.expr, l)))
+		}
+		b.p.Levels = append(b.p.Levels, -1)
+		for _, r := range n.refs {
+			p := m.ix.Pred(n.pids[r.Pred])
+			for i := range sc.pub.Tuples {
+				if sc.pub.Tuples[i].Tag == [2]string{p.Tag1, p.Tag2}[r.Side] {
+					b.p.Levels = append(b.p.Levels, int32(i))
+				}
+			}
+			b.p.Levels = append(b.p.Levels, -1)
+		}
+	}
+}
+
+// nestPath is one path recorded for the sub-expressions of its entry's
+// program: the pass bits of its tests, sc.npass[pass:], and the node ids
+// of its tuples, sc.nids[ids:].
+type nestPath struct {
+	prog      *pathcache.Program
+	pass, ids int32
+}
+
+// recordNested records the current path for the sub-expressions p holds,
+// if one belongs to a nested-path expression with a live SID.
+func (m *Matcher) recordNested(sc *scratch, p *pathcache.Program, pass []uint64, pub *xmldoc.Publication) {
+	for _, c := range subChains(p) {
+		if len(m.sids(m.nodes[^c.ID].owner)) > 0 {
+			sc.addPath(nestPath{prog: p, pass: int32(len(sc.npass))}, pub)
+			sc.npass = append(sc.npass, pass...)
+			return
+		}
+	}
+}
+
+// addPath records pub as np with the node ids of its tuples.
+func (sc *scratch) addPath(np nestPath, pub *xmldoc.Publication) {
+	sc.rec, np.ids = int32(len(sc.npaths)), int32(len(sc.nids))
+	sc.npaths = append(sc.npaths, np)
+	for i := range pub.Tuples {
+		sc.nids = append(sc.nids, int32(pub.Tuples[i].NodeID))
+	}
+}
+
+// subChains returns the chains of p that are nested-path sub-expressions.
+func subChains(p *pathcache.Program) []pathcache.ProgChain {
+	return p.Chains[sort.Search(len(p.Chains), func(i int) bool { return p.Chains[i].ID < 0 }):]
+}
+
+// recordLive records the current path for the uncached arms: the
+// sub-expressions compiled from their live predicate results as a miss
+// compiles them, and their tests decided as a hit decides them.
+func (m *Matcher) recordLive(sc *scratch, pub *xmldoc.Publication) {
+	if len(m.nodes) == 0 {
 		return
 	}
-	chain := sc.chain[:0]
-	for _, pid := range n.pids {
-		r := sc.res.Get(pid)
-		if len(r) == 0 {
-			sc.chain = chain
-			return
-		}
-		chain = append(chain, r)
+	b := &progBuilder{tests: make(map[pathcache.ProgTest]int32), lists: make(map[listKey]int32)}
+	if m.compileNested(sc, b); len(b.p.Chains) > 0 {
+		r := sc.newRecord(pub, &pathcache.Entry{Prog: b.finish()})
+		m.progTests(sc, r, true, pub)
+		m.recordNested(sc, r.ent.Prog, r.pass, pub)
 	}
-	sc.chain = chain
-	if n.post != nil {
-		filtered, ok := m.filterChain(sc, n.pids, n.post, chain)
-		if !ok {
-			return
-		}
-		chain = filtered
-	}
-	sc.work.pairs += occur.Enumerate(chain, bud, &sc.assign, func(assign []occur.Pair) bool {
-		cand := nestedCand{own: -1}
-		if n.branchStep >= 0 {
-			cand.own = n.nodeIDAt(m, sc, assign, n.branchStep)
-		}
-		if len(n.children) > 0 {
-			lo := len(sc.kids)
-			for _, c := range n.children {
-				sc.kids = append(sc.kids, n.nodeIDAt(m, sc, assign, c.branchStep))
-			}
-			cand.kids = sc.kids[lo:len(sc.kids):len(sc.kids)]
-		}
-		sc.ncands[n] = append(sc.ncands[n], cand)
-		return true
-	})
 }
 
-// nodeIDAt recovers the document node id matched by the given location
-// step under the occurrence assignment, via the step→predicate reference
-// map of the encoding.
-func (n *nestedNode) nodeIDAt(m *Matcher, sc *scratch, assign []occur.Pair, step int) int32 {
-	ref := n.enc.Refs[step]
-	pr := assign[ref.Pred]
-	p := m.ix.Pred(n.pids[ref.Pred])
-	var tag string
-	var o int32
-	if ref.Side == predicate.Left {
-		tag, o = p.Tag1, pr.A
-	} else {
-		tag, o = p.Tag2, pr.B
+// resolveNested recombines each nested-path expression with a live SID
+// from the document's records and marks those that match. A budget trip
+// leaves the marks partial; the caller surfaces the budget's error.
+func (m *Matcher) resolveNested(sc *scratch) {
+	for _, e := range m.nested {
+		if len(sc.npaths) > 0 && len(m.sids(e.id)) > 0 {
+			sc.wits, sc.spans = sc.wits[:0], sc.spans[:0]
+			_, _, sc.matched[e.id] = m.resolve(sc, e.root)
+		}
 	}
-	return int32(sc.tupleAt(tag, o).NodeID)
 }
 
-// resolveRoot reports whether the whole nested expression matched the
-// document, recombining candidates bottom-up.
-func (n *nestedNode) resolveRoot(sc *scratch) bool {
-	sc.wits, sc.spans = sc.wits[:0], sc.spans[:0]
-	_, _, any := n.resolve(sc)
-	return any
-}
-
-// resolve returns the witness set (the branch-position node ids of
-// supported matches, sorted and distinct) as the run sc.wits[lo:hi], and
-// whether any candidate was supported by all children. The children's runs
-// sit on sc.spans while the node's candidates are checked against them.
-func (n *nestedNode) resolve(sc *scratch) (lo, hi int32, any bool) {
+// resolve returns n's witness set — the node ids at its branch step of the
+// pairs there on a full chain, sorted and distinct — as the run
+// sc.wits[lo:hi], and whether any recorded path has a full chain. On each
+// path a level keeps the pairs whose guards passed and, where it names a
+// child's branch step, whose node there is in the child's witness set (a
+// run on sc.spans meanwhile); occur.Support finds which kept pairs of the
+// own branch level (the last level at the root) lie on a full chain. The
+// budget is charged a step per pair Support visits and, in one go, per
+// pair the levels read.
+func (m *Matcher) resolve(sc *scratch, n *nestedNode) (lo, hi int32, any bool) {
 	base := len(sc.spans)
 	for _, c := range n.children {
-		clo, chi, _ := c.resolve(sc)
+		clo, chi, _ := m.resolve(sc, c)
 		sc.spans = append(sc.spans, [2]int32{clo, chi})
 	}
 	lo = int32(len(sc.wits))
-	for _, cand := range sc.ncands[n] {
-		ok := true
-		for i, k := range cand.kids {
-			run := sc.spans[base+i]
-			if _, ok = slices.BinarySearch(sc.wits[run[0]:run[1]], k); !ok {
-				break
-			}
-		}
-		if !ok {
+	own, at, read := 0, len(n.pids)-1, 0
+	if n.branchStep >= 0 {
+		own, at = 1, n.refs[0].Pred
+	}
+	for _, np := range sc.npaths {
+		p, pass, subs := np.prog, sc.npass[np.pass:], subChains(np.prog)
+		i, ok := slices.BinarySearchFunc(subs, n.id, func(c pathcache.ProgChain, id int) int { return int(^c.ID) - id })
+		if !ok || sc.bud.Exceeded() {
 			continue
 		}
-		any = true
-		if cand.own >= 0 {
-			sc.wits = append(sc.wits, cand.own)
+		run := p.Levels[subs[i].Levels:]
+		tabs, rest := sc.tabs[:0], run[len(n.pids)+1:]
+		for range n.refs {
+			e := slices.Index(rest, -1)
+			tabs, rest = append(tabs, rest[:e]), rest[e+1:]
+		}
+		chain := sc.chain[:0]
+		lists := slices.Grow(sc.filt[:0], len(p.Lists))[:len(p.Lists)-1]
+		clear(lists)
+		sc.tabs, sc.filt, sc.pairBuf = tabs, lists, sc.pairBuf[:0]
+		for l, k := range run[:len(n.pids)] {
+			if lists[k] == nil { // a list levels share is cut to its passing pairs once
+				start := len(sc.pairBuf)
+				for _, pp := range p.Pairs[p.Lists[k]:p.Lists[k+1]] {
+					if pp.Guard < 0 || allPass(p.More[pp.Guard:], pass) {
+						sc.pairBuf = append(sc.pairBuf, pp.Pair)
+					}
+				}
+				read += int(p.Lists[k+1] - p.Lists[k])
+				lists[k] = sc.pairBuf[start:len(sc.pairBuf):len(sc.pairBuf)]
+			}
+			pairs := lists[k]
+			for j, r := range n.refs[own:] {
+				if r.Pred != l {
+					continue
+				}
+				w, start := sc.spans[base+j], len(sc.pairBuf)
+				for _, pr := range pairs {
+					if _, ok := slices.BinarySearch(sc.wits[w[0]:w[1]], sc.nodeAt(r, tabs[own+j], np, pr)); ok {
+						sc.pairBuf = append(sc.pairBuf, pr)
+					}
+				}
+				read += len(pairs)
+				pairs = sc.pairBuf[start:len(sc.pairBuf):len(sc.pairBuf)]
+			}
+			if len(pairs) == 0 {
+				break
+			}
+			chain = append(chain, pairs)
+		}
+		if sc.chain = chain; len(chain) < len(n.pids) {
+			continue
+		}
+		sc.on = slices.Grow(sc.on[:0], len(chain[at]))[:len(chain[at])]
+		sc.work.pairs += occur.Support(chain, at, sc.on, sc.bud, &sc.occBuf)
+		for k, c := range sc.on {
+			if c == 0 {
+				continue
+			}
+			if any = true; own == 1 {
+				sc.wits = append(sc.wits, sc.nodeAt(n.refs[0], tabs[0], np, chain[at][k]))
+			}
 		}
 	}
+	sc.bud.StepN(int64(read))
 	sc.spans = sc.spans[:base]
 	w := sc.wits[lo:]
 	slices.Sort(w)
-	w = slices.Compact(w)
-	sc.wits = sc.wits[:int(lo)+len(w)]
-	return lo, int32(len(sc.wits)), any
+	sc.wits = sc.wits[:int(lo)+len(slices.Compact(w))]
+	return lo, int32(len(sc.wits)), any && !sc.bud.Exceeded()
+}
+
+// nodeAt is the node id, on the recorded path np, of the tuple a pair
+// names on r's side: table lists the tuple index of each occurrence of
+// the side's tag.
+func (sc *scratch) nodeAt(r predicate.StepRef, table []int32, np nestPath, pr occur.Pair) int32 {
+	return sc.nids[np.ids+table[[2]int32{pr.A, pr.B}[r.Side]-1]]
 }

@@ -1,14 +1,22 @@
 package matcher
 
 import (
+	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"predfilter/internal/dtd"
+	"predfilter/internal/guard"
+	"predfilter/internal/metrics"
+	"predfilter/internal/predindex"
 	"predfilter/internal/refmatch"
 	"predfilter/internal/xmldoc"
+	"predfilter/internal/xmlgen"
 	"predfilter/internal/xpath"
+	"predfilter/internal/xpgen"
 )
 
 // TestNestedPaperExample exercises the §5 example expression
@@ -291,6 +299,134 @@ func TestRejectedAddLeavesIndex(t *testing.T) {
 					t.Fatalf("after rejecting %q (cached %v): %s matched %v, %v; want %v", c.bad, cached, c.doc, got, err, want)
 				}
 			}()
+		}
+	}
+}
+
+// nestedFixture is nitfSample's expressions and documents on a matcher that
+// counts its work, the expressions registered before extra.
+func nestedFixture(t *testing.T, extra ...string) (*Matcher, *metrics.Set, []*xmldoc.Document) {
+	t.Helper()
+	mx := metrics.NewSet()
+	m := New(Options{Metrics: mx})
+	mustAdd(t, m, xpgen.MustGenerate(dtd.NITF(), xpgen.Config{Count: 300, MaxLength: 6, Wildcard: 0.2, Descendant: 0.2, Distinct: true, Seed: 5})...)
+	mustAdd(t, m, extra...)
+	var docs []*xmldoc.Document
+	for _, raw := range xmlgen.New(dtd.NITF(), xmlgen.Config{Seed: 6}).GenerateN(40) {
+		docs = append(docs, mustParse(t, string(raw)))
+	}
+	return m, mx, docs
+}
+
+// matchWork matches doc and returns the distinct paths and occurrence pairs
+// it cost, and its match set.
+func matchWork(m *Matcher, mx *metrics.Set, doc *xmldoc.Document) (paths, pairs int64, got map[SID]bool) {
+	before := mx.Scrape()
+	got = matchSet(m, doc)
+	after := mx.Scrape()
+	return after.PathsDistinct - before.PathsDistinct, after.OccurPairs - before.OccurPairs, got
+}
+
+// TestNestedKeepsDedup: with BenchmarkNestedHit's three nested-path
+// expressions registered, every warm document matches as many distinct
+// paths as without them — a repeated path records its node ids and skips
+// the kernel — and the nested expressions match as refmatch says.
+func TestNestedKeepsDedup(t *testing.T) {
+	nested := []string{"/nitf[head/title]/body", "//body[body.head]//p", "/nitf/head[meta]/title"}
+	base, bmx, docs := nestedFixture(t)
+	m, mx, _ := nestedFixture(t, nested...)
+	sids := mustAdd(t, m, nested...) // the same expressions: their SIDs
+	matched := 0
+	for i, doc := range docs {
+		matchSet(base, doc)
+		matchSet(m, doc)
+		bp, _, _ := matchWork(base, bmx, doc)
+		p, _, got := matchWork(m, mx, doc)
+		if p != bp {
+			t.Fatalf("doc %d: %d distinct paths with nested expressions, %d without", i, p, bp)
+		}
+		for k, x := range nested {
+			want := refmatch.Match(xpath.MustParse(x), doc)
+			if got[sids[k]] != want {
+				t.Fatalf("doc %d: %s matched=%v, refmatch %v", i, x, got[sids[k]], want)
+			}
+			if want {
+				matched++
+			}
+		}
+	}
+	if matched == 0 {
+		t.Fatal("no nested expression matched any document")
+	}
+}
+
+// TestDeadNestedCostsNothing: a nested-path expression subscribed, matched
+// and unsubscribed leaves every later document the distinct paths,
+// occurrence pairs and match set of an engine that never had it — alone,
+// and beside a live nested expression whose records the dead one's
+// sub-expressions share entries with; subscribed again, it matches as
+// refmatch says.
+func TestDeadNestedCostsNothing(t *testing.T) {
+	const x = "/nitf[head/title]/body"
+	for _, live := range [][]string{nil, {"/nitf/head[meta]/title"}} {
+		base, bmx, docs := nestedFixture(t, live...)
+		m, mx, _ := nestedFixture(t, live...)
+		sid := mustAdd(t, m, x)[0]
+		matchSet(m, docs[0])
+		if err := m.Remove(sid); err != nil {
+			t.Fatal(err)
+		}
+		for _, doc := range docs { // warm: both engines' entries are built
+			matchSet(base, doc)
+			matchSet(m, doc)
+		}
+		for i, doc := range docs {
+			bp, bpairs, bgot := matchWork(base, bmx, doc)
+			p, pairs, got := matchWork(m, mx, doc)
+			if p != bp || pairs != bpairs || !maps.Equal(got, bgot) {
+				t.Fatalf("%v live, doc %d: %d distinct paths, %d pairs, %d matches; never subscribed: %d, %d, %d", live, i, p, pairs, len(got), bp, bpairs, len(bgot))
+			}
+		}
+		sid = mustAdd(t, m, x)[0]
+		for i, doc := range docs {
+			if got, want := matchSet(m, doc)[sid], refmatch.Match(xpath.MustParse(x), doc); got != want {
+				t.Fatalf("%v live, doc %d: re-subscribed %s matched=%v, refmatch %v", live, i, x, got, want)
+			}
+		}
+	}
+}
+
+// TestNestedPairsBounded: on workload.OccurrenceBomb(40, 44)'s document and
+// nested expression — 40 nested a, //a 44 times under a trailing [a] — the
+// occurrence pairs recombination visits are at most twice the pairs of
+// its sub-expressions' chains, cold and warm, and a budget a few times
+// that never trips.
+func TestNestedPairsBounded(t *testing.T) {
+	xpe := strings.Repeat("//a", 44) + "[a]"
+	doc := mustParse(t, strings.Repeat("<a>", 40)+strings.Repeat("</a>", 40))
+	mx := metrics.NewSet()
+	m := New(Options{Metrics: mx})
+	mustAdd(t, m, xpe)
+	m.MatchDocument(doc) // catch up: the sub-expressions' predicates are indexed
+	res := predindex.NewResults(m.ix.Len())
+	m.ix.MatchPath(&doc.Paths[0], res, false)
+	chains := 0
+	for _, n := range m.nodes {
+		for _, pid := range n.pids {
+			chains += len(res.Get(pid))
+		}
+	}
+	for _, pass := range []string{"cold", "warm"} {
+		if pass == "cold" {
+			m.cache.Invalidate()
+		}
+		before := mx.Scrape().OccurPairs
+		sids, _, err := m.MatchDocumentBudget(doc, guard.NewBudget(context.Background(), guard.Limits{MaxSteps: int64(4*chains + 1<<12)}))
+		if err != nil || len(sids) != 0 {
+			t.Fatalf("%s: sids %v, err %v; want no match within the budget", pass, sids, err)
+		}
+		if pairs := mx.Scrape().OccurPairs - before; pairs == 0 || pairs > int64(2*chains) {
+			t.Fatalf("%s: %d occurrence pairs visited, want 1..%d (twice the chains' %d)", pass, pairs, 2*chains, chains)
 		}
 	}
 }

@@ -83,7 +83,7 @@ func (m *Matcher) MatchScanned(docs []ScanDoc, lim guard.Limits) {
 		switch {
 		case d.Count:
 			k = newCounter(sc)
-			v = k
+			sc.count = k
 		case d.Explain:
 			x = m.newExplainer(sc)
 			v = x

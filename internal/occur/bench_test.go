@@ -42,14 +42,15 @@ func BenchmarkDetermineAlg1(b *testing.B) {
 	}
 }
 
-// BenchmarkEnumerate measures full combination enumeration over a warm
-// buffer.
-func BenchmarkEnumerate(b *testing.B) {
+// BenchmarkSupport measures the forward and backward pass around the
+// middle level over a warm buffer.
+func BenchmarkSupport(b *testing.B) {
 	chains := benchChains(64, 4, 4)
-	var buf []Pair
+	var buf []uint64
+	on := make([]uint64, 4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Enumerate(chains[i%len(chains)], nil, &buf, func([]Pair) bool { return true })
+		Support(chains[i%len(chains)], 1, on, nil, &buf)
 	}
 }

@@ -6,20 +6,23 @@
 //
 // Whether a combination exists is reachability from level to level, so
 // Determine answers it in one pass that carries the occurrence numbers a
-// consistent prefix can end at, visiting each pair at most once.
+// consistent prefix can end at, visiting each pair at most once. Support
+// adds the backward pass: which pairs of one level lie on a full
+// combination, as nested-path recombination needs, and how many
+// combinations there are, as combination counting needs — still each pair
+// visited at most once, never an enumeration of the combinations.
 // DetermineAlg1 is a literal transcription of the paper's backtracking
 // Algorithm 1, kept as an executable specification and cross-checked
-// against Determine in tests.
-//
-// Enumerate lists every combination, as nested-path recombination and
-// combination counting need; their number, and the dead ends walked to
-// find them, can grow exponentially in the chain length. Both functions
-// charge one step of a guard.Budget per pair visited, so a budget bounds
-// the enumeration and a tripped budget surfaces as a typed
+// against Determine in tests. Determine and Support charge one step of a
+// guard.Budget per pair visited, so a tripped budget surfaces as a typed
 // *guard.LimitError rather than a silent "no match".
 package occur
 
-import "predfilter/internal/guard"
+import (
+	"slices"
+
+	"predfilter/internal/guard"
+)
 
 // Pair is one occurrence-number pair from a predicate matching result.
 // Single-tag predicates duplicate their occurrence number (A == B);
@@ -113,49 +116,6 @@ func widen(sets []uint64, w2 int) []uint64 {
 	return sets
 }
 
-// Enumerate calls visit for every full chained combination, in
-// depth-first order, and returns the pairs visited. The combination visit
-// receives lives in *buf, which holds it between calls, so a warm buffer
-// makes the call allocation-free; visit must copy it if it retains it.
-// Enumeration stops early when visit returns false. bud is charged one
-// step per pair visited, not just per combination reported, so an
-// enumeration that dead-ends exponentially without completing a
-// combination is still bounded; once it trips, enumeration stops and the
-// caller must surface bud.Err instead of the partial candidate set. A nil
-// budget is unlimited.
-func Enumerate(results [][]Pair, bud *guard.Budget, buf *[]Pair, visit func(assign []Pair) bool) (visited int) {
-	if cap(*buf) < len(results) {
-		*buf = make([]Pair, len(results))
-	}
-	enumerate(results, 0, 0, bud, (*buf)[:len(results)], visit, &visited)
-	return visited
-}
-
-// enumerate extends the combination in assign from level on, where a pair
-// must start at occurrence need, adding the pairs it reads to *visited,
-// and reports whether enumeration goes on.
-func enumerate(results [][]Pair, level int, need int32, bud *guard.Budget, assign []Pair, visit func([]Pair) bool, visited *int) bool {
-	if level == len(results) {
-		return visit(assign)
-	}
-	for i, pr := range results[level] {
-		if bud != nil && !bud.Step() {
-			*visited += i
-			return false
-		}
-		if level > 0 && pr.A != need {
-			continue
-		}
-		assign[level] = pr
-		if !enumerate(results, level+1, pr.B, bud, assign, visit, visited) {
-			*visited += i + 1
-			return false
-		}
-	}
-	*visited += len(results[level])
-	return true
-}
-
 // DetermineAlg1 is a literal transcription of the paper's Algorithm 1,
 // including its explicit back/step bookkeeping. It returns match/noMatch
 // only. Production code uses Determine; this function exists as an
@@ -214,5 +174,111 @@ func DetermineAlg1(results [][]Pair) bool {
 			current = step
 			back = true
 		}
+	}
+}
+
+// Support runs occurrence determination both ways around level at of
+// results (0 ≤ at < len(results)), visiting each pair at most once. A
+// backward pass over levels n-1…at+1 collects the occurrence numbers a
+// chained suffix runs from. A forward pass over levels 0…at then counts,
+// for each pair of level at that such a suffix continues, the chained
+// prefixes ending in it, into on (len(results[at]) long, 0 for the other
+// pairs, saturating at the largest uint64). So the pairs with a nonzero
+// count lie on a full chained combination, and with at the last level the
+// counts sum to the number of combinations.
+//
+// bud is charged one step per pair visited (nil is unlimited); once it
+// trips the counts are partial and the caller must surface bud.Err. buf
+// holds the per-occurrence counts between calls, so a warm buffer makes
+// the call allocation-free.
+func Support(results [][]Pair, at int, on []uint64, bud *guard.Budget, buf *[]uint64) (visited int) {
+	clear(on)
+	last := len(results) - 1
+	// occ[3o+h], h 0 or 1, is a pass's flag or count at occurrence number
+	// o, the sides taking turns from level to level; occ[3o+2] is the
+	// backward pass's result.
+	occ, h := (*buf)[:0], 0
+	defer func() { *buf = occ }()
+	for level := last; level > at; level-- {
+		reached := false
+		for _, pr := range results[level] {
+			if bud != nil && !bud.Step() {
+				return visited
+			}
+			visited++
+			if level == last || get(occ, pr.B, h) != 0 {
+				reached = true
+				occ = grow(occ, pr.A)
+				occ[3*int(pr.A)+1-h] = 1
+			}
+		}
+		if !reached {
+			return visited
+		}
+		clearSide(occ, h)
+		h = 1 - h
+	}
+	for i := h; i < len(occ); i += 3 {
+		occ[i+2-h], occ[i] = occ[i], 0
+	}
+	h = 0
+	for level, r := range results[:at+1] {
+		reached := false
+		for k, pr := range r {
+			if bud != nil && !bud.Step() {
+				return visited
+			}
+			visited++
+			c := uint64(1)
+			if level > 0 {
+				c = get(occ, pr.A, h)
+			}
+			switch {
+			case c == 0:
+			case level == at:
+				if at == last || get(occ, pr.B, 2) != 0 {
+					on[k] = c
+				}
+			default:
+				reached = true
+				occ = grow(occ, pr.B)
+				i := 3*int(pr.B) + 1 - h
+				if occ[i] += c; occ[i] < c {
+					occ[i] = ^uint64(0)
+				}
+			}
+		}
+		if !reached && level < at {
+			return visited
+		}
+		clearSide(occ, h)
+		h = 1 - h
+	}
+	return visited
+}
+
+// get is Support's side j at occurrence number o.
+func get(occ []uint64, o int32, j int) uint64 {
+	if i := 3*int(o) + j; i < len(occ) {
+		return occ[i]
+	}
+	return 0
+}
+
+// grow widens Support's sides to hold occurrence number o.
+func grow(occ []uint64, o int32) []uint64 {
+	n, l := 3*int(o)+3, len(occ)
+	if n <= l {
+		return occ
+	}
+	occ = slices.Grow(occ, n-l)[:n]
+	clear(occ[l:])
+	return occ
+}
+
+// clearSide zeroes Support's side h.
+func clearSide(occ []uint64, h int) {
+	for i := h; i < len(occ); i += 3 {
+		occ[i] = 0
 	}
 }

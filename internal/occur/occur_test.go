@@ -2,6 +2,7 @@ package occur
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -242,65 +243,102 @@ func deepest(results [][]Pair) int {
 	return rec(0, 0)
 }
 
-// TestEnumerate verifies all full combinations are produced exactly once
-// and that early stop works.
-func TestEnumerate(t *testing.T) {
+// TestSupport pins Support on a small chain: the prefix counts of each
+// level's pairs, zeroed where no suffix continues, and the combinations
+// they sum to on the last level.
+func TestSupport(t *testing.T) {
 	results := [][]Pair{
-		pairs([2]int32{1, 1}, [2]int32{1, 2}),
+		pairs([2]int32{1, 1}, [2]int32{1, 2}, [2]int32{1, 3}),
 		pairs([2]int32{1, 1}, [2]int32{2, 2}, [2]int32{2, 1}),
+		pairs([2]int32{1, 4}, [2]int32{5, 5}),
 	}
-	var got [][]Pair
-	if visited := Enumerate(results, nil, new([]Pair), func(assign []Pair) bool {
-		got = append(got, append([]Pair(nil), assign...))
-		return true
-	}); visited != 2+2*3 {
-		t.Errorf("Enumerate visited %d pairs, want every level-2 pair once per level-1 pair: 8", visited)
-	}
-	want := [][]Pair{
-		{{A: 1, B: 1}, {A: 1, B: 1}},
-		{{A: 1, B: 2}, {A: 2, B: 2}},
-		{{A: 1, B: 2}, {A: 2, B: 1}},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("Enumerate produced %d combinations, want %d: %v", len(got), len(want), got)
-	}
-	for i := range want {
-		if got[i][0] != want[i][0] || got[i][1] != want[i][1] {
-			t.Errorf("combination %d = %v, want %v", i, got[i], want[i])
+	var buf []uint64
+	for at, want := range [][]uint64{{1, 1, 0}, {1, 0, 1}, {2, 0}} {
+		on := make([]uint64, len(results[at]))
+		Support(results, at, on, nil, &buf)
+		if !slices.Equal(on, want) {
+			t.Errorf("level %d: counts %v, want %v", at, on, want)
 		}
 	}
-
-	count := 0
-	Enumerate(results, nil, new([]Pair), func([]Pair) bool {
-		count++
-		return false
-	})
-	if count != 1 {
-		t.Errorf("early stop: count=%d, want 1", count)
-	}
-
-	var buf []Pair
-	if n := testing.AllocsPerRun(100, func() {
-		count = 0
-		Enumerate(results, nil, &buf, func([]Pair) bool { count++; return true })
-	}); n != 0 || count != len(want) {
-		t.Errorf("Enumerate over a warm buffer: %v allocations per call, %d combinations", n, count)
+	on := make([]uint64, 2)
+	if n := testing.AllocsPerRun(100, func() { Support(results, 2, on, nil, &buf) }); n != 0 || on[0] != 2 {
+		t.Errorf("Support over a warm buffer: %v allocations per call, counts %v", n, on)
 	}
 }
 
-// TestEnumerateCountMatchesDetermine: Determine finds a match iff
-// Enumerate produces at least one combination.
-func TestEnumerateCountMatchesDetermine(t *testing.T) {
+// combinations lists, by exhaustive depth-first search, the full chained
+// combinations of results as the index of the pair chosen at each level:
+// the ground truth for Support.
+func combinations(results [][]Pair) [][]int {
+	var out [][]int
+	pick := make([]int, len(results))
+	var rec func(level int, need int32)
+	rec = func(level int, need int32) {
+		if level == len(results) {
+			out = append(out, slices.Clone(pick))
+			return
+		}
+		for k, pr := range results[level] {
+			if level == 0 || pr.A == need {
+				pick[level] = k
+				rec(level+1, pr.B)
+			}
+		}
+	}
+	rec(0, 0)
+	return out
+}
+
+// checkSupport compares Support on every level of results with the
+// combinations: a pair's count is the number of distinct chained prefixes
+// ending in it when some combination uses it, else 0; the last level's
+// counts sum to the number of combinations, and a match is what Determine
+// finds.
+func checkSupport(t *testing.T, results [][]Pair, buf *[]uint64) {
+	t.Helper()
+	combos := combinations(results)
+	for at := range results {
+		used := make([]bool, len(results[at]))
+		for _, c := range combos {
+			used[c[at]] = true
+		}
+		want := make([]uint64, len(results[at]))
+		for _, c := range combinations(results[:at+1]) {
+			if used[c[at]] {
+				want[c[at]]++
+			}
+		}
+		on := make([]uint64, len(results[at]))
+		visited := Support(results, at, on, nil, buf)
+		if !slices.Equal(on, want) {
+			t.Fatalf("level %d: counts %v, want %v, input %v", at, on, want, results)
+		}
+		if visited > totalPairs(results) {
+			t.Fatalf("level %d: visited %d pairs of %d", at, visited, totalPairs(results))
+		}
+		if at == len(results)-1 {
+			var sum uint64
+			for _, c := range on {
+				sum += c
+			}
+			ok, _, _ := Determine(results, nil, new([]uint64))
+			if sum != uint64(len(combos)) || ok != (sum > 0) {
+				t.Fatalf("%d combinations, want %d; Determine %v, input %v", sum, len(combos), ok, results)
+			}
+		}
+	}
+}
+
+// TestSupportAgainstBruteForce checks Support against enumeration on
+// random instances, one buffer across them.
+func TestSupportAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	var buf []uint64
-	var assign []Pair // one buffer across chain lengths
 	for i := 0; i < 3000; i++ {
 		results := randomResults(rng)
-		n := 0
-		Enumerate(results, nil, &assign, func([]Pair) bool { n++; return true })
-		ok, _, _ := Determine(results, nil, &buf)
-		if ok != (n > 0) {
-			t.Fatalf("case %d: Determine=%v but Enumerate found %d, input %v", i, ok, n, results)
+		if len(results) == 0 {
+			continue
 		}
+		checkSupport(t, results, &buf)
 	}
 }

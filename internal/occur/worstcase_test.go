@@ -3,6 +3,7 @@ package occur
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"predfilter/internal/guard"
@@ -13,9 +14,9 @@ import (
 // The descendant self-pair over the chain yields every (i, j) with
 // 1 ≤ i < j ≤ n at each of the k levels; a full chained combination would
 // be a strictly increasing sequence of k occurrence numbers drawn from
-// 1..n, so with k > n none exists, and a backtracking search (Algorithm 1,
-// Enumerate) visits every increasing sequence — Θ(2^n) pairs — before
-// answering noMatch.
+// 1..n, so with k > n none exists, and a backtracking search (Algorithm 1)
+// visits every increasing sequence — Θ(2^n) pairs — before answering
+// noMatch.
 func worstCase(n, k int) [][]Pair {
 	level := make([]Pair, 0, n*(n-1)/2)
 	for i := int32(1); i <= int32(n); i++ {
@@ -101,51 +102,64 @@ func TestWorstCaseDetermineBudgetTrips(t *testing.T) {
 	}
 }
 
-func TestEnumerateBudgetChargesDeadEnds(t *testing.T) {
-	// A search that dead-ends without ever producing a full combination
-	// must still consume steps; charging only completed combinations would
-	// leave the exponential dead-end walk unbounded.
-	results := worstCase(12, 13)
-	b := guard.NewBudget(context.Background(), guard.Limits{MaxSteps: 500})
-	visits := 0
-	visited := Enumerate(results, b, new([]Pair), func([]Pair) bool { visits++; return true })
-	if visits != 0 {
-		t.Fatalf("worst case produced %d full combinations, want 0", visits)
+// TestWorstCaseSupport: on the same input Support visits each pair at
+// most once, finds no combination, and charges a budget exactly the pairs
+// it reports.
+func TestWorstCaseSupport(t *testing.T) {
+	var buf []uint64
+	for _, at := range []int{0, 6, 12} {
+		results := worstCase(12, 13)
+		on := make([]uint64, len(results[at]))
+		b := guard.NewBudget(context.Background(), guard.Limits{MaxSteps: 1 << 40})
+		visited := Support(results, at, on, b, &buf)
+		if visited > totalPairs(results) || b.Steps() != int64(visited) {
+			t.Fatalf("at %d: visited %d of %d pairs, charged %d steps", at, visited, totalPairs(results), b.Steps())
+		}
+		for _, c := range on {
+			if c != 0 {
+				t.Fatalf("at %d: counts %v, want none on a chain", at, on)
+			}
+		}
 	}
-	if !b.Exceeded() {
-		t.Fatal("budget survived an exponential dead-end enumeration")
-	}
-	if visited != 500 {
-		t.Fatalf("Enumerate visited %d pairs under a 500-step budget, want the cutoff exact", visited)
+	// Counts saturate rather than wrap: C(78, 39) > 2^64 chains of 40
+	// pairs over 80 tags end in the pair (79, 80).
+	big := worstCase(80, 40)
+	top := make([]uint64, len(big[39]))
+	Support(big, 39, top, nil, &buf)
+	if !slices.Contains(top, ^uint64(0)) {
+		t.Fatalf("no count saturated on the 40-step chains over 80 tags")
 	}
 }
 
-func TestEnumerateBudgetNilMatchesEnumerate(t *testing.T) {
-	// A nil budget is unlimited: the same combinations as under a budget
-	// that never trips, and the same pairs visited.
+// TestSupportBudgetChargesDeadEnds: a chain that dead-ends without ever
+// completing a combination still consumes steps, and a budget of fewer
+// steps than the pass needs trips at exactly its bound. Charging only
+// completed combinations would leave the dead-end walk unbounded.
+func TestSupportBudgetChargesDeadEnds(t *testing.T) {
+	var buf []uint64
+	for _, at := range []int{0, 6, 12} {
+		results := worstCase(12, 13)
+		on := make([]uint64, len(results[at]))
+		cut := guard.NewBudget(context.Background(), guard.Limits{MaxSteps: 500})
+		if visited := Support(results, at, on, cut, &buf); !cut.Exceeded() || visited != 500 {
+			t.Fatalf("at %d: visited %d pairs under a 500-step budget, want the cutoff exact", at, visited)
+		}
+	}
+}
+
+// TestSupportBudgetNilMatchesUnlimited: a nil budget is unlimited — the
+// counts and pairs of a budget that never trips.
+func TestSupportBudgetNilMatchesUnlimited(t *testing.T) {
+	var buf []uint64
 	results := [][]Pair{
 		pairs([2]int32{1, 1}, [2]int32{1, 2}, [2]int32{2, 2}),
 		pairs([2]int32{1, 1}, [2]int32{2, 2}),
 	}
-	var a, b [][]Pair
-	na := Enumerate(results, nil, new([]Pair), func(assign []Pair) bool {
-		a = append(a, append([]Pair(nil), assign...))
-		return true
-	})
+	a, b := make([]uint64, 2), make([]uint64, 2)
 	bud := guard.NewBudget(context.Background(), guard.Limits{MaxSteps: 1 << 20})
-	nb := Enumerate(results, bud, new([]Pair), func(assign []Pair) bool {
-		b = append(b, append([]Pair(nil), assign...))
-		return true
-	})
-	if len(a) != len(b) || na != nb || bud.Steps() != int64(nb) {
-		t.Fatalf("nil budget: %d combinations, %d pairs; budgeted: %d, %d (%d steps)", len(a), na, len(b), nb, bud.Steps())
-	}
-	for i := range a {
-		for lv := range a[i] {
-			if a[i][lv] != b[i][lv] {
-				t.Fatalf("combination %d differs: %v vs %v", i, a[i], b[i])
-			}
-		}
+	na, nb := Support(results, 1, a, nil, &buf), Support(results, 1, b, bud, &buf)
+	if !slices.Equal(a, b) || na != nb || bud.Steps() != int64(nb) || a[0]+a[1] != 3 {
+		t.Fatalf("nil budget: counts %v, %d pairs; budgeted: %v, %d (%d steps)", a, na, b, nb, bud.Steps())
 	}
 }
 
@@ -187,20 +201,7 @@ func FuzzDetermine(f *testing.F) {
 	}
 	var buf []uint64
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Each level is a count byte then that many (A, B) byte pairs;
-		// occurrence numbers run 1..200, so some span several words. Six
-		// levels of at most 15 pairs keep Algorithm 1's backtracking short.
-		var results [][]Pair
-		for len(data) > 0 && len(results) < 6 {
-			k := int(data[0] % 16)
-			data = data[1:]
-			level := []Pair{}
-			for ; k > 0 && len(data) >= 2; k-- {
-				level = append(level, Pair{A: int32(data[0]%200) + 1, B: int32(data[1]%200) + 1})
-				data = data[2:]
-			}
-			results = append(results, level)
-		}
+		results := decodeChain(data, 6, 16)
 		ok, depth, visited := Determine(results, nil, &buf)
 		if want := DetermineAlg1(results); ok != want {
 			t.Fatalf("Determine = %v, Alg1 = %v, input %v", ok, want, results)
@@ -212,4 +213,36 @@ func FuzzDetermine(f *testing.F) {
 			t.Fatalf("visited %d of %d pairs", visited, totalPairs(results))
 		}
 	})
+}
+
+// FuzzSupport checks Support's counts on every level against exhaustive
+// enumeration of the combinations, on FuzzDetermine's encoding cut to
+// chains short enough to enumerate, reusing one buffer across inputs.
+func FuzzSupport(f *testing.F) {
+	f.Add([]byte{3, 1, 1, 1, 2, 2, 2, 2, 1, 1, 2, 2})
+	f.Add([]byte{2, 1, 2, 1, 3, 2, 2, 3, 2, 2, 3, 1, 4})
+	var buf []uint64
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if results := decodeChain(data, 5, 8); len(results) > 0 {
+			checkSupport(t, results, &buf)
+		}
+	})
+}
+
+// decodeChain reads a fuzzed chain: each level is a count byte then that
+// many (A, B) byte pairs, at most levels levels of fewer than per pairs.
+// Occurrence numbers run 1..200, so some span several words.
+func decodeChain(data []byte, levels, per int) [][]Pair {
+	var results [][]Pair
+	for len(data) > 0 && len(results) < levels {
+		k := int(data[0]) % per
+		data = data[1:]
+		level := []Pair{}
+		for ; k > 0 && len(data) >= 2; k-- {
+			level = append(level, Pair{A: int32(data[0]%200) + 1, B: int32(data[1]%200) + 1})
+			data = data[2:]
+		}
+		results = append(results, level)
+	}
+	return results
 }

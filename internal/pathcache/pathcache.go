@@ -82,6 +82,12 @@ type Entry struct {
 //     it names; units with the same predicate and filters share the list,
 //     and a hit runs occurrence determination over the pairs whose guards
 //     passed.
+//
+// The sub-expressions of nested-path expressions that can match the
+// signature are chains too, after the chain units: a hit records their
+// guard-passing pairs with the path's node ids instead of deciding them,
+// and their runs of Levels go on with the tuple indices the node ids are
+// read at.
 type Program struct {
 	Tests []ProgTest
 	Start []int32 // Units[Start[i]:Start[i+1]] need Tests[i] first; len(Tests)+1 long
@@ -89,7 +95,7 @@ type Program struct {
 	More  []int32 // runs of test indices, each closed by -1: a unit's further tests, a pair's guard
 
 	Chains []ProgChain
-	Levels []int32 // runs of pair-list indices, each closed by -1: a chain unit's levels
+	Levels []int32 // runs of pair-list indices, each closed by -1: a chain's levels
 	Lists  []int32 // pair list k is Pairs[Lists[k]:Lists[k+1]]; one entry past the last
 	Pairs  []ProgPair
 }
@@ -108,8 +114,9 @@ type ProgUnit struct {
 	More int32
 }
 
-// ProgChain is one chain unit: the expression id a hit marks and where in
-// Program.Levels its levels begin.
+// ProgChain is one chain: the expression id a hit marks, or for a
+// nested-path sub-expression the bitwise complement of the matcher's index
+// of it, and where in Program.Levels its levels begin.
 type ProgChain struct {
 	ID     int32
 	Levels int32

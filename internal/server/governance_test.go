@@ -74,7 +74,7 @@ func TestPublishLimitErrors(t *testing.T) {
 }
 
 func TestPublishRequestTimeout(t *testing.T) {
-	doc, expr := workload.OccurrenceBomb(42, 48)
+	doc, expr := workload.OccurrenceBomb(800, 806)
 	cfg := Config{RequestTimeout: 100 * time.Millisecond, MaxDocumentBytes: 1 << 20}
 	ts := newTestServer(t, cfg)
 	subscribe(t, ts, expr)
@@ -144,7 +144,7 @@ func TestPublishTracedGoverned(t *testing.T) {
 	// must observe the same request deadline and engine limits as the
 	// normal path, so a blowup document with trace enabled cannot pin a
 	// worker (and its MaxInflight slot) forever.
-	doc, expr := workload.OccurrenceBomb(42, 48)
+	doc, expr := workload.OccurrenceBomb(800, 806)
 	cfg := Config{RequestTimeout: 100 * time.Millisecond, MaxDocumentBytes: 1 << 20}
 	ts := newTestServer(t, cfg)
 	subscribe(t, ts, expr)
@@ -180,7 +180,7 @@ func TestAdmissionShedsWithRetryAfter(t *testing.T) {
 	// held by occurrence bombs that run until the 1s engine deadline, so
 	// the third publish must be shed with 429 + Retry-After while the two
 	// in-flight requests still run to completion.
-	doc, expr := workload.OccurrenceBomb(42, 48)
+	doc, expr := workload.OccurrenceBomb(1000, 1006)
 	cfg := Config{MaxInflight: 1, MaxQueued: 1, MaxDocumentBytes: 1 << 20}
 	cfg.Engine.Limits.MatchDeadline = time.Second
 	ts := newTestServer(t, cfg)

@@ -43,20 +43,18 @@ func PathBomb(paths int) []byte {
 	return b.Bytes()
 }
 
-// OccurrenceBomb returns a document and an expression whose occurrence
-// pairs send nested-path recombination's enumeration exponential. The
-// document is a single chain of depth repetitions of one tag, so the
-// descendant self-pair predicate d(p_a, p_a) yields every (i, j),
-// i < j ≤ depth, as an occurrence pair (~depth²/2 of them). The expression
-// chains steps descendant steps of that tag under a trailing [a] filter,
-// which makes it a nested path: its trunk's combinations are enumerated,
-// dead ends included, to recombine them with the filter's. A combination
-// is a strictly increasing sequence of steps occurrence numbers drawn from
-// 1..depth, so with steps > depth none exists and the enumeration — like
-// the paper's backtracking Algorithm 1 — visits every increasing sequence,
-// Θ(2^depth) pairs, before concluding there is none. Plain determination
-// (the expression without [a]) answers the same chain in one pass over its
-// ~steps·depth²/2 pairs. Pass steps > depth to force the blowup.
+// OccurrenceBomb returns a document and an expression whose matching
+// visits ~steps·depth²/2 occurrence pairs. The document is a single chain
+// of depth repetitions of one tag, so the descendant self-pair predicate
+// d(p_a, p_a) yields every (i, j), i < j ≤ depth, as an occurrence pair
+// (~depth²/2 of them) at every level of a chain. The expression chains
+// steps descendant steps of that tag under a trailing [a] filter, which
+// makes it a nested path: recombination runs occurrence determination
+// forward and backward over its sub-expressions' chains, each pair
+// visited at most once — quadratic pairs per level, not an exponential
+// walk. With steps > depth no combination exists. Size it to the limit a
+// test must trip: depth = steps = 200 exceeds a 1<<20 step budget, and
+// depth 800 runs well past a 100 ms deadline.
 func OccurrenceBomb(depth, steps int) (doc []byte, expr string) {
 	var b bytes.Buffer
 	b.Grow(7 * depth)
