@@ -55,10 +55,10 @@ func benchPredicate(b *testing.B, w *bench.Workload, v matcher.Variant, mode pre
 		b.Fatal(err)
 	}
 	// Warm (freeze the organizations outside the timed loop).
-	m.MatchDocument(docs[0])
+	m.MatchDocument(docs[0], nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.MatchDocument(docs[i%len(docs)])
+		m.MatchDocument(docs[i%len(docs)], nil)
 	}
 }
 
@@ -193,11 +193,11 @@ func BenchmarkFig10Breakdown(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m.MatchDocument(docs[0])
+	m.MatchDocument(docs[0], nil)
 	var pred, expr, other float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, bd := m.MatchDocumentBreakdown(docs[i%len(docs)])
+		_, bd, _ := m.MatchDocument(docs[i%len(docs)], nil)
 		pred += float64(bd.PredMatch.Nanoseconds())
 		expr += float64(bd.ExprMatch.Nanoseconds())
 		other += float64(bd.Other.Nanoseconds())
@@ -294,10 +294,10 @@ func BenchmarkAblationPathDedup(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			m.MatchDocument(docs[0])
+			m.MatchDocument(docs[0], nil)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.MatchDocument(docs[i%len(docs)])
+				m.MatchDocument(docs[i%len(docs)], nil)
 			}
 		})
 	}
@@ -344,12 +344,12 @@ func BenchmarkParallelMatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m.MatchDocument(docs[0])
+	m.MatchDocument(docs[0], nil)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			m.MatchDocument(docs[i%len(docs)])
+			m.MatchDocument(docs[i%len(docs)], nil)
 			i++
 		}
 	})

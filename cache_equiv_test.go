@@ -58,23 +58,24 @@ func filterOf(xpe string) string {
 }
 
 // TestCacheEquivalenceRandomized is the DTD-driven model test for the
-// served match path: engines on the one kernel — default cache, a tiny
-// bound that forces evictions, cache off, and ColumnarOff with the cache on
-// (the cache has one kernel, so that is the cached path too) — and the
-// incrementally maintained scalar engine must produce exactly the match
-// sets of a scalar cache-off engine built fresh from the live
+// served match path: engines on the cached kernel — default cache, a tiny
+// bound that forces evictions, a bound that keeps no entry (every path a
+// miss that builds and runs its own), and the deprecated ColumnarOff with
+// the cache on (ignored, so that is the cached kernel too) — and the
+// incrementally maintained scalar engine (PathCacheBytes < 0) must produce
+// exactly the match sets of a scalar engine built fresh from the live
 // subscriptions, after every operation of a randomized interleaving of
 // churnOps and repeated matching (which serves later documents from
 // outcomes and plans cached before the change), through Match, and every
-// so often through MatchBatchContext and MatchStream. Match and the stream's
-// groups match each path as the scan closes it; the first engine is also
-// held to the same sets on the parsed document (MatchParsedContext), and
-// the fresh reference and the maintained scalar engine parse first. The reference is rebuilt
+// so often through MatchBatchContext and MatchStream. Every engine matches
+// each path as the scan closes it, the scalar ones included; the first
+// engine is also held to the same sets on the parsed document
+// (MatchParsedContext). The reference is rebuilt
 // each time because a maintained one shares the append-only history of
 // the engines under test and would share a stale entry's mistake. The
 // subtests cross both attribute modes, the three organizations of the
-// scalar engines, path dedup on and off and the presence of nested-path expressions (which
-// turn dedup off and run the live predicate stage beside the cache); two thirds of
+// scalar engines, path dedup on and off and the presence of nested-path
+// expressions (whose sub-expressions the cache entries hold); two thirds of
 // the expressions carry one or two attribute filters, over all six
 // operators and the existence test, numeric and lexicographic constants,
 // some equal to no document value. Since every engine here decides
@@ -133,7 +134,7 @@ func TestCacheEquivalenceRandomized(t *testing.T) {
 			engines := []*predfilter.Engine{
 				with(func(c *predfilter.Config) {}),                                      // default cache
 				with(func(c *predfilter.Config) { c.PathCacheBytes = 8 << 10 }),          // tiny: constant eviction pressure
-				with(func(c *predfilter.Config) { c.PathCacheBytes = -1 }),               // the kernel uncached
+				with(func(c *predfilter.Config) { c.PathCacheBytes = 1 }),                // keeps no entry: every path a miss
 				with(func(c *predfilter.Config) { c.Columnar = predfilter.ColumnarOff }), // cached: still the one kernel
 				with(scalar), // the scalar loop, maintained through the same history
 			}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"predfilter"
+	"predfilter/internal/xmldoc"
 	"predfilter/workload"
 )
 
@@ -315,19 +316,21 @@ func TestChaosMatchCountsHealthy(t *testing.T) {
 	}
 }
 
-// TestChaosParseVerdictBeatsBudget: the served path matches each path as
-// its leaf closes, so the step budget trips on a document's first path
-// here, long before its end — yet a parse-stage verdict anywhere in the
-// document still wins, as it does when the document is parsed before it is
-// matched (the scalar reference, here). After the trip the scan runs on to
-// the parse verdict without matching: a later MaxPaths overflow, a
-// mismatched last element or trailing content. A namespaced last element
-// sends the scanner to the encoding/xml fallback, which accepts it; the
-// budget restarts with the fallback's pass and trips again.
+// TestChaosParseVerdictBeatsBudget: every engine matches each path as its
+// leaf closes, so the step budget trips on a document's first path here,
+// long before its end — yet a parse-stage verdict anywhere in the document
+// still wins, as it does when the document is parsed before it is matched:
+// the expected verdict is the parse's under the same limits
+// (xmldoc.ParseLimitsMode), else the scalar reference's on the parsed
+// document (MatchParsedContext). After the trip the scan runs on to the
+// parse verdict without matching: a later MaxPaths overflow, a mismatched
+// last element or trailing content. A namespaced last element sends the
+// scanner to the encoding/xml fallback, which accepts it; the budget
+// restarts with the fallback's pass and trips again.
 func TestChaosParseVerdictBeatsBudget(t *testing.T) {
 	lim := predfilter.Limits{MaxSteps: 32, MaxPaths: 8}
 	served := predfilter.New(predfilter.Config{Limits: lim})
-	ref := predfilter.New(predfilter.Config{Limits: lim, Columnar: predfilter.ColumnarOff, PathCacheBytes: -1})
+	ref := predfilter.New(predfilter.Config{Limits: lim, PathCacheBytes: -1})
 	for _, eng := range []*predfilter.Engine{served, ref} {
 		if _, err := eng.AddAll([]string{strings.Repeat("//a", 10), "//p"}); err != nil {
 			t.Fatal(err)
@@ -343,19 +346,30 @@ func TestChaosParseVerdictBeatsBudget(t *testing.T) {
 		{"<r>" + chain + "</r><r/>", -1},
 		{"<r>" + chain + `<x:p xmlns:x="u"/></r>`, predfilter.LimitSteps},
 	} {
-		_, want := ref.Match([]byte(c.doc))
-		sids, err := served.Match([]byte(c.doc))
-		if sids != nil || err == nil {
-			t.Fatalf("%q: sids %v, err %v", c.doc, sids, err)
-		}
-		var le *predfilter.LimitError
-		if c.kind < 0 {
-			if errors.As(err, &le) || err.Error() != want.Error() {
-				t.Fatalf("%q: err %v, want the parse error %v", c.doc, err, want)
+		_, want := xmldoc.ParseLimitsMode([]byte(c.doc), lim, xmldoc.ModeAuto)
+		if want == nil {
+			pd, err := predfilter.ParseDocument([]byte(c.doc))
+			if err != nil {
+				t.Fatal(err)
 			}
-			continue
+			_, want = ref.MatchParsedContext(context.Background(), pd)
 		}
-		wantLimitErr(t, err, c.kind)
-		wantLimitErr(t, want, c.kind)
+		for _, eng := range []*predfilter.Engine{served, ref} {
+			sids, err := eng.Match([]byte(c.doc))
+			if sids != nil || err == nil {
+				t.Fatalf("%q: sids %v, err %v", c.doc, sids, err)
+			}
+			var le *predfilter.LimitError
+			if c.kind < 0 {
+				if errors.As(err, &le) || err.Error() != want.Error() {
+					t.Fatalf("%q: err %v, want the parse error %v", c.doc, err, want)
+				}
+				continue
+			}
+			wantLimitErr(t, err, c.kind)
+		}
+		if c.kind >= 0 {
+			wantLimitErr(t, want, c.kind)
+		}
 	}
 }

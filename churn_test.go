@@ -86,7 +86,7 @@ func TestChurnConcurrentPublish(t *testing.T) {
 	f := newFixture(t, base, pool, 1, 500) // filters: the churner also interns constants and re-ranks
 	docs := f.docs[:40]
 
-	ref := predfilter.New(predfilter.Config{Columnar: predfilter.ColumnarOff, PathCacheBytes: -1})
+	ref := predfilter.New(predfilter.Config{PathCacheBytes: -1})
 	if _, err := ref.AddAll(append(f.base, f.pool...)); err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func main() {
 		allMode   = flag.Bool("all", false, "report the number of match combinations per expression (all-matches mode)")
 		timing    = flag.Bool("t", false, "print per-document filter time")
 		workers   = flag.Int("workers", 1, "filter documents concurrently with this many workers (ignored with -all)")
-		cacheMB   = flag.Int64("cache-mb", 0, "path-signature cache bound in MiB (0 = default 16, negative = disabled)")
+		cacheMB   = flag.Int64("cache-mb", 0, "path-signature cache bound in MiB (0 = default 16); negative selects the paper's scalar reference loop, which has no cache")
 		traceDoc  = flag.Bool("trace", false, "explain each expression's match or miss with per-predicate evidence (ignored with -all or -workers)")
 
 		// Resource governance (0 disables each bound). A document exceeding

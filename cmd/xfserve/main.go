@@ -67,7 +67,7 @@ func main() {
 		state     = flag.String("state", "", "state directory for durable subscriptions (empty = in-memory)")
 		noSync    = flag.Bool("nosync", false, "skip fsync on the state directory (faster, loses power-failure durability)")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
-		cacheMB   = flag.Int64("cache-mb", 0, "path-signature cache bound in MiB (0 = default 16, negative = disabled)")
+		cacheMB   = flag.Int64("cache-mb", 0, "path-signature cache bound in MiB (0 = default 16); negative selects the paper's scalar reference loop, which has no cache")
 		slowMS    = flag.Int64("slow-ms", 0, "log documents whose parse+match exceeds this many milliseconds (0 = disabled)")
 
 		// Observability.

@@ -2,7 +2,7 @@
 // high-match regime where the predicate-based engine shines. The example
 // registers the same expression set in the served engine (the columnar
 // kernel over the path cache), in the paper's scalar reference loop
-// (basic-pc-ap, uncached) and in the served engine with postponed
+// (basic-pc-ap, PathCacheBytes < 0) and in the served engine with postponed
 // attribute filters, checks that all three agree, and compares their
 // filter times on one generated record stream. The paper's organizations
 // (basic, basic-pc, basic-pc-ap) are compared by xfbench -exp fig6b.
@@ -37,7 +37,7 @@ func main() {
 		cfg  predfilter.Config
 	}{
 		{"served / inline", predfilter.Config{}},
-		{"scalar reference / inline", predfilter.Config{Columnar: predfilter.ColumnarOff, PathCacheBytes: -1}},
+		{"scalar reference / inline", predfilter.Config{PathCacheBytes: -1}},
 		{"served / postponed", predfilter.Config{AttributeMode: predfilter.PostponedAttributes}},
 	}
 	var firstMatches int

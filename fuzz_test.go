@@ -117,9 +117,10 @@ func FuzzMatch(f *testing.F) {
 
 // FuzzMatchColumnar drives the served kernel with arbitrary (expression,
 // document) pairs and checks it against the refmatch oracle and the
-// scalar cache-off engine. Uncached, through MatchBatch (so every path
-// takes the pure bitset route; the batch repeats the document so the
-// second copy exercises the pooled scratch reuse within one batch). And
+// scalar reference engine (PathCacheBytes < 0). With a cache that keeps no
+// entry, through MatchBatch (so every path is a miss that sweeps and builds
+// its own entry; the batch repeats the document so the second copy
+// exercises the pooled scratch reuse within one batch). And
 // cached, through single Match calls: the document (a miss builds each
 // entry and its program), then a variant with the same path signatures
 // but every attribute value changed (to values most constants no longer
@@ -152,8 +153,8 @@ func FuzzMatchColumnar(f *testing.F) {
 		f.Add(s[0], s[1])
 	}
 	f.Fuzz(func(t *testing.T, expr, doc string) {
-		scalar := predfilter.New(predfilter.Config{PathCacheBytes: -1, Columnar: predfilter.ColumnarOff})
-		col := predfilter.New(predfilter.Config{PathCacheBytes: -1, Columnar: predfilter.ColumnarAuto})
+		scalar := predfilter.New(predfilter.Config{PathCacheBytes: -1})
+		col := predfilter.New(predfilter.Config{PathCacheBytes: 1}) // keeps no entry: every path a miss
 		sid, err := scalar.Add(expr)
 		if err != nil {
 			return
@@ -181,7 +182,7 @@ func FuzzMatchColumnar(f *testing.F) {
 			}
 		}
 		served := predfilter.New(predfilter.Config{})
-		postScalar := predfilter.New(predfilter.Config{AttributeMode: predfilter.PostponedAttributes, PathCacheBytes: -1, Columnar: predfilter.ColumnarOff})
+		postScalar := predfilter.New(predfilter.Config{AttributeMode: predfilter.PostponedAttributes, PathCacheBytes: -1})
 		postServed := predfilter.New(predfilter.Config{AttributeMode: predfilter.PostponedAttributes})
 		for _, eng := range []*predfilter.Engine{served, postScalar, postServed} {
 			if _, err := eng.Add(expr); err != nil {
@@ -268,8 +269,9 @@ func scanSeeds(f *testing.F) []string {
 // scan. On arbitrary bytes, Engine.Match — each path matched as its leaf
 // closes, the encoding/xml fallback restarting the document — must agree
 // with parsing first (ParseDocument + MatchParsedContext on the same
-// engine) and with the scalar reference, which parses into a Document and
-// runs the paper's per-unit loop: equal match sets, and equal errors (a
+// engine) and with the scalar reference (PathCacheBytes < 0), which runs
+// the paper's per-unit loop inside the scan too and, on the parsed
+// document, over a Document: equal match sets, and equal errors (a
 // *LimitError's Kind, Limit and Got, or else the text). MatchCountsContext
 // is held to the same verdict, an expression counting combinations exactly
 // when it matched, wherever its enumeration fits a step budget (which the
@@ -329,7 +331,7 @@ func FuzzMatchScanned(f *testing.F) {
 			}
 			return eng
 		}
-		scalar := predfilter.Config{Columnar: predfilter.ColumnarOff, PathCacheBytes: -1}
+		scalar := predfilter.Config{PathCacheBytes: -1}
 		ctx := context.Background()
 
 		// No limits: one engine scanned, materialized and counted; the
@@ -344,6 +346,10 @@ func FuzzMatchScanned(f *testing.F) {
 			mat, merr = eng.MatchParsedContext(ctx, pd)
 		}
 		sameVerdict(t, "scanned", "materialized", got, gerr, mat, merr)
+		if pd != nil { // the scalar loop over a Document
+			rmat, rerr := ref.MatchParsedContext(ctx, pd)
+			sameVerdict(t, "scanned", "reference materialized", got, gerr, rmat, rerr)
+		}
 		// Emitted, by the kernel (one document in the caller's goroutine,
 		// two through the stream) and by the scalar reference's []SID
 		// rendered: Match's result in Match's order.

@@ -50,7 +50,8 @@ func TestWorkloadScaleOracle(t *testing.T) {
 				}
 				for di, doc := range docs {
 					got := make(map[matcher.SID]bool)
-					for _, sid := range m.MatchDocument(doc) {
+					out, _, _ := m.MatchDocument(doc, nil)
+					for _, sid := range out {
 						got[sid] = true
 					}
 					for i, p := range paths {

@@ -57,11 +57,11 @@ func TestMatchDocumentCacheHitAllocs(t *testing.T) {
 					}
 				}
 				// Warm up: freeze, size the scratch buffers, fill the cache.
-				m.MatchDocument(doc)
+				m.MatchDocument(doc, nil)
 				if st, ok := m.cacheStats(); !ok || st.Misses == 0 {
 					t.Fatalf("cache not active after warmup: %+v ok=%v", st, ok)
 				}
-				allocs := testing.AllocsPerRun(50, func() { m.MatchDocument(doc) })
+				allocs := testing.AllocsPerRun(50, func() { m.MatchDocument(doc, nil) })
 				if allocs > tc.bound {
 					t.Fatalf("MatchDocument allocates %.1f per call on cache hits, want <= %.0f", allocs, tc.bound)
 				}
@@ -100,11 +100,11 @@ func TestMatchDocumentPlanHitAllocs(t *testing.T) {
 	for _, mode := range []predicate.AttrMode{predicate.Inline, predicate.Postponed} {
 		m := New(Options{AttrMode: mode, Metrics: metrics.NewSet()})
 		mustAdd(t, m, xpes...)
-		if out, _, _ := m.MatchDocumentColumnar(doc, nil); len(out) < 8 { // warm-up
+		if out, _, _ := m.MatchDocument(doc, nil); len(out) < 8 { // warm-up
 			t.Fatalf("mode %v: only %d of %d filter expressions match", mode, len(out), len(xpes))
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			if _, _, err := m.MatchDocumentColumnar(doc, nil); err != nil {
+			if _, _, err := m.MatchDocument(doc, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -180,10 +180,10 @@ func TestNestedResolveAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.MatchDocument(doc); len(got) != 4 {
+	if got := matchSIDs(m, doc); len(got) != 4 {
 		t.Fatalf("matched %v, want the four expressions without x", got)
 	}
-	allocs := testing.AllocsPerRun(50, func() { m.MatchDocument(doc) })
+	allocs := testing.AllocsPerRun(50, func() { m.MatchDocument(doc, nil) })
 	if allocs > 1 {
 		t.Fatalf("MatchDocument allocates %.1f per call with nested expressions registered, want <= 1", allocs)
 	}

@@ -75,10 +75,10 @@ func BenchmarkMatchDocument(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			m.MatchDocument(docs[0])
+			m.MatchDocument(docs[0], nil)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.MatchDocument(docs[i%len(docs)])
+				m.MatchDocument(docs[i%len(docs)], nil)
 			}
 		})
 	}
@@ -142,10 +142,10 @@ func BenchmarkAttrModes(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			m.MatchDocument(doc)
+			m.MatchDocument(doc, nil)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.MatchDocument(doc)
+				m.MatchDocument(doc, nil)
 			}
 		})
 	}

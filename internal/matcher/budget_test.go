@@ -39,7 +39,7 @@ func TestMatchDocumentBudgetNilEqualsUnbudgeted(t *testing.T) {
 		mustAdd(t, m, "//a//a", "/a/a/a", "//a[@k=v]")
 		doc := chainDoc(t, 6)
 		want := matchSet(m, doc)
-		sids, _, err := m.MatchDocumentBudget(doc, nil)
+		sids, _, err := m.MatchDocument(doc, nil)
 		if err != nil {
 			t.Fatalf("variant %v: nil budget errored: %v", v, err)
 		}
@@ -65,7 +65,7 @@ func TestMatchDocumentBudgetTripsOnBlowup(t *testing.T) {
 		// determination must walk the exponential dead-end space.
 		mustAdd(t, m, strings.Repeat("//a", 20))
 		doc := chainDoc(t, 18)
-		sids, _, err := m.MatchDocumentBudget(doc, stepBudget(1000))
+		sids, _, err := m.MatchDocument(doc, stepBudget(1000))
 		if err == nil {
 			t.Fatalf("variant %v: blowup returned %v with no error", v, sids)
 		}
@@ -85,8 +85,8 @@ func TestMatchDocumentBudgetTripsOnBlowup(t *testing.T) {
 // miss — the sweep, the structural candidates, the compilation's chain
 // checks or the hit program — and after each abort an unbudgeted re-match (served from
 // whatever the aborted attempt cached), and a second one on pure hits,
-// must agree with an uncached matcher. The first fixture's path repeats a
-// tag (chain units, and a nested expression's live stage); the second's
+// must agree with the scalar reference. The first fixture's path repeats a
+// tag (chain units, and a nested expression's sub-expressions); the second's
 // does not, and its entry carries a
 // program large enough to be charged: the budget that trips there trips
 // after the complete entry was stored, and a hit is charged what the miss's
@@ -123,21 +123,21 @@ func TestMatchDocumentBudgetDoesNotPoisonCache(t *testing.T) {
 		mustAdd(t, fresh, fx.xpes...)
 		want := matchSet(fresh, doc)
 		if len(want) < 3 {
-			t.Fatalf("uncached matcher found %v, want structural, live and nested matches", want)
+			t.Fatalf("scalar reference found %v, want structural, live and nested matches", want)
 		}
 
 		tripped, inProgram := 0, int64(0)
 		for steps := int64(1); ; steps++ {
 			m := New(Options{Variant: PrefixCoverAP, PathCacheBytes: 1 << 20})
 			mustAdd(t, m, fx.xpes...)
-			_, _, err := m.MatchDocumentBudget(doc, stepBudget(steps))
+			_, _, err := m.MatchDocument(doc, stepBudget(steps))
 			if err == nil {
 				if bud := stepBudget(steps); fx.prog {
 					// The same budget on the hit: charged the program, not the sweep.
-					if _, _, err := m.MatchDocumentBudget(doc, bud); err != nil || bud.Steps() == 0 || bud.Steps() >= steps {
+					if _, _, err := m.MatchDocument(doc, bud); err != nil || bud.Steps() == 0 || bud.Steps() >= steps {
 						t.Fatalf("hit under the miss's budget %d: err %v, %d steps", steps, err, bud.Steps())
 					}
-					if _, _, err := m.MatchDocumentBudget(doc, stepBudget(bud.Steps()-1)); err == nil {
+					if _, _, err := m.MatchDocument(doc, stepBudget(bud.Steps()-1)); err == nil {
 						t.Fatalf("hit survived a budget one step under its charge of %d", bud.Steps())
 					}
 				}
@@ -168,7 +168,7 @@ func TestMatchDocumentBudgetScratchReuseAfterAbort(t *testing.T) {
 	m := New(Options{Variant: PrefixCoverAP})
 	mustAdd(t, m, strings.Repeat("//a", 20))
 	sids := mustAdd(t, m, "//b/c")
-	if _, _, err := m.MatchDocumentBudget(chainDoc(t, 18), stepBudget(100)); err == nil {
+	if _, _, err := m.MatchDocument(chainDoc(t, 18), stepBudget(100)); err == nil {
 		t.Fatal("budget survived the blowup")
 	}
 	d, err := xmldoc.Parse([]byte("<b><c/></b>"))
@@ -186,7 +186,7 @@ func TestMatchDocumentBudgetCanceledContext(t *testing.T) {
 	mustAdd(t, m, "//a")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := m.MatchDocumentBudget(chainDoc(t, 4), guard.NewBudget(ctx, guard.Limits{}))
+	_, _, err := m.MatchDocument(chainDoc(t, 4), guard.NewBudget(ctx, guard.Limits{}))
 	var le *guard.LimitError
 	if !errors.As(err, &le) || le.Kind != guard.Canceled {
 		t.Fatalf("err = %v, want Canceled *LimitError", err)

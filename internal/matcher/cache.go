@@ -422,7 +422,7 @@ func (m *Matcher) buildEntry(sc *scratch, cs *colScratch, ambiguous bool, bud *g
 	sc.log = sc.log[:0]
 	sc.logging = true
 	cs.plan = cs.plan[:0]
-	m.markCandidates(sc, cs, acc, true, ambiguous, bud)
+	m.markCandidates(sc, cs, acc, ambiguous, bud)
 	var prog *pathcache.Program
 	if (len(cs.plan) > 0 || len(m.nodes) > 0) && !bud.Exceeded() {
 		prog = m.compileProgram(sc, cs, ambiguous, bud)

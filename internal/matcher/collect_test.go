@@ -77,7 +77,7 @@ func TestCollectSIDOrder(t *testing.T) {
 							want = append(want, live[x]...)
 						}
 					}
-					got := m.MatchDocument(doc)
+					got := matchSIDs(m, doc)
 					scan := []ScanDoc{{Doc: []byte(src)}}
 					m.MatchScanned(scan, guard.Limits{})
 					if scan[0].Err != nil {

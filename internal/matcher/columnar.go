@@ -10,9 +10,11 @@ import (
 
 // Columnar matching: the expression-matching stage rewritten as bitset
 // sweeps so one 64-bit word op advances 64 expressions at once. This is
-// the kernel every served entry point runs, for one document or a batch;
-// the scalar per-unit loop (runUnits) survives as the uncached reference
-// the equivalence suites, the benchmark oracle and the paper's Figure 6–9
+// the kernel every entry point runs, for one document or a batch, on a
+// matcher with a path cache — a cache miss sweeps, and its entry holds
+// what the sweep found (cache.go). The scalar per-unit loop (runUnits) is
+// the kernel of a matcher without one (PathCacheBytes < 0): the reference
+// the equivalence suites, the benchmark oracle and the paper's Figure 6–10
 // organizations compare against.
 //
 // Every iteration unit (m.units) is a bit column, and columns never move:
@@ -134,23 +136,32 @@ func (ci *colIndex) extend(units []*expr, npreds int) {
 	ci.sweepCost = 2*slots + words
 }
 
-// ensureColumnar returns with the read lock held and the columnar index
-// caught up with every registration. Like ensureFrozen, the upgrade
-// window is raced benignly: the condition is re-checked after every
-// downgrade.
-func (m *Matcher) ensureColumnar() *colIndex {
+// lockKernel returns with the read lock held and the derived state of the
+// matcher's kernel caught up with every registration: the scalar
+// reference's organizations (freeze), with a nil scratch, or the columnar
+// index, with a pooled columnar scratch sized for it. The read lock cannot
+// be upgraded atomically, so after concurrent Adds several matchers may
+// race through the RUnlock→Lock window; the catch-up is an idempotent no-op
+// once the first one ran, and the condition is re-checked after every
+// downgrade, so a registration that slipped into the window is accounted
+// for too rather than matched against stale state.
+func (m *Matcher) lockKernel() *colScratch {
 	m.mu.RLock()
-	for m.stale() || m.col == nil {
+	for m.stale() || m.col == nil && m.frozen != m.caught {
 		m.mu.RUnlock()
 		m.mu.Lock()
 		if m.col == nil {
-			m.col = &colIndex{wordOff: []int32{0}}
+			m.freeze()
+		} else {
+			m.catchUp()
 		}
-		m.catchUp()
 		m.mu.Unlock()
 		m.mu.RLock()
 	}
-	return m.col
+	if m.col == nil {
+		return nil
+	}
+	return m.getColScratch(m.col)
 }
 
 // sized returns b with length n, reallocating (with headroom, for an index
@@ -211,15 +222,16 @@ func (ci *colIndex) sweep(cs *colScratch, touched []predindex.PID) (acc []uint64
 	return acc, refOps
 }
 
-// markCandidates resolves the surviving candidate bits into definitive
-// marks. With split set (a cache miss building its entry) the
-// value-dependent candidates are not evaluated but appended to cs.plan.
-func (m *Matcher) markCandidates(sc *scratch, cs *colScratch, acc []uint64, split, ambiguous bool, bud *guard.Budget) {
+// markCandidates resolves the surviving candidate bits of a cache miss
+// building its entry: the structural candidates into definitive marks,
+// while the live (value-dependent) ones are not evaluated but appended to
+// cs.plan.
+func (m *Matcher) markCandidates(sc *scratch, cs *colScratch, acc []uint64, ambiguous bool, bud *guard.Budget) {
 	for w, word := range acc {
 		for ; word != 0; word &= word - 1 {
 			c := w<<6 + bits.TrailingZeros64(word)
 			u := cs.ci.units[c]
-			if split && u.live {
+			if u.live {
 				cs.plan = append(cs.plan, int32(c))
 				continue
 			}
@@ -275,16 +287,14 @@ func (m *Matcher) colSweep(touched []predindex.PID, cs *colScratch, ambiguous bo
 	return acc
 }
 
-// lockColumnar returns a pooled columnar scratch on a current columnar
-// index, with the read lock held.
-func (m *Matcher) lockColumnar() *colScratch {
-	return m.getColScratch(m.ensureColumnar())
-}
-
-// unlockColumnar undoes lockColumnar after docs documents, flushing the
-// kernel counters the scratch accumulated; a batch of none is not counted.
-func (m *Matcher) unlockColumnar(cs *colScratch, docs int) {
+// unlockKernel undoes lockKernel after docs documents, flushing the
+// columnar counters the scratch accumulated; a batch of none, and the
+// scalar reference, are not counted.
+func (m *Matcher) unlockKernel(cs *colScratch, docs int) {
 	m.mu.RUnlock()
+	if cs == nil {
+		return
+	}
 	if m.mx != nil && docs > 0 {
 		m.mx.ColBatches.Inc()
 		m.mx.ColDocs.Add(int64(docs))

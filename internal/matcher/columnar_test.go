@@ -66,7 +66,8 @@ var nestedXPEs = []string{"/a[b]/c", "a[b/c]", "//b[c]/d", "/a[b][c]/d"}
 // on alternate rounds) the served kernel must produce exactly the match
 // sets of refmatch and of the scalar cache-off reference — crossing both
 // attribute modes, all three organizations and containment covering, with
-// the path cache off, tiny (evicting) and on. Every document is matched
+// the path cache keeping no entry (every path a miss), tiny (evicting) and
+// on. Every document is matched
 // cold (a miss builds the entry and its program) and again (a hit runs
 // the program), as the scanned batch and parsed, one document at a time, with
 // an Add, a Remove and a re-rank of the value dictionary between hits.
@@ -93,7 +94,7 @@ func TestColumnarEquivalenceRandomized(t *testing.T) {
 		}
 		for _, v := range allVariants {
 			for mode := 0; mode < 2; mode++ {
-				for _, cacheBytes := range []int64{-1, 1 << 9, 1 << 20} {
+				for _, cacheBytes := range []int64{1, 1 << 9, 1 << 20} {
 					opts := Options{Variant: v, AttrMode: predAttrMode(mode), PathCacheBytes: cacheBytes}
 					name := fmt.Sprintf("round %d %+v", round, opts)
 					m := New(opts)
@@ -116,7 +117,7 @@ func TestColumnarEquivalenceRandomized(t *testing.T) {
 						t.Helper()
 						for di, doc := range docs {
 							want := matchSet(ref, doc)
-							out, _, err := m.MatchDocumentColumnar(doc, nil)
+							out, _, err := m.MatchDocument(doc, nil)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -210,7 +211,7 @@ func TestPlanSameSignatureDifferentValues(t *testing.T) {
 						if reversed {
 							doc = docs[len(docs)-1-k]
 						}
-						out, _, err := m.MatchDocumentColumnar(doc, nil)
+						out, _, err := m.MatchDocument(doc, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -241,13 +242,16 @@ func TestPlanSameSignatureDifferentValues(t *testing.T) {
 func TestColumnarBudget(t *testing.T) {
 	t.Run("generous", func(t *testing.T) {
 		m := New(Options{Variant: PrefixCoverAP})
-		mustAdd(t, m, "//a//a", "/a/a/a", "//a[@k=v]", "/a/*/a")
+		ref := New(Options{Variant: PrefixCoverAP, PathCacheBytes: -1})
+		for _, x := range []*Matcher{m, ref} {
+			mustAdd(t, x, "//a//a", "/a/a/a", "//a[@k=v]", "/a/*/a")
+		}
 		doc := chainDoc(t, 6)
-		want, _, err := m.MatchDocumentBudget(doc, stepBudget(1_000_000))
+		want, _, err := ref.MatchDocument(doc, stepBudget(1_000_000))
 		if err != nil {
 			t.Fatalf("scalar budget tripped: %v", err)
 		}
-		out, _, err := m.MatchDocumentColumnar(doc, stepBudget(1_000_000))
+		out, _, err := m.MatchDocument(doc, stepBudget(1_000_000))
 		if err != nil {
 			t.Fatalf("columnar tripped where scalar did not: %v", err)
 		}
@@ -261,7 +265,7 @@ func TestColumnarBudget(t *testing.T) {
 		mustAdd(t, m, strings.Repeat("//a", 20))
 		// An ambiguous path (every tuple's tag repeats), so candidates run
 		// the scalar determination and hit the exponential dead-end space.
-		out, _, err := m.MatchDocumentColumnar(chainDoc(t, 18), stepBudget(1000))
+		out, _, err := m.MatchDocument(chainDoc(t, 18), stepBudget(1000))
 		var le *guard.LimitError
 		if !errors.As(err, &le) || le.Kind != guard.Steps {
 			t.Fatalf("err = %v, want Steps *LimitError", err)
@@ -276,7 +280,7 @@ func TestColumnarBudget(t *testing.T) {
 		mustAdd(t, m, "//a")
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		_, _, err := m.MatchDocumentColumnar(chainDoc(t, 4), guard.NewBudget(ctx, guard.Limits{}))
+		_, _, err := m.MatchDocument(chainDoc(t, 4), guard.NewBudget(ctx, guard.Limits{}))
 		var le *guard.LimitError
 		if !errors.As(err, &le) || le.Kind != guard.Canceled {
 			t.Fatalf("err = %v, want Canceled *LimitError", err)
@@ -390,10 +394,10 @@ func TestScannedNeverFreezes(t *testing.T) {
 		if m.frozen != 0 || len(m.ordered) != 0 || m.clusters != nil {
 			t.Fatalf("mode %d: frozen %d, %d ordered, %d clusters", mode, m.frozen, len(m.ordered), len(m.clusters))
 		}
-		// The fields are the ones the uncached scalar reference fills.
+		// The fields are the ones the scalar reference fills.
 		ref := New(Options{Variant: PrefixCoverAP, AttrMode: mode, PathCacheBytes: -1})
 		mustAdd(t, ref, xpes...)
-		if ref.MatchDocument(xmldoc.FromPaths([]string{"a", "b"})); ref.frozen == 0 || len(ref.ordered) == 0 || ref.clusters == nil {
+		if ref.MatchDocument(xmldoc.FromPaths([]string{"a", "b"}), nil); ref.frozen == 0 || len(ref.ordered) == 0 || ref.clusters == nil {
 			t.Fatalf("mode %d: the scalar reference did not freeze", mode)
 		}
 	}

@@ -16,7 +16,9 @@ import (
 // Add and Match used to race through the RUnlock→Lock freeze window; an
 // Add slipping in between could leave a matcher running against a stale
 // organization whose synthetic group ids collide with new expression ids.
-// Traced and counted scans join the matchers. Run under -race.
+// Traced and counted scans join the matchers, on the cached kernel and on
+// the scalar reference (PathCacheBytes < 0), whose scans freeze. Run
+// under -race.
 func TestConcurrentAddAndMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var exprs []string
@@ -38,9 +40,17 @@ func TestConcurrentAddAndMatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Postponed mode exercises the synthetic group representatives whose
-	// ids are the ones a stale organization could confuse.
-	m := New(Options{Variant: PrefixCoverAP, AttrMode: predicate.Postponed})
+	for _, cacheBytes := range []int64{0, -1} {
+		// Postponed mode exercises the synthetic group representatives
+		// whose ids are the ones a stale organization could confuse.
+		m := New(Options{Variant: PrefixCoverAP, AttrMode: predicate.Postponed, PathCacheBytes: cacheBytes})
+		addAndMatch(t, m, exprs, doc, raw)
+	}
+}
+
+// addAndMatch registers exprs from four goroutines while four others
+// match doc (raw, parsed) on m.
+func addAndMatch(t *testing.T, m *Matcher, exprs []string, doc *xmldoc.Document, raw []byte) {
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -59,7 +69,7 @@ func TestConcurrentAddAndMatch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				sids := m.MatchDocument(doc)
+				sids := matchSIDs(m, doc)
 				if i%4 > 1 {
 					d := []ScanDoc{{Doc: raw, Explain: i%4 == 2, Count: i%4 == 3}}
 					m.MatchScanned(d, guard.Limits{})

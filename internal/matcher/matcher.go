@@ -15,11 +15,12 @@
 //     their first predicate (the access predicate); a cluster whose access
 //     predicate did not match is skipped wholesale.
 //
-// The organizations shape the scalar per-unit loop, which runs uncached
-// only and is the reference the columnar kernel (columnar.go, the one
-// every served entry point uses) and its path cache (cache.go) are held
+// The organizations shape the scalar per-unit loop, the reference the
+// columnar kernel (columnar.go) and its path cache (cache.go) are held
 // equal to; the kernel evaluates every unit independently, 64 at a time,
-// and reads none of them.
+// and reads none of them. One setting picks the kernel, on every entry
+// point: Options.PathCacheBytes < 0 runs the scalar loop under
+// Options.Variant, any other value the cached columnar kernel.
 //
 // Registration is lazy and a change costs what it changes. Add and Remove
 // touch the expression table and the SID lists only; the state derived
@@ -90,9 +91,12 @@ type Options struct {
 	// DisablePathDedup turns off per-document deduplication of
 	// structurally identical publications (kept for ablation benchmarks).
 	DisablePathDedup bool
-	// PathCacheBytes bounds the structural path-signature cache (see
-	// internal/pathcache): 0 selects the default size
-	// (pathcache.DefaultMaxBytes), a negative value disables the cache.
+	// PathCacheBytes picks the kernel and bounds its structural
+	// path-signature cache (see internal/pathcache): a negative value
+	// selects the scalar reference loop, which has no cache; any other the
+	// cached columnar kernel, 0 with the default bound
+	// (pathcache.DefaultMaxBytes). A bound below an entry's size keeps no
+	// entry, so every path is a miss that builds and runs its own.
 	PathCacheBytes int64
 	// Metrics, when non-nil, receives each document's match-stage
 	// observation and its document, path, work and match counters.
@@ -145,7 +149,7 @@ type Matcher struct {
 	nodes  []*nestedNode      // their sub-expressions, by nestedNode.id
 
 	// The scalar reference's organizations, built by freeze for
-	// exprs[:frozen] when the uncached scalar loop next runs.
+	// exprs[:frozen] when the scalar loop next runs.
 	frozen   int
 	ordered  []hotExpr                   // units, longest chain first
 	clusters map[predindex.PID][]hotExpr // access-predicate clusters, each longest first
@@ -154,7 +158,7 @@ type Matcher struct {
 	// attribute values; it forces publication dedup keys to include them.
 	attrSensitive bool
 
-	// Path-signature cache (see cache.go); nil when disabled.
+	// Path-signature cache (see cache.go); nil on the scalar reference.
 	cache *pathcache.Cache
 
 	// mx receives stage observations when configured (Options.Metrics).
@@ -162,10 +166,8 @@ type Matcher struct {
 
 	pool sync.Pool // *scratch
 
-	// Columnar matching (see columnar.go): the column index, created by the
-	// first columnar match — any scan, on every configuration — and
-	// extended by every catch-up after it. The uncached scalar reference
-	// loop never reads it.
+	// Columnar matching (see columnar.go): the column index, extended by
+	// every catch-up; nil on the scalar reference, which never reads it.
 	col     *colIndex
 	colPool sync.Pool // *colScratch
 }
@@ -227,6 +229,7 @@ func New(opts Options) *Matcher {
 	}
 	if opts.PathCacheBytes >= 0 {
 		m.cache = pathcache.New(opts.PathCacheBytes)
+		m.col = &colIndex{wordOff: []int32{0}}
 	}
 	m.pool.New = func() any { return &scratch{} }
 	m.colPool.New = func() any { return &colScratch{} }
@@ -689,9 +692,9 @@ func (m *Matcher) Stats() Stats {
 
 // Breakdown is the per-call cost of a materialized document's match.
 // PredMatch, ExprMatch and Other are Figure 10's split, filled only by the
-// uncached scalar loop that the figure measures (MatchDocumentBreakdown
-// with the path cache off); the served kernel fills Total alone, and its
-// work counters say where the match went.
+// scalar reference loop that the figure measures (MatchDocument with
+// PathCacheBytes < 0); the cached kernel fills Total alone, and its work
+// counters say where the match went.
 type Breakdown struct {
 	PredMatch time.Duration // predicate matching stage
 	ExprMatch time.Duration // expression matching (occurrence determination)
@@ -708,8 +711,8 @@ type docWork struct {
 }
 
 // scratch is the pooled working state of one document, and the state of
-// the per-document protocol: the kernel (cs; nil selects the scalar
-// reference), budget and match clock the document runs under. It is the
+// the per-document protocol: the kernel (cs; nil on the scalar reference),
+// budget and match clock the document runs under. It is the
 // xmldoc.Visitor a scanned document's paths are matched by (Path).
 type scratch struct {
 	m     *Matcher
@@ -833,6 +836,14 @@ func (sc *scratch) reset() {
 	sc.match, sc.bd, sc.work = 0, Breakdown{}, docWork{}
 }
 
+// discard restores the columnar counters to what they were as the document
+// began, dropping its kernel work.
+func (sc *scratch) discard() {
+	if sc.cs != nil {
+		sc.cs.stats = sc.stats
+	}
+}
+
 // Path matches one root-to-leaf path of the document, unless the document
 // had it already: a repeated path costs one probe, records its node ids
 // against the first one's nested record and replays its counts, and reads
@@ -875,81 +886,38 @@ func (sc *scratch) Path(pub *xmldoc.Publication) {
 func (sc *scratch) Restart() {
 	sc.reset()
 	sc.bud.Restart()
-	if sc.cs != nil {
-		sc.cs.stats = sc.stats
-	}
+	sc.discard()
 	if k := sc.count; k != nil {
 		clear(k.counts)
 		clear(k.memo)
 	}
 }
 
-// MatchDocument returns the SIDs of all expressions matched by the
-// document (paper semantics: an expression matches the document iff it
-// matches at least one of its root-to-leaf paths; nested-path expressions
-// recombine per-path results over the document tree).
-func (m *Matcher) MatchDocument(doc *xmldoc.Document) []SID {
-	sids, _ := m.MatchDocumentBreakdown(doc)
-	return sids
-}
-
-// ensureFrozen returns with the read lock held and the scalar
-// organizations up to date. The read lock cannot be upgraded atomically,
-// so after concurrent Adds several matchers may race through the
-// RUnlock→Lock window; freeze is an idempotent no-op once the first one
-// rebuilt, and the condition is re-checked after every downgrade so a
-// registration that slipped into the window is accounted for too rather
-// than matched against a stale organization.
-func (m *Matcher) ensureFrozen() {
-	m.mu.RLock()
-	for m.stale() || m.frozen != m.caught {
-		m.mu.RUnlock()
-		m.mu.Lock()
-		m.freeze()
-		m.mu.Unlock()
-		m.mu.RLock()
-	}
-}
-
 // matchPath runs the two matching stages for one publication, folding
-// results into sc. sc.cs carries the columnar kernel's state; nil selects
-// the scalar reference loop, which exists only uncached and alone splits
-// its time into Figure 10's stages (sc.bd); on a counted document
-// (sc.count) the counter takes the path instead. Effort is charged to
-// sc.bud (nil is unlimited); once it trips the path is abandoned and the
-// caller must surface its error instead of a result. Callers must hold
-// the read lock with the derived state of their kernel (ensureColumnar,
-// ensureFrozen) current.
+// results into sc, on one of three arms: on a counted document (sc.count)
+// the counter takes the path; with a path cache (sc.cs set) the columnar
+// kernel runs the path's cache entry; without one the scalar reference loop
+// runs, and alone splits its time into Figure 10's stages (sc.bd). Effort
+// is charged to sc.bud (nil is unlimited); once it trips the path is
+// abandoned and the caller must surface its error instead of a result.
+// Callers hold the read lock from lockKernel.
 func (m *Matcher) matchPath(sc *scratch, pub *xmldoc.Publication) {
 	sc.pub = pub
-	cs, bud := sc.cs, sc.bud
-	if sc.count != nil {
+	switch {
+	case sc.count != nil:
 		sc.count.match(pub)
-		return
-	}
-	if m.cache != nil {
-		m.matchPathCached(sc, cs, pub, bud)
-		return
-	}
-	sc.res.Reset(m.ix.Len())
-	if cs == nil {
+	case sc.cs != nil:
+		m.matchPathCached(sc, sc.cs, pub, sc.bud)
+	default:
+		sc.res.Reset(m.ix.Len())
 		t0 := time.Now()
 		m.ix.MatchPath(pub, sc.res, true)
 		t1 := time.Now()
-		m.runUnits(sc, bud)
+		m.runUnits(sc, sc.bud)
 		m.recordLive(sc, pub)
 		sc.bd.PredMatch += t1.Sub(t0)
 		sc.bd.ExprMatch += time.Since(t1)
-		return
 	}
-	m.ix.MatchPath(pub, sc.res, true)
-	ambiguous := repeatsTag(pub)
-	acc := m.colSweep(sc.res.Touched(), cs, ambiguous, bud)
-	if bud.Exceeded() {
-		return
-	}
-	m.markCandidates(sc, cs, acc, false, ambiguous, bud)
-	m.recordLive(sc, pub)
 }
 
 // runUnits is the scalar reference's expression-matching stage: the
@@ -1007,53 +975,6 @@ func (sc *scratch) key(pub *xmldoc.Publication) uint64 {
 // recombination needs is what a repeated path still records (Path).
 func (m *Matcher) pathDedup() bool {
 	return !m.opts.DisablePathDedup
-}
-
-// MatchDocumentBreakdown is MatchDocument with its cost: Figure 10's split
-// with the path cache off (the scalar loop), the total alone with it on.
-func (m *Matcher) MatchDocumentBreakdown(doc *xmldoc.Document) ([]SID, Breakdown) {
-	sids, bd, _ := m.MatchDocumentBudget(doc, nil)
-	return sids, bd
-}
-
-// MatchDocumentBudget is MatchDocumentBreakdown charging the match to a
-// per-document budget. A nil budget is unlimited and never errors. Once
-// the budget trips — step bound, deadline, or cancellation — matching
-// stops and the budget's *guard.LimitError is returned; the partial marks
-// are discarded, never reported as "no match". With the path cache off
-// this is the scalar reference loop, honoring Options.Variant; with it on
-// there is one cached kernel and this is MatchDocumentColumnar.
-func (m *Matcher) MatchDocumentBudget(doc *xmldoc.Document, bud *guard.Budget) ([]SID, Breakdown, error) {
-	if m.cache != nil {
-		return m.MatchDocumentColumnar(doc, bud)
-	}
-	t0 := time.Now()
-	m.ensureFrozen()
-	defer m.mu.RUnlock()
-	return m.matchDoc(nil, doc, bud, t0)
-}
-
-// matchDoc is the per-document protocol over a materialized Document:
-// getScratch, Path per path (matchPath behind the budget checkpoint), end,
-// observe. MatchScanned runs the same protocol with the scan feeding Path.
-// t0 is when the caller's clock for this document started. Callers hold
-// the read lock as for matchPath.
-func (m *Matcher) matchDoc(cs *colScratch, doc *xmldoc.Document, bud *guard.Budget, t0 time.Time) ([]SID, Breakdown, error) {
-	sc := m.getScratch(cs, bud)
-	defer m.pool.Put(sc)
-	for i := range doc.Paths {
-		if bud.Exceeded() {
-			break
-		}
-		sc.Path(&doc.Paths[i])
-	}
-	out, err := m.end(sc, nil)
-	bd := sc.bd
-	if err == nil {
-		bd.Total = time.Since(t0)
-		m.observe(bd.Total, sc.work, len(doc.Paths), len(out), nil)
-	}
-	return out, bd, err
 }
 
 // end closes the document's match: nested-path recombination, then the

@@ -31,9 +31,9 @@ func mustAdd(t *testing.T, m *Matcher, xpes ...string) []SID {
 	return sids
 }
 
-// withScalar returns cfgs plus the uncached twin of each. MatchDocument
-// runs the cached columnar kernel on the former and the scalar reference
-// loop — the only place Variant, covers and clusters act — on the latter.
+// withScalar returns cfgs plus the PathCacheBytes < 0 twin of each: the
+// cached columnar kernel runs on the former and the scalar reference loop
+// — the only place Variant, covers and clusters act — on the latter.
 func withScalar(cfgs []Options) []Options {
 	out := append([]Options(nil), cfgs...)
 	for _, o := range cfgs {
@@ -49,9 +49,15 @@ func (m *Matcher) cacheStats() (pathcache.Stats, bool) {
 	return st.PathCache, st.PathCacheEnabled
 }
 
+// matchSIDs is MatchDocument unbudgeted, its SIDs alone.
+func matchSIDs(m *Matcher, doc *xmldoc.Document) []SID {
+	sids, _, _ := m.MatchDocument(doc, nil)
+	return sids
+}
+
 func matchSet(m *Matcher, doc *xmldoc.Document) map[SID]bool {
 	out := make(map[SID]bool)
-	for _, sid := range m.MatchDocument(doc) {
+	for _, sid := range matchSIDs(m, doc) {
 		out[sid] = true
 	}
 	return out
@@ -388,7 +394,7 @@ func TestVariantsAgree(t *testing.T) {
 		doc := randDoc(rng, false)
 		var sets []map[SID]bool
 		for _, v := range allVariants {
-			m := New(Options{Variant: v, PathCacheBytes: -1}) // the variants act uncached only
+			m := New(Options{Variant: v, PathCacheBytes: -1}) // the variants act on the scalar reference only
 			for _, s := range xpes {
 				if _, err := m.Add(s); err != nil {
 					t.Fatal(err)

@@ -242,9 +242,10 @@ func subChains(p *pathcache.Program) []pathcache.ProgChain {
 	return p.Chains[sort.Search(len(p.Chains), func(i int) bool { return p.Chains[i].ID < 0 }):]
 }
 
-// recordLive records the current path for the uncached arms: the
-// sub-expressions compiled from their live predicate results as a miss
-// compiles them, and their tests decided as a hit decides them.
+// recordLive records the current path for the scalar reference and the
+// counter, which run no cache entry: the sub-expressions compiled from
+// their live predicate results as a miss compiles them, and their tests
+// decided as a hit decides them.
 func (m *Matcher) recordLive(sc *scratch, pub *xmldoc.Publication) {
 	if len(m.nodes) == 0 {
 		return

@@ -274,11 +274,11 @@ func TestRejectedAddLeavesIndex(t *testing.T) {
 		for _, cached := range []bool{true, false} {
 			opts := Options{}
 			if !cached {
-				opts.PathCacheBytes = -1
+				opts.PathCacheBytes = 1 // keeps no entry: every path a miss
 			}
 			m := New(opts)
 			want := mustAdd(t, m, "/a//b")
-			if _, _, err := m.MatchDocumentColumnar(mustParse(t, "<z/>"), nil); err != nil {
+			if _, _, err := m.MatchDocument(mustParse(t, "<z/>"), nil); err != nil {
 				t.Fatal(err) // the columnar index now exists
 			}
 			n := m.ix.Len()
@@ -294,7 +294,7 @@ func TestRejectedAddLeavesIndex(t *testing.T) {
 						t.Fatalf("after rejecting %q (cached %v): match of %s panicked: %v", c.bad, cached, c.doc, r)
 					}
 				}()
-				got, _, err := m.MatchDocumentColumnar(mustParse(t, c.doc), nil)
+				got, _, err := m.MatchDocument(mustParse(t, c.doc), nil)
 				if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Fatalf("after rejecting %q (cached %v): %s matched %v, %v; want %v", c.bad, cached, c.doc, got, err, want)
 				}
@@ -407,7 +407,7 @@ func TestNestedPairsBounded(t *testing.T) {
 	mx := metrics.NewSet()
 	m := New(Options{Metrics: mx})
 	mustAdd(t, m, xpe)
-	m.MatchDocument(doc) // catch up: the sub-expressions' predicates are indexed
+	m.MatchDocument(doc, nil) // catch up: the sub-expressions' predicates are indexed
 	res := predindex.NewResults(m.ix.Len())
 	m.ix.MatchPath(&doc.Paths[0], res, false)
 	chains := 0
@@ -421,7 +421,7 @@ func TestNestedPairsBounded(t *testing.T) {
 			m.cache.Invalidate()
 		}
 		before := mx.Scrape().OccurPairs
-		sids, _, err := m.MatchDocumentBudget(doc, guard.NewBudget(context.Background(), guard.Limits{MaxSteps: int64(4*chains + 1<<12)}))
+		sids, _, err := m.MatchDocument(doc, guard.NewBudget(context.Background(), guard.Limits{MaxSteps: int64(4*chains + 1<<12)}))
 		if err != nil || len(sids) != 0 {
 			t.Fatalf("%s: sids %v, err %v; want no match within the budget", pass, sids, err)
 		}

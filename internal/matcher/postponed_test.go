@@ -80,7 +80,7 @@ func TestBreakdownAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sids, bd := m.MatchDocumentBreakdown(doc)
+	sids, bd, _ := m.MatchDocument(doc, nil)
 	if len(sids) != 8 { // t1/u and t2/u, 4 duplicate sids each
 		t.Errorf("matched %d sids, want 8", len(sids))
 	}

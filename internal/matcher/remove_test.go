@@ -66,7 +66,7 @@ func TestRemoveConcurrentWithMatching(t *testing.T) {
 	// Matching exprs removed up front: these must never surface again.
 	dead := mustAdd(t, m, "/a/b/c", "a//c", "/a/b/c")
 	keep := mustAdd(t, m, "//b/c")
-	m.MatchDocument(doc) // freeze with the dead sids still present
+	m.MatchDocument(doc, nil) // freeze with the dead sids still present
 	for _, sid := range dead {
 		if err := m.Remove(sid); err != nil {
 			t.Fatal(err)
@@ -108,7 +108,7 @@ func TestRemoveConcurrentWithMatching(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
-				sids := m.MatchDocument(doc)
+				sids := matchSIDs(m, doc)
 				found := false
 				for _, sid := range sids {
 					if isDead[sid] {

@@ -16,7 +16,7 @@ var EngineRows = []Row[Scrape]{
 	{Name: "predfilter_paths_distinct_total", Kind: "counter", Help: "Paths matched after per-document dedup of repeated paths.", Read: func(s *Scrape, e Emit) { e(s.PathsDistinct) }},
 	{Name: "predfilter_attr_tests_total", Kind: "counter", Help: "Attribute tests evaluated by path-cache hit programs; outcomes reused for an unchanged node are not counted.", Read: func(s *Scrape, e Emit) { e(s.AttrTests) }},
 	{Name: "predfilter_occurrence_evals_total", Kind: "counter", Help: "Units the served kernel sent through occurrence determination: a tag repeated on the path, a Postponed group on a cache miss, or a chain unit a path-cache hit decided over the pairs its tests kept.", Read: func(s *Scrape, e Emit) { e(s.OccurEvals) }},
-	{Name: "predfilter_occurrence_pairs_total", Kind: "counter", Help: "Occurrence pairs the served kernel's determinations and enumerations visited, chain units decided on path-cache hits included: the steps a match budget charges.", Read: func(s *Scrape, e Emit) { e(s.OccurPairs) }},
+	{Name: "predfilter_occurrence_pairs_total", Kind: "counter", Help: "Occurrence pairs visited by occurrence determination and combination counting, chain units decided on path-cache hits included: the steps a match budget charges.", Read: func(s *Scrape, e Emit) { e(s.OccurPairs) }},
 	{Name: "predfilter_matches_total", Kind: "counter", Help: "Matching expression identifiers reported.", JSON: "matches", On: OnStats, Read: func(s *Scrape, e Emit) { e(s.MatchesTotal) }},
 	{Name: "predfilter_emit_bytes_total", Kind: "counter", Help: "Bytes of identifier text emitted for matching documents, each identifier's digits and a comma.", Read: func(s *Scrape, e Emit) { e(s.EmitBytes) }},
 	{Name: "predfilter_slow_docs_total", Kind: "counter", Help: "Documents over the slow-document threshold.", JSON: "slow_docs", On: OnStats, Read: func(s *Scrape, e Emit) { e(s.SlowDocs) }},

@@ -29,7 +29,7 @@ type Set struct {
 	PathsDistinct Counter // paths that survived per-document dedup
 	AttrTests     Counter // attribute tests hit programs decided
 	OccurEvals    Counter // units the served kernel sent through occurrence determination
-	OccurPairs    Counter // occurrence pairs its determinations and enumerations visited
+	OccurPairs    Counter // occurrence pairs determination and combination counting visited
 	MatchesTotal  Counter // matching SIDs reported
 	EmitBytes     Counter // bytes of SID text emitted for them
 	SlowDocs      Counter // documents over the slow-document threshold

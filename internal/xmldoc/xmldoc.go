@@ -19,10 +19,8 @@ package xmldoc
 import (
 	"hash/maphash"
 	"strings"
-	"time"
 
 	"predfilter/internal/guard"
-	"predfilter/internal/metrics"
 )
 
 // Attr is an attribute name/value pair attached to an element.
@@ -129,15 +127,6 @@ func Parse(data []byte) (*Document, error) {
 func ParseLimitsMode(data []byte, lim guard.Limits, mode Mode) (*Document, error) {
 	d, _, err := parse(data, lim, mode)
 	return d, err
-}
-
-// ParseSource is ParseLimitsMode under the scanner, with the parse stage
-// observed in ms (see Scanned.Observe).
-func ParseSource(data []byte, ms *metrics.Set, lim guard.Limits) (*Document, Scanned, error) {
-	t0 := time.Now()
-	d, st, err := parse(data, lim, ModeAuto)
-	st.Observe(ms, time.Since(t0), err)
-	return d, st, err
 }
 
 // FromPaths builds a Document directly from tag-name paths, computing

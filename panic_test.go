@@ -62,8 +62,8 @@ func TestStreamPanicIsolated(t *testing.T) {
 
 // TestMatchEmitPanicIsolated: MatchEmit isolates a panic to its document,
 // in a batch and for a single document, on the columnar engine and on the
-// scalar reference, whose documents are matched one by one into a []SID
-// and emitted from it as after a batch's panic.
+// scalar reference; after a batch's panic the documents are matched one by
+// one into a []SID and emitted from it.
 func TestMatchEmitPanicIsolated(t *testing.T) {
 	bomb := []byte("<panic/>")
 	setStreamHook(t, func(doc []byte) {
@@ -72,7 +72,7 @@ func TestMatchEmitPanicIsolated(t *testing.T) {
 		}
 	})
 	healthy := []byte("<ok/>")
-	for _, cfg := range []Config{{}, {Columnar: ColumnarOff, PathCacheBytes: -1}} {
+	for _, cfg := range []Config{{}, {PathCacheBytes: -1}} {
 		eng := New(cfg)
 		if _, err := eng.AddAll([]string{"//ok", "/ok", "//no"}); err != nil {
 			t.Fatal(err)

@@ -27,7 +27,7 @@
 //
 // # Matching
 //
-// Every match scans the document straight into one columnar kernel, each
+// Every match scans the document straight into the engine's kernel, each
 // root-to-leaf path matched as its leaf closes, and builds no document
 // tree: Match and MatchContext for one document, MatchStream and
 // MatchBatchContext for many, MatchTracedContext to explain per expression
@@ -36,8 +36,11 @@
 // identifiers are wanted as text and as a bitset rather than as a []SID.
 // The exception is MatchParsedContext: it runs the same kernel over a
 // document ParseDocument materialized once for several engines.
-// Config{Columnar: ColumnarOff, PathCacheBytes: -1} selects the paper's
-// scalar reference loop instead (see ColumnarMode).
+//
+// One setting picks the kernel, on every entry point: the default is the
+// columnar kernel with its path cache; Config{PathCacheBytes: -1} selects
+// the paper's scalar reference loop instead (see Config.PathCacheBytes).
+// Both produce identical results.
 package predfilter
 
 import (
@@ -86,28 +89,16 @@ const (
 	LimitCanceled LimitKind = guard.Canceled
 )
 
-// ColumnarMode selects the expression-matching kernel. Every entry point
-// — Match, the groups of MatchStream and MatchBatchContext, the traced
-// and counting matches, MatchParsedContext — runs the columnar kernel in
-// internal/matcher: bit columns of expressions, so matching cost scales
-// with words(|expressions|/64) instead of |expressions|, and with the path
-// cache on, a cached live-candidate plan per path signature. ColumnarOff
-// exists for reference only: Config{Columnar: ColumnarOff, PathCacheBytes:
-// -1} is the one public route to the paper's scalar per-expression loop
-// under its best organization (basic-pc-ap: prefix covers and
-// access-predicate clusters, §4.2.2), which the equivalence tests and the
-// benchmark oracle compare against; it parses each document into a
-// Document first. The organizations themselves are compared by the
-// Figure 6–9 experiments (internal/bench). Both kernels produce identical
-// results. Traces and counts come from the scan on every engine.
+// ColumnarMode was the kernel selector of Config.Columnar.
+//
+// Deprecated: no engine reads it; Config.PathCacheBytes picks the kernel.
 type ColumnarMode int
 
 const (
-	// ColumnarAuto is the default: the columnar kernel, always.
+	// Deprecated: ignored, like every ColumnarMode.
 	ColumnarAuto ColumnarMode = iota
-	// ColumnarOff selects the scalar reference loop for uncached
-	// evaluation. The path cache has one kernel, so cached evaluation is
-	// columnar regardless.
+	// Deprecated: ignored; Config{PathCacheBytes: -1} selects the scalar
+	// reference loop.
 	ColumnarOff
 )
 
@@ -134,13 +125,19 @@ const (
 // Config configures an Engine. The zero value is ready to use.
 type Config struct {
 	AttributeMode AttributeMode
-	// PathCacheBytes bounds the structural path-signature cache, which
-	// memoizes per-path structural matching results across documents
-	// (documents generated from one DTD repeat the same root-to-leaf tag
-	// sequences). 0 selects the default bound (16 MiB); a negative value
-	// disables the cache. Value-dependent work (attribute filters, nested
-	// path filters) is always re-verified against the live document, so
-	// the cache never changes match results.
+	// PathCacheBytes picks the matching kernel. A negative value selects
+	// the paper's scalar per-expression loop under its best organization
+	// (basic-pc-ap: prefix covers and access-predicate clusters, §4.2.2),
+	// the reference the equivalence tests and the benchmark oracle compare
+	// against. Any other value selects the served kernel: bit columns of
+	// expressions, so matching cost scales with words(|expressions|/64)
+	// instead of |expressions|, behind a structural path-signature cache
+	// that memoizes per-path matching results across documents (documents
+	// generated from one DTD repeat the same root-to-leaf tag sequences)
+	// and is bounded by this value, 0 selecting the default bound (16
+	// MiB). Value-dependent work (attribute filters, nested path filters)
+	// is always re-verified against the live document, so neither the
+	// kernel nor the cache changes match results.
 	PathCacheBytes int64
 	// SlowDocThreshold, when positive, emits one structured log record
 	// (via Logger) for every document whose parse+match time reaches the
@@ -155,8 +152,9 @@ type Config struct {
 	// matching. Exceeding a limit returns a typed *LimitError; the zero
 	// value enforces nothing.
 	Limits Limits
-	// Columnar selects the matching kernel (see ColumnarMode): leave it
-	// zero except to obtain the scalar reference.
+	// Columnar is ignored.
+	//
+	// Deprecated: PathCacheBytes picks the kernel.
 	Columnar ColumnarMode
 }
 
@@ -170,10 +168,6 @@ type Engine struct {
 	logger *slog.Logger
 	slow   time.Duration
 	limits Limits
-	// scalar selects the reference (ColumnarOff, cache off): documents are
-	// parsed into an xmldoc.Document and matched by the scalar loop.
-	// Otherwise they are matched as they are scanned.
-	scalar bool
 }
 
 // New returns an engine with the given configuration.
@@ -198,7 +192,6 @@ func New(cfg Config) *Engine {
 		logger: logger,
 		slow:   cfg.SlowDocThreshold,
 		limits: cfg.Limits,
-		scalar: cfg.Columnar == ColumnarOff && cfg.PathCacheBytes < 0,
 	}
 	mx.ReadGauges = e.gauges
 	return e
@@ -288,14 +281,6 @@ func (e *Engine) Match(doc []byte) ([]SID, error) {
 // (never a partial result); ctx-originated stops additionally unwrap to
 // the matching context error.
 func (e *Engine) MatchContext(ctx context.Context, doc []byte) ([]SID, error) {
-	if e.scalar {
-		t0 := time.Now()
-		d, st, err := xmldoc.ParseSource(doc, e.mx, e.limits)
-		if err != nil {
-			return nil, e.recordGovernance(err)
-		}
-		return e.matchDoc(ctx, d, guard.NewBudget(ctx, e.limits), time.Since(t0), int(st.Bytes))
-	}
 	d, err := e.scan(ctx, matcher.ScanDoc{Doc: doc})
 	return d.SIDs, err
 }
@@ -317,23 +302,6 @@ func (e *Engine) scanned(ctx context.Context, d *matcher.ScanDoc) error {
 	}
 	e.maybeLogSlow(ctx, d.Parse, d.Match, int(d.Scan.Bytes), d.Scan.Paths, d.Matches())
 	return nil
-}
-
-// matchDoc matches one parsed document — a columnar batch of one, or the
-// scalar reference — counting a limit trip or a slow document (parse is
-// the time already spent parsing it, nbytes its size).
-func (e *Engine) matchDoc(ctx context.Context, d *xmldoc.Document, bud *guard.Budget, parse time.Duration, nbytes int) (sids []SID, err error) {
-	var bd matcher.Breakdown
-	if e.scalar {
-		sids, bd, err = e.m.MatchDocumentBudget(d, bud)
-	} else {
-		sids, bd, err = e.m.MatchDocumentColumnar(d, bud)
-	}
-	if err != nil {
-		return nil, e.recordGovernance(err)
-	}
-	e.maybeLogSlow(ctx, parse, bd.Total, nbytes, len(d.Paths), len(sids))
-	return sids, nil
 }
 
 // recordGovernance counts a limit trip when err is a *LimitError and
@@ -384,9 +352,15 @@ func (d *Document) Paths() int { return len(d.doc.Paths) }
 
 // MatchParsedContext matches a pre-parsed document under the engine's
 // match budget and the caller's context (the parse-stage limits do not
-// apply — the document is already materialized).
+// apply — the document is already materialized). A limit trip is counted
+// and a slow match logged, as for Match.
 func (e *Engine) MatchParsedContext(ctx context.Context, d *Document) ([]SID, error) {
-	return e.matchDoc(ctx, d.doc, guard.NewBudget(ctx, e.limits), 0, 0)
+	sids, bd, err := e.m.MatchDocument(d.doc, guard.NewBudget(ctx, e.limits))
+	if err != nil {
+		return nil, e.recordGovernance(err)
+	}
+	e.maybeLogSlow(ctx, 0, bd.Total, 0, len(d.doc.Paths), len(sids))
+	return sids, nil
 }
 
 // Stats summarizes engine state.

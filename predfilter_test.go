@@ -61,9 +61,9 @@ func TestEngineBasics(t *testing.T) {
 func TestEngineConfigsAgree(t *testing.T) {
 	configs := []predfilter.Config{
 		{},
-		{Columnar: predfilter.ColumnarOff, PathCacheBytes: -1},
-		{AttributeMode: predfilter.PostponedAttributes},
 		{PathCacheBytes: -1},
+		{AttributeMode: predfilter.PostponedAttributes},
+		{PathCacheBytes: 1}, // keeps no entry: every path a miss
 	}
 	nitf := workload.NITF()
 	xpes, err := workload.Expressions(nitf, 500, workload.ExpressionConfig{Wildcard: 0.2, Descendant: 0.2, Filters: 1, Seed: 3})

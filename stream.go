@@ -74,10 +74,10 @@ func (e *Engine) isolate(r *Result, f func()) (ok bool) {
 }
 
 // matchStreamGroup processes one group of a batch: the documents are scanned
-// and matched together, one columnar batch — or one by one under the
-// scalar reference, and after a panic in the batch, each under its own
-// isolation so only the offender fails. With emit set each result is
-// Emitted rather than SIDs, whichever way it was matched.
+// and matched together, one batch of the kernel — or, after a panic in the
+// batch, one by one, each under its own isolation so only the offender
+// fails. With emit set each result is Emitted rather than SIDs, whichever
+// way it was matched.
 func (e *Engine) matchStreamGroup(ctx context.Context, rs []Result, emit bool) {
 	live := make([]bool, len(rs))
 	n := 0
@@ -88,7 +88,7 @@ func (e *Engine) matchStreamGroup(ctx context.Context, rs []Result, emit bool) {
 			n++
 		}
 	}
-	if n == 0 || !e.scalar && e.matchScannedGroup(ctx, rs, live, emit) {
+	if n == 0 || e.matchScannedGroup(ctx, rs, live, emit) {
 		return
 	}
 	for k := range rs {
@@ -104,7 +104,7 @@ func (e *Engine) matchStreamGroup(ctx context.Context, rs []Result, emit bool) {
 }
 
 // matchScannedGroup matches a group's live documents as one batch of the
-// columnar kernel, each as it is scanned. A panic is recovered and reported
+// kernel, each as it is scanned. A panic is recovered and reported
 // by returning false, with the live results reset so the caller's
 // document-by-document pass starts clean.
 func (e *Engine) matchScannedGroup(ctx context.Context, rs []Result, live []bool, emit bool) (ok bool) {
